@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint bench-smoke bench-compile bench-paired bench-sched profile quick trace-demo metrics-demo fuzz chaos chaos-demo
+.PHONY: build test verify lint bench-smoke bench-compile bench-paired bench-ab bench-sched profile quick trace-demo metrics-demo fuzz chaos chaos-demo
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,19 @@ BENCH ?= BenchmarkWorkerSteadyState$$
 ROUNDS ?= 10
 bench-paired:
 	BASE=$(BASE) PKG=$(PKG) BENCH='$(BENCH)' ROUNDS=$(ROUNDS) scripts/bench_paired.sh
+
+# bench-ab A/Bs the repo's end-to-end benchmark (./bench) between a
+# baseline ref and the working tree: PAIRS interleaved pairs of contract
+# runs, alternating which side goes first, then per metric each side's
+# quartiles and median, the median ratio, wins/pairs, and whether the
+# simulated metrics were bit-identical run for run — the rule a
+# performance claim has to meet (bench/README.md "Noise"). See
+# scripts/bench_ab.sh for the SECONDS_/SEED/TRACE/OUT knobs.
+#   make bench-ab BASE=<ref> WORKLOAD=cluster_deploy PAIRS=10
+WORKLOAD ?= cluster_deploy
+PAIRS ?= 10
+bench-ab:
+	BASE=$(BASE) WORKLOAD=$(WORKLOAD) PAIRS=$(PAIRS) scripts/bench_ab.sh
 
 # bench-sched A/Bs the interleave scheduler on the same binary: the
 # round-robin loop against the fill-clock wakeup loop, on the worker

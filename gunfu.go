@@ -321,8 +321,12 @@ func ExperimentNames() []string { return exp.Names() }
 // the disabled hook costs one nil check with zero allocations.
 type (
 	// Tracer receives the simulated core's event stream
-	// (Core.SetTracer).
+	// (Core.SetTracer): in emission order, delivered at flush points —
+	// every Worker.Run return among them — not synchronously.
 	Tracer = sim.Tracer
+	// BatchTracer is the optional upgrade a Tracer implements to take
+	// each flush as one slice instead of one call per event.
+	BatchTracer = sim.BatchTracer
 	// TraceEvent is one cycle-stamped simulation event.
 	TraceEvent = sim.TraceEvent
 	// ObsCollector folds the event stream into per-NFAction /

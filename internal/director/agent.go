@@ -192,6 +192,12 @@ type Agent struct {
 	prog    *model.Program
 	dumpSeq int
 
+	// cores recycles the deployment core: a fresh one is ~4 MB of tag,
+	// stamp and directory arrays, a pooled one a generation reset.
+	// Built on first use from SimConfig and rebuilt if that field is
+	// changed between deployments. Owned by the execute goroutine.
+	cores *sim.CorePool
+
 	// replies caches completed deploy replies by sequence ID so a
 	// director resend (deploy retry after a timeout or reconnect) gets
 	// the cached answer instead of a duplicate run. Owned by the
@@ -529,10 +535,16 @@ func (a *Agent) execute(env Envelope, send func(Envelope) error) Envelope {
 	if err != nil {
 		return fail(err)
 	}
-	core, err := sim.NewCore(a.SimConfig)
+	if a.cores == nil || a.cores.Config() != a.SimConfig {
+		a.cores = sim.NewCorePool(a.SimConfig)
+	}
+	core, err := a.cores.Get()
 	if err != nil {
 		return fail(err)
 	}
+	// Put flushes the run's last trace events into the taps, detaches
+	// them and resets the core.
+	defer a.cores.Put(core)
 
 	// Observability taps: the always-on flight recorder plus, when the
 	// spec asks for latency telemetry, a per-window rx→done probe. Build

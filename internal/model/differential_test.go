@@ -2,12 +2,14 @@ package model_test
 
 // Differential replay: the compiled step-plan executor must drive the
 // simulated core with exactly the access sequence the interpreted
-// reference executor issues. This harness generates randomized programs
-// — random state graphs, random declared spans over every base kind,
-// aligned and unaligned pools — runs each stream through both executors
-// on separate cores with the access log attached, and asserts the
-// (addr, size, kind, cycle) sequences, the PMU counters, the clocks and
-// the access-cycle accounting are identical.
+// reference executor (reference_test.go) issues. This harness generates
+// randomized programs — random state graphs, random declared spans over
+// every base kind, aligned and unaligned pools — runs each stream
+// through both executors on separate cores with the access log
+// attached, and asserts the (addr, size, kind, cycle) sequences, the PMU
+// counters, the clocks and the access-cycle accounting are identical.
+// TestDifferentialReplayEvents extends the comparison to the trace-event
+// stream under the real runtimes (see refsched_test.go).
 
 import (
 	"math/rand"
@@ -16,6 +18,8 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
+	"github.com/gunfu-nfv/gunfu/internal/rt"
+	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
 
@@ -26,9 +30,11 @@ const diffPrograms = 128
 // diffWorld is one generated program plus the shared simulated layout
 // both executors resolve against.
 type diffWorld struct {
-	prog     *model.Program
-	perFlow  *mem.Pool
-	subFlow  *mem.Pool
+	prog *model.Program
+	// as is the address space after the program's own reservations; a
+	// runtime built on a copy of it lands on the same addresses as any
+	// other built on another copy.
+	as       mem.AddressSpace
 	tempAddr uint64
 	pktAddr  uint64
 	dynBase  uint64
@@ -81,8 +87,6 @@ func buildRandomProgram(t *testing.T, rng *rand.Rand) *diffWorld {
 	}
 	control := mem.Region{Name: "ctl", Base: as.Reserve(512, uint64(8<<rng.Intn(4))), Size: 512}
 	w := &diffWorld{
-		perFlow:  perFlow,
-		subFlow:  subFlow,
 		tempAddr: as.Reserve(64, 64),
 		pktAddr:  as.Reserve(2048, 64) + uint64(rng.Intn(3))*8,
 		dynBase:  as.Reserve(4096, 64),
@@ -120,6 +124,35 @@ func buildRandomProgram(t *testing.T, rng *rand.Rand) *diffWorld {
 	e1 := b.Event("e1")
 	nStates := 2 + rng.Intn(5)
 	dynBase, dynSize := w.dynBase, w.dynSize
+
+	// The start state is the stream's classifier: it binds the flow
+	// indexes and the cursor from the packet, so the program runs the
+	// same under a bare Exec loop and under a real runtime (whose
+	// ResetStream leaves the indexes unmatched). It may only touch bases
+	// that resolve before matching.
+	early := bases[1:4] // packet, control, temp
+	initRefs := make([]model.FieldRef, 0, 2)
+	for i := 0; i < rng.Intn(3); i++ {
+		eb := early[rng.Intn(len(early))]
+		initRefs = append(initRefs, randSpan(rng, eb.kind, eb.limit))
+	}
+	b.AddState("m", "init", model.Action{
+		Name:  "ainit",
+		Kind:  model.ActionData,
+		Cost:  uint64(rng.Intn(60)),
+		Reads: initRefs,
+		Fn: func(e *model.Exec) model.EventID {
+			k := e.Seq + uint64(e.Pkt.Data[0])
+			e.FlowIdx = int32(k % uint64(perFlow.Count()))
+			if subFlow != nil {
+				e.SubIdx = int32(k % uint64(subFlow.Count()))
+			}
+			e.Cur.Addr = dynBase
+			e.Temp[0] = 0
+			return e1
+		},
+	})
+	b.AddTransition("m.init", "e1", "m."+stateName(0))
 	for i := 0; i < nStates; i++ {
 		stateIdx := uint64(i)
 		b.AddState("m", stateName(i), model.Action{
@@ -151,12 +184,13 @@ func buildRandomProgram(t *testing.T, rng *rand.Rand) *diffWorld {
 		b.AddTransition("m."+stateName(i), "e1", next)
 		b.AddTransition("m."+stateName(i), "e0", "m."+stateName(rng.Intn(nStates)))
 	}
-	b.SetStart("m." + stateName(0))
+	b.SetStart("m.init")
 	prog, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.prog = prog
+	w.as = *as
 	return w
 }
 
@@ -200,12 +234,6 @@ func replayConfigured(t *testing.T, w *diffWorld, s diffSide, packets int, scan 
 	e := &model.Exec{Core: core, TempAddr: w.tempAddr}
 	for seq := 0; seq < packets; seq++ {
 		e.ResetStream(p, w.prog.Start(), uint64(seq))
-		e.FlowIdx = int32(seq % w.perFlow.Count())
-		if w.subFlow != nil {
-			e.SubIdx = int32(seq % w.subFlow.Count())
-		}
-		e.Cur.Addr = w.dynBase
-		e.Temp[0] = 0
 		for visits := 0; !e.Done; visits++ {
 			if visits > 4096 {
 				t.Fatalf("stream did not terminate (program %s)", w.prog.Name())
@@ -365,5 +393,134 @@ func TestDifferentialReplayEpochWrap(t *testing.T) {
 		want := replay(t, w, interpreted, packets, false)
 		got := replayConfigured(t, w, compiled, packets, false, nearWrap)
 		diffCompare(t, n, "compiled/epoch-wrap", got, want)
+	}
+}
+
+// eventLog collects a core's trace stream; it takes batches, so the
+// compiled side also exercises slice delivery end to end.
+type eventLog struct{ evs []sim.TraceEvent }
+
+func (l *eventLog) Event(ev sim.TraceEvent)         { l.evs = append(l.evs, ev) }
+func (l *eventLog) EventBatch(evs []sim.TraceEvent) { l.evs = append(l.evs, evs...) }
+
+// packetSource hands out n fresh 128-byte packets, each tagged with its
+// index for the generated programs' classifier state.
+type packetSource struct {
+	left int
+	next byte
+}
+
+func (s *packetSource) Next() *pkt.Packet {
+	if s.left == 0 {
+		return nil
+	}
+	s.left--
+	p := &pkt.Packet{Data: make([]byte, 128), WireLen: 128}
+	p.Data[0] = s.next
+	s.next++
+	return p
+}
+
+// runner is the Run contract the real workers and refWorker share.
+type runner interface {
+	Run(src rt.Source, maxPackets uint64) (rt.Result, error)
+}
+
+// tracedRun is everything one side of the event differential produced.
+type tracedRun struct {
+	diffResult
+	evs     []sim.TraceEvent
+	windows [2]rt.Result
+}
+
+// runTraced runs 41 packets as a 9-packet window then a drain — two Run
+// returns, so the stream crosses a flush point mid-way — on a fresh
+// traced core, with the access log attached when logged is set (which
+// also takes the core off its single-line fast paths).
+func runTraced(t *testing.T, w *diffWorld, logged bool, build func(*sim.Core, *mem.AddressSpace) runner) tracedRun {
+	t.Helper()
+	core, err := sim.NewCore(sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out tracedRun
+	log := &eventLog{}
+	core.SetTracer(log)
+	if logged {
+		core.SetAccessLog(func(a sim.MemAccess) { out.log = append(out.log, a) })
+	}
+	as := w.as
+	r := build(core, &as)
+	src := &packetSource{left: 41}
+	for i, n := range []uint64{9, 0} {
+		if out.windows[i], err = r.Run(src, n); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && len(log.evs) == 0 {
+			t.Fatal("first window's events not delivered by the time Run returned")
+		}
+	}
+	out.evs = log.evs
+	out.ctr, out.clock = core.Counters(), core.Now()
+	out.accessCycles = out.windows[0].AccessCycles + out.windows[1].AccessCycles
+	return out
+}
+
+// TestDifferentialReplayEvents traces the randomized corpus through the
+// real rtc.Worker and rt.Worker (round-robin and wakeup) running the
+// compiled executor, and through the reference schedulers running the
+// interpreted executor, and requires the two trace-event streams to be
+// identical in every field of every event — along with the access logs,
+// counters, clocks and per-window results.
+func TestDifferentialReplayEvents(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n < diffPrograms; n++ {
+		w := buildRandomProgram(t, rng)
+		cfg := rt.DefaultConfig()
+		cfg.Tasks = 2 + rng.Intn(7)
+		cfg.Batch = 8
+		cfg.RingSlots = 32
+		for _, m := range []struct {
+			name string
+			mode refMode
+		}{{"rtc", refRTC}, {"rr", refRR}, {"wakeup", refWakeup}} {
+			real := func(core *sim.Core, as *mem.AddressSpace) runner {
+				var r runner
+				var err error
+				if m.mode == refRTC {
+					r, err = rtc.NewWorker(core, as, w.prog, rtc.Config{
+						Batch: cfg.Batch, RxCost: cfg.RxCost, RingSlots: cfg.RingSlots, SlotBytes: cfg.SlotBytes})
+				} else {
+					c := cfg
+					if m.mode == refWakeup {
+						c.Scheduler = rt.SchedulerWakeup
+					}
+					r, err = rt.NewWorker(core, as, w.prog, c)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			ref := func(core *sim.Core, as *mem.AddressSpace) runner {
+				return newRefWorker(core, as, w.prog, m.mode, cfg)
+			}
+			for _, logged := range []bool{true, false} {
+				want := runTraced(t, w, logged, ref)
+				got := runTraced(t, w, logged, real)
+				if len(got.evs) != len(want.evs) {
+					t.Fatalf("program %d %s: %d events compiled vs %d reference", n, m.name, len(got.evs), len(want.evs))
+				}
+				for i := range want.evs {
+					if got.evs[i] != want.evs[i] {
+						t.Fatalf("program %d %s event %d: compiled %+v != reference %+v", n, m.name, i, got.evs[i], want.evs[i])
+					}
+				}
+				if got.windows != want.windows {
+					t.Fatalf("program %d %s windows: compiled %+v != reference %+v", n, m.name, got.windows, want.windows)
+				}
+				diffCompare(t, n, "compiled/"+m.name, got.diffResult, want.diffResult)
+			}
+		}
 	}
 }

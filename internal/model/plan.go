@@ -11,7 +11,7 @@ import (
 // program-build time, into a flat stepPlan the hot path executes without
 // re-interpreting span tables. Three things are compiled away:
 //
-//   - Per-span base resolution. Resolve() runs a switch on the span's
+//   - Per-span base resolution. Interpreting a span runs a switch on its
 //     BaseKind and (for pool bases) a bounds-checked pool lookup on
 //     every access of every visit. The plan pre-splits spans by base:
 //     each access becomes a (base-table index, pre-added offset) pair,
@@ -31,11 +31,12 @@ import (
 //
 // The lowering is a pure representation change: the simulated access
 // sequence — every (addr, size, read/write/prefetch, cycle) the core is
-// charged with — is byte-for-byte the sequence the interpreted executor
-// issues. No access is deduplicated, reordered, split or merged. The
-// differential-replay harness (plandiff_test.go) asserts this against
-// randomized programs; the golden-counter tests in internal/exp pin it
-// for the shipped NFs.
+// charged with — is byte-for-byte the sequence the span-interpreting
+// reference (reference_test.go) issues, and so is the trace-event stream
+// when a tracer is attached. No access is deduplicated, reordered, split
+// or merged. The differential-replay harness (differential_test.go)
+// asserts both against randomized programs; the golden-counter tests in
+// internal/exp pin the shipped NFs, traced and untraced.
 
 // Base-table indexes of a compiled access. pbStatic entries carry their
 // full address in the offset (the table slot stays zero); the rest are
@@ -149,7 +150,7 @@ func lowerOps(dst []sim.PlanOp, spans []Span, bind *Binding) ([]sim.PlanOp, []si
 	var mask uint8
 	for _, s := range spans {
 		base, off := lowerBase(s, bind)
-		dst = append(dst, sim.PlanOp{Off: off, Size: s.Size, Base: base})
+		dst = append(dst, sim.PlanOp{Off: off, Size: s.Size, Base: base, Kind: uint8(s.Base)})
 		mask |= maskBit(base)
 	}
 	return dst, dst[start:len(dst):len(dst)], mask
@@ -251,15 +252,24 @@ func planBases(e *Exec, bind *Binding, mask uint8) *[8]uint64 {
 }
 
 // stepCompiled executes one control state through its plan: charge the
-// reads, run the action, charge the writes, take the transition —
-// the same operation sequence as stepInterpreted, with address
-// resolution reduced to one add per access and each phase's op list
-// executed core-side in a single call. The base-table fills are
+// reads, run the action, charge the writes, take the transition — with
+// address resolution reduced to one add per access and each phase's op
+// list executed core-side in a single call. The base-table fills are
 // spelled out inline (see planBases, kept in sync) because the
 // materialization sits on the hottest loop in the repository and must
 // not pay a call per phase.
+//
+// With a tracer attached the same body brackets the action with
+// TraceActionBegin / TraceActionEnd + TraceTransition (outlined in
+// traceBegin/traceEnd so the untraced path pays two predictable
+// branches and keeps its shape); the per-op TraceAccess events come from
+// the core's span loops.
 func (p *Program) stepCompiled(e *Exec, pl *stepPlan) error {
 	core := e.Core
+	traced := core.Tracer() != nil
+	if traced {
+		traceBegin(e, pl)
+	}
 	before := core.Now()
 	if ops := pl.reads; len(ops) > 0 {
 		bases := &e.bases
@@ -318,12 +328,33 @@ func (p *Program) stepCompiled(e *Exec, pl *stepPlan) error {
 	if next < 0 {
 		return p.stepTransitionErr(e, ev)
 	}
+	if traced {
+		traceEnd(core, pl, before, ev, next)
+	}
 	e.CS = next
 	e.Prefetched = false
 	if next == CSEnd {
 		e.Done = true
 	}
 	return nil
+}
+
+// traceBegin stamps the core with the control state about to execute
+// and emits its TraceActionBegin.
+//
+//go:noinline
+func traceBegin(e *Exec, pl *stepPlan) {
+	e.Core.SetCS(int32(e.CS))
+	e.Core.Emit(sim.TraceActionBegin, sim.CauseNone, uint64(pl.action), 0, 0)
+}
+
+// traceEnd emits the TraceActionEnd (B = cycles since begin, the clock
+// at step entry) and the TraceTransition taken.
+//
+//go:noinline
+func traceEnd(core *sim.Core, pl *stepPlan, begin uint64, ev EventID, next CSID) {
+	core.Emit(sim.TraceActionEnd, sim.CauseNone, uint64(pl.action), core.Now()-begin, 0)
+	core.Emit(sim.TraceTransition, sim.CauseNone, uint64(ev), uint64(next), 0)
 }
 
 // prefetchCompiled issues the pre-resolved prefetch plan. The negative
@@ -360,22 +391,6 @@ func (p *Program) EnsurePrefetched(e *Exec) bool {
 	if e.CS == CSEnd {
 		e.Prefetched = true
 		return true
-	}
-	if p.plans == nil {
-		// Hand-built program without compiled plans: take the unfused pair.
-		if p.ResidentCurrent(e) {
-			e.Prefetched = true
-			return true
-		}
-		p.PrefetchCurrent(e)
-		// The interpreted prefetch path has no planned issue and thus no
-		// max-ready stamp; record an empty stamp under the current epoch
-		// so a wakeup scheduler falls back to its conservative horizon
-		// (the earliest in-flight MSHR) instead of trusting a stale
-		// WakeAt from a previous control state.
-		e.WakeAt = 0
-		e.WakeEpoch = e.Core.EvictionEpoch()
-		return false
 	}
 	pl := &p.plans[e.CS]
 	e.Prefetched = true
@@ -426,8 +441,7 @@ func (p *Program) EnsurePrefetched(e *Exec) bool {
 	return false
 }
 
-// stepEventErr builds the unknown-event diagnostic off the hot path,
-// matching the interpreted executor's message exactly.
+// stepEventErr builds the unknown-event diagnostic off the hot path.
 //
 //go:noinline
 func (p *Program) stepEventErr(e *Exec, ev EventID) error {
@@ -437,7 +451,7 @@ func (p *Program) stepEventErr(e *Exec, ev EventID) error {
 }
 
 // stepTransitionErr builds the missing-transition diagnostic off the
-// hot path, matching the interpreted executor's message exactly.
+// hot path.
 //
 //go:noinline
 func (p *Program) stepTransitionErr(e *Exec, ev EventID) error {

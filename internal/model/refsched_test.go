@@ -1,0 +1,296 @@
+package model_test
+
+// Reference schedulers for the event-stream differential
+// (TestDifferentialReplayEvents): naive restatements of the three
+// runtimes' visit orders — run-to-completion, Algorithm 1's round-robin
+// with skip, and the fill-clock wakeup variant — driving the
+// span-interpreting reference executor. They keep the run ring as a
+// plain slice and the parked set in container/heap, share no code with
+// internal/rt or internal/rtc, and must reproduce, event for event, what
+// the real workers emit while running the compiled executor.
+
+import (
+	"container/heap"
+
+	"github.com/gunfu-nfv/gunfu/internal/mem"
+	"github.com/gunfu-nfv/gunfu/internal/model"
+	"github.com/gunfu-nfv/gunfu/internal/pkt"
+	"github.com/gunfu-nfv/gunfu/internal/rt"
+	"github.com/gunfu-nfv/gunfu/internal/sim"
+)
+
+// refMode selects the scheduling a refWorker models.
+type refMode int
+
+const (
+	refRTC refMode = iota
+	refRR
+	refWakeup
+)
+
+// refWorker lays its rx ring and task scratch out exactly as
+// rt.NewWorker / rtc.NewWorker do (ring first, then one scratch region
+// per task), so both sides of the differential resolve the same
+// addresses.
+type refWorker struct {
+	core  *sim.Core
+	prog  *model.Program
+	mode  refMode
+	cfg   rt.Config
+	ring  *pkt.Ring
+	tasks []model.Exec
+	seq   uint64
+}
+
+func newRefWorker(core *sim.Core, as *mem.AddressSpace, prog *model.Program, mode refMode, cfg rt.Config) *refWorker {
+	ring, err := pkt.NewRing(as.Reserve(uint64(cfg.RingSlots)*cfg.SlotBytes, sim.LineBytes), cfg.SlotBytes, cfg.RingSlots)
+	if err != nil {
+		panic(err)
+	}
+	n := cfg.Tasks
+	if mode == refRTC {
+		n = 1
+	}
+	w := &refWorker{core: core, prog: prog, mode: mode, cfg: cfg, ring: ring, tasks: make([]model.Exec, n)}
+	for i := range w.tasks {
+		w.tasks[i] = model.Exec{
+			Core:     core,
+			TempAddr: as.Reserve(uint64(prog.TempLines())*sim.LineBytes, sim.LineBytes),
+			Done:     true,
+		}
+	}
+	return w
+}
+
+// receive models one rx burst: slot assignment, the DDIO fill of the
+// header lines, the per-packet receive cost, and the TraceRx event.
+func (w *refWorker) receive(src rt.Source, limit uint64) []*pkt.Packet {
+	n := uint64(w.cfg.Batch)
+	if limit > 0 && limit < n {
+		n = limit
+	}
+	traced := w.core.Tracer() != nil
+	if traced {
+		w.core.SetTask(-1)
+		w.core.SetCS(-1)
+	}
+	var batch []*pkt.Packet
+	for uint64(len(batch)) < n {
+		p := src.Next()
+		if p == nil {
+			break
+		}
+		p.Addr = w.ring.Slot(w.seq)
+		w.seq++
+		w.core.DMAFill(p.Addr, min(uint64(len(p.Data)), 128))
+		w.core.Compute(w.cfg.RxCost)
+		if traced {
+			w.core.Emit(sim.TraceRx, sim.CauseNone, p.Addr, uint64(p.Bits()), 0)
+		}
+		batch = append(batch, p)
+	}
+	return batch
+}
+
+// ensure is the P-state visit. Round-robin takes the reference
+// expansion — residency check, then on a miss the full prefetch issue.
+// The wakeup scheduler parks on the stamp only the planned issue
+// computes, so there the visit is shared with the compiled side and the
+// differential covers Step alone.
+func (w *refWorker) ensure(e *model.Exec) bool {
+	if w.mode == refWakeup {
+		return w.prog.EnsurePrefetched(e)
+	}
+	if w.prog.ResidentCurrentInterpreted(e) {
+		e.Prefetched = true
+		return true
+	}
+	w.prog.PrefetchCurrentInterpreted(e)
+	return false
+}
+
+// parkedTask is one entry of the wakeup scheduler's pending set.
+type parkedTask struct {
+	key uint64
+	idx int32
+}
+
+// wakeHeap orders parked tasks by wake key, earliest first.
+type wakeHeap []parkedTask
+
+func (h wakeHeap) Len() int           { return len(h) }
+func (h wakeHeap) Less(i, j int) bool { return h[i].key < h[j].key }
+func (h wakeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *wakeHeap) Push(x any)        { *h = append(*h, x.(parkedTask)) }
+func (h *wakeHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// Run is the reference Worker.Run: up to maxPackets packets (0 = drain
+// src), every return a trace flush point.
+func (w *refWorker) Run(src rt.Source, maxPackets uint64) (rt.Result, error) {
+	core := w.core
+	startCtr, startCycles := core.Counters(), core.Now()
+	res := rt.Result{FreqHz: core.Config().FreqHz}
+	traced := core.Tracer() != nil
+	finish := func(t *model.Exec) {
+		res.Packets++
+		res.Bits += t.Pkt.Bits()
+		res.AccessCycles += t.AccessCycles
+		t.AccessCycles = 0
+		if traced {
+			core.Emit(sim.TraceStreamDone, sim.CauseNone, t.Pkt.Addr, uint64(t.Pkt.Bits()), 0)
+		}
+	}
+
+	remaining := maxPackets
+	for {
+		batch := w.receive(src, remaining)
+		if len(batch) == 0 {
+			break
+		}
+		if remaining > 0 {
+			remaining -= uint64(len(batch))
+		}
+		var err error
+		if w.mode == refRTC {
+			err = w.complete(batch, finish)
+		} else {
+			err = w.interleave(batch, finish, &res)
+		}
+		if err != nil {
+			return rt.Result{}, err
+		}
+		if maxPackets > 0 && remaining == 0 {
+			break
+		}
+	}
+	res.Cycles = core.Now() - startCycles
+	res.Counters = core.Counters().Sub(startCtr)
+	core.FlushTrace()
+	return res, nil
+}
+
+// complete runs each packet of the batch to completion on task slot 0.
+func (w *refWorker) complete(batch []*pkt.Packet, finish func(*model.Exec)) error {
+	if w.core.Tracer() != nil {
+		w.core.SetTask(0)
+	}
+	t := &w.tasks[0]
+	for _, p := range batch {
+		t.ResetStream(p, w.prog.Start(), w.seq)
+		for !t.Done {
+			if err := w.prog.StepInterpreted(t); err != nil {
+				return err
+			}
+		}
+		finish(t)
+	}
+	return nil
+}
+
+// interleave runs one batch under Algorithm 1. live is the run ring in
+// visit order and pos the task being visited; a finished task with no
+// packet left to take is removed, and under the wakeup scheduler so is a
+// task whose P-state visit missed, until its fill clock passes.
+func (w *refWorker) interleave(batch []*pkt.Packet, finish func(*model.Exec), res *rt.Result) error {
+	core := w.core
+	traced := core.Tracer() != nil
+	next := 0
+	var live []int32
+	for i := range w.tasks {
+		if next == len(batch) {
+			break
+		}
+		w.tasks[i].ResetStream(batch[next], w.prog.Start(), w.seq)
+		next++
+		live = append(live, int32(i))
+	}
+	pos := 0
+	remove := func() {
+		live = append(live[:pos], live[pos+1:]...)
+		if pos == len(live) {
+			pos = 0
+		}
+	}
+	var parked wakeHeap
+	for len(live)+len(parked) > 0 {
+		// Wake every parked task whose key has passed, earliest first,
+		// queueing them right behind the task being visited. With nothing
+		// runnable, idle the core up to the earliest key first.
+		for at := pos; len(parked) > 0; {
+			key := parked[0].key
+			if key > core.Now() {
+				if len(live) > 0 {
+					break
+				}
+				core.StallWake(key - core.Now())
+				res.WakeStalls++
+			}
+			idx := heap.Pop(&parked).(parkedTask).idx
+			t := &w.tasks[idx]
+			t.Parked = false
+			res.Wakes++
+			voided := !core.StampValid(t.WakeEpoch)
+			if voided && !t.Reprobed {
+				t.Prefetched, t.Reprobed = false, true
+			}
+			if traced {
+				core.SetTask(idx)
+				v := uint64(0)
+				if voided {
+					v = 1
+				}
+				core.Emit(sim.TraceWake, sim.CauseNone, t.WakeAt, key, v)
+			}
+			if len(live) == 0 {
+				live, pos, at = append(live, idx), 0, 0
+				continue
+			}
+			at++
+			live = append(live[:at], append([]int32{idx}, live[at:]...)...)
+		}
+
+		cur := live[pos]
+		if traced {
+			core.SetTask(cur)
+		}
+		t := &w.tasks[cur]
+		if !t.Prefetched && !w.ensure(t) {
+			core.TaskSwitch()
+			if w.mode != refWakeup {
+				pos = (pos + 1) % len(live)
+				continue
+			}
+			key := t.WakeAt
+			if key == 0 {
+				key = core.EarliestMSHRReady()
+			}
+			t.Parked = true
+			heap.Push(&parked, parkedTask{key: key, idx: cur})
+			res.Parks++
+			remove()
+			continue
+		}
+		t.Reprobed = false
+		if err := w.prog.StepInterpreted(t); err != nil {
+			return err
+		}
+		if t.Done {
+			finish(t)
+			if next == len(batch) {
+				remove()
+				core.TaskSwitch()
+				continue
+			}
+			t.ResetStream(batch[next], w.prog.Start(), w.seq)
+			next++
+		}
+		core.TaskSwitch()
+		pos = (pos + 1) % len(live)
+	}
+	return nil
+}

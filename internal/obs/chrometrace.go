@@ -42,6 +42,11 @@ func (tw *TraceWriter) Event(ev sim.TraceEvent) {
 	tw.events = append(tw.events, ev)
 }
 
+// EventBatch implements sim.BatchTracer.
+func (tw *TraceWriter) EventBatch(evs []sim.TraceEvent) {
+	tw.events = append(tw.events, evs...)
+}
+
 // Len returns the number of recorded events.
 func (tw *TraceWriter) Len() int { return len(tw.events) }
 

@@ -68,7 +68,7 @@ func (c *Collector) Latency() *stats.Histogram { return &c.lat }
 
 // cs returns the per-CS accumulator for ev, or nil when the event is
 // not attributed to a control state.
-func (c *Collector) cs(ev sim.TraceEvent) *csStats {
+func (c *Collector) cs(ev *sim.TraceEvent) *csStats {
 	if ev.CS < 0 || int(ev.CS) >= len(c.perCS) {
 		return nil
 	}
@@ -76,7 +76,16 @@ func (c *Collector) cs(ev sim.TraceEvent) *csStats {
 }
 
 // Event implements sim.Tracer.
-func (c *Collector) Event(ev sim.TraceEvent) {
+func (c *Collector) Event(ev sim.TraceEvent) { c.event(&ev) }
+
+// EventBatch implements sim.BatchTracer.
+func (c *Collector) EventBatch(evs []sim.TraceEvent) {
+	for i := range evs {
+		c.event(&evs[i])
+	}
+}
+
+func (c *Collector) event(ev *sim.TraceEvent) {
 	c.events++
 	switch ev.Kind {
 	case sim.TraceActionBegin:

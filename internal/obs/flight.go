@@ -13,7 +13,7 @@ import (
 // overwrite-oldest ring of cycle-stamped TraceEvents. Unlike
 // TraceWriter — which records everything and is a profiling tool — the
 // flight recorder is sized for continuous production use: memory is
-// bounded at construction, Event is a masked store with no allocation
+// bounded at construction, recording is a ring copy with no allocation
 // and no synchronization, and when something goes wrong the last
 // ringSize events (the cycles around the anomaly) are still in the
 // buffer, ready to dump as a Perfetto trace without re-running with
@@ -27,11 +27,19 @@ import (
 type FlightRecorder struct {
 	buf  []sim.TraceEvent
 	mask uint64
-	n    uint64 // events ever recorded; buf[n&mask] is the next slot
+	req  atomic.Bool
+
+	// The words the recording goroutine writes sit on cache lines of
+	// their own: recorders of agents sharing a process are allocated
+	// back to back, and unpadded the tail of one recorder's census
+	// shares a host line with the next one's buf/mask, which that
+	// recorder's goroutine reads on every store.
+	_ [64]byte
+	n uint64 // events ever recorded; buf[n&mask] is the next slot
 	// kinds is a census of everything ever recorded, including
 	// overwritten events — the scrape-able summary of ring activity.
 	kinds [sim.TraceKindCount]uint64
-	req   atomic.Bool
+	_     [64]byte
 }
 
 // NewFlightRecorder builds a recorder holding the last size events;
@@ -51,6 +59,27 @@ func (f *FlightRecorder) Event(ev sim.TraceEvent) {
 	f.buf[f.n&f.mask] = ev
 	f.n++
 	f.kinds[ev.Kind]++
+}
+
+// EventBatch implements sim.BatchTracer: the batch is tallied into a
+// local census that touches the shared one once per kind, then copied
+// into the ring in at most two pieces.
+func (f *FlightRecorder) EventBatch(evs []sim.TraceEvent) {
+	var census [sim.TraceKindCount]uint64
+	for i := range evs {
+		census[evs[i].Kind]++
+	}
+	for k, c := range census {
+		f.kinds[k] += c
+	}
+	if over := len(evs) - len(f.buf); over > 0 {
+		// A batch larger than the ring: only its newest events survive.
+		f.n += uint64(over)
+		evs = evs[over:]
+	}
+	k := copy(f.buf[f.n&f.mask:], evs)
+	copy(f.buf, evs[k:])
+	f.n += uint64(len(evs))
 }
 
 // Cap returns the ring capacity in events.

@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"github.com/gunfu-nfv/gunfu/internal/obs"
@@ -78,6 +79,55 @@ func TestFlightRecorderEventZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Event allocates %.1f/run, want 0", allocs)
+	}
+	// The batch entry point, alone and as the agent attaches it: next
+	// to a latency probe under Multi.
+	batch := make([]sim.TraceEvent, 100)
+	for i := range batch {
+		batch[i] = sim.TraceEvent{Cycle: uint64(i), A: 0x1000, Kind: sim.TraceRx}
+		if i%2 == 1 {
+			batch[i].Kind = sim.TraceStreamDone
+		}
+	}
+	taps := obs.Multi(f, obs.NewLatencyProbe()).(sim.BatchTracer)
+	taps.EventBatch(batch) // first use sizes the probe's map and histogram
+	for name, bt := range map[string]sim.BatchTracer{"FlightRecorder": f, "Multi(FlightRecorder, LatencyProbe)": taps} {
+		allocs = testing.AllocsPerRun(100, func() {
+			for i := 0; i < 10; i++ {
+				bt.EventBatch(batch)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s.EventBatch allocates %.1f/run, want 0", name, allocs)
+		}
+	}
+}
+
+// TestFlightRecorderBatchMatchesEvents: feeding the ring slices — ones
+// that wrap it, and one larger than it — leaves exactly what feeding it
+// the same events one at a time leaves.
+func TestFlightRecorderBatchMatchesEvents(t *testing.T) {
+	single, batched := obs.NewFlightRecorder(64), obs.NewFlightRecorder(64)
+	var evs []sim.TraceEvent
+	for i := 0; i < 500; i++ {
+		evs = append(evs, sim.TraceEvent{Cycle: uint64(i), Kind: sim.TraceKind(1 + i%(sim.TraceKindCount-1))})
+	}
+	for at, n := range []int{0, 1, 40, 40, 7, 300, 64, 48} { // sums to 500
+		chunk := evs[:n]
+		evs = evs[n:]
+		for _, ev := range chunk {
+			single.Event(ev)
+		}
+		batched.EventBatch(chunk)
+		if !reflect.DeepEqual(batched.Snapshot(), single.Snapshot()) {
+			t.Fatalf("after batch %d (%d events) the rings differ", at, n)
+		}
+	}
+	if len(evs) != 0 {
+		t.Fatalf("%d events left over", len(evs))
+	}
+	if batched.Recorded() != 500 || batched.Len() != 64 || batched.KindCounts() != single.KindCounts() {
+		t.Fatalf("recorded/len = %d/%d, census %v vs %v", batched.Recorded(), batched.Len(), batched.KindCounts(), single.KindCounts())
 	}
 }
 

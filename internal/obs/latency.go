@@ -25,7 +25,16 @@ func NewLatencyProbe() *LatencyProbe {
 }
 
 // Event implements sim.Tracer.
-func (p *LatencyProbe) Event(ev sim.TraceEvent) {
+func (p *LatencyProbe) Event(ev sim.TraceEvent) { p.event(&ev) }
+
+// EventBatch implements sim.BatchTracer.
+func (p *LatencyProbe) EventBatch(evs []sim.TraceEvent) {
+	for i := range evs {
+		p.event(&evs[i])
+	}
+}
+
+func (p *LatencyProbe) event(ev *sim.TraceEvent) {
 	switch ev.Kind {
 	case sim.TraceRx:
 		p.rx[ev.A] = ev.Cycle

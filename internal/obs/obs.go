@@ -24,6 +24,10 @@
 //     heartbeats can carry latency quantiles.
 //   - Multi fans one event stream out to several tracers.
 //
+// All five implement sim.BatchTracer: the core hands them each flush as
+// one slice (see sim.Core.FlushTrace), so per-event cost is a loop
+// iteration, not an interface call.
+//
 // Registry is the serving surface: a stdlib-only OpenMetrics text
 // exposition registry (metrics.go) bridging PMU-derived rates,
 // latency quantiles and Go runtime gauges to HTTP scrapers.
@@ -43,6 +47,21 @@ type multi []sim.Tracer
 func (m multi) Event(ev sim.TraceEvent) {
 	for _, t := range m {
 		t.Event(ev)
+	}
+}
+
+// EventBatch implements sim.BatchTracer: each member takes the whole
+// batch in turn — as a slice when it can, per event otherwise — so every
+// member still sees the full stream in emission order.
+func (m multi) EventBatch(evs []sim.TraceEvent) {
+	for _, t := range m {
+		if bt, ok := t.(sim.BatchTracer); ok {
+			bt.EventBatch(evs)
+			continue
+		}
+		for i := range evs {
+			t.Event(evs[i])
+		}
 	}
 }
 

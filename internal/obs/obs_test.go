@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"github.com/gunfu-nfv/gunfu/internal/mem"
@@ -248,5 +249,12 @@ func TestMulti(t *testing.T) {
 	m.Event(sim.TraceEvent{Kind: sim.TraceTaskSwitch})
 	if a.switches != 1 || b.switches != 1 {
 		t.Fatalf("fan-out failed: %d/%d", a.switches, b.switches)
+	}
+	// A batch reaches slice-taking and per-event members alike, whole.
+	f := obs.NewFlightRecorder(64)
+	batch := []sim.TraceEvent{{Kind: sim.TraceTaskSwitch}, {Kind: sim.TraceStall, A: 9}, {Kind: sim.TraceTaskSwitch}}
+	obs.Multi(a, f).(sim.BatchTracer).EventBatch(batch)
+	if a.switches != 3 || a.stall != 9 || !reflect.DeepEqual(f.Snapshot(), batch) {
+		t.Fatalf("batch fan-out failed: plain member %d switches / %d stall, ring %v", a.switches, a.stall, f.Snapshot())
 	}
 }

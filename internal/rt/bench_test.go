@@ -65,9 +65,10 @@ func (c *countingTracer) Event(sim.TraceEvent) { c.events++ }
 
 // BenchmarkWorkerSteadyStateTraced is BenchmarkWorkerSteadyState with a
 // minimal tracer attached: the delta against the untraced benchmark is
-// the cost of event construction and dispatch on the hot path. It must
-// also stay at 0 allocs/op — TraceEvent is passed by value and no
-// emission site may box or escape it.
+// the cost of event construction and (per-event, the tracer takes no
+// batches) delivery. It must also stay at 0 allocs/op — events are
+// written into the core's buffer in place and no emission site may box
+// or escape one.
 func BenchmarkWorkerSteadyStateTraced(b *testing.B) {
 	prog, g := buildNAT(b, 1<<13)
 	core, err := sim.NewCore(sim.DefaultConfig())
@@ -101,7 +102,9 @@ func BenchmarkWorkerSteadyStateTraced(b *testing.B) {
 }
 
 // TestTracerDisabledZeroAlloc pins the nil-tracer fast path: a steady
-// state window with tracing disabled must not allocate at all.
+// state window with tracing disabled must not allocate at all — on a
+// core that never had a tracer, and on one whose tracer was detached
+// (its event buffer stays, unused).
 func TestTracerDisabledZeroAlloc(t *testing.T) {
 	prog, g := buildNAT(t, 1<<10)
 	core, err := sim.NewCore(sim.DefaultConfig())
@@ -116,13 +119,28 @@ func TestTracerDisabledZeroAlloc(t *testing.T) {
 	if _, err := w.Run(g, 4096); err != nil { // warm caches and pools
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(10, func() {
+	for _, state := range []string{"never traced", "tracer detached"} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := w.Run(g, 256); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("untraced steady state (%s) allocates %.1f/run, want 0", state, allocs)
+		}
+		ct := &countingTracer{}
+		core.SetTracer(ct)
 		if _, err := w.Run(g, 256); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("untraced steady state allocates %.1f/run, want 0", allocs)
+		core.SetTracer(nil)
+		seen := ct.events
+		if _, err := w.Run(g, 256); err != nil {
+			t.Fatal(err)
+		}
+		if seen == 0 || ct.events != seen {
+			t.Fatalf("tracer saw %d events attached, %d more after detach", seen, ct.events-seen)
+		}
 	}
 }
 
@@ -247,7 +265,9 @@ func BenchmarkWorkerSteadyStateFlight(b *testing.B) {
 }
 
 // TestFlightSteadyStateZeroAlloc pins the flight-recorder hot path: a
-// steady-state window with the ring attached must not allocate.
+// steady-state window with the ring attached must not allocate — alone,
+// and with the latency probe next to it under Multi, which is what an
+// agent attaches to every telemetry deployment.
 func TestFlightSteadyStateZeroAlloc(t *testing.T) {
 	prog, g := buildNAT(t, 1<<10)
 	core, err := sim.NewCore(sim.DefaultConfig())
@@ -262,13 +282,21 @@ func TestFlightSteadyStateZeroAlloc(t *testing.T) {
 	if _, err := w.Run(g, 4096); err != nil { // warm caches and pools
 		t.Fatal(err)
 	}
-	core.SetTracer(obs.NewFlightRecorder(1 << 12))
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := w.Run(g, 256); err != nil {
+	for name, taps := range map[string]sim.Tracer{
+		"flight":       obs.NewFlightRecorder(1 << 12),
+		"flight+probe": obs.Multi(obs.NewFlightRecorder(1<<12), obs.NewLatencyProbe()),
+	} {
+		core.SetTracer(taps)
+		if _, err := w.Run(g, 4096); err != nil { // sizes the probe's map and histogram
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("flight-recorded steady state allocates %.1f/run, want 0", allocs)
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := w.Run(g, 256); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: traced steady state allocates %.1f/run, want 0", name, allocs)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf/nat"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
+	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
 )
@@ -48,6 +49,56 @@ func newWorker(t testing.TB, prog *model.Program, cfg rt.Config) *rt.Worker {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// doneCounter tallies completed streams; it takes no batches, so it is
+// fed from the core's flush loop.
+type doneCounter struct{ done uint64 }
+
+func (c *doneCounter) Event(ev sim.TraceEvent) {
+	if ev.Kind == sim.TraceStreamDone {
+		c.done++
+	}
+}
+
+// TestRunReturnFlushesTrace: every Run return — rt under both
+// schedulers, rtc — is a flush point, so a window's telemetry is whole
+// the moment Run hands back its result, however the packet count falls
+// against the core's event buffer.
+func TestRunReturnFlushesTrace(t *testing.T) {
+	prog, g := buildNAT(t, 512)
+	wakeup := rt.DefaultConfig()
+	wakeup.Scheduler = rt.SchedulerWakeup
+	rtcCore, err := sim.NewCore(sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtcWorker, err := rtc.NewWorker(rtcCore, mem.NewAddressSpace(), prog, rtc.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, wk := newWorker(t, prog, rt.DefaultConfig()), newWorker(t, prog, wakeup)
+	for name, w := range map[string]struct {
+		core *sim.Core
+		run  func(rt.Source, uint64) (rt.Result, error)
+	}{
+		"rr":     {rr.Core(), rr.Run},
+		"wakeup": {wk.Core(), wk.Run},
+		"rtc":    {rtcCore, rtcWorker.Run},
+	} {
+		var ct doneCounter
+		w.core.SetTracer(&ct)
+		var total uint64
+		for _, n := range []uint64{1, 3, 97, 1000} {
+			res, err := w.run(g, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if total += res.Packets; ct.done != total {
+				t.Fatalf("%s: tracer saw %d streams done when Run returned, %d have run", name, ct.done, total)
+			}
+		}
+	}
 }
 
 // TestConfigValidation enumerates every invalid rt.Config error path

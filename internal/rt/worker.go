@@ -288,15 +288,25 @@ func (w *Worker) receive(src Source, limit uint64) []*pkt.Packet {
 // Run processes up to maxPackets packets from src (0 means until the
 // source is exhausted) under Algorithm 1 and returns the windowed
 // result. Counters are measured as a delta, so Run can be called again
-// on a warm worker for steady-state measurements.
-//
-// The body below is the SchedulerRR loop, kept byte-for-byte as it was
-// before the Scheduler knob existed: its visit order pins every golden
-// fingerprint. SchedulerWakeup branches to runWakeup.
+// on a warm worker for steady-state measurements. Every return is a
+// trace flush point: whatever the window emitted has reached the
+// core's tracer by the time the caller sees the result.
 func (w *Worker) Run(src Source, maxPackets uint64) (Result, error) {
+	var res Result
+	var err error
 	if w.cfg.Scheduler == SchedulerWakeup {
-		return w.runWakeup(src, maxPackets)
+		res, err = w.runWakeup(src, maxPackets)
+	} else {
+		res, err = w.runRR(src, maxPackets)
 	}
+	w.core.FlushTrace()
+	return res, err
+}
+
+// runRR is the SchedulerRR loop, kept byte-for-byte as it was before
+// the Scheduler knob existed: its visit order pins every golden
+// fingerprint.
+func (w *Worker) runRR(src Source, maxPackets uint64) (Result, error) {
 	startCtr := w.core.Counters()
 	startCycles := w.core.Now()
 

@@ -81,8 +81,15 @@ func (w *Worker) Core() *sim.Core { return w.core }
 
 // Run processes up to maxPackets packets (0 = until src is exhausted),
 // each to completion, and returns the windowed result. The Result type
-// is shared with the interleaved runtime for direct comparison.
+// is shared with the interleaved runtime for direct comparison. As in
+// rt, every return is a trace flush point.
 func (w *Worker) Run(src rt.Source, maxPackets uint64) (rt.Result, error) {
+	res, err := w.run(src, maxPackets)
+	w.core.FlushTrace()
+	return res, err
+}
+
+func (w *Worker) run(src rt.Source, maxPackets uint64) (rt.Result, error) {
 	startCtr := w.core.Counters()
 	startCycles := w.core.Now()
 

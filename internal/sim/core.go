@@ -75,10 +75,16 @@ type Core struct {
 	// trc, when non-nil, receives cycle-timestamped trace events;
 	// curTask and curCS are the attribution stamps (see trace.go).
 	// Every emission site is guarded by a nil check so the disabled
-	// path costs one predictable branch and zero allocations.
-	trc     Tracer
-	curTask int32
-	curCS   int32
+	// path costs one predictable branch and zero allocations. Events
+	// accumulate in tbuf[:tn] (allocated by the first SetTracer) and
+	// reach the tracer at the next flush point; trcBatch is trc's
+	// BatchTracer upgrade, resolved once at attach time.
+	trc      Tracer
+	trcBatch BatchTracer
+	tbuf     []TraceEvent
+	tn       int
+	curTask  int32
+	curCS    int32
 
 	// alog, when non-nil, receives every charged memory operation (see
 	// accesslog.go); the differential-replay harness uses it to prove
@@ -193,8 +199,10 @@ func (c *Core) SetEvictionEpoch(v uint64) { c.evictEpoch = v }
 // compact tags (resetExact), and the directory sweep zeroes the outer
 // levels' tags through its live entries (sweepReset) rather than
 // walking megabytes of stamp and ready arrays. The reset-vs-fresh
-// differential test pins the equivalence bit-for-bit.
+// differential test pins the equivalence bit-for-bit. Buffered trace
+// events are flushed first: they belong to the run being discarded.
 func (c *Core) Reset() {
+	c.FlushTrace()
 	c.clock = 0
 	c.ctr = Counters{}
 	c.l1.resetExact()

@@ -12,10 +12,15 @@ package sim
 // inlined, nothing more.
 
 // PlanOp is one compiled read or write: addr = bases[Base&7] + Off.
+// Kind is the plan compiler's attribution tag for the span (its
+// model.BaseKind), carried verbatim as the A argument of the op's
+// TraceAccess event; it rides in PlanOp's padding and the untraced
+// loops never read it.
 type PlanOp struct {
 	Off  uint64
 	Size uint64
 	Base uint8
+	Kind uint8
 }
 
 // FetchOp is one compiled prefetch/residency step: a pre-resolved
@@ -34,8 +39,13 @@ type FetchOp struct {
 // loop), including the prefetched/in-flight resolution via the same
 // outlined demandHitPrefetched tail; anything else — probe
 // displacement, outer-level residency, multi-line span — falls through
-// to the full burst machinery.
+// to the full burst machinery. With a tracer attached the same ops run
+// through spansTraced, which adds the per-op TraceAccess events.
 func (c *Core) ReadSpans(bases *[8]uint64, ops []PlanOp) {
+	if c.trc != nil {
+		c.spansTraced(bases, ops, false)
+		return
+	}
 	l1 := c.l1
 	fast := c.alog == nil && !c.scan
 	for i := range ops {
@@ -64,6 +74,10 @@ func (c *Core) ReadSpans(bases *[8]uint64, ops []PlanOp) {
 // WriteSpans charges a demand write per op, exactly Write(addr, size)
 // in op order.
 func (c *Core) WriteSpans(bases *[8]uint64, ops []PlanOp) {
+	if c.trc != nil {
+		c.spansTraced(bases, ops, true)
+		return
+	}
 	l1 := c.l1
 	fast := c.alog == nil && !c.scan
 	for i := range ops {
@@ -86,6 +100,29 @@ func (c *Core) WriteSpans(bases *[8]uint64, ops []PlanOp) {
 			}
 		}
 		c.burst(addr, op.Size, true)
+	}
+}
+
+// spansTraced is ReadSpans/WriteSpans with a tracer attached: Read or
+// Write per op in op order — the loops above are those calls inlined,
+// so the charged sequence is the same — each followed by the op's
+// TraceAccess event: A = the op's attribution tag, B = stall cycles
+// within the access, C = L1 misses <<32 | LLC misses. Only the three
+// counters the event carries are sampled around the access.
+//
+//go:noinline
+func (c *Core) spansTraced(bases *[8]uint64, ops []PlanOp, write bool) {
+	for i := range ops {
+		op := &ops[i]
+		addr := bases[op.Base&7] + op.Off
+		stall, l1, llc := c.ctr.StallCycles, c.ctr.L1Misses, c.ctr.LLCMisses
+		if write {
+			c.Write(addr, op.Size)
+		} else {
+			c.Read(addr, op.Size)
+		}
+		c.Emit(TraceAccess, CauseNone, uint64(op.Kind),
+			c.ctr.StallCycles-stall, (c.ctr.L1Misses-l1)<<32|(c.ctr.LLCMisses-llc))
 	}
 }
 

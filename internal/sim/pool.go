@@ -35,6 +35,9 @@ func NewCorePool(cfg Config) *CorePool {
 	return &CorePool{cfg: cfg}
 }
 
+// Config returns the configuration the pool's Cores are built with.
+func (p *CorePool) Config() Config { return p.cfg }
+
 // Get returns a reset Core, recycling a pooled one when available.
 func (p *CorePool) Get() (*Core, error) {
 	p.mu.Lock()
@@ -52,7 +55,8 @@ func (p *CorePool) Get() (*Core, error) {
 }
 
 // Put resets c and returns it to the pool. Observation hooks (tracer,
-// access log) are detached first: they are per-run attachments, and a
+// access log) are detached first — SetTracer(nil) delivers whatever the
+// run left buffered — because they are per-run attachments, and a
 // recycled core must come back as bare as a new one.
 func (p *CorePool) Put(c *Core) {
 	if c == nil {

@@ -2,7 +2,7 @@ package sim
 
 // This file defines the observability hook the simulated core (and the
 // layers above it: internal/model, internal/rt, internal/rtc) emit
-// cycle-timestamped events through. The hook is designed around two
+// cycle-timestamped events through. The hook is designed around three
 // invariants the golden-counters tests and the hot-path benchmarks
 // enforce:
 //
@@ -12,6 +12,10 @@ package sim
 //   - Counter-neutral when enabled: a Tracer only observes. Nothing in
 //     the emission path touches the clock, the caches, the MSHRs or the
 //     PMU, so attaching a tracer never changes a simulated result.
+//   - Batched delivery: Emit stores into a small core-owned buffer and
+//     the tracer is handed the filled prefix at the next flush point
+//     (see FlushTrace), so the per-event cost is a handful of stores
+//     rather than an interface call with a 48-byte argument.
 
 // TraceKind discriminates trace events.
 type TraceKind uint8
@@ -175,18 +179,45 @@ type TraceEvent struct {
 	Cause StallCause
 }
 
-// Tracer receives trace events synchronously on the simulation
-// goroutine. Implementations must not call back into the Core's
-// mutating API (Read, Write, Prefetch, ...); read-only queries are
-// safe. See internal/obs for the provided implementations.
+// Tracer receives trace events on the simulation goroutine, in emission
+// order, possibly deferred to the next flush point (see FlushTrace): an
+// event describes the core at the moment it was emitted, so consumers
+// must use the event's fields (Cycle, Task, CS, ...), not live Core
+// state. Implementations must not call back into the Core's mutating
+// API (Read, Write, Prefetch, SetTracer, ...). See internal/obs for the
+// provided implementations.
 type Tracer interface {
 	Event(ev TraceEvent)
 }
 
-// SetTracer attaches t (nil detaches). Tracing is an observation-only
+// BatchTracer is the optional upgrade (in the io.ReaderFrom style) a
+// Tracer implements to take each flush as one slice instead of one
+// Event call per element. evs is in emission order and aliases the
+// core's buffer: it is valid only until EventBatch returns, so copy
+// what must outlive the call. A core delivers every event through
+// exactly one of the two methods, never both.
+type BatchTracer interface {
+	Tracer
+	EventBatch(evs []TraceEvent)
+}
+
+// traceBufEvents is the capacity of a core's event buffer (12 KiB of
+// 48-byte events): large enough that delivery cost is amortized away,
+// small enough to stay in the host's L1 next to the simulated L1 index.
+const traceBufEvents = 256
+
+// SetTracer attaches t (nil detaches) after flushing anything still
+// buffered to the previous tracer. Tracing is an observation-only
 // facility: with a tracer attached the simulated clock, caches and PMU
 // counters behave bit-identically to an untraced run.
-func (c *Core) SetTracer(t Tracer) { c.trc = t }
+func (c *Core) SetTracer(t Tracer) {
+	c.FlushTrace()
+	c.trc = t
+	c.trcBatch, _ = t.(BatchTracer)
+	if t != nil && c.tbuf == nil {
+		c.tbuf = make([]TraceEvent, traceBufEvents)
+	}
+}
 
 // Tracer returns the attached tracer, or nil.
 func (c *Core) Tracer() Tracer { return c.trc }
@@ -199,22 +230,49 @@ func (c *Core) SetTask(slot int32) { c.curTask = slot }
 // none). model.Program calls this only while a tracer is attached.
 func (c *Core) SetCS(cs int32) { c.curCS = cs }
 
-// Emit delivers an event stamped with the current clock, task and
-// control state. It is a no-op without a tracer; callers on hot paths
-// should guard with their own nil check to avoid constructing the
-// arguments.
+// Emit records an event stamped with the current clock, task and
+// control state into the core's buffer, flushing when it fills. It is
+// a no-op without a tracer; callers on hot paths should guard with
+// their own nil check to avoid constructing the arguments.
 func (c *Core) Emit(kind TraceKind, cause StallCause, a, b, x uint64) {
 	if c.trc == nil {
 		return
 	}
-	c.trc.Event(TraceEvent{
-		Cycle: c.clock,
-		A:     a,
-		B:     b,
-		C:     x,
-		Task:  c.curTask,
-		CS:    c.curCS,
-		Kind:  kind,
-		Cause: cause,
-	})
+	ev := &c.tbuf[c.tn]
+	ev.Cycle = c.clock
+	ev.A = a
+	ev.B = b
+	ev.C = x
+	ev.Task = c.curTask
+	ev.CS = c.curCS
+	ev.Kind = kind
+	ev.Cause = cause
+	c.tn++
+	if c.tn == len(c.tbuf) {
+		c.FlushTrace()
+	}
+}
+
+// FlushTrace hands every buffered event to the tracer, in emission
+// order, and empties the buffer. The flush points are: buffer full,
+// the return of every worker Run (rt and rtc), SetTracer, Reset and
+// CorePool.Put — so whoever reads a tracer between runs (a telemetry
+// window boundary, a flight dump, a test) sees a complete stream.
+// Code that drives a traced core without a worker calls it before
+// reading its tracer. Deferral is counter-neutral for the same reason
+// tracing is: delivery only reads the buffer.
+func (c *Core) FlushTrace() {
+	n := c.tn
+	if n == 0 {
+		return
+	}
+	c.tn = 0
+	evs := c.tbuf[:n]
+	if c.trcBatch != nil {
+		c.trcBatch.EventBatch(evs)
+		return
+	}
+	for i := range evs {
+		c.trc.Event(evs[i])
+	}
 }
