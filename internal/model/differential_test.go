@@ -207,24 +207,20 @@ type diffSide struct {
 }
 
 // replay runs the given number of packet streams through one executor
-// side on a fresh core, logging every charged access. scan routes the
-// core's lookups through the dense tag scans instead of the residency
-// directory (the verification twin).
-func replay(t *testing.T, w *diffWorld, s diffSide, packets int, scan bool) diffResult {
-	return replayConfigured(t, w, s, packets, scan, nil)
+// side on a fresh core, logging every charged access.
+func replay(t *testing.T, w *diffWorld, s diffSide, packets int) diffResult {
+	return replayConfigured(t, w, s, packets, nil)
 }
 
 // replayConfigured is replay with a core-configuration hook applied
-// before the first packet — the twin tests use it to force-disable the
-// wakeup stamps and directory memo, or to park the eviction epoch at
-// the edge of wraparound.
-func replayConfigured(t *testing.T, w *diffWorld, s diffSide, packets int, scan bool, configure func(*sim.Core)) diffResult {
+// before the first packet — the epoch-wrap test uses it to park the
+// eviction epoch at the edge of wraparound.
+func replayConfigured(t *testing.T, w *diffWorld, s diffSide, packets int, configure func(*sim.Core)) diffResult {
 	t.Helper()
 	core, err := sim.NewCore(sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.SetScanLookups(scan)
 	if configure != nil {
 		configure(core)
 	}
@@ -327,60 +323,15 @@ func TestDifferentialReplay(t *testing.T) {
 		w := buildRandomProgram(t, rng)
 		packets := 2 + rng.Intn(3)
 		compiled, interpreted := sides(w)
-		want := replay(t, w, interpreted, packets, false)
-		diffCompare(t, n, "compiled", replay(t, w, compiled, packets, false), want)
-	}
-}
-
-// TestDifferentialReplayScanTwin replays randomized programs with the
-// core's lookups routed through the historical dense tag scans
-// (SetScanLookups) and requires results bit-identical to the residency-
-// directory path, for both executors. The directory is a host-side
-// accelerator over the same simulated state; it must never change a
-// charged access, a counter, or the clock.
-func TestDifferentialReplayScanTwin(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for n := 0; n < diffPrograms/2; n++ {
-		w := buildRandomProgram(t, rng)
-		packets := 2 + rng.Intn(3)
-		compiled, interpreted := sides(w)
-		want := replay(t, w, interpreted, packets, false)
-		diffCompare(t, n, "interpreted/scan", replay(t, w, interpreted, packets, true), want)
-		diffCompare(t, n, "compiled/scan", replay(t, w, compiled, packets, true), want)
-	}
-}
-
-// TestDifferentialReplayWakeupTwin replays randomized programs with the
-// fill-clock wakeup stamps and the directory probe memo force-disabled
-// (the core falls back to the pre-stamp FirstNonResident/IssueFetch
-// pair and raw directory walks) and requires results bit-identical to
-// the default path. The stamps, the planned-issue verdict reuse and
-// the memo are host-side accelerations only; they must never change a
-// charged access, a counter, or the clock.
-func TestDifferentialReplayWakeupTwin(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	disable := func(c *sim.Core) {
-		c.SetWakeupStamps(false)
-		c.SetDirMemo(false)
-	}
-	for n := 0; n < diffPrograms/2; n++ {
-		w := buildRandomProgram(t, rng)
-		packets := 2 + rng.Intn(3)
-		compiled, interpreted := sides(w)
-		want := replay(t, w, interpreted, packets, false)
-		diffCompare(t, n, "compiled/wakeup-on", replay(t, w, compiled, packets, false), want)
-		diffCompare(t, n, "compiled/wakeup-off",
-			replayConfigured(t, w, compiled, packets, false, disable), want)
-		// Memo alone off, stamps on: the knobs must be independent.
-		diffCompare(t, n, "compiled/memo-off",
-			replayConfigured(t, w, compiled, packets, false, func(c *sim.Core) { c.SetDirMemo(false) }), want)
+		want := replay(t, w, interpreted, packets)
+		diffCompare(t, n, "compiled", replay(t, w, compiled, packets), want)
 	}
 }
 
 // TestDifferentialReplayEpochWrap parks the eviction epoch at the edge
 // of uint64 wraparound before replaying, so it wraps through zero
-// mid-run. The epoch is a host-side validity horizon for wakeup stamps
-// (and the tombstone provenance stamp); wrapping must not change any
+// mid-run. The epoch is a host-side validity horizon for wakeup
+// stamps; wrapping must not change any
 // simulated event — and the wrapped run must still match a run whose
 // epoch started at zero.
 func TestDifferentialReplayEpochWrap(t *testing.T) {
@@ -390,8 +341,8 @@ func TestDifferentialReplayEpochWrap(t *testing.T) {
 		w := buildRandomProgram(t, rng)
 		packets := 2 + rng.Intn(3)
 		compiled, interpreted := sides(w)
-		want := replay(t, w, interpreted, packets, false)
-		got := replayConfigured(t, w, compiled, packets, false, nearWrap)
+		want := replay(t, w, interpreted, packets)
+		got := replayConfigured(t, w, compiled, packets, nearWrap)
 		diffCompare(t, n, "compiled/epoch-wrap", got, want)
 	}
 }

@@ -75,8 +75,8 @@ type Exec struct {
 	// core's eviction epoch, the task's plan lines cannot have become
 	// resident-and-then-evicted, so a scheduler revisit may skip the
 	// residency walk without changing any simulated event (the
-	// authoritative PlanResidency pass before Step re-proves it). Zero
-	// when no fill is outstanding or stamps are disabled. The rt
+	// authoritative FirstNonResident pass before Step re-proves it).
+	// Zero when the issue installed no fill. The rt
 	// wakeup scheduler parks a missed task on this stamp and does not
 	// revisit it before the fill clock passes (rt.SchedulerWakeup).
 	WakeAt uint64

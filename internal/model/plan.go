@@ -27,7 +27,7 @@ import (
 //     the finished line list and issues Core.PrefetchLine per entry.
 //
 //   - Residency checks. ResidentCurrent's span loop becomes the same
-//     pre-resolved line list probed through the core's exact L1 index.
+//     pre-resolved line list probed against the core's L1 tags.
 //
 // The lowering is a pure representation change: the simulated access
 // sequence — every (addr, size, read/write/prefetch, cycle) the core is
@@ -368,7 +368,7 @@ func (p *Program) prefetchCompiled(e *Exec, pl *stepPlan) {
 }
 
 // residentCompiled is the exact P-state check: every plan line probed
-// through the core's L1 residency index.
+// against the core's L1 tags.
 func (p *Program) residentCompiled(e *Exec, pl *stepPlan) bool {
 	if len(pl.fetch) == 0 {
 		return true
@@ -417,7 +417,7 @@ func (p *Program) EnsurePrefetched(e *Exec) bool {
 	if m&(1<<pbDynamic) != 0 {
 		bases[pbDynamic] = e.Cur.Addr
 	}
-	miss, resident := core.PlanResidency(bases, pl.fetch)
+	miss := core.FirstNonResident(bases, pl.fetch)
 	if miss < 0 {
 		return true
 	}
@@ -425,18 +425,17 @@ func (p *Program) EnsurePrefetched(e *Exec) bool {
 		// Stamp prefetch events with the CS they are fetching for.
 		core.SetCS(int32(e.CS))
 	}
-	// The issue reuses what the check just proved (see IssueFetchPlanned):
-	// ops before miss are still resident, op miss is still absent, and
-	// the recorded verdict mask answers every later op that no install
-	// or eviction of this very issue has dirtied — the charged sequence
-	// is identical to issuing the whole plan blind. The returned max
-	// ready-cycle plus the core's eviction epoch form the task's wakeup
-	// stamp: until the fill clock passes WakeAt with the epoch unmoved,
-	// a scheduler revisit can skip the residency walk outright. The rt
-	// wakeup scheduler consumes exactly this contract: it parks the
-	// task until Core.Now() >= WakeAt, and on an epoch move falls back
-	// to a real re-probe (clearing Prefetched) before stepping.
-	e.WakeAt = core.IssueFetchPlanned(bases, pl.fetch, miss, resident)
+	// The issue reuses what the check just proved (see IssueFetch): ops
+	// before miss are still resident and op miss is still absent — the
+	// charged sequence is identical to issuing the whole plan blind.
+	// The returned max ready-cycle plus the core's eviction epoch form
+	// the task's wakeup stamp: until the fill clock passes WakeAt with
+	// the epoch unmoved, a scheduler revisit can skip the residency
+	// walk outright. The rt wakeup scheduler consumes exactly this
+	// contract: it parks the task until Core.Now() >= WakeAt, and on an
+	// epoch move falls back to a real re-probe (clearing Prefetched)
+	// before stepping.
+	e.WakeAt = core.IssueFetch(bases, pl.fetch, miss)
 	e.WakeEpoch = core.EvictionEpoch()
 	return false
 }

@@ -26,7 +26,7 @@ type CoreSetup struct {
 // matching the paper's multi-core results (Figs 14, 15).
 //
 // Simulated cores are drawn from a sim.CorePool owned by the engine:
-// repeated Run calls recycle generation-reset cores instead of
+// repeated Run calls recycle reset cores instead of
 // allocating and faulting the megabyte-scale cache arrays per call
 // (the reset-vs-fresh differential test guarantees a pooled core is
 // observationally indistinguishable from a new one).

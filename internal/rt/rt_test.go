@@ -405,7 +405,7 @@ func TestEngineJoinsAllCoreErrors(t *testing.T) {
 }
 
 // TestEngineReusesPooledCores pins the engine's core pool: a second Run
-// must recycle the first Run's generation-reset cores instead of
+// must recycle the first Run's reset cores instead of
 // rebuilding the megabyte-scale cache arrays, and the recycled cores
 // must produce identical simulated results.
 func TestEngineReusesPooledCores(t *testing.T) {

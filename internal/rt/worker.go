@@ -585,10 +585,10 @@ func (w *Worker) runWakeup(src Source, maxPackets uint64) (Result, error) {
 					// carries their max ready-cycle. Unlink and park; the
 					// loop will not re-pay the residency walk for this
 					// task before its fill clock passes. An empty stamp
-					// (the issue was fully dropped for want of MSHRs, or
-					// stamps are disabled core-side) parks on the
-					// conservative horizon instead: the earliest in-flight
-					// fill, after which MSHR capacity frees.
+					// (the issue was fully dropped for want of MSHRs)
+					// parks on the conservative horizon instead: the
+					// earliest in-flight fill, after which MSHR capacity
+					// frees.
 					core.TaskSwitch()
 					key := t.WakeAt
 					if key == 0 {

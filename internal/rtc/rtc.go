@@ -10,7 +10,7 @@
 // The only difference from internal/rt is scheduling, which is what
 // makes the head-to-head numbers in the evaluation attributable to the
 // execution model alone. Host-side accelerations in the shared
-// machinery — the compiled step plans, the directory probe memo, the
+// machinery — the compiled step plans, the way-hint lookups, the
 // span fast paths — apply to both workers identically, so they speed
 // the comparison up without tilting it.
 package rtc

@@ -5,12 +5,9 @@ package sim
 // Tracer (which reports simulation *outcomes* — stalls, prefetch fates),
 // the access log reports the *inputs*: the exact (addr, size, kind,
 // cycle) sequence an executor issued. The differential-replay harness in
-// internal/model uses it two ways: to prove that the compiled step-plan
-// executor and the interpreted reference executor drive the core with
-// byte-identical sequences, and — combined with Core.SetScanLookups —
-// to prove the unified residency directory and the scanned-tag
-// verification twin charge byte-identical sequences for either
-// executor.
+// internal/model uses it to prove that the compiled step-plan executor
+// and the interpreted reference executor drive the core with
+// byte-identical sequences.
 //
 // Granularity: demand reads and writes are logged per Read/Write call
 // (both executors issue them span-by-span), prefetches per line (the

@@ -19,22 +19,23 @@ func benchCore(b *testing.B) *Core {
 }
 
 // BenchmarkCacheLookup measures the raw lookup kernel on warm lines:
-// the single most executed operation in the simulator, now one verified
-// probe of the exact L1 index.
+// the single most executed operation in the simulator, one verified
+// way hint.
 func BenchmarkCacheLookup(b *testing.B) {
-	cfg := DefaultConfig().L1
-	c := newExactCache(cfg)
+	c := newCache(DefaultConfig().L1, l1HintBits)
 	// Fill a handful of sets so lookups traverse realistic occupancy.
 	lines := make([]uint64, 64)
 	for i := range lines {
 		lines[i] = uint64(i)
-		c.install(lines[i], uint64(i), uint64(i))
+		v := c.victimOf(lines[i])
+		c.fill(v, lines[i], uint64(i), uint64(i))
+		c.setHint(lines[i], v)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var slot int
 	for i := 0; i < b.N; i++ {
-		slot = c.lookup(lines[i&63])
+		slot = c.find(lines[i&63])
 	}
 	if slot < 0 {
 		b.Fatal("warm line missed")
@@ -80,9 +81,9 @@ func BenchmarkHierarchyMiss(b *testing.B) {
 		lines uint64
 	}{
 		// L1 512 lines, L2 16384, LLC 32768 with the default config.
-		{"HitL2", uint64(cfg.L1.slots()) * 8},
-		{"HitLLC", uint64(cfg.L2.slots()) * 3 / 2},
-		{"DRAM", uint64(cfg.LLC.slots()) * 32},
+		{"HitL2", uint64(cfg.L1.SizeBytes/LineBytes) * 8},
+		{"HitLLC", uint64(cfg.L2.SizeBytes/LineBytes) * 3 / 2},
+		{"DRAM", uint64(cfg.LLC.SizeBytes/LineBytes) * 32},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			c := benchCore(b)
@@ -106,8 +107,8 @@ func BenchmarkHierarchyMiss(b *testing.B) {
 // BenchmarkMSHRPressure measures a prefetch storm at the MSHR limit:
 // distinct never-resident lines issued back to back, so the admission
 // check runs every time, the MSHRs saturate, fills retire in bursts as
-// the issue cost advances the clock past minReady, and the drain/free-
-// ring machinery cycles continuously between drops and re-admissions.
+// the issue cost advances the clock past the ring's head, and the
+// sorted ring cycles continuously between drops and re-admissions.
 func BenchmarkMSHRPressure(b *testing.B) {
 	c := benchCore(b)
 	b.ReportAllocs()
@@ -140,8 +141,8 @@ func BenchmarkPrefetchLine(b *testing.B) {
 }
 
 // BenchmarkCoreReset measures one pooled-core cycle: a 4096-line warm
-// pass (8x the L1, so every level and the directory hold live state)
-// followed by the generation-stamped Reset. Contrast with
+// pass (8x the L1, so every level holds live state) followed by the
+// Reset's tag memsets. Contrast with
 // BenchmarkNewCore, the per-point construction cost pooling avoids.
 func BenchmarkCoreReset(b *testing.B) {
 	c := benchCore(b)

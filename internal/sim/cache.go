@@ -5,43 +5,35 @@ package sim
 // immediately (creating realistic occupancy pressure) while still stalling
 // accesses that arrive before the fill completes.
 //
-// Host-side layout: tags are compact uint32s (only the line bits above
-// the set index — the rest is implied by the set), so a full 16-way
-// set's tags fit in one host cache line. The per-way LRU stamp and fill
-// bookkeeping live in parallel arrays (structure-of-arrays: ready
-// cycles dense in one uint64 array, the L1-only prefetched flags in a
-// byte array) touched only on hits, installs and the full-set LRU pass.
+// The dense tag array is the only record of what is resident: every
+// lookup is a scan of the line's set. Tags are compact uint32s (only the
+// line bits above the set index — the rest is implied by the set), so a
+// full 16-way set's tags fit in one host cache line. The per-way LRU
+// stamp and fill bookkeeping live in parallel arrays (ready cycles dense
+// in one uint64 array, the L1-only prefetched flags in a byte array)
+// touched only on hits, installs and the full-set LRU pass.
 //
-// Lookups are tiered by level. The L1 — the level nearly every access
-// resolves at — carries its own *exact index*: an open-addressed,
-// Fibonacci-hashed map (kv) from generation-stamped line keys to
-// slots, so the hot path is one hash, one compare against a structure
-// a few KiB big that stays resident in the host's own cache. The outer
-// levels share the Core's residency directory (see dir.go), probed only
-// after an L1 miss. The dense tag arrays remain fully maintained at
-// every level as the verification twin — find/probe below are the
-// historical scan implementations, routed to by Core.SetScanLookups and
-// by the twin fuzz tests, and the victim machinery reads the tags for
-// the set-full check and to recover the evicted line at install time.
+// Invariants:
 //
-// Neither lookup strategy changes simulated behavior: a line occupies
-// at most one way of its set, so however the slot is found it is the
-// same slot a full scan would find, and the victim policy (lowest
-// invalid way, else strictly-oldest LRU stamp) is shared.
+//   - Valid prefix. Valid ways form a prefix of every set: installs fill
+//     the lowest-index invalid way and lines are never invalidated
+//     individually (only reset), so an invalid tag ends a scan early and
+//     "set full" is one load of the highest way's tag.
+//   - One way per line. A level is installed into only on a miss at that
+//     level, so a line occupies at most one way of its set and a scan's
+//     first match is the only match.
+//   - Hints are verified. hint[fib(line)] names the way a line was last
+//     seen in; it is believed only when that way's tag equals the line's
+//     tag, and the way is indexed from the line's own set, so a stale or
+//     colliding hint can only cost the scan it failed to save. That is
+//     why nothing maintains hints on eviction or reset: an evicted
+//     line's hint fails verification against the new tag, and a zeroed
+//     tag never equals a valid one (bit 0).
 type cache struct {
-	cfg     CacheConfig
-	sets    int
 	ways    int
 	setMask uint64
 	// setShift is log2(sets): how far to shift a line to get its tag.
 	setShift uint
-	// levelShift is this level's slot-field shift in directory values
-	// (dirL2Shift/dirLLCShift); unused on the exact (L1) level.
-	levelShift uint
-	// dir is the outer-level residency directory shared by the L2 and
-	// LLC of one Core; installAt and invalidateAll keep it current. Nil
-	// on the exact (L1) level.
-	dir *residencyDir
 	// tags[set*ways+way] holds tag<<1|1 (bit 0 = valid); 0 means invalid.
 	tags []uint32
 	// stamps[set*ways+way] is the slot's last-use clock, kept dense so
@@ -54,92 +46,19 @@ type cache struct {
 	// not yet served a demand access, for PMU efficacy accounting. Only
 	// the L1 ever sets it, so outer levels leave it nil.
 	pref []bool
-
-	// Exact-index state (L1 only; nil/zero on outer levels).
-	//
-	// kv forms the exact L1 map: an open-addressed, Fibonacci-hashed
-	// table of interleaved pairs — kv[2i] = gen<<l1GenShift +
-	// (line<<1|1) and kv[2i+1] = the line's slot. Key and slot share
-	// one 16-byte pair, so a probe (hit or miss) touches a single host
-	// cache line. Unlike a hint table it is authoritative for
-	// *negatives* too — a probe ending at a free slot IS the L1 miss,
-	// so the demand-miss path never scans a tag set. Linear probing,
-	// backward-shift deletion (the displaced entry's home is recomputed
-	// from the line embedded in its own key — no tag read), sized at
-	// four times the slot count so the load factor stays at one
-	// quarter. The generation term makes resetExact O(1): bumping gen
-	// turns every current key stale by arithmetic (see resetExact), and
-	// probes treat stale entries exactly like empty ones — correct
-	// because inserts reuse them as free, so a live cluster never spans
-	// a stale slot.
-	kv []uint64
-	// pos[slot] is the pair index of the map entry naming slot, exact
-	// whenever tags[slot] is valid (insExact and the deletion shifts
-	// keep it current; after resetExact it is garbage, but so are the
-	// tags that would consult it). It lets a fill delete its victim's
-	// entry with no find probe at all.
-	pos []uint32
-	// mapMask wraps pair indexes: number of pairs minus one.
-	mapMask uint64
-	// mapShift maps a Fibonacci-hashed line's top bits onto pair indexes.
-	mapShift uint
-	// gen counts resets this epoch; genw is gen<<l1GenShift, the term
-	// added to every key written this epoch.
-	gen  uint64
-	genw uint64
+	// hint[(line*fibMul)>>hintShift] is the way hint (see the invariant
+	// above). Written on scan hits at every level and on L1 installs.
+	hint      []uint8
+	hintShift uint
 }
 
-// fibMul is the 64-bit Fibonacci hashing multiplier used to spread line
-// numbers over the residency directory and the exact L1 map.
+// fibMul is the 64-bit Fibonacci hashing multiplier that spreads line
+// numbers over the way-hint tables.
 const fibMul = 0x9e3779b97f4a7c15
 
-const (
-	// l1GenShift places the generation term of a key above the widest
-	// possible line<<1|1 payload (installed lines are bounded below 2^46
-	// by fillExact, so the payload is below 2^47).
-	l1GenShift = 47
-	// l1GenMax is the generation count at which resetExact wraps gen to
-	// zero and memsets the map, so gen<<l1GenShift never overflows and
-	// stale keys from earlier epochs never survive a wrap.
-	l1GenMax = 1 << (64 - l1GenShift - 1)
-	// maxL1Line bounds installable line numbers so the generation
-	// arithmetic above is exact (mirrors the compact-tag bound in tagOf;
-	// 2^46 lines is exabytes of address space).
-	maxL1Line = 1 << 46
-)
-
-// newExactCache builds the L1: the level carrying the exact map, with
-// no directory membership. The map is sized at four times the slot
-// count (next power of two), keeping probes near a single touch.
-func newExactCache(cfg CacheConfig) *cache {
-	c := newLevel(cfg)
-	c.pref = make([]bool, len(c.tags))
-	size := 1
-	for size < len(c.tags)*4 {
-		size <<= 1
-	}
-	shift := uint(64)
-	for 1<<(64-shift) < size {
-		shift--
-	}
-	c.kv = make([]uint64, 2*size)
-	c.pos = make([]uint32, len(c.tags))
-	c.mapMask = uint64(size - 1)
-	c.mapShift = shift
-	return c
-}
-
-// newOuterCache builds an outer level (L2 or LLC). levelShift selects
-// the level's slot field in directory entries; dir is the Core's shared
-// outer-level residency directory (tests may attach a private one).
-func newOuterCache(cfg CacheConfig, levelShift uint, dir *residencyDir) *cache {
-	c := newLevel(cfg)
-	c.levelShift = levelShift
-	c.dir = dir
-	return c
-}
-
-func newLevel(cfg CacheConfig) *cache {
+// newCache builds one level with a 2^hintBits-entry way-hint table
+// (hintBits 0 is the degenerate one-entry table: a shift by 64 is 0).
+func newCache(cfg CacheConfig, hintBits uint) *cache {
 	sets := cfg.Sets()
 	n := sets * cfg.Ways
 	shift := uint(0)
@@ -147,20 +66,21 @@ func newLevel(cfg CacheConfig) *cache {
 		shift++
 	}
 	return &cache{
-		cfg:      cfg,
-		sets:     sets,
-		ways:     cfg.Ways,
-		setMask:  uint64(sets - 1),
-		setShift: shift,
-		tags:     make([]uint32, n),
-		stamps:   make([]uint64, n),
-		ready:    make([]uint64, n),
+		ways:      cfg.Ways,
+		setMask:   uint64(sets - 1),
+		setShift:  shift,
+		tags:      make([]uint32, n),
+		stamps:    make([]uint64, n),
+		ready:     make([]uint64, n),
+		hint:      make([]uint8, 1<<hintBits),
+		hintShift: 64 - hintBits,
 	}
 }
 
 // tagOf packs line into its stored tag. Compact tags require line
-// numbers below 2^31 × sets (petabytes of address space); tagOf panics
-// rather than aliasing if a workload ever exceeds that.
+// numbers below 2^31 × sets (see Config); tagOf panics rather than
+// aliasing if a workload ever exceeds that. Every path that reaches a
+// level starts with find or probe, so this is the one such check.
 func (c *cache) tagOf(line uint64) uint32 {
 	t := line >> c.setShift
 	if t >= 1<<31 {
@@ -169,103 +89,31 @@ func (c *cache) tagOf(line uint64) uint32 {
 	return uint32(t)<<1 | 1
 }
 
-// lineOf recovers the resident line of a valid slot from its compact
-// tag and the slot's set index — the inverse of tagOf. This is how an
-// install has the evicted line in hand without any scan.
-func (c *cache) lineOf(slot int) uint64 {
-	return uint64(c.tags[slot]>>1)<<c.setShift | uint64(slot/c.ways)
-}
-
-// findExact returns the slot of line, or -1, through the exact map. The
-// home probe usually decides — a key match is the hit, a free or stale
-// slot is the miss — and only hash-collision overflow walks further.
-// The fast paths in core.go and planops.go inline the home compare and
-// call here only when it fails, so this starts at home again (one
-// redundant warm load, no branch asymmetry). Exact-map levels only.
-func (c *cache) findExact(line uint64) int {
-	key := c.genw + (line<<1 | 1)
-	i := (line * fibMul) >> c.mapShift
-	for {
-		k := c.kv[2*i]
-		if k == key {
-			return int(c.kv[2*i+1])
-		}
-		if k&1 == 0 || k>>l1GenShift != c.gen {
-			return -1
-		}
-		i = (i + 1) & c.mapMask
+// hinted returns the slot of line if its way hint verifies and -1
+// otherwise, without scanning: the inlinable first half of find for the
+// demand-hit fast paths. The tag compare is done in 64 bits so a line
+// beyond tagOf's bound simply fails to match (and reaches tagOf's panic
+// through the slow path).
+func (c *cache) hinted(line uint64) int {
+	s := int(line&c.setMask)*c.ways + int(c.hint[(line*fibMul)>>c.hintShift])
+	if uint64(c.tags[s]) == (line>>c.setShift)<<1|1 {
+		return s
 	}
+	return -1
 }
 
-// insExact adds line → slot to the exact map. The caller guarantees
-// line is not present (fills only install non-resident lines, after
-// delExact has dropped the victim). Free and stale slots are
-// interchangeable targets, which is what keeps probe clusters from ever
-// spanning a stale slot.
-func (c *cache) insExact(line uint64, slot int) {
-	i := (line * fibMul) >> c.mapShift
-	for {
-		k := c.kv[2*i]
-		if k&1 == 0 || k>>l1GenShift != c.gen {
-			c.kv[2*i] = c.genw + (line<<1 | 1)
-			c.kv[2*i+1] = uint64(slot)
-			c.pos[slot] = uint32(i)
-			return
-		}
-		i = (i + 1) & c.mapMask
-	}
-}
-
-// delExactAt removes the map entry at pair index i (located by the
-// caller through pos — no find probe) by backward-shift deletion: live
-// entries after the hole that hash at or before it move back, so probes
-// need no tombstones. A displaced entry's home position comes from the
-// line embedded in its own key — the map is self-describing, no tag
-// array is read — and its slot's pos follows it.
-func (c *cache) delExactAt(i uint64) {
-	j := i
-	for {
-		j = (j + 1) & c.mapMask
-		k := c.kv[2*j]
-		if k&1 == 0 || k>>l1GenShift != c.gen {
-			break
-		}
-		// The entry at j may fill the hole at i only if its home does
-		// not lie cyclically within (i, j] — otherwise a probe for it
-		// starting at home would stop at the new hole j first.
-		h := (((k - c.genw) >> 1) * fibMul) >> c.mapShift
-		if (j-h)&c.mapMask >= (j-i)&c.mapMask {
-			c.kv[2*i] = k
-			s := c.kv[2*j+1]
-			c.kv[2*i+1] = s
-			c.pos[s] = uint32(i)
-			i = j
-		}
-	}
-	c.kv[2*i] = 0
-}
-
-// lookup returns the slot index of line, or -1, through the level's
-// production structure: the exact index on L1, a directory probe
-// filtered to this level's field on outer levels.
-func (c *cache) lookup(line uint64) int {
-	if c.dir == nil {
-		return c.findExact(line)
-	}
-	return int((c.dir.get(line)>>c.levelShift)&dirSlotMask) - 1
-}
-
-// find returns the slot of line, or -1, by the verification-twin dense
-// tag scan. An invalid tag ends the scan early because valid ways
-// always form a prefix of the set: installs fill the lowest-index
-// invalid way and lines are never invalidated individually (only
-// invalidateAll).
+// find returns the slot of line, or -1: the hinted way if it verifies,
+// else a scan of the set (which refreshes the hint on a hit).
 func (c *cache) find(line uint64) int {
 	base := int(line&c.setMask) * c.ways
 	want := c.tagOf(line)
-	tags := c.tags[base : base+c.ways]
-	for w, tag := range tags {
+	h := (line * fibMul) >> c.hintShift
+	if s := base + int(c.hint[h]); c.tags[s] == want {
+		return s
+	}
+	for w, tag := range c.tags[base : base+c.ways] {
 		if tag == want {
+			c.hint[h] = uint8(w)
 			return base + w
 		}
 		if tag == 0 {
@@ -275,42 +123,28 @@ func (c *cache) find(line uint64) int {
 	return -1
 }
 
-// probe returns the hit slot of line (or -1) and the victim slot an
-// install into line's set would use (-1 on a hit), by the
-// verification-twin scan. The victim choice is exactly the historical
-// install policy: the lowest-index invalid way if one exists, else the
-// way with the strictly smallest LRU stamp (ties to the lowest index).
-// The LRU stamp pass runs only on a miss in a full set — the one case
-// that actually evicts.
+// probe is find plus the victim choice: it returns the hit slot of line
+// (victim -1), or slot -1 and the slot an install into line's set must
+// use.
 func (c *cache) probe(line uint64) (slot, victim int) {
-	base := int(line&c.setMask) * c.ways
-	want := c.tagOf(line)
-	tags := c.tags[base : base+c.ways]
-	for w, tag := range tags {
-		if tag == want {
-			return base + w, -1
-		}
-		if tag == 0 {
-			return -1, base + w
-		}
+	if s := c.find(line); s >= 0 {
+		return s, -1
 	}
-	return -1, c.lruOf(base)
+	return -1, c.victimOf(line)
 }
 
-// victimOf picks the install victim in line's set without probing for a
-// hit: the lowest-index invalid way (valid ways form a prefix: installs
-// fill the lowest invalid way and lines are never invalidated
-// individually), else the LRU way. Identical to the victim probe()
-// returns on a miss. The prefix invariant makes "set full" one load —
-// the highest way's tag — so the steady-state case goes straight to the
-// LRU pass without scanning for a free way that cannot exist.
+// victimOf picks the install victim in line's set: the lowest-index
+// invalid way if one exists, else the way with the strictly smallest LRU
+// stamp (ties to the lowest index). The valid-prefix invariant makes
+// "set full" one load, so the steady-state case goes straight to the LRU
+// pass — which therefore runs only on a miss in a full set, the one case
+// that actually evicts.
 func (c *cache) victimOf(line uint64) int {
 	base := int(line&c.setMask) * c.ways
 	if c.tags[base+c.ways-1] != 0 {
 		return c.lruOf(base)
 	}
-	tags := c.tags[base : base+c.ways]
-	for w, tag := range tags {
+	for w, tag := range c.tags[base : base+c.ways] {
 		if tag == 0 {
 			return base + w
 		}
@@ -332,128 +166,29 @@ func (c *cache) lruOf(base int) int {
 	return victim
 }
 
-// touch records a use of slot at the given clock for LRU ordering. The
-// lookup structures need no update: the line's slot does not change.
-func (c *cache) touch(slot int, now uint64) {
-	c.stamps[slot] = now
-}
-
-// install places line into its set, evicting the LRU way if needed, and
-// returns the slot. readyAt is the cycle the fill completes (== now for
-// demand fills, later for prefetch fills).
-func (c *cache) install(line, now, readyAt uint64) int {
-	slot := c.find(line)
-	if slot < 0 {
-		slot = c.victimOf(line)
-	}
-	c.installAt(slot, line, now, readyAt)
-	return slot
-}
-
-// installAt fills a victim slot previously returned by probe/victimOf,
-// keeping the level's lookup structure current: on outer levels the
-// evicted line (recovered from the slot's compact tag — always in hand,
-// no scan) drops this level's directory field and the incoming line
-// gains it; on the exact level the victim's map entry is replaced by
-// the incoming line's. The caller guarantees no install or touch hit
-// this set between the victim choice and the fill, so the choice is
-// still current.
-func (c *cache) installAt(slot int, line, now, readyAt uint64) {
-	if c.dir == nil {
-		c.fillExact(slot, line, now, readyAt)
-		return
-	}
-	c.fillSlot(slot, line, now, readyAt)
-	c.dir.set(line, c.levelShift, slot)
-}
-
-// fillSlot is the outer-level installAt without the incoming line's
-// directory update: the victim's field is cleared here (the evicted
-// line is in hand from the slot's compact tag, read before the tag is
-// overwritten), but recording the new residency is left to the
-// caller. The DRAM fill paths use this to batch the
-// incoming line's directory fields — one setFields probe for the whole
-// fill instead of one per level. The directory is inconsistent (missing
-// the new line's field) until that call, so callers must not probe it
-// for this line in between.
-func (c *cache) fillSlot(slot int, line, now, readyAt uint64) {
-	if old := c.tags[slot]; old != 0 {
-		c.dir.clear(uint64(old>>1)<<c.setShift|(line&c.setMask), c.levelShift, slot)
-	}
+// fill places line into a victim slot returned by probe/victimOf.
+// readyAt is the cycle the fill completes (== now for demand fills,
+// later for prefetch fills). The caller guarantees no install or touch
+// hit this set between the victim choice and the fill.
+func (c *cache) fill(slot int, line, now, readyAt uint64) {
 	c.tags[slot] = c.tagOf(line)
 	c.stamps[slot] = now
 	c.ready[slot] = readyAt
 }
 
-// fillExact is the exact-level fill: no directory traffic at all — the
-// victim leaves the map (its line recovered from the slot's compact
-// tag, still hot from the victim scan) and the incoming line takes the
-// slot. All the maintenance lands in the ~24 KiB map and the dense
-// per-slot arrays, which stay resident in the host's own cache: L1
-// churn, the hottest maintenance in the simulator, never touches the
-// megabyte-scale directory.
-func (c *cache) fillExact(slot int, line, now, readyAt uint64) {
-	if line >= maxL1Line {
-		panic("sim: line address too large for the exact L1 index")
-	}
-	if c.tags[slot] != 0 {
-		c.delExactAt(uint64(c.pos[slot]))
-	}
-	c.tags[slot] = c.tagOf(line)
-	c.stamps[slot] = now
-	c.ready[slot] = readyAt
-	c.pref[slot] = false
-	c.insExact(line, slot)
+// setHint points line's way hint at slot (which lies in line's set).
+func (c *cache) setHint(line uint64, slot int) {
+	c.hint[(line*fibMul)>>c.hintShift] = uint8(slot - int(line&c.setMask)*c.ways)
 }
 
-// resetExact invalidates the exact level in O(tag bytes): the tags
-// memset (2 KiB for the default L1) empties every set for the twin
-// scans and victim machinery, and the generation bump turns every map
-// key stale without touching them. Staleness is exact by arithmetic: a
-// stored key is g'·2^47 + (x<<1|1) with x < 2^46 (fillExact's bound)
-// and a lookup compares against g·2^47 + (q<<1|1) with q < 2^58 (any
-// uint64 address >> lineShift) — equality forces (g-g')·2^47 ≡ (x-q)·2
-// (mod 2^64), which with those bounds has no solution for g' ≠ g, so
-// only current-epoch keys ever match; gen wraps through a keys memset
-// before the shifted term could overflow. Stale stamps/ready/pref
-// words are unreachable rather than cleared: stamps are only read by
-// the LRU pass over a *full* set (all ways re-filled after the reset,
-// stamps rewritten), and ready/pref only for a slot a lookup just
-// resolved (valid key ⇒ re-filled after the reset). The reset-vs-fresh
-// differential test holds the whole core to bit-identical behavior on
-// exactly this point.
-func (c *cache) resetExact() {
-	c.gen++
-	if c.gen == l1GenMax {
-		c.gen = 0
-		for i := range c.kv {
-			c.kv[i] = 0
-		}
-	}
-	c.genw = c.gen << l1GenShift
+// reset invalidates every line in O(tag bytes). Stale stamps, ready
+// words, pref flags and hints are unreachable rather than cleared:
+// stamps are only read by the LRU pass over a *full* set (every way
+// re-filled since the reset), ready/pref only for a slot a lookup just
+// resolved (valid tag ⇒ re-filled since the reset), and a hint only
+// counts when it verifies against a valid tag.
+func (c *cache) reset() {
 	for i := range c.tags {
 		c.tags[i] = 0
 	}
-}
-
-// invalidateAll clears every line (and, on outer levels, this level's
-// directory fields); whole-level invalidation for tests and twins —
-// Core.Reset uses the cheaper sweepReset/resetExact combination.
-func (c *cache) invalidateAll() {
-	if c.dir == nil {
-		c.resetExact()
-		return
-	}
-	c.dir.clearLevel(c.levelShift)
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.stamps[i] = 0
-		c.ready[i] = 0
-	}
-}
-
-// resident reports whether line is present (regardless of fill state),
-// by the verification-twin scan.
-func (c *cache) resident(line uint64) bool {
-	return c.find(line) >= 0
 }

@@ -5,289 +5,109 @@ import (
 	"testing"
 )
 
-// newTestHierarchy builds the three levels of cfg — the exact-index L1
-// plus the two outer levels sharing one residency directory — exactly
-// as NewCore wires them.
-func newTestHierarchy(cfg Config) (*residencyDir, []*cache) {
-	dir := newResidencyDir(cfg.L2.slots() + cfg.LLC.slots())
-	l1 := newExactCache(cfg.L1)
-	l2 := newOuterCache(cfg.L2, dirL2Shift, dir)
-	llc := newOuterCache(cfg.LLC, dirLLCShift, dir)
-	dir.attach(l2, llc)
-	return dir, []*cache{l1, l2, llc}
+// scanFind is the hint-free lookup: the slot in line's set whose tag
+// matches, or -1.
+func scanFind(c *cache, line uint64) int {
+	base := int(line&c.setMask) * c.ways
+	for s := base; s < base+c.ways; s++ {
+		if c.tags[s] == c.tagOf(line) {
+			return s
+		}
+	}
+	return -1
 }
 
-// TestDirectoryMatchesScan is the tiered-lookup twin fuzz: it churns a
-// full three-level hierarchy through 300k randomized install/evict/
-// touch/invalidate/reset operations and asserts after every one that
-// the production lookup structures — the exact L1 index for the inner
-// level, the outer-level residency directory for the rest — and the
-// scanned dense tag arrays agree on the (level, slot) of the operated
-// line; on periodic full sweeps the structures must agree
-// *bidirectionally* on every resident line in the machine. Any
-// divergence is a maintenance bug: an eviction that failed to clear its
-// field, an install that missed its insert, a backward-shift delete
-// that stranded a cluster entry, a generation bump that resurrected a
-// stale line word, or an invalidation that left a field behind.
-func TestDirectoryMatchesScan(t *testing.T) {
-	cfg := DefaultConfig()
-	dir, levels := newTestHierarchy(cfg)
-	rng := rand.New(rand.NewSource(7))
-
-	// Three times the LLC's line capacity: heavy set conflict at every
-	// level and steady probe-cluster churn in the directory.
-	space := uint64(cfg.LLC.slots()) * 3
-	var now uint64
-	for i := 0; i < 300000; i++ {
-		now++
-		line := rng.Uint64() % space
-
-		// Per-op agreement on the operated line: the exact index for
-		// L1, the one directory probe the miss path would issue for the
-		// outer levels.
-		if ds, ss := levels[0].findExact(line), levels[0].find(line); ds != ss {
-			t.Fatalf("op %d line %d L1: exact index slot %d, scanned slot %d", i, line, ds, ss)
+// scanVictim is the replacement rule read straight off the arrays: the
+// lowest invalid way, else the lowest way holding the smallest stamp.
+func scanVictim(c *cache, line uint64) int {
+	base := int(line&c.setMask) * c.ways
+	victim := base
+	for s := base; s < base+c.ways; s++ {
+		if c.tags[s] == 0 {
+			return s
 		}
-		e := dir.get(line)
-		for li, lvl := range levels[1:] {
-			ds := int((e>>lvl.levelShift)&dirSlotMask) - 1
-			if ss := lvl.find(line); ds != ss {
-				t.Fatalf("op %d line %d outer level %d: directory slot %d, scanned slot %d", i, line, li+1, ds, ss)
-			}
-		}
-
-		switch r := rng.Intn(1000); {
-		case r == 0:
-			// Rare whole-level invalidation — the O(level) maintenance
-			// operation (clearLevel on outer levels, a generation bump
-			// on the L1).
-			levels[rng.Intn(3)].invalidateAll()
-		case r == 1:
-			// Rare whole-core reset, exactly as Core.Reset performs it:
-			// L1 generation bump plus the directory's live-entry sweep,
-			// which must leave every level empty.
-			levels[0].resetExact()
-			dir.sweepReset()
-			for li, lvl := range levels {
-				for s, tag := range lvl.tags {
-					if tag != 0 {
-						t.Fatalf("op %d: level %d slot %d tag %#x survived reset", i, li, s, tag)
-					}
-				}
-			}
-			if dir.live != 0 {
-				t.Fatalf("op %d: %d live entries survived sweepReset", i, dir.live)
-			}
-		case r < 700:
-			// Demand-like: touch on hit, install over the LRU victim on
-			// a miss, at a random level.
-			lvl := levels[rng.Intn(3)]
-			if s := lvl.find(line); s >= 0 {
-				lvl.touch(s, now)
-			} else {
-				lvl.installAt(lvl.victimOf(line), line, now, now)
-			}
-		default:
-			// Prefetch-like: install into L1 with a future ready cycle,
-			// plus outer installs when absent from both outer levels
-			// (the DRAM fill path). A level is only ever installed into
-			// on a miss at that level — the core never duplicates a
-			// line within a set.
-			if levels[1].find(line) < 0 && levels[2].find(line) < 0 {
-				levels[2].installAt(levels[2].victimOf(line), line, now, now+200)
-				levels[1].installAt(levels[1].victimOf(line), line, now, now+200)
-			}
-			if levels[0].find(line) < 0 {
-				v := levels[0].victimOf(line)
-				levels[0].installAt(v, line, now, now+200)
-				levels[0].pref[v] = true
-			}
-		}
-
-		if i%4096 == 0 {
-			verifyDirectoryTwin(t, i, dir, levels[0], levels[1:])
+		if c.stamps[s] < c.stamps[victim] {
+			victim = s
 		}
 	}
-	verifyDirectoryTwin(t, 300000, dir, levels[0], levels[1:])
+	return victim
 }
 
-// verifyDirectoryTwin cross-checks the tiered lookup structures against
-// the dense tag arrays in both directions: every valid L1 slot's line
-// must resolve back to that slot through the exact index, every valid
-// outer slot's line must resolve through the directory, every directory
-// entry's remnant and fields must point at slots holding its line, and
-// the live entry count must equal the number of distinct outer-resident
-// lines. l1 may be nil when only outer levels are under test.
-func verifyDirectoryTwin(t *testing.T, op int, dir *residencyDir, l1 *cache, outer []*cache) {
-	t.Helper()
-	if l1 != nil {
-		for slot, tag := range l1.tags {
-			if tag == 0 {
-				continue
-			}
-			line := l1.lineOf(slot)
-			if got := l1.findExact(line); got != slot {
-				t.Fatalf("op %d: L1 slot %d holds line %d but exact index says slot %d", op, slot, line, got)
-			}
-		}
-	}
-	distinct := map[uint64]struct{}{}
-	for li, lvl := range outer {
-		for slot, tag := range lvl.tags {
-			if tag == 0 {
-				continue
-			}
-			line := lvl.lineOf(slot)
-			distinct[line] = struct{}{}
-			if got := int((dir.get(line)>>lvl.levelShift)&dirSlotMask) - 1; got != slot {
-				t.Fatalf("op %d: outer level %d slot %d holds line %d but directory says slot %d", op, li, slot, line, got)
-			}
-		}
-	}
-	if n := dir.entries(); n != len(distinct) || n != dir.live {
-		t.Fatalf("op %d: %d directory entries (live count %d) for %d distinct outer-resident lines", op, n, dir.live, len(distinct))
-	}
-	tombs := 0
-	for i, e := range dir.tab {
-		if e == 0 {
-			continue
-		}
-		if e&dirFieldsMask == 0 {
-			if e&dirTombMark == 0 {
-				t.Fatalf("op %d: directory entry at %d has no slot fields and no tombstone mark", op, i)
-			}
-			tombs++
-			continue
-		}
-		line := dir.lineAt(uint64(i))
-		if e>>dirRemShift != line&dirRemMask {
-			t.Fatalf("op %d: directory entry at %d: remnant %#x does not match reconstructed line %d", op, i, e>>dirRemShift, line)
-		}
-		for li, lvl := range outer {
-			s := int((e>>lvl.levelShift)&dirSlotMask) - 1
-			if s < 0 {
-				continue
-			}
-			if s >= len(lvl.tags) || lvl.tags[s] != lvl.tagOf(line) || uint64(s/lvl.ways) != line&lvl.setMask {
-				t.Fatalf("op %d: directory maps line %d to outer level %d slot %d, which holds tag %#x", op, line, li, s, lvl.tags[s])
-			}
-		}
-	}
-	if tombs != dir.tombs {
-		t.Fatalf("op %d: %d tombstones in the table, tomb count says %d", op, tombs, dir.tombs)
-	}
-	if dir.tombs > dir.tombMax {
-		t.Fatalf("op %d: %d tombstones exceed the budget %d", op, dir.tombs, dir.tombMax)
-	}
-}
-
-// TestDirClusterChurn fuzzes the packed directory at its sizing-limit
-// load factor with deliberately aliased key remnants: tiny outer caches
-// whose aggregate capacity drives the 64-entry table to one-half load,
-// over an address space built from a few base lines replicated at
-// multiples of 2^22 — so distinct lines share a remnant (and a set,
-// differing only in tag) and a remnant match alone would constantly
-// lie. Probe clusters routinely wrap the table end, backward-shift
-// deletion sees every cluster shape, and the high-word-verified key
-// comparison (hi) is what keeps the answers exact.
-func TestDirClusterChurn(t *testing.T) {
-	mk := func(name string, sets, ways int) CacheConfig {
-		return CacheConfig{Name: name, SizeBytes: sets * ways * LineBytes, Ways: ways, HitLatency: 1}
-	}
-	l2cfg, llccfg := mk("l2", 4, 4), mk("llc", 4, 4)
-	dir := newResidencyDir(l2cfg.slots() + llccfg.slots()) // 64 entries
-	l2 := newOuterCache(l2cfg, dirL2Shift, dir)
-	llc := newOuterCache(llccfg, dirLLCShift, dir)
-	dir.attach(l2, llc)
-	levels := []*cache{l2, llc}
-
-	rng := rand.New(rand.NewSource(11))
-	// 24 remnants × 4 high-bit variants: ~3x aggregate capacity, every
-	// remnant aliased four ways.
-	line := func() uint64 {
-		return uint64(rng.Intn(24)) + uint64(rng.Intn(4))<<22
-	}
-	var now uint64
-	for i := 0; i < 200000; i++ {
-		now++
-		l := line()
-		switch r := rng.Intn(1000); {
-		case r == 0:
-			levels[rng.Intn(2)].invalidateAll()
-		case r == 1:
-			dir.sweepReset()
-			for li, lvl := range levels {
-				for s, tag := range lvl.tags {
-					if tag != 0 {
-						t.Fatalf("op %d: level %d slot %d tag %#x survived sweepReset", i, li, s, tag)
-					}
-				}
-			}
-		default:
-			lvl := levels[rng.Intn(2)]
-			if s := lvl.find(l); s >= 0 {
-				lvl.touch(s, now)
-			} else {
-				lvl.installAt(lvl.victimOf(l), l, now, now)
-			}
-		}
-		// Per-op: one directory probe answers both levels, against the
-		// dense scans — including for this line's three remnant aliases.
-		for v := uint64(0); v < 4; v++ {
-			q := l&dirRemMask | v<<22
-			e := dir.get(q)
-			for li, lvl := range levels {
-				ds := int((e>>lvl.levelShift)&dirSlotMask) - 1
-				if ss := lvl.find(q); ds != ss {
-					t.Fatalf("op %d line %d (alias %d): outer level %d directory slot %d, scanned slot %d", i, q, v, li, ds, ss)
-				}
-			}
-		}
-		if i%512 == 0 {
-			verifyDirectoryTwin(t, i, dir, nil, levels)
-		}
-	}
-	verifyDirectoryTwin(t, 200000, dir, nil, levels)
-}
-
-// TestProbeMatchesFindPlusVictim checks that the fused scan probe used
-// by the verification-twin miss path answers exactly what separate
-// find + victimOf calls would, and that each level's production lookup
-// (the exact index on L1, the directory probe on outer levels) agrees.
+// TestProbeMatchesFindPlusVictim churns one level through randomized
+// touches and installs and checks, at every op, that the lookup forms
+// agree: probe answers exactly what separate find + victimOf calls
+// would, and all of them agree with a hint-free scan of the arrays —
+// however stale or colliding the way hints are. "exact" is the L1 shape
+// (a hint table several times the slot count, so nearly every resident
+// line's hint is right), "outer" the LLC shape (the one-entry table:
+// every hint is shared by all lines and almost always wrong).
 func TestProbeMatchesFindPlusVictim(t *testing.T) {
 	cfg := DefaultConfig().L1
 	run := func(t *testing.T, c *cache) {
 		rng := rand.New(rand.NewSource(13))
-		space := uint64(c.sets*c.ways) * 2
+		space := uint64(len(c.tags)) * 2
 		for i := 0; i < 100000; i++ {
 			line := rng.Uint64() % space
-			slot, victim := c.probe(line)
-			if f := c.find(line); f != slot {
-				t.Fatalf("op %d: probe slot %d, find %d", i, slot, f)
+			want := scanFind(c, line)
+			if h := c.hinted(line); h >= 0 && h != want {
+				t.Fatalf("op %d: hint verified slot %d, scan says %d", i, h, want)
 			}
-			if lk := c.lookup(line); lk != slot {
-				t.Fatalf("op %d: production lookup %d, probe %d", i, lk, slot)
+			slot, victim := c.probe(line)
+			if slot != want {
+				t.Fatalf("op %d: probe slot %d, scan %d", i, slot, want)
+			}
+			if f := c.find(line); f != want {
+				t.Fatalf("op %d: find %d, scan %d", i, f, want)
 			}
 			if slot >= 0 {
 				if victim != -1 {
 					t.Fatalf("op %d: hit returned victim %d", i, victim)
 				}
-				c.touch(slot, uint64(i))
+				c.stamps[slot] = uint64(i)
 				continue
 			}
-			if v := c.victimOf(line); v != victim {
-				t.Fatalf("op %d: probe victim %d, victimOf %d", i, victim, v)
+			if v, want := c.victimOf(line), scanVictim(c, line); v != want || victim != want {
+				t.Fatalf("op %d: probe victim %d, victimOf %d, scan %d", i, victim, v, want)
 			}
-			c.installAt(victim, line, uint64(i), uint64(i))
+			c.fill(victim, line, uint64(i), uint64(i))
+			if i%3 == 0 {
+				c.setHint(line, victim)
+			}
+			if i%20000 == 19999 {
+				c.reset() // stale hints now point at zeroed tags
+			}
 		}
 	}
-	t.Run("exact", func(t *testing.T) { run(t, newExactCache(cfg)) })
-	t.Run("outer", func(t *testing.T) {
-		dir := newResidencyDir(cfg.slots())
-		c := newOuterCache(cfg, dirL2Shift, dir)
-		// Single-level directory: every entry carries only the L2
-		// field, so the LLC pointer is never consulted.
-		dir.attach(c, c)
-		run(t, c)
-	})
+	t.Run("exact", func(t *testing.T) { run(t, newCache(cfg, l1HintBits)) })
+	t.Run("outer", func(t *testing.T) { run(t, newCache(cfg, 0)) })
+}
+
+// TestVictimPolicy pins the replacement rule on one three-way set: the
+// lowest free way while one exists, then the strictly oldest stamp with
+// ties going to the lowest way.
+func TestVictimPolicy(t *testing.T) {
+	c := newCache(CacheConfig{Name: "t", SizeBytes: 3 * LineBytes, Ways: 3}, 0)
+	for w := 0; w < 3; w++ {
+		if _, v := c.probe(uint64(100 + w)); v != w {
+			t.Fatalf("free way: victim %d, want %d", v, w)
+		}
+		c.fill(w, uint64(100+w), 7, 7) // all three stamps tie
+	}
+	for _, tc := range []struct {
+		stamps [3]uint64
+		want   int
+	}{
+		{[3]uint64{7, 7, 7}, 0},
+		{[3]uint64{9, 7, 7}, 1},
+		{[3]uint64{9, 8, 7}, 2},
+		{[3]uint64{7, 9, 7}, 0},
+	} {
+		copy(c.stamps, tc.stamps[:])
+		if _, v := c.probe(500); v != tc.want {
+			t.Errorf("stamps %v: probe victim %d, want %d", tc.stamps, v, tc.want)
+		}
+		if v := c.victimOf(500); v != tc.want {
+			t.Errorf("stamps %v: victimOf %d, want %d", tc.stamps, v, tc.want)
+		}
+	}
 }

@@ -44,9 +44,6 @@ func (c CacheConfig) Sets() int {
 	return c.SizeBytes / (c.Ways * LineBytes)
 }
 
-// slots returns the level's total line capacity (sets × ways).
-func (c CacheConfig) slots() int { return c.Sets() * c.Ways }
-
 func (c CacheConfig) validate() error {
 	if c.SizeBytes <= 0 || c.Ways <= 0 {
 		return fmt.Errorf("sim: cache %s: size and ways must be positive", c.Name)
@@ -58,15 +55,16 @@ func (c CacheConfig) validate() error {
 	if bits.OnesCount(uint(sets)) != 1 {
 		return fmt.Errorf("sim: cache %s: set count %d is not a power of two", c.Name, sets)
 	}
-	if c.slots() > dirSlotMask {
-		return fmt.Errorf("sim: cache %s: %d slots exceed the residency directory's per-level field (max %d lines, %d MiB)",
-			c.Name, c.slots(), dirSlotMask, dirSlotMask*LineBytes>>20)
-	}
 	return nil
 }
 
 // Config describes a simulated core: its cache hierarchy, DRAM latency,
 // prefetcher limits, and the costs of the runtime's own mechanics.
+//
+// Address bound: cache tags are compact (31 bits above the set index),
+// so every simulated address must lie below 2^37 × the smallest level's
+// set count bytes (8 TiB for the default 64-set L1); an access beyond
+// that panics rather than aliasing.
 type Config struct {
 	// L1, L2 and LLC describe the three cache levels, innermost first.
 	L1, L2, LLC CacheConfig

@@ -3,9 +3,8 @@ package sim
 import "fmt"
 
 // Core is one simulated CPU core: a cycle clock, a private three-level
-// cache hierarchy with tiered residency lookup (an exact L1 index in
-// front of an outer-level residency directory), a bounded asynchronous
-// prefetcher, and a PMU.
+// cache hierarchy whose dense tag arrays are the only residency record
+// (see cache.go), a bounded asynchronous prefetcher, and a PMU.
 //
 // A Core is not safe for concurrent use; the runtime gives each worker
 // its own Core, matching the paper's share-nothing per-core design.
@@ -18,59 +17,27 @@ type Core struct {
 	llc   *cache
 	ctr   Counters
 
-	// dir is the outer-level residency directory (see dir.go): probed
-	// only after an L1 miss, one probe answers which outer level — if
-	// any — holds a line, so the demand-miss and prefetch paths never
-	// scan a tag array. The L1 itself resolves through its own exact
-	// index (see cache.go), a few KiB that stay host-cache-resident.
-	dir *residencyDir
-	// scan, when true, routes every lookup through the historical
-	// dense tag scans instead of the tiered structures (SetScanLookups).
-	// The two strategies read the same maintained state and must produce
-	// bit-identical simulated results; the differential tests hold
-	// them to that.
-	scan bool
+	// mshr is a ring of the in-flight fills' completion cycles, kept
+	// sorted ascending from mshrHead (indexes wrap through mshrMask; the
+	// ring's capacity is MSHRs rounded up to a power of two, occupancy is
+	// bounded by cfg.MSHRs at admission). The head is the earliest
+	// completion, so the occupancy check is one comparison, a drain pops
+	// the head while it is due, and a push is a short insertion from the
+	// tail.
+	mshr     []uint64
+	mshrMask uint
+	mshrHead uint
+	mshrN    int
 
-	// MSHR bookkeeping: mshrReady holds the fill-complete cycle of each
-	// occupied MSHR (0 = free slot), mshrFree is a ring of free slot
-	// indexes, and mshrInFlight counts occupied slots. minReady is the
-	// earliest completion among them; while the clock is below it no
-	// fill can have retired, so the occupancy check is one comparison
-	// and the drain scan runs only when something actually completed.
-	mshrReady    []uint64
-	mshrFree     []int32
-	mshrFreeHead int
-	mshrFreeTail int
-	mshrInFlight int
-	minReady     uint64
-
-	// warmSink absorbs warmDir's directory pre-touch loads so the
-	// compiler cannot elide them; the value is meaningless. Per-core so
-	// parallel sweep workers never share the written cache line.
-	warmSink uint64
-
-	// Wakeup-stamp machinery (host-side only; see planops.go). evictEpoch
-	// advances whenever a resident line is displaced — L1 evictions here,
-	// outer-level evictions through the directory's tombstone writes — and
-	// is the validity horizon recorded next to every fill-clock wakeup
-	// stamp (model.Exec.WakeAt/WakeEpoch): any consumer of a residency
-	// verdict taken at epoch E may reuse it only while the epoch still
-	// reads E. wakeup gates the whole machinery (SetWakeupStamps); the
-	// differential wakeup twin runs with it off and must match bit for
-	// bit. planTrack/planDirty/planDirtyN are the exact refinement of the
-	// epoch guard inside one planned issue: while planTrack is set, every
-	// line installed into or evicted from L1 is appended to planDirty, so
-	// IssueFetchPlanned can reuse the residency walk's verdicts for
-	// untouched lines and re-probe only lines the issue itself moved.
-	// planDirtyN == -1 means the list overflowed and every verdict is
-	// re-proved. planMaxReady accumulates the max fill-complete cycle of
-	// the MSHRs the tracked issue occupied — the wakeup stamp itself.
-	evictEpoch   uint64
-	wakeup       bool
-	planTrack    bool
-	planDirtyN   int
-	planMaxReady uint64
-	planDirty    [48]uint64
+	// evictEpoch advances whenever a resident line is displaced from any
+	// level (and on Reset). It is the validity horizon recorded next to
+	// every fill-clock wakeup stamp (model.Exec.WakeAt/WakeEpoch): a
+	// residency verdict taken at epoch E may be reused only while the
+	// epoch still reads E. fetchMaxReady accumulates the max
+	// fill-complete cycle of the prefetches admitted since IssueFetch
+	// last zeroed it — the wakeup stamp itself.
+	evictEpoch    uint64
+	fetchMaxReady uint64
 
 	// trc, when non-nil, receives cycle-timestamped trace events;
 	// curTask and curCS are the attribution stamps (see trace.go).
@@ -103,31 +70,38 @@ type Core struct {
 	issuePow2  bool
 }
 
+// Way-hint table sizes (log2 entries, one byte each). The L1 table is
+// written on every L1 install and stays host-cache-resident; the L2
+// table is written on scan hits only, so DRAM-fill-dominated traffic
+// never pays random writes into it. The LLC gets the degenerate
+// one-entry table: see EXPERIMENTS.md for the A/Bs behind all three.
+const (
+	l1HintBits = 12
+	l2HintBits = 16
+)
+
 // NewCore builds a core from cfg, validating it first.
 func NewCore(cfg Config) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: invalid config: %w", err)
 	}
-	dir := newResidencyDir(cfg.L2.slots() + cfg.LLC.slots())
+	ring := 1
+	for ring < cfg.MSHRs {
+		ring <<= 1
+	}
 	c := &Core{
 		cfg:         cfg,
-		dir:         dir,
-		l1:          newExactCache(cfg.L1),
-		l2:          newOuterCache(cfg.L2, dirL2Shift, dir),
-		llc:         newOuterCache(cfg.LLC, dirLLCShift, dir),
-		mshrReady:   make([]uint64, cfg.MSHRs),
-		mshrFree:    make([]int32, cfg.MSHRs),
+		l1:          newCache(cfg.L1, l1HintBits),
+		l2:          newCache(cfg.L2, l2HintBits),
+		llc:         newCache(cfg.LLC, 0),
+		mshr:        make([]uint64, ring),
+		mshrMask:    uint(ring - 1),
 		switchInsts: cfg.SwitchCost * cfg.IssueWidth / 2,
 		switchCost:  cfg.SwitchCost,
 		curTask:     -1,
 		curCS:       -1,
-		wakeup:      true,
 	}
-	dir.attach(c.l2, c.llc)
-	dir.epoch = &c.evictEpoch
-	for i := range c.mshrFree {
-		c.mshrFree[i] = int32(i)
-	}
+	c.l1.pref = make([]bool, len(c.l1.tags))
 	if w := cfg.IssueWidth; w&(w-1) == 0 {
 		c.issuePow2 = true
 		for 1<<c.issueShift < w {
@@ -154,32 +128,6 @@ func (c *Core) Counters() Counters {
 	return ctr
 }
 
-// SetScanLookups selects the lookup strategy: false (the default) uses
-// the tiered structures (exact L1 index, then the outer-level residency
-// directory), true the historical dense tag scans. Both are maintained
-// at every install regardless of mode, so the switch is valid at any
-// point and changes host cost only — never a simulated result. The scan
-// twin exists for differential verification; leave it off outside tests.
-func (c *Core) SetScanLookups(on bool) { c.scan = on }
-
-// SetWakeupStamps toggles the fill-clock wakeup machinery (on by
-// default): the planned prefetch issue that reuses the residency walk's
-// verdicts (PlanResidency/IssueFetchPlanned) and the wakeup stamps it
-// returns. Purely a host-cost strategy — residency probes charge
-// nothing, so both settings produce bit-identical simulated results;
-// the differential wakeup twin holds them to that. Scan mode bypasses
-// the machinery regardless.
-func (c *Core) SetWakeupStamps(on bool) { c.wakeup = on }
-
-// WakeupStamps reports whether the fill-clock wakeup machinery is on.
-func (c *Core) WakeupStamps() bool { return c.wakeup }
-
-// SetDirMemo toggles the residency directory's probe memo (on by
-// default): a small exact cache of recent directory verdicts,
-// invalidated in place at every directory mutation. Host-cost only;
-// the differential twins run with it off and must match bit for bit.
-func (c *Core) SetDirMemo(on bool) { c.dir.setMemo(on) }
-
 // EvictionEpoch returns the core's eviction epoch: a host-side counter
 // advanced on every L1 or outer-level eviction. A residency verdict
 // recorded at epoch E (e.g. a wakeup stamp) is trivially still valid
@@ -192,36 +140,27 @@ func (c *Core) EvictionEpoch() uint64 { return c.evictEpoch }
 func (c *Core) SetEvictionEpoch(v uint64) { c.evictEpoch = v }
 
 // Reset returns the core to its just-constructed state — clock,
-// counters, caches, directory and prefetch state — so one pooled core
-// can run back-to-back experiments from a cold start. The cost is tied
-// to what the previous run actually touched, not to configured
-// capacity: the L1 bumps its generation word and memsets only its
-// compact tags (resetExact), and the directory sweep zeroes the outer
-// levels' tags through its live entries (sweepReset) rather than
-// walking megabytes of stamp and ready arrays. The reset-vs-fresh
-// differential test pins the equivalence bit-for-bit. Buffered trace
+// counters, caches and prefetch state — so one pooled core can run
+// back-to-back experiments from a cold start. The cost is the three
+// tag memsets (about 200 KiB for the default hierarchy); stamps, ready
+// words, pref flags and way hints are left stale because nothing can
+// reach them through a zeroed tag (see cache.reset). The reset-vs-fresh
+// differential tests pin the equivalence bit-for-bit. Buffered trace
 // events are flushed first: they belong to the run being discarded.
 func (c *Core) Reset() {
 	c.FlushTrace()
 	c.clock = 0
 	c.ctr = Counters{}
-	c.l1.resetExact()
-	c.dir.sweepReset()
-	for i := range c.mshrReady {
-		c.mshrReady[i] = 0
-		c.mshrFree[i] = int32(i)
-	}
-	c.mshrFreeHead = 0
-	c.mshrFreeTail = 0
-	c.mshrInFlight = 0
-	c.minReady = 0
+	c.l1.reset()
+	c.l2.reset()
+	c.llc.reset()
+	c.mshrHead = 0
+	c.mshrN = 0
 	c.curTask = -1
 	c.curCS = -1
 	// A reset displaces everything at once; stamps recorded before it
 	// must not validate after.
 	c.evictEpoch++
-	c.planTrack = false
-	c.planDirtyN = 0
 }
 
 // Compute charges insts simulated instructions of pure computation.
@@ -285,10 +224,10 @@ func (c *Core) StallWake(cycles uint64) {
 // stamp is empty (its prefetch issue was fully dropped for want of
 // MSHRs): once any fill retires, capacity frees and progress resumes.
 func (c *Core) EarliestMSHRReady() uint64 {
-	if c.mshrInFlight == 0 {
+	if c.mshrN == 0 {
 		return 0
 	}
-	return c.minReady
+	return c.mshr[c.mshrHead&c.mshrMask]
 }
 
 // StampValid reports whether a wakeup stamp recorded at the given
@@ -297,32 +236,19 @@ func (c *Core) EarliestMSHRReady() uint64 {
 // may have displaced a plan line the stamp vouched for — voids it.
 func (c *Core) StampValid(epoch uint64) bool { return c.evictEpoch == epoch }
 
-// Read charges a demand read of size bytes at addr. The body is the
-// exact L1 fast path: a single-line span whose home slot in the exact
-// map matches charges its counters inline — the identical updates the
-// general path's access() would make, including the prefetched/
-// in-flight resolution (demandHitPrefetched, the same outlined tail
-// access uses) — and everything else falls through to the full burst
-// machinery.
+// Read charges a demand read of size bytes at addr. The body is the L1
+// fast path: a single-line span whose way hint verifies is charged as
+// the hit the general path's access() would find, and everything else
+// falls through to the full burst machinery.
 func (c *Core) Read(addr, size uint64) {
 	line := addr >> lineShift
-	if (addr+size-1)>>lineShift == line && size != 0 && c.alog == nil && !c.scan {
-		l1 := c.l1
-		f := ((line * fibMul) >> l1.mapShift) * 2
-		if l1.kv[f] == l1.genw+(line<<1|1) {
-			s := int(l1.kv[f+1])
+	if (addr+size-1)>>lineShift == line && size != 0 && c.alog == nil {
+		if s := c.l1.hinted(line); s >= 0 {
 			c.ctr.Reads++
 			c.ctr.Instructions++
-			c.ctr.L1Hits++
-			if l1.ready[s] > c.clock || l1.pref[s] {
-				c.demandHitPrefetched(s)
-			}
-			c.clock += c.cfg.L1.HitLatency
-			l1.stamps[s] = c.clock
+			c.l1Hit(s)
 			return
 		}
-		// Home mismatch: the line may still be resident behind probe
-		// displacement — burst's full probe settles it identically.
 	}
 	c.burst(addr, size, false)
 }
@@ -331,19 +257,11 @@ func (c *Core) Read(addr, size uint64) {
 // so they follow the same path as reads, including the L1 fast path.
 func (c *Core) Write(addr, size uint64) {
 	line := addr >> lineShift
-	if (addr+size-1)>>lineShift == line && size != 0 && c.alog == nil && !c.scan {
-		l1 := c.l1
-		f := ((line * fibMul) >> l1.mapShift) * 2
-		if l1.kv[f] == l1.genw+(line<<1|1) {
-			s := int(l1.kv[f+1])
+	if (addr+size-1)>>lineShift == line && size != 0 && c.alog == nil {
+		if s := c.l1.hinted(line); s >= 0 {
 			c.ctr.Writes++
 			c.ctr.Instructions++
-			c.ctr.L1Hits++
-			if l1.ready[s] > c.clock || l1.pref[s] {
-				c.demandHitPrefetched(s)
-			}
-			c.clock += c.cfg.L1.HitLatency
-			l1.stamps[s] = c.clock
+			c.l1Hit(s)
 			return
 		}
 	}
@@ -391,102 +309,14 @@ func (c *Core) burst(addr, size uint64, write bool) {
 // line in the same burst already paid a full miss. It reports whether
 // this access missed L1 entirely (i.e. was not an L1 or in-flight hit).
 //
-// Tiered lookup: the exact L1 index answers the hit path against a few
-// host-resident KiB; only a genuine L1 miss probes the outer-level
-// directory, where one probe resolves the rest of the hierarchy — an
-// absent entry is the DRAM case — and no level is scanned. Victims are
-// picked per installed level at install time, which is the same choice
-// the historical probe-time pick made: nothing touches those sets in
-// between (only other levels and the clock move, and the clock never
-// writes a stamp).
+// Each level is probed exactly once; the probe that misses also yields
+// the install victim, which stays valid because nothing touches that set
+// again before the install (only other levels and the clock move, and
+// the clock never writes a stamp).
 func (c *Core) access(line uint64, overlapped bool) bool {
-	if c.scan {
-		return c.accessScan(line, overlapped)
-	}
-	l1 := c.l1
-	slot := l1.findExact(line)
-	if slot >= 0 {
-		// L1 demand hit — the simulator's hottest operation, kept flat
-		// here. Only prefetched or in-flight lines take the outlined
-		// slow path.
-		c.ctr.L1Hits++
-		if l1.ready[slot] > c.clock || l1.pref[slot] {
-			c.demandHitPrefetched(slot)
-		}
-		c.clock += c.cfg.L1.HitLatency
-		l1.stamps[slot] = c.clock
-		return false
-	}
-	c.ctr.L1Misses++
-	e := c.dir.get(line)
-	// Outer levels installed into accumulate their directory fields in
-	// val; one setFields probe at the end records the whole fill (the
-	// cluster is already host-warm from the get above). Victim fields
-	// are cleared eagerly inside fillSlot. The L1 install itself needs
-	// no directory traffic at all.
-	var lat, mask, val uint64
-	cause := CauseL2
-	if s := e & dirSlotMask; s != 0 {
-		slot := int(s) - 1
-		c.ctr.L2Hits++
-		lat = c.waitReady(c.l2, slot, c.cfg.L2.HitLatency)
-		c.l2.touch(slot, c.clock)
-	} else {
-		c.ctr.L2Misses++
-		if s := e >> dirLLCShift; s != 0 {
-			slot := int(s) - 1
-			c.ctr.LLCHits++
-			cause = CauseLLC
-			lat = c.waitReady(c.llc, slot, c.cfg.LLC.HitLatency)
-			c.llc.touch(slot, c.clock)
-		} else {
-			c.ctr.LLCMisses++
-			cause = CauseDRAM
-			lat = c.cfg.DRAMLatency
-			v3 := c.llc.victimOf(line)
-			c.llc.fillSlot(v3, line, c.clock, c.clock)
-			mask = dirSlotMask << dirLLCShift
-			val = uint64(v3+1) << dirLLCShift
-		}
-		v2 := c.l2.victimOf(line)
-		c.l2.fillSlot(v2, line, c.clock, c.clock)
-		mask |= dirSlotMask << dirL2Shift
-		val |= uint64(v2+1) << dirL2Shift
-	}
-	if overlapped && lat > c.cfg.BurstGap {
-		lat = c.cfg.BurstGap
-	}
-	c.clock += lat
-	c.ctr.StallCycles += lat
-	if c.trc != nil {
-		c.Emit(TraceStall, cause, lat, line<<lineShift, 0)
-	}
-	v1 := l1.victimOf(line)
-	if l1.tags[v1] != 0 {
-		c.evictEpoch++
-	}
-	l1.fillExact(v1, line, c.clock, c.clock)
-	if mask != 0 {
-		c.dir.setFields(line, mask, val)
-	}
-	return true
-}
-
-// accessScan is the verification-twin access path: identical logic to
-// access driven by the historical per-level dense tag scans (the fused
-// probe returns both the hit slot and the install victim). Each level
-// is probed exactly once; the probe that misses also yields the install
-// victim, which stays valid because nothing touches that set again
-// before the install.
-func (c *Core) accessScan(line uint64, overlapped bool) bool {
 	slot, v1 := c.l1.probe(line)
 	if slot >= 0 {
-		c.ctr.L1Hits++
-		if c.l1.ready[slot] > c.clock || c.l1.pref[slot] {
-			c.demandHitPrefetched(slot)
-		}
-		c.clock += c.cfg.L1.HitLatency
-		c.l1.stamps[slot] = c.clock
+		c.l1Hit(slot)
 		return false
 	}
 	c.ctr.L1Misses++
@@ -495,21 +325,21 @@ func (c *Core) accessScan(line uint64, overlapped bool) bool {
 	if slot, v2 := c.l2.probe(line); slot >= 0 {
 		c.ctr.L2Hits++
 		lat = c.waitReady(c.l2, slot, c.cfg.L2.HitLatency)
-		c.l2.touch(slot, c.clock)
+		c.l2.stamps[slot] = c.clock
 	} else {
 		c.ctr.L2Misses++
 		if slot, v3 := c.llc.probe(line); slot >= 0 {
 			c.ctr.LLCHits++
 			cause = CauseLLC
 			lat = c.waitReady(c.llc, slot, c.cfg.LLC.HitLatency)
-			c.llc.touch(slot, c.clock)
+			c.llc.stamps[slot] = c.clock
 		} else {
 			c.ctr.LLCMisses++
 			cause = CauseDRAM
 			lat = c.cfg.DRAMLatency
-			c.llc.installAt(v3, line, c.clock, c.clock)
+			c.install(c.llc, v3, line, c.clock)
 		}
-		c.l2.installAt(v2, line, c.clock, c.clock)
+		c.install(c.l2, v2, line, c.clock)
 	}
 	if overlapped && lat > c.cfg.BurstGap {
 		lat = c.cfg.BurstGap
@@ -519,11 +349,39 @@ func (c *Core) accessScan(line uint64, overlapped bool) bool {
 	if c.trc != nil {
 		c.Emit(TraceStall, cause, lat, line<<lineShift, 0)
 	}
-	if c.l1.tags[v1] != 0 {
+	c.installL1(v1, line, c.clock, false)
+	return true
+}
+
+// l1Hit charges a demand hit on L1 slot s — the simulator's hottest
+// operation. Only prefetched or in-flight lines take the outlined slow
+// path. The caller counts the read or write and its instruction.
+func (c *Core) l1Hit(s int) {
+	l1 := c.l1
+	c.ctr.L1Hits++
+	if l1.ready[s] > c.clock || l1.pref[s] {
+		c.demandHitPrefetched(s)
+	}
+	c.clock += c.cfg.L1.HitLatency
+	l1.stamps[s] = c.clock
+}
+
+// install fills victim slot v of lvl with line at the current clock.
+// Displacing a valid line from any level moves the eviction epoch.
+func (c *Core) install(lvl *cache, v int, line, readyAt uint64) {
+	if lvl.tags[v] != 0 {
 		c.evictEpoch++
 	}
-	c.l1.installAt(v1, line, c.clock, c.clock)
-	return true
+	lvl.fill(v, line, c.clock, readyAt)
+}
+
+// installL1 is install for the L1, which also owns the prefetched flag
+// and is the one level whose installs write the way hint.
+func (c *Core) installL1(v int, line, readyAt uint64, pref bool) {
+	l1 := c.l1
+	c.install(l1, v, line, readyAt)
+	l1.pref[v] = pref
+	l1.setHint(line, v)
 }
 
 // demandHitPrefetched resolves a demand hit on a prefetched L1 line:
@@ -605,17 +463,7 @@ func (c *Core) prefetchLine(line uint64) {
 	}
 	c.clock += c.cfg.PrefetchIssueCost
 	c.ctr.Instructions++
-	if c.scan {
-		if c.l1.find(line) >= 0 {
-			c.prefetchRedundant(line)
-			return
-		}
-		c.prefetchMissScan(line)
-		return
-	}
-	// The redundancy check is the exact L1 index; only a genuine miss
-	// pays the directory probe that prices the fill.
-	if c.l1.findExact(line) >= 0 {
+	if c.l1.find(line) >= 0 {
 		c.prefetchRedundant(line)
 		return
 	}
@@ -632,153 +480,52 @@ func (c *Core) prefetchRedundant(line uint64) {
 
 // prefetchMiss is the tail of a prefetch issue for a line known absent
 // from L1: MSHR admission, fill-latency determination and the installs.
-// The directory probe that prices the fill runs only after admission —
-// a dropped prefetch changes nothing the probe could inform, so the
-// cold table touch would be pure waste on the drop path.
+// The outer-level scans that price the fill run only after admission —
+// a dropped prefetch changes nothing they could inform. Victims are
+// picked only at the levels actually installed into; an outer hit
+// writes nothing.
 func (c *Core) prefetchMiss(line uint64) {
-	if c.scan {
-		c.prefetchMissScan(line)
-		return
+	for c.mshrN > 0 && c.mshr[c.mshrHead&c.mshrMask] <= c.clock {
+		c.mshrHead++
+		c.mshrN--
 	}
-	if c.mshrInFlight > 0 && c.clock >= c.minReady {
-		c.drainMSHRs()
-	}
-	if c.mshrInFlight >= c.cfg.MSHRs {
+	if c.mshrN >= c.cfg.MSHRs {
 		c.prefetchDropped(line)
 		return
 	}
-	c.prefetchMissAt(line, c.dir.get(line))
-}
-
-// prefetchMissAt finishes an *admitted* prefetch issue given the line's
-// outer-level directory value e (the caller established absence from L1
-// and MSHR availability).
-func (c *Core) prefetchMissAt(line uint64, e uint64) {
-	// Fill latency depends on where the line currently lives. Victims
-	// are picked lazily — only the levels actually installed into pay
-	// the LRU pass, and redundant/dropped issues above pay none. As in
-	// access, outer installs batch their directory fields into one
-	// setFields probe on the warm cluster; outer hits write nothing.
-	var mask, val, fill uint64
-	if e&dirSlotMask != 0 {
-		fill = c.cfg.L2.HitLatency
-	} else if e>>dirLLCShift != 0 {
-		fill = c.cfg.LLC.HitLatency
-	} else {
-		fill = c.cfg.DRAMLatency
-		v3 := c.llc.victimOf(line)
-		c.llc.fillSlot(v3, line, c.clock, c.clock+fill)
-		v2 := c.l2.victimOf(line)
-		c.l2.fillSlot(v2, line, c.clock, c.clock+fill)
-		mask = dirSlotMask<<dirLLCShift | dirSlotMask<<dirL2Shift
-		val = uint64(v3+1)<<dirLLCShift | uint64(v2+1)<<dirL2Shift
-	}
-	ready := c.clock + fill
-	v1 := c.l1.victimOf(line)
-	if c.l1.tags[v1] != 0 {
-		c.evictEpoch++
-		if c.planTrack {
-			c.planDirtyAdd(c.l1.lineOf(v1))
-		}
-	}
-	if c.planTrack {
-		c.planDirtyAdd(line)
-		if ready > c.planMaxReady {
-			c.planMaxReady = ready
-		}
-	}
-	c.l1.fillExact(v1, line, c.clock, ready)
-	c.l1.pref[v1] = true
-	if mask != 0 {
-		c.dir.setFields(line, mask, val)
-	}
-	c.mshrPush(ready)
-	c.ctr.PrefetchIssued++
-	if c.trc != nil {
-		c.Emit(TracePrefetchIssued, CauseNone, line<<lineShift, ready, 0)
-	}
-}
-
-// planDirtyAdd records a line the current planned issue installed or
-// evicted, so the residency verdicts PlanResidency recorded stay
-// reusable for every line not in the list. Overflow (planDirtyN == -1)
-// disables verdict reuse for the rest of the issue — the exact,
-// conservative fallback.
-func (c *Core) planDirtyAdd(line uint64) {
-	n := c.planDirtyN
-	if n < 0 {
-		return
-	}
-	if n == len(c.planDirty) {
-		c.planDirtyN = -1
-		return
-	}
-	c.planDirty[n] = line
-	c.planDirtyN = n + 1
-}
-
-// planClean reports whether line was untouched by the current planned
-// issue so far (and the dirty list did not overflow): a verdict taken
-// by the walk is still exact for it.
-func (c *Core) planClean(line uint64) bool {
-	n := c.planDirtyN
-	if n < 0 {
-		return false
-	}
-	for _, d := range c.planDirty[:n] {
-		if d == line {
-			return false
-		}
-	}
-	return true
-}
-
-// mshrPush occupies one MSHR until the fill completes at ready.
-func (c *Core) mshrPush(ready uint64) {
-	idx := c.mshrFree[c.mshrFreeHead]
-	c.mshrFreeHead++
-	if c.mshrFreeHead == len(c.mshrFree) {
-		c.mshrFreeHead = 0
-	}
-	c.mshrReady[idx] = ready
-	c.mshrInFlight++
-	if c.mshrInFlight == 1 || ready < c.minReady {
-		c.minReady = ready
-	}
-}
-
-// prefetchMissScan is the verification-twin tail of a prefetch issue,
-// probing the outer levels by dense tag scan.
-func (c *Core) prefetchMissScan(line uint64) {
-	if c.mshrInFlight > 0 && c.clock >= c.minReady {
-		c.drainMSHRs()
-	}
-	if c.mshrInFlight >= c.cfg.MSHRs {
-		c.prefetchDropped(line)
-		return
-	}
-	var fill uint64
+	var ready uint64
 	if c.l2.find(line) >= 0 {
-		fill = c.cfg.L2.HitLatency
-	} else if c.llc.find(line) >= 0 {
-		fill = c.cfg.LLC.HitLatency
+		ready = c.clock + c.cfg.L2.HitLatency
+	} else if slot, v3 := c.llc.probe(line); slot >= 0 {
+		ready = c.clock + c.cfg.LLC.HitLatency
 	} else {
-		fill = c.cfg.DRAMLatency
-		c.llc.installAt(c.llc.victimOf(line), line, c.clock, c.clock+fill)
-		c.l2.installAt(c.l2.victimOf(line), line, c.clock, c.clock+fill)
+		ready = c.clock + c.cfg.DRAMLatency
+		c.install(c.llc, v3, line, ready)
+		c.install(c.l2, c.l2.victimOf(line), line, ready)
 	}
-	ready := c.clock + fill
-	v1 := c.l1.victimOf(line)
-	if c.l1.tags[v1] != 0 {
-		c.evictEpoch++
-	}
-	c.l1.installAt(v1, line, c.clock, ready)
-	c.l1.pref[v1] = true
+	c.installL1(c.l1.victimOf(line), line, ready, true)
 	c.mshrPush(ready)
+	if ready > c.fetchMaxReady {
+		c.fetchMaxReady = ready
+	}
 	c.ctr.PrefetchIssued++
 	if c.trc != nil {
 		c.Emit(TracePrefetchIssued, CauseNone, line<<lineShift, ready, 0)
 	}
+}
+
+// mshrPush occupies one MSHR until the fill completes at ready,
+// keeping the ring sorted: larger completion cycles shift one place
+// toward the tail until ready's position opens.
+func (c *Core) mshrPush(ready uint64) {
+	m := c.mshrMask
+	i := c.mshrHead + uint(c.mshrN)
+	for i != c.mshrHead && c.mshr[(i-1)&m] > ready {
+		c.mshr[i&m] = c.mshr[(i-1)&m]
+		i--
+	}
+	c.mshr[i&m] = ready
+	c.mshrN++
 }
 
 // prefetchDropped charges a prefetch rejected for want of MSHRs.
@@ -787,42 +534,6 @@ func (c *Core) prefetchDropped(line uint64) {
 	if c.trc != nil {
 		c.Emit(TracePrefetchDropped, CauseNone, line<<lineShift, 0, 0)
 	}
-}
-
-// drainMSHRs retires every fill whose completion cycle has passed,
-// returning its slot to the free ring, and recomputes minReady over the
-// survivors. Callers gate on clock >= minReady, so between completions
-// the occupancy check never scans.
-func (c *Core) drainMSHRs() {
-	next := ^uint64(0)
-	for i, r := range c.mshrReady {
-		if r == 0 {
-			continue
-		}
-		if r > c.clock {
-			if r < next {
-				next = r
-			}
-			continue
-		}
-		c.mshrReady[i] = 0
-		c.mshrFree[c.mshrFreeTail] = int32(i)
-		c.mshrFreeTail++
-		if c.mshrFreeTail == len(c.mshrFree) {
-			c.mshrFreeTail = 0
-		}
-		c.mshrInFlight--
-	}
-	c.minReady = next
-}
-
-// activeMSHRs returns the number of fills still in flight at the
-// current clock; diagnostic twin of the admission check.
-func (c *Core) activeMSHRs() int {
-	if c.mshrInFlight > 0 && c.clock >= c.minReady {
-		c.drainMSHRs()
-	}
-	return c.mshrInFlight
 }
 
 // DMAFill installs the lines of [addr, addr+size) into the LLC without
@@ -836,12 +547,8 @@ func (c *Core) DMAFill(addr, size uint64) {
 	first := addr >> lineShift
 	last := (addr + size - 1) >> lineShift
 	for line := first; line <= last; line++ {
-		if c.scan {
-			if slot, victim := c.llc.probe(line); slot < 0 {
-				c.llc.installAt(victim, line, c.clock, c.clock)
-			}
-		} else if c.dir.get(line)>>dirLLCShift == 0 {
-			c.llc.installAt(c.llc.victimOf(line), line, c.clock, c.clock)
+		if slot, victim := c.llc.probe(line); slot < 0 {
+			c.install(c.llc, victim, line, c.clock)
 		}
 	}
 }
@@ -855,16 +562,8 @@ func (c *Core) ResidentL1(addr, size uint64) bool {
 	}
 	first := addr >> lineShift
 	last := (addr + size - 1) >> lineShift
-	if c.scan {
-		for line := first; line <= last; line++ {
-			if c.l1.find(line) < 0 {
-				return false
-			}
-		}
-		return true
-	}
 	for line := first; line <= last; line++ {
-		if c.l1.findExact(line) < 0 {
+		if c.l1.find(line) < 0 {
 			return false
 		}
 	}
@@ -872,24 +571,8 @@ func (c *Core) ResidentL1(addr, size uint64) bool {
 }
 
 // ResidentL1Line reports whether the single line containing addr is
-// present in L1 (in-flight fills count as present): the exact map's
-// home probe in the common case, the pre-resolved form of ResidentL1
-// used by compiled step plans. The home probe is spelled out here
-// (rather than delegating to findExact) so the call inlines into the
-// scheduler's P-state check loop.
+// present in L1 (in-flight fills count as present): the pre-resolved
+// form of ResidentL1 used by compiled step plans.
 func (c *Core) ResidentL1Line(addr uint64) bool {
-	line := addr >> lineShift
-	if c.scan {
-		return c.l1.find(line) >= 0
-	}
-	l1 := c.l1
-	k := l1.kv[((line*fibMul)>>l1.mapShift)*2]
-	if k == l1.genw+(line<<1|1) {
-		return true
-	}
-	if k&1 == 0 || k>>l1GenShift != l1.gen {
-		// Free or stale home slot: the authoritative miss verdict.
-		return false
-	}
-	return l1.findExact(line) >= 0
+	return c.l1.find(addr>>lineShift) >= 0
 }

@@ -6,14 +6,13 @@ import (
 )
 
 // CorePool recycles Cores of one configuration across experiment runs.
-// A Core's backing arrays are megabyte-scale (outer tag/stamp/ready
-// arrays plus the residency directory), so sweeps that run hundreds of
-// points — fig10's offered-load grid, the ablation matrix — used to
-// allocate and fault that footprint per point. With the pool each
-// worker grabs a generation-reset core instead: Reset is O(what the
-// last run touched) (see Core.Reset), and the reset-vs-fresh
-// differential test guarantees a pooled core is observationally
-// indistinguishable from a new one.
+// A Core's backing arrays are megabyte-scale (the outer levels'
+// tag/stamp/ready arrays), so sweeps that run hundreds of points —
+// fig10's offered-load grid, the ablation matrix — used to allocate and
+// fault that footprint per point. With the pool each worker grabs a
+// reset core instead: Reset is three tag memsets (see Core.Reset), and
+// the reset-vs-fresh differential tests guarantee a pooled core is
+// observationally indistinguishable from a new one.
 //
 // The pool itself is safe for concurrent Get/Put (the parallel sweep
 // runner's workers share one), but each checked-out Core remains
@@ -64,9 +63,6 @@ func (p *CorePool) Put(c *Core) {
 	}
 	c.SetTracer(nil)
 	c.SetAccessLog(nil)
-	c.SetScanLookups(false)
-	c.SetWakeupStamps(true)
-	c.SetDirMemo(true)
 	c.Reset()
 	p.mu.Lock()
 	p.free = append(p.free, c)

@@ -16,7 +16,6 @@ func TestCorePoolRecycles(t *testing.T) {
 	}
 	c1.SetTracer(countingTracer{})
 	c1.SetAccessLog(func(MemAccess) {})
-	c1.SetScanLookups(true)
 	c1.Read(0x4000, 64)
 	p.Put(c1)
 
@@ -27,8 +26,8 @@ func TestCorePoolRecycles(t *testing.T) {
 	if c2 != c1 {
 		t.Fatal("Get after Put did not recycle the pooled core")
 	}
-	if c2.trc != nil || c2.alog != nil || c2.scan {
-		t.Fatal("recycled core kept observation hooks or scan mode")
+	if c2.trc != nil || c2.alog != nil {
+		t.Fatal("recycled core kept observation hooks")
 	}
 	if c2.Now() != 0 || c2.Counters() != (Counters{}) {
 		t.Fatalf("recycled core not reset: clock %d, counters %+v", c2.Now(), c2.Counters())

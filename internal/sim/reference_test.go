@@ -1,0 +1,507 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// This file is the simulator's executable specification: a deliberately
+// naive cache hierarchy (a slice of lines per set, a linear MSHR list,
+// no hints, no fast paths) that states what every Core operation means,
+// and a lock-step driver that holds Core to it after every operation of
+// randomized streams. Any host-side structure Core uses to answer
+// faster must be invisible here.
+
+// refLine is one resident line of a reference set. Its index in the set
+// slice is its way: lines are appended until the set is full and then
+// replaced in place, which is the valid-prefix rule.
+type refLine struct {
+	line, stamp, ready uint64
+	pref               bool
+}
+
+type refLevel struct {
+	cfg  CacheConfig
+	sets [][]refLine
+}
+
+func newRefLevel(cfg CacheConfig) refLevel {
+	return refLevel{cfg: cfg, sets: make([][]refLine, cfg.Sets())}
+}
+
+func (l *refLevel) set(line uint64) *[]refLine { return &l.sets[line%uint64(len(l.sets))] }
+
+func (l *refLevel) find(line uint64) *refLine {
+	set := *l.set(line)
+	for i := range set {
+		if set[i].line == line {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+// install places a non-resident line: the lowest free way, else the way
+// with the strictly oldest stamp (ties to the lowest index). It reports
+// whether a resident line was displaced.
+func (l *refLevel) install(nl refLine) (evicted bool) {
+	set := l.set(nl.line)
+	if len(*set) < l.cfg.Ways {
+		*set = append(*set, nl)
+		return false
+	}
+	victim := 0
+	for i := range *set {
+		if (*set)[i].stamp < (*set)[victim].stamp {
+			victim = i
+		}
+	}
+	(*set)[victim] = nl
+	return true
+}
+
+type refCore struct {
+	cfg         Config
+	clock       uint64
+	ctr         Counters
+	l1, l2, llc refLevel
+	mshr        []uint64 // completion cycles of in-flight fills, unordered
+	epoch       uint64   // displacements + resets
+}
+
+func newRefCore(cfg Config) *refCore {
+	return &refCore{cfg: cfg, l1: newRefLevel(cfg.L1), l2: newRefLevel(cfg.L2), llc: newRefLevel(cfg.LLC)}
+}
+
+func (r *refCore) reset() {
+	*r = refCore{cfg: r.cfg, epoch: r.epoch + 1,
+		l1: newRefLevel(r.cfg.L1), l2: newRefLevel(r.cfg.L2), llc: newRefLevel(r.cfg.LLC)}
+}
+
+func (r *refCore) counters() Counters {
+	ctr := r.ctr
+	ctr.Cycles = r.clock
+	return ctr
+}
+
+func (r *refCore) install(l *refLevel, line, ready uint64, pref bool) {
+	if l.install(refLine{line: line, stamp: r.clock, ready: ready, pref: pref}) {
+		r.epoch++
+	}
+}
+
+func (r *refCore) stall(cycles uint64) {
+	r.clock += cycles
+	r.ctr.StallCycles += cycles
+}
+
+func (r *refCore) compute(insts uint64) {
+	r.ctr.Instructions += insts
+	r.clock += (insts + r.cfg.IssueWidth - 1) / r.cfg.IssueWidth
+}
+
+func (r *refCore) taskSwitch() {
+	r.ctr.TaskSwitches++
+	r.clock += r.cfg.SwitchCost
+	r.ctr.Instructions += r.cfg.SwitchCost * r.cfg.IssueWidth / 2
+}
+
+func lineRange(addr, size uint64) (first, last uint64) {
+	return addr >> lineShift, (addr + size - 1) >> lineShift
+}
+
+// demand is Read/Write: one burst over the covered lines, the first
+// full miss paying its latency and later ones at most BurstGap.
+func (r *refCore) demand(addr, size uint64, write bool) {
+	if size == 0 {
+		return
+	}
+	first, last := lineRange(addr, size)
+	missed := false
+	for line := first; line <= last; line++ {
+		if write {
+			r.ctr.Writes++
+		} else {
+			r.ctr.Reads++
+		}
+		r.ctr.Instructions++
+		if r.access(line, missed) {
+			missed = true
+		}
+	}
+}
+
+// waitFill stalls for an in-flight fill a demand access ran into.
+func (r *refCore) waitFill(ready uint64) bool {
+	if ready <= r.clock {
+		return false
+	}
+	r.stall(ready - r.clock)
+	r.ctr.PrefetchLate++
+	return true
+}
+
+func (r *refCore) access(line uint64, overlapped bool) bool {
+	if e := r.l1.find(line); e != nil {
+		r.ctr.L1Hits++
+		if !r.waitFill(e.ready) && e.pref {
+			r.ctr.PrefetchUseful++
+		}
+		e.pref = false
+		r.clock += r.cfg.L1.HitLatency
+		e.stamp = r.clock
+		return false
+	}
+	r.ctr.L1Misses++
+	var lat uint64
+	if e := r.l2.find(line); e != nil {
+		r.ctr.L2Hits++
+		r.waitFill(e.ready)
+		e.stamp = r.clock
+		lat = r.cfg.L2.HitLatency
+	} else {
+		r.ctr.L2Misses++
+		if e := r.llc.find(line); e != nil {
+			r.ctr.LLCHits++
+			r.waitFill(e.ready)
+			e.stamp = r.clock
+			lat = r.cfg.LLC.HitLatency
+		} else {
+			r.ctr.LLCMisses++
+			lat = r.cfg.DRAMLatency
+			r.install(&r.llc, line, r.clock, false)
+		}
+		r.install(&r.l2, line, r.clock, false)
+	}
+	if overlapped && lat > r.cfg.BurstGap {
+		lat = r.cfg.BurstGap
+	}
+	r.stall(lat)
+	r.install(&r.l1, line, r.clock, false)
+	return true
+}
+
+// prefetchLine returns the fill's completion cycle, 0 when the line was
+// redundant or the prefetch dropped.
+func (r *refCore) prefetchLine(line uint64) uint64 {
+	r.clock += r.cfg.PrefetchIssueCost
+	r.ctr.Instructions++
+	if r.l1.find(line) != nil {
+		r.ctr.PrefetchRedundant++
+		return 0
+	}
+	live := r.mshr[:0]
+	for _, ready := range r.mshr {
+		if ready > r.clock {
+			live = append(live, ready)
+		}
+	}
+	r.mshr = live
+	if len(r.mshr) >= r.cfg.MSHRs {
+		r.ctr.PrefetchDropped++
+		return 0
+	}
+	var ready uint64
+	switch {
+	case r.l2.find(line) != nil:
+		ready = r.clock + r.cfg.L2.HitLatency
+	case r.llc.find(line) != nil:
+		ready = r.clock + r.cfg.LLC.HitLatency
+	default:
+		ready = r.clock + r.cfg.DRAMLatency
+		r.install(&r.llc, line, ready, false)
+		r.install(&r.l2, line, ready, false)
+	}
+	r.install(&r.l1, line, ready, true)
+	r.mshr = append(r.mshr, ready)
+	r.ctr.PrefetchIssued++
+	return ready
+}
+
+// prefetch returns the max completion cycle of the fills it installed.
+func (r *refCore) prefetch(addr, size uint64) (maxReady uint64) {
+	if size == 0 {
+		return 0
+	}
+	first, last := lineRange(addr, size)
+	for line := first; line <= last; line++ {
+		maxReady = max(maxReady, r.prefetchLine(line))
+	}
+	return maxReady
+}
+
+func (r *refCore) dmaFill(addr, size uint64) {
+	if size == 0 {
+		return
+	}
+	first, last := lineRange(addr, size)
+	for line := first; line <= last; line++ {
+		if r.llc.find(line) == nil {
+			r.install(&r.llc, line, r.clock, false)
+		}
+	}
+}
+
+func (r *refCore) residentL1(addr, size uint64) bool {
+	if size == 0 {
+		return true
+	}
+	first, last := lineRange(addr, size)
+	for line := first; line <= last; line++ {
+		if r.l1.find(line) == nil {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *refCore) earliestMSHRReady() uint64 {
+	var earliest uint64
+	for i, ready := range r.mshr {
+		if i == 0 || ready < earliest {
+			earliest = ready
+		}
+	}
+	return earliest
+}
+
+// refOp is one step of a randomized stream; plan ops carry their
+// compiled span/fetch lists.
+type refOp struct {
+	kind       int
+	addr, size uint64
+	bases      [8]uint64
+	spans      []PlanOp
+	fetch      []FetchOp
+}
+
+const refOpKinds = 24
+
+// oracleStep applies op to both models and returns a description of the
+// first observable difference in the op's own results ("" when none).
+func oracleStep(c *Core, r *refCore, op *refOp) string {
+	switch op.kind {
+	case 0:
+		c.Stall(op.size)
+		r.stall(op.size)
+	case 1:
+		c.StallWake(op.size)
+		r.stall(op.size)
+	case 2:
+		c.Compute(op.size)
+		r.compute(op.size)
+	case 3:
+		c.TaskSwitch()
+		r.taskSwitch()
+	case 4, 5:
+		c.Prefetch(op.addr, op.size)
+		r.prefetch(op.addr, op.size)
+	case 6, 7:
+		c.PrefetchLine(op.addr)
+		r.prefetchLine(op.addr >> lineShift)
+	case 8:
+		c.DMAFill(op.addr, op.size)
+		r.dmaFill(op.addr, op.size)
+	case 9:
+		if got, want := c.ResidentL1(op.addr, op.size), r.residentL1(op.addr, op.size); got != want {
+			return fmt.Sprintf("ResidentL1 = %v, reference %v", got, want)
+		}
+	case 10:
+		if got, want := c.ResidentL1Line(op.addr), r.residentL1(op.addr, 1); got != want {
+			return fmt.Sprintf("ResidentL1Line = %v, reference %v", got, want)
+		}
+	case 11:
+		if op.size%61 == 0 {
+			c.Reset()
+			r.reset()
+		}
+	case 12, 13:
+		c.Write(op.addr, op.size)
+		r.demand(op.addr, op.size, true)
+	case 14:
+		c.ReadSpans(&op.bases, op.spans)
+		for _, s := range op.spans {
+			r.demand(op.bases[s.Base&7]+s.Off, s.Size, false)
+		}
+	case 15:
+		c.WriteSpans(&op.bases, op.spans)
+		for _, s := range op.spans {
+			r.demand(op.bases[s.Base&7]+s.Off, s.Size, true)
+		}
+	case 16, 17:
+		// The scheduler's P-stage visit: residency walk, then the issue
+		// primed with the walk's verdict (17 issues blind).
+		want := -1
+		for i, f := range op.fetch {
+			if !r.residentL1(op.bases[f.Base&7]+f.Off, f.Size) {
+				want = i
+				break
+			}
+		}
+		miss := c.FirstNonResident(&op.bases, op.fetch)
+		if miss != want {
+			return fmt.Sprintf("FirstNonResident = %d, reference %d", miss, want)
+		}
+		if op.kind == 17 {
+			miss = -1
+		}
+		var wantReady uint64
+		for _, f := range op.fetch {
+			wantReady = max(wantReady, r.prefetch(op.bases[f.Base&7]+f.Off, f.Size))
+		}
+		if got := c.IssueFetch(&op.bases, op.fetch, miss); got != wantReady {
+			return fmt.Sprintf("IssueFetch = %d, reference max ready %d", got, wantReady)
+		}
+	default:
+		c.Read(op.addr, op.size)
+		r.demand(op.addr, op.size, false)
+	}
+	return ""
+}
+
+// oracleState compares everything observable without perturbing Core
+// (no lookups, so hints stay as the stream left them): counters, clock,
+// MSHR horizon and eviction epoch, and — when deep — every slot of
+// every level against the reference's sets, way for way.
+func oracleState(c *Core, r *refCore, epoch0 uint64, deep bool) string {
+	if got, want := c.Counters(), r.counters(); got != want {
+		return fmt.Sprintf("counters diverged:\ncore      %+v\nreference %+v", got, want)
+	}
+	if got, want := c.EarliestMSHRReady(), r.earliestMSHRReady(); got != want {
+		return fmt.Sprintf("EarliestMSHRReady = %d, reference %d", got, want)
+	}
+	if got, want := c.EvictionEpoch()-epoch0, r.epoch; got != want {
+		return fmt.Sprintf("eviction epoch advanced %d, reference %d", got, want)
+	}
+	if !deep {
+		return ""
+	}
+	for li, pair := range []struct {
+		lvl *cache
+		ref *refLevel
+	}{{c.l1, &r.l1}, {c.l2, &r.l2}, {c.llc, &r.llc}} {
+		lvl := pair.lvl
+		for s, set := range pair.ref.sets {
+			for w := 0; w < lvl.ways; w++ {
+				slot := s*lvl.ways + w
+				if w >= len(set) {
+					if lvl.tags[slot] != 0 {
+						return fmt.Sprintf("level %d set %d way %d: tag %#x, reference way is free", li, s, w, lvl.tags[slot])
+					}
+					continue
+				}
+				e := set[w]
+				if lvl.tags[slot] != lvl.tagOf(e.line) || lvl.stamps[slot] != e.stamp || lvl.ready[slot] != e.ready ||
+					(lvl.pref != nil && lvl.pref[slot] != e.pref) {
+					return fmt.Sprintf("level %d set %d way %d: tag %#x stamp %d ready %d, reference %+v",
+						li, s, w, lvl.tags[slot], lvl.stamps[slot], lvl.ready[slot], e)
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// oracleConfigs are the hierarchy shapes the oracle runs over: the
+// default, and small ones that evict at every level within a few ops
+// and hit the corners — non-power-of-two ways, one-set and one-way
+// levels, a single MSHR, and zero issue/hit costs so that LRU stamps
+// tie and the ties-to-lowest-index rule decides victims.
+func oracleConfigs() map[string]Config {
+	lvl := func(name string, sets, ways int, lat uint64) CacheConfig {
+		return CacheConfig{Name: name, SizeBytes: sets * ways * LineBytes, Ways: ways, HitLatency: lat}
+	}
+	small := Config{
+		L1: lvl("L1", 4, 3, 4), L2: lvl("L2", 8, 6, 14), LLC: lvl("LLC", 16, 12, 50),
+		DRAMLatency: 200, MSHRs: 5, PrefetchIssueCost: 2, SwitchCost: 12, IssueWidth: 3, BurstGap: 30, FreqHz: 1e9,
+	}
+	corners := small
+	corners.L1 = lvl("L1", 1, 5, 4)   // one set
+	corners.L2 = lvl("L2", 16, 1, 14) // direct-mapped
+	corners.MSHRs = 1
+	ties := small
+	ties.L1.HitLatency, ties.L2.HitLatency, ties.LLC.HitLatency = 0, 0, 0
+	ties.PrefetchIssueCost = 0
+	ties.DRAMLatency = 1
+	ties.BurstGap = 0
+	wide := small
+	wide.LLC = lvl("LLC", 2, 300, 50) // more ways than a hint byte can name
+	return map[string]Config{"default": DefaultConfig(), "small": small, "corners": corners, "ties": ties, "wide": wide}
+}
+
+// genRefOps draws a stream over three regions sized from cfg: one that
+// fits L1, one around the L2/LLC capacities, and one several times the
+// LLC, so every level sees hits, conflict evictions and cold misses.
+func genRefOps(rng *rand.Rand, cfg Config, n int) []refOp {
+	l1, llc := uint64(cfg.L1.SizeBytes), uint64(cfg.LLC.SizeBytes)
+	addr := func() uint64 {
+		switch rng.Intn(3) {
+		case 0:
+			return rng.Uint64() % l1
+		case 1:
+			return 1<<24 + rng.Uint64()%(llc+llc/2)
+		default:
+			return 1<<30 + rng.Uint64()%(8*llc)
+		}
+	}
+	ops := make([]refOp, n)
+	for i := range ops {
+		op := &ops[i]
+		op.kind = rng.Intn(refOpKinds)
+		op.addr = addr()
+		op.size = uint64(rng.Intn(200)) // 0 included: zero-size ops are free
+		if op.kind < 14 || op.kind > 17 {
+			continue
+		}
+		for b := range op.bases {
+			op.bases[b] = addr() &^ (LineBytes - 1)
+		}
+		for k := rng.Intn(6); k >= 0; k-- {
+			base, off := uint8(rng.Intn(8)), uint64(rng.Intn(4*LineBytes))
+			op.spans = append(op.spans, PlanOp{Off: off, Size: uint64(rng.Intn(130)), Base: base})
+			if rng.Intn(2) == 0 {
+				op.fetch = append(op.fetch, FetchOp{Off: off &^ (LineBytes - 1), Size: LineBytes, Base: base, Line: true})
+			} else {
+				op.fetch = append(op.fetch, FetchOp{Off: off, Size: uint64(rng.Intn(130)), Base: base})
+			}
+		}
+	}
+	return ops
+}
+
+// TestReferenceOracle drives Core and the reference hierarchy in
+// lock-step and requires identical observable state after every op.
+// With a tracer attached the span loops take their traced form, which
+// must charge the same sequence.
+func TestReferenceOracle(t *testing.T) {
+	for name, cfg := range oracleConfigs() {
+		for _, traced := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/traced=%v", name, traced), func(t *testing.T) {
+				c, err := NewCore(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if traced {
+					c.SetTracer(countingTracer{})
+				}
+				r := newRefCore(cfg)
+				epoch0 := c.EvictionEpoch()
+				n := 60000
+				if testing.Short() {
+					n = 15000
+				}
+				ops := genRefOps(rand.New(rand.NewSource(int64(len(name))+41)), cfg, n)
+				for i := range ops {
+					diff := oracleStep(c, r, &ops[i])
+					if diff == "" {
+						diff = oracleState(c, r, epoch0, i%997 == 0 || i == len(ops)-1)
+					}
+					if diff != "" {
+						t.Fatalf("op %d (kind %d addr %#x size %d): %s", i, ops[i].kind, ops[i].addr, ops[i].size, diff)
+					}
+				}
+			})
+		}
+	}
+}

@@ -7,12 +7,12 @@ import (
 
 // This file pins the claim Core.Reset makes: a reset core is
 // observationally identical to a freshly constructed one, bit for bit.
-// The generation-stamped reset deliberately leaves stale words behind
-// (old lines entries, old stamps/ready values, untouched pref flags)
-// and relies on them being unreachable; these tests replay randomized
-// op streams on dirty-then-reset cores against fresh cores in lockstep
-// and require identical clocks, counters, residency answers and access
-// logs at every step.
+// Reset zeroes only the tags and deliberately leaves stale words behind
+// (old stamps/ready values, pref flags, way hints), relying on them
+// being unreachable; these tests replay randomized op streams on
+// dirty-then-reset cores against fresh cores in lockstep and require
+// identical clocks, counters, residency answers and access logs at
+// every step.
 
 // coreOp is one randomized public-API operation.
 type coreOp struct {
@@ -21,8 +21,8 @@ type coreOp struct {
 	size uint64
 }
 
-// genOps builds a deterministic op stream mixing the hot/mid/cold
-// regions the scan-twin test uses, so streams exercise L1 hits, outer
+// genOps builds a deterministic op stream mixing a hot (L1-sized), a
+// mid (L2/LLC-sized) and a cold region, so streams exercise L1 hits, outer
 // hits, DRAM fills, prefetch (including MSHR saturation), DMA fills,
 // resets of the clock via stalls, and residency probes.
 func genOps(seed int64, n int) []coreOp {
@@ -77,7 +77,7 @@ func apply(c *Core, op coreOp) (res bool) {
 
 // dirtyCore returns a core that has run `cycles` rounds of a polluting
 // workload, each followed by Reset — so its stale (supposedly
-// unreachable) words carry several generations of garbage.
+// unreachable) words carry several runs' worth of garbage.
 func dirtyCore(t *testing.T, cfg Config, seed int64, cycles int) *Core {
 	t.Helper()
 	c, err := NewCore(cfg)
@@ -155,42 +155,64 @@ func TestResetEquivalenceAccessLog(t *testing.T) {
 	}
 }
 
-// TestResetEquivalenceScanTwin replays on reset cores in scan-lookup
-// mode, covering the dense-scan side of the reset (zeroed tags with
-// stale stamps/ready must scan identically to a fresh core's all-zero
-// arrays).
+// TestResetEquivalenceScanTwin pins what makes the tags-only reset
+// sound. After a polluting run and a Reset the core must still carry
+// that run's stamps, ready words and way hints (otherwise this test
+// pins nothing), no hint may verify against a zeroed tag, and replaying
+// the very same stream — so every stale hint is consulted for the line
+// that wrote it — must match a fresh core bit for bit.
 func TestResetEquivalenceScanTwin(t *testing.T) {
 	cfg := DefaultConfig()
-	dirty := dirtyCore(t, cfg, 505, 2)
-	fresh, err := NewCore(cfg)
+	dirty, err := NewCore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirty.SetScanLookups(true)
-	fresh.SetScanLookups(true)
-	lockstep(t, "scantwin", dirty, fresh, genOps(606, 20000))
-}
-
-// TestResetGenerationWrap forces the L1 generation counter across its
-// wrap boundary (where lines is memset and gen returns to zero) and
-// requires reset-vs-fresh equivalence on both sides of it.
-func TestResetGenerationWrap(t *testing.T) {
-	cfg := DefaultConfig()
-	dirty := dirtyCore(t, cfg, 707, 1)
-	// Jump to just below the wrap, then cross it with real resets.
-	dirty.l1.gen = l1GenMax - 2
-	for i := 0; i < 4; i++ {
-		for _, op := range genOps(808+int64(i), 2000) {
-			apply(dirty, op)
+	ops := genOps(505, 20000)
+	for _, op := range ops {
+		apply(dirty, op)
+	}
+	l1 := dirty.l1
+	var held []uint64
+	for slot, tag := range l1.tags {
+		if tag != 0 {
+			held = append(held, uint64(tag>>1)<<l1.setShift|uint64(slot/l1.ways))
 		}
-		dirty.Reset()
 	}
-	if g := dirty.l1.gen; g >= l1GenMax-2 {
-		t.Fatalf("generation did not wrap: %d", g)
+	dirty.Reset()
+	for li, lvl := range []*cache{dirty.l1, dirty.l2, dirty.llc} {
+		stale := 0
+		for slot, tag := range lvl.tags {
+			if tag != 0 {
+				t.Fatalf("level %d slot %d: tag %#x survived Reset", li, slot, tag)
+			}
+			if lvl.stamps[slot] != 0 && lvl.ready[slot] != 0 {
+				stale++
+			}
+		}
+		if stale == 0 {
+			t.Fatalf("level %d: Reset left no stale stamp/ready words; the test no longer exercises them", li)
+		}
+	}
+	hints := 0
+	for _, w := range l1.hint {
+		if w != 0 {
+			hints++
+		}
+	}
+	if hints == 0 || len(held) == 0 {
+		t.Fatalf("no stale L1 hints to exercise (%d nonzero hints, %d lines held)", hints, len(held))
+	}
+	for _, line := range held {
+		if s := l1.hinted(line); s >= 0 {
+			t.Fatalf("line %#x: stale hint verified slot %d against a zeroed tag", line, s)
+		}
+		if dirty.ResidentL1Line(line << lineShift) {
+			t.Fatalf("line %#x still L1-resident after Reset", line)
+		}
 	}
 	fresh, err := NewCore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lockstep(t, "genwrap", dirty, fresh, genOps(909, 20000))
+	lockstep(t, "stale", dirty, fresh, ops)
 }

@@ -38,9 +38,6 @@ func TestConfigValidate(t *testing.T) {
 		{"non pow2 sets L2", func(c *Config) { c.L2.SizeBytes = 3 << 20 }, "not a power of two"},
 		{"size not line multiple", func(c *Config) { c.L1.SizeBytes = 1000 }, "not a multiple of ways*line"},
 		{"size not way multiple", func(c *Config) { c.LLC.SizeBytes = 2<<20 + 64 }, "not a multiple of ways*line"},
-		// 256 MiB of 64 B lines is 4M slots — past the residency
-		// directory's 21-bit per-level slot field.
-		{"directory capacity", func(c *Config) { c.LLC.SizeBytes = 256 << 20 }, "residency directory"},
 		{"zero dram", func(c *Config) { c.DRAMLatency = 0 }, "DRAM latency must be positive"},
 		{"zero mshr", func(c *Config) { c.MSHRs = 0 }, "MSHR count must be positive"},
 		{"negative mshr", func(c *Config) { c.MSHRs = -1 }, "MSHR count must be positive"},
