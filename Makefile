@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint bench-smoke bench-compile bench-paired bench-ab bench-sched profile quick trace-demo metrics-demo fuzz chaos chaos-demo
+.PHONY: build test verify cross lint bench-smoke bench-compile bench-paired bench-ab bench-sched profile quick trace-demo metrics-demo fuzz chaos chaos-demo
 
 build:
 	$(GO) build ./...
@@ -8,13 +8,23 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the full pre-merge gate: build, vet, and the test suite
-# under the race detector (which also exercises the parallel sweep
-# determinism test with real concurrency).
-verify:
+# verify is the full pre-merge gate: build, vet, the cross-builds, and
+# the test suite under the race detector (which also exercises the
+# parallel sweep determinism test with real concurrency).
+verify: cross
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# cross checks internal/hostmem's per-architecture prefetch stubs from
+# any host, offline: both assembly stubs against their Go declaration
+# (go vet's asmdecl), the whole module on arm64, and on riscv64 — an
+# architecture with no stub — to prove the no-op fallback compiles.
+cross:
+	GOARCH=amd64 $(GO) vet ./internal/hostmem/
+	GOARCH=arm64 $(GO) vet ./internal/hostmem/
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=riscv64 $(GO) build ./...
 
 # lint runs go vet always, and staticcheck when it is on PATH (CI
 # installs a pinned version; local environments without it still get
@@ -46,11 +56,14 @@ bench:
 
 # bench-paired compares the working tree against a baseline commit with
 # the paired-minimum methodology (alternated binaries, per-side minimums
-# — see scripts/bench_paired.sh and BENCH_hotpath.json). Override knobs:
+# — see scripts/bench_paired.sh and BENCH_hotpath.json). The default
+# pair is the worker steady state over a host-cache-resident population
+# (8K flows, the 0-alloc guard) and over one that is not (131072 flows).
+# Override knobs:
 #   make bench-paired BASE=<commit> PKG=./internal/sim/ BENCH='Benchmark.*' ROUNDS=5
 BASE ?= HEAD
 PKG ?= ./internal/rt/
-BENCH ?= BenchmarkWorkerSteadyState$$
+BENCH ?= BenchmarkWorkerSteadyState(Large)?$$
 ROUNDS ?= 10
 bench-paired:
 	BASE=$(BASE) PKG=$(PKG) BENCH='$(BENCH)' ROUNDS=$(ROUNDS) scripts/bench_paired.sh

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"github.com/gunfu-nfv/gunfu/internal/hostmem"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
@@ -194,6 +195,18 @@ func (c *Cuckoo) Begin(key uint64, cur *model.Cursor) {
 	cur.Addr = c.BucketAddr(hash1(key) & c.mask)
 }
 
+// bucketAt returns the Go-side bucket behind the cursor's staged address.
+func (c *Cuckoo) bucketAt(cur *model.Cursor) *bucket {
+	b := (cur.Addr - c.region.Base) / sim.LineBytes
+	return &c.buckets[b&c.mask]
+}
+
+// TouchStep prefetches, on the host, the bucket CheckStep will probe at
+// the cursor — the Go-side twin of the simulated fetch of cur.Addr.
+func (c *Cuckoo) TouchStep(cur *model.Cursor) {
+	hostmem.Prefetch(c.bucketAt(cur))
+}
+
 // CheckStep probes the bucket at the cursor (whose line the runtime has
 // already charged/prefetched). On a first-bucket miss it stages the
 // second candidate and returns done=false — the check_failure →
@@ -201,8 +214,7 @@ func (c *Cuckoo) Begin(key uint64, cur *model.Cursor) {
 // true and cur.Ok/cur.Idx carry the result.
 func (c *Cuckoo) CheckStep(cur *model.Cursor) (done bool) {
 	key := cur.Aux[0]
-	b := (cur.Addr - c.region.Base) / sim.LineBytes
-	bkt := &c.buckets[b&c.mask]
+	bkt := c.bucketAt(cur)
 	for s := 0; s < slotsPerBucket; s++ {
 		if bkt.used[s] && bkt.keys[s] == key {
 			cur.Ok = true

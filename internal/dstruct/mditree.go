@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/gunfu-nfv/gunfu/internal/hostmem"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
@@ -189,6 +190,12 @@ func (t *MDITree) Begin(cur *model.Cursor, dstIP uint32, srcPort uint16) {
 	cur.Aux[1] = uint64(srcPort)
 	cur.Aux[2] = uint64(t.root)
 	cur.Addr = t.NodeAddr(t.root)
+}
+
+// TouchStep prefetches, on the host, the node WalkStep will consume at
+// the cursor — the Go-side twin of the simulated fetch of cur.Addr.
+func (t *MDITree) TouchStep(cur *model.Cursor) {
+	hostmem.Prefetch(&t.nodes[int32(cur.Aux[2])])
 }
 
 // WalkStep consumes the node at the cursor (already charged by the

@@ -100,7 +100,8 @@ func composeSequential(name string, p1, p2 *Program) (*Program, error) {
 			}
 			act := p.actions[src.Action]
 			// Wrap the Fn so its returned (factor-local) event ids are
-			// translated into the composite vocabulary.
+			// translated into the composite vocabulary. Touch returns
+			// nothing to translate and rides along in the copy.
 			innerFn := act.Fn
 			localMap := evMap
 			act.Fn = func(e *Exec) EventID {
@@ -206,8 +207,8 @@ func composeLockstep(name string, p1, p2 *Program) (*Program, error) {
 		// The composite's transition for event e advances every live
 		// factor that has Δ(cs, e) defined; an event neither factor
 		// handles is invalid (as in any single program).
-		var fns []ActionFunc
-		var costs uint64
+		// acts are the live factors' actions in run order.
+		var acts []Action
 		switch {
 		case a != nil && b != nil:
 			info.Module = a.Module + "+" + b.Module
@@ -215,26 +216,32 @@ func composeLockstep(name string, p1, p2 *Program) (*Program, error) {
 			info.Writes = append(append([]Span{}, a.Writes...), b.Writes...)
 			info.Prefetch = append(append([]Span{}, a.Prefetch...), b.Prefetch...)
 			info.Bind = a.Bind
-			fa, fb := p1.actions[a.Action].Fn, p2.actions[b.Action].Fn
-			costs = p1.actions[a.Action].Cost + p2.actions[b.Action].Cost
 			// The primary's event drives the composite; the secondary
 			// runs for its effects (the observer pattern — e.g. NM
 			// mirroring a data path).
-			fns = []ActionFunc{fb, fa}
+			acts = []Action{p2.actions[b.Action], p1.actions[a.Action]}
 		case a != nil:
 			info.Module = a.Module
 			info.Reads, info.Writes, info.Prefetch, info.Bind = a.Reads, a.Writes, a.Prefetch, a.Bind
-			fns = []ActionFunc{p1.actions[a.Action].Fn}
-			costs = p1.actions[a.Action].Cost
+			acts = []Action{p1.actions[a.Action]}
 		case b != nil:
 			info.Module = b.Module
 			info.Reads, info.Writes, info.Prefetch, info.Bind = b.Reads, b.Writes, b.Prefetch, b.Bind
-			fns = []ActionFunc{p2.actions[b.Action].Fn}
-			costs = p2.actions[b.Action].Cost
+			acts = []Action{p2.actions[b.Action]}
 		}
 
+		var fns []ActionFunc
+		var touches []func(*Exec)
+		var costs uint64
+		for _, act := range acts {
+			fns = append(fns, act.Fn)
+			costs += act.Cost
+			if act.Touch != nil {
+				touches = append(touches, act.Touch)
+			}
+		}
 		last := len(fns) - 1
-		out.actions = append(out.actions, Action{
+		composite := Action{
 			Name: info.Name,
 			Kind: ActionData,
 			Cost: costs,
@@ -248,7 +255,17 @@ func composeLockstep(name string, p1, p2 *Program) (*Program, error) {
 				}
 				return ev
 			},
-		})
+		}
+		// The host-side fetch sequences the way Fn does; a state whose
+		// factors have none keeps a nil Touch so the P-stage pays nothing.
+		if len(touches) > 0 {
+			composite.Touch = func(e *Exec) {
+				for _, touch := range touches {
+					touch(e)
+				}
+			}
+		}
+		out.actions = append(out.actions, composite)
 		info.Action = ActionID(len(out.actions) - 1)
 
 		// Successors per event.

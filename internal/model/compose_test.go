@@ -1,6 +1,7 @@
 package model
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/gunfu-nfv/gunfu/internal/mem"
@@ -144,6 +145,79 @@ func TestComposeLockstep(t *testing.T) {
 		if hits[i] != want[i] {
 			t.Fatalf("hits = %v, want %v", hits, want)
 		}
+	}
+}
+
+// setTouches gives the named actions of p a Touch that records its
+// label, the way buildCounter's Fns record theirs.
+func setTouches(t *testing.T, p *Program, touched *[]string, names ...string) {
+	t.Helper()
+	for id := 0; id < p.NumActions(); id++ {
+		act, err := p.Action(ActionID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range names {
+			if act.Name == n {
+				label := p.Name() + ":" + n
+				act.Touch = func(*Exec) { *touched = append(*touched, label) }
+			}
+		}
+	}
+}
+
+// TestComposeTouch checks that composition carries the factors' host
+// prefetches: lockstep sequences the live factors' Touch funcs in Fn
+// order and leaves a nil Touch where no factor has one; sequential
+// copies them through with the actions.
+func TestComposeTouch(t *testing.T) {
+	var hits, touched []string
+	p1 := buildCounter(t, "primary", 2, &hits)
+	p2 := buildCounter(t, "observer", 3, &hits)
+	setTouches(t, p1, &touched, "act_sa", "act_sb")
+	setTouches(t, p2, &touched, "act_sa")
+
+	// touchesOf calls every action's Touch in table order and returns
+	// "action=what it recorded" for each; a nil Touch records "-".
+	touchesOf := func(p *Program) []string {
+		var out []string
+		for id := 0; id < p.NumActions(); id++ {
+			act, _ := p.Action(ActionID(id))
+			touched = nil
+			if act.Touch == nil {
+				touched = []string{"-"}
+			} else {
+				act.Touch(nil)
+			}
+			out = append(out, act.Name+"="+strings.Join(touched, "+"))
+		}
+		return out
+	}
+
+	lock, err := Compose("prod", p1, p2, ComposeLockstep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(touchesOf(lock), " ")
+	for _, want := range []string{
+		// Observer before primary, as their Fns run.
+		"(m.sa,m.sa)=observer:act_sa+primary:act_sa",
+		"(m.sb,m.sb)=primary:act_sb",
+		"(End,m.sc)=-",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("lockstep: no %q in %q", want, got)
+		}
+	}
+
+	seq, err := Compose("chain", p1, p2, ComposeSequential)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = strings.Join(touchesOf(seq), " ")
+	want := "act_sa=primary:act_sa act_sb=primary:act_sb act_sa=observer:act_sa act_sb=- act_sc=-"
+	if got != want {
+		t.Errorf("sequential: touches %q, want %q", got, want)
 	}
 }
 

@@ -417,6 +417,56 @@ func runTraced(t *testing.T, w *diffWorld, logged bool, build func(*sim.Core, *m
 	return out
 }
 
+// eventConfig draws the worker tuning the event differentials run under.
+func eventConfig(rng *rand.Rand) rt.Config {
+	cfg := rt.DefaultConfig()
+	cfg.Tasks = 2 + rng.Intn(7)
+	cfg.Batch = 8
+	cfg.RingSlots = 32
+	return cfg
+}
+
+// realWorker builds the production worker for mode over w's program:
+// rtc.Worker, or rt.Worker under the round-robin or wakeup scheduler.
+func realWorker(t *testing.T, w *diffWorld, mode refMode, cfg rt.Config) func(*sim.Core, *mem.AddressSpace) runner {
+	return func(core *sim.Core, as *mem.AddressSpace) runner {
+		var r runner
+		var err error
+		if mode == refRTC {
+			r, err = rtc.NewWorker(core, as, w.prog, rtc.Config{
+				Batch: cfg.Batch, RxCost: cfg.RxCost, RingSlots: cfg.RingSlots, SlotBytes: cfg.SlotBytes})
+		} else {
+			if mode == refWakeup {
+				cfg.Scheduler = rt.SchedulerWakeup
+			}
+			r, err = rt.NewWorker(core, as, w.prog, cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+}
+
+// compareTraced requires two traced runs of program n to agree in every
+// field of every trace event, in the per-window results, and in the
+// access log, counters and clock.
+func compareTraced(t *testing.T, n int, label string, got, want tracedRun) {
+	t.Helper()
+	if len(got.evs) != len(want.evs) {
+		t.Fatalf("program %d %s: %d events, want %d", n, label, len(got.evs), len(want.evs))
+	}
+	for i := range want.evs {
+		if got.evs[i] != want.evs[i] {
+			t.Fatalf("program %d %s event %d: %+v, want %+v", n, label, i, got.evs[i], want.evs[i])
+		}
+	}
+	if got.windows != want.windows {
+		t.Fatalf("program %d %s windows: %+v, want %+v", n, label, got.windows, want.windows)
+	}
+	diffCompare(t, n, label, got.diffResult, want.diffResult)
+}
+
 // TestDifferentialReplayEvents traces the randomized corpus through the
 // real rtc.Worker and rt.Worker (round-robin and wakeup) running the
 // compiled executor, and through the reference schedulers running the
@@ -427,50 +477,18 @@ func TestDifferentialReplayEvents(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for n := 0; n < diffPrograms; n++ {
 		w := buildRandomProgram(t, rng)
-		cfg := rt.DefaultConfig()
-		cfg.Tasks = 2 + rng.Intn(7)
-		cfg.Batch = 8
-		cfg.RingSlots = 32
+		cfg := eventConfig(rng)
 		for _, m := range []struct {
 			name string
 			mode refMode
 		}{{"rtc", refRTC}, {"rr", refRR}, {"wakeup", refWakeup}} {
-			real := func(core *sim.Core, as *mem.AddressSpace) runner {
-				var r runner
-				var err error
-				if m.mode == refRTC {
-					r, err = rtc.NewWorker(core, as, w.prog, rtc.Config{
-						Batch: cfg.Batch, RxCost: cfg.RxCost, RingSlots: cfg.RingSlots, SlotBytes: cfg.SlotBytes})
-				} else {
-					c := cfg
-					if m.mode == refWakeup {
-						c.Scheduler = rt.SchedulerWakeup
-					}
-					r, err = rt.NewWorker(core, as, w.prog, c)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				return r
-			}
 			ref := func(core *sim.Core, as *mem.AddressSpace) runner {
 				return newRefWorker(core, as, w.prog, m.mode, cfg)
 			}
 			for _, logged := range []bool{true, false} {
 				want := runTraced(t, w, logged, ref)
-				got := runTraced(t, w, logged, real)
-				if len(got.evs) != len(want.evs) {
-					t.Fatalf("program %d %s: %d events compiled vs %d reference", n, m.name, len(got.evs), len(want.evs))
-				}
-				for i := range want.evs {
-					if got.evs[i] != want.evs[i] {
-						t.Fatalf("program %d %s event %d: compiled %+v != reference %+v", n, m.name, i, got.evs[i], want.evs[i])
-					}
-				}
-				if got.windows != want.windows {
-					t.Fatalf("program %d %s windows: compiled %+v != reference %+v", n, m.name, got.windows, want.windows)
-				}
-				diffCompare(t, n, "compiled/"+m.name, got.diffResult, want.diffResult)
+				got := runTraced(t, w, logged, realWorker(t, w, m.mode, cfg))
+				compareTraced(t, n, "compiled/"+m.name, got, want)
 			}
 		}
 	}

@@ -73,9 +73,9 @@ type Exec struct {
 	// when it issues fetches: the max MSHR ready-cycle of the issued
 	// lines. While Core.Now() < WakeAt and WakeEpoch still equals the
 	// core's eviction epoch, the task's plan lines cannot have become
-	// resident-and-then-evicted, so a scheduler revisit may skip the
-	// residency walk without changing any simulated event (the
-	// authoritative FirstNonResident pass before Step re-proves it).
+	// resident-and-then-evicted, so a scheduler need not re-probe them
+	// (FirstNonResident: one L1 set scan behind a verified way hint per
+	// plan line) to know the task is still waiting.
 	// Zero when the issue installed no fill. The rt
 	// wakeup scheduler parks a missed task on this stamp and does not
 	// revisit it before the fill clock passes (rt.SchedulerWakeup).

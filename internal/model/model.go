@@ -208,4 +208,14 @@ type Action struct {
 	Reads, Writes []FieldRef
 	// Fn is the application logic.
 	Fn ActionFunc
+	// Touch, when non-nil, is the host-side half of this action's
+	// P-stage fetch: it issues hostmem.Prefetch for the Go-side record
+	// Fn will dereference (a bucket, a tree node, a per-flow struct),
+	// found from the same Exec fields Fn will index with. The
+	// interleaved runtime calls it on exactly the visits that issue the
+	// simulated fetch, so the host line travels during the same lap
+	// the simulated one does. It must not write to e, touch e.Core or
+	// change anything Fn can observe: a program with every Touch
+	// stripped yields the same packets, counters and trace events.
+	Touch func(e *Exec)
 }

@@ -185,6 +185,54 @@ func TestPrefetchCurrentAndResident(t *testing.T) {
 	}
 }
 
+// TestTouchOnlyOnIssuingVisit pins when the P-stage runs an action's
+// host-side Touch: once on every visit that issues the simulated fetch,
+// never on a visit that finds the plan resident, never from Step.
+func TestTouchOnlyOnIssuingVisit(t *testing.T) {
+	env := newTestEnv(t)
+	touched := 0
+	for id := 0; id < env.prog.NumActions(); id++ {
+		act, err := env.prog.Action(ActionID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		act.Touch = func(*Exec) { touched++ }
+	}
+	env.prog.CompilePlans()
+	e := newExec(env)
+	want := func(n int, when string) {
+		t.Helper()
+		if touched != n {
+			t.Fatalf("%s: Touch ran %d times in total, want %d", when, touched, n)
+		}
+	}
+
+	if env.prog.EnsurePrefetched(e) {
+		t.Fatal("cold state reported resident")
+	}
+	want(1, "issuing EnsurePrefetched")
+	e.Prefetched = false
+	if !env.prog.EnsurePrefetched(e) {
+		t.Fatal("issued plan not resident")
+	}
+	want(1, "resident EnsurePrefetched")
+	env.prog.PrefetchCurrent(e)
+	want(2, "PrefetchCurrent (issues blind)")
+	if err := env.prog.Step(e); err != nil {
+		t.Fatal(err)
+	}
+	want(2, "Step")
+	// m.store writes the line m.load read: resident, no issue, no Touch.
+	if !env.prog.EnsurePrefetched(e) {
+		t.Fatal("store's line not resident after load")
+	}
+	want(2, "resident successor")
+	e.CS = CSEnd
+	env.prog.EnsurePrefetched(e)
+	env.prog.PrefetchCurrent(e)
+	want(2, "End state")
+}
+
 func TestPrefetchAtEndTrivial(t *testing.T) {
 	env := newTestEnv(t)
 	e := newExec(env)

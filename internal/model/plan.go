@@ -69,6 +69,9 @@ type stepPlan struct {
 	action    ActionID
 	cost      uint64
 	fn        ActionFunc
+	// touch is the action's host-side prefetch (Action.Touch), nil for
+	// most control states.
+	touch func(*Exec)
 	// next aliases the CSInfo transition table.
 	next []CSID
 	bind *Binding
@@ -98,6 +101,7 @@ func (p *Program) CompilePlans() {
 		pl.action = info.Action
 		pl.cost = p.actions[info.Action].Cost
 		pl.fn = p.actions[info.Action].Fn
+		pl.touch = p.actions[info.Action].Touch
 		pl.next = info.Next
 		pl.bind = info.Bind
 		allOps, pl.reads, pl.readMask = lowerOps(allOps, info.Reads, info.Bind)
@@ -360,11 +364,15 @@ func traceEnd(core *sim.Core, pl *stepPlan, begin uint64, ev EventID, next CSID)
 // prefetchCompiled issues the pre-resolved prefetch plan. The negative
 // miss index tells IssueFetch the caller has no residency knowledge:
 // every line takes the full probing path, exactly like PrefetchLine.
+// A visit that issues also runs the action's host-side Touch.
 func (p *Program) prefetchCompiled(e *Exec, pl *stepPlan) {
 	if len(pl.fetch) == 0 {
 		return
 	}
 	e.Core.IssueFetch(planBases(e, pl.bind, pl.fetchMask), pl.fetch, -1)
+	if pl.touch != nil {
+		pl.touch(e)
+	}
 }
 
 // residentCompiled is the exact P-state check: every plan line probed
@@ -382,6 +390,8 @@ func (p *Program) residentCompiled(e *Exec, pl *stepPlan) bool {
 // or not — exactly what PrefetchCurrent does). It returns true when the
 // task can execute immediately and false when the scheduler should
 // switch away while the fills land. Either way the P-state is set.
+// The issuing visit — and only it, never the resident fall-through —
+// also runs the action's host-side Touch (see Action.Touch).
 //
 // The fusion resolves the plan's base table once for both the check and
 // the issue; the simulated sequence is identical to ResidentCurrent
@@ -437,6 +447,12 @@ func (p *Program) EnsurePrefetched(e *Exec) bool {
 	// before stepping.
 	e.WakeAt = core.IssueFetch(bases, pl.fetch, miss)
 	e.WakeEpoch = core.EvictionEpoch()
+	// The host fetches too: the scheduler is about to switch away for a
+	// lap, which is the lead time the action's Go-side record needs as
+	// much as its simulated lines do. Nothing in the simulator sees it.
+	if pl.touch != nil {
+		pl.touch(e)
+	}
 	return false
 }
 

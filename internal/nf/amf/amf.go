@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"github.com/gunfu-nfv/gunfu/internal/dstruct"
+	"github.com/gunfu-nfv/gunfu/internal/hostmem"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf"
@@ -281,8 +282,12 @@ func (a *AMF) Attach(b *model.Builder, next string) string {
 	})
 	b.AddTransition(mDisp+".dispatch", nf.EvDrop, model.EndName)
 
-	// One module per message handler: load → apply.
+	// One module per message handler: load → apply. Both fetch the UE's
+	// Go-side record on the host: load's P-stage is the first to know
+	// the UE, and apply's context lines are often resident by then (so
+	// its own P-stage would issue nothing).
 	evFwd := b.Event(nf.EvForward)
+	touchUE := func(e *model.Exec) { hostmem.Prefetch(&ues[e.FlowIdx]) }
 	for _, h := range handlers() {
 		h := h
 		m := name + "_" + h.name
@@ -298,6 +303,7 @@ func (a *AMF) Attach(b *model.Builder, next string) string {
 				e.Temp[0] = uint64(e.FlowIdx)<<8 | uint64(h.msg)
 				return evFwd
 			},
+			Touch: touchUE,
 		})
 		b.AddState(m, h.applyName, model.Action{
 			Name:   h.applyName,
@@ -314,6 +320,7 @@ func (a *AMF) Attach(b *model.Builder, next string) string {
 				}
 				return evFwd
 			},
+			Touch: touchUE,
 		})
 		b.AddTransition(mDisp+".dispatch", "nas_"+h.name, m+"."+h.loadName)
 		b.AddTransition(m+"."+h.loadName, nf.EvForward, m+"."+h.applyName)

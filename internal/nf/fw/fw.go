@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"github.com/gunfu-nfv/gunfu/internal/dstruct"
+	"github.com/gunfu-nfv/gunfu/internal/hostmem"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf"
@@ -233,6 +234,7 @@ func (f *FW) AttachData(b *model.Builder, next string) string {
 			}
 			return evFwd
 		},
+		Touch: func(e *model.Exec) { hostmem.Prefetch(&flows[e.FlowIdx]) },
 	})
 	b.AddTransition(m+".check", nf.EvForward, next)
 	b.AddTransition(m+".check", nf.EvDrop, model.EndName)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"github.com/gunfu-nfv/gunfu/internal/dstruct"
+	"github.com/gunfu-nfv/gunfu/internal/hostmem"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf"
@@ -182,6 +183,7 @@ func (l *LB) AttachData(b *model.Builder, next string) string {
 			e.Pkt.Tuple.DstPort = f.BackendPort
 			return evFwd
 		},
+		Touch: func(e *model.Exec) { hostmem.Prefetch(&flows[e.FlowIdx]) },
 	})
 	b.AddTransition(m+".steer", nf.EvForward, next)
 	return m + ".steer"

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"github.com/gunfu-nfv/gunfu/internal/dstruct"
+	"github.com/gunfu-nfv/gunfu/internal/hostmem"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf"
@@ -173,6 +174,7 @@ func (m *Monitor) AttachData(b *model.Builder, next string) string {
 			m.totals.Bytes += uint64(e.Pkt.WireLen)
 			return evFwd
 		},
+		Touch: func(e *model.Exec) { hostmem.Prefetch(&flows[e.FlowIdx]) },
 	})
 	b.AddTransition(mod+".update", nf.EvForward, next)
 	return mod + ".update"

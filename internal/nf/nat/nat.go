@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"github.com/gunfu-nfv/gunfu/internal/dstruct"
+	"github.com/gunfu-nfv/gunfu/internal/hostmem"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf"
@@ -214,6 +215,7 @@ func (n *NAT) AttachData(b *model.Builder, next string) string {
 			f.LastSeen = e.Core.Now()
 			return evFwd
 		},
+		Touch: func(e *model.Exec) { hostmem.Prefetch(&flows[e.FlowIdx]) },
 	})
 	b.AddTransition(m+".rewrite", nf.EvForward, next)
 	return m + ".rewrite"

@@ -142,6 +142,7 @@ func (c *Classifier) Attach(b *model.Builder, successTarget, missTarget string) 
 			Cost:  12,
 			Reads: []model.FieldRef{model.Dynamic(64)},
 			Fn:    check,
+			Touch: func(e *model.Exec) { table.TouchStep(&e.Cur) },
 		})
 	}
 

@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"github.com/gunfu-nfv/gunfu/internal/dstruct"
+	"github.com/gunfu-nfv/gunfu/internal/hostmem"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf"
@@ -306,6 +307,7 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 				return evMiss
 			}
 		},
+		Touch: func(e *model.Exec) { tree.TouchStep(&e.Cur) },
 	})
 	b.AddTransition(mMatch+".walk_start", "walk_more", mMatch+".walk")
 	b.AddTransition(mMatch+".walk", "walk_more", mMatch+".walk")
@@ -337,6 +339,7 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 				return evDrop
 			}
 		},
+		Touch: func(e *model.Exec) { hostmem.Prefetch(&pdrs[e.SubIdx]) },
 	})
 	b.AddTransition(mFar+".apply", nf.EvForward, mEncap+".encap")
 	b.AddTransition(mFar+".apply", nf.EvDrop, model.EndName)
@@ -374,6 +377,7 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 			s.UsageBytes += uint64(e.Pkt.WireLen)
 			return evFwd
 		},
+		Touch: func(e *model.Exec) { hostmem.Prefetch(&sessions[e.FlowIdx]) },
 	})
 	b.AddTransition(mEncap+".encap", nf.EvForward, next)
 
@@ -416,6 +420,7 @@ func (u *UPF) AttachUplink(b *model.Builder, next string) string {
 			s.UsageBytes += uint64(e.Pkt.WireLen)
 			return evFwd
 		},
+		Touch: func(e *model.Exec) { hostmem.Prefetch(&sessions[e.FlowIdx]) },
 	})
 	b.AddTransition(mDecap+".decap", nf.EvForward, next)
 

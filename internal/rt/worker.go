@@ -303,8 +303,7 @@ func (w *Worker) Run(src Source, maxPackets uint64) (Result, error) {
 	return res, err
 }
 
-// runRR is the SchedulerRR loop, kept byte-for-byte as it was before
-// the Scheduler knob existed: its visit order pins every golden
+// runRR is the SchedulerRR loop. Its visit order pins every golden
 // fingerprint.
 func (w *Worker) runRR(src Source, maxPackets uint64) (Result, error) {
 	startCtr := w.core.Counters()
@@ -360,15 +359,18 @@ func (w *Worker) runRR(src Source, maxPackets uint64) (Result, error) {
 					// the residency probe and (on a miss) the prefetch
 					// issue. The simulated sequence is identical to
 					// ResidentCurrent followed by PrefetchCurrent. On a
-					// miss EnsurePrefetched also records the fill-clock
-					// wakeup stamp (Exec.WakeAt/WakeEpoch): the core's max
-					// MSHR ready-cycle and the eviction epoch it was
-					// stamped under, so any scheduler that revisits a
-					// pending task can skip the tiered residency walk
-					// until the fills have landed or the epoch moved.
-					// This loop never revisits (Prefetched is set
-					// unconditionally), so here the stamp is diagnostic;
-					// runWakeup is the consumer that parks on it.
+					// miss EnsurePrefetched also prefetches the action's
+					// Go-side record on the host (Action.Touch) and
+					// records the fill-clock wakeup stamp
+					// (Exec.WakeAt/WakeEpoch): the core's max MSHR
+					// ready-cycle and the eviction epoch it was stamped
+					// under, so a scheduler that holds a pending task
+					// back need not re-probe it (an L1 set scan behind a
+					// verified way hint per plan line) until the fills
+					// have landed or the epoch moved. This loop never
+					// re-probes (Prefetched is set unconditionally), so
+					// here the stamp is diagnostic; runWakeup is the
+					// consumer that parks on it.
 					if !w.prog.EnsurePrefetched(t) {
 						w.core.TaskSwitch()
 						prev = cur
@@ -468,16 +470,17 @@ func (w *Worker) parkPop(n int) int32 {
 
 // runWakeup is the SchedulerWakeup interleave loop: Algorithm 1 with
 // the P-stage miss handling replaced by fill-clock parking. Where the
-// round-robin loop revisits a missed task on the very next lap — and
-// re-pays the tiered residency walk per lap until the fills land — this
-// loop unlinks the task from the run ring and parks it in the pending
-// min-heap keyed by Exec.WakeAt. A parked task is not visited again
-// until the core clock passes its stamp; the wake phase then re-links
-// it after the current position (FIFO among simultaneous wakes). If the
-// eviction epoch moved while it was parked the stamp proved nothing, so
-// the wake clears Prefetched and the next visit re-probes for real —
-// at most once per park cycle (Exec.Reprobed), so progress is
-// guaranteed even when streams thrash each other's lines. When every
+// round-robin loop revisits a missed task on the very next lap and
+// steps it whether or not its fills have landed (stalling on the late
+// ones), this loop unlinks the task from the run ring and parks it in
+// the pending min-heap keyed by Exec.WakeAt. A parked task is not
+// visited again until the core clock passes its stamp; the wake phase
+// then re-links it after the current position (FIFO among simultaneous
+// wakes). If the eviction epoch moved while it was parked the stamp
+// proved nothing, so the wake clears Prefetched and the next visit
+// re-probes for real (an L1 set scan behind a verified way hint per
+// plan line) — at most once per park cycle (Exec.Reprobed), so progress
+// is guaranteed even when streams thrash each other's lines. When every
 // in-flight task is parked the loop charges one CauseWakeWait stall to
 // the earliest wakeup instead of spinning probe laps.
 func (w *Worker) runWakeup(src Source, maxPackets uint64) (Result, error) {
@@ -583,9 +586,9 @@ func (w *Worker) runWakeup(src Source, maxPackets uint64) (Result, error) {
 				if !w.prog.EnsurePrefetched(t) {
 					// P-stage miss: the fills are in flight and WakeAt
 					// carries their max ready-cycle. Unlink and park; the
-					// loop will not re-pay the residency walk for this
-					// task before its fill clock passes. An empty stamp
-					// (the issue was fully dropped for want of MSHRs)
+					// loop will not visit this task again before its
+					// fill clock passes. An empty stamp (the issue was
+					// fully dropped for want of MSHRs)
 					// parks on the conservative horizon instead: the
 					// earliest in-flight fill, after which MSHR capacity
 					// frees.

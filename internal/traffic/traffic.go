@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"github.com/gunfu-nfv/gunfu/internal/hostmem"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
 )
 
@@ -101,7 +102,20 @@ type FlowGen struct {
 	// sized record makes emitting a packet touch one host line instead
 	// of two parallel arrays.
 	recs []flowRec
+	// ahead is a FIFO ring of flow picks drawn but not yet emitted:
+	// Next emits the oldest and draws one more, prefetching the drawn
+	// flow's record on the host. Picks are the generator's only use of
+	// rng and leave the ring in draw order, so the emitted sequence is
+	// the one drawing each pick at emission would give.
+	ahead [lookahead]int
+	head  uint
 }
+
+// lookahead is how many packets ahead of emission FlowGen draws: the
+// lead time that turns a large population's record miss (one 64-byte
+// record per flow, far more than the host's caches hold) into a hit.
+// A power of two, so the ring index is a mask.
+const lookahead = 8
 
 // flowRec is one flow's emission record: 42 template bytes + a 16-byte
 // tuple at offset 44, padded to 64 bytes.
@@ -150,6 +164,9 @@ func NewFlowGen(cfg FlowGenConfig) (*FlowGen, error) {
 	if cfg.Order == OrderZipf {
 		g.zipf = rand.NewZipf(g.rng, 1.1, 1, uint64(cfg.ShardCount-1))
 	}
+	for i := range g.ahead {
+		g.ahead[i] = g.pick()
+	}
 	return g, nil
 }
 
@@ -186,8 +203,13 @@ const hdrBytes = pkt.EthLen + pkt.IPv4Len + pkt.UDPLen
 // from the template thereafter — byte-identical to re-encoding, at a
 // fraction of the host cost.
 func (g *FlowGen) Next() *pkt.Packet {
+	slot := &g.ahead[g.head%lookahead]
+	g.head++
+	flow := *slot
+	*slot = g.pick()
+	hostmem.Prefetch(&g.recs[*slot])
 	p := g.pool.take()
-	r := &g.recs[g.pick()]
+	r := &g.recs[flow]
 	if r.hdr[0] == 0 {
 		// First packet of this flow: encode for real, then capture.
 		buildUDPish(p, r.tuple, g.cfg.PacketBytes)

@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
@@ -67,6 +69,57 @@ func TestFlowGenDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("packet %d differs between identical seeds", i)
+		}
+	}
+}
+
+// TestFlowGenLookaheadSequence pins the look-ahead ring as invisible:
+// the emitted sequence is the one an independent replay gets by drawing
+// exactly one pick per packet, at emission time, from a fresh rng with
+// the generator's seed.
+func TestFlowGenLookaheadSequence(t *testing.T) {
+	const flows, seed, packets = 1000, 42, 5000
+	orders := []struct {
+		name  string
+		order FlowOrder
+	}{{"uniform", OrderUniform}, {"zipf", OrderZipf}, {"roundrobin", OrderRoundRobin}}
+	shards := []struct {
+		name        string
+		base, count int
+	}{{"whole", 0, 0}, {"shard", 250, 300}}
+	for _, o := range orders {
+		for _, sh := range shards {
+			t.Run(o.name+"/"+sh.name, func(t *testing.T) {
+				g, err := NewFlowGen(FlowGenConfig{
+					Flows: flows, PacketBytes: 64, Order: o.order, Seed: seed,
+					ShardBase: sh.base, ShardCount: sh.count,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				base, count := sh.base, sh.count
+				if count == 0 {
+					count = flows
+				}
+				rng := rand.New(rand.NewSource(seed))
+				zipf := rand.NewZipf(rng, 1.1, 1, uint64(count-1))
+				rr := 0
+				for i := 0; i < packets; i++ {
+					var pick int
+					switch o.order {
+					case OrderZipf:
+						pick = base + int(zipf.Uint64())
+					case OrderRoundRobin:
+						pick = base + rr
+						rr = (rr + 1) % count
+					default:
+						pick = base + rng.Intn(count)
+					}
+					if got, want := g.Next().Tuple, g.FlowTuple(pick); got != want {
+						t.Fatalf("packet %d: emitted %v, replay picked flow %d = %v", i, got, pick, want)
+					}
+				}
+			})
 		}
 	}
 }
@@ -282,3 +335,30 @@ func TestPoolRecycles(t *testing.T) {
 		t.Fatal("pool did not wrap to the first packet")
 	}
 }
+
+// BenchmarkFlowGenNext prices one generated packet over a population
+// whose records fit the host's caches (256 flows, 16 KiB) and one whose
+// records do not (131072 flows, 8 MiB) — the nat_hit and nat_miss
+// populations of the repo's benchmark.
+func BenchmarkFlowGenNext(b *testing.B) {
+	for _, flows := range []int{256, 131072} {
+		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
+			g, err := NewFlowGen(FlowGenConfig{Flows: flows, PacketBytes: 64, Order: OrderUniform, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Build every flow's header template first: steady state
+			// copies templates, it does not encode.
+			for i := 0; i < 8*flows; i++ {
+				g.Next()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkPkt = g.Next()
+			}
+		})
+	}
+}
+
+var sinkPkt *pkt.Packet

@@ -21,7 +21,7 @@
 # Knobs (environment):
 #   BASE      baseline commit (default: HEAD — compare working tree vs HEAD)
 #   PKG       package whose test binary to build (default ./internal/rt/)
-#   BENCH     -test.bench regex (default BenchmarkWorkerSteadyState$)
+#   BENCH     -test.bench regex (default BenchmarkWorkerSteadyState(Large)?$)
 #   ROUNDS    alternation rounds (default 10)
 #   BENCHTIME go -benchtime per run (default 1s)
 #   OUT       directory for the per-round benchstat files
@@ -32,7 +32,7 @@ set -euo pipefail
 
 BASE=${BASE:-HEAD}
 PKG=${PKG:-./internal/rt/}
-BENCH=${BENCH:-BenchmarkWorkerSteadyState$}
+BENCH=${BENCH:-BenchmarkWorkerSteadyState(Large)?$}
 ROUNDS=${ROUNDS:-10}
 BENCHTIME=${BENCHTIME:-1s}
 OUT=${OUT:-bench_paired.out}
