@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify cross lint bench-smoke bench-compile bench-paired bench-ab bench-sched profile quick trace-demo metrics-demo fuzz chaos chaos-demo
+.PHONY: build test verify cross lint bench-smoke bench-compile bench-paired bench-ab profile quick trace-demo metrics-demo fuzz chaos chaos-demo
 
 build:
 	$(GO) build ./...
@@ -10,7 +10,8 @@ test:
 
 # verify is the full pre-merge gate: build, vet, the cross-builds, and
 # the test suite under the race detector (which also exercises the
-# parallel sweep determinism test with real concurrency).
+# parallel sweep determinism test with real concurrency). ./... covers
+# every package CI's differential job lists, ./internal/nf/... included.
 verify: cross
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -80,14 +81,6 @@ WORKLOAD ?= cluster_deploy
 PAIRS ?= 10
 bench-ab:
 	BASE=$(BASE) WORKLOAD=$(WORKLOAD) PAIRS=$(PAIRS) scripts/bench_ab.sh
-
-# bench-sched A/Bs the interleave scheduler on the same binary: the
-# round-robin loop against the fill-clock wakeup loop, on the worker
-# steady state and the multi-core engine (see BENCH_hotpath.json
-# wakeup_scheduler and the EXPERIMENTS.md walkthrough).
-bench-sched:
-	$(GO) test -run '^$$' -bench 'BenchmarkWorkerSteadyState$$|BenchmarkWorkerSteadyStateWakeup$$|BenchmarkEngineMultiCore' \
-		-benchmem -count 6 ./internal/rt/
 
 # profile runs a measured NAT window with host pprof attached — warmup
 # packets are excluded from the CPU profile, so it shows only the

@@ -150,36 +150,7 @@ func Ablations(o Options) ([]*stats.Table, error) {
 		t3.AddRow(row...)
 	}
 
-	// (d) Interleave scheduler mode: the round-robin loop re-pays a
-	// probe lap per pending visit, the fill-clock wakeup loop parks the
-	// task until its fills land. Simulated results legitimately differ
-	// (the schedule changes which lines are hot); the packet-level
-	// results are pinned equal by the rt differential twins.
-	t4 := stats.NewTable(
-		"Ablation D — interleave scheduler (NAT, 130K flows, 16 NFTasks)",
-		"scheduler", "gbps", "cyc/pkt", "switch/pkt", "stall-cyc/pkt", "parks/pkt")
-	schedSweep := []string{rt.SchedulerRR, rt.SchedulerWakeup}
-	rows4 := make([][]string, len(schedSweep))
-	if err := o.forEach(len(schedSweep), func(i int) error {
-		sched := schedSweep[i]
-		res, err := run(o.simCfg(), func(c *rt.Config) { c.Scheduler = sched })
-		if err != nil {
-			return err
-		}
-		n := float64(res.Packets)
-		rows4[i] = []string{sched, stats.F(res.Gbps(), 2), stats.F(res.CyclesPerPacket(), 1),
-			stats.F(float64(res.Counters.TaskSwitches)/n, 2),
-			stats.F(float64(res.Counters.StallCycles)/n, 1),
-			stats.F(float64(res.Parks)/n, 2)}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for _, row := range rows4 {
-		t4.AddRow(row...)
-	}
-
-	return []*stats.Table{t1, t2, t2b, t3, t4}, nil
+	return []*stats.Table{t1, t2, t2b, t3}, nil
 }
 
 func prrOptions(on bool) compile.SFCOptions {

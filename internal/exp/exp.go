@@ -223,13 +223,6 @@ func runRTC(o Options, as *mem.AddressSpace, prog *model.Program, src rt.Source,
 // runIL runs prog over src on a reset core (pooled when the run has a
 // pool) under the interleaved model with the given task count.
 func runIL(o Options, as *mem.AddressSpace, prog *model.Program, src rt.Source, tasks int, warmup, packets uint64) (rt.Result, error) {
-	return runILSched(o, as, prog, src, tasks, rt.SchedulerRR, warmup, packets)
-}
-
-// runILSched is runIL with the interleave scheduler selectable — the
-// scheduler ablation and the Fig9 switch-rate table use it for
-// like-for-like rr/wakeup A/B runs on the same workload.
-func runILSched(o Options, as *mem.AddressSpace, prog *model.Program, src rt.Source, tasks int, sched string, warmup, packets uint64) (rt.Result, error) {
 	core, err := o.acquireCore()
 	if err != nil {
 		return rt.Result{}, err
@@ -240,7 +233,6 @@ func runILSched(o Options, as *mem.AddressSpace, prog *model.Program, src rt.Sou
 	}
 	cfg := rt.DefaultConfig()
 	cfg.Tasks = tasks
-	cfg.Scheduler = sched
 	if cfg.Batch < 2*tasks {
 		// Keep every NFTask occupied: the rx burst must cover the
 		// interleaving depth or deep sweeps degenerate to Batch tasks.

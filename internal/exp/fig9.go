@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/gunfu-nfv/gunfu/internal/model"
-	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
 )
 
@@ -29,44 +28,7 @@ func Fig9(o Options) ([]*stats.Table, error) {
 		"mechanism", "switches/sec", "relative")
 	t.AddRow("NFTask (GuNFu scheduler)", stats.F(nfTaskRate, 0), stats.F(nfTaskRate/goroutineRate, 1)+"x")
 	t.AddRow("goroutine channel hand-off", stats.F(goroutineRate, 0), "1.0x")
-
-	t2, err := schedSwitchTable(o)
-	if err != nil {
-		return nil, err
-	}
-	return []*stats.Table{t, t2}, nil
-}
-
-// schedSwitchTable extends Figure 9 with simulated switch rates: the
-// same NAT workload under the round-robin interleave loop and the
-// fill-clock wakeup scheduler. Round-robin's switch count includes one
-// switch per probe lap over a pending task; the wakeup scheduler parks
-// instead, trading those laps for attributed wake-wait stalls.
-func schedSwitchTable(o Options) (*stats.Table, error) {
-	flows := o.pick(1<<17, 1<<13)
-	warm := o.pickU(20000, 2000)
-	window := o.pickU(100000, 8000)
-
-	t := stats.NewTable(
-		"Figure 9b+ — scheduler switch/stall rates (NAT, simulated)",
-		"scheduler", "switch/pkt", "stall-cyc/pkt", "wake-wait/pkt", "parks/pkt")
-	for _, sched := range []string{rt.SchedulerRR, rt.SchedulerWakeup} {
-		as, prog, src, err := buildNAT(flows, 64, o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		res, err := runILSched(o, as, prog, src, 16, sched, warm, window)
-		if err != nil {
-			return nil, err
-		}
-		n := float64(res.Packets)
-		t.AddRow(sched,
-			stats.F(float64(res.Counters.TaskSwitches)/n, 2),
-			stats.F(float64(res.Counters.StallCycles)/n, 1),
-			stats.F(float64(res.WakeStalls)/n, 3),
-			stats.F(float64(res.Parks)/n, 2))
-	}
-	return t, nil
+	return []*stats.Table{t}, nil
 }
 
 // measureNFTaskSwitches measures the raw NFTask switch mechanism: a

@@ -209,20 +209,10 @@ type diffSide struct {
 // replay runs the given number of packet streams through one executor
 // side on a fresh core, logging every charged access.
 func replay(t *testing.T, w *diffWorld, s diffSide, packets int) diffResult {
-	return replayConfigured(t, w, s, packets, nil)
-}
-
-// replayConfigured is replay with a core-configuration hook applied
-// before the first packet — the epoch-wrap test uses it to park the
-// eviction epoch at the edge of wraparound.
-func replayConfigured(t *testing.T, w *diffWorld, s diffSide, packets int, configure func(*sim.Core)) diffResult {
 	t.Helper()
 	core, err := sim.NewCore(sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if configure != nil {
-		configure(core)
 	}
 	var res diffResult
 	core.SetAccessLog(func(a sim.MemAccess) { res.log = append(res.log, a) })
@@ -328,25 +318,6 @@ func TestDifferentialReplay(t *testing.T) {
 	}
 }
 
-// TestDifferentialReplayEpochWrap parks the eviction epoch at the edge
-// of uint64 wraparound before replaying, so it wraps through zero
-// mid-run. The epoch is a host-side validity horizon for wakeup
-// stamps; wrapping must not change any
-// simulated event — and the wrapped run must still match a run whose
-// epoch started at zero.
-func TestDifferentialReplayEpochWrap(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	nearWrap := func(c *sim.Core) { c.SetEvictionEpoch(^uint64(0) - 3) }
-	for n := 0; n < diffPrograms/4; n++ {
-		w := buildRandomProgram(t, rng)
-		packets := 2 + rng.Intn(3)
-		compiled, interpreted := sides(w)
-		want := replay(t, w, interpreted, packets)
-		got := replayConfigured(t, w, compiled, packets, nearWrap)
-		diffCompare(t, n, "compiled/epoch-wrap", got, want)
-	}
-}
-
 // eventLog collects a core's trace stream; it takes batches, so the
 // compiled side also exercises slice delivery end to end.
 type eventLog struct{ evs []sim.TraceEvent }
@@ -427,7 +398,7 @@ func eventConfig(rng *rand.Rand) rt.Config {
 }
 
 // realWorker builds the production worker for mode over w's program:
-// rtc.Worker, or rt.Worker under the round-robin or wakeup scheduler.
+// rtc.Worker or rt.Worker.
 func realWorker(t *testing.T, w *diffWorld, mode refMode, cfg rt.Config) func(*sim.Core, *mem.AddressSpace) runner {
 	return func(core *sim.Core, as *mem.AddressSpace) runner {
 		var r runner
@@ -436,9 +407,6 @@ func realWorker(t *testing.T, w *diffWorld, mode refMode, cfg rt.Config) func(*s
 			r, err = rtc.NewWorker(core, as, w.prog, rtc.Config{
 				Batch: cfg.Batch, RxCost: cfg.RxCost, RingSlots: cfg.RingSlots, SlotBytes: cfg.SlotBytes})
 		} else {
-			if mode == refWakeup {
-				cfg.Scheduler = rt.SchedulerWakeup
-			}
 			r, err = rt.NewWorker(core, as, w.prog, cfg)
 		}
 		if err != nil {
@@ -468,7 +436,7 @@ func compareTraced(t *testing.T, n int, label string, got, want tracedRun) {
 }
 
 // TestDifferentialReplayEvents traces the randomized corpus through the
-// real rtc.Worker and rt.Worker (round-robin and wakeup) running the
+// real rtc.Worker and rt.Worker running the
 // compiled executor, and through the reference schedulers running the
 // interpreted executor, and requires the two trace-event streams to be
 // identical in every field of every event — along with the access logs,
@@ -481,7 +449,7 @@ func TestDifferentialReplayEvents(t *testing.T) {
 		for _, m := range []struct {
 			name string
 			mode refMode
-		}{{"rtc", refRTC}, {"rr", refRR}, {"wakeup", refWakeup}} {
+		}{{"rtc", refRTC}, {"rr", refRR}} {
 			ref := func(core *sim.Core, as *mem.AddressSpace) runner {
 				return newRefWorker(core, as, w.prog, m.mode, cfg)
 			}

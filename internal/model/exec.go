@@ -60,7 +60,8 @@ type Exec struct {
 	TempAddr uint64
 	// CS is the current control state.
 	CS CSID
-	// Seq is the packet sequence number within the current run.
+	// Seq is the packet's receive sequence number on its worker: the
+	// number its rx ring slot was assigned from, one per packet.
 	Seq uint64
 	// AccessCycles accumulates cycles spent charging declared state
 	// accesses, for the paper's state-access-time measurements (EXP B).
@@ -69,32 +70,6 @@ type Exec struct {
 	// when the current CS's spans have been prefetched or verified
 	// resident.
 	Prefetched bool
-	// WakeAt is the fill-clock wakeup stamp EnsurePrefetched records
-	// when it issues fetches: the max MSHR ready-cycle of the issued
-	// lines. While Core.Now() < WakeAt and WakeEpoch still equals the
-	// core's eviction epoch, the task's plan lines cannot have become
-	// resident-and-then-evicted, so a scheduler need not re-probe them
-	// (FirstNonResident: one L1 set scan behind a verified way hint per
-	// plan line) to know the task is still waiting.
-	// Zero when the issue installed no fill. The rt
-	// wakeup scheduler parks a missed task on this stamp and does not
-	// revisit it before the fill clock passes (rt.SchedulerWakeup).
-	WakeAt uint64
-	// WakeEpoch is the core's eviction epoch at stamp time — the
-	// stamp's validity horizon: any L1 or outer eviction moves the
-	// epoch and voids WakeAt.
-	WakeEpoch uint64
-	// Parked marks the task as held in a scheduler's pending structure
-	// (unlinked from the run ring, waiting on WakeAt). Owned by the
-	// runtime; Exec only clears it on stream reset.
-	Parked bool
-	// Reprobed limits the epoch-void fallback: when a parked task wakes
-	// under a moved eviction epoch the scheduler forces one real
-	// residency re-probe (clearing Prefetched) and sets this flag, so a
-	// task thrashing against other streams' evictions re-probes at most
-	// once per park cycle and progress is guaranteed. Cleared by the
-	// scheduler when the action step finally executes.
-	Reprobed bool
 	// Done reports stream completion (CS reached End).
 	Done bool
 	// bases is the compiled executors' base-table scratch (see
@@ -117,9 +92,5 @@ func (e *Exec) ResetStream(p *pkt.Packet, start CSID, seq uint64) {
 	e.CS = start
 	e.Seq = seq
 	e.Prefetched = false
-	e.WakeAt = 0
-	e.WakeEpoch = 0
-	e.Parked = false
-	e.Reprobed = false
 	e.Done = false
 }

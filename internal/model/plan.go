@@ -438,15 +438,7 @@ func (p *Program) EnsurePrefetched(e *Exec) bool {
 	// The issue reuses what the check just proved (see IssueFetch): ops
 	// before miss are still resident and op miss is still absent — the
 	// charged sequence is identical to issuing the whole plan blind.
-	// The returned max ready-cycle plus the core's eviction epoch form
-	// the task's wakeup stamp: until the fill clock passes WakeAt with
-	// the epoch unmoved, a scheduler revisit can skip the residency
-	// walk outright. The rt wakeup scheduler consumes exactly this
-	// contract: it parks the task until Core.Now() >= WakeAt, and on an
-	// epoch move falls back to a real re-probe (clearing Prefetched)
-	// before stepping.
-	e.WakeAt = core.IssueFetch(bases, pl.fetch, miss)
-	e.WakeEpoch = core.EvictionEpoch()
+	core.IssueFetch(bases, pl.fetch, miss)
 	// The host fetches too: the scheduler is about to switch away for a
 	// lap, which is the lead time the action's Go-side record needs as
 	// much as its simulated lines do. Nothing in the simulator sees it.

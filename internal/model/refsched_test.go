@@ -1,17 +1,14 @@
 package model_test
 
 // Reference schedulers for the event-stream differential
-// (TestDifferentialReplayEvents): naive restatements of the three
-// runtimes' visit orders — run-to-completion, Algorithm 1's round-robin
-// with skip, and the fill-clock wakeup variant — driving the
-// span-interpreting reference executor. They keep the run ring as a
-// plain slice and the parked set in container/heap, share no code with
+// (TestDifferentialReplayEvents): naive restatements of the two
+// runtimes' visit orders — run-to-completion and Algorithm 1's
+// round-robin with skip — driving the span-interpreting reference
+// executor. They keep the run ring as a plain slice, share no code with
 // internal/rt or internal/rtc, and must reproduce, event for event, what
 // the real workers emit while running the compiled executor.
 
 import (
-	"container/heap"
-
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
@@ -25,7 +22,6 @@ type refMode int
 const (
 	refRTC refMode = iota
 	refRR
-	refWakeup
 )
 
 // refWorker lays its rx ring and task scratch out exactly as
@@ -92,41 +88,15 @@ func (w *refWorker) receive(src rt.Source, limit uint64) []*pkt.Packet {
 	return batch
 }
 
-// ensure is the P-state visit. Round-robin takes the reference
-// expansion — residency check, then on a miss the full prefetch issue.
-// The wakeup scheduler parks on the stamp only the planned issue
-// computes, so there the visit is shared with the compiled side and the
-// differential covers Step alone.
+// ensure is the P-state visit in its reference expansion: residency
+// check, then on a miss the full prefetch issue.
 func (w *refWorker) ensure(e *model.Exec) bool {
-	if w.mode == refWakeup {
-		return w.prog.EnsurePrefetched(e)
-	}
 	if w.prog.ResidentCurrentInterpreted(e) {
 		e.Prefetched = true
 		return true
 	}
 	w.prog.PrefetchCurrentInterpreted(e)
 	return false
-}
-
-// parkedTask is one entry of the wakeup scheduler's pending set.
-type parkedTask struct {
-	key uint64
-	idx int32
-}
-
-// wakeHeap orders parked tasks by wake key, earliest first.
-type wakeHeap []parkedTask
-
-func (h wakeHeap) Len() int           { return len(h) }
-func (h wakeHeap) Less(i, j int) bool { return h[i].key < h[j].key }
-func (h wakeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *wakeHeap) Push(x any)        { *h = append(*h, x.(parkedTask)) }
-func (h *wakeHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
 }
 
 // Run is the reference Worker.Run: up to maxPackets packets (0 = drain
@@ -159,7 +129,7 @@ func (w *refWorker) Run(src rt.Source, maxPackets uint64) (rt.Result, error) {
 		if w.mode == refRTC {
 			err = w.complete(batch, finish)
 		} else {
-			err = w.interleave(batch, finish, &res)
+			err = w.interleave(batch, finish)
 		}
 		if err != nil {
 			return rt.Result{}, err
@@ -180,8 +150,8 @@ func (w *refWorker) complete(batch []*pkt.Packet, finish func(*model.Exec)) erro
 		w.core.SetTask(0)
 	}
 	t := &w.tasks[0]
-	for _, p := range batch {
-		t.ResetStream(p, w.prog.Start(), w.seq)
+	for i, p := range batch {
+		t.ResetStream(p, w.prog.Start(), w.seq-uint64(len(batch)-i))
 		for !t.Done {
 			if err := w.prog.StepInterpreted(t); err != nil {
 				return err
@@ -194,66 +164,27 @@ func (w *refWorker) complete(batch []*pkt.Packet, finish func(*model.Exec)) erro
 
 // interleave runs one batch under Algorithm 1. live is the run ring in
 // visit order and pos the task being visited; a finished task with no
-// packet left to take is removed, and under the wakeup scheduler so is a
-// task whose P-state visit missed, until its fill clock passes.
-func (w *refWorker) interleave(batch []*pkt.Packet, finish func(*model.Exec), res *rt.Result) error {
+// packet left to take is removed.
+func (w *refWorker) interleave(batch []*pkt.Packet, finish func(*model.Exec)) error {
 	core := w.core
 	traced := core.Tracer() != nil
 	next := 0
+	// load starts the batch's next packet on t under its own sequence
+	// number (the batch was numbered consecutively, ending at w.seq).
+	load := func(t *model.Exec) {
+		t.ResetStream(batch[next], w.prog.Start(), w.seq-uint64(len(batch)-next))
+		next++
+	}
 	var live []int32
 	for i := range w.tasks {
 		if next == len(batch) {
 			break
 		}
-		w.tasks[i].ResetStream(batch[next], w.prog.Start(), w.seq)
-		next++
+		load(&w.tasks[i])
 		live = append(live, int32(i))
 	}
 	pos := 0
-	remove := func() {
-		live = append(live[:pos], live[pos+1:]...)
-		if pos == len(live) {
-			pos = 0
-		}
-	}
-	var parked wakeHeap
-	for len(live)+len(parked) > 0 {
-		// Wake every parked task whose key has passed, earliest first,
-		// queueing them right behind the task being visited. With nothing
-		// runnable, idle the core up to the earliest key first.
-		for at := pos; len(parked) > 0; {
-			key := parked[0].key
-			if key > core.Now() {
-				if len(live) > 0 {
-					break
-				}
-				core.StallWake(key - core.Now())
-				res.WakeStalls++
-			}
-			idx := heap.Pop(&parked).(parkedTask).idx
-			t := &w.tasks[idx]
-			t.Parked = false
-			res.Wakes++
-			voided := !core.StampValid(t.WakeEpoch)
-			if voided && !t.Reprobed {
-				t.Prefetched, t.Reprobed = false, true
-			}
-			if traced {
-				core.SetTask(idx)
-				v := uint64(0)
-				if voided {
-					v = 1
-				}
-				core.Emit(sim.TraceWake, sim.CauseNone, t.WakeAt, key, v)
-			}
-			if len(live) == 0 {
-				live, pos, at = append(live, idx), 0, 0
-				continue
-			}
-			at++
-			live = append(live[:at], append([]int32{idx}, live[at:]...)...)
-		}
-
+	for len(live) > 0 {
 		cur := live[pos]
 		if traced {
 			core.SetTask(cur)
@@ -261,33 +192,23 @@ func (w *refWorker) interleave(batch []*pkt.Packet, finish func(*model.Exec), re
 		t := &w.tasks[cur]
 		if !t.Prefetched && !w.ensure(t) {
 			core.TaskSwitch()
-			if w.mode != refWakeup {
-				pos = (pos + 1) % len(live)
-				continue
-			}
-			key := t.WakeAt
-			if key == 0 {
-				key = core.EarliestMSHRReady()
-			}
-			t.Parked = true
-			heap.Push(&parked, parkedTask{key: key, idx: cur})
-			res.Parks++
-			remove()
+			pos = (pos + 1) % len(live)
 			continue
 		}
-		t.Reprobed = false
 		if err := w.prog.StepInterpreted(t); err != nil {
 			return err
 		}
 		if t.Done {
 			finish(t)
 			if next == len(batch) {
-				remove()
+				live = append(live[:pos], live[pos+1:]...)
+				if pos == len(live) {
+					pos = 0
+				}
 				core.TaskSwitch()
 				continue
 			}
-			t.ResetStream(batch[next], w.prog.Start(), w.seq)
-			next++
+			load(t)
 		}
 		core.TaskSwitch()
 		pos = (pos + 1) % len(live)

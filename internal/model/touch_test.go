@@ -46,7 +46,6 @@ var touchModes = []struct {
 	residentCheck bool
 }{
 	{"rr", refRR, true},
-	{"wakeup", refWakeup, true},
 	{"nocheck", refRR, false},
 	{"rtc", refRTC, true},
 }

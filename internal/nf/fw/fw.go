@@ -243,7 +243,8 @@ func (f *FW) AttachData(b *model.Builder, next string) string {
 
 // attachPolicyWalk registers the first-packet path: a stepwise scan of
 // the policy region (one line of rules per control-state visit, each
-// line's address staged ahead for prefetching), then verdict install.
+// line's address staged ahead for prefetching), then flow allocation
+// and verdict install.
 func (f *FW) attachPolicyWalk(b *model.Builder, dataEntry string) string {
 	m := f.cfg.Name + "_policy"
 	evFwd := b.Event(nf.EvForward)
@@ -289,13 +290,14 @@ func (f *FW) attachPolicyWalk(b *model.Builder, dataEntry string) string {
 			return evMore
 		},
 	})
-	b.AddState(m, "install", model.Action{
-		Name: "install",
+	// Verdict install is two control states so the Granular Decomposition
+	// Property holds: "alloc" decides (and may drop) without touching
+	// per-flow state; "install" has the per-flow writes declared and only
+	// runs once a flow index exists.
+	b.AddState(m, "alloc", model.Action{
+		Name: "alloc",
 		Kind: model.ActionConfig,
-		Cost: 180, // table insert + state init
-		Writes: []model.FieldRef{
-			model.Fields(model.KindPerFlow, "allowed", "state", "rule_id"),
-		},
+		Cost: 150, // table insert
 		Fn: func(e *model.Exec) model.EventID {
 			if int(f.next) >= len(f.flows) {
 				f.drops++
@@ -312,11 +314,21 @@ func (f *FW) attachPolicyWalk(b *model.Builder, dataEntry string) string {
 			return evFwd
 		},
 	})
+	b.AddState(m, "install", model.Action{
+		Name: "install",
+		Kind: model.ActionConfig,
+		Cost: 30, // state init
+		Writes: []model.FieldRef{
+			model.Fields(model.KindPerFlow, "allowed", "state", "rule_id"),
+		},
+		Fn: func(e *model.Exec) model.EventID { return evFwd },
+	})
 	b.AddTransition(m+".walk_start", "policy_more", m+".walk")
 	b.AddTransition(m+".walk", "policy_more", m+".walk")
-	b.AddTransition(m+".walk", "policy_done", m+".install")
+	b.AddTransition(m+".walk", "policy_done", m+".alloc")
+	b.AddTransition(m+".alloc", nf.EvForward, m+".install")
+	b.AddTransition(m+".alloc", nf.EvDrop, model.EndName)
 	b.AddTransition(m+".install", nf.EvForward, dataEntry)
-	b.AddTransition(m+".install", nf.EvDrop, model.EndName)
 	return m + ".walk_start"
 }
 

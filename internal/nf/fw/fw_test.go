@@ -5,12 +5,15 @@ import (
 
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
+	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
 )
 
-func run(t *testing.T, f *FW, src interface{ Next() *pkt.Packet }, n uint64) {
+// runOn runs n packets of src through f on a fresh worker: rt.Worker
+// when interleaved, else rtc.Worker.
+func runOn(t *testing.T, f *FW, src rt.Source, n uint64, interleaved bool) {
 	t.Helper()
 	prog, err := f.Program()
 	if err != nil {
@@ -20,13 +23,26 @@ func run(t *testing.T, f *FW, src interface{ Next() *pkt.Packet }, n uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := rtc.NewWorker(core, mem.NewAddressSpace(), prog, rtc.DefaultConfig())
+	var w interface {
+		Run(rt.Source, uint64) (rt.Result, error)
+	}
+	if interleaved {
+		w, err = rt.NewWorker(core, mem.NewAddressSpace(), prog, rt.DefaultConfig())
+	} else {
+		w, err = rtc.NewWorker(core, mem.NewAddressSpace(), prog, rtc.DefaultConfig())
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Run(src, n); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// bothRuntimes runs fn as a subtest under each worker.
+func bothRuntimes(t *testing.T, fn func(t *testing.T, interleaved bool)) {
+	t.Run("rtc", func(t *testing.T) { fn(t, false) })
+	t.Run("rt", func(t *testing.T) { fn(t, true) })
 }
 
 func TestNewValidation(t *testing.T) {
@@ -88,7 +104,7 @@ func TestEstablishedFlowsPass(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run(t, f, g, 300)
+	runOn(t, f, g, 300, false)
 	if f.Drops() != 0 {
 		t.Fatalf("allow-all policy dropped %d packets", f.Drops())
 	}
@@ -116,7 +132,7 @@ func TestFirstPacketWalksPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run(t, f, traffic.NewLimited(g, 2), 0)
+	runOn(t, f, traffic.NewLimited(g, 2), 0, false)
 	fl, err := f.Flow(0)
 	if err != nil {
 		t.Fatal(err)
@@ -132,6 +148,66 @@ func TestFirstPacketWalksPolicy(t *testing.T) {
 	}
 }
 
+// TestFirstPacketsInstallVerdict sends 64 uninstalled flows round-robin,
+// so under rt a whole burst of first packets is in flight at once: every
+// one must walk the policy, bind a flow index in alloc before install's
+// per-flow writes resolve, and leave its verdict behind for the flow's
+// second packet (a burst later) to hit.
+func TestFirstPacketsInstallVerdict(t *testing.T) {
+	const flows = 64
+	bothRuntimes(t, func(t *testing.T, interleaved bool) {
+		f, err := New(mem.NewAddressSpace(), Config{MaxFlows: flows, Policy: DefaultPolicy(40)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := traffic.NewFlowGen(traffic.FlowGenConfig{Flows: flows, PacketBytes: 64, Order: traffic.OrderRoundRobin, Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runOn(t, f, g, 2*flows, interleaved)
+		if f.Drops() != 0 {
+			t.Fatalf("Drops = %d, want 0", f.Drops())
+		}
+		for i := int32(0); i < flows; i++ {
+			fl, err := f.Flow(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (Flow{Allowed: true, RuleID: 39, Pkts: 2}); fl != want {
+				t.Fatalf("flow %d = %+v, want %+v", i, fl, want)
+			}
+		}
+	})
+}
+
+// TestTableFullDrops offers four flows to a two-flow table: the two that
+// find no room are dropped in alloc — counted, no error, no per-flow
+// span resolved against an unbound index — on every packet.
+func TestTableFullDrops(t *testing.T) {
+	bothRuntimes(t, func(t *testing.T, interleaved bool) {
+		f, err := New(mem.NewAddressSpace(), Config{MaxFlows: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := traffic.NewFlowGen(traffic.FlowGenConfig{Flows: 4, PacketBytes: 64, Order: traffic.OrderRoundRobin, Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One lap per run, so no flow has two packets in flight.
+		for lap := 0; lap < 3; lap++ {
+			runOn(t, f, g, 4, interleaved)
+		}
+		if f.Drops() != 6 {
+			t.Fatalf("Drops = %d, want 6 (two flows, three laps)", f.Drops())
+		}
+		for i := int32(0); i < 2; i++ {
+			if fl, _ := f.Flow(i); !fl.Allowed || fl.Pkts != 3 {
+				t.Fatalf("installed flow %d = %+v, want allowed with 3 packets", i, fl)
+			}
+		}
+	})
+}
+
 func TestDenyPolicyDrops(t *testing.T) {
 	deny := []Rule{{Proto: 0, DstPortLo: 0, DstPortHi: 65535, Allow: false}}
 	f, err := New(mem.NewAddressSpace(), Config{MaxFlows: 4, Policy: deny})
@@ -142,7 +218,7 @@ func TestDenyPolicyDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run(t, f, traffic.NewLimited(g, 3), 0)
+	runOn(t, f, traffic.NewLimited(g, 3), 0, false)
 	if f.Drops() != 3 {
 		t.Fatalf("Drops = %d, want 3", f.Drops())
 	}
@@ -160,7 +236,7 @@ func TestNoMatchingRuleDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run(t, f, traffic.NewLimited(g, 1), 0)
+	runOn(t, f, traffic.NewLimited(g, 1), 0, false)
 	if f.Drops() != 1 {
 		t.Fatalf("Drops = %d, want 1", f.Drops())
 	}

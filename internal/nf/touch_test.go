@@ -11,6 +11,7 @@ package nf_test
 // Touch's slice index.
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/gunfu-nfv/gunfu/internal/compile"
@@ -95,37 +96,106 @@ type touchWorld struct {
 	prog *model.Program
 	// src builds a fresh copy of the workload.
 	src func(t *testing.T) rt.Source
+	// state snapshots the NF's per-flow records and drop counters (the
+	// equivalence test compares it across runtimes).
+	state func() any
+}
+
+// records collects get(0..n-1): one NF's per-flow table by value.
+func records[F any](t *testing.T, n int, get func(int32) (F, error)) []F {
+	t.Helper()
+	out := make([]F, n)
+	for i := range out {
+		var err error
+		if out[i], err = get(int32(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// natFlows and monitorFlows are records with LastSeen cleared: it holds
+// the simulated clock, the one field a schedule is meant to change.
+func natFlows(t *testing.T, n *nat.NAT) []nat.Flow {
+	flows := records(t, touchFlows, n.Flow)
+	for i := range flows {
+		flows[i].LastSeen = 0
+	}
+	return flows
+}
+
+func monitorFlows(t *testing.T, m *monitor.Monitor) []monitor.Flow {
+	flows := records(t, touchFlows, m.Flow)
+	for i := range flows {
+		flows[i].LastSeen = 0
+	}
+	return flows
+}
+
+// flowNF is what flowWorld needs of a five-tuple NF.
+type flowNF struct {
+	addFlow func(pkt.FiveTuple, int32) error
+	program func() (*model.Program, error)
+	state   func() any
+}
+
+// staggeredSource emits one packet of the fresh generator at the head of
+// every rx burst and the established generator's otherwise.
+type staggeredSource struct {
+	established, fresh *traffic.FlowGen
+	burst, n           int
+}
+
+func (s *staggeredSource) Next() *pkt.Packet {
+	s.n++
+	if s.n%s.burst == 1 {
+		return s.fresh.Next()
+	}
+	return s.established.Next()
 }
 
 // flowWorld builds a five-tuple NF with the first installed flows of
-// the population pre-installed; the rest take the NF's first-packet
-// path (which binds FlowIdx in a config action, not in the classifier).
-func flowWorld(t *testing.T, name string, installed int, build func(as *mem.AddressSpace) (addFlow func(pkt.FiveTuple, int32) error, prog func() (*model.Program, error), err error)) touchWorld {
+// the population pre-installed and uniform traffic over them; every rx
+// burst also carries one packet of a not-yet-installed flow, cycling
+// through 64 of them, which takes the NF's first-packet path (it binds
+// FlowIdx in a config action, not in the classifier) and is established
+// by its next lap. One first packet per burst keeps the workload inside
+// what per-flow equivalence promises: which index (or NAT port) a new
+// flow draws depends on the order first packets reach the allocator,
+// which a schedule may change across flows, and two in-flight first
+// packets of one flow would both miss the classifier and both allocate.
+func flowWorld(t *testing.T, name string, installed int, build func(as *mem.AddressSpace) (flowNF, error)) touchWorld {
 	t.Helper()
-	cfg := traffic.FlowGenConfig{Flows: touchFlows, PacketBytes: 64, Order: traffic.OrderUniform, Seed: 3}
-	src := func(t *testing.T) rt.Source {
+	cfg := traffic.FlowGenConfig{Flows: touchFlows, PacketBytes: 64, Order: traffic.OrderUniform, Seed: 3,
+		ShardCount: installed}
+	gen := func(t *testing.T, cfg traffic.FlowGenConfig) *traffic.FlowGen {
 		g, err := traffic.NewFlowGen(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return g
 	}
-	g := src(t).(*traffic.FlowGen)
+	src := func(t *testing.T) rt.Source {
+		fresh := cfg
+		fresh.Order, fresh.ShardBase, fresh.ShardCount = traffic.OrderRoundRobin, installed, 64
+		return &staggeredSource{established: gen(t, cfg), fresh: gen(t, fresh), burst: rt.DefaultConfig().Batch}
+	}
+	g := gen(t, cfg)
 	as := mem.NewAddressSpace()
-	addFlow, program, err := build(as)
+	nf, err := build(as)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < installed; i++ {
-		if err := addFlow(g.FlowTuple(i), int32(i)); err != nil {
+		if err := nf.addFlow(g.FlowTuple(i), int32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	prog, err := program()
+	prog, err := nf.program()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return touchWorld{name: name, as: as, prog: prog, src: src}
+	return touchWorld{name: name, as: as, prog: prog, src: src, state: nf.state}
 }
 
 // teidSource turns generator frames into uplink GTP-U traffic spread
@@ -146,37 +216,33 @@ func (s *teidSource) Next() *pkt.Packet {
 func touchWorlds(t *testing.T) []touchWorld {
 	t.Helper()
 	worlds := []touchWorld{
-		flowWorld(t, "nat", touchFlows/2, func(as *mem.AddressSpace) (func(pkt.FiveTuple, int32) error, func() (*model.Program, error), error) {
+		flowWorld(t, "nat", touchFlows/2, func(as *mem.AddressSpace) (flowNF, error) {
 			n, err := nat.New(as, nat.Config{MaxFlows: touchFlows})
 			if err != nil {
-				return nil, nil, err
+				return flowNF{}, err
 			}
-			return n.AddFlow, n.Program, nil
+			return flowNF{n.AddFlow, n.Program, func() any { return natFlows(t, n) }}, nil
 		}),
-		flowWorld(t, "lb", touchFlows/2, func(as *mem.AddressSpace) (func(pkt.FiveTuple, int32) error, func() (*model.Program, error), error) {
+		flowWorld(t, "lb", touchFlows/2, func(as *mem.AddressSpace) (flowNF, error) {
 			l, err := lb.New(as, lb.Config{MaxFlows: touchFlows})
 			if err != nil {
-				return nil, nil, err
+				return flowNF{}, err
 			}
-			return l.AddFlow, l.Program, nil
+			return flowNF{l.AddFlow, l.Program, func() any { return records(t, touchFlows, l.Flow) }}, nil
 		}),
-		// Every flow installed: the firewall's first-packet path cannot
-		// run interleaved (its install state declares per-flow writes
-		// but binds FlowIdx in its own Fn, so the P-stage resolves
-		// index -1 and panics — at the parent commit too; rtc only).
-		flowWorld(t, "fw", touchFlows, func(as *mem.AddressSpace) (func(pkt.FiveTuple, int32) error, func() (*model.Program, error), error) {
+		flowWorld(t, "fw", touchFlows/2, func(as *mem.AddressSpace) (flowNF, error) {
 			f, err := fw.New(as, fw.Config{MaxFlows: touchFlows, Policy: fw.DefaultPolicy(24)})
 			if err != nil {
-				return nil, nil, err
+				return flowNF{}, err
 			}
-			return f.AddFlow, f.Program, nil
+			return flowNF{f.AddFlow, f.Program, func() any { return []any{records(t, touchFlows, f.Flow), f.Drops()} }}, nil
 		}),
-		flowWorld(t, "monitor", touchFlows/2, func(as *mem.AddressSpace) (func(pkt.FiveTuple, int32) error, func() (*model.Program, error), error) {
+		flowWorld(t, "monitor", touchFlows/2, func(as *mem.AddressSpace) (flowNF, error) {
 			m, err := monitor.New(as, monitor.Config{MaxFlows: touchFlows})
 			if err != nil {
-				return nil, nil, err
+				return flowNF{}, err
 			}
-			return m.AddFlow, m.Program, nil
+			return flowNF{m.AddFlow, m.Program, func() any { return []any{monitorFlows(t, m), m.Totals()} }}, nil
 		}),
 	}
 
@@ -191,7 +257,9 @@ func touchWorlds(t *testing.T) []touchWorld {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return touchWorld{name: name, as: as, prog: prog, src: src}
+		return touchWorld{name: name, as: as, prog: prog, src: src, state: func() any {
+			return []any{records(t, sessions, u.Session), records(t, sessions*pdrs, u.PDRRecord), u.Drops()}
+		}}
 	}
 	worlds = append(worlds,
 		upfWorld("upf-downlink", (*upf.UPF).DownlinkProgram, func(t *testing.T) rt.Source {
@@ -225,20 +293,40 @@ func touchWorlds(t *testing.T) []touchWorld {
 			t.Fatal(err)
 		}
 		return g
-	}})
+	}, state: func() any { return []any{records(t, touchFlows, a.UEState), a.Rejected()} }})
 
 	// The benchmark's chain: six NFs, one shared classifier (MR), later
 	// NFs' redundant prefetches removed (PRR).
+	return append(worlds, sfcWorld(t, "sfc6-mr-prr", false, compile.SFCOptions{
+		RemoveRedundantMatching: true, RemoveRedundantPrefetches: true,
+	}))
+}
+
+// sfcWorld builds the paper's six-NF chain (LB → NAT → NM → FW×3) over a
+// fully populated flow table — separate per-NF pools, or with fused the
+// one co-access-packed pool of the DP optimization — compiled under opts.
+func sfcWorld(t *testing.T, name string, fused bool, opts compile.SFCOptions) touchWorld {
+	t.Helper()
 	cfg := traffic.FlowGenConfig{Flows: touchFlows, PacketBytes: 64, Order: traffic.OrderUniform, Seed: 3}
-	g, err := traffic.NewFlowGen(cfg)
+	src := func(t *testing.T) rt.Source {
+		g, err := traffic.NewFlowGen(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	as := mem.NewAddressSpace()
+	var chain []compile.Chainable
+	var err error
+	if fused {
+		chain, err = fusedChain(as)
+	} else {
+		chain, err = director.BuildChain(as, 6, touchFlows)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	as = mem.NewAddressSpace()
-	chain, err := director.BuildChain(as, 6, touchFlows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := src(t).(*traffic.FlowGen)
 	tuples := make([]pkt.FiveTuple, touchFlows)
 	for i := range tuples {
 		tuples[i] = g.FlowTuple(i)
@@ -246,20 +334,68 @@ func touchWorlds(t *testing.T) []touchWorld {
 	if err := compile.PopulateFlows(chain, tuples); err != nil {
 		t.Fatal(err)
 	}
-	prog, err = compile.BuildSFC("sfc6", chain, compile.SFCOptions{
-		RemoveRedundantMatching: true, RemoveRedundantPrefetches: true,
-	})
+	prog, err := compile.BuildSFC("sfc6", chain, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	worlds = append(worlds, touchWorld{name: "sfc6-mr-prr", as: as, prog: prog, src: func(t *testing.T) rt.Source {
-		g, err := traffic.NewFlowGen(cfg)
-		if err != nil {
-			t.Fatal(err)
+	return touchWorld{name: name, as: as, prog: prog, src: src, state: func() any {
+		var all []any
+		for _, c := range chain {
+			switch c := c.(type) {
+			case *lb.LB:
+				all = append(all, records(t, touchFlows, c.Flow))
+			case *nat.NAT:
+				all = append(all, natFlows(t, c))
+			case *monitor.Monitor:
+				all = append(all, monitorFlows(t, c), c.Totals())
+			case *fw.FW:
+				all = append(all, records(t, touchFlows, c.Flow), c.Drops())
+			default:
+				t.Fatalf("chain member %s has no state snapshot", c.Name())
+			}
 		}
-		return g
-	}})
-	return worlds
+		return all
+	}}
+}
+
+// fusedChain is director.BuildChain(as, 6, touchFlows) with every NF's
+// per-flow record placed in one fused pool (compile.FuseStates), the way
+// fig13's +DP configurations build it.
+func fusedChain(as *mem.AddressSpace) ([]compile.Chainable, error) {
+	members := []compile.FuseMember{
+		{Name: "lb", Fields: lb.FlowFields(), Hot: lb.HotFields()},
+		{Name: "nat", Fields: nat.FlowFields(), Hot: nat.HotFields()},
+		{Name: "nm", Fields: monitor.FlowFields(), Hot: monitor.HotFields()},
+	}
+	for i := 1; i <= 3; i++ {
+		members = append(members, compile.FuseMember{Name: fmt.Sprintf("fw%d", i), Fields: fw.FlowFields(), Hot: fw.HotFields()})
+	}
+	states, err := compile.FuseStates(as, "sfc", members, touchFlows)
+	if err != nil {
+		return nil, err
+	}
+	l, err := lb.New(as, lb.Config{MaxFlows: touchFlows, States: states["lb"]})
+	if err != nil {
+		return nil, err
+	}
+	n, err := nat.New(as, nat.Config{MaxFlows: touchFlows, States: states["nat"]})
+	if err != nil {
+		return nil, err
+	}
+	m, err := monitor.New(as, monitor.Config{MaxFlows: touchFlows, States: states["nm"]})
+	if err != nil {
+		return nil, err
+	}
+	chain := []compile.Chainable{l, n, m}
+	for i := 1; i <= 3; i++ {
+		name := fmt.Sprintf("fw%d", i)
+		f, err := fw.New(as, fw.Config{Name: name, MaxFlows: touchFlows, Policy: fw.DefaultPolicy(8 * (i + 1)), States: states[name]})
+		if err != nil {
+			return nil, err
+		}
+		chain = append(chain, f)
+	}
+	return chain, nil
 }
 
 func TestTouchSeesWhatFnSees(t *testing.T) {
@@ -271,28 +407,24 @@ func TestTouchSeesWhatFnSees(t *testing.T) {
 			if len(touching) == 0 {
 				t.Fatal("program carries no Touch")
 			}
-			for _, sched := range []string{rt.SchedulerRR, rt.SchedulerWakeup} {
-				core, err := sim.NewCore(sim.DefaultConfig())
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := rt.DefaultConfig()
-				cfg.Scheduler = sched
-				as := *w.as
-				worker, err := rt.NewWorker(core, &as, w.prog, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := worker.Run(w.src(t), packets)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Packets != packets {
-					t.Fatalf("%s: %d of %d packets completed", sched, res.Packets, packets)
-				}
-				if len(rec.pending) != 0 {
-					t.Fatalf("%s: %d Touch calls never followed by their Fn", sched, len(rec.pending))
-				}
+			core, err := sim.NewCore(sim.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			as := *w.as
+			worker, err := rt.NewWorker(core, &as, w.prog, rt.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := worker.Run(w.src(t), packets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Packets != packets {
+				t.Fatalf("%d of %d packets completed", res.Packets, packets)
+			}
+			if len(rec.pending) != 0 {
+				t.Fatalf("%d Touch calls never followed by their Fn", len(rec.pending))
 			}
 			for _, name := range touching {
 				// start_reg's context lines share a cache line with the

@@ -16,10 +16,9 @@ import (
 // the worker's batch reuse, steady state must report 0 allocs/op —
 // that is the regression guard for the receive path. The name is stable
 // across commits: bench_paired.sh matches it when comparing HEAD
-// against older baselines, so the scheduler variant below is a sibling
-// benchmark rather than a sub-benchmark.
+// against older baselines.
 func BenchmarkWorkerSteadyState(b *testing.B) {
-	benchWorkerSteadyState(b, rt.SchedulerRR, 1<<13, 4096)
+	benchWorkerSteadyState(b, 1<<13, 4096)
 }
 
 // BenchmarkWorkerSteadyStateLarge is the same worker over 131072 flows
@@ -30,27 +29,17 @@ func BenchmarkWorkerSteadyState(b *testing.B) {
 // prefetch that hides it, shows. The warm-up builds most flows' header
 // templates so the window measures copies, not encodes.
 func BenchmarkWorkerSteadyStateLarge(b *testing.B) {
-	benchWorkerSteadyState(b, rt.SchedulerRR, 1<<17, 2<<17)
+	benchWorkerSteadyState(b, 1<<17, 2<<17)
 }
 
-// BenchmarkWorkerSteadyStateWakeup is the identical workload under the
-// fill-clock wakeup scheduler; the delta against BenchmarkWorkerSteadyState
-// is the host cost of parking versus probe laps (recorded in
-// BENCH_hotpath.json wakeup_scheduler).
-func BenchmarkWorkerSteadyStateWakeup(b *testing.B) {
-	benchWorkerSteadyState(b, rt.SchedulerWakeup, 1<<13, 4096)
-}
-
-func benchWorkerSteadyState(b *testing.B, sched string, flows int, warmup uint64) {
+func benchWorkerSteadyState(b *testing.B, flows int, warmup uint64) {
 	prog, g := buildNAT(b, flows)
 	core, err := sim.NewCore(sim.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	as := mem.NewAddressSpace()
-	cfg := rt.DefaultConfig()
-	cfg.Scheduler = sched
-	w, err := rt.NewWorker(core, as, prog, cfg)
+	w, err := rt.NewWorker(core, as, prog, rt.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -161,54 +150,42 @@ func TestTracerDisabledZeroAlloc(t *testing.T) {
 // engine's pool (the first iteration builds them, the rest recycle).
 // Reported ns/op is per aggregate packet, so perfect host scaling
 // keeps it flat as cores grow; the recorded ratios land in
-// BENCH_hotpath.json.
-// The sched=wakeup sub-benchmarks run the same fleet under the
-// fill-clock wakeup scheduler; the cores=N names stay untouched so
-// cross-commit paired comparisons keep matching.
+// BENCH_hotpath.json. The cores=N names are stable so cross-commit
+// paired comparisons keep matching.
 func BenchmarkEngineMultiCore(b *testing.B) {
 	for _, cores := range []int{1, 2, 4} {
-		for _, sched := range []string{rt.SchedulerRR, rt.SchedulerWakeup} {
-			name := fmt.Sprintf("cores=%d", cores)
-			if sched != rt.SchedulerRR {
-				name += "/sched=" + sched
+		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
+			setups := make([]rt.CoreSetup, cores)
+			for i := range setups {
+				setups[i] = natSetup(1<<12, int64(11+i))
 			}
-			benchEngineMultiCore(b, name, cores, sched)
-		}
+			eng, err := rt.NewEngine(sim.DefaultConfig(), setups)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.Run(4096); err != nil { // build + warm the pooled cores
+				b.Fatal(err)
+			}
+			per := uint64(b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			results, err := eng.Run(per)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			var total uint64
+			for _, r := range results {
+				total += r.Packets
+			}
+			if total != per*uint64(cores) {
+				b.Fatalf("processed %d packets, want %d", total, per*uint64(cores))
+			}
+			// Normalize to aggregate packets: flat ns/op across core
+			// counts == linear host scaling.
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/pkt")
+		})
 	}
-}
-
-func benchEngineMultiCore(b *testing.B, name string, cores int, sched string) {
-	b.Run(name, func(b *testing.B) {
-		setups := make([]rt.CoreSetup, cores)
-		for i := range setups {
-			setups[i] = natSetupSched(1<<12, int64(11+i), sched)
-		}
-		eng, err := rt.NewEngine(sim.DefaultConfig(), setups)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.Run(4096); err != nil { // build + warm the pooled cores
-			b.Fatal(err)
-		}
-		per := uint64(b.N)
-		b.ReportAllocs()
-		b.ResetTimer()
-		results, err := eng.Run(per)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		var total uint64
-		for _, r := range results {
-			total += r.Packets
-		}
-		if total != per*uint64(cores) {
-			b.Fatalf("processed %d packets, want %d", total, per*uint64(cores))
-		}
-		// Normalize to aggregate packets: flat ns/op across core
-		// counts == linear host scaling.
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/pkt")
-	})
 }
 
 // BenchmarkRTCSteadyState is the same workload under the

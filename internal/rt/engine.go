@@ -100,9 +100,6 @@ func Aggregate(results []Result) Result {
 	for _, r := range results {
 		agg.Packets += r.Packets
 		agg.AccessCycles += r.AccessCycles
-		agg.Parks += r.Parks
-		agg.Wakes += r.Wakes
-		agg.WakeStalls += r.WakeStalls
 		agg.Counters = agg.Counters.Add(r.Counters)
 		if r.Cycles >= agg.Cycles {
 			agg.Cycles = r.Cycles

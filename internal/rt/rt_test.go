@@ -61,14 +61,12 @@ func (c *doneCounter) Event(ev sim.TraceEvent) {
 	}
 }
 
-// TestRunReturnFlushesTrace: every Run return — rt under both
-// schedulers, rtc — is a flush point, so a window's telemetry is whole
+// TestRunReturnFlushesTrace: every Run return — rt and rtc — is a
+// flush point, so a window's telemetry is whole
 // the moment Run hands back its result, however the packet count falls
 // against the core's event buffer.
 func TestRunReturnFlushesTrace(t *testing.T) {
 	prog, g := buildNAT(t, 512)
-	wakeup := rt.DefaultConfig()
-	wakeup.Scheduler = rt.SchedulerWakeup
 	rtcCore, err := sim.NewCore(sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -77,14 +75,13 @@ func TestRunReturnFlushesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, wk := newWorker(t, prog, rt.DefaultConfig()), newWorker(t, prog, wakeup)
+	il := newWorker(t, prog, rt.DefaultConfig())
 	for name, w := range map[string]struct {
 		core *sim.Core
 		run  func(rt.Source, uint64) (rt.Result, error)
 	}{
-		"rr":     {rr.Core(), rr.Run},
-		"wakeup": {wk.Core(), wk.Run},
-		"rtc":    {rtcCore, rtcWorker.Run},
+		"rt":  {il.Core(), il.Run},
+		"rtc": {rtcCore, rtcWorker.Run},
 	} {
 		var ct doneCounter
 		w.core.SetTracer(&ct)
@@ -123,9 +120,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative ring slots", rt.Config{Tasks: 4, Batch: 32, RingSlots: -1, SlotBytes: 2048}, "ring geometry"},
 		{"zero slot bytes", rt.Config{Tasks: 4, Batch: 32, RingSlots: 64, SlotBytes: 0}, "ring geometry"},
 		{"ring wrap guard", rt.Config{Tasks: 16, Batch: 32, RingSlots: 47, SlotBytes: 2048}, "RingSlots"},
-		{"unknown scheduler", rt.Config{Tasks: 4, Batch: 32, RingSlots: 64, SlotBytes: 2048, Scheduler: "fifo"}, "unknown Scheduler"},
-		{"wakeup without prefetch", rt.Config{Tasks: 4, Batch: 32, RingSlots: 64, SlotBytes: 2048, ResidentCheck: true, Scheduler: rt.SchedulerWakeup}, "requires Prefetch"},
-		{"wakeup without resident check", rt.Config{Tasks: 4, Batch: 32, RingSlots: 64, SlotBytes: 2048, Prefetch: true, Scheduler: rt.SchedulerWakeup}, "requires Prefetch"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -141,14 +135,6 @@ func TestConfigValidation(t *testing.T) {
 	ok := rt.Config{Tasks: 4, Batch: 32, RingSlots: 64, SlotBytes: 2048}
 	if _, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, ok); err != nil {
 		t.Fatalf("minimal valid config rejected: %v", err)
-	}
-	wake := rt.Config{Tasks: 4, Batch: 32, RingSlots: 64, SlotBytes: 2048,
-		Prefetch: true, ResidentCheck: true, Scheduler: rt.SchedulerWakeup}
-	if _, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, wake); err != nil {
-		t.Fatalf("valid wakeup config rejected: %v", err)
-	}
-	if got := rt.DefaultConfig().Scheduler; got != rt.SchedulerRR {
-		t.Fatalf("DefaultConfig().Scheduler = %q, want %q", got, rt.SchedulerRR)
 	}
 }
 
@@ -447,12 +433,6 @@ func TestEngineReusesPooledCores(t *testing.T) {
 // natSetup builds an engine CoreSetup running a self-contained NAT over
 // `flows` flows with the given traffic seed.
 func natSetup(flows int, seed int64) rt.CoreSetup {
-	return natSetupSched(flows, seed, rt.SchedulerRR)
-}
-
-// natSetupSched is natSetup with the interleave scheduler selectable,
-// for the rr/wakeup A/B engine benchmarks and tests.
-func natSetupSched(flows int, seed int64, sched string) rt.CoreSetup {
 	return rt.CoreSetup{
 		NewWorker: func(core *sim.Core) (*rt.Worker, rt.Source, error) {
 			as := mem.NewAddressSpace()
@@ -473,9 +453,7 @@ func natSetupSched(flows int, seed int64, sched string) rt.CoreSetup {
 			if err != nil {
 				return nil, nil, err
 			}
-			cfg := rt.DefaultConfig()
-			cfg.Scheduler = sched
-			w, err := rt.NewWorker(core, as, prog, cfg)
+			w, err := rt.NewWorker(core, as, prog, rt.DefaultConfig())
 			return w, g, err
 		},
 	}

@@ -1,28 +1,24 @@
 package rt_test
 
-// Scheduler differential twins: the fill-clock wakeup scheduler must
-// produce the same packet-level results as the round-robin loop — every
+// Interleaved ≡ run-to-completion over randomized programs: rt.Worker
+// must produce the same packet-level results as rtc.Worker — every
 // packet processed exactly once, every action executed with the same
 // Exec state, the same declared accesses charged — while only the
 // schedule-dependent quantities (task switches, stall cycles, prefetch
-// re-issues) may move. The harness generates randomized programs in the
-// style of internal/model's differential corpus, runs the same packet
-// sequence through two identically-seeded worlds (one worker per mode),
-// and asserts:
+// issues) may move. This is the per-flow correctness condition of
+// Khalid & Akella (PAPERS.md) applied to this runtime. The harness
+// generates randomized programs in the style of internal/model's
+// differential corpus, runs the same packet sequence through two
+// identically-seeded worlds (one worker each), and asserts:
 //
 //   - packet counts, wire bits, and demand read/write counters match;
 //   - per-packet action-visit signatures (recorded by the actions
 //     themselves, keyed by a packet id carried in the payload) match;
-//   - instruction counters reconcile exactly once the documented
-//     deltas — prefetch attempts and task-switch overhead — are
-//     removed;
-//   - the wakeup side parks (and wakes every park), the rr side never
-//     does.
-//
-// A second twin pins epoch-wrap behavior: the wakeup run with the
-// eviction epoch parked at the edge of uint64 wraparound must be
-// bit-identical to the same run from a fresh epoch, because stamp
-// voiding compares epochs for equality only.
+//   - instruction counters reconcile exactly once the interleaved
+//     side's documented extras — prefetch attempts and task-switch
+//     overhead — are removed;
+//   - the interleaved side actually interleaved (it issued prefetches
+//     and switched tasks), with Prefetch and ResidentCheck on and off.
 
 import (
 	"encoding/binary"
@@ -33,6 +29,7 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
+	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
 
@@ -44,7 +41,7 @@ const (
 
 // schedRec accumulates one world's action-visit signatures: packet id →
 // rolling hash over (state, visit count, flow) at every action run.
-// Schedule-invariant by construction, so the rr and wakeup maps must be
+// Schedule-invariant by construction, so the rt and rtc maps must be
 // equal.
 type schedRec struct {
 	m map[uint64]uint64
@@ -70,14 +67,14 @@ func schedSpan(rng *rand.Rand, base model.BaseKind, limit uint64) model.FieldRef
 // buildSchedWorld generates one random program over a fresh address
 // space, recording action visits into rec. Determinism contract: every
 // action depends only on Exec state and the packet payload, never on
-// visit timing, so both scheduler modes replay identical per-packet
+// visit timing, so both runtimes replay identical per-packet
 // results. The start state carries no per-flow, sub-flow or dynamic
 // spans (its action establishes FlowIdx/SubIdx/Cur.Addr from the packet
 // id before any later state resolves those bases), and the visit budget
 // lives in Exec.Key, which ResetStream clears per packet (Temp persists
 // across packets in a reused task slot and would leak schedule state).
-// The per-flow pool is sized past L1 so the corpus actually misses,
-// parks and stall-forwards instead of running fully resident.
+// The per-flow pool is sized past L1 so the corpus actually misses and
+// switches away instead of running fully resident.
 func buildSchedWorld(t *testing.T, rng *rand.Rand, rec *schedRec) (*mem.AddressSpace, *model.Program) {
 	t.Helper()
 	as := mem.NewAddressSpace()
@@ -220,12 +217,16 @@ func schedPacketList(n int) []*pkt.Packet {
 	return pkts
 }
 
-// runSched replays one seeded world through a worker in the given
-// scheduler mode. The world (address space, program, and therefore
-// every simulated address) is rebuilt from the seed so both modes
-// resolve identical layouts; configure, when non-nil, adjusts the core
-// before the run (the epoch-wrap twin).
-func runSched(t *testing.T, seed int64, sched string, configure func(*sim.Core)) (rt.Result, map[uint64]uint64) {
+// runner is what the two workers have in common.
+type runner interface {
+	Run(rt.Source, uint64) (rt.Result, error)
+}
+
+// runSched replays one seeded world through a worker: rtc.Worker when
+// il is nil, else rt.Worker under *il. The world (address space,
+// program, and therefore every state address) is rebuilt from the seed
+// so both sides resolve identical layouts.
+func runSched(t *testing.T, seed int64, il *rt.Config) (rt.Result, map[uint64]uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	rec := &schedRec{m: make(map[uint64]uint64)}
@@ -234,15 +235,12 @@ func runSched(t *testing.T, seed int64, sched string, configure func(*sim.Core))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if configure != nil {
-		configure(core)
+	var w runner
+	if il != nil {
+		w, err = rt.NewWorker(core, as, prog, *il)
+	} else {
+		w, err = rtc.NewWorker(core, as, prog, rtc.Config{Batch: 16, RxCost: 30, RingSlots: 64, SlotBytes: 2048})
 	}
-	cfg := rt.Config{
-		Tasks: 8, Batch: 16, RingSlots: 64, SlotBytes: 2048,
-		Prefetch: true, ResidentCheck: true, RxCost: 30,
-		Scheduler: sched,
-	}
-	w, err := rt.NewWorker(core, as, prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,9 +251,9 @@ func runSched(t *testing.T, seed int64, sched string, configure func(*sim.Core))
 	return res, rec.m
 }
 
-// TestDifferentialReplayWakeupScheduler is the rr-vs-wakeup twin over
-// the randomized corpus.
-func TestDifferentialReplayWakeupScheduler(t *testing.T) {
+// TestInterleavedEqualsRunToCompletion holds rt.Worker to rtc.Worker
+// over the randomized corpus, across the P-stage ablation ladder.
+func TestInterleavedEqualsRunToCompletion(t *testing.T) {
 	simCfg := sim.DefaultConfig()
 	switchInsts := simCfg.SwitchCost * simCfg.IssueWidth / 2
 	// recon strips the schedule-dependent instruction charges: one
@@ -269,73 +267,111 @@ func TestDifferentialReplayWakeupScheduler(t *testing.T) {
 			c.TaskSwitches*switchInsts
 	}
 
-	var totalParks, totalWakeStalls uint64
-	for i := 0; i < schedPrograms; i++ {
-		seed := int64(1000 + i)
-		rr, rrRec := runSched(t, seed, rt.SchedulerRR, nil)
-		wk, wkRec := runSched(t, seed, rt.SchedulerWakeup, nil)
-
-		if rr.Packets != schedPackets || wk.Packets != schedPackets {
-			t.Fatalf("seed %d: packets rr=%d wakeup=%d, want %d", seed, rr.Packets, wk.Packets, schedPackets)
-		}
-		if rr.Bits != wk.Bits {
-			t.Fatalf("seed %d: bits rr=%v wakeup=%v", seed, rr.Bits, wk.Bits)
-		}
-		if rr.Counters.Reads != wk.Counters.Reads || rr.Counters.Writes != wk.Counters.Writes {
-			t.Fatalf("seed %d: demand counters diverged: rr r=%d w=%d, wakeup r=%d w=%d",
-				seed, rr.Counters.Reads, rr.Counters.Writes, wk.Counters.Reads, wk.Counters.Writes)
-		}
-		if len(rrRec) != len(wkRec) {
-			t.Fatalf("seed %d: recorded %d packets under rr, %d under wakeup", seed, len(rrRec), len(wkRec))
-		}
-		for id, sig := range rrRec {
-			if wkRec[id] != sig {
-				t.Fatalf("seed %d: packet %#x visit signature diverged: rr %#x wakeup %#x",
-					seed, id, sig, wkRec[id])
+	for _, mode := range []struct {
+		name                    string
+		prefetch, residentCheck bool
+	}{
+		{"full", true, true},
+		{"no-resident-check", true, false},
+		{"no-prefetch", false, false},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := rt.Config{
+				Tasks: 8, Batch: 16, RingSlots: 64, SlotBytes: 2048, RxCost: 30,
+				Prefetch: mode.prefetch, ResidentCheck: mode.residentCheck,
 			}
-		}
-		if got, want := recon(rr), recon(wk); got != want {
-			t.Fatalf("seed %d: instruction reconciliation failed: rr %d wakeup %d (raw rr=%+v wakeup=%+v)",
-				seed, got, want, rr.Counters, wk.Counters)
-		}
-		if rr.Parks != 0 || rr.Wakes != 0 || rr.WakeStalls != 0 {
-			t.Fatalf("seed %d: rr reported scheduler stats: %+v", seed, rr)
-		}
-		if wk.Parks != wk.Wakes {
-			t.Fatalf("seed %d: %d parks but %d wakes (task left parked)", seed, wk.Parks, wk.Wakes)
-		}
-		totalParks += wk.Parks
-		totalWakeStalls += wk.WakeStalls
-	}
-	if totalParks == 0 {
-		t.Fatal("corpus never parked a task: the wakeup path was not exercised")
-	}
-	if totalWakeStalls == 0 {
-		t.Fatal("corpus never stall-forwarded: the all-parked path was not exercised")
+			var issued, switches uint64
+			for i := 0; i < schedPrograms; i++ {
+				seed := int64(1000 + i)
+				want, wantRec := runSched(t, seed, nil)
+				got, gotRec := runSched(t, seed, &cfg)
+
+				if want.Packets != schedPackets || got.Packets != schedPackets {
+					t.Fatalf("seed %d: packets rtc=%d rt=%d, want %d", seed, want.Packets, got.Packets, schedPackets)
+				}
+				if want.Bits != got.Bits {
+					t.Fatalf("seed %d: bits rtc=%v rt=%v", seed, want.Bits, got.Bits)
+				}
+				if want.Counters.Reads != got.Counters.Reads || want.Counters.Writes != got.Counters.Writes {
+					t.Fatalf("seed %d: demand counters diverged: rtc r=%d w=%d, rt r=%d w=%d",
+						seed, want.Counters.Reads, want.Counters.Writes, got.Counters.Reads, got.Counters.Writes)
+				}
+				if len(wantRec) != len(gotRec) {
+					t.Fatalf("seed %d: recorded %d packets under rtc, %d under rt", seed, len(wantRec), len(gotRec))
+				}
+				for id, sig := range wantRec {
+					if gotRec[id] != sig {
+						t.Fatalf("seed %d: packet %#x visit signature diverged: rtc %#x rt %#x",
+							seed, id, sig, gotRec[id])
+					}
+				}
+				if w, g := recon(want), recon(got); w != g {
+					t.Fatalf("seed %d: instruction reconciliation failed: rtc %d rt %d (raw rtc=%+v rt=%+v)",
+						seed, w, g, want.Counters, got.Counters)
+				}
+				if c := want.Counters; c.TaskSwitches != 0 || c.PrefetchIssued != 0 {
+					t.Fatalf("seed %d: rtc switched or prefetched: %+v", seed, c)
+				}
+				issued += got.Counters.PrefetchIssued
+				switches += got.Counters.TaskSwitches
+			}
+			if switches == 0 {
+				t.Fatal("corpus never switched tasks: nothing was interleaved")
+			}
+			if (issued != 0) != mode.prefetch {
+				t.Fatalf("prefetches issued = %d with Prefetch=%v", issued, mode.prefetch)
+			}
+		})
 	}
 }
 
-// TestDifferentialReplayWakeupEpochWrap extends PR 8's epoch-wrap twin
-// to the wakeup scheduler: stamp voiding compares eviction epochs for
-// equality only, so a run whose epoch counter wraps through zero must
-// be bit-identical — clock, counters, parks, wakes, stall-forwards and
-// packet results — to the same run from a fresh epoch.
-func TestDifferentialReplayWakeupEpochWrap(t *testing.T) {
-	for i := 0; i < 16; i++ {
-		seed := int64(5000 + i)
-		fresh, freshRec := runSched(t, seed, rt.SchedulerWakeup, nil)
-		wrap, wrapRec := runSched(t, seed, rt.SchedulerWakeup, func(core *sim.Core) {
-			core.SetEvictionEpoch(^uint64(0) - 3)
+// TestExecSeqIsPerPacket: Exec.Seq is the packet's own receive number —
+// the one its ring slot was assigned from — so in arrival order it rises
+// by one per packet, across bursts and Run windows, under both runtimes.
+func TestExecSeqIsPerPacket(t *testing.T) {
+	const packets = 100
+	for _, interleaved := range []bool{false, true} {
+		seqOf := make(map[uint64]uint64)
+		b := model.NewBuilder("seq")
+		b.AddModule("m", model.Binding{}, nil)
+		done := b.Event("done")
+		b.AddState("m", "A", model.Action{
+			Name: "a",
+			Kind: model.ActionData,
+			Fn: func(e *model.Exec) model.EventID {
+				seqOf[binary.LittleEndian.Uint64(e.Pkt.Data)] = e.Seq
+				return done
+			},
 		})
-		if fresh.Cycles != wrap.Cycles || fresh.Counters != wrap.Counters {
-			t.Fatalf("seed %d: epoch wrap diverged:\nfresh %+v\nwrap  %+v", seed, fresh, wrap)
+		b.AddTransition("m.A", "done", model.EndName)
+		b.SetStart("m.A")
+		prog, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if fresh.Parks != wrap.Parks || fresh.Wakes != wrap.Wakes || fresh.WakeStalls != wrap.WakeStalls {
-			t.Fatalf("seed %d: scheduler stats diverged across wrap: fresh %+v wrap %+v", seed, fresh, wrap)
+		core, err := sim.NewCore(sim.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
 		}
-		for id, sig := range freshRec {
-			if wrapRec[id] != sig {
-				t.Fatalf("seed %d: packet %#x diverged across epoch wrap", seed, id)
+		var w runner
+		if interleaved {
+			w, err = rt.NewWorker(core, mem.NewAddressSpace(), prog, rt.DefaultConfig())
+		} else {
+			w, err = rtc.NewWorker(core, mem.NewAddressSpace(), prog, rtc.DefaultConfig())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts := schedPacketList(packets)
+		src := &schedSource{pkts: pkts}
+		for _, window := range []uint64{7, 40, 0} {
+			if _, err := w.Run(src, window); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, p := range pkts {
+			if got := seqOf[binary.LittleEndian.Uint64(p.Data)]; got != uint64(i) {
+				t.Fatalf("interleaved=%v: packet %d ran with Seq %d", interleaved, i, got)
 			}
 		}
 	}

@@ -28,24 +28,6 @@ type Source interface {
 	Next() *pkt.Packet
 }
 
-// Scheduler mode names for Config.Scheduler.
-const (
-	// SchedulerRR is the paper's Algorithm 1 loop: round-robin with
-	// skip over the live-task ring, revisiting a missed task on the
-	// very next lap. The default; its visit order — and therefore every
-	// simulated event — is bit-identical to the pre-Scheduler worker.
-	SchedulerRR = "rr"
-	// SchedulerWakeup is the fill-clock wakeup loop: a task whose
-	// P-stage probe misses is unlinked from the run ring and parked in
-	// a pending min-heap keyed by Exec.WakeAt; the interleave loop
-	// visits only ready tasks, re-links parked tasks whose fill clock
-	// has passed (re-probing when the eviction epoch voided the stamp),
-	// and when every in-flight task is pending it charges one
-	// CauseWakeWait stall to the earliest wakeup instead of spinning
-	// probe laps. Requires Prefetch and ResidentCheck.
-	SchedulerWakeup = "wakeup"
-)
-
 // Config tunes a worker.
 type Config struct {
 	// Tasks is max_interleaved: the number of NFTasks kept in flight.
@@ -66,9 +48,6 @@ type Config struct {
 	RingSlots int
 	// SlotBytes is the buffer slot size.
 	SlotBytes uint64
-	// Scheduler selects the interleave loop: SchedulerRR (also the
-	// meaning of "") or SchedulerWakeup. See the constants.
-	Scheduler string
 }
 
 // DefaultConfig returns the worker tuning used throughout the
@@ -83,7 +62,6 @@ func DefaultConfig() Config {
 		RxCost:        30,
 		RingSlots:     512,
 		SlotBytes:     2048,
-		Scheduler:     SchedulerRR,
 	}
 }
 
@@ -106,18 +84,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("rt: RingSlots (%d) must be >= Tasks+Batch (%d): a wrapped slot could be overwritten while an in-flight task still points at it",
 			c.RingSlots, c.Tasks+c.Batch)
 	}
-	switch c.Scheduler {
-	case "", SchedulerRR:
-	case SchedulerWakeup:
-		if !c.Prefetch || !c.ResidentCheck {
-			// The wakeup loop parks on the stamps EnsurePrefetched
-			// records; without the fused P-stage probe there is no miss
-			// verdict to park on.
-			return fmt.Errorf("rt: Scheduler %q requires Prefetch and ResidentCheck", c.Scheduler)
-		}
-	default:
-		return fmt.Errorf("rt: unknown Scheduler %q (want %q or %q)", c.Scheduler, SchedulerRR, SchedulerWakeup)
-	}
 	return nil
 }
 
@@ -135,14 +101,6 @@ type Result struct {
 	Counters sim.Counters
 	// AccessCycles is the cycles spent charging declared state accesses.
 	AccessCycles uint64
-	// Parks counts NFTasks unlinked and parked on their fill clock;
-	// Wakes counts re-links (equal to Parks at batch boundaries — no
-	// task is left parked); WakeStalls counts the all-pending events
-	// where the core stall-forwarded to the earliest wakeup. All zero
-	// under SchedulerRR. These live here rather than in sim.Counters
-	// because they are runtime scheduling statistics, not PMU events
-	// (and sim.Counters' shape is pinned by golden fingerprints).
-	Parks, Wakes, WakeStalls uint64
 }
 
 // Gbps returns the simulated throughput in gigabits per second.
@@ -202,12 +160,6 @@ type Worker struct {
 	// remaining tasks — and thus every simulated event — is identical to
 	// round-robin-with-skip.
 	ringNext []int32
-	// park and wakeKey are the wakeup scheduler's pending min-heap:
-	// park[:n] holds parked task indexes heap-ordered by wakeKey (the
-	// task's effective fill-clock deadline), earliest at the root.
-	// Unused under SchedulerRR.
-	park    []int32
-	wakeKey []uint64
 }
 
 // NewWorker builds a worker for prog on core, reserving the NFTask
@@ -229,10 +181,6 @@ func NewWorker(core *sim.Core, as *mem.AddressSpace, prog *model.Program, cfg Co
 		tasks:    make([]model.Exec, cfg.Tasks),
 		batch:    make([]*pkt.Packet, 0, cfg.Batch),
 		ringNext: make([]int32, cfg.Tasks),
-	}
-	if cfg.Scheduler == SchedulerWakeup {
-		w.park = make([]int32, cfg.Tasks)
-		w.wakeKey = make([]uint64, cfg.Tasks)
 	}
 	tempSize := uint64(prog.TempLines()) * sim.LineBytes
 	for i := range w.tasks {
@@ -286,26 +234,15 @@ func (w *Worker) receive(src Source, limit uint64) []*pkt.Packet {
 }
 
 // Run processes up to maxPackets packets from src (0 means until the
-// source is exhausted) under Algorithm 1 and returns the windowed
-// result. Counters are measured as a delta, so Run can be called again
-// on a warm worker for steady-state measurements. Every return is a
-// trace flush point: whatever the window emitted has reached the
-// core's tracer by the time the caller sees the result.
+// source is exhausted) under Algorithm 1 — round-robin with skip over
+// the live-task ring, whose visit order pins every golden fingerprint —
+// and returns the windowed result. Counters are measured as a delta, so
+// Run can be called again on a warm worker for steady-state
+// measurements. Every return is a trace flush point: whatever the
+// window emitted has reached the core's tracer by the time the caller
+// sees the result.
 func (w *Worker) Run(src Source, maxPackets uint64) (Result, error) {
-	var res Result
-	var err error
-	if w.cfg.Scheduler == SchedulerWakeup {
-		res, err = w.runWakeup(src, maxPackets)
-	} else {
-		res, err = w.runRR(src, maxPackets)
-	}
-	w.core.FlushTrace()
-	return res, err
-}
-
-// runRR is the SchedulerRR loop. Its visit order pins every golden
-// fingerprint.
-func (w *Worker) runRR(src Source, maxPackets uint64) (Result, error) {
+	defer w.core.FlushTrace()
 	startCtr := w.core.Counters()
 	startCycles := w.core.Now()
 
@@ -325,6 +262,8 @@ func (w *Worker) runRR(src Source, maxPackets uint64) (Result, error) {
 		if remaining > 0 {
 			remaining -= uint64(len(batch))
 		}
+		// receive numbered the batch consecutively, ending at w.seq.
+		seq0 := w.seq - uint64(len(batch))
 
 		// Initialize NFTasks with the batch head and link them into the
 		// scheduler ring.
@@ -334,7 +273,7 @@ func (w *Worker) runRR(src Source, maxPackets uint64) (Result, error) {
 			if next >= len(batch) {
 				break
 			}
-			w.tasks[i].ResetStream(batch[next], w.prog.Start(), w.seq)
+			w.tasks[i].ResetStream(batch[next], w.prog.Start(), seq0+uint64(next))
 			next++
 			active++
 		}
@@ -354,31 +293,21 @@ func (w *Worker) runRR(src Source, maxPackets uint64) (Result, error) {
 			}
 			t := &w.tasks[cur]
 			if w.cfg.Prefetch && !t.Prefetched {
+				// P-stage visit. With ResidentCheck one base resolution
+				// covers the residency probe and, on a miss, the prefetch
+				// issue (plus the host-side Action.Touch); a resident
+				// task falls through and executes now. Without it the
+				// plan is issued blind. Either way the P-state is set, so
+				// the task steps on its next visit whether or not the
+				// fills have landed.
+				issued := true
 				if w.cfg.ResidentCheck {
-					// Fused P-state visit: one base resolution covers both
-					// the residency probe and (on a miss) the prefetch
-					// issue. The simulated sequence is identical to
-					// ResidentCurrent followed by PrefetchCurrent. On a
-					// miss EnsurePrefetched also prefetches the action's
-					// Go-side record on the host (Action.Touch) and
-					// records the fill-clock wakeup stamp
-					// (Exec.WakeAt/WakeEpoch): the core's max MSHR
-					// ready-cycle and the eviction epoch it was stamped
-					// under, so a scheduler that holds a pending task
-					// back need not re-probe it (an L1 set scan behind a
-					// verified way hint per plan line) until the fills
-					// have landed or the epoch moved. This loop never
-					// re-probes (Prefetched is set unconditionally), so
-					// here the stamp is diagnostic; runWakeup is the
-					// consumer that parks on it.
-					if !w.prog.EnsurePrefetched(t) {
-						w.core.TaskSwitch()
-						prev = cur
-						cur = w.ringNext[cur]
-						continue
-					}
+					issued = !w.prog.EnsurePrefetched(t)
 				} else {
 					w.prog.PrefetchCurrent(t)
+				}
+				if issued {
+					// Switch away so the fills overlap other streams' work.
 					w.core.TaskSwitch()
 					prev = cur
 					cur = w.ringNext[cur]
@@ -397,7 +326,7 @@ func (w *Worker) runRR(src Source, maxPackets uint64) (Result, error) {
 					w.core.Emit(sim.TraceStreamDone, sim.CauseNone, t.Pkt.Addr, uint64(t.Pkt.Bits()), 0)
 				}
 				if next < len(batch) {
-					t.ResetStream(batch[next], w.prog.Start(), w.seq)
+					t.ResetStream(batch[next], w.prog.Start(), seq0+uint64(next))
 					next++
 				} else {
 					active--
@@ -427,236 +356,5 @@ func (w *Worker) runRR(src Source, maxPackets uint64) (Result, error) {
 		FreqHz:       w.core.Config().FreqHz,
 		Counters:     w.core.Counters().Sub(startCtr),
 		AccessCycles: accessCycles,
-	}, nil
-}
-
-// parkPush inserts task index idx into the pending heap of current
-// size n, ordered by wakeKey (min at the root).
-func (w *Worker) parkPush(n int, idx int32) {
-	w.park[n] = idx
-	for i := n; i > 0; {
-		p := (i - 1) / 2
-		if w.wakeKey[w.park[p]] <= w.wakeKey[w.park[i]] {
-			break
-		}
-		w.park[p], w.park[i] = w.park[i], w.park[p]
-		i = p
-	}
-}
-
-// parkPop removes and returns the root (earliest wakeKey) of the
-// pending heap of current size n.
-func (w *Worker) parkPop(n int) int32 {
-	root := w.park[0]
-	w.park[0] = w.park[n-1]
-	n--
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && w.wakeKey[w.park[r]] < w.wakeKey[w.park[l]] {
-			m = r
-		}
-		if w.wakeKey[w.park[i]] <= w.wakeKey[w.park[m]] {
-			break
-		}
-		w.park[i], w.park[m] = w.park[m], w.park[i]
-		i = m
-	}
-	return root
-}
-
-// runWakeup is the SchedulerWakeup interleave loop: Algorithm 1 with
-// the P-stage miss handling replaced by fill-clock parking. Where the
-// round-robin loop revisits a missed task on the very next lap and
-// steps it whether or not its fills have landed (stalling on the late
-// ones), this loop unlinks the task from the run ring and parks it in
-// the pending min-heap keyed by Exec.WakeAt. A parked task is not
-// visited again until the core clock passes its stamp; the wake phase
-// then re-links it after the current position (FIFO among simultaneous
-// wakes). If the eviction epoch moved while it was parked the stamp
-// proved nothing, so the wake clears Prefetched and the next visit
-// re-probes for real (an L1 set scan behind a verified way hint per
-// plan line) — at most once per park cycle (Exec.Reprobed), so progress
-// is guaranteed even when streams thrash each other's lines. When every
-// in-flight task is parked the loop charges one CauseWakeWait stall to
-// the earliest wakeup instead of spinning probe laps.
-func (w *Worker) runWakeup(src Source, maxPackets uint64) (Result, error) {
-	startCtr := w.core.Counters()
-	startCycles := w.core.Now()
-
-	var done uint64
-	var bits float64
-	var accessCycles uint64
-	var parks, wakes, wakeStalls uint64
-	remaining := maxPackets
-	core := w.core
-	traced := core.Tracer() != nil
-
-	for {
-		batch := w.receive(src, remaining)
-		if len(batch) == 0 {
-			break
-		}
-		if remaining > 0 {
-			remaining -= uint64(len(batch))
-		}
-
-		next := 0
-		run := 0
-		for i := range w.tasks {
-			if next >= len(batch) {
-				break
-			}
-			w.tasks[i].ResetStream(batch[next], w.prog.Start(), w.seq)
-			next++
-			run++
-		}
-		for i := 0; i < run; i++ {
-			w.ringNext[i] = int32(i + 1)
-		}
-		w.ringNext[run-1] = 0
-
-		parked := 0
-		chargeSwitch := len(w.tasks) > 1 || w.cfg.Prefetch
-		cur, prev := int32(0), int32(run-1)
-		for run+parked > 0 {
-			if parked > 0 {
-				// Wake phase: re-link every parked task whose fill clock
-				// has passed, in wake order, after the current position.
-				// With nothing runnable, forward the core to the earliest
-				// wakeup first — one attributed stall instead of probe
-				// laps.
-				now := core.Now()
-				ins := cur
-				for parked > 0 {
-					idx := w.park[0]
-					key := w.wakeKey[idx]
-					if key > now {
-						if run > 0 {
-							break
-						}
-						core.StallWake(key - now)
-						wakeStalls++
-						now = core.Now()
-					}
-					w.parkPop(parked)
-					parked--
-					t := &w.tasks[idx]
-					t.Parked = false
-					wakes++
-					voided := !core.StampValid(t.WakeEpoch)
-					if voided && !t.Reprobed {
-						// The eviction epoch moved while parked: some plan
-						// line may have been displaced, so the stamp proves
-						// nothing. Fall back to one real re-probe.
-						t.Prefetched = false
-						t.Reprobed = true
-					}
-					if traced {
-						core.SetTask(idx)
-						v := uint64(0)
-						if voided {
-							v = 1
-						}
-						core.Emit(sim.TraceWake, sim.CauseNone, t.WakeAt, key, v)
-					}
-					if run == 0 {
-						cur, prev, ins = idx, idx, idx
-						w.ringNext[idx] = idx
-					} else {
-						w.ringNext[idx] = w.ringNext[ins]
-						w.ringNext[ins] = idx
-						if ins == prev {
-							prev = idx
-						}
-						ins = idx
-					}
-					run++
-				}
-			}
-
-			if traced {
-				core.SetTask(cur)
-			}
-			t := &w.tasks[cur]
-			if !t.Prefetched {
-				if !w.prog.EnsurePrefetched(t) {
-					// P-stage miss: the fills are in flight and WakeAt
-					// carries their max ready-cycle. Unlink and park; the
-					// loop will not visit this task again before its
-					// fill clock passes. An empty stamp (the issue was
-					// fully dropped for want of MSHRs)
-					// parks on the conservative horizon instead: the
-					// earliest in-flight fill, after which MSHR capacity
-					// frees.
-					core.TaskSwitch()
-					key := t.WakeAt
-					if key == 0 {
-						key = core.EarliestMSHRReady()
-					}
-					w.wakeKey[cur] = key
-					t.Parked = true
-					w.parkPush(parked, cur)
-					parked++
-					parks++
-					run--
-					if run > 0 {
-						w.ringNext[prev] = w.ringNext[cur]
-						cur = w.ringNext[cur]
-					}
-					continue
-				}
-			}
-			t.Reprobed = false
-			if err := w.prog.Step(t); err != nil {
-				return Result{}, fmt.Errorf("rt: step: %w", err)
-			}
-			if t.Done {
-				done++
-				bits += t.Pkt.Bits()
-				accessCycles += t.AccessCycles
-				t.AccessCycles = 0
-				if traced {
-					core.Emit(sim.TraceStreamDone, sim.CauseNone, t.Pkt.Addr, uint64(t.Pkt.Bits()), 0)
-				}
-				if next < len(batch) {
-					t.ResetStream(batch[next], w.prog.Start(), w.seq)
-					next++
-				} else {
-					run--
-					if run > 0 {
-						w.ringNext[prev] = w.ringNext[cur]
-					}
-					if chargeSwitch {
-						core.TaskSwitch()
-					}
-					cur = w.ringNext[cur]
-					continue
-				}
-			}
-			if chargeSwitch {
-				core.TaskSwitch()
-			}
-			prev = cur
-			cur = w.ringNext[cur]
-		}
-		if maxPackets > 0 && remaining == 0 {
-			break
-		}
-	}
-
-	return Result{
-		Packets:      done,
-		Bits:         bits,
-		Cycles:       core.Now() - startCycles,
-		FreqHz:       core.Config().FreqHz,
-		Counters:     core.Counters().Sub(startCtr),
-		AccessCycles: accessCycles,
-		Parks:        parks,
-		Wakes:        wakes,
-		WakeStalls:   wakeStalls,
 	}, nil
 }

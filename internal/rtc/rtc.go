@@ -135,8 +135,10 @@ func (w *Worker) run(src rt.Source, maxPackets uint64) (rt.Result, error) {
 		if traced {
 			w.core.SetTask(0)
 		}
-		for _, p := range batch {
-			w.exec.ResetStream(p, w.prog.Start(), w.seq)
+		// The burst was numbered consecutively, ending at w.seq.
+		seq0 := w.seq - uint64(len(batch))
+		for i, p := range batch {
+			w.exec.ResetStream(p, w.prog.Start(), seq0+uint64(i))
 			for !w.exec.Done {
 				if err := w.prog.Step(w.exec); err != nil {
 					return rt.Result{}, fmt.Errorf("rtc: step: %w", err)

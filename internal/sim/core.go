@@ -29,16 +29,6 @@ type Core struct {
 	mshrHead uint
 	mshrN    int
 
-	// evictEpoch advances whenever a resident line is displaced from any
-	// level (and on Reset). It is the validity horizon recorded next to
-	// every fill-clock wakeup stamp (model.Exec.WakeAt/WakeEpoch): a
-	// residency verdict taken at epoch E may be reused only while the
-	// epoch still reads E. fetchMaxReady accumulates the max
-	// fill-complete cycle of the prefetches admitted since IssueFetch
-	// last zeroed it — the wakeup stamp itself.
-	evictEpoch    uint64
-	fetchMaxReady uint64
-
 	// trc, when non-nil, receives cycle-timestamped trace events;
 	// curTask and curCS are the attribution stamps (see trace.go).
 	// Every emission site is guarded by a nil check so the disabled
@@ -128,17 +118,6 @@ func (c *Core) Counters() Counters {
 	return ctr
 }
 
-// EvictionEpoch returns the core's eviction epoch: a host-side counter
-// advanced on every L1 or outer-level eviction. A residency verdict
-// recorded at epoch E (e.g. a wakeup stamp) is trivially still valid
-// while the epoch reads E — no line left any level in between.
-func (c *Core) EvictionEpoch() uint64 { return c.evictEpoch }
-
-// SetEvictionEpoch forces the eviction epoch; a test hook for the
-// epoch-wrap differential (the epoch is compared for equality only, so
-// behavior must be identical across a wrap).
-func (c *Core) SetEvictionEpoch(v uint64) { c.evictEpoch = v }
-
 // Reset returns the core to its just-constructed state — clock,
 // counters, caches and prefetch state — so one pooled core can run
 // back-to-back experiments from a cold start. The cost is the three
@@ -158,9 +137,6 @@ func (c *Core) Reset() {
 	c.mshrN = 0
 	c.curTask = -1
 	c.curCS = -1
-	// A reset displaces everything at once; stamps recorded before it
-	// must not validate after.
-	c.evictEpoch++
 }
 
 // Compute charges insts simulated instructions of pure computation.
@@ -203,38 +179,6 @@ func (c *Core) TaskSwitch() {
 func (c *Core) emitSwitch() {
 	c.Emit(TraceTaskSwitch, CauseNone, 0, 0, 0)
 }
-
-// StallWake advances the clock by cycles of scheduler idle time: every
-// in-flight NFTask is parked on its fill clock, so the wakeup scheduler
-// forwards the core to the earliest wakeup stamp instead of spinning
-// probe laps. Attributed to CauseWakeWait so stall breakdowns separate
-// "waiting for fills with nothing runnable" from fixed overheads.
-func (c *Core) StallWake(cycles uint64) {
-	c.clock += cycles
-	c.ctr.StallCycles += cycles
-	if c.trc != nil {
-		c.Emit(TraceStall, CauseWakeWait, cycles, 0, 0)
-	}
-}
-
-// EarliestMSHRReady returns the completion cycle of the earliest
-// in-flight fill, or 0 when no fill is outstanding. Read-only: it never
-// drains completed MSHRs, so it is safe mid-schedule. The wakeup
-// scheduler uses it as the conservative horizon for a parked task whose
-// stamp is empty (its prefetch issue was fully dropped for want of
-// MSHRs): once any fill retires, capacity frees and progress resumes.
-func (c *Core) EarliestMSHRReady() uint64 {
-	if c.mshrN == 0 {
-		return 0
-	}
-	return c.mshr[c.mshrHead&c.mshrMask]
-}
-
-// StampValid reports whether a wakeup stamp recorded at the given
-// eviction epoch is still trivially valid: the epoch is compared for
-// equality only (wrap-safe), so any eviction since the stamp — which
-// may have displaced a plan line the stamp vouched for — voids it.
-func (c *Core) StampValid(epoch uint64) bool { return c.evictEpoch == epoch }
 
 // Read charges a demand read of size bytes at addr. The body is the L1
 // fast path: a single-line span whose way hint verifies is charged as
@@ -337,9 +281,9 @@ func (c *Core) access(line uint64, overlapped bool) bool {
 			c.ctr.LLCMisses++
 			cause = CauseDRAM
 			lat = c.cfg.DRAMLatency
-			c.install(c.llc, v3, line, c.clock)
+			c.llc.fill(v3, line, c.clock, c.clock)
 		}
-		c.install(c.l2, v2, line, c.clock)
+		c.l2.fill(v2, line, c.clock, c.clock)
 	}
 	if overlapped && lat > c.cfg.BurstGap {
 		lat = c.cfg.BurstGap
@@ -366,20 +310,12 @@ func (c *Core) l1Hit(s int) {
 	l1.stamps[s] = c.clock
 }
 
-// install fills victim slot v of lvl with line at the current clock.
-// Displacing a valid line from any level moves the eviction epoch.
-func (c *Core) install(lvl *cache, v int, line, readyAt uint64) {
-	if lvl.tags[v] != 0 {
-		c.evictEpoch++
-	}
-	lvl.fill(v, line, c.clock, readyAt)
-}
-
-// installL1 is install for the L1, which also owns the prefetched flag
-// and is the one level whose installs write the way hint.
+// installL1 fills victim slot v of the L1 with line at the current
+// clock. The L1 also owns the prefetched flag and is the one level
+// whose installs write the way hint.
 func (c *Core) installL1(v int, line, readyAt uint64, pref bool) {
 	l1 := c.l1
-	c.install(l1, v, line, readyAt)
+	l1.fill(v, line, c.clock, readyAt)
 	l1.pref[v] = pref
 	l1.setHint(line, v)
 }
@@ -500,14 +436,11 @@ func (c *Core) prefetchMiss(line uint64) {
 		ready = c.clock + c.cfg.LLC.HitLatency
 	} else {
 		ready = c.clock + c.cfg.DRAMLatency
-		c.install(c.llc, v3, line, ready)
-		c.install(c.l2, c.l2.victimOf(line), line, ready)
+		c.llc.fill(v3, line, c.clock, ready)
+		c.l2.fill(c.l2.victimOf(line), line, c.clock, ready)
 	}
 	c.installL1(c.l1.victimOf(line), line, ready, true)
 	c.mshrPush(ready)
-	if ready > c.fetchMaxReady {
-		c.fetchMaxReady = ready
-	}
 	c.ctr.PrefetchIssued++
 	if c.trc != nil {
 		c.Emit(TracePrefetchIssued, CauseNone, line<<lineShift, ready, 0)
@@ -548,7 +481,7 @@ func (c *Core) DMAFill(addr, size uint64) {
 	last := (addr + size - 1) >> lineShift
 	for line := first; line <= last; line++ {
 		if slot, victim := c.llc.probe(line); slot < 0 {
-			c.install(c.llc, victim, line, c.clock)
+			c.llc.fill(victim, line, c.clock, c.clock)
 		}
 	}
 }

@@ -21,6 +21,15 @@ func checkMSHRRing(t *testing.T, c *Core) {
 	}
 }
 
+// mshrHeadReady returns the completion cycle at the head of the ring
+// (the earliest in-flight fill), or 0 when the ring is empty.
+func mshrHeadReady(c *Core) uint64 {
+	if c.mshrN == 0 {
+		return 0
+	}
+	return c.mshr[c.mshrHead&c.mshrMask]
+}
+
 // TestMSHROutOfOrderCompletion interleaves the three fill classes so
 // that later pushes complete first — a DRAM fill (200), then an LLC
 // fill (50), then an L2 fill (14) — and follows the ring through
@@ -54,8 +63,8 @@ func TestMSHROutOfOrderCompletion(t *testing.T) {
 	readyLLC := t0 + 2*issue + cfg.LLC.HitLatency
 	readyL2 := t0 + 3*issue + cfg.L2.HitLatency
 	checkMSHRRing(t, c)
-	if got := c.EarliestMSHRReady(); got != readyL2 {
-		t.Fatalf("EarliestMSHRReady = %d, want the L2 fill's %d (pushed last)", got, readyL2)
+	if got := mshrHeadReady(c); got != readyL2 {
+		t.Fatalf("ring head = %d, want the L2 fill's %d (pushed last)", got, readyL2)
 	}
 
 	// Full: a fourth prefetch drops.
@@ -71,13 +80,8 @@ func TestMSHROutOfOrderCompletion(t *testing.T) {
 	if ctr := c.Counters(); ctr.PrefetchIssued != 4 || ctr.PrefetchDropped != 1 {
 		t.Fatalf("after one drain: issued %d dropped %d, want 4 and 1", ctr.PrefetchIssued, ctr.PrefetchDropped)
 	}
-	if got := c.EarliestMSHRReady(); got != readyLLC {
-		t.Fatalf("EarliestMSHRReady = %d, want the LLC fill's %d", got, readyLLC)
-	}
-	// EarliestMSHRReady never drains: past the LLC fill it still names it.
-	c.Stall(readyLLC - c.Now() + 1)
-	if got := c.EarliestMSHRReady(); got != readyLLC {
-		t.Fatalf("EarliestMSHRReady drained: %d, want %d", got, readyLLC)
+	if got := mshrHeadReady(c); got != readyLLC {
+		t.Fatalf("ring head = %d, want the LLC fill's %d", got, readyLLC)
 	}
 	// Past everything: the next admission drains the rest.
 	c.Stall(readyDRAM + cfg.DRAMLatency)
@@ -101,8 +105,8 @@ func TestMSHREqualReadyCycles(t *testing.T) {
 		c.PrefetchLine(0x100000 + i*0x1000)
 	}
 	checkMSHRRing(t, c)
-	if c.mshrN != 4 || c.EarliestMSHRReady() != cfg.DRAMLatency {
-		t.Fatalf("in flight %d earliest %d, want 4 and %d", c.mshrN, c.EarliestMSHRReady(), cfg.DRAMLatency)
+	if c.mshrN != 4 || mshrHeadReady(c) != cfg.DRAMLatency {
+		t.Fatalf("in flight %d earliest %d, want 4 and %d", c.mshrN, mshrHeadReady(c), cfg.DRAMLatency)
 	}
 	c.PrefetchLine(0x200000)
 	c.Stall(cfg.DRAMLatency)
@@ -149,8 +153,8 @@ func TestMSHRRingWrapAndReset(t *testing.T) {
 		c.Stall(2 * cfg.DRAMLatency)
 		c.PrefetchLine(1 << 40) // drains everything, leaves one fill in flight
 		c.Reset()
-		if c.mshrN != 0 || c.EarliestMSHRReady() != 0 {
-			t.Fatalf("MSHRs=%d: Reset left %d fills in flight (earliest %d)", mshrs, c.mshrN, c.EarliestMSHRReady())
+		if c.mshrN != 0 || mshrHeadReady(c) != 0 {
+			t.Fatalf("MSHRs=%d: Reset left %d fills in flight (earliest %d)", mshrs, c.mshrN, mshrHeadReady(c))
 		}
 		for i := 0; i <= mshrs; i++ {
 			c.PrefetchLine(uint64(i+1) << 20)

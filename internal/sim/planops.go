@@ -143,9 +143,7 @@ func (c *Core) FirstNonResident(bases *[8]uint64, ops []FetchOp) int {
 }
 
 // IssueFetch issues the whole fetch plan, exactly PrefetchLine /
-// Prefetch per op in op order, and returns the max ready-cycle of the
-// fills it installed (the caller's fill-clock wakeup stamp; 0 when
-// nothing was installed). miss is the index FirstNonResident just
+// Prefetch per op in op order. miss is the index FirstNonResident just
 // returned (or a negative value when the caller has no residency
 // knowledge): ops before it are still resident — the issue loop
 // installs nothing before reaching op miss, and the clock alone never
@@ -154,8 +152,7 @@ func (c *Core) FirstNonResident(bases *[8]uint64, ops []FetchOp) int {
 // and skips its guaranteed-miss L1 scan. Ops after miss take the full
 // probing path. The charged sequence is identical to issuing the plan
 // blind.
-func (c *Core) IssueFetch(bases *[8]uint64, ops []FetchOp, miss int) uint64 {
-	c.fetchMaxReady = 0
+func (c *Core) IssueFetch(bases *[8]uint64, ops []FetchOp, miss int) {
 	for i := range ops {
 		op := &ops[i]
 		addr := bases[op.Base&7] + op.Off
@@ -179,5 +176,4 @@ func (c *Core) IssueFetch(bases *[8]uint64, ops []FetchOp, miss int) uint64 {
 			c.Prefetch(addr, op.Size)
 		}
 	}
-	return c.fetchMaxReady
 }

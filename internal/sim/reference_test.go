@@ -43,13 +43,12 @@ func (l *refLevel) find(line uint64) *refLine {
 }
 
 // install places a non-resident line: the lowest free way, else the way
-// with the strictly oldest stamp (ties to the lowest index). It reports
-// whether a resident line was displaced.
-func (l *refLevel) install(nl refLine) (evicted bool) {
+// with the strictly oldest stamp (ties to the lowest index).
+func (l *refLevel) install(nl refLine) {
 	set := l.set(nl.line)
 	if len(*set) < l.cfg.Ways {
 		*set = append(*set, nl)
-		return false
+		return
 	}
 	victim := 0
 	for i := range *set {
@@ -58,7 +57,6 @@ func (l *refLevel) install(nl refLine) (evicted bool) {
 		}
 	}
 	(*set)[victim] = nl
-	return true
 }
 
 type refCore struct {
@@ -67,7 +65,6 @@ type refCore struct {
 	ctr         Counters
 	l1, l2, llc refLevel
 	mshr        []uint64 // completion cycles of in-flight fills, unordered
-	epoch       uint64   // displacements + resets
 }
 
 func newRefCore(cfg Config) *refCore {
@@ -75,7 +72,7 @@ func newRefCore(cfg Config) *refCore {
 }
 
 func (r *refCore) reset() {
-	*r = refCore{cfg: r.cfg, epoch: r.epoch + 1,
+	*r = refCore{cfg: r.cfg,
 		l1: newRefLevel(r.cfg.L1), l2: newRefLevel(r.cfg.L2), llc: newRefLevel(r.cfg.LLC)}
 }
 
@@ -86,9 +83,7 @@ func (r *refCore) counters() Counters {
 }
 
 func (r *refCore) install(l *refLevel, line, ready uint64, pref bool) {
-	if l.install(refLine{line: line, stamp: r.clock, ready: ready, pref: pref}) {
-		r.epoch++
-	}
+	l.install(refLine{line: line, stamp: r.clock, ready: ready, pref: pref})
 }
 
 func (r *refCore) stall(cycles uint64) {
@@ -182,14 +177,12 @@ func (r *refCore) access(line uint64, overlapped bool) bool {
 	return true
 }
 
-// prefetchLine returns the fill's completion cycle, 0 when the line was
-// redundant or the prefetch dropped.
-func (r *refCore) prefetchLine(line uint64) uint64 {
+func (r *refCore) prefetchLine(line uint64) {
 	r.clock += r.cfg.PrefetchIssueCost
 	r.ctr.Instructions++
 	if r.l1.find(line) != nil {
 		r.ctr.PrefetchRedundant++
-		return 0
+		return
 	}
 	live := r.mshr[:0]
 	for _, ready := range r.mshr {
@@ -200,7 +193,7 @@ func (r *refCore) prefetchLine(line uint64) uint64 {
 	r.mshr = live
 	if len(r.mshr) >= r.cfg.MSHRs {
 		r.ctr.PrefetchDropped++
-		return 0
+		return
 	}
 	var ready uint64
 	switch {
@@ -216,19 +209,16 @@ func (r *refCore) prefetchLine(line uint64) uint64 {
 	r.install(&r.l1, line, ready, true)
 	r.mshr = append(r.mshr, ready)
 	r.ctr.PrefetchIssued++
-	return ready
 }
 
-// prefetch returns the max completion cycle of the fills it installed.
-func (r *refCore) prefetch(addr, size uint64) (maxReady uint64) {
+func (r *refCore) prefetch(addr, size uint64) {
 	if size == 0 {
-		return 0
+		return
 	}
 	first, last := lineRange(addr, size)
 	for line := first; line <= last; line++ {
-		maxReady = max(maxReady, r.prefetchLine(line))
+		r.prefetchLine(line)
 	}
-	return maxReady
 }
 
 func (r *refCore) dmaFill(addr, size uint64) {
@@ -256,7 +246,7 @@ func (r *refCore) residentL1(addr, size uint64) bool {
 	return true
 }
 
-func (r *refCore) earliestMSHRReady() uint64 {
+func (r *refCore) mshrHorizon() uint64 {
 	var earliest uint64
 	for i, ready := range r.mshr {
 		if i == 0 || ready < earliest {
@@ -282,11 +272,8 @@ const refOpKinds = 24
 // first observable difference in the op's own results ("" when none).
 func oracleStep(c *Core, r *refCore, op *refOp) string {
 	switch op.kind {
-	case 0:
+	case 0, 1:
 		c.Stall(op.size)
-		r.stall(op.size)
-	case 1:
-		c.StallWake(op.size)
 		r.stall(op.size)
 	case 2:
 		c.Compute(op.size)
@@ -346,13 +333,10 @@ func oracleStep(c *Core, r *refCore, op *refOp) string {
 		if op.kind == 17 {
 			miss = -1
 		}
-		var wantReady uint64
 		for _, f := range op.fetch {
-			wantReady = max(wantReady, r.prefetch(op.bases[f.Base&7]+f.Off, f.Size))
+			r.prefetch(op.bases[f.Base&7]+f.Off, f.Size)
 		}
-		if got := c.IssueFetch(&op.bases, op.fetch, miss); got != wantReady {
-			return fmt.Sprintf("IssueFetch = %d, reference max ready %d", got, wantReady)
-		}
+		c.IssueFetch(&op.bases, op.fetch, miss)
 	default:
 		c.Read(op.addr, op.size)
 		r.demand(op.addr, op.size, false)
@@ -362,17 +346,14 @@ func oracleStep(c *Core, r *refCore, op *refOp) string {
 
 // oracleState compares everything observable without perturbing Core
 // (no lookups, so hints stay as the stream left them): counters, clock,
-// MSHR horizon and eviction epoch, and — when deep — every slot of
-// every level against the reference's sets, way for way.
-func oracleState(c *Core, r *refCore, epoch0 uint64, deep bool) string {
+// MSHR horizon, and — when deep — every slot of every level against
+// the reference's sets, way for way.
+func oracleState(c *Core, r *refCore, deep bool) string {
 	if got, want := c.Counters(), r.counters(); got != want {
 		return fmt.Sprintf("counters diverged:\ncore      %+v\nreference %+v", got, want)
 	}
-	if got, want := c.EarliestMSHRReady(), r.earliestMSHRReady(); got != want {
-		return fmt.Sprintf("EarliestMSHRReady = %d, reference %d", got, want)
-	}
-	if got, want := c.EvictionEpoch()-epoch0, r.epoch; got != want {
-		return fmt.Sprintf("eviction epoch advanced %d, reference %d", got, want)
+	if got, want := mshrHeadReady(c), r.mshrHorizon(); got != want {
+		return fmt.Sprintf("earliest MSHR completion = %d, reference %d", got, want)
 	}
 	if !deep {
 		return ""
@@ -486,7 +467,6 @@ func TestReferenceOracle(t *testing.T) {
 					c.SetTracer(countingTracer{})
 				}
 				r := newRefCore(cfg)
-				epoch0 := c.EvictionEpoch()
 				n := 60000
 				if testing.Short() {
 					n = 15000
@@ -495,7 +475,7 @@ func TestReferenceOracle(t *testing.T) {
 				for i := range ops {
 					diff := oracleStep(c, r, &ops[i])
 					if diff == "" {
-						diff = oracleState(c, r, epoch0, i%997 == 0 || i == len(ops)-1)
+						diff = oracleState(c, r, i%997 == 0 || i == len(ops)-1)
 					}
 					if diff != "" {
 						t.Fatalf("op %d (kind %d addr %#x size %d): %s", i, ops[i].kind, ops[i].addr, ops[i].size, diff)

@@ -65,18 +65,11 @@ const (
 	// A = packet buffer address (matches the TraceRx of the same
 	// packet), B = wire bits.
 	TraceStreamDone
-	// TraceWake is a parked NFTask re-linked into the wakeup
-	// scheduler's run ring. A = the fill-clock stamp (Exec.WakeAt) the
-	// task was parked on, B = the effective wake key it waited for (the
-	// stamp, or the earliest-MSHR horizon when the stamp was empty),
-	// C = 1 when the eviction epoch moved while the task was parked
-	// (the stamp was voided and the next visit re-probes residency).
-	TraceWake
 )
 
 // TraceKindCount is the number of TraceKind values, for fixed-size
 // per-kind tables (the flight recorder's event census, exporters).
-const TraceKindCount = int(TraceWake) + 1
+const TraceKindCount = int(TraceStreamDone) + 1
 
 // String names the kind for diagnostics and exporters.
 func (k TraceKind) String() string {
@@ -105,8 +98,6 @@ func (k TraceKind) String() string {
 		return "task-switch"
 	case TraceStreamDone:
 		return "stream-done"
-	case TraceWake:
-		return "wake"
 	default:
 		return "none"
 	}
@@ -130,16 +121,11 @@ const (
 	CausePrefetchLate
 	// CauseFixed is a fixed overhead charged via Core.Stall.
 	CauseFixed
-	// CauseWakeWait is idle time charged via Core.StallWake: every
-	// in-flight NFTask was parked on its fill clock, so the wakeup
-	// scheduler forwarded the core to the earliest wakeup instead of
-	// spinning probe laps.
-	CauseWakeWait
 )
 
 // StallCauseCount is the number of StallCause values, for fixed-size
 // per-cause tables.
-const StallCauseCount = int(CauseWakeWait) + 1
+const StallCauseCount = int(CauseFixed) + 1
 
 // String names the cause for diagnostics and exporters.
 func (c StallCause) String() string {
@@ -154,8 +140,6 @@ func (c StallCause) String() string {
 		return "pf-late"
 	case CauseFixed:
 		return "fixed"
-	case CauseWakeWait:
-		return "wake-wait"
 	default:
 		return "none"
 	}
