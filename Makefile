@@ -105,14 +105,16 @@ trace-demo:
 	$(GO) run ./cmd/gunfu-bench -trace trace_demo.json -attr \
 		-nf nat -flows 4096 -packets 8000 -warmup 2000 -tasks 16
 
-# fuzz runs the control-plane wire-protocol fuzz targets for a short
-# active burst each (the seed corpus in internal/director/testdata/fuzz
-# also runs on every plain `go test`). Override FUZZTIME for longer
-# campaigns: make fuzz FUZZTIME=5m
+# fuzz runs the fuzz targets — the control-plane wire protocol and the
+# cuckoo match table against a map — for a short active burst each (the
+# seed corpora in internal/{director,dstruct}/testdata/fuzz also run on
+# every plain `go test`). Override FUZZTIME for longer campaigns:
+# make fuzz FUZZTIME=5m
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzProtocolReadMsg$$' -fuzztime $(FUZZTIME) ./internal/director/
 	$(GO) test -run '^$$' -fuzz 'FuzzProtocolRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/director/
+	$(GO) test -run '^$$' -fuzz 'FuzzCuckooOps$$' -fuzztime $(FUZZTIME) ./internal/dstruct/
 
 # chaos runs the control-plane fault drill under the race detector: a
 # director and two reconnecting agents behind the deterministic faultnet

@@ -14,6 +14,7 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/compile"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
+	"github.com/gunfu-nfv/gunfu/internal/nf"
 	"github.com/gunfu-nfv/gunfu/internal/nf/fw"
 	"github.com/gunfu-nfv/gunfu/internal/nf/lb"
 	"github.com/gunfu-nfv/gunfu/internal/nf/monitor"
@@ -114,37 +115,63 @@ func sfcFactory(as *mem.AddressSpace, d DeploySpec) (*model.Program, rt.Source, 
 // different policies for lengths above four, exactly as §VII-B
 // describes.
 func BuildChain(as *mem.AddressSpace, length, flows int) ([]compile.Chainable, error) {
+	return NewChain(as, length, flows, false)
+}
+
+// NewChain is BuildChain with a choice of state placement: each NF's
+// per-flow record in its own pool or, with fused, all of them in one
+// co-access-packed pool — the DP-for-SFC optimization.
+func NewChain(as *mem.AddressSpace, length, flows int, fused bool) ([]compile.Chainable, error) {
 	if length < 2 || length > 6 {
 		return nil, fmt.Errorf("director: SFC length %d outside [2,6]", length)
 	}
-	var chain []compile.Chainable
-	l, err := lb.New(as, lb.Config{MaxFlows: flows})
-	if err != nil {
-		return nil, err
+	type member struct {
+		compile.FuseMember
+		build func(states *nf.States) (compile.Chainable, error)
 	}
-	chain = append(chain, l)
-	n, err := nat.New(as, nat.Config{MaxFlows: flows})
-	if err != nil {
-		return nil, err
+	members := []member{
+		{compile.FuseMember{Name: "lb", Fields: lb.FlowFields(), Hot: lb.HotFields()},
+			func(st *nf.States) (compile.Chainable, error) {
+				return lb.New(as, lb.Config{MaxFlows: flows, States: st})
+			}},
+		{compile.FuseMember{Name: "nat", Fields: nat.FlowFields(), Hot: nat.HotFields()},
+			func(st *nf.States) (compile.Chainable, error) {
+				return nat.New(as, nat.Config{MaxFlows: flows, States: st})
+			}},
+		{compile.FuseMember{Name: "nm", Fields: monitor.FlowFields(), Hot: monitor.HotFields()},
+			func(st *nf.States) (compile.Chainable, error) {
+				return monitor.New(as, monitor.Config{MaxFlows: flows, States: st})
+			}},
 	}
-	chain = append(chain, n)
-	if length >= 3 {
-		m, err := monitor.New(as, monitor.Config{MaxFlows: flows})
-		if err != nil {
+	for i := 1; i <= 3; i++ {
+		name := fmt.Sprintf("fw%d", i)
+		policy := fw.DefaultPolicy(8 * (i + 1)) // different policies per FW
+		members = append(members, member{
+			compile.FuseMember{Name: name, Fields: fw.FlowFields(), Hot: fw.HotFields()},
+			func(st *nf.States) (compile.Chainable, error) {
+				return fw.New(as, fw.Config{Name: name, MaxFlows: flows, Policy: policy, States: st})
+			}})
+	}
+	members = members[:length]
+
+	// Unfused, the map stays nil and every NF reserves its own pool.
+	var states map[string]*nf.States
+	if fused {
+		fuse := make([]compile.FuseMember, length)
+		for i, m := range members {
+			fuse[i] = m.FuseMember
+		}
+		var err error
+		if states, err = compile.FuseStates(as, "sfc", fuse, flows); err != nil {
 			return nil, err
 		}
-		chain = append(chain, m)
 	}
-	for i := 4; i <= length; i++ {
-		f, err := fw.New(as, fw.Config{
-			Name:     fmt.Sprintf("fw%d", i-3),
-			MaxFlows: flows,
-			Policy:   fw.DefaultPolicy(8 * (i - 2)), // different policies per FW
-		})
-		if err != nil {
+	chain := make([]compile.Chainable, length)
+	for i, m := range members {
+		var err error
+		if chain[i], err = m.build(states[m.Name]); err != nil {
 			return nil, err
 		}
-		chain = append(chain, f)
 	}
 	return chain, nil
 }

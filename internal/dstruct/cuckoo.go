@@ -104,23 +104,40 @@ func (c *Cuckoo) Len() int { return c.entries }
 // Buckets returns the bucket count.
 func (c *Cuckoo) Buckets() int { return int(c.mask + 1) }
 
-// Insert stores key→val, displacing entries as needed. It is a control-
-// plane operation (session establishment) and is not charged to the
-// cache simulator.
+// Insert stores key→val, displacing entries as needed; a key already
+// present (in either candidate bucket) has its value updated in place.
+// On error the table is exactly as it was before the call. It is a
+// control-plane operation (session establishment) and is not charged
+// to the cache simulator.
 func (c *Cuckoo) Insert(key uint64, val int32) error {
-	if c.tryPlace(key, val, hash1(key)&c.mask) || c.tryPlace(key, val, hash2(key)&c.mask) {
+	if bkt, s := c.find(key); bkt != nil {
+		bkt.vals[s] = val
 		return nil
 	}
-	// Displacement chain starting from the first candidate.
+	b1 := hash1(key) & c.mask
+	if c.place(key, val, b1) || c.place(key, val, hash2(key)&c.mask) {
+		return nil
+	}
+	return c.displace(key, val, b1)
+}
+
+// displace runs the displacement chain for a key both of whose buckets
+// are full, starting from bucket b. The buckets it evicted from are
+// kept so that a chain that runs out of kicks is unwound, newest swap
+// first, instead of dropping whichever installed entry it held last.
+func (c *Cuckoo) displace(key uint64, val int32, b uint64) error {
+	var path [maxKicks]uint64
 	curKey, curVal := key, val
-	b := hash1(key) & c.mask
-	for kick := 0; kick < maxKicks; kick++ {
-		// Evict a pseudo-random slot of b (rotate by kick for
+	swap := func(kick int) {
+		// Evict a pseudo-random slot of the bucket (rotate by kick for
 		// determinism without a global RNG).
-		bkt, slot := &c.buckets[b], kick%slotsPerBucket
-		evKey, evVal := bkt.keys[slot], bkt.vals[slot]
-		bkt.keys[slot], bkt.vals[slot] = curKey, curVal
-		curKey, curVal = evKey, evVal
+		bkt, slot := &c.buckets[path[kick]], kick%slotsPerBucket
+		bkt.keys[slot], curKey = curKey, bkt.keys[slot]
+		bkt.vals[slot], curVal = curVal, bkt.vals[slot]
+	}
+	for kick := 0; kick < maxKicks; kick++ {
+		path[kick] = b
+		swap(kick)
 		// The evicted entry goes to its alternate bucket.
 		b1, b2 := hash1(curKey)&c.mask, hash2(curKey)&c.mask
 		if b == b1 {
@@ -128,22 +145,33 @@ func (c *Cuckoo) Insert(key uint64, val int32) error {
 		} else {
 			b = b1
 		}
-		if c.tryPlace(curKey, curVal, b) {
+		if c.place(curKey, curVal, b) {
 			return nil
 		}
+	}
+	for kick := maxKicks - 1; kick >= 0; kick-- {
+		swap(kick)
 	}
 	return fmt.Errorf("dstruct: cuckoo %s: insertion failed after %d kicks (load %d/%d)",
 		c.region.Name, maxKicks, c.entries, len(c.buckets)*slotsPerBucket)
 }
 
-func (c *Cuckoo) tryPlace(key uint64, val int32, b uint64) bool {
-	bkt := &c.buckets[b]
-	for s := 0; s < slotsPerBucket; s++ {
-		if bkt.used[s] && bkt.keys[s] == key {
-			bkt.vals[s] = val // update in place
-			return true
+// find returns the bucket and slot holding key, or a nil bucket.
+func (c *Cuckoo) find(key uint64) (*bucket, int) {
+	for _, b := range [2]uint64{hash1(key) & c.mask, hash2(key) & c.mask} {
+		bkt := &c.buckets[b]
+		for s := 0; s < slotsPerBucket; s++ {
+			if bkt.used[s] && bkt.keys[s] == key {
+				return bkt, s
+			}
 		}
 	}
+	return nil, 0
+}
+
+// place stores key→val in a free slot of bucket b, if it has one.
+func (c *Cuckoo) place(key uint64, val int32, b uint64) bool {
+	bkt := &c.buckets[b]
 	for s := 0; s < slotsPerBucket; s++ {
 		if !bkt.used[s] {
 			bkt.used[s] = true
@@ -158,28 +186,19 @@ func (c *Cuckoo) tryPlace(key uint64, val int32, b uint64) bool {
 
 // Delete removes key, reporting whether it was present.
 func (c *Cuckoo) Delete(key uint64) bool {
-	for _, b := range []uint64{hash1(key) & c.mask, hash2(key) & c.mask} {
-		bkt := &c.buckets[b]
-		for s := 0; s < slotsPerBucket; s++ {
-			if bkt.used[s] && bkt.keys[s] == key {
-				bkt.used[s] = false
-				c.entries--
-				return true
-			}
-		}
+	bkt, s := c.find(key)
+	if bkt == nil {
+		return false
 	}
-	return false
+	bkt.used[s] = false
+	c.entries--
+	return true
 }
 
 // Lookup is the un-charged control-plane lookup (tests, management).
 func (c *Cuckoo) Lookup(key uint64) (int32, bool) {
-	for _, b := range []uint64{hash1(key) & c.mask, hash2(key) & c.mask} {
-		bkt := &c.buckets[b]
-		for s := 0; s < slotsPerBucket; s++ {
-			if bkt.used[s] && bkt.keys[s] == key {
-				return bkt.vals[s], true
-			}
-		}
+	if bkt, s := c.find(key); bkt != nil {
+		return bkt.vals[s], true
 	}
 	return 0, false
 }

@@ -8,10 +8,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf/amf"
-	"github.com/gunfu-nfv/gunfu/internal/nf/fw"
-	"github.com/gunfu-nfv/gunfu/internal/nf/lb"
-	"github.com/gunfu-nfv/gunfu/internal/nf/monitor"
-	"github.com/gunfu-nfv/gunfu/internal/nf/nat"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
@@ -96,13 +92,7 @@ func Fig12(o Options) ([]*stats.Table, error) {
 // given options, pre-populated, with its generator.
 func sfcSetup(length, flows int, fused bool, opts compile.SFCOptions, seed int64) (*mem.AddressSpace, *model.Program, rt.Source, error) {
 	as := mem.NewAddressSpace()
-	var chain []compile.Chainable
-	var err error
-	if fused {
-		chain, err = buildFusedChain(as, length, flows)
-	} else {
-		chain, err = director.BuildChain(as, length, flows)
-	}
+	chain, err := director.NewChain(as, length, flows, fused)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -125,61 +115,6 @@ func sfcSetup(length, flows int, fused bool, opts compile.SFCOptions, seed int64
 		return nil, nil, nil, err
 	}
 	return as, prog, g, nil
-}
-
-// buildFusedChain constructs the paper's SFC with every NF's per-flow
-// record placed in one fused, co-access-packed pool — the DP-for-SFC
-// optimization.
-func buildFusedChain(as *mem.AddressSpace, length, flows int) ([]compile.Chainable, error) {
-	if length < 2 || length > 6 {
-		return nil, fmt.Errorf("exp: SFC length %d outside [2,6]", length)
-	}
-	members := []compile.FuseMember{
-		{Name: "lb", Fields: lb.FlowFields(), Hot: lb.HotFields()},
-		{Name: "nat", Fields: nat.FlowFields(), Hot: nat.HotFields()},
-		{Name: "nm", Fields: monitor.FlowFields(), Hot: monitor.HotFields()},
-	}
-	for i := 4; i <= length; i++ {
-		members = append(members, compile.FuseMember{
-			Name: fmt.Sprintf("fw%d", i-3), Fields: fw.FlowFields(), Hot: fw.HotFields(),
-		})
-	}
-	if length < len(members) {
-		members = members[:length]
-	}
-	states, err := compile.FuseStates(as, "sfc", members, flows)
-	if err != nil {
-		return nil, err
-	}
-	l, err := lb.New(as, lb.Config{MaxFlows: flows, States: states["lb"]})
-	if err != nil {
-		return nil, err
-	}
-	n, err := nat.New(as, nat.Config{MaxFlows: flows, States: states["nat"]})
-	if err != nil {
-		return nil, err
-	}
-	chain := []compile.Chainable{l, n}
-	if length >= 3 {
-		m, err := monitor.New(as, monitor.Config{MaxFlows: flows, States: states["nm"]})
-		if err != nil {
-			return nil, err
-		}
-		chain = append(chain, m)
-	}
-	for i := 4; i <= length; i++ {
-		name := fmt.Sprintf("fw%d", i-3)
-		f, err := fw.New(as, fw.Config{
-			Name: name, MaxFlows: flows,
-			Policy: fw.DefaultPolicy(8 * (i - 2)),
-			States: states[name],
-		})
-		if err != nil {
-			return nil, err
-		}
-		chain = append(chain, f)
-	}
-	return chain, nil
 }
 
 // Fig13 reproduces Figure 13: SFCs of length 2–6 under RTC, the

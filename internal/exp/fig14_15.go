@@ -201,7 +201,7 @@ func sfcSetupSized(length, flows, shardBase, shardCount, size int, seed int64) (
 		return nil, nil, nil, err
 	}
 	as := mem.NewAddressSpace()
-	chain, err := buildFusedChain(as, length, flows)
+	chain, err := director.NewChain(as, length, flows, true)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -78,8 +78,8 @@ type stepPlan struct {
 }
 
 // CompilePlans (re)lowers every control state into its step plan. Build
-// and Compose call it automatically; compiler passes that mutate a
-// CSInfo's span sets after build (e.g. redundant-prefetch removal) must
+// calls it automatically; compiler passes that mutate a CSInfo's span
+// sets after build (e.g. redundant-prefetch removal) must
 // call it again, or the Program will keep executing the stale plans.
 func (p *Program) CompilePlans() {
 	plans := make([]stepPlan, len(p.cs))

@@ -65,10 +65,9 @@ type Program struct {
 	// program requires (the NFTask temp field allocation).
 	tempLines int
 	// plans holds each control state lowered into its compiled step plan
-	// (see plan.go); indexed by CSID, entry 0 (End) unused. Every
-	// constructor (Build, Compose) compiles them; compiler
-	// passes that mutate CSInfo span sets via CS() must re-run
-	// CompilePlans afterwards.
+	// (see plan.go); indexed by CSID, entry 0 (End) unused. Build
+	// compiles them; compiler passes that mutate CSInfo span sets via
+	// CS() must re-run CompilePlans afterwards.
 	plans []stepPlan
 }
 

@@ -10,10 +10,6 @@
 package fw
 
 import (
-	"fmt"
-
-	"github.com/gunfu-nfv/gunfu/internal/dstruct"
-	"github.com/gunfu-nfv/gunfu/internal/hostmem"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf"
@@ -56,20 +52,6 @@ type Config struct {
 	// States optionally overrides the per-flow state objects — used by
 	// the compiler's data-packing pass for fused SFC pools.
 	States *nf.States
-}
-
-func (c *Config) setDefaults() error {
-	if c.Name == "" {
-		c.Name = "fw"
-	}
-	if c.MaxFlows <= 0 {
-		return fmt.Errorf("fw: MaxFlows must be positive, got %d", c.MaxFlows)
-	}
-	if len(c.Policy) == 0 {
-		// Default: allow everything (one rule), the pass-through policy.
-		c.Policy = []Rule{{Allow: true, DstPortHi: 65535}}
-	}
-	return nil
 }
 
 // DefaultPolicy builds an n-rule policy whose final rule is a
@@ -116,106 +98,68 @@ func HotFields() []string {
 
 // FW is one firewall instance.
 type FW struct {
-	cfg    Config
-	states *nf.States
-	table  *dstruct.Cuckoo
+	*nf.FlowTable[Flow]
+	rules  []Rule
 	policy mem.Region
-	flows  []Flow
-	next   int32
-	// drops counts packets denied, for test observability.
-	drops uint64
+	// denied counts packets the installed verdict dropped.
+	denied uint64
 }
 
 // New builds a firewall drawing simulated memory from as.
 func New(as *mem.AddressSpace, cfg Config) (*FW, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
+	if cfg.Name == "" {
+		cfg.Name = "fw"
 	}
-	states := cfg.States
-	if states == nil {
-		var err error
-		states, err = nf.BuildStates(as, cfg.Name, FlowFields(), cfg.MaxFlows)
-		if err != nil {
-			return nil, err
-		}
+	if len(cfg.Policy) == 0 {
+		// Default: allow everything (one rule), the pass-through policy.
+		cfg.Policy = []Rule{{Allow: true, DstPortHi: 65535}}
 	}
-	table, err := dstruct.NewCuckoo(as, cfg.Name+".match", cfg.MaxFlows)
+	f := &FW{rules: cfg.Policy}
+	var err error
+	f.FlowTable, err = nf.NewFlowTable(as, nf.FlowTableConfig[Flow]{
+		Name: cfg.Name, MaxFlows: cfg.MaxFlows, States: cfg.States, Fields: FlowFields(),
+		NewFlow:    f.newFlow,
+		Data:       f.AttachData,
+		MissModule: "_policy",
+		Walk:       f.attachPolicyWalk,
+		Alloc:      model.Action{Name: "alloc", Cost: 150}, // table insert
+		Install: model.Action{Name: "install", Cost: 30, Writes: []model.FieldRef{
+			model.Fields(model.KindPerFlow, "allowed", "state", "rule_id"),
+		}},
+	})
 	if err != nil {
 		return nil, err
 	}
-	lines := (len(cfg.Policy) + rulesPerLine - 1) / rulesPerLine
-	base := as.Reserve(uint64(lines)*sim.LineBytes, sim.LineBytes)
-	return &FW{
-		cfg:    cfg,
-		states: states,
-		table:  table,
-		policy: mem.Region{Name: cfg.Name + ".policy", Base: base, Size: uint64(lines) * sim.LineBytes},
-		flows:  make([]Flow, cfg.MaxFlows),
-	}, nil
+	lines := uint64(len(cfg.Policy)+rulesPerLine-1) / rulesPerLine
+	base := as.Reserve(lines*sim.LineBytes, sim.LineBytes)
+	f.policy = mem.Region{Name: cfg.Name + ".policy", Base: base, Size: lines * sim.LineBytes}
+	return f, nil
 }
 
-// Name returns the instance name.
-func (f *FW) Name() string { return f.cfg.Name }
+// Drops returns the packets dropped so far: denied by their flow's
+// verdict, or first packets that found the table full.
+func (f *FW) Drops() uint64 { return f.FlowTable.Drops() + f.denied }
 
-// States exposes the per-flow state objects (for data packing).
-func (f *FW) States() *nf.States { return f.states }
-
-// Drops returns the packets denied so far.
-func (f *FW) Drops() uint64 { return f.drops }
-
-// Flow returns a copy of flow idx's record.
-func (f *FW) Flow(idx int32) (Flow, error) {
-	if idx < 0 || int(idx) >= len(f.flows) {
-		return Flow{}, fmt.Errorf("fw: flow %d out of range", idx)
-	}
-	return f.flows[idx], nil
-}
-
-// evaluate runs the policy in Go (first match wins).
-func (f *FW) evaluate(t pkt.FiveTuple) (verdict bool, rule int32) {
-	for i, r := range f.cfg.Policy {
-		if r.Matches(t) {
-			return r.Allow, int32(i)
+// newFlow evaluates the policy for tuple (first match wins; no match
+// denies) into the flow's verdict.
+func (f *FW) newFlow(tuple pkt.FiveTuple, _ int32) Flow {
+	for i, r := range f.rules {
+		if r.Matches(tuple) {
+			return Flow{Allowed: r.Allow, RuleID: int32(i)}
 		}
 	}
-	return false, -1
-}
-
-// AddFlow pre-populates flow idx for tuple with its evaluated verdict.
-func (f *FW) AddFlow(tuple pkt.FiveTuple, idx int32) error {
-	if idx < 0 || int(idx) >= len(f.flows) {
-		return fmt.Errorf("fw: flow index %d out of range [0,%d)", idx, len(f.flows))
-	}
-	if err := f.table.Insert(tuple.Hash(), idx); err != nil {
-		return fmt.Errorf("fw: %w", err)
-	}
-	allow, rule := f.evaluate(tuple)
-	f.flows[idx] = Flow{Allowed: allow, RuleID: rule}
-	if idx >= f.next {
-		f.next = idx + 1
-	}
-	return nil
+	return Flow{RuleID: -1}
 }
 
 // Translate returns tuple unchanged: the firewall does not rewrite.
 func (f *FW) Translate(tuple pkt.FiveTuple, _ int32) pkt.FiveTuple { return tuple }
 
-// Attach registers the firewall's modules on b, exiting toward next.
-func (f *FW) Attach(b *model.Builder, next string) string {
-	cls := nf.Classifier{Table: f.table, Module: f.cfg.Name + "_cls"}
-	dataEntry := f.AttachData(b, next)
-	walkEntry := f.attachPolicyWalk(b, dataEntry)
-	return cls.Attach(b, dataEntry, walkEntry)
-}
-
 // AttachData registers only the established-flow check (post-MR form).
 func (f *FW) AttachData(b *model.Builder, next string) string {
-	m := f.cfg.Name + "_check"
 	evFwd := b.Event(nf.EvForward)
 	evDrop := b.Event(nf.EvDrop)
-	flows := f.flows
-
-	b.AddModule(m, f.states.Binding(), model.Layouts{model.KindPerFlow: f.states.Layout})
+	flows := f.Records()
+	m := f.AddModule(b, "_check")
 	b.AddState(m, "check", model.Action{
 		Name: "check",
 		Kind: model.ActionData,
@@ -229,32 +173,28 @@ func (f *FW) AttachData(b *model.Builder, next string) string {
 			fl := &flows[e.FlowIdx]
 			fl.Pkts++
 			if !fl.Allowed {
-				f.drops++
+				f.denied++
 				return evDrop
 			}
 			return evFwd
 		},
-		Touch: func(e *model.Exec) { hostmem.Prefetch(&flows[e.FlowIdx]) },
+		Touch: f.Touch(),
 	})
 	b.AddTransition(m+".check", nf.EvForward, next)
 	b.AddTransition(m+".check", nf.EvDrop, model.EndName)
 	return m + ".check"
 }
 
-// attachPolicyWalk registers the first-packet path: a stepwise scan of
-// the policy region (one line of rules per control-state visit, each
-// line's address staged ahead for prefetching), then flow allocation
-// and verdict install.
-func (f *FW) attachPolicyWalk(b *model.Builder, dataEntry string) string {
-	m := f.cfg.Name + "_policy"
-	evFwd := b.Event(nf.EvForward)
-	evDrop := b.Event(nf.EvDrop)
+// attachPolicyWalk registers, ahead of the table's alloc → install
+// pair, the stepwise scan of the policy region a first packet pays: one
+// line of rules per control-state visit, each line's address staged
+// ahead for prefetching, up to the line holding the deciding rule.
+func (f *FW) attachPolicyWalk(b *model.Builder, m, alloc string) string {
 	evMore := b.Event("policy_more")
 	evDone := b.Event("policy_done")
-	policy := f.cfg.Policy
+	policy := f.rules
 	policyBase := f.policy.Base
 
-	b.AddModule(m, f.states.Binding(), model.Layouts{model.KindPerFlow: f.states.Layout})
 	b.AddState(m, "walk_start", model.Action{
 		Name: "walk_start",
 		Kind: model.ActionMatch,
@@ -275,14 +215,10 @@ func (f *FW) attachPolicyWalk(b *model.Builder, dataEntry string) string {
 			start := int(e.Cur.Stage) * rulesPerLine
 			for i := start; i < start+rulesPerLine && i < len(policy); i++ {
 				if policy[i].Matches(e.Pkt.Tuple) {
-					e.Cur.Ok = policy[i].Allow
-					e.Cur.Idx = int32(i)
 					return evDone
 				}
 			}
 			if start+rulesPerLine >= len(policy) {
-				e.Cur.Ok = false
-				e.Cur.Idx = -1
 				return evDone
 			}
 			e.Cur.Stage++
@@ -290,52 +226,8 @@ func (f *FW) attachPolicyWalk(b *model.Builder, dataEntry string) string {
 			return evMore
 		},
 	})
-	// Verdict install is two control states so the Granular Decomposition
-	// Property holds: "alloc" decides (and may drop) without touching
-	// per-flow state; "install" has the per-flow writes declared and only
-	// runs once a flow index exists.
-	b.AddState(m, "alloc", model.Action{
-		Name: "alloc",
-		Kind: model.ActionConfig,
-		Cost: 150, // table insert
-		Fn: func(e *model.Exec) model.EventID {
-			if int(f.next) >= len(f.flows) {
-				f.drops++
-				return evDrop
-			}
-			idx := f.next
-			if err := f.table.Insert(e.Pkt.Tuple.Hash(), idx); err != nil {
-				f.drops++
-				return evDrop
-			}
-			f.next++
-			f.flows[idx] = Flow{Allowed: e.Cur.Ok, RuleID: e.Cur.Idx}
-			e.FlowIdx = idx
-			return evFwd
-		},
-	})
-	b.AddState(m, "install", model.Action{
-		Name: "install",
-		Kind: model.ActionConfig,
-		Cost: 30, // state init
-		Writes: []model.FieldRef{
-			model.Fields(model.KindPerFlow, "allowed", "state", "rule_id"),
-		},
-		Fn: func(e *model.Exec) model.EventID { return evFwd },
-	})
 	b.AddTransition(m+".walk_start", "policy_more", m+".walk")
 	b.AddTransition(m+".walk", "policy_more", m+".walk")
-	b.AddTransition(m+".walk", "policy_done", m+".alloc")
-	b.AddTransition(m+".alloc", nf.EvForward, m+".install")
-	b.AddTransition(m+".alloc", nf.EvDrop, model.EndName)
-	b.AddTransition(m+".install", nf.EvForward, dataEntry)
+	b.AddTransition(m+".walk", "policy_done", alloc)
 	return m + ".walk_start"
-}
-
-// Program builds the standalone firewall program.
-func (f *FW) Program() (*model.Program, error) {
-	b := model.NewBuilder(f.cfg.Name)
-	entry := f.Attach(b, model.EndName)
-	b.SetStart(entry)
-	return b.Build()
 }

@@ -180,34 +180,6 @@ func TestFirstPacketsInstallVerdict(t *testing.T) {
 	})
 }
 
-// TestTableFullDrops offers four flows to a two-flow table: the two that
-// find no room are dropped in alloc — counted, no error, no per-flow
-// span resolved against an unbound index — on every packet.
-func TestTableFullDrops(t *testing.T) {
-	bothRuntimes(t, func(t *testing.T, interleaved bool) {
-		f, err := New(mem.NewAddressSpace(), Config{MaxFlows: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := traffic.NewFlowGen(traffic.FlowGenConfig{Flows: 4, PacketBytes: 64, Order: traffic.OrderRoundRobin, Seed: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// One lap per run, so no flow has two packets in flight.
-		for lap := 0; lap < 3; lap++ {
-			runOn(t, f, g, 4, interleaved)
-		}
-		if f.Drops() != 6 {
-			t.Fatalf("Drops = %d, want 6 (two flows, three laps)", f.Drops())
-		}
-		for i := int32(0); i < 2; i++ {
-			if fl, _ := f.Flow(i); !fl.Allowed || fl.Pkts != 3 {
-				t.Fatalf("installed flow %d = %+v, want allowed with 3 packets", i, fl)
-			}
-		}
-	})
-}
-
 func TestDenyPolicyDrops(t *testing.T) {
 	deny := []Rule{{Proto: 0, DstPortLo: 0, DstPortHi: 65535, Allow: false}}
 	f, err := New(mem.NewAddressSpace(), Config{MaxFlows: 4, Policy: deny})

@@ -5,10 +5,6 @@
 package lb
 
 import (
-	"fmt"
-
-	"github.com/gunfu-nfv/gunfu/internal/dstruct"
-	"github.com/gunfu-nfv/gunfu/internal/hostmem"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf"
@@ -26,19 +22,6 @@ type Config struct {
 	// States optionally overrides the per-flow state objects — used by
 	// the compiler's data-packing pass for fused SFC pools.
 	States *nf.States
-}
-
-func (c *Config) setDefaults() error {
-	if c.Name == "" {
-		c.Name = "lb"
-	}
-	if c.MaxFlows <= 0 {
-		return fmt.Errorf("lb: MaxFlows must be positive, got %d", c.MaxFlows)
-	}
-	if c.Backends <= 0 {
-		c.Backends = 16
-	}
-	return nil
 }
 
 // Flow is the LB's per-flow record.
@@ -71,97 +54,70 @@ func HotFields() []string {
 
 // LB is one load balancer instance.
 type LB struct {
-	cfg    Config
-	states *nf.States
-	table  *dstruct.Cuckoo
-	flows  []Flow
-	next   int32
+	*nf.FlowTable[Flow]
+	backends int
 }
 
 // New builds an LB drawing simulated memory from as.
 func New(as *mem.AddressSpace, cfg Config) (*LB, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
+	if cfg.Name == "" {
+		cfg.Name = "lb"
 	}
-	states := cfg.States
-	if states == nil {
-		var err error
-		states, err = nf.BuildStates(as, cfg.Name, FlowFields(), cfg.MaxFlows)
-		if err != nil {
-			return nil, err
-		}
+	if cfg.Backends <= 0 {
+		cfg.Backends = 16
 	}
-	table, err := dstruct.NewCuckoo(as, cfg.Name+".match", cfg.MaxFlows)
+	l := &LB{backends: cfg.Backends}
+	var err error
+	l.FlowTable, err = nf.NewFlowTable(as, nf.FlowTableConfig[Flow]{
+		Name: cfg.Name, MaxFlows: cfg.MaxFlows, States: cfg.States, Fields: FlowFields(),
+		NewFlow:    l.newFlow,
+		Data:       l.AttachData,
+		MissModule: "_alloc",
+		// The consistent backend pick reads the backend table in
+		// control state (one line).
+		Alloc: model.Action{Name: "pick", Cost: 120, Reads: []model.FieldRef{
+			model.Raw(model.KindControl, model.BaseControl, 0, 64),
+		}},
+		Install: model.Action{Name: "bind", Cost: 25, Writes: []model.FieldRef{
+			model.Fields(model.KindPerFlow, "backend", "backend_ip", "backend_port", "vip"),
+		}},
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &LB{cfg: cfg, states: states, table: table, flows: make([]Flow, cfg.MaxFlows)}, nil
-}
-
-// Name returns the instance name.
-func (l *LB) Name() string { return l.cfg.Name }
-
-// States exposes the per-flow state objects (for data packing).
-func (l *LB) States() *nf.States { return l.states }
-
-// Flow returns a copy of flow idx's record.
-func (l *LB) Flow(idx int32) (Flow, error) {
-	if idx < 0 || int(idx) >= len(l.flows) {
-		return Flow{}, fmt.Errorf("lb: flow %d out of range", idx)
-	}
-	return l.flows[idx], nil
+	return l, nil
 }
 
 // backendFor deterministically picks a backend for a tuple.
 func (l *LB) backendFor(tuple pkt.FiveTuple) int32 {
-	return int32(tuple.Hash() % uint64(l.cfg.Backends))
+	return int32(tuple.Hash() % uint64(l.backends))
 }
 
-// AddFlow pre-populates flow idx for tuple with its backend binding.
-func (l *LB) AddFlow(tuple pkt.FiveTuple, idx int32) error {
-	if idx < 0 || int(idx) >= len(l.flows) {
-		return fmt.Errorf("lb: flow index %d out of range [0,%d)", idx, len(l.flows))
-	}
-	if err := l.table.Insert(tuple.Hash(), idx); err != nil {
-		return fmt.Errorf("lb: %w", err)
-	}
+// newFlow binds tuple to its backend.
+func (l *LB) newFlow(tuple pkt.FiveTuple, _ int32) Flow {
 	be := l.backendFor(tuple)
-	l.flows[idx] = Flow{
+	return Flow{
 		Backend:     be,
 		BackendIP:   0x0a640000 + uint32(be), // 10.100.0.x pool
 		BackendPort: 8080,
 	}
-	if idx >= l.next {
-		l.next = idx + 1
-	}
-	return nil
 }
 
 // Translate returns tuple as the LB emits it for flow idx: destination
 // rewritten to the bound backend.
 func (l *LB) Translate(tuple pkt.FiveTuple, idx int32) pkt.FiveTuple {
-	if idx >= 0 && int(idx) < len(l.flows) {
-		tuple.DstIP = l.flows[idx].BackendIP
-		tuple.DstPort = l.flows[idx].BackendPort
+	if f, err := l.Flow(idx); err == nil {
+		tuple.DstIP = f.BackendIP
+		tuple.DstPort = f.BackendPort
 	}
 	return tuple
 }
 
-// Attach registers the LB's modules on b, exiting toward next.
-func (l *LB) Attach(b *model.Builder, next string) string {
-	cls := nf.Classifier{Table: l.table, Module: l.cfg.Name + "_cls"}
-	dataEntry := l.AttachData(b, next)
-	allocEntry := l.attachAlloc(b, dataEntry)
-	return cls.Attach(b, dataEntry, allocEntry)
-}
-
 // AttachData registers only the steering data action (post-MR form).
 func (l *LB) AttachData(b *model.Builder, next string) string {
-	m := l.cfg.Name + "_steer"
 	evFwd := b.Event(nf.EvForward)
-	flows := l.flows
-
-	b.AddModule(m, l.states.Binding(), model.Layouts{model.KindPerFlow: l.states.Layout})
+	flows := l.Records()
+	m := l.AddModule(b, "_steer")
 	b.AddState(m, "steer", model.Action{
 		Name: "steer",
 		Kind: model.ActionData,
@@ -183,57 +139,8 @@ func (l *LB) AttachData(b *model.Builder, next string) string {
 			e.Pkt.Tuple.DstPort = f.BackendPort
 			return evFwd
 		},
-		Touch: func(e *model.Exec) { hostmem.Prefetch(&flows[e.FlowIdx]) },
+		Touch: l.Touch(),
 	})
 	b.AddTransition(m+".steer", nf.EvForward, next)
 	return m + ".steer"
-}
-
-// attachAlloc registers the new-flow path: consistent backend pick then
-// per-flow binding initialization.
-func (l *LB) attachAlloc(b *model.Builder, dataEntry string) string {
-	m := l.cfg.Name + "_alloc"
-	evFwd := b.Event(nf.EvForward)
-	evDrop := b.Event(nf.EvDrop)
-
-	b.AddModule(m, l.states.Binding(), model.Layouts{model.KindPerFlow: l.states.Layout})
-	b.AddState(m, "pick", model.Action{
-		Name: "pick",
-		Kind: model.ActionConfig,
-		Cost: 120,
-		// Reads the backend table in control state (one line).
-		Reads: []model.FieldRef{model.Raw(model.KindControl, model.BaseControl, 0, 64)},
-		Fn: func(e *model.Exec) model.EventID {
-			if int(l.next) >= len(l.flows) {
-				return evDrop
-			}
-			idx := l.next
-			if err := l.AddFlow(e.Pkt.Tuple, idx); err != nil {
-				return evDrop
-			}
-			e.FlowIdx = idx
-			return evFwd
-		},
-	})
-	b.AddState(m, "bind", model.Action{
-		Name: "bind",
-		Kind: model.ActionConfig,
-		Cost: 25,
-		Writes: []model.FieldRef{
-			model.Fields(model.KindPerFlow, "backend", "backend_ip", "backend_port", "vip"),
-		},
-		Fn: func(e *model.Exec) model.EventID { return evFwd },
-	})
-	b.AddTransition(m+".pick", nf.EvForward, m+".bind")
-	b.AddTransition(m+".pick", nf.EvDrop, model.EndName)
-	b.AddTransition(m+".bind", nf.EvForward, dataEntry)
-	return m + ".pick"
-}
-
-// Program builds the standalone LB program.
-func (l *LB) Program() (*model.Program, error) {
-	b := model.NewBuilder(l.cfg.Name)
-	entry := l.Attach(b, model.EndName)
-	b.SetStart(entry)
-	return b.Build()
 }

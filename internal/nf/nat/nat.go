@@ -10,10 +10,6 @@
 package nat
 
 import (
-	"fmt"
-
-	"github.com/gunfu-nfv/gunfu/internal/dstruct"
-	"github.com/gunfu-nfv/gunfu/internal/hostmem"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf"
@@ -35,22 +31,6 @@ type Config struct {
 	// the compiler's data-packing pass to place this NAT's record
 	// inside a fused SFC pool.
 	States *nf.States
-}
-
-func (c *Config) setDefaults() error {
-	if c.Name == "" {
-		c.Name = "nat"
-	}
-	if c.MaxFlows <= 0 {
-		return fmt.Errorf("nat: MaxFlows must be positive, got %d", c.MaxFlows)
-	}
-	if c.NATIP == 0 {
-		c.NATIP = 0xc6336401 // 198.51.100.1 (TEST-NET-2)
-	}
-	if c.PortBase == 0 {
-		c.PortBase = 1024
-	}
-	return nil
 }
 
 // Flow is the NAT's per-flow record. Field order mirrors the natural
@@ -94,105 +74,72 @@ func HotFields() []string {
 
 // NAT is one translator instance.
 type NAT struct {
-	cfg    Config
-	states *nf.States
-	table  *dstruct.Cuckoo
-	flows  []Flow
-	next   int32
+	*nf.FlowTable[Flow]
+	natIP    uint32
+	portBase uint16
 }
 
 // New builds a NAT drawing simulated memory from as.
 func New(as *mem.AddressSpace, cfg Config) (*NAT, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
+	if cfg.Name == "" {
+		cfg.Name = "nat"
 	}
-	states := cfg.States
-	if states == nil {
-		var err error
-		states, err = nf.BuildStates(as, cfg.Name, FlowFields(), cfg.MaxFlows)
-		if err != nil {
-			return nil, err
-		}
+	if cfg.NATIP == 0 {
+		cfg.NATIP = 0xc6336401 // 198.51.100.1 (TEST-NET-2)
 	}
-	table, err := dstruct.NewCuckoo(as, cfg.Name+".match", cfg.MaxFlows)
+	if cfg.PortBase == 0 {
+		cfg.PortBase = 1024
+	}
+	n := &NAT{natIP: cfg.NATIP, portBase: cfg.PortBase}
+	var err error
+	n.FlowTable, err = nf.NewFlowTable(as, nf.FlowTableConfig[Flow]{
+		Name: cfg.Name, MaxFlows: cfg.MaxFlows, States: cfg.States, Fields: FlowFields(),
+		NewFlow:    n.newFlow,
+		Data:       n.AttachData,
+		MissModule: "_alloc",
+		Alloc:      model.Action{Name: "alloc", Cost: 220}, // table insert + port allocation
+		Install: model.Action{Name: "init", Cost: 30, Writes: []model.FieldRef{
+			model.Fields(model.KindPerFlow, "orig_ip", "orig_port", "proto", "mapped_ip", "mapped_port"),
+		}},
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &NAT{
-		cfg:    cfg,
-		states: states,
-		table:  table,
-		flows:  make([]Flow, cfg.MaxFlows),
-	}, nil
+	return n, nil
 }
 
-// Name returns the instance name.
-func (n *NAT) Name() string { return n.cfg.Name }
-
-// States exposes the per-flow state objects (for data packing).
-func (n *NAT) States() *nf.States { return n.states }
-
-// Flow returns a copy of flow idx's record.
-func (n *NAT) Flow(idx int32) (Flow, error) {
-	if idx < 0 || int(idx) >= len(n.flows) {
-		return Flow{}, fmt.Errorf("nat: flow %d out of range", idx)
-	}
-	return n.flows[idx], nil
-}
-
-// AddFlow pre-populates flow idx for tuple, assigning its translation.
-func (n *NAT) AddFlow(tuple pkt.FiveTuple, idx int32) error {
-	if idx < 0 || int(idx) >= len(n.flows) {
-		return fmt.Errorf("nat: flow index %d out of range [0,%d)", idx, len(n.flows))
-	}
-	if err := n.table.Insert(tuple.Hash(), idx); err != nil {
-		return fmt.Errorf("nat: %w", err)
-	}
-	n.flows[idx] = Flow{
+// newFlow records tuple's pre-translation source and assigns flow idx
+// its translation.
+func (n *NAT) newFlow(tuple pkt.FiveTuple, idx int32) Flow {
+	return Flow{
 		OrigIP:     tuple.SrcIP,
 		OrigPort:   tuple.SrcPort,
 		Proto:      tuple.Proto,
-		MappedIP:   n.cfg.NATIP,
+		MappedIP:   n.natIP,
 		MappedPort: n.mappedPort(idx),
 	}
-	if idx >= n.next {
-		n.next = idx + 1
-	}
-	return nil
 }
 
 // Translate returns tuple as this NAT emits it for flow idx: source
 // address and port rewritten to the NAT mapping.
 func (n *NAT) Translate(tuple pkt.FiveTuple, idx int32) pkt.FiveTuple {
-	tuple.SrcIP = n.cfg.NATIP
+	tuple.SrcIP = n.natIP
 	tuple.SrcPort = n.mappedPort(idx)
 	return tuple
 }
 
 func (n *NAT) mappedPort(idx int32) uint16 {
-	space := int32(65536) - int32(n.cfg.PortBase)
-	return n.cfg.PortBase + uint16(idx%space)
-}
-
-// Attach registers the NAT's classifier and mapper modules on b; the
-// packet leaves toward next (another NF's entry or model.EndName). It
-// returns the NAT's entry state name.
-func (n *NAT) Attach(b *model.Builder, next string) string {
-	cls := nf.Classifier{Table: n.table, Module: n.cfg.Name + "_cls"}
-	dataEntry := n.AttachData(b, next)
-	allocState := n.attachAlloc(b, dataEntry)
-	return cls.Attach(b, dataEntry, allocState)
+	space := int32(65536) - int32(n.portBase)
+	return n.portBase + uint16(idx%space)
 }
 
 // AttachData registers only the flow-mapper data module — the form used
 // after redundant-matching removal, when an upstream classifier already
 // set the task's FlowIdx. It returns the data module's entry state.
 func (n *NAT) AttachData(b *model.Builder, next string) string {
-	m := n.cfg.Name + "_mapper"
 	evFwd := b.Event(nf.EvForward)
-	flows := n.flows
-
-	b.AddModule(m, n.states.Binding(), model.Layouts{model.KindPerFlow: n.states.Layout})
+	flows := n.Records()
+	m := n.AddModule(b, "_mapper")
 	b.AddState(m, "rewrite", model.Action{
 		Name: "rewrite",
 		Kind: model.ActionData,
@@ -215,60 +162,8 @@ func (n *NAT) AttachData(b *model.Builder, next string) string {
 			f.LastSeen = e.Core.Now()
 			return evFwd
 		},
-		Touch: func(e *model.Exec) { hostmem.Prefetch(&flows[e.FlowIdx]) },
+		Touch: n.Touch(),
 	})
 	b.AddTransition(m+".rewrite", nf.EvForward, next)
 	return m + ".rewrite"
-}
-
-// attachAlloc registers the miss path: a config action that allocates a
-// new mapping in the data plane (first packet of an unknown flow) and
-// falls through to the rewrite.
-func (n *NAT) attachAlloc(b *model.Builder, dataEntry string) string {
-	m := n.cfg.Name + "_alloc"
-	evFwd := b.Event(nf.EvForward)
-	evDrop := b.Event(nf.EvDrop)
-
-	// The miss path is two control states so the Granular Decomposition
-	// Property holds: "alloc" decides (and may drop) without touching
-	// per-flow state; "init" has the per-flow writes declared and only
-	// runs once a flow index exists.
-	b.AddModule(m, n.states.Binding(), model.Layouts{model.KindPerFlow: n.states.Layout})
-	b.AddState(m, "alloc", model.Action{
-		Name: "alloc",
-		Kind: model.ActionConfig,
-		Cost: 220, // table insert + port allocation
-		Fn: func(e *model.Exec) model.EventID {
-			if int(n.next) >= len(n.flows) {
-				return evDrop
-			}
-			idx := n.next
-			if err := n.AddFlow(e.Pkt.Tuple, idx); err != nil {
-				return evDrop
-			}
-			e.FlowIdx = idx
-			return evFwd
-		},
-	})
-	b.AddState(m, "init", model.Action{
-		Name: "init",
-		Kind: model.ActionConfig,
-		Cost: 30,
-		Writes: []model.FieldRef{
-			model.Fields(model.KindPerFlow, "orig_ip", "orig_port", "proto", "mapped_ip", "mapped_port"),
-		},
-		Fn: func(e *model.Exec) model.EventID { return evFwd },
-	})
-	b.AddTransition(m+".alloc", nf.EvForward, m+".init")
-	b.AddTransition(m+".alloc", nf.EvDrop, model.EndName)
-	b.AddTransition(m+".init", nf.EvForward, dataEntry)
-	return m + ".alloc"
-}
-
-// Program builds the standalone NAT program.
-func (n *NAT) Program() (*model.Program, error) {
-	b := model.NewBuilder(n.cfg.Name)
-	entry := n.Attach(b, model.EndName)
-	b.SetStart(entry)
-	return b.Build()
 }

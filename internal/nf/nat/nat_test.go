@@ -164,17 +164,22 @@ func TestUnknownFlowAllocates(t *testing.T) {
 	}
 }
 
+// TestTableFullDrops fills the table from the control plane: AddFlow
+// moves the allocation cursor, so the data plane's next first packet
+// finds no room and is dropped.
 func TestTableFullDrops(t *testing.T) {
 	n, err := New(mem.NewAddressSpace(), Config{MaxFlows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fill the single slot.
 	if err := n.AddFlow(pkt.FiveTuple{SrcIP: 99, SrcPort: 9, Proto: 17}, 0); err != nil {
 		t.Fatal(err)
 	}
 	p := makePacket(t, pkt.FiveTuple{})
 	runOne(t, n, p) // must complete (dropped), not panic
+	if n.Drops() != 1 {
+		t.Fatalf("Drops = %d, want 1", n.Drops())
+	}
 	if f, _ := n.Flow(0); f.Pkts != 0 {
 		t.Fatal("drop path touched the unrelated flow")
 	}

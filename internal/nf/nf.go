@@ -1,7 +1,8 @@
 // Package nf holds the building blocks shared by the network function
 // implementations: the stepwise five-tuple classifier module (the
-// granularly decomposed cuckoo lookup of the paper's Listing 1), state
-// construction helpers, and the common NFEvent vocabulary.
+// granularly decomposed cuckoo lookup of the paper's Listing 1), the
+// FlowTable skeleton the five-tuple NFs embed, state construction
+// helpers, and the common NFEvent vocabulary.
 //
 // Each concrete NF (subpackages upf, amf, nat, lb, fw, monitor)
 // contributes modules to a model.Builder through an Attach method, so

@@ -11,7 +11,6 @@ package nf_test
 // Touch's slice index.
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/gunfu-nfv/gunfu/internal/compile"
@@ -316,13 +315,7 @@ func sfcWorld(t *testing.T, name string, fused bool, opts compile.SFCOptions) to
 		return g
 	}
 	as := mem.NewAddressSpace()
-	var chain []compile.Chainable
-	var err error
-	if fused {
-		chain, err = fusedChain(as)
-	} else {
-		chain, err = director.BuildChain(as, 6, touchFlows)
-	}
+	chain, err := director.NewChain(as, 6, touchFlows, fused)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,46 +349,6 @@ func sfcWorld(t *testing.T, name string, fused bool, opts compile.SFCOptions) to
 		}
 		return all
 	}}
-}
-
-// fusedChain is director.BuildChain(as, 6, touchFlows) with every NF's
-// per-flow record placed in one fused pool (compile.FuseStates), the way
-// fig13's +DP configurations build it.
-func fusedChain(as *mem.AddressSpace) ([]compile.Chainable, error) {
-	members := []compile.FuseMember{
-		{Name: "lb", Fields: lb.FlowFields(), Hot: lb.HotFields()},
-		{Name: "nat", Fields: nat.FlowFields(), Hot: nat.HotFields()},
-		{Name: "nm", Fields: monitor.FlowFields(), Hot: monitor.HotFields()},
-	}
-	for i := 1; i <= 3; i++ {
-		members = append(members, compile.FuseMember{Name: fmt.Sprintf("fw%d", i), Fields: fw.FlowFields(), Hot: fw.HotFields()})
-	}
-	states, err := compile.FuseStates(as, "sfc", members, touchFlows)
-	if err != nil {
-		return nil, err
-	}
-	l, err := lb.New(as, lb.Config{MaxFlows: touchFlows, States: states["lb"]})
-	if err != nil {
-		return nil, err
-	}
-	n, err := nat.New(as, nat.Config{MaxFlows: touchFlows, States: states["nat"]})
-	if err != nil {
-		return nil, err
-	}
-	m, err := monitor.New(as, monitor.Config{MaxFlows: touchFlows, States: states["nm"]})
-	if err != nil {
-		return nil, err
-	}
-	chain := []compile.Chainable{l, n, m}
-	for i := 1; i <= 3; i++ {
-		name := fmt.Sprintf("fw%d", i)
-		f, err := fw.New(as, fw.Config{Name: name, MaxFlows: touchFlows, Policy: fw.DefaultPolicy(8 * (i + 1)), States: states[name]})
-		if err != nil {
-			return nil, err
-		}
-		chain = append(chain, f)
-	}
-	return chain, nil
 }
 
 func TestTouchSeesWhatFnSees(t *testing.T) {
