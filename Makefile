@@ -131,7 +131,8 @@ chaos-demo:
 
 # metrics-demo boots a one-worker cluster on loopback, scrapes the
 # worker's OpenMetrics endpoint mid-run, breaches an impossible SLO,
-# and collects the resulting flight-recorder dump (ui.perfetto.dev).
-# Artifacts land in metrics_demo_out/; see EXPERIMENTS.md.
+# and collects the resulting flight-recorder dump (ui.perfetto.dev),
+# failing if /debug/flight never serves one. Artifacts land in
+# metrics_demo_out/; see EXPERIMENTS.md.
 metrics-demo:
 	scripts/metrics_demo.sh

@@ -16,7 +16,9 @@
 //	/debug/vars    expvar JSON; the "gunfu" map is a read-only snapshot
 //	               of the same registry (no second set of fields).
 //	/debug/flight  the newest flight-recorder dump as Perfetto-loadable
-//	               trace JSON (404 until a dump has been taken).
+//	               trace JSON (404 until a dump has been taken). A dump
+//	               replays the deployment so far with the recorder
+//	               attached; the live run carries no recorder.
 //	/debug/pprof   Go's standard profiling endpoints.
 //
 // With -reconnect the agent redials a dropped director connection
@@ -50,7 +52,7 @@ func run() int {
 	name := flag.String("name", "", "agent name (required)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /debug/vars, /debug/flight and /debug/pprof on this HTTP address (e.g. 127.0.0.1:8080)")
 	expvarAddr := flag.String("expvar", "", "deprecated alias for -metrics")
-	flightEvents := flag.Int("flight-events", director.DefaultFlightEvents, "flight-recorder ring capacity in events (0 disables)")
+	flightEvents := flag.Int("flight-events", director.DefaultFlightEvents, "events a flight dump holds, the newest of the deployment replayed on request (0 disables dumps)")
 	dumpDir := flag.String("dump-dir", "", "directory for flight dumps (default: system temp dir)")
 	reconnect := flag.Bool("reconnect", false, "redial the director with capped jittered exponential backoff when the connection drops")
 	backoffMin := flag.Duration("backoff-min", director.DefaultBackoff().Min, "initial reconnect delay for -reconnect")

@@ -318,7 +318,7 @@ func ExperimentNames() []string { return exp.Names() }
 
 // Observability (see internal/obs): tracing is observation-only — a
 // traced run's counters are byte-identical to an untraced run's — and
-// the disabled hook costs one nil check with zero allocations.
+// the disabled hook costs one bit test with zero allocations.
 type (
 	// Tracer receives the simulated core's event stream
 	// (Core.SetTracer): in emission order, delivered at flush points —
@@ -338,8 +338,8 @@ type (
 	// LatencyHistogram is the log-bucketed quantile histogram behind
 	// the latency tables.
 	LatencyHistogram = stats.Histogram
-	// FlightRecorder is the always-on fixed-size event ring, dumpable
-	// as a Perfetto trace after the fact.
+	// FlightRecorder is the fixed-size ring of the newest events,
+	// dumpable as a Perfetto trace after the fact.
 	FlightRecorder = obs.FlightRecorder
 	// LatencyProbe tracks only the rx→done latency distribution, cheap
 	// enough for serving deployments.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/gunfu-nfv/gunfu/internal/compile"
@@ -176,10 +177,10 @@ func NewChain(as *mem.AddressSpace, length, flows int, fused bool) ([]compile.Ch
 	return chain, nil
 }
 
-// DefaultFlightEvents is the default flight-recorder ring capacity:
-// enough cycles of context around an anomaly (roughly the last few
-// thousand packets at ~30 events/packet) at a bounded ~3 MB of host
-// memory.
+// DefaultFlightEvents is the default number of events a flight dump
+// holds: enough cycles of context around an anomaly (roughly the last
+// few thousand packets at ~30 events/packet) in a ~3 MB ring, allocated
+// at the agent's first dump.
 const DefaultFlightEvents = 1 << 16
 
 // Agent is the per-host runtime agent: it registers with the director
@@ -197,10 +198,12 @@ type Agent struct {
 	// with the rendered Perfetto JSON (the worker serves the newest one
 	// at /debug/flight).
 	OnDump func(info DumpInfo, trace []byte)
-	// FlightEvents sizes the always-on flight recorder attached to
-	// every deployment (0 disables it). NewAgent defaults it to
-	// DefaultFlightEvents: the black box should be on unless someone
-	// turns it off.
+	// FlightEvents is the number of events a flight dump holds — the
+	// newest ones of the deployment so far (0 disables dumps). NewAgent
+	// defaults it to DefaultFlightEvents: the black box should be on
+	// unless someone turns it off. Deployments run untraced either way;
+	// a dump replays the deployment with the recorder attached. The
+	// ring is sized when the first dump allocates it.
 	FlightEvents int
 	// DumpDir is where flight dumps land (defaults to os.TempDir()).
 	DumpDir string
@@ -212,11 +215,15 @@ type Agent struct {
 	// wedging a deployment. NewAgent defaults it to DefaultWriteTimeout.
 	WriteTimeout time.Duration
 
-	// flight and prog describe the most recent deployment; owned by the
-	// Run/execute goroutine (the reader goroutine only touches the
-	// recorder's atomic request flag).
+	// dumpReq is the one cross-goroutine dump surface: the connection
+	// reader sets it, the execute goroutine takes it at its next safe
+	// point (see maybeDump).
+	dumpReq atomic.Bool
+	// last is the replay recipe of the most recent deployment, flight
+	// the dump ring (allocated by the first dump); both owned by the
+	// execute goroutine.
+	last    *recipe
 	flight  *obs.FlightRecorder
-	prog    *model.Program
 	dumpSeq int
 
 	// cores recycles the deployment core: a fresh one is ~4 MB of tag,
@@ -435,14 +442,7 @@ func (a *Agent) runOnce(addr string) (shutdown, registered bool, err error) {
 		return false, false, fmt.Errorf("director: agent %s: register: %w", a.name, err)
 	}
 
-	if a.FlightEvents > 0 && a.flight == nil {
-		// One recorder for the agent's lifetime (it survives
-		// reconnects): its request flag is the cross-goroutine mailbox,
-		// and the ring always holds the newest events of the newest
-		// deployment.
-		a.flight = obs.NewFlightRecorder(a.FlightEvents)
-	}
-
+	dumps := a.FlightEvents > 0
 	msgs := make(chan Envelope, 16)
 	done := make(chan struct{})
 	defer close(done)
@@ -454,11 +454,11 @@ func (a *Agent) runOnce(addr string) (shutdown, registered bool, err error) {
 				close(msgs)
 				return
 			}
-			if env.Type == TypeDump && a.flight != nil {
+			if env.Type == TypeDump && dumps {
 				// Reaches a mid-deployment agent: the measure loop dumps
 				// at the next window boundary. The envelope is still
 				// forwarded so an idle agent handles it promptly.
-				a.flight.Request()
+				a.dumpReq.Store(true)
 			}
 			select {
 			case msgs <- env:
@@ -500,36 +500,32 @@ func (a *Agent) runOnce(addr string) (shutdown, registered bool, err error) {
 	return false, true, nil // director closed the connection
 }
 
-// maybeDump consumes a pending flight-dump request: render the ring as
-// Perfetto JSON, write it under DumpDir, notify local hooks and the
-// director. Runs only on the agent's execute goroutine (measure loop,
-// post-deployment, or idle loop), where the ring is quiescent.
+// maybeDump consumes a pending flight-dump request: replay the last
+// deployment with the recorder attached (see replayDump), render the
+// ring as Perfetto JSON, write it under DumpDir, notify local hooks and
+// the director. Runs only on the agent's execute goroutine (measure
+// loop, post-deployment, or idle loop), where the live deployment is
+// quiescent.
 func (a *Agent) maybeDump(send func(Envelope) error) {
-	if a.flight == nil || !a.flight.TakeRequest() {
+	if a.FlightEvents <= 0 || !a.dumpReq.CompareAndSwap(true, false) {
 		return
 	}
 	info := DumpInfo{Agent: a.name}
-	var trace []byte
-	if a.prog == nil {
-		info.Error = "no deployment has run; flight ring is empty"
+	trace, err := a.replayDump()
+	if err != nil {
+		info.Error = err.Error()
 	} else {
-		var buf bytes.Buffer
-		if err := a.flight.DumpPerfetto(&buf, a.prog, a.SimConfig.FreqHz); err != nil {
+		info.Events = a.flight.Len()
+		dir := a.DumpDir
+		if dir == "" {
+			dir = os.TempDir()
+		}
+		path := filepath.Join(dir, fmt.Sprintf("gunfu-flight-%s-%d.json", a.name, a.dumpSeq))
+		a.dumpSeq++
+		if err := os.WriteFile(path, trace, 0o644); err != nil {
 			info.Error = err.Error()
 		} else {
-			trace = buf.Bytes()
-			info.Events = a.flight.Len()
-			dir := a.DumpDir
-			if dir == "" {
-				dir = os.TempDir()
-			}
-			path := filepath.Join(dir, fmt.Sprintf("gunfu-flight-%s-%d.json", a.name, a.dumpSeq))
-			a.dumpSeq++
-			if err := os.WriteFile(path, trace, 0o644); err != nil {
-				info.Error = err.Error()
-			} else {
-				info.Path = path
-			}
+			info.Path = path
 		}
 	}
 	if a.OnDump != nil {
@@ -538,6 +534,132 @@ func (a *Agent) maybeDump(send func(Envelope) error) {
 	if send != nil {
 		_ = send(Envelope{Type: TypeDumpDone, Agent: a.name, Dump: &info})
 	}
+}
+
+// recipe is what it takes to re-execute a deployment: its spec, the
+// core configuration it ran on, and the Run calls it completed so far,
+// each with the result it returned live.
+type recipe struct {
+	spec DeploySpec
+	cfg  sim.Config
+	runs []recipeRun
+}
+
+type recipeRun struct {
+	n   uint64    // packets asked of Run
+	res rt.Result // what the live Run returned
+}
+
+// replayDump re-executes the last deployment's completed Run calls —
+// same factory, fresh address space, reset core — with the flight
+// recorder attached, checks the replay against the live run, and
+// renders the ring. A deployment is a pure function of its spec (the
+// factories are seeded, the simulator deterministic, tracing
+// counter-neutral), so the ring holds exactly what a recorder attached
+// to the live run would hold; a replay whose packets, cycles or
+// counters differ from the live run's is reported, not rendered.
+//
+// Only the tail is traced: the recorder is attached at the last Run
+// boundary with at least Cap/2 packets after it — every packet emits at
+// least a TraceRx and a TraceStreamDone, so that tail alone fills the
+// ring — and the prefix runs untraced.
+func (a *Agent) replayDump() ([]byte, error) {
+	rec := a.last
+	if rec == nil {
+		return nil, fmt.Errorf("no deployment has run; nothing to replay")
+	}
+	if a.flight == nil {
+		a.flight = obs.NewFlightRecorder(a.FlightEvents)
+	}
+	pool := a.corePool(rec.cfg)
+	core, err := pool.Get()
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	defer pool.Put(core)
+	prog, run, err := a.build(core, rec.spec)
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	from := 0
+	var after uint64
+	for i := len(rec.runs) - 1; i > 0; i-- {
+		if after += rec.runs[i].res.Packets; 2*after >= uint64(a.flight.Cap()) {
+			from = i
+			break
+		}
+	}
+	a.flight.Reset()
+	for i, r := range rec.runs {
+		if i == from {
+			core.SetTracer(a.flight)
+		}
+		res, err := run(r.n)
+		if err != nil {
+			return nil, fmt.Errorf("replay diverged from the live run at Run call %d of %d: %w", i+1, len(rec.runs), err)
+		}
+		if d := divergence(r.res, res); d != "" {
+			return nil, fmt.Errorf("replay diverged from the live run at Run call %d of %d: %s", i+1, len(rec.runs), d)
+		}
+	}
+	core.SetTracer(nil) // delivers the tail
+	var buf bytes.Buffer
+	if err := a.flight.DumpPerfetto(&buf, prog, rec.cfg.FreqHz); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// divergence names the first simulated quantity on which a replayed Run
+// differs from the live one, or returns "".
+func divergence(live, replay rt.Result) string {
+	switch {
+	case live.Packets != replay.Packets:
+		return fmt.Sprintf("packets %d live, %d replayed", live.Packets, replay.Packets)
+	case live.Cycles != replay.Cycles:
+		return fmt.Sprintf("cycles %d live, %d replayed", live.Cycles, replay.Cycles)
+	case live.Counters != replay.Counters:
+		return fmt.Sprintf("counters %+v live, %+v replayed", live.Counters, replay.Counters)
+	}
+	return ""
+}
+
+// corePool returns the agent's core pool for cfg, rebuilding it when
+// the configuration changed.
+func (a *Agent) corePool(cfg sim.Config) *sim.CorePool {
+	if a.cores == nil || a.cores.Config() != cfg {
+		a.cores = sim.NewCorePool(cfg)
+	}
+	return a.cores
+}
+
+// build constructs deployment d on core through the registry factory:
+// its program and its windowed Run. Both runtimes expose the same Run
+// contract, so everything above it is runtime-agnostic.
+func (a *Agent) build(core *sim.Core, d DeploySpec) (*model.Program, func(uint64) (rt.Result, error), error) {
+	factory, ok := a.reg[d.NF]
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown NF %q", d.NF)
+	}
+	as := mem.NewAddressSpace()
+	prog, src, err := factory(as, d)
+	if err != nil {
+		return nil, nil, err
+	}
+	if d.Tasks > 0 {
+		cfg := rt.DefaultConfig()
+		cfg.Tasks = d.Tasks
+		w, err := rt.NewWorker(core, as, prog, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return prog, func(n uint64) (rt.Result, error) { return w.Run(src, n) }, nil
+	}
+	w, err := rtc.NewWorker(core, as, prog, rtc.DefaultConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	return prog, func(n uint64) (rt.Result, error) { return w.Run(src, n) }, nil
 }
 
 // execute runs one deployment and builds the reply envelope. send, when
@@ -553,62 +675,37 @@ func (a *Agent) execute(env Envelope, send func(Envelope) error) Envelope {
 	if err := d.Validate(); err != nil {
 		return fail(err)
 	}
-	factory, ok := a.reg[d.NF]
-	if !ok {
-		return fail(fmt.Errorf("unknown NF %q", d.NF))
-	}
-	as := mem.NewAddressSpace()
-	prog, src, err := factory(as, d)
+	pool := a.corePool(a.SimConfig)
+	core, err := pool.Get()
 	if err != nil {
 		return fail(err)
 	}
-	if a.cores == nil || a.cores.Config() != a.SimConfig {
-		a.cores = sim.NewCorePool(a.SimConfig)
-	}
-	core, err := a.cores.Get()
+	// Put flushes the run's last trace events into the probe, detaches
+	// it and resets the core.
+	defer pool.Put(core)
+	_, live, err := a.build(core, d)
 	if err != nil {
 		return fail(err)
 	}
-	// Put flushes the run's last trace events into the taps, detaches
-	// them and resets the core.
-	defer a.cores.Put(core)
 
-	// Observability taps: the always-on flight recorder plus, when the
-	// spec asks for latency telemetry, a per-window rx→done probe. Build
-	// the tracer list conditionally — a typed-nil inside Multi would
-	// re-enable the traced path for nothing.
+	// The only live tap is the latency probe, when the spec asks for
+	// latency telemetry: it consumes rx and done events alone, so the
+	// core builds no others. Flight dumps come from replays.
 	var probe *obs.LatencyProbe
-	var taps []sim.Tracer
-	if a.flight != nil {
-		a.flight.Reset()
-		a.prog = prog
-		taps = append(taps, a.flight)
-	}
 	if d.Latency {
 		probe = obs.NewLatencyProbe()
-		taps = append(taps, probe)
-	}
-	if tr := obs.Multi(taps...); tr != nil {
-		core.SetTracer(tr)
+		core.SetTracer(probe)
 	}
 
-	// Both runtimes expose the same windowed Run contract, so the
-	// chunked telemetry loop below is runtime-agnostic.
-	var run func(n uint64) (rt.Result, error)
-	if d.Tasks > 0 {
-		cfg := rt.DefaultConfig()
-		cfg.Tasks = d.Tasks
-		w, err := rt.NewWorker(core, as, prog, cfg)
-		if err != nil {
-			return fail(err)
+	// Every completed Run call extends the replay recipe a dump re-runs.
+	rec := &recipe{spec: d, cfg: pool.Config()}
+	a.last = rec
+	run := func(n uint64) (rt.Result, error) {
+		res, err := live(n)
+		if err == nil {
+			rec.runs = append(rec.runs, recipeRun{n: n, res: res})
 		}
-		run = func(n uint64) (rt.Result, error) { return w.Run(src, n) }
-	} else {
-		w, err := rtc.NewWorker(core, as, prog, rtc.DefaultConfig())
-		if err != nil {
-			return fail(err)
-		}
-		run = func(n uint64) (rt.Result, error) { return w.Run(src, n) }
+		return res, err
 	}
 
 	if d.Warmup > 0 {

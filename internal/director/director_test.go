@@ -3,15 +3,12 @@ package director
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/gunfu-nfv/gunfu/internal/mem"
-	"github.com/gunfu-nfv/gunfu/internal/obs"
-	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
 
 // startCluster brings up a director and n agents on loopback and
@@ -322,18 +319,18 @@ func TestResultGbps(t *testing.T) {
 	}
 }
 
-// TestAgentPoolsCores: an agent runs every deployment on one pooled
-// core, and a recycled core is indistinguishable from a new one — two
-// consecutive deploys on one agent reply byte-for-byte what two fresh
-// agents reply, and leave the same events in the flight ring.
+// TestAgentPoolsCores: an agent runs every deployment — and every dump
+// replay — on one pooled core, and a recycled core is indistinguishable
+// from a new one: two consecutive deploys on one agent reply
+// byte-for-byte what two fresh agents reply, and their replayed flight
+// dumps are byte-identical too.
 func TestAgentPoolsCores(t *testing.T) {
 	specs := []DeploySpec{
 		{NF: "nat", Flows: 2048, Packets: 4000, Warmup: 500, PacketBytes: 64, Tasks: 16, Seed: 3, StatsEvery: 1000, Latency: true},
 		{NF: "upf-downlink", Flows: 512, Packets: 1500, PacketBytes: 128, Seed: 4},
 	}
-	deploy := func(a *Agent, seq int) ([]byte, []sim.TraceEvent) {
+	deploy := func(a *Agent, seq int) ([]byte, []byte) {
 		t.Helper()
-		a.flight = obs.NewFlightRecorder(a.FlightEvents)
 		reply := a.execute(Envelope{Type: TypeDeploy, Seq: seq, Deploy: &specs[seq-1]}, nil)
 		if reply.Type != TypeResult {
 			t.Fatalf("deploy %d: %s %s", seq, reply.Type, reply.Error)
@@ -342,28 +339,43 @@ func TestAgentPoolsCores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b, a.flight.Snapshot()
+		var trace []byte
+		a.OnDump = func(info DumpInfo, tr []byte) {
+			if info.Error != "" {
+				t.Fatalf("deploy %d: dump: %s", seq, info.Error)
+			}
+			trace = tr
+		}
+		a.dumpReq.Store(true)
+		a.maybeDump(nil)
+		if len(trace) == 0 {
+			t.Fatalf("deploy %d: no dump rendered", seq)
+		}
+		return b, trace
 	}
 	newAgent := func() *Agent {
 		a, err := NewAgent("w", DefaultRegistry())
 		if err != nil {
 			t.Fatal(err)
 		}
+		a.DumpDir = t.TempDir()
 		return a
 	}
 
 	pooled := newAgent()
 	for seq := 1; seq <= len(specs); seq++ {
-		got, gotRing := deploy(pooled, seq)
-		want, wantRing := deploy(newAgent(), seq)
+		got, gotDump := deploy(pooled, seq)
+		want, wantDump := deploy(newAgent(), seq)
 		if !bytes.Equal(got, want) {
 			t.Errorf("deploy %d on the reused agent:\n%s\non a fresh agent:\n%s", seq, got, want)
 		}
-		if !reflect.DeepEqual(gotRing, wantRing) {
-			t.Errorf("deploy %d: flight ring differs between the reused and a fresh agent", seq)
+		if !bytes.Equal(gotDump, wantDump) {
+			t.Errorf("deploy %d: flight dump differs between the reused and a fresh agent", seq)
 		}
 	}
-	if news, reuses := pooled.cores.Stats(); news != 1 || reuses != 1 {
-		t.Errorf("core pool Stats = (%d constructed, %d reused), want (1, 1)", news, reuses)
+	// One core built by the first deploy; its dump, the second deploy
+	// and the second dump all reuse it.
+	if news, reuses := pooled.cores.Stats(); news != 1 || reuses != 3 {
+		t.Errorf("core pool Stats = (%d constructed, %d reused), want (1, 3)", news, reuses)
 	}
 }

@@ -196,8 +196,8 @@ type DumpInfo struct {
 	Path string `json:"path,omitempty"`
 	// Events is the number of trace events in the dump.
 	Events int `json:"events"`
-	// Error is set when the dump could not be produced (e.g. the agent
-	// runs without a flight recorder).
+	// Error is set when the dump could not be produced (e.g. no
+	// deployment has run, or its replay diverged from the live run).
 	Error string `json:"error,omitempty"`
 }
 

@@ -192,3 +192,74 @@ func TestGoldenRepeatable(t *testing.T) {
 		t.Errorf("same seed, different counters:\n first: %s\nsecond: %s", a, b)
 	}
 }
+
+// kindSplit is a full-stream tracer (it declares no kinds) that keeps,
+// per filter, the subsequence of its stream a tracer declaring that
+// filter should receive.
+type kindSplit struct {
+	filters []sim.TraceKinds
+	subs    [][]sim.TraceEvent
+}
+
+func (k *kindSplit) Event(ev sim.TraceEvent) {
+	for i, f := range k.filters {
+		if f.Has(ev.Kind) {
+			k.subs[i] = append(k.subs[i], ev)
+		}
+	}
+}
+
+// kindRecorder declares kinds and keeps everything it is handed.
+type kindRecorder struct {
+	kinds sim.TraceKinds
+	evs   []sim.TraceEvent
+}
+
+func (k *kindRecorder) Event(ev sim.TraceEvent)    { k.evs = append(k.evs, ev) }
+func (k *kindRecorder) TraceKinds() sim.TraceKinds { return k.kinds }
+
+// TestGoldenCountersKindFiltered pins the kind filter on rt and rtc
+// over NAT and UPF: a tracer declaring a kind set receives exactly the
+// matching subsequence of a full tracer's stream — every field, Cycle,
+// A, B, C, Task and CS stamps included — and the golden fingerprints
+// hold with either tracer attached.
+func TestGoldenCountersKindFiltered(t *testing.T) {
+	filters := []sim.TraceKinds{
+		sim.KindSet(sim.TraceRx, sim.TraceStreamDone),
+		sim.KindSet(sim.TraceAccess),
+	}
+	for _, tc := range goldenCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			full := &kindSplit{filters: filters, subs: make([][]sim.TraceEvent, len(filters))}
+			got, err := tc.run(Options{Quick: true, Seed: 42, Tracer: full})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Errorf("full tracer perturbed the simulation\n got: %s\nwant: %s", got, tc.want)
+			}
+			for i, kinds := range filters {
+				kr := &kindRecorder{kinds: kinds}
+				got, err := tc.run(Options{Quick: true, Seed: 42, Tracer: kr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != tc.want {
+					t.Errorf("kinds %#x: filtered tracer perturbed the simulation\n got: %s\nwant: %s", kinds, got, tc.want)
+				}
+				want := full.subs[i]
+				if len(want) == 0 {
+					t.Fatalf("kinds %#x: the full stream has no matching events", kinds)
+				}
+				if len(kr.evs) != len(want) {
+					t.Fatalf("kinds %#x: filtered tracer got %d events, the full stream has %d matching", kinds, len(kr.evs), len(want))
+				}
+				for j := range want {
+					if kr.evs[j] != want[j] {
+						t.Fatalf("kinds %#x: event %d is %+v, the full stream's is %+v", kinds, j, kr.evs[j], want[j])
+					}
+				}
+			}
+		})
+	}
+}

@@ -263,16 +263,19 @@ func planBases(e *Exec, bind *Binding, mask uint8) *[8]uint64 {
 // materialization sits on the hottest loop in the repository and must
 // not pay a call per phase.
 //
-// With a tracer attached the same body brackets the action with
+// With a tracer attached the same body stamps the core with the control
+// state and, for the kinds the tracer consumes, brackets the action with
 // TraceActionBegin / TraceActionEnd + TraceTransition (outlined in
 // traceBegin/traceEnd so the untraced path pays two predictable
 // branches and keeps its shape); the per-op TraceAccess events come from
 // the core's span loops.
 func (p *Program) stepCompiled(e *Exec, pl *stepPlan) error {
 	core := e.Core
-	traced := core.Tracer() != nil
-	if traced {
-		traceBegin(e, pl)
+	if core.Tracer() != nil {
+		core.SetCS(int32(e.CS))
+		if core.Kinds().Has(sim.TraceActionBegin) {
+			traceBegin(core, pl)
+		}
 	}
 	before := core.Now()
 	if ops := pl.reads; len(ops) > 0 {
@@ -332,7 +335,7 @@ func (p *Program) stepCompiled(e *Exec, pl *stepPlan) error {
 	if next < 0 {
 		return p.stepTransitionErr(e, ev)
 	}
-	if traced {
+	if core.Kinds()&traceEndKinds != 0 {
 		traceEnd(core, pl, before, ev, next)
 	}
 	e.CS = next
@@ -343,17 +346,19 @@ func (p *Program) stepCompiled(e *Exec, pl *stepPlan) error {
 	return nil
 }
 
-// traceBegin stamps the core with the control state about to execute
-// and emits its TraceActionBegin.
+// traceBegin emits the TraceActionBegin of the control state about to
+// execute.
 //
 //go:noinline
-func traceBegin(e *Exec, pl *stepPlan) {
-	e.Core.SetCS(int32(e.CS))
-	e.Core.Emit(sim.TraceActionBegin, sim.CauseNone, uint64(pl.action), 0, 0)
+func traceBegin(core *sim.Core, pl *stepPlan) {
+	core.Emit(sim.TraceActionBegin, sim.CauseNone, uint64(pl.action), 0, 0)
 }
 
+// traceEndKinds are the kinds traceEnd emits.
+const traceEndKinds sim.TraceKinds = 1<<sim.TraceActionEnd | 1<<sim.TraceTransition
+
 // traceEnd emits the TraceActionEnd (B = cycles since begin, the clock
-// at step entry) and the TraceTransition taken.
+// at step entry) and the TraceTransition taken, each when consumed.
 //
 //go:noinline
 func traceEnd(core *sim.Core, pl *stepPlan, begin uint64, ev EventID, next CSID) {

@@ -8,6 +8,7 @@ import (
 
 	"github.com/gunfu-nfv/gunfu/internal/obs"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
+	"github.com/gunfu-nfv/gunfu/internal/stats"
 )
 
 func TestFlightRecorderRingOrder(t *testing.T) {
@@ -19,8 +20,8 @@ func TestFlightRecorderRingOrder(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f.Event(sim.TraceEvent{Cycle: uint64(i), Kind: sim.TraceTaskSwitch})
 	}
-	if f.Len() != 10 || f.Recorded() != 10 {
-		t.Fatalf("len/recorded = %d/%d", f.Len(), f.Recorded())
+	if f.Len() != 10 {
+		t.Fatalf("len = %d", f.Len())
 	}
 	snap := f.Snapshot()
 	for i, ev := range snap {
@@ -32,8 +33,8 @@ func TestFlightRecorderRingOrder(t *testing.T) {
 	for i := 10; i < 200; i++ {
 		f.Event(sim.TraceEvent{Cycle: uint64(i), Kind: sim.TraceTaskSwitch})
 	}
-	if f.Len() != 64 || f.Recorded() != 200 {
-		t.Fatalf("after wrap len/recorded = %d/%d", f.Len(), f.Recorded())
+	if f.Len() != 64 {
+		t.Fatalf("after wrap len = %d", f.Len())
 	}
 	snap = f.Snapshot()
 	if len(snap) != 64 {
@@ -44,28 +45,9 @@ func TestFlightRecorderRingOrder(t *testing.T) {
 			t.Fatalf("wrapped event %d cycle = %d, want %d", i, ev.Cycle, want)
 		}
 	}
-	// The census counts overwritten events too.
-	if k := f.KindCounts(); k[sim.TraceTaskSwitch] != 200 {
-		t.Fatalf("census = %d", k[sim.TraceTaskSwitch])
-	}
 	f.Reset()
 	if f.Len() != 0 || len(f.Snapshot()) != 0 {
 		t.Fatal("reset did not empty ring")
-	}
-}
-
-func TestFlightRecorderRequestFlag(t *testing.T) {
-	f := obs.NewFlightRecorder(64)
-	if f.TakeRequest() {
-		t.Fatal("fresh recorder has a pending request")
-	}
-	f.Request()
-	f.Request() // idempotent
-	if !f.TakeRequest() {
-		t.Fatal("request lost")
-	}
-	if f.TakeRequest() {
-		t.Fatal("request not consumed")
 	}
 }
 
@@ -126,8 +108,8 @@ func TestFlightRecorderBatchMatchesEvents(t *testing.T) {
 	if len(evs) != 0 {
 		t.Fatalf("%d events left over", len(evs))
 	}
-	if batched.Recorded() != 500 || batched.Len() != 64 || batched.KindCounts() != single.KindCounts() {
-		t.Fatalf("recorded/len = %d/%d, census %v vs %v", batched.Recorded(), batched.Len(), batched.KindCounts(), single.KindCounts())
+	if batched.Len() != 64 {
+		t.Fatalf("len = %d", batched.Len())
 	}
 }
 
@@ -137,10 +119,10 @@ func TestFlightRecorderBatchMatchesEvents(t *testing.T) {
 func TestFlightDumpPerfetto(t *testing.T) {
 	prog, _, _ := buildNAT(t, 16)
 	f := obs.NewFlightRecorder(512)
-	runTraced(t, 2000, f)
+	res := runTraced(t, 2000, f)
 
-	if f.Recorded() <= uint64(f.Cap()) {
-		t.Fatalf("workload too small to wrap: %d events", f.Recorded())
+	if 2*res.Packets <= uint64(f.Cap()) { // at least rx + done per packet
+		t.Fatalf("workload too small to wrap: %d packets", res.Packets)
 	}
 	var buf bytes.Buffer
 	if err := f.DumpPerfetto(&buf, prog, sim.DefaultConfig().FreqHz); err != nil {
@@ -217,5 +199,104 @@ func TestLatencyProbeMatchesCollector(t *testing.T) {
 		if ph.Quantile(q) != ch.Quantile(q) {
 			t.Fatalf("q=%v: probe %d, collector %d", q, ph.Quantile(q), ch.Quantile(q))
 		}
+	}
+}
+
+// mapProbe is the reference LatencyProbe: the Go-map matcher the probe
+// used before its open-addressed table.
+type mapProbe struct {
+	rx   map[uint64]uint64
+	hist stats.Histogram
+}
+
+func (m *mapProbe) event(ev sim.TraceEvent) {
+	switch ev.Kind {
+	case sim.TraceRx:
+		m.rx[ev.A] = ev.Cycle
+	case sim.TraceStreamDone:
+		if rx, ok := m.rx[ev.A]; ok {
+			m.hist.Add(ev.Cycle - rx)
+			delete(m.rx, ev.A)
+		}
+	}
+}
+
+// recorder keeps every event it is handed.
+type recorder struct{ evs []sim.TraceEvent }
+
+func (r *recorder) Event(ev sim.TraceEvent) { r.evs = append(r.evs, ev) }
+
+// TestLatencyProbeMatchesMap feeds recorded and synthetic streams, cut
+// into TakeWindow windows, to the probe and to the map reference: every
+// window's histogram must be bit-identical.
+func TestLatencyProbeMatchesMap(t *testing.T) {
+	rx := func(addr, cycle uint64) sim.TraceEvent {
+		return sim.TraceEvent{Kind: sim.TraceRx, A: addr, Cycle: cycle}
+	}
+	done := func(addr, cycle uint64) sim.TraceEvent {
+		return sim.TraceEvent{Kind: sim.TraceStreamDone, A: addr, Cycle: cycle}
+	}
+	// A recorded stream: a real NAT run, every kind included.
+	rec := &recorder{}
+	runTraced(t, 3000, rec)
+
+	// 300 packets in flight at once, on slot-strided addresses (the
+	// runtime's ring) and a few arbitrary ones, completing in a
+	// scrambled order; some addresses are received twice before done.
+	var crowd []sim.TraceEvent
+	var addrs []uint64
+	for i := uint64(0); i < 300; i++ {
+		a := 0x10000 + i*2048
+		if i%37 == 0 {
+			a = i * 0x9E3779B9
+		}
+		addrs = append(addrs, a)
+		crowd = append(crowd, rx(a, 10*i))
+		if i%50 == 0 {
+			crowd = append(crowd, rx(a, 10*i+5)) // a re-rx replaces the cycle
+		}
+	}
+	for i := range addrs {
+		j := (i * 7919) % len(addrs)
+		crowd = append(crowd, done(addrs[j], 5000+uint64(i)*3))
+	}
+
+	cases := []struct {
+		name string
+		evs  []sim.TraceEvent
+		cuts []int // TakeWindow after this many events
+	}{
+		{"recorded NAT stream", rec.evs, []int{len(rec.evs) / 3, len(rec.evs) / 2}},
+		{"carry-over across TakeWindow", []sim.TraceEvent{
+			rx(0x1000, 100), rx(0x2000, 200), done(0x1000, 150),
+			done(0x2000, 900), rx(0x3000, 1000), done(0x3000, 1600),
+		}, []int{3, 5}},
+		{"done with no rx", []sim.TraceEvent{
+			done(0x9999, 50), rx(0x1000, 100), done(0x9999, 120), done(0x1000, 400), done(0x1000, 500),
+		}, []int{2}},
+		{"more than 64 in flight", crowd, []int{150, 300, 400}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := obs.NewLatencyProbe()
+			ref := &mapProbe{rx: map[uint64]uint64{}}
+			window := func(at int) {
+				if got, want := p.TakeWindow(), ref.hist.Clone(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("window ending at event %d: probe %d samples (min %d max %d), map %d (min %d max %d)",
+						at, got.Count(), got.Min(), got.Max(), want.Count(), want.Min(), want.Max())
+				}
+				ref.hist.Reset()
+			}
+			cuts := tc.cuts
+			for i, ev := range tc.evs {
+				p.Event(ev)
+				ref.event(ev)
+				if len(cuts) > 0 && cuts[0] == i+1 {
+					window(i + 1)
+					cuts = cuts[1:]
+				}
+			}
+			window(len(tc.evs))
+		})
 	}
 }

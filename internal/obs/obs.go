@@ -15,10 +15,10 @@
 //     or chrome://tracing: one track per interleaved NFTask slot with
 //     action executions and stalls as nested slices, plus a prefetch
 //     track with in-flight fills.
-//   - FlightRecorder is the always-on production variant: a fixed-size
-//     overwrite-oldest ring of the newest events, allocation-free in
-//     steady state, dumpable as a Perfetto trace on demand (the "black
-//     box" that explains an anomaly after the fact).
+//   - FlightRecorder is the "black box": a fixed-size overwrite-oldest
+//     ring of the newest events, allocation-free in steady state,
+//     dumpable as a Perfetto trace. Serving agents attach it only to a
+//     deterministic replay of a deployment, when a dump is asked for.
 //   - LatencyProbe tracks only the rx→done latency distribution, cheap
 //     enough to leave attached on serving deployments so telemetry
 //     heartbeats can carry latency quantiles.
@@ -26,7 +26,10 @@
 //
 // All five implement sim.BatchTracer: the core hands them each flush as
 // one slice (see sim.Core.FlushTrace), so per-event cost is a loop
-// iteration, not an interface call.
+// iteration, not an interface call. LatencyProbe also implements
+// sim.KindTracer, declaring the two kinds it consumes, so a core it is
+// attached to alone builds no other event; Multi declares the union of
+// its members' kinds.
 //
 // Registry is the serving surface: a stdlib-only OpenMetrics text
 // exposition registry (metrics.go) bridging PMU-derived rates,
@@ -52,7 +55,7 @@ func (m multi) Event(ev sim.TraceEvent) {
 
 // EventBatch implements sim.BatchTracer: each member takes the whole
 // batch in turn — as a slice when it can, per event otherwise — so every
-// member still sees the full stream in emission order.
+// member sees the union stream (see TraceKinds) in emission order.
 func (m multi) EventBatch(evs []sim.TraceEvent) {
 	for _, t := range m {
 		if bt, ok := t.(sim.BatchTracer); ok {
@@ -63,6 +66,16 @@ func (m multi) EventBatch(evs []sim.TraceEvent) {
 			t.Event(evs[i])
 		}
 	}
+}
+
+// TraceKinds implements sim.KindTracer: the union of the members'
+// kinds, so a member without the method widens it to every kind.
+func (m multi) TraceKinds() sim.TraceKinds {
+	var k sim.TraceKinds
+	for _, t := range m {
+		k |= sim.KindsOf(t)
+	}
+	return k
 }
 
 // Multi combines tracers into one; nils are dropped. Returns nil when

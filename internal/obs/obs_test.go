@@ -258,3 +258,30 @@ func TestMulti(t *testing.T) {
 		t.Fatalf("batch fan-out failed: plain member %d switches / %d stall, ring %v", a.switches, a.stall, f.Snapshot())
 	}
 }
+
+// kindsTracer declares a fixed kind set.
+type kindsTracer struct {
+	sumTracer
+	kinds sim.TraceKinds
+}
+
+func (k *kindsTracer) TraceKinds() sim.TraceKinds { return k.kinds }
+
+// TestMultiKinds: Multi declares the union of its members' kinds, and a
+// member that declares none widens it to every kind.
+func TestMultiKinds(t *testing.T) {
+	rxDone := sim.KindSet(sim.TraceRx, sim.TraceStreamDone)
+	access := &kindsTracer{kinds: sim.KindSet(sim.TraceAccess)}
+	if got := sim.KindsOf(obs.NewLatencyProbe()); got != rxDone {
+		t.Fatalf("LatencyProbe kinds = %#x, want rx|done %#x", got, rxDone)
+	}
+	if got, want := sim.KindsOf(obs.Multi(obs.NewLatencyProbe(), access)), rxDone|sim.KindSet(sim.TraceAccess); got != want {
+		t.Fatalf("Multi(probe, access) kinds = %#x, want %#x", got, want)
+	}
+	if got := sim.KindsOf(obs.Multi(obs.NewLatencyProbe(), access, obs.NewFlightRecorder(64))); got != sim.AllTraceKinds {
+		t.Fatalf("Multi with a kind-less member = %#x, want every kind %#x", got, sim.AllTraceKinds)
+	}
+	if sim.KindsOf(nil) != 0 || sim.KindsOf(&sumTracer{}) != sim.AllTraceKinds {
+		t.Fatal("KindsOf: nil must consume nothing, a kind-less tracer everything")
+	}
+}

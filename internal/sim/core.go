@@ -31,17 +31,23 @@ type Core struct {
 
 	// trc, when non-nil, receives cycle-timestamped trace events;
 	// curTask and curCS are the attribution stamps (see trace.go).
-	// Every emission site is guarded by a nil check so the disabled
-	// path costs one predictable branch and zero allocations. Events
-	// accumulate in tbuf[:tn] (allocated by the first SetTracer) and
-	// reach the tracer at the next flush point; trcBatch is trc's
-	// BatchTracer upgrade, resolved once at attach time.
-	trc      Tracer
-	trcBatch BatchTracer
-	tbuf     []TraceEvent
-	tn       int
-	curTask  int32
-	curCS    int32
+	// kinds is the set of event kinds trc consumes (zero without a
+	// tracer): every emission site tests its kind's bit, so the
+	// disabled path — and a kind nobody consumes — costs one
+	// predictable branch and zero allocations. Events accumulate in
+	// tbuf[:tn] (allocated by the first SetTracer) and reach the tracer
+	// at the next flush point; trcBatch is trc's BatchTracer upgrade.
+	// All three are resolved once at attach time, and so is
+	// traceSwitch, kinds' TraceTaskSwitch bit as a plain bool: testing
+	// the bit would push TaskSwitch over the inlining budget.
+	trc         Tracer
+	trcBatch    BatchTracer
+	kinds       TraceKinds
+	traceSwitch bool
+	tbuf        []TraceEvent
+	tn          int
+	curTask     int32
+	curCS       int32
 
 	// alog, when non-nil, receives every charged memory operation (see
 	// accesslog.go); the differential-replay harness uses it to prove
@@ -157,7 +163,7 @@ func (c *Core) Compute(insts uint64) {
 func (c *Core) Stall(cycles uint64) {
 	c.clock += cycles
 	c.ctr.StallCycles += cycles
-	if c.trc != nil {
+	if c.kinds&(1<<TraceStall) != 0 {
 		c.Emit(TraceStall, CauseFixed, cycles, 0, 0)
 	}
 }
@@ -168,7 +174,7 @@ func (c *Core) TaskSwitch() {
 	c.ctr.TaskSwitches++
 	c.clock += c.switchCost
 	c.ctr.Instructions += c.switchInsts
-	if c.trc != nil {
+	if c.traceSwitch {
 		c.emitSwitch()
 	}
 }
@@ -290,7 +296,7 @@ func (c *Core) access(line uint64, overlapped bool) bool {
 	}
 	c.clock += lat
 	c.ctr.StallCycles += lat
-	if c.trc != nil {
+	if c.kinds&(1<<TraceStall) != 0 {
 		c.Emit(TraceStall, cause, lat, line<<lineShift, 0)
 	}
 	c.installL1(v1, line, c.clock, false)
@@ -332,13 +338,13 @@ func (c *Core) demandHitPrefetched(slot int) {
 		c.ctr.StallCycles += stall
 		c.ctr.PrefetchLate++
 		c.l1.pref[slot] = false
-		if c.trc != nil {
+		if c.kinds&(1<<TraceStall) != 0 {
 			c.Emit(TraceStall, CausePrefetchLate, stall, 0, 0)
 		}
 	} else if c.l1.pref[slot] {
 		c.ctr.PrefetchUseful++
 		c.l1.pref[slot] = false
-		if c.trc != nil {
+		if c.kinds&(1<<TracePrefetchUseful) != 0 {
 			c.Emit(TracePrefetchUseful, CauseNone, 0, 0, 0)
 		}
 	}
@@ -362,7 +368,7 @@ func (c *Core) stallLate(stall uint64) {
 	c.clock += stall
 	c.ctr.StallCycles += stall
 	c.ctr.PrefetchLate++
-	if c.trc != nil {
+	if c.kinds&(1<<TraceStall) != 0 {
 		c.Emit(TraceStall, CausePrefetchLate, stall, 0, 0)
 	}
 }
@@ -409,7 +415,7 @@ func (c *Core) prefetchLine(line uint64) {
 // prefetchRedundant charges a prefetch for a line already in L1.
 func (c *Core) prefetchRedundant(line uint64) {
 	c.ctr.PrefetchRedundant++
-	if c.trc != nil {
+	if c.kinds&(1<<TracePrefetchRedundant) != 0 {
 		c.Emit(TracePrefetchRedundant, CauseNone, line<<lineShift, 0, 0)
 	}
 }
@@ -442,7 +448,7 @@ func (c *Core) prefetchMiss(line uint64) {
 	c.installL1(c.l1.victimOf(line), line, ready, true)
 	c.mshrPush(ready)
 	c.ctr.PrefetchIssued++
-	if c.trc != nil {
+	if c.kinds&(1<<TracePrefetchIssued) != 0 {
 		c.Emit(TracePrefetchIssued, CauseNone, line<<lineShift, ready, 0)
 	}
 }
@@ -464,7 +470,7 @@ func (c *Core) mshrPush(ready uint64) {
 // prefetchDropped charges a prefetch rejected for want of MSHRs.
 func (c *Core) prefetchDropped(line uint64) {
 	c.ctr.PrefetchDropped++
-	if c.trc != nil {
+	if c.kinds&(1<<TracePrefetchDropped) != 0 {
 		c.Emit(TracePrefetchDropped, CauseNone, line<<lineShift, 0, 0)
 	}
 }

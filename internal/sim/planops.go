@@ -40,10 +40,10 @@ type FetchOp struct {
 // hand because it is past the inliner's budget and the call costs this
 // loop 3-6% end to end on L1-resident traffic (a single loop shared
 // with WriteSpans through a flag measured 2% slower still). With a
-// tracer attached the same ops run through spansTraced, which adds the
-// per-op TraceAccess events.
+// tracer that consumes TraceAccess the same ops run through
+// spansTraced, which adds the per-op events.
 func (c *Core) ReadSpans(bases *[8]uint64, ops []PlanOp) {
-	if c.trc != nil {
+	if c.kinds&(1<<TraceAccess) != 0 {
 		c.spansTraced(bases, ops, false)
 		return
 	}
@@ -73,7 +73,7 @@ func (c *Core) ReadSpans(bases *[8]uint64, ops []PlanOp) {
 // WriteSpans charges a demand write per op, exactly Write(addr, size)
 // in op order.
 func (c *Core) WriteSpans(bases *[8]uint64, ops []PlanOp) {
-	if c.trc != nil {
+	if c.kinds&(1<<TraceAccess) != 0 {
 		c.spansTraced(bases, ops, true)
 		return
 	}
@@ -100,26 +100,47 @@ func (c *Core) WriteSpans(bases *[8]uint64, ops []PlanOp) {
 	}
 }
 
-// spansTraced is ReadSpans/WriteSpans with a tracer attached: Read or
-// Write per op in op order — the loops above are those calls inlined,
-// so the charged sequence is the same — each followed by the op's
-// TraceAccess event: A = the op's attribution tag, B = stall cycles
-// within the access, C = L1 misses <<32 | LLC misses. Only the three
-// counters the event carries are sampled around the access.
+// spansTraced is ReadSpans/WriteSpans with a tracer that consumes
+// TraceAccess: the same charged sequence — the L1 way-hint hit inline,
+// everything else through burst — each op followed by its TraceAccess
+// event: A = the op's attribution tag, B = stall cycles within the
+// access, C = L1 misses <<32 | LLC misses. A hinted hit misses nothing
+// and can stall only on a late prefetch, so the three counters the
+// event carries are sampled around the access only off that path.
 //
 //go:noinline
 func (c *Core) spansTraced(bases *[8]uint64, ops []PlanOp, write bool) {
+	l1 := c.l1
+	fast := c.alog == nil
 	for i := range ops {
 		op := &ops[i]
 		addr := bases[op.Base&7] + op.Off
-		stall, l1, llc := c.ctr.StallCycles, c.ctr.L1Misses, c.ctr.LLCMisses
-		if write {
-			c.Write(addr, op.Size)
-		} else {
-			c.Read(addr, op.Size)
+		line := addr >> lineShift
+		if fast && (addr+op.Size-1)>>lineShift == line && op.Size != 0 {
+			if s := l1.hinted(line); s >= 0 {
+				if write {
+					c.ctr.Writes++
+				} else {
+					c.ctr.Reads++
+				}
+				c.ctr.Instructions++
+				c.ctr.L1Hits++
+				var stall uint64
+				if l1.ready[s] > c.clock || l1.pref[s] {
+					before := c.ctr.StallCycles
+					c.demandHitPrefetched(s)
+					stall = c.ctr.StallCycles - before
+				}
+				c.clock += c.cfg.L1.HitLatency
+				l1.stamps[s] = c.clock
+				c.Emit(TraceAccess, CauseNone, uint64(op.Kind), stall, 0)
+				continue
+			}
 		}
+		stall, l1m, llc := c.ctr.StallCycles, c.ctr.L1Misses, c.ctr.LLCMisses
+		c.burst(addr, op.Size, write)
 		c.Emit(TraceAccess, CauseNone, uint64(op.Kind),
-			c.ctr.StallCycles-stall, (c.ctr.L1Misses-l1)<<32|(c.ctr.LLCMisses-llc))
+			c.ctr.StallCycles-stall, (c.ctr.L1Misses-l1m)<<32|(c.ctr.LLCMisses-llc))
 	}
 }
 

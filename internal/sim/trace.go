@@ -7,8 +7,9 @@ package sim
 // enforce:
 //
 //   - Zero overhead when disabled: every emission site is guarded by a
-//     single nil check, no event value is constructed unless a tracer
-//     is attached, and the disabled path allocates nothing.
+//     single test of the attached tracer's kind mask (see TraceKinds),
+//     no event value is constructed unless a tracer consumes its kind,
+//     and the disabled path allocates nothing.
 //   - Counter-neutral when enabled: a Tracer only observes. Nothing in
 //     the emission path touches the clock, the caches, the MSHRs or the
 //     PMU, so attaching a tracer never changes a simulated result.
@@ -67,9 +68,27 @@ const (
 	TraceStreamDone
 )
 
-// TraceKindCount is the number of TraceKind values, for fixed-size
-// per-kind tables (the flight recorder's event census, exporters).
+// TraceKindCount is the number of TraceKind values, for per-kind sets
+// (TraceKinds) and tables.
 const TraceKindCount = int(TraceStreamDone) + 1
+
+// TraceKinds is a set of event kinds: bit k stands for TraceKind k.
+type TraceKinds uint16
+
+// AllTraceKinds is every emitted kind (TraceNone is never emitted).
+const AllTraceKinds TraceKinds = 1<<TraceKindCount - 2
+
+// KindSet returns the set holding exactly kinds.
+func KindSet(kinds ...TraceKind) TraceKinds {
+	var s TraceKinds
+	for _, k := range kinds {
+		s |= 1 << k
+	}
+	return s & AllTraceKinds
+}
+
+// Has reports whether k is in the set.
+func (s TraceKinds) Has(k TraceKind) bool { return s&(1<<k) != 0 }
 
 // String names the kind for diagnostics and exporters.
 func (k TraceKind) String() string {
@@ -185,6 +204,33 @@ type BatchTracer interface {
 	EventBatch(evs []TraceEvent)
 }
 
+// KindTracer is the optional upgrade, in the BatchTracer style, a
+// Tracer implements to declare the event kinds it consumes. A core
+// emits — and builds — only events of those kinds, so such a tracer
+// receives exactly the subsequence of the full stream that matches its
+// set, every field (Task and CS stamps included) as the full stream
+// carries it. The set is read once, at SetTracer. A tracer that
+// declares kinds must still ignore others: under obs.Multi it receives
+// the union of its fellow members' sets. Tracers without the method get
+// every kind.
+type KindTracer interface {
+	Tracer
+	TraceKinds() TraceKinds
+}
+
+// KindsOf returns the kinds t consumes: none for nil, its declared set
+// for a KindTracer, every kind otherwise.
+func KindsOf(t Tracer) TraceKinds {
+	switch t := t.(type) {
+	case nil:
+		return 0
+	case KindTracer:
+		return t.TraceKinds() & AllTraceKinds
+	default:
+		return AllTraceKinds
+	}
+}
+
 // traceBufEvents is the capacity of a core's event buffer (12 KiB of
 // 48-byte events): large enough that delivery cost is amortized away,
 // small enough to stay in the host's L1 next to the simulated L1 index.
@@ -193,11 +239,15 @@ const traceBufEvents = 256
 // SetTracer attaches t (nil detaches) after flushing anything still
 // buffered to the previous tracer. Tracing is an observation-only
 // facility: with a tracer attached the simulated clock, caches and PMU
-// counters behave bit-identically to an untraced run.
+// counters behave bit-identically to an untraced run. The tracer's
+// kind set (KindsOf) is resolved here, once: it is the mask every
+// emission site tests.
 func (c *Core) SetTracer(t Tracer) {
 	c.FlushTrace()
 	c.trc = t
 	c.trcBatch, _ = t.(BatchTracer)
+	c.kinds = KindsOf(t)
+	c.traceSwitch = c.kinds.Has(TraceTaskSwitch)
 	if t != nil && c.tbuf == nil {
 		c.tbuf = make([]TraceEvent, traceBufEvents)
 	}
@@ -206,20 +256,27 @@ func (c *Core) SetTracer(t Tracer) {
 // Tracer returns the attached tracer, or nil.
 func (c *Core) Tracer() Tracer { return c.trc }
 
+// Kinds returns the kinds the attached tracer consumes — none without
+// a tracer. Emission sites outside the core test it before building an
+// event's arguments.
+func (c *Core) Kinds() TraceKinds { return c.kinds }
+
 // SetTask stamps subsequent events with the given NFTask slot (-1 for
-// none). Runtimes call this only while a tracer is attached.
+// none). Runtimes call this whenever a tracer is attached, whatever its
+// kinds, so a filtered stream carries the stamps the full one does.
 func (c *Core) SetTask(slot int32) { c.curTask = slot }
 
 // SetCS stamps subsequent events with the given control state (-1 for
-// none). model.Program calls this only while a tracer is attached.
+// none). model.Program calls this whenever a tracer is attached.
 func (c *Core) SetCS(cs int32) { c.curCS = cs }
 
 // Emit records an event stamped with the current clock, task and
 // control state into the core's buffer, flushing when it fills. It is
-// a no-op without a tracer; callers on hot paths should guard with
-// their own nil check to avoid constructing the arguments.
+// a no-op unless the attached tracer consumes kind; callers on hot
+// paths guard with Kinds (or their own test of the tracer) to avoid
+// constructing the arguments.
 func (c *Core) Emit(kind TraceKind, cause StallCause, a, b, x uint64) {
-	if c.trc == nil {
+	if c.kinds&(1<<kind) == 0 {
 		return
 	}
 	ev := &c.tbuf[c.tn]

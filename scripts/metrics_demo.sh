@@ -13,6 +13,11 @@
 #   4. fetches the dump from /debug/flight — load it in
 #      ui.perfetto.dev to see the moments before the breach.
 #
+# Exits non-zero when /debug/flight never serves a parseable dump, so it
+# doubles as the smoke test of the real gunfu-worker binary's dump path
+# (CI runs it with a smaller PACKETS; the deployment must outlive the
+# scrape, or the worker exits before the dump can be fetched).
+#
 # Artifacts land in $OUT (default ./metrics_demo_out). Knobs: PORT,
 # HTTP, OUT, PACKETS.
 set -euo pipefail
@@ -68,15 +73,23 @@ for _ in $(seq 1 100); do
   if curl -sf "http://$HTTP/debug/flight" -o "$OUT/flight.json" 2>/dev/null; then break; fi
   sleep 0.1
 done
-if [ -s "$OUT/flight.json" ]; then
+dumped=0
+if [ -s "$OUT/flight.json" ] &&
+  python3 -c 'import json, sys; json.load(open(sys.argv[1]))["traceEvents"]' "$OUT/flight.json"; then
+  dumped=1
   echo "flight dump: $OUT/flight.json ($(wc -c <"$OUT/flight.json") bytes) — open in ui.perfetto.dev"
-else
-  echo "no dump served yet; see $OUT/gunfu-flight-*.json once the run breaches"
 fi
 
 wait "$DIRECTOR_PID" || true
 echo
 echo "== director output =="
 cat "$OUT/director.log"
+if [ "$dumped" = 0 ]; then
+  echo
+  echo "== worker output =="
+  cat "$OUT/worker.log"
+  echo "metrics_demo: /debug/flight never served a parseable flight dump" >&2
+  exit 1
+fi
 echo
 echo "artifacts in $OUT/: metrics.txt expvar.json flight.json director.log worker.log"
