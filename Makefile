@@ -17,13 +17,16 @@ verify: cross
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# cross checks internal/hostmem's per-architecture prefetch stubs from
-# any host, offline: both assembly stubs against their Go declaration
-# (go vet's asmdecl), the whole module on arm64, and on riscv64 — an
-# architecture with no stub — to prove the no-op fallback compiles.
+# cross checks the module's assembly from any host, offline: every stub
+# against its Go declaration (go vet's asmdecl) — internal/hostmem's
+# amd64 and arm64 prefetch stubs and internal/sim's amd64 set-scan
+# kernel — then the whole module on arm64 and on riscv64, which have no
+# kernel (the scalar set scans) and, on riscv64, no prefetch stub (the
+# no-op fallback).
 cross:
 	GOARCH=amd64 $(GO) vet ./internal/hostmem/
 	GOARCH=arm64 $(GO) vet ./internal/hostmem/
+	GOARCH=amd64 $(GO) vet ./internal/sim/
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=riscv64 $(GO) build ./...
 
@@ -105,9 +108,10 @@ trace-demo:
 	$(GO) run ./cmd/gunfu-bench -trace trace_demo.json -attr \
 		-nf nat -flows 4096 -packets 8000 -warmup 2000 -tasks 16
 
-# fuzz runs the fuzz targets — the control-plane wire protocol and the
-# cuckoo match table against a map — for a short active burst each (the
-# seed corpora in internal/{director,dstruct}/testdata/fuzz also run on
+# fuzz runs the fuzz targets — the control-plane wire protocol, the
+# cuckoo match table against a map, and the simulator's AVX2 set scan
+# against the scalar one — for a short active burst each (the seed
+# corpora in internal/{director,dstruct,sim}/testdata/fuzz also run on
 # every plain `go test`). Override FUZZTIME for longer campaigns:
 # make fuzz FUZZTIME=5m
 FUZZTIME ?= 10s
@@ -115,6 +119,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzProtocolReadMsg$$' -fuzztime $(FUZZTIME) ./internal/director/
 	$(GO) test -run '^$$' -fuzz 'FuzzProtocolRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/director/
 	$(GO) test -run '^$$' -fuzz 'FuzzCuckooOps$$' -fuzztime $(FUZZTIME) ./internal/dstruct/
+	$(GO) test -run '^$$' -fuzz 'FuzzSetScan$$' -fuzztime $(FUZZTIME) ./internal/sim/
 
 # chaos runs the control-plane fault drill under the race detector: a
 # director and two reconnecting agents behind the deterministic faultnet

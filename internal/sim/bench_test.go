@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // Host-side microbenchmarks for the simulator's hot kernels. These
 // measure *host* nanoseconds, not simulated cycles: the simulator's
@@ -39,6 +42,44 @@ func BenchmarkCacheLookup(b *testing.B) {
 	}
 	if slot < 0 {
 		b.Fatal("warm line missed")
+	}
+}
+
+// BenchmarkSetScan measures one set scan on its own: a miss in a full
+// 16-way set (the L2/LLC shape) followed by the LRU victim choice — a
+// probe with no hint to save it — over random sets of a 1024-set
+// level, through the AVX2 kernel and through the scalar loops.
+func BenchmarkSetScan(b *testing.B) {
+	const ways, sets = 16, 1024
+	for _, tc := range []struct {
+		name string
+		vec  bool
+	}{{"vector", true}, {"scalar", false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			if tc.vec && !hostAVX2 {
+				b.Skip("host has no AVX2")
+			}
+			c := newCache(CacheConfig{Name: "t", SizeBytes: sets * ways * LineBytes, Ways: ways}, 0)
+			c.vec = tc.vec
+			rng := rand.New(rand.NewSource(1))
+			for s := range c.tags { // way w of every set holds line w*sets+set
+				c.tags[s] = uint32(s%ways)<<1 | 1
+				c.stamps[s] = rng.Uint64()
+			}
+			misses := make([]uint64, 4096) // lines ways*sets and up: all absent
+			for i := range misses {
+				misses[i] = uint64(ways+rng.Intn(1<<20))*sets + uint64(rng.Intn(sets))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var victim int
+			for i := 0; i < b.N; i++ {
+				_, victim = c.probe(misses[i&4095])
+			}
+			if victim < 0 {
+				b.Fatal("full-set miss chose no victim")
+			}
+		})
 	}
 }
 

@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // cache is one set-associative level with LRU replacement. Slots carry a
 // readyAt timestamp so asynchronously prefetched lines can be installed
 // immediately (creating realistic occupancy pressure) while still stalling
@@ -12,6 +14,10 @@ package sim
 // stamp and fill bookkeeping live in parallel arrays (ready cycles dense
 // in one uint64 array, the L1-only prefetched flags in a byte array)
 // touched only on hits, installs and the full-set LRU pass.
+//
+// On an AVX2 host a level whose Ways is a multiple of 8 up to 64 scans
+// with one vector kernel per set (scanSetAVX2) instead of the per-way
+// loops; the answers are the loops' exactly (see vectorScan).
 //
 // Invariants:
 //
@@ -50,6 +56,9 @@ type cache struct {
 	// above). Written on scan hits at every level and on L1 installs.
 	hint      []uint8
 	hintShift uint
+	// vec routes the set scans after a hint miss through scanSetAVX2
+	// instead of the loops below; newCache decides it (vectorScan).
+	vec bool
 }
 
 // fibMul is the 64-bit Fibonacci hashing multiplier that spreads line
@@ -74,7 +83,22 @@ func newCache(cfg CacheConfig, hintBits uint) *cache {
 		ready:     make([]uint64, n),
 		hint:      make([]uint8, 1<<hintBits),
 		hintShift: 64 - hintBits,
+		vec:       vectorScan(cfg.Ways),
 	}
+}
+
+// vectorScan reports whether a level of the given associativity scans
+// with the AVX2 kernel: the host must run AVX2, and the set must be whole
+// 8-tag vectors that fit the kernel's 64-bit masks. The kernel answers
+// exactly what the loops do. A match mask has at most one bit (one way
+// per line; a zero tag never equals a valid one), so its lowest bit is
+// the loop's first match. By the valid prefix the lowest zero tag is the
+// loop's lowest invalid way. The LRU victim is found as the minimum stamp
+// first, then the lowest way equal to it — "strictly oldest, ties to the
+// lowest index" — with stamps sign-biased so the compare is unsigned over
+// the full uint64 range.
+func vectorScan(ways int) bool {
+	return hostAVX2 && ways%8 == 0 && ways <= 64
 }
 
 // tagOf packs line into its stored tag. Compact tags require line
@@ -111,6 +135,15 @@ func (c *cache) find(line uint64) int {
 	if s := base + int(c.hint[h]); c.tags[s] == want {
 		return s
 	}
+	if c.vec {
+		match, _, _ := scanSetAVX2(&c.tags[base], nil, c.ways, want)
+		if match == 0 {
+			return -1
+		}
+		w := bits.TrailingZeros64(match)
+		c.hint[h] = uint8(w)
+		return base + w
+	}
 	for w, tag := range c.tags[base : base+c.ways] {
 		if tag == want {
 			c.hint[h] = uint8(w)
@@ -125,12 +158,36 @@ func (c *cache) find(line uint64) int {
 
 // probe is find plus the victim choice: it returns the hit slot of line
 // (victim -1), or slot -1 and the slot an install into line's set must
-// use.
+// use. The vector form answers both with one kernel call.
 func (c *cache) probe(line uint64) (slot, victim int) {
+	if c.vec {
+		return c.probeVec(line)
+	}
 	if s := c.find(line); s >= 0 {
 		return s, -1
 	}
 	return -1, c.victimOf(line)
+}
+
+// probeVec is probe through scanSetAVX2: find's hint check, then one
+// kernel call that yields the matching way or else the victim.
+func (c *cache) probeVec(line uint64) (slot, victim int) {
+	base := int(line&c.setMask) * c.ways
+	want := c.tagOf(line)
+	h := (line * fibMul) >> c.hintShift
+	if s := base + int(c.hint[h]); c.tags[s] == want {
+		return s, -1
+	}
+	match, empty, lru := scanSetAVX2(&c.tags[base], &c.stamps[base], c.ways, want)
+	if match != 0 {
+		w := bits.TrailingZeros64(match)
+		c.hint[h] = uint8(w)
+		return base + w, -1
+	}
+	if empty != 0 {
+		return -1, base + bits.TrailingZeros64(empty)
+	}
+	return -1, base + lru
 }
 
 // victimOf picks the install victim in line's set: the lowest-index
@@ -138,8 +195,13 @@ func (c *cache) probe(line uint64) (slot, victim int) {
 // stamp (ties to the lowest index). The valid-prefix invariant makes
 // "set full" one load, so the steady-state case goes straight to the LRU
 // pass — which therefore runs only on a miss in a full set, the one case
-// that actually evicts.
+// that actually evicts. Callers ask only about absent lines, so the
+// vector form is probeVec's victim.
 func (c *cache) victimOf(line uint64) int {
+	if c.vec {
+		_, v := c.probeVec(line)
+		return v
+	}
 	base := int(line&c.setMask) * c.ways
 	if c.tags[base+c.ways-1] != 0 {
 		return c.lruOf(base)

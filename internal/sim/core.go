@@ -66,15 +66,12 @@ type Core struct {
 	issuePow2  bool
 }
 
-// Way-hint table sizes (log2 entries, one byte each). The L1 table is
-// written on every L1 install and stays host-cache-resident; the L2
-// table is written on scan hits only, so DRAM-fill-dominated traffic
-// never pays random writes into it. The LLC gets the degenerate
-// one-entry table: see EXPERIMENTS.md for the A/Bs behind all three.
-const (
-	l1HintBits = 12
-	l2HintBits = 16
-)
+// l1HintBits sizes the L1 way-hint table (log2 entries, one byte each),
+// written on every L1 install and host-cache-resident. The L2 and LLC
+// get the degenerate one-entry table: since their set scans became one
+// vector compare, a 64 KiB L2 table no longer wins (see EXPERIMENTS.md
+// for the A/Bs behind both choices).
+const l1HintBits = 12
 
 // NewCore builds a core from cfg, validating it first.
 func NewCore(cfg Config) (*Core, error) {
@@ -88,7 +85,7 @@ func NewCore(cfg Config) (*Core, error) {
 	c := &Core{
 		cfg:         cfg,
 		l1:          newCache(cfg.L1, l1HintBits),
-		l2:          newCache(cfg.L2, l2HintBits),
+		l2:          newCache(cfg.L2, 0),
 		llc:         newCache(cfg.LLC, 0),
 		mshr:        make([]uint64, ring),
 		mshrMask:    uint(ring - 1),

@@ -146,14 +146,16 @@ func (c *Core) spansTraced(bases *[8]uint64, ops []PlanOp, write bool) {
 
 // FirstNonResident returns the index of the first op whose lines are
 // not all L1-resident, or -1 when the whole plan is resident. Residency
-// probes charge nothing, exactly like ResidentL1.
+// probes charge nothing, exactly like ResidentL1. A span op that covers
+// one line at run time is checked like a Line op.
 func (c *Core) FirstNonResident(bases *[8]uint64, ops []FetchOp) int {
 	l1 := c.l1
 	for i := range ops {
 		op := &ops[i]
 		addr := bases[op.Base&7] + op.Off
-		if op.Line {
-			if line := addr >> lineShift; l1.hinted(line) < 0 && l1.find(line) < 0 {
+		line := addr >> lineShift
+		if op.Line || op.Size != 0 && (addr+op.Size-1)>>lineShift == line {
+			if l1.hinted(line) < 0 && l1.find(line) < 0 {
 				return i
 			}
 		} else if !c.ResidentL1(addr, op.Size) {
@@ -169,32 +171,33 @@ func (c *Core) FirstNonResident(bases *[8]uint64, ops []FetchOp) int {
 // knowledge): ops before it are still resident — the issue loop
 // installs nothing before reaching op miss, and the clock alone never
 // evicts — so their probes are skipped and the redundant path charged
-// directly; op miss, when it is a single line, is likewise still absent
-// and skips its guaranteed-miss L1 scan. Ops after miss take the full
-// probing path. The charged sequence is identical to issuing the plan
-// blind.
+// directly; op miss, when it covers a single line, is likewise still
+// absent and skips its guaranteed-miss L1 scan. A span op covering one
+// line at run time is a Line op here, as it is in FirstNonResident. Ops
+// after miss take the full probing path. The charged sequence is
+// identical to issuing the plan blind.
 func (c *Core) IssueFetch(bases *[8]uint64, ops []FetchOp, miss int) {
 	for i := range ops {
 		op := &ops[i]
 		addr := bases[op.Base&7] + op.Off
-		if op.Line {
-			line := addr >> lineShift
-			if c.alog != nil {
-				c.alog(MemAccess{Addr: line << lineShift, Size: LineBytes, Cycle: c.clock, Kind: AccessPrefetch})
-			}
-			c.clock += c.cfg.PrefetchIssueCost
-			c.ctr.Instructions++
-			resident := i < miss
-			if i > miss {
-				resident = c.l1.find(line) >= 0
-			}
-			if resident {
-				c.prefetchRedundant(line)
-			} else {
-				c.prefetchMiss(line)
-			}
-		} else {
+		line := addr >> lineShift
+		if !op.Line && (op.Size == 0 || (addr+op.Size-1)>>lineShift != line) {
 			c.Prefetch(addr, op.Size)
+			continue
+		}
+		if c.alog != nil {
+			c.alog(MemAccess{Addr: line << lineShift, Size: LineBytes, Cycle: c.clock, Kind: AccessPrefetch})
+		}
+		c.clock += c.cfg.PrefetchIssueCost
+		c.ctr.Instructions++
+		resident := i < miss
+		if i > miss {
+			resident = c.l1.find(line) >= 0
+		}
+		if resident {
+			c.prefetchRedundant(line)
+		} else {
+			c.prefetchMiss(line)
 		}
 	}
 }

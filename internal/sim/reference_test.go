@@ -388,10 +388,19 @@ func oracleState(c *Core, r *refCore, deep bool) string {
 // default, and small ones that evict at every level within a few ops
 // and hit the corners — non-power-of-two ways, one-set and one-way
 // levels, a single MSHR, and zero issue/hit costs so that LRU stamps
-// tie and the ties-to-lowest-index rule decides victims.
+// tie and the ties-to-lowest-index rule decides victims. The vector
+// shapes give every width the set-scan kernel takes (8, 16, 32 and 64
+// ways) a level with few sets, so its scans evict within a few ops.
 func oracleConfigs() map[string]Config {
 	lvl := func(name string, sets, ways int, lat uint64) CacheConfig {
 		return CacheConfig{Name: name, SizeBytes: sets * ways * LineBytes, Ways: ways, HitLatency: lat}
+	}
+	zeroCosts := func(c Config) Config {
+		c.L1.HitLatency, c.L2.HitLatency, c.LLC.HitLatency = 0, 0, 0
+		c.PrefetchIssueCost = 0
+		c.DRAMLatency = 1
+		c.BurstGap = 0
+		return c
 	}
 	small := Config{
 		L1: lvl("L1", 4, 3, 4), L2: lvl("L2", 8, 6, 14), LLC: lvl("LLC", 16, 12, 50),
@@ -401,14 +410,17 @@ func oracleConfigs() map[string]Config {
 	corners.L1 = lvl("L1", 1, 5, 4)   // one set
 	corners.L2 = lvl("L2", 16, 1, 14) // direct-mapped
 	corners.MSHRs = 1
-	ties := small
-	ties.L1.HitLatency, ties.L2.HitLatency, ties.LLC.HitLatency = 0, 0, 0
-	ties.PrefetchIssueCost = 0
-	ties.DRAMLatency = 1
-	ties.BurstGap = 0
 	wide := small
 	wide.LLC = lvl("LLC", 2, 300, 50) // more ways than a hint byte can name
-	return map[string]Config{"default": DefaultConfig(), "small": small, "corners": corners, "ties": ties, "wide": wide}
+	vector := small
+	vector.L1, vector.L2, vector.LLC = lvl("L1", 2, 8, 4), lvl("L2", 2, 16, 14), lvl("LLC", 2, 64, 50)
+	vectorMSHR := vector
+	vectorMSHR.L1, vectorMSHR.L2 = lvl("L1", 1, 16, 4), lvl("L2", 2, 32, 14)
+	vectorMSHR.MSHRs = 1
+	return map[string]Config{
+		"default": DefaultConfig(), "small": small, "corners": corners, "ties": zeroCosts(small), "wide": wide,
+		"vector": vector, "vector-ties": zeroCosts(vector), "vector-mshr1": vectorMSHR,
+	}
 }
 
 // genRefOps draws a stream over three regions sized from cfg: one that
@@ -454,34 +466,50 @@ func genRefOps(rng *rand.Rand, cfg Config, n int) []refOp {
 // TestReferenceOracle drives Core and the reference hierarchy in
 // lock-step and requires identical observable state after every op.
 // With a tracer attached the span loops take their traced form, which
-// must charge the same sequence.
+// must charge the same sequence. When any level of the core scans with
+// the vector kernel, the config runs again as "scalar" with every level
+// turned back to the loops, so both scans answer to the reference on
+// the same shapes.
 func TestReferenceOracle(t *testing.T) {
 	for name, cfg := range oracleConfigs() {
 		for _, traced := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/traced=%v", name, traced), func(t *testing.T) {
-				c, err := NewCore(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if traced {
-					c.SetTracer(countingTracer{})
-				}
-				r := newRefCore(cfg)
-				n := 60000
-				if testing.Short() {
-					n = 15000
-				}
-				ops := genRefOps(rand.New(rand.NewSource(int64(len(name))+41)), cfg, n)
-				for i := range ops {
-					diff := oracleStep(c, r, &ops[i])
-					if diff == "" {
-						diff = oracleState(c, r, i%997 == 0 || i == len(ops)-1)
-					}
-					if diff != "" {
-						t.Fatalf("op %d (kind %d addr %#x size %d): %s", i, ops[i].kind, ops[i].addr, ops[i].size, diff)
-					}
+				c := runOracle(t, name, cfg, traced, false)
+				if c.l1.vec || c.l2.vec || c.llc.vec {
+					t.Run("scalar", func(t *testing.T) { runOracle(t, name, cfg, traced, true) })
 				}
 			})
 		}
 	}
+}
+
+// runOracle runs one config's randomized stream against the reference
+// and returns the core; scalar turns off the vector scans first.
+func runOracle(t *testing.T, name string, cfg Config, traced, scalar bool) *Core {
+	c, err := NewCore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scalar {
+		c.l1.vec, c.l2.vec, c.llc.vec = false, false, false
+	}
+	if traced {
+		c.SetTracer(countingTracer{})
+	}
+	r := newRefCore(cfg)
+	n := 60000
+	if testing.Short() {
+		n = 15000
+	}
+	ops := genRefOps(rand.New(rand.NewSource(int64(len(name))+41)), cfg, n)
+	for i := range ops {
+		diff := oracleStep(c, r, &ops[i])
+		if diff == "" {
+			diff = oracleState(c, r, i%997 == 0 || i == len(ops)-1)
+		}
+		if diff != "" {
+			t.Fatalf("op %d (kind %d addr %#x size %d): %s", i, ops[i].kind, ops[i].addr, ops[i].size, diff)
+		}
+	}
+	return c
 }
