@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify cross lint bench-smoke bench-compile bench-paired bench-ab profile quick trace-demo metrics-demo fuzz chaos chaos-demo
+.PHONY: build test verify cross lint bench-smoke bench-compile bench-paired bench-ab profile examples quick trace-demo metrics-demo fuzz chaos chaos-demo
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,14 @@ profile:
 	@echo "inspect with:"
 	@echo "  $(GO) tool pprof -top cpu.pprof"
 	@echo "  $(GO) tool pprof -top -sample_index=alloc_space mem.pprof"
+
+# examples runs every program under examples/ — the callers of the
+# public gunfu facade — and fails on the first non-zero exit.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d; \
+	done
 
 # quick regenerates every figure with reduced populations.
 quick:

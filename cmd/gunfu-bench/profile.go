@@ -6,16 +6,13 @@ import (
 	"os"
 
 	"github.com/gunfu-nfv/gunfu/internal/director"
-	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/obs"
-	"github.com/gunfu-nfv/gunfu/internal/rt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
 
 // profileSpec selects the workload for a -trace/-attr profile run. It
-// reuses the deployable registry so the profiled NFs are exactly the
-// control plane's.
+// builds through the deployable registry (director.Registry.Build), so
+// the profiled NF and worker are exactly what the control plane deploys.
 type profileSpec struct {
 	tracePath  string // Chrome trace JSON output ("" = off)
 	attr       bool   // print attribution tables
@@ -28,16 +25,7 @@ type profileSpec struct {
 // measured window with the requested tracers attached. The attribution
 // tables go to out; the Chrome trace to tracePath.
 func profile(p profileSpec, out io.Writer) error {
-	factory, ok := director.DefaultRegistry()[p.spec.NF]
-	if !ok {
-		return fmt.Errorf("unknown NF %q", p.spec.NF)
-	}
 	if err := p.spec.Validate(); err != nil {
-		return err
-	}
-	as := mem.NewAddressSpace()
-	prog, src, err := factory(as, p.spec)
-	if err != nil {
 		return err
 	}
 	cfg := sim.DefaultConfig()
@@ -45,21 +33,9 @@ func profile(p profileSpec, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var run func(n uint64) (rt.Result, error)
-	if p.spec.Tasks > 0 {
-		rcfg := rt.DefaultConfig()
-		rcfg.Tasks = p.spec.Tasks
-		w, err := rt.NewWorker(core, as, prog, rcfg)
-		if err != nil {
-			return err
-		}
-		run = func(n uint64) (rt.Result, error) { return w.Run(src, n) }
-	} else {
-		w, err := rtc.NewWorker(core, as, prog, rtc.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		run = func(n uint64) (rt.Result, error) { return w.Run(src, n) }
+	prog, run, err := director.DefaultRegistry().Build(core, p.spec)
+	if err != nil {
+		return err
 	}
 
 	if p.spec.Warmup > 0 {

@@ -13,8 +13,6 @@
 //	               volume counters, the raw PMU block, last-window
 //	               derived rates, rx→done latency quantiles, and Go
 //	               runtime gauges.
-//	/debug/vars    expvar JSON; the "gunfu" map is a read-only snapshot
-//	               of the same registry (no second set of fields).
 //	/debug/flight  the newest flight-recorder dump as Perfetto-loadable
 //	               trace JSON (404 until a dump has been taken). A dump
 //	               replays the deployment so far with the recorder
@@ -25,12 +23,9 @@
 // under capped jittered exponential backoff (-backoff-min/-backoff-max,
 // -backoff-attempts to bound the redials) instead of exiting — the
 // production mode, and the partner of `gunfu-director -chaos`.
-//
-// -expvar is a deprecated alias for -metrics.
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
@@ -50,8 +45,7 @@ func main() {
 func run() int {
 	connect := flag.String("connect", "127.0.0.1:7700", "director address")
 	name := flag.String("name", "", "agent name (required)")
-	metricsAddr := flag.String("metrics", "", "serve /metrics, /debug/vars, /debug/flight and /debug/pprof on this HTTP address (e.g. 127.0.0.1:8080)")
-	expvarAddr := flag.String("expvar", "", "deprecated alias for -metrics")
+	metricsAddr := flag.String("metrics", "", "serve /metrics, /debug/flight and /debug/pprof on this HTTP address (e.g. 127.0.0.1:8080)")
 	flightEvents := flag.Int("flight-events", director.DefaultFlightEvents, "events a flight dump holds, the newest of the deployment replayed on request (0 disables dumps)")
 	dumpDir := flag.String("dump-dir", "", "directory for flight dumps (default: system temp dir)")
 	reconnect := flag.Bool("reconnect", false, "redial the director with capped jittered exponential backoff when the connection drops")
@@ -63,9 +57,6 @@ func run() int {
 	if *name == "" {
 		fmt.Fprintln(os.Stderr, "gunfu-worker: -name is required")
 		return 2
-	}
-	if *metricsAddr == "" {
-		*metricsAddr = *expvarAddr
 	}
 	a, err := director.NewAgent(*name, director.DefaultRegistry())
 	if err != nil {
@@ -97,19 +88,12 @@ func run() int {
 
 // serveMetrics wires the agent's observability plane onto one HTTP
 // server. Every metric is defined once, in the registry the
-// MetricsBridge populates; expvar republishes a snapshot of it rather
-// than maintaining parallel fields.
+// MetricsBridge populates, and exposed once, at /metrics.
 func serveMetrics(a *director.Agent, addr string) {
 	reg := obs.NewRegistry()
 	reg.AddGoRuntime()
 	bridge := director.NewMetricsBridge(reg)
 	a.OnStats = bridge.Observe
-
-	// expvar's /debug/vars is registered on the default mux at init;
-	// "gunfu" exposes the registry read-only.
-	expvar.Publish("gunfu", expvar.Func(func() any {
-		return reg.Snapshot()
-	}))
 
 	var mu sync.Mutex
 	var lastInfo director.DumpInfo
@@ -140,5 +124,5 @@ func serveMetrics(a *director.Agent, addr string) {
 			fmt.Fprintf(os.Stderr, "gunfu-worker: metrics: %v\n", err)
 		}
 	}()
-	fmt.Printf("agent serving metrics on http://%s/metrics (pprof, expvar and flight dumps under /debug/)\n", addr)
+	fmt.Printf("agent serving metrics on http://%s/metrics (pprof and flight dumps under /debug/)\n", addr)
 }

@@ -15,7 +15,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/nfc"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/spec"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
@@ -161,7 +160,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rtcW, err := rtc.NewWorker(core, as, res.Program, rtc.DefaultConfig())
+	rtcW, err := rt.NewWorker(core, as, res.Program, rt.RTCConfig())
 	if err != nil {
 		return err
 	}

@@ -46,7 +46,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/obs"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
@@ -130,10 +129,6 @@ type (
 	Engine = rt.Engine
 	// CoreSetup builds one engine core's worker.
 	CoreSetup = rt.CoreSetup
-	// RTCWorker is the per-packet run-to-completion baseline.
-	RTCWorker = rtc.Worker
-	// RTCConfig tunes the baseline worker.
-	RTCConfig = rtc.Config
 )
 
 // DefaultWorkerConfig returns the evaluation's tuning (16 NFTasks).
@@ -144,13 +139,15 @@ func NewWorker(core *Core, as *AddressSpace, prog *Program, cfg WorkerConfig) (*
 	return rt.NewWorker(core, as, prog, cfg)
 }
 
-// DefaultRTCConfig returns baseline I/O settings matched to the
-// interleaved worker's.
-func DefaultRTCConfig() RTCConfig { return rtc.DefaultConfig() }
+// DefaultRTCConfig returns the run-to-completion baseline's tuning: one
+// NFTask, no prefetching, I/O settings matched to the interleaved
+// worker's.
+func DefaultRTCConfig() WorkerConfig { return rt.RTCConfig() }
 
-// NewRTCWorker builds the run-to-completion baseline worker.
-func NewRTCWorker(core *Core, as *AddressSpace, prog *Program, cfg RTCConfig) (*RTCWorker, error) {
-	return rtc.NewWorker(core, as, prog, cfg)
+// NewRTCWorker builds the run-to-completion baseline worker: the same
+// Worker, under cfg (normally DefaultRTCConfig).
+func NewRTCWorker(core *Core, as *AddressSpace, prog *Program, cfg WorkerConfig) (*Worker, error) {
+	return rt.NewWorker(core, as, prog, cfg)
 }
 
 // NewEngine builds a multi-core engine over per-core setups.

@@ -12,7 +12,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/nf/nat"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
 )
@@ -184,7 +183,7 @@ func runSFC(t *testing.T, chain []Chainable, opts SFCOptions, g rt.Source, packe
 		}
 		return res
 	}
-	w, err := rtc.NewWorker(core, mem.NewAddressSpace(), prog, rtc.DefaultConfig())
+	w, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, rt.RTCConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/spec"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
@@ -164,7 +163,7 @@ func TestFromSpecRewriteMatchesMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := rtc.NewWorker(core, mem.NewAddressSpace(), res.Program, rtc.DefaultConfig())
+	w, err := rt.NewWorker(core, mem.NewAddressSpace(), res.Program, rt.RTCConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

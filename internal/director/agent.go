@@ -24,7 +24,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/obs"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
 )
@@ -44,6 +43,31 @@ func DefaultRegistry() Registry {
 		"upf-downlink": upfFactory,
 		"sfc":          sfcFactory,
 	}
+}
+
+// Build constructs deployment d on core through its factory: the
+// program and its windowed Run. d.Tasks is max_interleaved, and 0
+// selects the run-to-completion baseline (rt.RTCConfig).
+func (r Registry) Build(core *sim.Core, d DeploySpec) (*model.Program, func(uint64) (rt.Result, error), error) {
+	factory, ok := r[d.NF]
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown NF %q", d.NF)
+	}
+	as := mem.NewAddressSpace()
+	prog, src, err := factory(as, d)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := rt.RTCConfig()
+	if d.Tasks > 0 {
+		cfg = rt.DefaultConfig()
+		cfg.Tasks = d.Tasks
+	}
+	w, err := rt.NewWorker(core, as, prog, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return prog, func(n uint64) (rt.Result, error) { return w.Run(src, n) }, nil
 }
 
 func natFactory(as *mem.AddressSpace, d DeploySpec) (*model.Program, rt.Source, error) {
@@ -577,7 +601,7 @@ func (a *Agent) replayDump() ([]byte, error) {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
 	defer pool.Put(core)
-	prog, run, err := a.build(core, rec.spec)
+	prog, run, err := a.reg.Build(core, rec.spec)
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
@@ -633,35 +657,6 @@ func (a *Agent) corePool(cfg sim.Config) *sim.CorePool {
 	return a.cores
 }
 
-// build constructs deployment d on core through the registry factory:
-// its program and its windowed Run. Both runtimes expose the same Run
-// contract, so everything above it is runtime-agnostic.
-func (a *Agent) build(core *sim.Core, d DeploySpec) (*model.Program, func(uint64) (rt.Result, error), error) {
-	factory, ok := a.reg[d.NF]
-	if !ok {
-		return nil, nil, fmt.Errorf("unknown NF %q", d.NF)
-	}
-	as := mem.NewAddressSpace()
-	prog, src, err := factory(as, d)
-	if err != nil {
-		return nil, nil, err
-	}
-	if d.Tasks > 0 {
-		cfg := rt.DefaultConfig()
-		cfg.Tasks = d.Tasks
-		w, err := rt.NewWorker(core, as, prog, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return prog, func(n uint64) (rt.Result, error) { return w.Run(src, n) }, nil
-	}
-	w, err := rtc.NewWorker(core, as, prog, rtc.DefaultConfig())
-	if err != nil {
-		return nil, nil, err
-	}
-	return prog, func(n uint64) (rt.Result, error) { return w.Run(src, n) }, nil
-}
-
 // execute runs one deployment and builds the reply envelope. send, when
 // non-nil, carries mid-run TypeStats heartbeats back to the director.
 func (a *Agent) execute(env Envelope, send func(Envelope) error) Envelope {
@@ -683,7 +678,7 @@ func (a *Agent) execute(env Envelope, send func(Envelope) error) Envelope {
 	// Put flushes the run's last trace events into the probe, detaches
 	// it and resets the core.
 	defer pool.Put(core)
-	_, live, err := a.build(core, d)
+	_, live, err := a.reg.Build(core, d)
 	if err != nil {
 		return fail(err)
 	}

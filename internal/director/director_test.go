@@ -300,6 +300,7 @@ func TestDeploySpecValidate(t *testing.T) {
 		{NF: "nat", Packets: 1, PacketBytes: 64},
 		{NF: "nat", Flows: 1, PacketBytes: 64},
 		{NF: "nat", Flows: 1, Packets: 1, PacketBytes: 32},
+		{NF: "nat", Flows: 1, Packets: 1, PacketBytes: 64, Tasks: -1},
 	}
 	for i, b := range bad {
 		if err := b.Validate(); err == nil {

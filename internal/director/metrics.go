@@ -16,9 +16,8 @@ import (
 // Director.SetStatsHandler (cluster view — series then aggregate all
 // agents reporting through this process).
 //
-// Every metric is defined exactly once, here; the worker's expvar
-// endpoint republishes Registry.Snapshot rather than keeping a second
-// set of fields.
+// Every metric is defined exactly once, here, and exposed once, at
+// the registry's /metrics.
 type MetricsBridge struct {
 	reg *obs.Registry
 

@@ -91,6 +91,9 @@ func (d DeploySpec) Validate() error {
 	if d.PacketBytes < 64 {
 		return fmt.Errorf("director: deploy: PacketBytes must be >= 64")
 	}
+	if d.Tasks < 0 {
+		return fmt.Errorf("director: deploy: Tasks must be >= 0 (0 selects run-to-completion), got %d", d.Tasks)
+	}
 	return nil
 }
 

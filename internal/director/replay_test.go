@@ -10,7 +10,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/obs"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
 )
@@ -57,7 +56,7 @@ func liveDumps(t *testing.T, d DeploySpec, events int) [][]byte {
 		}
 		run = func(n uint64) (rt.Result, error) { return w.Run(src, n) }
 	} else {
-		w, err := rtc.NewWorker(core, as, prog, rtc.DefaultConfig())
+		w, err := rt.NewWorker(core, as, prog, rt.RTCConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,9 +90,10 @@ func (c *dumpCapture) hook(info DumpInfo, trace []byte) {
 // TestReplayedDumpMatchesLiveRecording: a dump replayed on demand is
 // byte-identical to what a recorder attached to the live run held at
 // the same point — served at a mid-run window boundary and after the
-// deployment, on rt and rtc, for a ring the deployment wraps many times
-// (its replay traces only a tail, longer than the short last window)
-// and for the default ring, which these deployments do not fill.
+// deployment, interleaved and run-to-completion, for a ring the
+// deployment wraps many times (its replay traces only a tail, longer
+// than the short last window) and for the default ring, which these
+// deployments do not fill.
 func TestReplayedDumpMatchesLiveRecording(t *testing.T) {
 	specs := []DeploySpec{
 		{NF: "nat", Flows: 1024, Packets: 1510, Warmup: 300, PacketBytes: 64, Tasks: 16, Seed: 5, StatsEvery: 500, Latency: true},

@@ -207,11 +207,15 @@ func TestMetricsBridge(t *testing.T) {
 
 	// A redeploy to a different NF swaps the info series.
 	b.Observe(StatsReport{Agent: "w", NF: "sfc", Window: 0, Packets: 1, Cycles: 1, FreqHz: 1e9})
-	snap := reg.Snapshot()
-	if snap[`gunfu_deployment_info{nf="sfc"}`] != 1 {
-		t.Fatalf("info not swapped: %v", snap)
+	sb.Reset()
+	if err := reg.Expose(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if _, stale := snap[`gunfu_deployment_info{nf="nat"}`]; stale {
+	out = sb.String()
+	if !strings.Contains(out, `gunfu_deployment_info{nf="sfc"} 1`+"\n") {
+		t.Fatalf("info not swapped:\n%s", out)
+	}
+	if strings.Contains(out, `gunfu_deployment_info{nf="nat"}`) {
 		t.Fatal("stale deployment_info series survived")
 	}
 }

@@ -109,7 +109,7 @@ func Ablations(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		res, err := runIL(o, as, prog, src, 16, warm, window)
+		res, err := runWorker(o, as, prog, src, ilConfig(16), warm, window)
 		if err != nil {
 			return err
 		}

@@ -19,7 +19,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
 )
@@ -197,46 +196,30 @@ func Run(name string, o Options) ([]*stats.Table, error) {
 	return tables, nil
 }
 
-// runRTC runs prog over src on a reset core (pooled when the run has a
-// pool) under run-to-completion.
-func runRTC(o Options, as *mem.AddressSpace, prog *model.Program, src rt.Source, warmup, packets uint64) (rt.Result, error) {
-	core, err := o.acquireCore()
-	if err != nil {
-		return rt.Result{}, err
-	}
-	defer o.releaseCore(core)
-	if o.Tracer != nil {
-		core.SetTracer(o.Tracer)
-	}
-	w, err := rtc.NewWorker(core, as, prog, rtc.DefaultConfig())
-	if err != nil {
-		return rt.Result{}, err
-	}
-	if warmup > 0 {
-		if _, err := w.Run(src, warmup); err != nil {
-			return rt.Result{}, err
-		}
-	}
-	return w.Run(src, packets)
-}
-
-// runIL runs prog over src on a reset core (pooled when the run has a
-// pool) under the interleaved model with the given task count.
-func runIL(o Options, as *mem.AddressSpace, prog *model.Program, src rt.Source, tasks int, warmup, packets uint64) (rt.Result, error) {
-	core, err := o.acquireCore()
-	if err != nil {
-		return rt.Result{}, err
-	}
-	defer o.releaseCore(core)
-	if o.Tracer != nil {
-		core.SetTracer(o.Tracer)
-	}
+// ilConfig returns the interleaved model's worker tuning at the given
+// task count.
+func ilConfig(tasks int) rt.Config {
 	cfg := rt.DefaultConfig()
 	cfg.Tasks = tasks
 	if cfg.Batch < 2*tasks {
 		// Keep every NFTask occupied: the rx burst must cover the
 		// interleaving depth or deep sweeps degenerate to Batch tasks.
 		cfg.Batch = 2 * tasks
+	}
+	return cfg
+}
+
+// runWorker runs prog over src under cfg — ilConfig(tasks), or
+// rt.RTCConfig() for run-to-completion — on a reset core (pooled when
+// the run has a pool).
+func runWorker(o Options, as *mem.AddressSpace, prog *model.Program, src rt.Source, cfg rt.Config, warmup, packets uint64) (rt.Result, error) {
+	core, err := o.acquireCore()
+	if err != nil {
+		return rt.Result{}, err
+	}
+	defer o.releaseCore(core)
+	if o.Tracer != nil {
+		core.SetTracer(o.Tracer)
 	}
 	w, err := rt.NewWorker(core, as, prog, cfg)
 	if err != nil {

@@ -32,9 +32,9 @@ func Fig10(o Options) ([]*stats.Table, error) {
 			return err
 		}
 		if i == 0 {
-			results[0], err = runRTC(o, as, prog, src, warm, window)
+			results[0], err = runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
 		} else {
-			results[i], err = runIL(o, as, prog, src, taskSweep[i-1], warm, window)
+			results[i], err = runWorker(o, as, prog, src, ilConfig(taskSweep[i-1]), warm, window)
 		}
 		return err
 	}); err != nil {
@@ -64,7 +64,7 @@ func Fig10(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		rtcRes, err := runRTC(o, as, prog, src, warm, window)
+		rtcRes, err := runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
 		if err != nil {
 			return err
 		}
@@ -72,7 +72,7 @@ func Fig10(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		ilRes, err := runIL(o, as2, prog2, src2, 16, warm, window)
+		ilRes, err := runWorker(o, as2, prog2, src2, ilConfig(16), warm, window)
 		if err != nil {
 			return err
 		}
@@ -140,9 +140,9 @@ func Fig11(o Options) ([]*stats.Table, error) {
 			return err
 		}
 		if i == 0 {
-			results[0], err = runRTC(o, as, prog, src, warm, window)
+			results[0], err = runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
 		} else {
-			results[i], err = runIL(o, as, prog, src, taskSweep[i-1], warm, window)
+			results[i], err = runWorker(o, as, prog, src, ilConfig(taskSweep[i-1]), warm, window)
 		}
 		return err
 	}); err != nil {

@@ -41,7 +41,7 @@ func Fig12(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		rtcRes, err := runRTC(o, as, prog, src, warm, window)
+		rtcRes, err := runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
 		if err != nil {
 			return err
 		}
@@ -49,7 +49,7 @@ func Fig12(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		ilRes, err := runIL(o, as2, prog2, src2, 16, warm, window)
+		ilRes, err := runWorker(o, as2, prog2, src2, ilConfig(16), warm, window)
 		if err != nil {
 			return err
 		}
@@ -57,7 +57,7 @@ func Fig12(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		dpRes, err := runIL(o, as3, prog3, src3, 16, warm, window)
+		dpRes, err := runWorker(o, as3, prog3, src3, ilConfig(16), warm, window)
 		if err != nil {
 			return err
 		}
@@ -148,7 +148,7 @@ func Fig13(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		rtcRes, err := runRTC(o, as, prog, src, warm, window)
+		rtcRes, err := runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
 		if err != nil {
 			return err
 		}
@@ -157,7 +157,7 @@ func Fig13(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		ilRes, err := runIL(o, as, prog, src, 16, warm, window)
+		ilRes, err := runWorker(o, as, prog, src, ilConfig(16), warm, window)
 		if err != nil {
 			return err
 		}
@@ -166,7 +166,7 @@ func Fig13(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		dpRes, err := runIL(o, as, prog, src, 16, warm, window)
+		dpRes, err := runWorker(o, as, prog, src, ilConfig(16), warm, window)
 		if err != nil {
 			return err
 		}
@@ -175,7 +175,7 @@ func Fig13(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		mrRes, err := runIL(o, as, prog, src, 16, warm, window)
+		mrRes, err := runWorker(o, as, prog, src, ilConfig(16), warm, window)
 		if err != nil {
 			return err
 		}

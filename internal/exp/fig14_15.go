@@ -172,10 +172,7 @@ func runSFCCores(o Options, length, totalFlows, size, cores int, perCore uint64,
 			}
 			cfg := rt.DefaultConfig()
 			if !interleaved {
-				// Emulate RTC with one task and prefetching disabled
-				// (identical scheduling to the rtc package).
-				cfg.Tasks = 1
-				cfg.Prefetch = false
+				cfg = rt.RTCConfig()
 			}
 			w, err := rt.NewWorker(core, as, prog, cfg)
 			return w, src, err
@@ -346,8 +343,7 @@ func runUPFCores(o Options, totalSessions, size, cores int, perCore uint64, inte
 			}
 			cfg := rt.DefaultConfig()
 			if !interleaved {
-				cfg.Tasks = 1
-				cfg.Prefetch = false
+				cfg = rt.RTCConfig()
 			}
 			w, err := rt.NewWorker(core, as, prog, cfg)
 			return w, src, err

@@ -51,7 +51,7 @@ func Fig2(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		res, err := runRTC(o, as, prog, src, warm, window)
+		res, err := runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
 		if err != nil {
 			return err
 		}
@@ -88,7 +88,7 @@ func Fig2(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		res, err := runRTC(o, as, prog, src, warm, window)
+		res, err := runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
 		if err != nil {
 			return err
 		}
@@ -148,7 +148,7 @@ func Fig3(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		res, err := runRTC(o, as, prog, src, warm, window)
+		res, err := runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
 
@@ -47,7 +48,7 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				return "", err
 			}
-			res, err := runIL(o, as, prog, src, tasks, warm, window)
+			res, err := runWorker(o, as, prog, src, ilConfig(tasks), warm, window)
 			if err != nil {
 				return "", err
 			}
@@ -62,7 +63,7 @@ func goldenCases() []goldenCase {
 				if err != nil {
 					return "", err
 				}
-				res, err := runRTC(o, as, prog, src, warm, window)
+				res, err := runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
 				if err != nil {
 					return "", err
 				}
@@ -87,7 +88,7 @@ func goldenCases() []goldenCase {
 				if err != nil {
 					return "", err
 				}
-				res, err := runRTC(o, as, prog, src, warm, window)
+				res, err := runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
 				if err != nil {
 					return "", err
 				}
@@ -102,7 +103,7 @@ func goldenCases() []goldenCase {
 				if err != nil {
 					return "", err
 				}
-				res, err := runIL(o, as, prog, src, 16, warm, window)
+				res, err := runWorker(o, as, prog, src, ilConfig(16), warm, window)
 				if err != nil {
 					return "", err
 				}

@@ -19,7 +19,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
 
@@ -398,17 +397,15 @@ func eventConfig(rng *rand.Rand) rt.Config {
 }
 
 // realWorker builds the production worker for mode over w's program:
-// rtc.Worker or rt.Worker.
+// rt.Worker under cfg, or under rt.RTCConfig with cfg's I/O settings.
 func realWorker(t *testing.T, w *diffWorld, mode refMode, cfg rt.Config) func(*sim.Core, *mem.AddressSpace) runner {
+	if mode == refRTC {
+		rtc := rt.RTCConfig()
+		rtc.Batch, rtc.RxCost, rtc.RingSlots, rtc.SlotBytes = cfg.Batch, cfg.RxCost, cfg.RingSlots, cfg.SlotBytes
+		cfg = rtc
+	}
 	return func(core *sim.Core, as *mem.AddressSpace) runner {
-		var r runner
-		var err error
-		if mode == refRTC {
-			r, err = rtc.NewWorker(core, as, w.prog, rtc.Config{
-				Batch: cfg.Batch, RxCost: cfg.RxCost, RingSlots: cfg.RingSlots, SlotBytes: cfg.SlotBytes})
-		} else {
-			r, err = rt.NewWorker(core, as, w.prog, cfg)
-		}
+		r, err := rt.NewWorker(core, as, w.prog, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,8 +433,8 @@ func compareTraced(t *testing.T, n int, label string, got, want tracedRun) {
 }
 
 // TestDifferentialReplayEvents traces the randomized corpus through the
-// real rtc.Worker and rt.Worker running the
-// compiled executor, and through the reference schedulers running the
+// real rt.Worker — under RTCConfig and under an interleaved config —
+// running the compiled executor, and through the reference schedulers running the
 // interpreted executor, and requires the two trace-event streams to be
 // identical in every field of every event — along with the access logs,
 // counters, clocks and per-window results.

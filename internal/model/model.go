@@ -10,10 +10,11 @@
 // Decomposition Property — which is what lets the interleaved runtime
 // prefetch them and the compiler pack them.
 //
-// Both execution models in this repository run the same Program:
-// internal/rt interleaves many streams with prefetching (the paper's
-// contribution), internal/rtc runs each packet to completion (the
-// baseline). Only the scheduling differs, which keeps every comparison
+// Both execution models in this repository run the same Program on the
+// same worker, internal/rt: interleaving many streams with prefetching
+// (the paper's contribution), or, under rt.RTCConfig, one stream with no
+// prefetching, so each packet runs to completion (the baseline). Only
+// the scheduling differs, which keeps every comparison
 // apples-to-apples.
 package model
 

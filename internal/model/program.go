@@ -137,8 +137,9 @@ func (p *Program) NumEvents() int { return len(p.events) }
 // Step executes the current control state of e: charge the declared
 // reads, run the action, charge the declared writes, and take the
 // transition for the returned event. It implements the ActionExecutor +
-// Transition steps of the paper's Algorithm 1 and is shared by both the
-// interleaved runtime and the RTC baseline.
+// Transition steps of the paper's Algorithm 1 and is shared by both
+// execution models: rt.Worker interleaving NFTasks, and rt.Worker under
+// RTCConfig, one task run to completion.
 //
 // There is one executor, the compiled step plan (plan.go): with a
 // tracer attached the same code additionally emits the action, access

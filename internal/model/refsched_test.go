@@ -5,8 +5,9 @@ package model_test
 // runtimes' visit orders — run-to-completion and Algorithm 1's
 // round-robin with skip — driving the span-interpreting reference
 // executor. They keep the run ring as a plain slice, share no code with
-// internal/rt or internal/rtc, and must reproduce, event for event, what
-// the real workers emit while running the compiled executor.
+// internal/rt's worker, and must reproduce, event for event, what the
+// real worker emits under either config while running the compiled
+// executor.
 
 import (
 	"github.com/gunfu-nfv/gunfu/internal/mem"
@@ -25,9 +26,8 @@ const (
 )
 
 // refWorker lays its rx ring and task scratch out exactly as
-// rt.NewWorker / rtc.NewWorker do (ring first, then one scratch region
-// per task), so both sides of the differential resolve the same
-// addresses.
+// rt.NewWorker does (ring first, then one scratch region per task), so
+// both sides of the differential resolve the same addresses.
 type refWorker struct {
 	core  *sim.Core
 	prog  *model.Program

@@ -7,7 +7,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
 )
@@ -83,7 +82,7 @@ func runProg(t *testing.T, prog *model.Program, src rt.Source, n uint64, interle
 		}
 		return res
 	}
-	w, err := rtc.NewWorker(core, mem.NewAddressSpace(), prog, rtc.DefaultConfig())
+	w, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, rt.RTCConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 package nf_test
 
 // Interleaved ≡ run-to-completion for the shipped NFs and the SFC-6
-// chain: the same workload through rt.Worker and rtc.Worker must emit
+// chain: the same workload through rt.Worker under an interleaved
+// config and under rt.RTCConfig must emit
 // the same packets, byte for byte in arrival order, and leave the same
 // per-flow NF state behind — the chained-stateful-NF correctness
 // condition of Khalid & Akella (PAPERS.md) applied to this runtime.
@@ -15,7 +16,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/compile"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
 
@@ -38,23 +38,16 @@ func (c *captureSource) Next() *pkt.Packet {
 	return &q
 }
 
-// runEquiv drives packets of w's workload through one runtime and
-// returns what was emitted and the state left behind.
-func runEquiv(t *testing.T, w touchWorld, packets uint64, interleaved bool) ([]*pkt.Packet, any) {
+// runEquiv drives packets of w's workload through a worker under cfg
+// and returns what was emitted and the state left behind.
+func runEquiv(t *testing.T, w touchWorld, packets uint64, cfg rt.Config) ([]*pkt.Packet, any) {
 	t.Helper()
 	core, err := sim.NewCore(sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var worker interface {
-		Run(rt.Source, uint64) (rt.Result, error)
-	}
 	as := *w.as
-	if interleaved {
-		worker, err = rt.NewWorker(core, &as, w.prog, rt.DefaultConfig())
-	} else {
-		worker, err = rtc.NewWorker(core, &as, w.prog, rtc.DefaultConfig())
-	}
+	worker, err := rt.NewWorker(core, &as, w.prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +78,8 @@ func TestInterleavedEqualsRunToCompletion(t *testing.T) {
 	rtcWorlds, rtWorlds := build(), build()
 	for i, w := range rtcWorlds {
 		t.Run(w.name, func(t *testing.T) {
-			wantOut, wantState := runEquiv(t, w, packets, false)
-			gotOut, gotState := runEquiv(t, rtWorlds[i], packets, true)
+			wantOut, wantState := runEquiv(t, w, packets, rt.RTCConfig())
+			gotOut, gotState := runEquiv(t, rtWorlds[i], packets, rt.DefaultConfig())
 			for n := range wantOut {
 				if !reflect.DeepEqual(gotOut[n], wantOut[n]) {
 					t.Fatalf("packet %d emitted as %+v under rt, %+v under rtc", n, gotOut[n], wantOut[n])

@@ -76,8 +76,11 @@ func TestFirstPacketsInstallUntilTableFull(t *testing.T) {
 		}},
 	}
 	for _, tc := range nfs {
-		for _, runtime := range []string{"rtc", "rt"} {
-			t.Run(tc.name+"/"+runtime, func(t *testing.T) {
+		for _, runtime := range []struct {
+			name string
+			cfg  rt.Config
+		}{{"rtc", rt.RTCConfig()}, {"rt", rt.DefaultConfig()}} {
+			t.Run(tc.name+"/"+runtime.name, func(t *testing.T) {
 				as := mem.NewAddressSpace()
 				nf, err := tc.build(as)
 				if err != nil {
@@ -93,7 +96,7 @@ func TestFirstPacketsInstallUntilTableFull(t *testing.T) {
 				}
 				w := touchWorld{as: as, prog: prog, src: func(*testing.T) rt.Source { return g }, state: func() any { return nil }}
 				for lap := 0; lap < laps; lap++ {
-					runEquiv(t, w, offered, runtime == "rt")
+					runEquiv(t, w, offered, runtime.cfg)
 				}
 				if got, want := nf.drops(), uint64((offered-maxFlows)*laps); got != want {
 					t.Fatalf("Drops = %d, want %d (%d flows without room, %d laps)", got, want, offered-maxFlows, laps)

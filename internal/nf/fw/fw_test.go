@@ -6,14 +6,12 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
 )
 
-// runOn runs n packets of src through f on a fresh worker: rt.Worker
-// when interleaved, else rtc.Worker.
-func runOn(t *testing.T, f *FW, src rt.Source, n uint64, interleaved bool) {
+// runOn runs n packets of src through f on a fresh worker under cfg.
+func runOn(t *testing.T, f *FW, src rt.Source, n uint64, cfg rt.Config) {
 	t.Helper()
 	prog, err := f.Program()
 	if err != nil {
@@ -23,14 +21,7 @@ func runOn(t *testing.T, f *FW, src rt.Source, n uint64, interleaved bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w interface {
-		Run(rt.Source, uint64) (rt.Result, error)
-	}
-	if interleaved {
-		w, err = rt.NewWorker(core, mem.NewAddressSpace(), prog, rt.DefaultConfig())
-	} else {
-		w, err = rtc.NewWorker(core, mem.NewAddressSpace(), prog, rtc.DefaultConfig())
-	}
+	w, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +30,10 @@ func runOn(t *testing.T, f *FW, src rt.Source, n uint64, interleaved bool) {
 	}
 }
 
-// bothRuntimes runs fn as a subtest under each worker.
-func bothRuntimes(t *testing.T, fn func(t *testing.T, interleaved bool)) {
-	t.Run("rtc", func(t *testing.T) { fn(t, false) })
-	t.Run("rt", func(t *testing.T) { fn(t, true) })
+// bothRuntimes runs fn as a subtest under each execution model.
+func bothRuntimes(t *testing.T, fn func(t *testing.T, cfg rt.Config)) {
+	t.Run("rtc", func(t *testing.T) { fn(t, rt.RTCConfig()) })
+	t.Run("rt", func(t *testing.T) { fn(t, rt.DefaultConfig()) })
 }
 
 func TestNewValidation(t *testing.T) {
@@ -104,7 +95,7 @@ func TestEstablishedFlowsPass(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	runOn(t, f, g, 300, false)
+	runOn(t, f, g, 300, rt.RTCConfig())
 	if f.Drops() != 0 {
 		t.Fatalf("allow-all policy dropped %d packets", f.Drops())
 	}
@@ -132,7 +123,7 @@ func TestFirstPacketWalksPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runOn(t, f, traffic.NewLimited(g, 2), 0, false)
+	runOn(t, f, traffic.NewLimited(g, 2), 0, rt.RTCConfig())
 	fl, err := f.Flow(0)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +146,7 @@ func TestFirstPacketWalksPolicy(t *testing.T) {
 // second packet (a burst later) to hit.
 func TestFirstPacketsInstallVerdict(t *testing.T) {
 	const flows = 64
-	bothRuntimes(t, func(t *testing.T, interleaved bool) {
+	bothRuntimes(t, func(t *testing.T, cfg rt.Config) {
 		f, err := New(mem.NewAddressSpace(), Config{MaxFlows: flows, Policy: DefaultPolicy(40)})
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +155,7 @@ func TestFirstPacketsInstallVerdict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runOn(t, f, g, 2*flows, interleaved)
+		runOn(t, f, g, 2*flows, cfg)
 		if f.Drops() != 0 {
 			t.Fatalf("Drops = %d, want 0", f.Drops())
 		}
@@ -190,7 +181,7 @@ func TestDenyPolicyDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runOn(t, f, traffic.NewLimited(g, 3), 0, false)
+	runOn(t, f, traffic.NewLimited(g, 3), 0, rt.RTCConfig())
 	if f.Drops() != 3 {
 		t.Fatalf("Drops = %d, want 3", f.Drops())
 	}
@@ -208,7 +199,7 @@ func TestNoMatchingRuleDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runOn(t, f, traffic.NewLimited(g, 1), 0, false)
+	runOn(t, f, traffic.NewLimited(g, 1), 0, rt.RTCConfig())
 	if f.Drops() != 1 {
 		t.Fatalf("Drops = %d, want 1", f.Drops())
 	}

@@ -5,7 +5,7 @@ import (
 
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
+	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
 )
@@ -26,7 +26,7 @@ func run(t *testing.T, l *LB, src rtcSource, n uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := rtc.NewWorker(core, mem.NewAddressSpace(), prog, rtc.DefaultConfig())
+	w, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, rt.RTCConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

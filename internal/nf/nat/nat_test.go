@@ -7,7 +7,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
 )
@@ -61,7 +60,7 @@ func runOne(t *testing.T, n *NAT, p *pkt.Packet) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := rtc.NewWorker(core, mem.NewAddressSpace(), prog, rtc.DefaultConfig())
+	w, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, rt.RTCConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +217,7 @@ func TestRTCAndInterleavedAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w1, err := rtc.NewWorker(core1, mem.NewAddressSpace(), progRTC, rtc.DefaultConfig())
+	w1, err := rt.NewWorker(core1, mem.NewAddressSpace(), progRTC, rt.RTCConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@ package obs
 // stdlib-only OpenMetrics/Prometheus text-exposition registry. The
 // tracing side (Collector, TraceWriter, FlightRecorder) answers "what
 // happened inside one run"; the registry answers "what is this process
-// doing right now" to anything that can speak HTTP — Prometheus, a
-// curl, the worker's expvar view.
+// doing right now" to anything that can speak HTTP — Prometheus or a
+// curl of the worker's /metrics.
 //
 // Design constraints, in order:
 //
@@ -345,32 +345,6 @@ func (r *Registry) Expose(w io.Writer) error {
 func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 	_ = r.Expose(w)
-}
-
-// Snapshot returns every sample as a flat name→value map (sample names
-// include the counter "_total" suffix and rendered labels). This is
-// the read-only view the worker republishes through expvar.
-func (r *Registry) Snapshot() map[string]float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]float64)
-	for _, f := range r.fams {
-		if f.collect != nil {
-			f.collect(f)
-		}
-		for _, key := range f.order {
-			m := f.series[key]
-			switch {
-			case key == "#sum":
-				out[f.name+"_sum"] = m.val
-			case key == "#count":
-				out[f.name+"_count"] = m.val
-			default:
-				out[f.name+f.typ.suffix()+key] = m.val
-			}
-		}
-	}
-	return out
 }
 
 // goRuntimeMetrics maps the curated runtime/metrics samples the

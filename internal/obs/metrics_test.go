@@ -3,6 +3,7 @@ package obs_test
 import (
 	"io"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,23 @@ func scrape(t *testing.T, reg *obs.Registry) string {
 		t.Fatal(err)
 	}
 	return sb.String()
+}
+
+// sample returns the value exposition out carries for series (a name
+// with its rendered labels), failing t if there is none.
+func sample(t *testing.T, out, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no %s sample in:\n%s", series, out)
+	return 0
 }
 
 func TestRegistryExposition(t *testing.T) {
@@ -83,7 +101,7 @@ func TestRegistryLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestRegistryServeHTTPAndSnapshot(t *testing.T) {
+func TestRegistryServeHTTP(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("hits", "Hits.").Add(3)
 	reg.GaugeFamily("temp", "Temp.").With("zone", "a").Set(20.5)
@@ -102,16 +120,11 @@ func TestRegistryServeHTTPAndSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), "hits_total 3") {
-		t.Fatalf("http body:\n%s", raw)
+	if got := sample(t, string(raw), "hits_total"); got != 3 {
+		t.Fatalf("hits = %v", got)
 	}
-
-	snap := reg.Snapshot()
-	if snap["hits_total"] != 3 {
-		t.Fatalf("snapshot hits = %v", snap["hits_total"])
-	}
-	if snap[`temp{zone="a"}`] != 20.5 {
-		t.Fatalf("snapshot temp = %v (have %v)", snap[`temp{zone="a"}`], snap)
+	if got := sample(t, string(raw), `temp{zone="a"}`); got != 20.5 {
+		t.Fatalf("temp = %v", got)
 	}
 }
 
@@ -123,12 +136,11 @@ func TestRegistryGoRuntime(t *testing.T) {
 		t.Fatalf("missing go_goroutines:\n%s", out)
 	}
 	// A live process has at least one goroutine and a nonzero heap.
-	snap := reg.Snapshot()
-	if snap["go_goroutines"] < 1 {
-		t.Fatalf("go_goroutines = %v", snap["go_goroutines"])
+	if got := sample(t, out, "go_goroutines"); got < 1 {
+		t.Fatalf("go_goroutines = %v", got)
 	}
-	if snap["go_memory_total_bytes"] <= 0 {
-		t.Fatalf("go_memory_total_bytes = %v", snap["go_memory_total_bytes"])
+	if got := sample(t, out, "go_memory_total_bytes"); got <= 0 {
+		t.Fatalf("go_memory_total_bytes = %v", got)
 	}
 }
 
@@ -195,7 +207,6 @@ func TestRegistryConcurrent(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			var sb strings.Builder
 			_ = reg.Expose(&sb)
-			_ = reg.Snapshot()
 		}
 	}()
 	wg.Wait()

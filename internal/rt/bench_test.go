@@ -7,7 +7,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/obs"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
 
@@ -197,7 +196,7 @@ func BenchmarkRTCSteadyState(b *testing.B) {
 		b.Fatal(err)
 	}
 	as := mem.NewAddressSpace()
-	w, err := rtc.NewWorker(core, as, prog, rtc.DefaultConfig())
+	w, err := rt.NewWorker(core, as, prog, rt.RTCConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf/nat"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
 )
@@ -61,33 +60,22 @@ func (c *doneCounter) Event(ev sim.TraceEvent) {
 	}
 }
 
-// TestRunReturnFlushesTrace: every Run return — rt and rtc — is a
-// flush point, so a window's telemetry is whole
+// TestRunReturnFlushesTrace: every Run return — interleaved and
+// run-to-completion — is a flush point, so a window's telemetry is whole
 // the moment Run hands back its result, however the packet count falls
 // against the core's event buffer.
 func TestRunReturnFlushesTrace(t *testing.T) {
 	prog, g := buildNAT(t, 512)
-	rtcCore, err := sim.NewCore(sim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtcWorker, err := rtc.NewWorker(rtcCore, mem.NewAddressSpace(), prog, rtc.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	il := newWorker(t, prog, rt.DefaultConfig())
-	for name, w := range map[string]struct {
-		core *sim.Core
-		run  func(rt.Source, uint64) (rt.Result, error)
-	}{
-		"rt":  {il.Core(), il.Run},
-		"rtc": {rtcCore, rtcWorker.Run},
+	for name, cfg := range map[string]rt.Config{
+		"interleaved": rt.DefaultConfig(),
+		"rtc":         rt.RTCConfig(),
 	} {
+		w := newWorker(t, prog, cfg)
 		var ct doneCounter
-		w.core.SetTracer(&ct)
+		w.Core().SetTracer(&ct)
 		var total uint64
 		for _, n := range []uint64{1, 3, 97, 1000} {
-			res, err := w.run(g, n)
+			res, err := w.Run(g, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,6 +161,76 @@ func TestRunExhaustedSource(t *testing.T) {
 	}
 	if res.Packets != 0 {
 		t.Fatalf("drained source produced %d packets", res.Packets)
+	}
+}
+
+// TestRTCConfigValidation: the run-to-completion baseline goes through
+// the same guards as any worker, so a bad rx batch or ring geometry is
+// rejected however few tasks it runs.
+func TestRTCConfigValidation(t *testing.T) {
+	prog, _ := buildNAT(t, 16)
+	core, err := sim.NewCore(sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mut := range map[string]func(*rt.Config){
+		"zero batch":      func(c *rt.Config) { c.Batch = 0 },
+		"zero ring slots": func(c *rt.Config) { c.RingSlots = 0 },
+		"zero slot bytes": func(c *rt.Config) { c.SlotBytes = 0 },
+	} {
+		cfg := rt.RTCConfig()
+		mut(&cfg)
+		if _, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, cfg); err == nil {
+			t.Fatalf("%s: RTC config accepted: %+v", name, cfg)
+		}
+	}
+}
+
+// TestRTCRunBounded pins the run-to-completion baseline: RTCConfig runs
+// a bounded window like any worker, but never switches tasks or issues
+// a prefetch, and still charges the declared accesses.
+func TestRTCRunBounded(t *testing.T) {
+	prog, g := buildNAT(t, 64)
+	w := newWorker(t, prog, rt.RTCConfig())
+	res, err := w.Run(g, 777)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Packets != 777 {
+		t.Fatalf("Packets = %d, want 777", res.Packets)
+	}
+	if res.Counters.TaskSwitches != 0 {
+		t.Fatalf("RTC performed %d task switches", res.Counters.TaskSwitches)
+	}
+	if res.Counters.PrefetchIssued != 0 {
+		t.Fatalf("RTC issued %d prefetches", res.Counters.PrefetchIssued)
+	}
+	if res.AccessCycles == 0 {
+		t.Fatal("AccessCycles not accumulated")
+	}
+}
+
+// TestRTCRunExhausted: an RTC window with no packet bound ends when its
+// source drains.
+func TestRTCRunExhausted(t *testing.T) {
+	prog, g := buildNAT(t, 64)
+	core, err := sim.NewCore(sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, rt.RTCConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := w.Run(traffic.NewLimited(g, 50), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Packets != 50 {
+		t.Fatalf("Packets = %d, want 50", res.Packets)
+	}
+	if w.Core() != core {
+		t.Fatal("Core accessor broken")
 	}
 }
 

@@ -1,7 +1,8 @@
 package rt_test
 
 // Interleaved ≡ run-to-completion over randomized programs: rt.Worker
-// must produce the same packet-level results as rtc.Worker — every
+// must produce the same packet-level results under an interleaved
+// Config as under RTCConfig — every
 // packet processed exactly once, every action executed with the same
 // Exec state, the same declared accesses charged — while only the
 // schedule-dependent quantities (task switches, stall cycles, prefetch
@@ -29,7 +30,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
-	"github.com/gunfu-nfv/gunfu/internal/rtc"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
 
@@ -41,8 +41,8 @@ const (
 
 // schedRec accumulates one world's action-visit signatures: packet id →
 // rolling hash over (state, visit count, flow) at every action run.
-// Schedule-invariant by construction, so the rt and rtc maps must be
-// equal.
+// Schedule-invariant by construction, so the interleaved and RTC maps
+// must be equal.
 type schedRec struct {
 	m map[uint64]uint64
 }
@@ -217,16 +217,10 @@ func schedPacketList(n int) []*pkt.Packet {
 	return pkts
 }
 
-// runner is what the two workers have in common.
-type runner interface {
-	Run(rt.Source, uint64) (rt.Result, error)
-}
-
-// runSched replays one seeded world through a worker: rtc.Worker when
-// il is nil, else rt.Worker under *il. The world (address space,
-// program, and therefore every state address) is rebuilt from the seed
-// so both sides resolve identical layouts.
-func runSched(t *testing.T, seed int64, il *rt.Config) (rt.Result, map[uint64]uint64) {
+// runSched replays one seeded world through a worker under cfg. The
+// world (address space, program, and therefore every state address) is
+// rebuilt from the seed so both sides resolve identical layouts.
+func runSched(t *testing.T, seed int64, cfg rt.Config) (rt.Result, map[uint64]uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	rec := &schedRec{m: make(map[uint64]uint64)}
@@ -235,12 +229,7 @@ func runSched(t *testing.T, seed int64, il *rt.Config) (rt.Result, map[uint64]ui
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w runner
-	if il != nil {
-		w, err = rt.NewWorker(core, as, prog, *il)
-	} else {
-		w, err = rtc.NewWorker(core, as, prog, rtc.Config{Batch: 16, RxCost: 30, RingSlots: 64, SlotBytes: 2048})
-	}
+	w, err := rt.NewWorker(core, as, prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +240,9 @@ func runSched(t *testing.T, seed int64, il *rt.Config) (rt.Result, map[uint64]ui
 	return res, rec.m
 }
 
-// TestInterleavedEqualsRunToCompletion holds rt.Worker to rtc.Worker
-// over the randomized corpus, across the P-stage ablation ladder.
+// TestInterleavedEqualsRunToCompletion holds interleaved configs to
+// RTCConfig over the randomized corpus, across the P-stage ablation
+// ladder.
 func TestInterleavedEqualsRunToCompletion(t *testing.T) {
 	simCfg := sim.DefaultConfig()
 	switchInsts := simCfg.SwitchCost * simCfg.IssueWidth / 2
@@ -267,6 +257,8 @@ func TestInterleavedEqualsRunToCompletion(t *testing.T) {
 			c.TaskSwitches*switchInsts
 	}
 
+	rtcCfg := rt.RTCConfig()
+	rtcCfg.Batch, rtcCfg.RingSlots = 16, 64
 	for _, mode := range []struct {
 		name                    string
 		prefetch, residentCheck bool
@@ -283,8 +275,8 @@ func TestInterleavedEqualsRunToCompletion(t *testing.T) {
 			var issued, switches uint64
 			for i := 0; i < schedPrograms; i++ {
 				seed := int64(1000 + i)
-				want, wantRec := runSched(t, seed, nil)
-				got, gotRec := runSched(t, seed, &cfg)
+				want, wantRec := runSched(t, seed, rtcCfg)
+				got, gotRec := runSched(t, seed, cfg)
 
 				if want.Packets != schedPackets || got.Packets != schedPackets {
 					t.Fatalf("seed %d: packets rtc=%d rt=%d, want %d", seed, want.Packets, got.Packets, schedPackets)
@@ -330,7 +322,7 @@ func TestInterleavedEqualsRunToCompletion(t *testing.T) {
 // by one per packet, across bursts and Run windows, under both runtimes.
 func TestExecSeqIsPerPacket(t *testing.T) {
 	const packets = 100
-	for _, interleaved := range []bool{false, true} {
+	for _, cfg := range []rt.Config{rt.RTCConfig(), rt.DefaultConfig()} {
 		seqOf := make(map[uint64]uint64)
 		b := model.NewBuilder("seq")
 		b.AddModule("m", model.Binding{}, nil)
@@ -353,12 +345,7 @@ func TestExecSeqIsPerPacket(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var w runner
-		if interleaved {
-			w, err = rt.NewWorker(core, mem.NewAddressSpace(), prog, rt.DefaultConfig())
-		} else {
-			w, err = rtc.NewWorker(core, mem.NewAddressSpace(), prog, rtc.DefaultConfig())
-		}
+		w, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +358,7 @@ func TestExecSeqIsPerPacket(t *testing.T) {
 		}
 		for i, p := range pkts {
 			if got := seqOf[binary.LittleEndian.Uint64(p.Data)]; got != uint64(i) {
-				t.Fatalf("interleaved=%v: packet %d ran with Seq %d", interleaved, i, got)
+				t.Fatalf("Tasks=%d: packet %d ran with Seq %d", cfg.Tasks, i, got)
 			}
 		}
 	}

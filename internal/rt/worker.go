@@ -11,6 +11,12 @@
 // state. Round-robin order, one core, no goroutines: the concurrency is
 // memory-level parallelism inside one simulated core, exactly as in the
 // paper.
+//
+// The run-to-completion baseline is the same loop under RTCConfig: one
+// NFTask and no prefetching step. Identical actions, state layouts,
+// receive path and simulated hardware, so the only difference between
+// the two models is scheduling, which is what makes the evaluation's
+// head-to-head numbers attributable to the execution model alone.
 package rt
 
 import (
@@ -63,6 +69,21 @@ func DefaultConfig() Config {
 		RingSlots:     512,
 		SlotBytes:     2048,
 	}
+}
+
+// RTCConfig returns the per-packet run-to-completion baseline of the
+// platforms the paper compares against (§II-B: BESS, FastClick, L25GC):
+// Algorithm 1 with max_interleaved = 1 and no prefetching step, so
+// every state access that misses stalls the core for the full fill
+// with no other stream's work to overlap it. The I/O settings are
+// DefaultConfig's, so the head-to-head numbers isolate the execution
+// model.
+func RTCConfig() Config {
+	c := DefaultConfig()
+	c.Tasks = 1
+	c.Prefetch = false
+	c.ResidentCheck = false
+	return c
 }
 
 func (c Config) validate() error {
@@ -243,8 +264,16 @@ func (w *Worker) receive(src Source, limit uint64) []*pkt.Packet {
 // sees the result.
 func (w *Worker) Run(src Source, maxPackets uint64) (Result, error) {
 	defer w.core.FlushTrace()
-	startCtr := w.core.Counters()
-	startCycles := w.core.Now()
+	// Loop invariants in locals: the compiler cannot prove that Step
+	// leaves w alone, so it would reload each field on every visit.
+	core, prog, tasks, ringNext := w.core, w.prog, w.tasks, w.ringNext
+	prefetch, residentCheck := w.cfg.Prefetch, w.cfg.ResidentCheck
+	start := prog.Start()
+	// One task and no P-stage is RTCConfig: nothing to switch to, so the
+	// baseline is charged no switches.
+	chargeSwitch := len(tasks) > 1 || prefetch
+	startCtr := core.Counters()
+	startCycles := core.Now()
 
 	var done uint64
 	var bits float64
@@ -252,7 +281,7 @@ func (w *Worker) Run(src Source, maxPackets uint64) (Result, error) {
 	remaining := maxPackets
 	// traced gates the per-visit attribution stamps; resolved once so
 	// the untraced scheduler loop pays a single predictable branch.
-	traced := w.core.Tracer() != nil
+	traced := core.Tracer() != nil
 
 	for {
 		batch := w.receive(src, remaining)
@@ -269,30 +298,29 @@ func (w *Worker) Run(src Source, maxPackets uint64) (Result, error) {
 		// scheduler ring.
 		next := 0
 		active := 0
-		for i := range w.tasks {
+		for i := range tasks {
 			if next >= len(batch) {
 				break
 			}
-			w.tasks[i].ResetStream(batch[next], w.prog.Start(), seq0+uint64(next))
+			tasks[i].ResetStream(batch[next], start, seq0+uint64(next))
 			next++
 			active++
 		}
 		for i := 0; i < active; i++ {
-			w.ringNext[i] = int32(i + 1)
+			ringNext[i] = int32(i + 1)
 		}
-		w.ringNext[active-1] = 0
+		ringNext[active-1] = 0
 
 		// Interleave until the whole batch is processed, visiting the
 		// live tasks cyclically. Tasks that finish with no packet left
 		// to refill are unlinked from the ring.
-		chargeSwitch := len(w.tasks) > 1 || w.cfg.Prefetch
 		cur, prev := int32(0), int32(active-1)
 		for active > 0 {
 			if traced {
-				w.core.SetTask(cur)
+				core.SetTask(cur)
 			}
-			t := &w.tasks[cur]
-			if w.cfg.Prefetch && !t.Prefetched {
+			t := &tasks[cur]
+			if prefetch && !t.Prefetched {
 				// P-stage visit. With ResidentCheck one base resolution
 				// covers the residency probe and, on a miss, the prefetch
 				// issue (plus the host-side Action.Touch); a resident
@@ -301,20 +329,20 @@ func (w *Worker) Run(src Source, maxPackets uint64) (Result, error) {
 				// the task steps on its next visit whether or not the
 				// fills have landed.
 				issued := true
-				if w.cfg.ResidentCheck {
-					issued = !w.prog.EnsurePrefetched(t)
+				if residentCheck {
+					issued = !prog.EnsurePrefetched(t)
 				} else {
-					w.prog.PrefetchCurrent(t)
+					prog.PrefetchCurrent(t)
 				}
 				if issued {
 					// Switch away so the fills overlap other streams' work.
-					w.core.TaskSwitch()
+					core.TaskSwitch()
 					prev = cur
-					cur = w.ringNext[cur]
+					cur = ringNext[cur]
 					continue
 				}
 			}
-			if err := w.prog.Step(t); err != nil {
+			if err := prog.Step(t); err != nil {
 				return Result{}, fmt.Errorf("rt: step: %w", err)
 			}
 			if t.Done {
@@ -323,26 +351,26 @@ func (w *Worker) Run(src Source, maxPackets uint64) (Result, error) {
 				accessCycles += t.AccessCycles
 				t.AccessCycles = 0
 				if traced {
-					w.core.Emit(sim.TraceStreamDone, sim.CauseNone, t.Pkt.Addr, uint64(t.Pkt.Bits()), 0)
+					core.Emit(sim.TraceStreamDone, sim.CauseNone, t.Pkt.Addr, uint64(t.Pkt.Bits()), 0)
 				}
 				if next < len(batch) {
-					t.ResetStream(batch[next], w.prog.Start(), seq0+uint64(next))
+					t.ResetStream(batch[next], start, seq0+uint64(next))
 					next++
 				} else {
 					active--
-					w.ringNext[prev] = w.ringNext[cur]
+					ringNext[prev] = ringNext[cur]
 					if chargeSwitch {
-						w.core.TaskSwitch()
+						core.TaskSwitch()
 					}
-					cur = w.ringNext[cur]
+					cur = ringNext[cur]
 					continue
 				}
 			}
 			if chargeSwitch {
-				w.core.TaskSwitch()
+				core.TaskSwitch()
 			}
 			prev = cur
-			cur = w.ringNext[cur]
+			cur = ringNext[cur]
 		}
 		if maxPackets > 0 && remaining == 0 {
 			break
@@ -352,9 +380,9 @@ func (w *Worker) Run(src Source, maxPackets uint64) (Result, error) {
 	return Result{
 		Packets:      done,
 		Bits:         bits,
-		Cycles:       w.core.Now() - startCycles,
-		FreqHz:       w.core.Config().FreqHz,
-		Counters:     w.core.Counters().Sub(startCtr),
+		Cycles:       core.Now() - startCycles,
+		FreqHz:       core.Config().FreqHz,
+		Counters:     core.Counters().Sub(startCtr),
 		AccessCycles: accessCycles,
 	}, nil
 }

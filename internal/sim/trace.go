@@ -1,7 +1,7 @@
 package sim
 
 // This file defines the observability hook the simulated core (and the
-// layers above it: internal/model, internal/rt, internal/rtc) emit
+// layers above it: internal/model, internal/rt) emit
 // cycle-timestamped events through. The hook is designed around three
 // invariants the golden-counters tests and the hot-path benchmarks
 // enforce:
@@ -296,7 +296,7 @@ func (c *Core) Emit(kind TraceKind, cause StallCause, a, b, x uint64) {
 
 // FlushTrace hands every buffered event to the tracer, in emission
 // order, and empties the buffer. The flush points are: buffer full,
-// the return of every worker Run (rt and rtc), SetTracer, Reset and
+// the return of every worker Run, SetTracer, Reset and
 // CorePool.Put — so whoever reads a tracer between runs (a telemetry
 // window boundary, a flight dump, a test) sees a complete stream.
 // Code that drives a traced core without a worker calls it before

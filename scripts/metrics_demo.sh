@@ -6,11 +6,10 @@
 # deployment runs:
 #
 #   1. scrapes OpenMetrics from the worker's /metrics,
-#   2. shows the expvar mirror at /debug/vars,
-#   3. lets the director's SLO watcher breach (the demo SLO demands an
+#   2. lets the director's SLO watcher breach (the demo SLO demands an
 #      impossible throughput), which requests a flight-recorder dump
 #      from the worker,
-#   4. fetches the dump from /debug/flight — load it in
+#   3. fetches the dump from /debug/flight — load it in
 #      ui.perfetto.dev to see the moments before the breach.
 #
 # Exits non-zero when /debug/flight never serves a parseable dump, so it
@@ -62,10 +61,6 @@ echo "== /metrics (OpenMetrics text exposition, first 40 lines) =="
 curl -s "http://$HTTP/metrics" -o "$OUT/metrics.txt"
 head -40 "$OUT/metrics.txt"
 
-echo
-echo "== /debug/vars (expvar mirror of the same registry) =="
-curl -s "http://$HTTP/debug/vars" >"$OUT/expvar.json"
-head -c 600 "$OUT/expvar.json"; echo
 
 echo
 echo "== /debug/flight (SLO breach triggered a flight dump) =="
@@ -92,4 +87,4 @@ if [ "$dumped" = 0 ]; then
   exit 1
 fi
 echo
-echo "artifacts in $OUT/: metrics.txt expvar.json flight.json director.log worker.log"
+echo "artifacts in $OUT/: metrics.txt flight.json director.log worker.log"
