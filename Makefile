@@ -117,10 +117,11 @@ trace-demo:
 		-nf nat -flows 4096 -packets 8000 -warmup 2000 -tasks 16
 
 # fuzz runs the fuzz targets — the control-plane wire protocol, the
-# cuckoo match table against a map, and the simulator's AVX2 set scan
-# against the scalar one — for a short active burst each (the seed
-# corpora in internal/{director,dstruct,sim}/testdata/fuzz also run on
-# every plain `go test`). Override FUZZTIME for longer campaigns:
+# cuckoo match table against a map, the simulator's AVX2 set scan
+# against the scalar one, and the packet parser plus NAT rewrite — for a
+# short active burst each (the seed corpora in
+# internal/{director,dstruct,sim,pkt}/testdata/fuzz also run on every
+# plain `go test`). Override FUZZTIME for longer campaigns:
 # make fuzz FUZZTIME=5m
 FUZZTIME ?= 10s
 fuzz:
@@ -128,6 +129,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzProtocolRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/director/
 	$(GO) test -run '^$$' -fuzz 'FuzzCuckooOps$$' -fuzztime $(FUZZTIME) ./internal/dstruct/
 	$(GO) test -run '^$$' -fuzz 'FuzzSetScan$$' -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -run '^$$' -fuzz 'FuzzPacketRewrite$$' -fuzztime $(FUZZTIME) ./internal/pkt/
 
 # chaos runs the control-plane fault drill under the race detector: a
 # director and two reconnecting agents behind the deterministic faultnet

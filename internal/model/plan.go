@@ -366,15 +366,14 @@ func traceEnd(core *sim.Core, pl *stepPlan, begin uint64, ev EventID, next CSID)
 	core.Emit(sim.TraceTransition, sim.CauseNone, uint64(ev), uint64(next), 0)
 }
 
-// prefetchCompiled issues the pre-resolved prefetch plan. The negative
-// miss index tells IssueFetch the caller has no residency knowledge:
-// every line takes the full probing path, exactly like PrefetchLine.
-// A visit that issues also runs the action's host-side Touch.
+// prefetchCompiled issues the pre-resolved prefetch plan blind: every
+// line takes the full probing path, exactly like PrefetchLine. A visit
+// that issues also runs the action's host-side Touch.
 func (p *Program) prefetchCompiled(e *Exec, pl *stepPlan) {
 	if len(pl.fetch) == 0 {
 		return
 	}
-	e.Core.IssueFetch(planBases(e, pl.bind, pl.fetchMask), pl.fetch, -1)
+	e.Core.IssueFetch(planBases(e, pl.bind, pl.fetchMask), pl.fetch)
 	if pl.touch != nil {
 		pl.touch(e)
 	}
@@ -399,9 +398,10 @@ func (p *Program) residentCompiled(e *Exec, pl *stepPlan) bool {
 // also runs the action's host-side Touch (see Action.Touch).
 //
 // The fusion resolves the plan's base table once for both the check and
-// the issue; the simulated sequence is identical to ResidentCurrent
-// followed (on failure) by PrefetchCurrent, because residency probes
-// charge nothing.
+// the issue, and the core's EnsureFetched hands the check's L1 probe of
+// the first absent line to its fill; the simulated sequence is identical
+// to ResidentCurrent followed (on failure) by PrefetchCurrent, because
+// residency probes charge nothing.
 func (p *Program) EnsurePrefetched(e *Exec) bool {
 	if e.CS == CSEnd {
 		e.Prefetched = true
@@ -432,18 +432,15 @@ func (p *Program) EnsurePrefetched(e *Exec) bool {
 	if m&(1<<pbDynamic) != 0 {
 		bases[pbDynamic] = e.Cur.Addr
 	}
-	miss := core.FirstNonResident(bases, pl.fetch)
-	if miss < 0 {
-		return true
-	}
 	if core.Tracer() != nil {
-		// Stamp prefetch events with the CS they are fetching for.
+		// Stamp prefetch events with the CS they are fetching for. The
+		// check emits nothing, and a resident task steps next, which
+		// stamps the same CS, so stamping before the check is invisible.
 		core.SetCS(int32(e.CS))
 	}
-	// The issue reuses what the check just proved (see IssueFetch): ops
-	// before miss are still resident and op miss is still absent — the
-	// charged sequence is identical to issuing the whole plan blind.
-	core.IssueFetch(bases, pl.fetch, miss)
+	if core.EnsureFetched(bases, pl.fetch) {
+		return true
+	}
 	// The host fetches too: the scheduler is about to switch away for a
 	// lap, which is the lead time the action's Go-side record needs as
 	// much as its simulated lines do. Nothing in the simulator sees it.

@@ -72,13 +72,18 @@ func EncodeIPv4(b []byte, h IPv4Header) error {
 	return nil
 }
 
-// DecodeIPv4 reads the fields of a 20-byte IPv4 header.
+// DecodeIPv4 reads the fields of a 20-byte IPv4 header. Headers with
+// options (IHL other than 5) are rejected: every offset the NFs and the
+// simulated header model use assumes the fixed 20 bytes.
 func DecodeIPv4(b []byte) (IPv4Header, error) {
 	if len(b) < IPv4Len {
 		return IPv4Header{}, fmt.Errorf("pkt: ipv4 needs %d bytes, have %d", IPv4Len, len(b))
 	}
 	if b[0]>>4 != 4 {
 		return IPv4Header{}, fmt.Errorf("pkt: not an IPv4 header (version %d)", b[0]>>4)
+	}
+	if ihl := b[0] & 0x0f; ihl != IPv4Len/4 {
+		return IPv4Header{}, fmt.Errorf("pkt: unsupported IPv4 header length %d bytes (IHL %d)", 4*int(ihl), ihl)
 	}
 	return IPv4Header{
 		TotalLen: binary.BigEndian.Uint16(b[2:4]),
@@ -216,12 +221,19 @@ func (p *Packet) Parse() error {
 }
 
 // RewriteNAT rewrites the source address and port in place (SNAT) and
-// refreshes the IPv4 checksum. The packet must have been built by the
-// traffic generators (Ethernet+IPv4+TCP/UDP).
+// refreshes the IPv4 checksum. The frame must be Ethernet + an
+// option-free IPv4 header + TCP or UDP, the shape Parse accepts with
+// ports; anything else is an error and the frame is left untouched.
 func (p *Packet) RewriteNAT(newIP uint32, newPort uint16) error {
 	b := p.Data
 	if len(b) < EthLen+IPv4Len+4 {
 		return fmt.Errorf("pkt: frame too short for NAT rewrite")
+	}
+	if b[EthLen] != 0x45 {
+		return fmt.Errorf("pkt: NAT rewrite needs an option-free IPv4 header (version/IHL byte %#x)", b[EthLen])
+	}
+	if proto := b[EthLen+9]; proto != ProtoTCP && proto != ProtoUDP {
+		return fmt.Errorf("pkt: NAT rewrite of protocol %d: only TCP and UDP carry a source port", proto)
 	}
 	delta := uint32(^binary.BigEndian.Uint16(b[EthLen+12:EthLen+14])) +
 		uint32(^binary.BigEndian.Uint16(b[EthLen+14:EthLen+16])) +

@@ -1,12 +1,13 @@
 package pkt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
 
-func buildUDPFrame(t *testing.T, tuple FiveTuple, payload int) []byte {
+func buildUDPFrame(t testing.TB, tuple FiveTuple, payload int) []byte {
 	t.Helper()
 	total := EthLen + IPv4Len + UDPLen + payload
 	b := make([]byte, total)
@@ -50,6 +51,126 @@ func TestParseErrors(t *testing.T) {
 	if err := p.Parse(); err == nil {
 		t.Fatal("non-IPv4 frame parsed")
 	}
+}
+
+// ihl6UDPFrame is a UDP frame 10.0.0.1:1234 -> 192.168.1.1:80 whose
+// IPv4 header carries one option word of four NOPs (IHL 6), so the UDP
+// ports sit 24 bytes into the header, not 20.
+func ihl6UDPFrame(t testing.TB) []byte {
+	t.Helper()
+	tuple := FiveTuple{SrcIP: 0x0a000001, DstIP: 0xc0a80101, SrcPort: 1234, DstPort: 80, Proto: ProtoUDP}
+	b := buildUDPFrame(t, tuple, 0)
+	ip := EthLen + IPv4Len
+	out := append(append(b[:ip:ip], 1, 1, 1, 1), b[ip:]...)
+	hdr := out[EthLen : ip+4]
+	hdr[0] = 0x46
+	binary.BigEndian.PutUint16(hdr[2:4], uint16(len(out)-EthLen))
+	binary.BigEndian.PutUint16(hdr[10:12], ipv4Checksum(hdr))
+	return out
+}
+
+// protoICMP is the IP protocol number of ICMP.
+const protoICMP = 1
+
+// icmpEchoFrame is an ICMP echo request (type 8, code 0, id 7, seq 1)
+// from 10.0.0.1 to 192.168.1.1: a protocol with no ports.
+func icmpEchoFrame(t testing.TB) []byte {
+	t.Helper()
+	b := make([]byte, EthLen+IPv4Len+8)
+	if err := EncodeEthernet(b, [6]byte{1, 2, 3, 4, 5, 6}, [6]byte{7, 8, 9, 10, 11, 12}, EtherTypeIPv4); err != nil {
+		t.Fatal(err)
+	}
+	if err := EncodeIPv4(b[EthLen:], IPv4Header{TotalLen: IPv4Len + 8, TTL: 64, Proto: protoICMP, Src: 0x0a000001, Dst: 0xc0a80101}); err != nil {
+		t.Fatal(err)
+	}
+	icmp := b[EthLen+IPv4Len:]
+	icmp[0] = 8
+	binary.BigEndian.PutUint16(icmp[4:6], 7)
+	binary.BigEndian.PutUint16(icmp[6:8], 1)
+	binary.BigEndian.PutUint16(icmp[2:4], ^uint16(8<<8+7+1))
+	return b
+}
+
+// TestParseRejectsIPv4Options: a header with options is refused rather
+// than parsed as if it were 20 bytes, which read the UDP "ports" out of
+// the option word (257/257 for four NOPs).
+func TestParseRejectsIPv4Options(t *testing.T) {
+	p := &Packet{Data: ihl6UDPFrame(t)}
+	if err := p.Parse(); err == nil {
+		t.Fatalf("IHL-6 frame parsed, tuple %v", p.Tuple)
+	}
+	if _, err := DecodeIPv4(p.Data[EthLen:]); err == nil {
+		t.Fatal("IHL-6 header decoded")
+	}
+}
+
+// TestRewriteNATRejectsPortlessProtocols: rewriting an ICMP echo request
+// is an error and leaves every byte alone, where the rewrite used to
+// write the new "port" over the ICMP type and code.
+func TestRewriteNATRejectsPortlessProtocols(t *testing.T) {
+	b := icmpEchoFrame(t)
+	orig := append([]byte(nil), b...)
+	p := &Packet{Data: b}
+	if err := p.Parse(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RewriteNAT(0x05050505, 4000); err == nil {
+		t.Fatal("ICMP frame NAT-rewritten")
+	}
+	if !bytes.Equal(b, orig) {
+		t.Fatalf("rejected rewrite changed the frame:\n got %x\nwant %x", b, orig)
+	}
+}
+
+// FuzzPacketRewrite holds the NAT rewrite to its contract on any frame
+// Parse accepts, with the frame's header checksum made valid first. For
+// TCP and UDP the rewrite succeeds, re-parsing yields the tuple with the
+// new source address and port, a full checksum recompute matches the
+// stored one, and no byte outside the source address, source port and
+// checksum changes. For any other protocol it fails and changes nothing.
+func FuzzPacketRewrite(f *testing.F) {
+	f.Fuzz(func(t *testing.T, input []byte, newIP uint32, newPort uint16) {
+		frame := append([]byte(nil), input...) // the engine's input is read-only
+		p := &Packet{Data: frame}
+		if p.Parse() != nil {
+			return
+		}
+		hdr := frame[EthLen : EthLen+IPv4Len]
+		binary.BigEndian.PutUint16(hdr[10:12], ipv4Checksum(hdr))
+		orig := append([]byte(nil), frame...)
+		before := p.Tuple
+		err := p.RewriteNAT(newIP, newPort)
+		if before.Proto != ProtoTCP && before.Proto != ProtoUDP {
+			if err == nil {
+				t.Fatalf("protocol %d rewritten", before.Proto)
+			}
+			if !bytes.Equal(frame, orig) {
+				t.Fatalf("rejected rewrite changed the frame:\n got %x\nwant %x", frame, orig)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("rewrite of a parsed %d frame: %v", before.Proto, err)
+		}
+		q := &Packet{Data: frame}
+		if err := q.Parse(); err != nil {
+			t.Fatalf("rewritten frame no longer parses: %v", err)
+		}
+		want := before
+		want.SrcIP, want.SrcPort = newIP, newPort
+		if q.Tuple != want || p.Tuple != want {
+			t.Fatalf("rewritten tuple %v (packet %v), want %v", q.Tuple, p.Tuple, want)
+		}
+		if got, stored := ipv4Checksum(hdr), binary.BigEndian.Uint16(hdr[10:12]); got != stored {
+			t.Fatalf("checksum %#04x stored, %#04x recomputed", stored, got)
+		}
+		for i := range frame {
+			rewritten := i >= EthLen+10 && i < EthLen+16 || i >= EthLen+IPv4Len && i < EthLen+IPv4Len+2
+			if !rewritten && frame[i] != orig[i] {
+				t.Fatalf("byte %d changed: %#02x -> %#02x", i, orig[i], frame[i])
+			}
+		}
+	})
 }
 
 func TestIPv4ChecksumValid(t *testing.T) {

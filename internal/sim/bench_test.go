@@ -30,7 +30,7 @@ func BenchmarkCacheLookup(b *testing.B) {
 	lines := make([]uint64, 64)
 	for i := range lines {
 		lines[i] = uint64(i)
-		v := c.victimOf(lines[i])
+		_, v := c.probe(lines[i])
 		c.fill(v, lines[i], uint64(i), uint64(i))
 		c.setHint(lines[i], v)
 	}
@@ -181,6 +181,40 @@ func BenchmarkPrefetchLine(b *testing.B) {
 	}
 }
 
+// BenchmarkEnsureFetchedMiss measures the scheduler's P-stage visit on
+// its DRAM path: a 4-line fetch plan that is never resident, over sets
+// that are full at every level (a warm-up pass larger than the LLC runs
+// first), so the visit's L1 probe and each fill's L2 and LLC probes all
+// miss a full set and choose an LRU victim. Periodic stalls retire the
+// fills, as in BenchmarkPrefetchLine, so the lines issue rather than
+// drop.
+func BenchmarkEnsureFetchedMiss(b *testing.B) {
+	c := benchCore(b)
+	var bases [8]uint64
+	ops := make([]FetchOp, 4)
+	for i := range ops {
+		ops[i] = FetchOp{Off: uint64(i) * LineBytes, Size: LineBytes, Line: true}
+	}
+	warm := 2 * c.cfg.LLC.SizeBytes / (len(ops) * LineBytes)
+	visit := func(i int) {
+		bases[0] = 1<<30 + uint64(i)*uint64(len(ops))*LineBytes // fresh lines every visit
+		if c.EnsureFetched(&bases, ops) {
+			b.Fatal("never-resident plan reported resident")
+		}
+		if i%3 == 2 {
+			c.Stall(c.cfg.DRAMLatency) // retire outstanding fills
+		}
+	}
+	for i := 0; i < warm; i++ {
+		visit(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		visit(warm + i)
+	}
+}
+
 // BenchmarkCoreReset measures one pooled-core cycle: a 4096-line warm
 // pass (8x the L1, so every level holds live state) followed by the
 // Reset's tag memsets. Contrast with
@@ -228,9 +262,9 @@ func BenchmarkResidentL1(b *testing.B) {
 	}
 }
 
-// BenchmarkResidentCheck measures the compiled-plan P-state probe: a
-// FirstNonResident pass over a fully resident fetch plan, the question
-// the interleaved scheduler asks before every action.
+// BenchmarkResidentCheck measures the compiled-plan P-state probe: an
+// EnsureFetched visit to a fully resident fetch plan, the question the
+// interleaved scheduler asks before every action.
 func BenchmarkResidentCheck(b *testing.B) {
 	c := benchCore(b)
 	var bases [8]uint64
@@ -242,11 +276,11 @@ func BenchmarkResidentCheck(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	miss := -1
+	resident := true
 	for i := 0; i < b.N; i++ {
-		miss = c.FirstNonResident(&bases, ops)
+		resident = c.EnsureFetched(&bases, ops) && resident
 	}
-	if miss != -1 {
-		b.Fatalf("warm plan reported miss at %d", miss)
+	if !resident {
+		b.Fatal("warm plan reported not resident")
 	}
 }

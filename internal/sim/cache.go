@@ -195,13 +195,10 @@ func (c *cache) probeVec(line uint64) (slot, victim int) {
 // stamp (ties to the lowest index). The valid-prefix invariant makes
 // "set full" one load, so the steady-state case goes straight to the LRU
 // pass — which therefore runs only on a miss in a full set, the one case
-// that actually evicts. Callers ask only about absent lines, so the
-// vector form is probeVec's victim.
+// that actually evicts. It is the scalar half of probe, asked only about
+// absent lines; a vector level's victim comes from probeVec's kernel
+// call.
 func (c *cache) victimOf(line uint64) int {
-	if c.vec {
-		_, v := c.probeVec(line)
-		return v
-	}
 	base := int(line&c.setMask) * c.ways
 	if c.tags[base+c.ways-1] != 0 {
 		return c.lruOf(base)
@@ -228,7 +225,7 @@ func (c *cache) lruOf(base int) int {
 	return victim
 }
 
-// fill places line into a victim slot returned by probe/victimOf.
+// fill places line into a victim slot returned by probe.
 // readyAt is the cycle the fill completes (== now for demand fills,
 // later for prefetch fills). The caller guarantees no install or touch
 // hit this set between the victim choice and the fill.

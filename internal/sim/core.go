@@ -396,17 +396,33 @@ func (c *Core) PrefetchLine(addr uint64) {
 	c.prefetchLine(addr >> lineShift)
 }
 
+// prefetchLine issues one line's prefetch: the issue charge, then one
+// L1 probe whose miss also names the victim the fill installs into.
 func (c *Core) prefetchLine(line uint64) {
+	c.chargeIssue(line)
+	if slot, v1 := c.l1.probe(line); slot >= 0 {
+		c.prefetchRedundant(line)
+	} else {
+		c.prefetchMiss(line, v1)
+	}
+}
+
+// chargeIssue charges one line's prefetch instruction, logging it as a
+// prefetch access when an access log is attached (outlined in
+// logPrefetch to keep this inlinable).
+func (c *Core) chargeIssue(line uint64) {
 	if c.alog != nil {
-		c.alog(MemAccess{Addr: line << lineShift, Size: LineBytes, Cycle: c.clock, Kind: AccessPrefetch})
+		c.logPrefetch(line)
 	}
 	c.clock += c.cfg.PrefetchIssueCost
 	c.ctr.Instructions++
-	if c.l1.find(line) >= 0 {
-		c.prefetchRedundant(line)
-		return
-	}
-	c.prefetchMiss(line)
+}
+
+// logPrefetch is chargeIssue's access-log tail.
+//
+//go:noinline
+func (c *Core) logPrefetch(line uint64) {
+	c.alog(MemAccess{Addr: line << lineShift, Size: LineBytes, Cycle: c.clock, Kind: AccessPrefetch})
 }
 
 // prefetchRedundant charges a prefetch for a line already in L1.
@@ -418,12 +434,14 @@ func (c *Core) prefetchRedundant(line uint64) {
 }
 
 // prefetchMiss is the tail of a prefetch issue for a line known absent
-// from L1: MSHR admission, fill-latency determination and the installs.
-// The outer-level scans that price the fill run only after admission —
-// a dropped prefetch changes nothing they could inform. Victims are
-// picked only at the levels actually installed into; an outer hit
-// writes nothing.
-func (c *Core) prefetchMiss(line uint64) {
+// from L1, whose probe chose v1 as its L1 victim: MSHR admission,
+// fill-latency determination and the installs. The outer-level probes
+// that price the fill run only after admission — a dropped prefetch
+// changes nothing they could inform — and each level is probed once, a
+// miss yielding that level's victim. An outer hit writes nothing. The
+// victims stay valid for the same reason as in access: between a probe
+// and its install only other levels, the MSHR ring and the clock move.
+func (c *Core) prefetchMiss(line uint64, v1 int) {
 	for c.mshrN > 0 && c.mshr[c.mshrHead&c.mshrMask] <= c.clock {
 		c.mshrHead++
 		c.mshrN--
@@ -433,16 +451,16 @@ func (c *Core) prefetchMiss(line uint64) {
 		return
 	}
 	var ready uint64
-	if c.l2.find(line) >= 0 {
+	if slot, v2 := c.l2.probe(line); slot >= 0 {
 		ready = c.clock + c.cfg.L2.HitLatency
 	} else if slot, v3 := c.llc.probe(line); slot >= 0 {
 		ready = c.clock + c.cfg.LLC.HitLatency
 	} else {
 		ready = c.clock + c.cfg.DRAMLatency
 		c.llc.fill(v3, line, c.clock, ready)
-		c.l2.fill(c.l2.victimOf(line), line, c.clock, ready)
+		c.l2.fill(v2, line, c.clock, ready)
 	}
-	c.installL1(c.l1.victimOf(line), line, ready, true)
+	c.installL1(v1, line, ready, true)
 	c.mshrPush(ready)
 	c.ctr.PrefetchIssued++
 	if c.kinds&(1<<TracePrefetchIssued) != 0 {

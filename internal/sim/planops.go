@@ -144,60 +144,93 @@ func (c *Core) spansTraced(bases *[8]uint64, ops []PlanOp, write bool) {
 	}
 }
 
+// fetchLine resolves op against bases: its address, its first line, and
+// whether it covers exactly that one line at run time — a Line op, or a
+// span op that happens to. Every fetch-plan loop treats the two alike.
+func fetchLine(bases *[8]uint64, op *FetchOp) (addr, line uint64, one bool) {
+	addr = bases[op.Base&7] + op.Off
+	line = addr >> lineShift
+	return addr, line, op.Line || op.Size != 0 && (addr+op.Size-1)>>lineShift == line
+}
+
 // FirstNonResident returns the index of the first op whose lines are
 // not all L1-resident, or -1 when the whole plan is resident. Residency
-// probes charge nothing, exactly like ResidentL1. A span op that covers
-// one line at run time is checked like a Line op.
+// probes charge nothing, exactly like ResidentL1.
 func (c *Core) FirstNonResident(bases *[8]uint64, ops []FetchOp) int {
 	l1 := c.l1
 	for i := range ops {
-		op := &ops[i]
-		addr := bases[op.Base&7] + op.Off
-		line := addr >> lineShift
-		if op.Line || op.Size != 0 && (addr+op.Size-1)>>lineShift == line {
+		addr, line, one := fetchLine(bases, &ops[i])
+		if one {
 			if l1.hinted(line) < 0 && l1.find(line) < 0 {
 				return i
 			}
-		} else if !c.ResidentL1(addr, op.Size) {
+		} else if !c.ResidentL1(addr, ops[i].Size) {
 			return i
 		}
 	}
 	return -1
 }
 
-// IssueFetch issues the whole fetch plan, exactly PrefetchLine /
-// Prefetch per op in op order. miss is the index FirstNonResident just
-// returned (or a negative value when the caller has no residency
-// knowledge): ops before it are still resident — the issue loop
-// installs nothing before reaching op miss, and the clock alone never
-// evicts — so their probes are skipped and the redundant path charged
-// directly; op miss, when it covers a single line, is likewise still
-// absent and skips its guaranteed-miss L1 scan. A span op covering one
-// line at run time is a Line op here, as it is in FirstNonResident. Ops
-// after miss take the full probing path. The charged sequence is
-// identical to issuing the plan blind.
-func (c *Core) IssueFetch(bases *[8]uint64, ops []FetchOp, miss int) {
+// IssueFetch issues the whole fetch plan blind, exactly PrefetchLine /
+// Prefetch per op in op order.
+func (c *Core) IssueFetch(bases *[8]uint64, ops []FetchOp) {
 	for i := range ops {
-		op := &ops[i]
-		addr := bases[op.Base&7] + op.Off
-		line := addr >> lineShift
-		if !op.Line && (op.Size == 0 || (addr+op.Size-1)>>lineShift != line) {
-			c.Prefetch(addr, op.Size)
-			continue
-		}
-		if c.alog != nil {
-			c.alog(MemAccess{Addr: line << lineShift, Size: LineBytes, Cycle: c.clock, Kind: AccessPrefetch})
-		}
-		c.clock += c.cfg.PrefetchIssueCost
-		c.ctr.Instructions++
-		resident := i < miss
-		if i > miss {
-			resident = c.l1.find(line) >= 0
-		}
-		if resident {
-			c.prefetchRedundant(line)
+		if addr, line, one := fetchLine(bases, &ops[i]); one {
+			c.prefetchLine(line)
 		} else {
-			c.prefetchMiss(line)
+			c.Prefetch(addr, ops[i].Size)
 		}
 	}
+}
+
+// EnsureFetched is the scheduler's P-stage visit over a fetch plan. It
+// reports whether every op's lines are L1-resident (FirstNonResident <
+// 0) and, when one is not, issues the whole plan exactly as IssueFetch
+// would. The residency check is the first absent op's L1 probe, and
+// that probe's victim is the one its fill installs into: the ops before
+// it are resident, so their issues are redundant — they write no stamp
+// and skip their probes — and the clock alone never evicts. Ops after
+// the miss take IssueFetch's probing path. The check charges nothing
+// and emits nothing.
+func (c *Core) EnsureFetched(bases *[8]uint64, ops []FetchOp) (resident bool) {
+	l1 := c.l1
+	for i := range ops {
+		addr, line, one := fetchLine(bases, &ops[i])
+		if !one {
+			if !c.ResidentL1(addr, ops[i].Size) {
+				c.fetchFrom(bases, ops, i, -1)
+				return false
+			}
+			continue
+		}
+		if l1.hinted(line) >= 0 {
+			continue
+		}
+		if slot, v1 := l1.probe(line); slot < 0 {
+			c.fetchFrom(bases, ops, i, v1)
+			return false
+		}
+	}
+	return true
+}
+
+// fetchFrom is EnsureFetched's issue: ops[:miss] are resident and op
+// miss is absent, its L1 victim v1 when it covers a single line (-1 for
+// a span, which goes through Prefetch).
+func (c *Core) fetchFrom(bases *[8]uint64, ops []FetchOp, miss, v1 int) {
+	for i := range ops[:miss] {
+		if addr, line, one := fetchLine(bases, &ops[i]); one {
+			c.chargeIssue(line)
+			c.prefetchRedundant(line)
+		} else {
+			c.Prefetch(addr, ops[i].Size)
+		}
+	}
+	if addr, line, _ := fetchLine(bases, &ops[miss]); v1 >= 0 {
+		c.chargeIssue(line)
+		c.prefetchMiss(line, v1)
+	} else {
+		c.Prefetch(addr, ops[miss].Size)
+	}
+	c.IssueFetch(bases, ops[miss+1:])
 }

@@ -317,8 +317,9 @@ func oracleStep(c *Core, r *refCore, op *refOp) string {
 			r.demand(op.bases[s.Base&7]+s.Off, s.Size, true)
 		}
 	case 16, 17:
-		// The scheduler's P-stage visit: residency walk, then the issue
-		// primed with the walk's verdict (17 issues blind).
+		// The scheduler's P-stage visit: residency walk, then (16, only
+		// on a miss) the whole plan issued — EnsureFetched; 17 asks
+		// FirstNonResident and issues blind through IssueFetch.
 		want := -1
 		for i, f := range op.fetch {
 			if !r.residentL1(op.bases[f.Base&7]+f.Off, f.Size) {
@@ -326,17 +327,21 @@ func oracleStep(c *Core, r *refCore, op *refOp) string {
 				break
 			}
 		}
-		miss := c.FirstNonResident(&op.bases, op.fetch)
-		if miss != want {
+		if want >= 0 || op.kind == 17 {
+			for _, f := range op.fetch {
+				r.prefetch(op.bases[f.Base&7]+f.Off, f.Size)
+			}
+		}
+		if op.kind == 16 {
+			if got := c.EnsureFetched(&op.bases, op.fetch); got != (want < 0) {
+				return fmt.Sprintf("EnsureFetched = %v, reference first miss %d", got, want)
+			}
+			break
+		}
+		if miss := c.FirstNonResident(&op.bases, op.fetch); miss != want {
 			return fmt.Sprintf("FirstNonResident = %d, reference %d", miss, want)
 		}
-		if op.kind == 17 {
-			miss = -1
-		}
-		for _, f := range op.fetch {
-			r.prefetch(op.bases[f.Base&7]+f.Off, f.Size)
-		}
-		c.IssueFetch(&op.bases, op.fetch, miss)
+		c.IssueFetch(&op.bases, op.fetch)
 	default:
 		c.Read(op.addr, op.size)
 		r.demand(op.addr, op.size, false)
@@ -480,6 +485,62 @@ func TestReferenceOracle(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestEnsureFetchedSameSet drives EnsureFetched through the case its
+// victim hand-off has to survive: every line of the plan maps to one
+// full L1 set, the first op is resident — and holds the set's LRU way,
+// which its redundant issue must not refresh — and the three absent ops
+// after it each evict. The miss op installs into the victim the
+// residency check chose; the two after it probe the set afresh. With one
+// MSHR, held by an earlier prefetch, the miss op and both after it drop.
+// Counters, clock, the MSHR horizon and every way of every level must
+// match the reference issuing one PrefetchLine per op.
+func TestEnsureFetchedSameSet(t *testing.T) {
+	for _, tc := range []struct {
+		mshrs           int
+		issued, dropped uint64
+	}{{DefaultConfig().MSHRs, 4, 0}, {1, 1, 3}} {
+		t.Run(fmt.Sprintf("mshrs=%d", tc.mshrs), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.MSHRs = tc.mshrs
+			c, err := NewCore(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := newRefCore(cfg)
+			const set = 5
+			sets := uint64(cfg.L1.Sets())
+			lineAt := func(k int) uint64 { return (uint64(k)*sets + set) * LineBytes }
+			for k := 0; k < cfg.L1.Ways; k++ { // oldest first: lineAt(0) is the LRU way
+				c.Read(lineAt(k), 8)
+				r.demand(lineAt(k), 8, false)
+			}
+			other := lineAt(0) + LineBytes // another set; holds an MSHR
+			c.PrefetchLine(other)
+			r.prefetchLine(other >> lineShift)
+
+			var bases [8]uint64
+			ops := make([]FetchOp, 4)
+			for i, k := range []int{0, cfg.L1.Ways, cfg.L1.Ways + 1, cfg.L1.Ways + 2} {
+				ops[i] = FetchOp{Off: lineAt(k), Size: LineBytes, Line: true}
+			}
+			if c.EnsureFetched(&bases, ops) {
+				t.Fatal("plan with three absent lines reported resident")
+			}
+			for _, op := range ops {
+				r.prefetchLine(op.Off >> lineShift)
+			}
+			if diff := oracleState(c, r, true); diff != "" {
+				t.Fatal(diff)
+			}
+			ctr := c.Counters()
+			if ctr.PrefetchIssued != tc.issued || ctr.PrefetchDropped != tc.dropped || ctr.PrefetchRedundant != 1 {
+				t.Fatalf("issued %d dropped %d redundant %d, want %d, %d, 1",
+					ctr.PrefetchIssued, ctr.PrefetchDropped, ctr.PrefetchRedundant, tc.issued, tc.dropped)
+			}
+		})
 	}
 }
 

@@ -166,7 +166,8 @@ func (p scanPair) load(set uint64, lines []uint64, stamps []uint64) {
 	}
 }
 
-// check asks both sides find, probe and (for an absent line) victimOf.
+// check asks both sides find and probe: the kernel's probe victim for an
+// absent line against the loops' find + victimOf.
 func (p scanPair) check(t testing.TB, line uint64) {
 	t.Helper()
 	vf, lf := p.vec.find(line), p.loop.find(line)
@@ -175,18 +176,13 @@ func (p scanPair) check(t testing.TB, line uint64) {
 	if vf != lf || vs != ls || vv != lv {
 		t.Fatalf("line %#x: kernel find %d probe (%d, %d), loops find %d probe (%d, %d)", line, vf, vs, vv, lf, ls, lv)
 	}
-	if vf < 0 {
-		if v, l := p.vec.victimOf(line), p.loop.victimOf(line); v != l {
-			t.Fatalf("line %#x: kernel victimOf %d, loops %d", line, v, l)
-		}
-	}
 }
 
 // TestSetScanMatchesLoops builds random sets that keep the cache's
 // invariants — empty, partly valid and full, with tied, top-of-range and
-// signed-boundary stamps — and requires the kernel-backed find, probe
-// and victimOf to answer exactly what the scalar loops do, for resident
-// and absent lines, leaving identical way hints behind.
+// signed-boundary stamps — and requires the kernel-backed find and probe
+// (slot and victim) to answer exactly what the scalar loops do, for
+// resident and absent lines, leaving identical way hints behind.
 func TestSetScanMatchesLoops(t *testing.T) {
 	requireKernel(t)
 	rng := rand.New(rand.NewSource(28))
