@@ -114,25 +114,50 @@ func sfcFactory(as *mem.AddressSpace, d DeploySpec) (*model.Program, rt.Source, 
 	if length == 0 {
 		length = 4
 	}
-	chain, err := BuildChain(as, length, d.Flows)
+	return NewSFC(as, length, d.Flows, false, compile.SFCOptions{}, d.PacketBytes, 0, 0, d.Seed)
+}
+
+// NewSFC builds the paper's SFC of the given length as one deployable:
+// the chain over flows flows (fused as NewChain describes), populated
+// with its workload's flow tuples and compiled with opts, plus that
+// workload. size is the packet size in bytes, 0 for the CAIDA IMIX
+// trace; a non-zero shardCount restricts the workload to flows
+// [shardBase, shardBase+shardCount) — RSS steering one core's share to
+// it — while the chain still holds every flow.
+func NewSFC(as *mem.AddressSpace, length, flows int, fused bool, opts compile.SFCOptions, size, shardBase, shardCount int, seed int64) (*model.Program, rt.Source, error) {
+	var src rt.Source
+	var tuple func(i int) pkt.FiveTuple
+	if size == 0 {
+		g, err := traffic.NewCaidaGen(traffic.CaidaConfig{
+			Flows: flows, Seed: seed, ShardBase: shardBase, ShardCount: shardCount,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		src, tuple = g, g.FlowTuple
+	} else {
+		g, err := traffic.NewFlowGen(traffic.FlowGenConfig{
+			Flows: flows, PacketBytes: size, Order: traffic.OrderUniform, Seed: seed,
+			ShardBase: shardBase, ShardCount: shardCount,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		src, tuple = g, g.FlowTuple
+	}
+	chain, err := NewChain(as, length, flows, fused)
 	if err != nil {
 		return nil, nil, err
 	}
-	g, err := traffic.NewFlowGen(traffic.FlowGenConfig{
-		Flows: d.Flows, PacketBytes: d.PacketBytes, Order: traffic.OrderUniform, Seed: d.Seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	tuples := make([]pkt.FiveTuple, d.Flows)
+	tuples := make([]pkt.FiveTuple, flows)
 	for i := range tuples {
-		tuples[i] = g.FlowTuple(i)
+		tuples[i] = tuple(i)
 	}
 	if err := compile.PopulateFlows(chain, tuples); err != nil {
 		return nil, nil, err
 	}
-	prog, err := compile.BuildSFC("sfc", chain, compile.SFCOptions{})
-	return prog, g, err
+	prog, err := compile.BuildSFC("sfc", chain, opts)
+	return prog, src, err
 }
 
 // BuildChain constructs the paper's SFC of the given length (2–6):

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"github.com/gunfu-nfv/gunfu/internal/compile"
+	"github.com/gunfu-nfv/gunfu/internal/director"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
@@ -16,27 +17,13 @@ func Ablations(o Options) ([]*stats.Table, error) {
 	warm := o.pickU(20000, 2000)
 	window := o.pickU(100000, 8000)
 
-	run := func(simCfg sim.Config, mutate func(*rt.Config)) (rt.Result, error) {
-		as, prog, src, err := buildNAT(flows, 64, o.Seed)
-		if err != nil {
-			return rt.Result{}, err
-		}
-		core, err := sim.NewCore(simCfg)
-		if err != nil {
-			return rt.Result{}, err
-		}
-		cfg := rt.DefaultConfig()
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		w, err := rt.NewWorker(core, as, prog, cfg)
-		if err != nil {
-			return rt.Result{}, err
-		}
-		if _, err := w.Run(src, warm); err != nil {
-			return rt.Result{}, err
-		}
-		return w.Run(src, window)
+	nat := o.deploy(director.DeploySpec{NF: "nat", Flows: flows})
+	// natOn runs the NAT at 16 NFTasks on cores of simCfg, from a pool of
+	// that configuration.
+	natOn := func(simCfg sim.Config) (rt.Result, error) {
+		p := o
+		p.pool = sim.NewCorePool(simCfg)
+		return p.run(nat, ilConfig(16), warm, window)
 	}
 
 	// (a) Scheduler feature ladder.
@@ -54,7 +41,11 @@ func Ablations(o Options) ([]*stats.Table, error) {
 	rows1 := make([][]string, len(features))
 	if err := o.forEach(len(features), func(i int) error {
 		f := features[i]
-		res, err := run(o.simCfg(), f.mutate)
+		cfg := ilConfig(16)
+		if f.mutate != nil {
+			f.mutate(&cfg)
+		}
+		res, err := o.run(nat, cfg, warm, window)
 		if err != nil {
 			return err
 		}
@@ -79,7 +70,7 @@ func Ablations(o Options) ([]*stats.Table, error) {
 	if err := o.forEach(len(mshrSweep), func(i int) error {
 		simCfg := o.simCfg()
 		simCfg.MSHRs = mshrSweep[i]
-		res, err := run(simCfg, nil)
+		res, err := natOn(simCfg)
 		if err != nil {
 			return err
 		}
@@ -105,11 +96,7 @@ func Ablations(o Options) ([]*stats.Table, error) {
 	if err := o.forEach(len(prrSweep), func(i int) error {
 		prr := prrSweep[i]
 		sfcFlows := o.pick(1<<15, 1<<12)
-		as, prog, src, err := sfcSetup(4, sfcFlows, false, prrOptions(prr), o.Seed)
-		if err != nil {
-			return err
-		}
-		res, err := runWorker(o, as, prog, src, ilConfig(16), warm, window)
+		res, err := o.run(o.sfcPoint(4, sfcFlows, false, compile.SFCOptions{RemoveRedundantPrefetches: prr}), ilConfig(16), warm, window)
 		if err != nil {
 			return err
 		}
@@ -137,7 +124,7 @@ func Ablations(o Options) ([]*stats.Table, error) {
 	if err := o.forEach(len(costSweep), func(i int) error {
 		simCfg := o.simCfg()
 		simCfg.SwitchCost = costSweep[i]
-		res, err := run(simCfg, nil)
+		res, err := natOn(simCfg)
 		if err != nil {
 			return err
 		}
@@ -151,8 +138,4 @@ func Ablations(o Options) ([]*stats.Table, error) {
 	}
 
 	return []*stats.Table{t1, t2, t2b, t3}, nil
-}
-
-func prrOptions(on bool) compile.SFCOptions {
-	return compile.SFCOptions{RemoveRedundantPrefetches: on}
 }

@@ -3,10 +3,19 @@
 // figure's series as a text table, plus ablation studies over the
 // design knobs DESIGN.md calls out.
 //
+// Every single-core sweep point is one call, Options.run: build the
+// deployable in a fresh address space — NAT and UPF through
+// director.DefaultRegistry()'s factories, the SFC through
+// director.NewSFC, the same constructors agents and gunfu-bench use —
+// and run it on a core from the run's sim.CorePool, traced when
+// Options.Tracer is set. The multi-core figures (14, 15) are one
+// renderer over one rt.Engine runner.
+//
 // Runners come in two sizes: the full populations of the paper (the
 // defaults) and a Quick mode with reduced populations for CI and
 // development. The shapes — who wins, by what factor, where the curves
-// turn — hold in both.
+// turn — hold in both. The seed-42 Quick tables are checked in under
+// testdata/quick.
 package exp
 
 import (
@@ -16,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/gunfu-nfv/gunfu/internal/compile"
+	"github.com/gunfu-nfv/gunfu/internal/director"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
@@ -40,38 +51,21 @@ type Options struct {
 	// sequential. Fig9 measures host wall-clock and always runs
 	// sequentially regardless.
 	Parallel int
-	// Tracer, when non-nil, is attached to every simulated core the run
-	// creates. Tracing is observation-only — tables and counters are
-	// byte-identical with or without it — but it serializes sweep
-	// points' event streams into one consumer, so combine it with
-	// Parallel <= 1 unless the tracer is concurrency-safe.
+	// Tracer, when non-nil, is attached to the core of every single-core
+	// sweep point the run executes. Tracing is observation-only — tables
+	// and counters are byte-identical with or without it — but it
+	// serializes sweep points' event streams into one consumer, so
+	// combine it with Parallel <= 1 unless the tracer is
+	// concurrency-safe. Fig14 and Fig15 run their cores concurrently on
+	// rt.Engine and attach no tracer.
 	Tracer sim.Tracer
 
-	// pool recycles cores across sweep points (set by Run). A Reset
-	// pooled core is observationally identical to a fresh one — the
-	// sim package's reset-vs-fresh differential tests pin that — so
-	// tables stay byte-identical while a figure run stops allocating a
-	// megabyte-scale hierarchy per point. Runners invoked directly
-	// (tests, external callers) see a nil pool and fall back to
-	// per-point construction.
+	// pool recycles cores across sweep points (set by Run; in-package
+	// tests set their own). A Reset pooled core is observationally
+	// identical to a fresh one — the sim package's reset-vs-fresh
+	// differential tests pin that — so tables stay byte-identical while a
+	// figure run stops allocating a megabyte-scale hierarchy per point.
 	pool *sim.CorePool
-}
-
-// acquireCore returns a core for one sweep point: pooled when the run
-// has a pool, freshly built otherwise.
-func (o Options) acquireCore() (*sim.Core, error) {
-	if o.pool != nil {
-		return o.pool.Get()
-	}
-	return sim.NewCore(o.simCfg())
-}
-
-// releaseCore returns a pooled core for reuse; without a pool the core
-// is simply dropped, as the per-point runners always did.
-func (o Options) releaseCore(c *sim.Core) {
-	if o.pool != nil {
-		o.pool.Put(c)
-	}
 }
 
 func (o Options) simCfg() sim.Config {
@@ -209,15 +203,43 @@ func ilConfig(tasks int) rt.Config {
 	return cfg
 }
 
-// runWorker runs prog over src under cfg — ilConfig(tasks), or
-// rt.RTCConfig() for run-to-completion — on a reset core (pooled when
-// the run has a pool).
-func runWorker(o Options, as *mem.AddressSpace, prog *model.Program, src rt.Source, cfg rt.Config, warmup, packets uint64) (rt.Result, error) {
-	core, err := o.acquireCore()
+// deployable builds one sweep point's program and workload, with state
+// drawn from as.
+type deployable func(as *mem.AddressSpace) (*model.Program, rt.Source, error)
+
+// registry holds the deployables agents and gunfu-bench build.
+var registry = director.DefaultRegistry()
+
+// deploy is registry deployable d.NF at 64 B packets and the run's
+// seed: the factory call agents and gunfu-bench make.
+func (o Options) deploy(d director.DeploySpec) deployable {
+	d.PacketBytes, d.Seed = 64, o.Seed
+	return func(as *mem.AddressSpace) (*model.Program, rt.Source, error) { return registry[d.NF](as, d) }
+}
+
+// sfcPoint is the paper's SFC of the given length over flows flows at 64 B
+// packets and the run's seed.
+func (o Options) sfcPoint(length, flows int, fused bool, opts compile.SFCOptions) deployable {
+	return func(as *mem.AddressSpace) (*model.Program, rt.Source, error) {
+		return director.NewSFC(as, length, flows, fused, opts, 64, 0, 0, o.Seed)
+	}
+}
+
+// run is one sweep point: build in a fresh address space, run under cfg
+// — ilConfig(tasks), or rt.RTCConfig() for run-to-completion — on a
+// core from the run's pool with o.Tracer attached, for warmup packets
+// and then the measured window, whose result it returns.
+func (o Options) run(build deployable, cfg rt.Config, warmup, window uint64) (rt.Result, error) {
+	as := mem.NewAddressSpace()
+	prog, src, err := build(as)
 	if err != nil {
 		return rt.Result{}, err
 	}
-	defer o.releaseCore(core)
+	core, err := o.pool.Get()
+	if err != nil {
+		return rt.Result{}, err
+	}
+	defer o.pool.Put(core)
 	if o.Tracer != nil {
 		core.SetTracer(o.Tracer)
 	}
@@ -230,5 +252,5 @@ func runWorker(o Options, as *mem.AddressSpace, prog *model.Program, src rt.Sour
 			return rt.Result{}, err
 		}
 	}
-	return w.Run(src, packets)
+	return w.Run(src, window)
 }

@@ -3,17 +3,56 @@ package exp
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
 )
 
+// quick is the seed-42 Quick run of the checked-in tables, with a core
+// pool of its own for runners called directly (Run sets a fresh one).
 func quick() Options {
-	return Options{Quick: true, Seed: 42}
+	return Options{Quick: true, Seed: 42, pool: sim.NewCorePool(sim.DefaultConfig())}
 }
 
-// runQuick executes one experiment in quick mode and returns its tables.
+// checkQuickTables compares a figure's rendered seed-42 Quick output
+// with testdata/quick/<name>.txt and, on a mismatch, reports the lines
+// that differ and the command that regenerates the file.
+func checkQuickTables(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "quick", name+".txt")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	var diff strings.Builder
+	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	for i := 0; i < max(len(w), len(g)); i++ {
+		if i < len(w) && i < len(g) && w[i] == g[i] {
+			continue
+		}
+		if i < len(w) {
+			fmt.Fprintf(&diff, "-%s\n", w[i])
+		}
+		if i < len(g) {
+			fmt.Fprintf(&diff, "+%s\n", g[i])
+		}
+	}
+	t.Errorf("%s tables differ from %s (-want +got):\n%s"+
+		"If the change is meant to move them, regenerate from the module root with\n"+
+		"  go run ./cmd/gunfu-bench -exp %s -quick | sed '1d;$d' > internal/exp/%s",
+		name, path, diff.String(), name, path)
+}
+
+// runQuick executes one experiment in quick mode, checks its output
+// against the checked-in tables (fig9 measures host time and has none)
+// and returns its tables.
 func runQuick(t *testing.T, name string) []*stats.Table {
 	t.Helper()
 	var buf bytes.Buffer
@@ -33,6 +72,9 @@ func runQuick(t *testing.T, name string) []*stats.Table {
 	}
 	if !strings.Contains(buf.String(), "Figure") && name != "ablation" {
 		t.Fatalf("%s rendered no figure header:\n%s", name, buf.String())
+	}
+	if name != "fig9" {
+		checkQuickTables(t, name, buf.Bytes())
 	}
 	return tables
 }
@@ -289,5 +331,28 @@ func TestAblations(t *testing.T) {
 	}
 	if full <= noPf {
 		t.Fatalf("full scheduler (%.2f) not faster than no-prefetch (%.2f)", full, noPf)
+	}
+}
+
+// streamCounter counts finished packet streams, the one kind it takes.
+type streamCounter struct{ done uint64 }
+
+func (c *streamCounter) Event(sim.TraceEvent)       { c.done++ }
+func (c *streamCounter) TraceKinds() sim.TraceKinds { return sim.KindSet(sim.TraceStreamDone) }
+
+// TestAblationsHonorTracer pins the Options.Tracer contract on the
+// ablation matrix: every one of its 16 sweep points — including those
+// on a sim.Config of their own — runs traced, so a tracer sees every
+// warm-up and window packet finish.
+func TestAblationsHonorTracer(t *testing.T) {
+	ct := &streamCounter{}
+	o := quick()
+	o.Tracer = ct
+	if _, err := Run("ablation", o); err != nil {
+		t.Fatal(err)
+	}
+	const points, packets = 3 + 6 + 2 + 5, 2000 + 8000
+	if ct.done != points*packets {
+		t.Fatalf("tracer saw %d finished packets, want %d points x %d", ct.done, points, packets)
 	}
 }

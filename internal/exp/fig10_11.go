@@ -1,16 +1,28 @@
 package exp
 
 import (
-	"github.com/gunfu-nfv/gunfu/internal/mem"
-	"github.com/gunfu-nfv/gunfu/internal/model"
-	"github.com/gunfu-nfv/gunfu/internal/nf/nat"
+	"github.com/gunfu-nfv/gunfu/internal/director"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
-	"github.com/gunfu-nfv/gunfu/internal/traffic"
 )
 
 // taskSweep is the interleaving-depth axis of Figures 10 and 11.
 var taskSweep = []int{1, 2, 4, 8, 16, 32, 64}
+
+// sweepTasks runs build run-to-completion (result 0) and then
+// interleaved at every taskSweep depth, one sweep point each.
+func (o Options) sweepTasks(build deployable, warm, window uint64) ([]rt.Result, error) {
+	results := make([]rt.Result, 1+len(taskSweep))
+	err := o.forEach(len(results), func(i int) (err error) {
+		cfg := rt.RTCConfig()
+		if i > 0 {
+			cfg = ilConfig(taskSweep[i-1])
+		}
+		results[i], err = o.run(build, cfg, warm, window)
+		return err
+	})
+	return results, err
+}
 
 // Fig10 reproduces Figure 10: single-core UPF downlink under the
 // interleaved model — throughput across NFTask counts and rule counts,
@@ -25,19 +37,8 @@ func Fig10(o Options) ([]*stats.Table, error) {
 	t1 := stats.NewTable(
 		"Figure 10(a) — UPF downlink throughput vs interleaved NFTasks (PDRs=16, 64B, 1 core)",
 		"config", "gbps", "mpps", "cyc/pkt", "speedup-vs-rtc")
-	results := make([]rt.Result, 1+len(taskSweep))
-	if err := o.forEach(len(results), func(i int) error {
-		as, prog, src, err := buildUPF(sessions, 16, 64, o.Seed)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			results[0], err = runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
-		} else {
-			results[i], err = runWorker(o, as, prog, src, ilConfig(taskSweep[i-1]), warm, window)
-		}
-		return err
-	}); err != nil {
+	results, err := o.sweepTasks(o.deploy(director.DeploySpec{NF: "upf-downlink", Flows: sessions, PDRs: 16}), warm, window)
+	if err != nil {
 		return nil, err
 	}
 	base := results[0]
@@ -60,19 +61,12 @@ func Fig10(o Options) ([]*stats.Table, error) {
 	rows := make([][]string, len(pdrSweep))
 	if err := o.forEach(len(pdrSweep), func(i int) error {
 		pdrs := pdrSweep[i]
-		as, prog, src, err := buildUPF(sessions, pdrs, 64, o.Seed)
+		upf := o.deploy(director.DeploySpec{NF: "upf-downlink", Flows: sessions, PDRs: pdrs})
+		rtcRes, err := o.run(upf, rt.RTCConfig(), warm, window)
 		if err != nil {
 			return err
 		}
-		rtcRes, err := runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
-		if err != nil {
-			return err
-		}
-		as2, prog2, src2, err := buildUPF(sessions, pdrs, 64, o.Seed)
-		if err != nil {
-			return err
-		}
-		ilRes, err := runWorker(o, as2, prog2, src2, ilConfig(16), warm, window)
+		ilRes, err := o.run(upf, ilConfig(16), warm, window)
 		if err != nil {
 			return err
 		}
@@ -95,31 +89,6 @@ func Fig10(o Options) ([]*stats.Table, error) {
 	return []*stats.Table{t1, t2}, nil
 }
 
-// buildNAT assembles a pre-populated NAT program plus its workload.
-func buildNAT(flows, packetBytes int, seed int64) (*mem.AddressSpace, *model.Program, rt.Source, error) {
-	as := mem.NewAddressSpace()
-	n, err := nat.New(as, nat.Config{MaxFlows: flows})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	g, err := traffic.NewFlowGen(traffic.FlowGenConfig{
-		Flows: flows, PacketBytes: packetBytes, Order: traffic.OrderUniform, Seed: seed,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for i := 0; i < flows; i++ {
-		if err := n.AddFlow(g.FlowTuple(i), int32(i)); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	prog, err := n.Program()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return as, prog, g, nil
-}
-
 // Fig11 reproduces Figure 11: the NAT under granular decomposition —
 // one NFTask is slower than RTC (scheduler overhead with nothing to
 // overlap), the benefit appears from 4 streams, peaks near 16, and
@@ -133,19 +102,8 @@ func Fig11(o Options) ([]*stats.Table, error) {
 		"Figure 11 — NAT throughput and cache utilization vs interleaved NFTasks (130K flows, 64B, 1 core)",
 		"config", "gbps", "mpps", "l1hit", "l2hit", "ipc", "speedup-vs-rtc")
 
-	results := make([]rt.Result, 1+len(taskSweep))
-	if err := o.forEach(len(results), func(i int) error {
-		as, prog, src, err := buildNAT(flows, 64, o.Seed)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			results[0], err = runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
-		} else {
-			results[i], err = runWorker(o, as, prog, src, ilConfig(taskSweep[i-1]), warm, window)
-		}
-		return err
-	}); err != nil {
+	results, err := o.sweepTasks(o.deploy(director.DeploySpec{NF: "nat", Flows: flows}), warm, window)
+	if err != nil {
 		return nil, err
 	}
 	base := results[0]

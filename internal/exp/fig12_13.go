@@ -1,14 +1,8 @@
 package exp
 
 import (
-	"fmt"
-
 	"github.com/gunfu-nfv/gunfu/internal/compile"
-	"github.com/gunfu-nfv/gunfu/internal/director"
-	"github.com/gunfu-nfv/gunfu/internal/mem"
-	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf/amf"
-	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
@@ -37,27 +31,15 @@ func Fig12(o Options) ([]*stats.Table, error) {
 	rows := make([][]string, traffic.NumAMFMessages+1)
 	if err := o.forEach(len(rows), func(i int) error {
 		m := uint8(i)
-		as, prog, src, _, err := buildAMF(ues, m, o.Seed, nil)
+		rtcRes, err := o.run(o.amfPoint(ues, m, nil), rt.RTCConfig(), warm, window)
 		if err != nil {
 			return err
 		}
-		rtcRes, err := runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
+		ilRes, err := o.run(o.amfPoint(ues, m, nil), ilConfig(16), warm, window)
 		if err != nil {
 			return err
 		}
-		as2, prog2, src2, _, err := buildAMF(ues, m, o.Seed, nil)
-		if err != nil {
-			return err
-		}
-		ilRes, err := runWorker(o, as2, prog2, src2, ilConfig(16), warm, window)
-		if err != nil {
-			return err
-		}
-		as3, prog3, src3, _, err := buildAMF(ues, m, o.Seed, packed)
-		if err != nil {
-			return err
-		}
-		dpRes, err := runWorker(o, as3, prog3, src3, ilConfig(16), warm, window)
+		dpRes, err := o.run(o.amfPoint(ues, m, packed), ilConfig(16), warm, window)
 		if err != nil {
 			return err
 		}
@@ -87,36 +69,6 @@ func Fig12(o Options) ([]*stats.Table, error) {
 	return []*stats.Table{t}, nil
 }
 
-// sfcSetup builds one SFC configuration: chain of the given length,
-// optionally over fused (data-packed) per-flow pools, compiled with the
-// given options, pre-populated, with its generator.
-func sfcSetup(length, flows int, fused bool, opts compile.SFCOptions, seed int64) (*mem.AddressSpace, *model.Program, rt.Source, error) {
-	as := mem.NewAddressSpace()
-	chain, err := director.NewChain(as, length, flows, fused)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	g, err := traffic.NewFlowGen(traffic.FlowGenConfig{
-		Flows: flows, PacketBytes: 64, Order: traffic.OrderUniform, Seed: seed,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	tuples := make([]pkt.FiveTuple, flows)
-	for i := range tuples {
-		tuples[i] = g.FlowTuple(i)
-	}
-	if err := compile.PopulateFlows(chain, tuples); err != nil {
-		return nil, nil, nil, err
-	}
-	prog, err := compile.BuildSFC(fmt.Sprintf("sfc%d", length), chain, opts)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return as, prog, g, nil
-}
-
 // Fig13 reproduces Figure 13: SFCs of length 2–6 under RTC, the
 // interleaved model, +data packing (fused per-flow pools), and
 // +redundant matching removal — the full compiler-optimization ladder,
@@ -144,38 +96,22 @@ func Fig13(o Options) ([]*stats.Table, error) {
 	if err := o.forEach(len(lengths), func(i int) error {
 		length := lengths[i]
 		// RTC baseline (plain chain, no optimizations).
-		as, prog, src, err := sfcSetup(length, flows, false, compile.SFCOptions{}, o.Seed)
-		if err != nil {
-			return err
-		}
-		rtcRes, err := runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
+		rtcRes, err := o.run(o.sfcPoint(length, flows, false, compile.SFCOptions{}), rt.RTCConfig(), warm, window)
 		if err != nil {
 			return err
 		}
 		// Interleaved.
-		as, prog, src, err = sfcSetup(length, flows, false, compile.SFCOptions{}, o.Seed)
-		if err != nil {
-			return err
-		}
-		ilRes, err := runWorker(o, as, prog, src, ilConfig(16), warm, window)
+		ilRes, err := o.run(o.sfcPoint(length, flows, false, compile.SFCOptions{}), ilConfig(16), warm, window)
 		if err != nil {
 			return err
 		}
 		// Interleaved + data packing (fused pools).
-		as, prog, src, err = sfcSetup(length, flows, true, compile.SFCOptions{}, o.Seed)
-		if err != nil {
-			return err
-		}
-		dpRes, err := runWorker(o, as, prog, src, ilConfig(16), warm, window)
+		dpRes, err := o.run(o.sfcPoint(length, flows, true, compile.SFCOptions{}), ilConfig(16), warm, window)
 		if err != nil {
 			return err
 		}
 		// Interleaved + DP + redundant matching removal.
-		as, prog, src, err = sfcSetup(length, flows, true, compile.SFCOptions{RemoveRedundantMatching: true}, o.Seed)
-		if err != nil {
-			return err
-		}
-		mrRes, err := runWorker(o, as, prog, src, ilConfig(16), warm, window)
+		mrRes, err := o.run(o.sfcPoint(length, flows, true, compile.SFCOptions{RemoveRedundantMatching: true}), ilConfig(16), warm, window)
 		if err != nil {
 			return err
 		}

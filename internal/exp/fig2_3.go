@@ -1,34 +1,14 @@
 package exp
 
 import (
+	"github.com/gunfu-nfv/gunfu/internal/director"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf/amf"
-	"github.com/gunfu-nfv/gunfu/internal/nf/upf"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
 )
-
-// buildUPF assembles a UPF downlink program plus its MGW workload.
-func buildUPF(sessions, pdrs, packetBytes int, seed int64) (*mem.AddressSpace, *model.Program, rt.Source, error) {
-	as := mem.NewAddressSpace()
-	u, err := upf.New(as, upf.Config{Sessions: sessions, PDRsPerSession: pdrs})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	prog, err := u.DownlinkProgram()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	g, err := traffic.NewMGWGen(traffic.MGWConfig{
-		Sessions: sessions, PDRs: pdrs, PacketBytes: packetBytes, Seed: seed,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return as, prog, g, nil
-}
 
 // Fig2 reproduces EXP A (Figure 2): the per-packet RTC UPF degrading as
 // concurrency grows — more PFCP sessions and more PDRs mean more
@@ -47,11 +27,7 @@ func Fig2(o Options) ([]*stats.Table, error) {
 	rows1 := make([][]string, len(sessionsSweep))
 	if err := o.forEach(len(sessionsSweep), func(i int) error {
 		sessions := sessionsSweep[i]
-		as, prog, src, err := buildUPF(sessions, 16, 64, o.Seed)
-		if err != nil {
-			return err
-		}
-		res, err := runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
+		res, err := o.run(o.deploy(director.DeploySpec{NF: "upf-downlink", Flows: sessions, PDRs: 16}), rt.RTCConfig(), warm, window)
 		if err != nil {
 			return err
 		}
@@ -84,11 +60,7 @@ func Fig2(o Options) ([]*stats.Table, error) {
 	rows2 := make([][]string, len(pdrSweep))
 	if err := o.forEach(len(pdrSweep), func(i int) error {
 		pdrs := pdrSweep[i]
-		as, prog, src, err := buildUPF(fixedSessions, pdrs, 64, o.Seed)
-		if err != nil {
-			return err
-		}
-		res, err := runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
+		res, err := o.run(o.deploy(director.DeploySpec{NF: "upf-downlink", Flows: fixedSessions, PDRs: pdrs}), rt.RTCConfig(), warm, window)
 		if err != nil {
 			return err
 		}
@@ -111,22 +83,22 @@ func Fig2(o Options) ([]*stats.Table, error) {
 	return []*stats.Table{t1, t2}, nil
 }
 
-// buildAMF assembles an AMF program plus a single-message workload.
-func buildAMF(ues int, msg uint8, seed int64, layout *mem.Layout) (*mem.AddressSpace, *model.Program, rt.Source, *amf.AMF, error) {
-	as := mem.NewAddressSpace()
-	a, err := amf.New(as, amf.Config{MaxUEs: ues, Layout: layout})
-	if err != nil {
-		return nil, nil, nil, nil, err
+// amfPoint is the AMF over ues UEs, its state laid out by layout (nil =
+// the declared field order), under a workload of one message type (0 =
+// the full registration call flow) at the run's seed.
+func (o Options) amfPoint(ues int, msg uint8, layout *mem.Layout) deployable {
+	return func(as *mem.AddressSpace) (*model.Program, rt.Source, error) {
+		a, err := amf.New(as, amf.Config{MaxUEs: ues, Layout: layout})
+		if err != nil {
+			return nil, nil, err
+		}
+		prog, err := a.Program()
+		if err != nil {
+			return nil, nil, err
+		}
+		g, err := traffic.NewAMFGen(traffic.AMFConfig{UEs: ues, MsgType: msg, Seed: o.Seed})
+		return prog, g, err
 	}
-	prog, err := a.Program()
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	g, err := traffic.NewAMFGen(traffic.AMFConfig{UEs: ues, MsgType: msg, Seed: seed})
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return as, prog, g, a, nil
 }
 
 // Fig3 reproduces EXP B (Figure 3): the state-complexity cost of the
@@ -144,11 +116,7 @@ func Fig3(o Options) ([]*stats.Table, error) {
 	rows := make([][]string, traffic.NumAMFMessages)
 	if err := o.forEach(traffic.NumAMFMessages, func(i int) error {
 		m := uint8(i + 1)
-		as, prog, src, _, err := buildAMF(ues, m, o.Seed, nil)
-		if err != nil {
-			return err
-		}
-		res, err := runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
+		res, err := o.run(o.amfPoint(ues, m, nil), rt.RTCConfig(), warm, window)
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/gunfu-nfv/gunfu/internal/director"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
@@ -17,14 +18,26 @@ import (
 // these tests fails, a "performance" change silently altered the
 // reproduced numbers and must be fixed, not re-golded.
 //
-// The golden strings were captured from the seed engine (PR 0) with
-// Seed=42 and quick-mode populations.
+// The golden strings were captured from the seed engine with Seed=42
+// and quick-mode populations.
 
-// goldenCase runs one seeded scenario and returns its fingerprint.
+// goldenCase is one seeded scenario: a registry deployable (NF and
+// population) under one worker config, and its pinned fingerprint.
 type goldenCase struct {
 	name string
+	spec director.DeploySpec
+	cfg  rt.Config
 	want string
-	run  func(o Options) (string, error)
+}
+
+// run builds the case through the registry's factory, runs it as a
+// sweep point of o and returns its fingerprint.
+func (tc goldenCase) run(o Options) (string, error) {
+	res, err := o.run(o.deploy(tc.spec), tc.cfg, 2000, 8000)
+	if err != nil {
+		return "", err
+	}
+	return fingerprint(res.Packets, res.Cycles, res.AccessCycles, res.Counters), nil
 }
 
 // fingerprint renders every simulated quantity a hot-path rewrite could
@@ -36,86 +49,44 @@ func fingerprint(packets, cycles, accessCycles uint64, ctr sim.Counters) string 
 }
 
 func goldenCases() []goldenCase {
-	const (
-		natFlows    = 1 << 13
-		upfSessions = 1 << 11
-		warm        = 2000
-		window      = 8000
-	)
-	natIL := func(tasks int) func(Options) (string, error) {
-		return func(o Options) (string, error) {
-			as, prog, src, err := buildNAT(natFlows, 64, o.Seed)
-			if err != nil {
-				return "", err
-			}
-			res, err := runWorker(o, as, prog, src, ilConfig(tasks), warm, window)
-			if err != nil {
-				return "", err
-			}
-			return fingerprint(res.Packets, res.Cycles, res.AccessCycles, res.Counters), nil
-		}
-	}
+	nat := director.DeploySpec{NF: "nat", Flows: 1 << 13}
+	upf := director.DeploySpec{NF: "upf-downlink", Flows: 1 << 11, PDRs: 16}
 	return []goldenCase{
 		{
 			name: "nat-rtc",
-			run: func(o Options) (string, error) {
-				as, prog, src, err := buildNAT(natFlows, 64, o.Seed)
-				if err != nil {
-					return "", err
-				}
-				res, err := runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
-				if err != nil {
-					return "", err
-				}
-				return fingerprint(res.Packets, res.Cycles, res.AccessCycles, res.Counters), nil
-			},
+			spec: nat,
+			cfg:  rt.RTCConfig(),
 			want: "packets=8000 cycles=2175288 access=1677440 Counters{Cycles:0x213138, Instructions:0xfafa4, Reads:0x7e34, Writes:0x3e80, L1Hits:0x61f4, L1Misses:0x5ac0, L2Hits:0x2fc0, L2Misses:0x2b00, LLCHits:0x14b8, LLCMisses:0x1648, PrefetchIssued:0x0, PrefetchDropped:0x0, PrefetchRedundant:0x0, PrefetchUseful:0x0, PrefetchLate:0x0, StallCycles:0x1810b0, TaskSwitches:0x0}",
 		},
 		{
 			name: "nat-il16",
-			run:  natIL(16),
+			spec: nat,
+			cfg:  ilConfig(16),
 			want: "packets=8000 cycles=1379326 access=248638 Counters{Cycles:0x150bfe, Instructions:0x18de82, Reads:0x7e34, Writes:0x3e80, L1Hits:0xb357, L1Misses:0x95d, L2Hits:0x7a6, L2Misses:0x1b7, LLCHits:0x1b5, LLCMisses:0x2, PrefetchIssued:0x63d9, PrefetchDropped:0x5, PrefetchRedundant:0x154c, PrefetchUseful:0x6096, PrefetchLate:0x6e, StallCycles:0xfde2, TaskSwitches:0xb9cf}",
 		},
 		{
 			name: "nat-il64",
-			run:  natIL(64),
+			spec: nat,
+			cfg:  ilConfig(64),
 			want: "packets=8000 cycles=1602288 access=467978 Counters{Cycles:0x1872f0, Instructions:0x18eae7, Reads:0x7e34, Writes:0x3e80, L1Hits:0x7f0c, L1Misses:0x3da8, L2Hits:0x319d, L2Misses:0xc0b, LLCHits:0xc08, LLCMisses:0x3, PrefetchIssued:0x7982, PrefetchDropped:0x29, PrefetchRedundant:0x140, PrefetchUseful:0x3c10, PrefetchLate:0x3d, StallCycles:0x527da, TaskSwitches:0xbab2}",
 		},
 		{
 			name: "upf-rtc",
-			run: func(o Options) (string, error) {
-				as, prog, src, err := buildUPF(upfSessions, 16, 64, o.Seed)
-				if err != nil {
-					return "", err
-				}
-				res, err := runWorker(o, as, prog, src, rt.RTCConfig(), warm, window)
-				if err != nil {
-					return "", err
-				}
-				return fingerprint(res.Packets, res.Cycles, res.AccessCycles, res.Counters), nil
-			},
+			spec: upf,
+			cfg:  rt.RTCConfig(),
 			want: "packets=8000 cycles=7650362 access=6677082 Counters{Cycles:0x74bc3a, Instructions:0x1ff338, Reads:0x200f8, Writes:0x5dc0, L1Hits:0xdb53, L1Misses:0x18365, L2Hits:0xe65b, L2Misses:0x9d0a, LLCHits:0x3eda, LLCMisses:0x5e30, PrefetchIssued:0x0, PrefetchDropped:0x0, PrefetchRedundant:0x0, PrefetchUseful:0x0, PrefetchLate:0x0, StallCycles:0x62750e, TaskSwitches:0x0}",
 		},
 		{
 			name: "upf-il16",
-			run: func(o Options) (string, error) {
-				as, prog, src, err := buildUPF(upfSessions, 16, 64, o.Seed)
-				if err != nil {
-					return "", err
-				}
-				res, err := runWorker(o, as, prog, src, ilConfig(16), warm, window)
-				if err != nil {
-					return "", err
-				}
-				return fingerprint(res.Packets, res.Cycles, res.AccessCycles, res.Counters), nil
-			},
+			spec: upf,
+			cfg:  ilConfig(16),
 			want: "packets=8000 cycles=4611199 access=737147 Counters{Cycles:0x465c7f, Instructions:0x4a8f3e, Reads:0x200f8, Writes:0x5dc0, L1Hits:0x25e17, L1Misses:0xa1, L2Hits:0x10, L2Misses:0x91, LLCHits:0x90, LLCMisses:0x1, PrefetchIssued:0x1a3c2, PrefetchDropped:0x2, PrefetchRedundant:0x35a, PrefetchUseful:0x19963, PrefetchLate:0xa5a, StallCycles:0x1c71f, TaskSwitches:0x369be}",
 		},
 	}
 }
 
 func TestGoldenCounters(t *testing.T) {
-	o := Options{Quick: true, Seed: 42}
+	o := quick()
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := tc.run(o)
@@ -153,7 +124,8 @@ func TestGoldenCountersTraced(t *testing.T) {
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			ct := &countTracer{}
-			o := Options{Quick: true, Seed: 42, Tracer: ct}
+			o := quick()
+			o.Tracer = ct
 			got, err := tc.run(o)
 			if err != nil {
 				t.Fatal(err)
@@ -179,7 +151,7 @@ func TestGoldenCountersTraced(t *testing.T) {
 // scenario built twice from the same seed must fingerprint identically
 // within one process.
 func TestGoldenRepeatable(t *testing.T) {
-	o := Options{Quick: true, Seed: 42}
+	o := quick()
 	tc := goldenCases()[1] // nat-il16
 	a, err := tc.run(o)
 	if err != nil {
@@ -232,7 +204,9 @@ func TestGoldenCountersKindFiltered(t *testing.T) {
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			full := &kindSplit{filters: filters, subs: make([][]sim.TraceEvent, len(filters))}
-			got, err := tc.run(Options{Quick: true, Seed: 42, Tracer: full})
+			o := quick()
+			o.Tracer = full
+			got, err := tc.run(o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +215,8 @@ func TestGoldenCountersKindFiltered(t *testing.T) {
 			}
 			for i, kinds := range filters {
 				kr := &kindRecorder{kinds: kinds}
-				got, err := tc.run(Options{Quick: true, Seed: 42, Tracer: kr})
+				o.Tracer = kr
+				got, err := tc.run(o)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,8 +8,10 @@ import (
 // TestParallelSweepDeterminism asserts the tentpole guarantee of
 // Options.Parallel: any worker count renders byte-identical tables,
 // because sweep points are share-nothing simulations and rows are
-// emitted in sweep order. Runs under -race in CI, which also proves
-// the fan-out has no data races.
+// emitted in sweep order. The sequential run is the checked-in
+// testdata/quick table (each figure's shape test holds it there), so a
+// Parallel: 4 run must render that file. Runs under -race in CI, which
+// also proves the fan-out has no data races.
 //
 // fig9 is excluded: it measures host wall-clock context-switch rates,
 // which vary run to run regardless of Parallel.
@@ -25,17 +27,11 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			var seq, par bytes.Buffer
-			if _, err := Run(name, Options{Quick: true, Seed: 42, Out: &seq}); err != nil {
-				t.Fatalf("sequential run: %v", err)
-			}
+			var par bytes.Buffer
 			if _, err := Run(name, Options{Quick: true, Seed: 42, Out: &par, Parallel: 4}); err != nil {
 				t.Fatalf("parallel run: %v", err)
 			}
-			if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-				t.Errorf("parallel output differs from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s",
-					seq.String(), par.String())
-			}
+			checkQuickTables(t, name, par.Bytes())
 		})
 	}
 }

@@ -33,15 +33,12 @@ func TestGoldenCountersPooled(t *testing.T) {
 
 // TestFig10PooledCoreReuse asserts the pooling claim for a whole figure
 // sweep: a sequential quick fig10 run builds exactly one core and
-// recycles it across every sweep point, and its tables are
-// byte-identical to the unpooled run.
+// recycles it across every sweep point, and its tables are the
+// checked-in ones.
 func TestFig10PooledCoreReuse(t *testing.T) {
-	var unpooled, pooled bytes.Buffer
-	if _, err := Fig10(Options{Quick: true, Seed: 42, Out: &unpooled}); err != nil {
-		t.Fatal(err)
-	}
-	o := Options{Quick: true, Seed: 42, Out: &pooled, pool: sim.NewCorePool(sim.DefaultConfig())}
-	if _, err := Fig10(o); err != nil {
+	o := quick()
+	tables, err := Fig10(o)
+	if err != nil {
 		t.Fatal(err)
 	}
 	news, reuses := o.pool.Stats()
@@ -51,24 +48,23 @@ func TestFig10PooledCoreReuse(t *testing.T) {
 	if reuses == 0 {
 		t.Fatal("pooled fig10 never recycled a core")
 	}
-	if !bytes.Equal(unpooled.Bytes(), pooled.Bytes()) {
-		t.Errorf("pooled output differs from unpooled:\n--- unpooled ---\n%s\n--- pooled ---\n%s",
-			unpooled.String(), pooled.String())
-	}
-}
-
-// BenchmarkFig10Quick measures a full quick fig10 sweep with and
-// without core pooling; the B/op column is the allocation the pool
-// removes (BENCH_hotpath.json records the paired numbers).
-func BenchmarkFig10Quick(b *testing.B) {
-	run := func(b *testing.B, pool *sim.CorePool) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Fig10(Options{Quick: true, Seed: 42, pool: pool}); err != nil {
-				b.Fatal(err)
-			}
+	var out bytes.Buffer
+	for _, tb := range tables {
+		if err := tb.Render(&out); err != nil {
+			t.Fatal(err)
 		}
 	}
-	b.Run("unpooled", func(b *testing.B) { run(b, nil) })
-	b.Run("pooled", func(b *testing.B) { run(b, sim.NewCorePool(sim.DefaultConfig())) })
+	checkQuickTables(t, "fig10", out.Bytes())
+}
+
+// BenchmarkFig10Quick measures a full quick fig10 sweep on one core
+// pool; B/op is what a sweep still allocates with its cores recycled.
+func BenchmarkFig10Quick(b *testing.B) {
+	b.ReportAllocs()
+	o := quick()
+	for i := 0; i < b.N; i++ {
+		if _, err := Fig10(o); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -201,7 +201,6 @@ func stateName(i int) string {
 type diffSide struct {
 	step     func(*model.Exec) error
 	ensure   func(*model.Exec) bool
-	resident func(*model.Exec) bool
 	prefetch func(*model.Exec)
 }
 
@@ -224,20 +223,17 @@ func replay(t *testing.T, w *diffWorld, s diffSide, packets int) diffResult {
 				t.Fatalf("stream did not terminate (program %s)", w.prog.Name())
 			}
 			if !e.Prefetched {
-				// Alternate between the fused P-state visit and the split
-				// resident/prefetch pair so both code paths are replayed.
+				// Alternate between the fused P-state visit and the blind
+				// prefetch issue so both code paths are replayed.
 				if (seq+visits)%2 == 0 {
 					if !s.ensure(e) {
 						core.TaskSwitch()
 						continue
 					}
 				} else {
-					if !s.resident(e) {
-						s.prefetch(e)
-						core.TaskSwitch()
-						continue
-					}
-					e.Prefetched = true
+					s.prefetch(e)
+					core.TaskSwitch()
+					continue
 				}
 			}
 			if err := s.step(e); err != nil {
@@ -259,7 +255,6 @@ func sides(w *diffWorld) (compiled, interpreted diffSide) {
 	compiled = diffSide{
 		step:     w.prog.Step,
 		ensure:   w.prog.EnsurePrefetched,
-		resident: w.prog.ResidentCurrent,
 		prefetch: w.prog.PrefetchCurrent,
 	}
 	interpreted = diffSide{
@@ -275,7 +270,6 @@ func sides(w *diffWorld) (compiled, interpreted diffSide) {
 			w.prog.PrefetchCurrentInterpreted(e)
 			return false
 		},
-		resident: w.prog.ResidentCurrentInterpreted,
 		prefetch: w.prog.PrefetchCurrentInterpreted,
 	}
 	return compiled, interpreted

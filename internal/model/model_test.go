@@ -158,12 +158,13 @@ func TestStepInvalidTransition(t *testing.T) {
 }
 
 func TestPrefetchCurrentAndResident(t *testing.T) {
-	env := newTestEnv(t)
-	e := newExec(env)
-
-	if env.prog.ResidentCurrent(e) {
+	cold := newTestEnv(t)
+	if cold.prog.EnsurePrefetched(newExec(cold)) {
 		t.Fatal("cold state reported resident")
 	}
+
+	env := newTestEnv(t)
+	e := newExec(env)
 	env.prog.PrefetchCurrent(e)
 	if !e.Prefetched {
 		t.Fatal("P-state not set by PrefetchCurrent")
@@ -171,8 +172,13 @@ func TestPrefetchCurrentAndResident(t *testing.T) {
 	if ctr := env.core.Counters(); ctr.PrefetchIssued == 0 {
 		t.Fatal("no prefetch issued")
 	}
-	if !env.prog.ResidentCurrent(e) {
+	e.Prefetched = false
+	before := env.core.Counters()
+	if !env.prog.EnsurePrefetched(e) {
 		t.Fatal("prefetched span not resident")
+	}
+	if env.core.Counters() != before {
+		t.Fatal("resident P-state visit charged the core")
 	}
 	// Executing after the fill window must be an L1 hit.
 	env.core.Compute(1000)
@@ -238,8 +244,12 @@ func TestPrefetchAtEndTrivial(t *testing.T) {
 	e := newExec(env)
 	e.CS = CSEnd
 	env.prog.PrefetchCurrent(e)
-	if !e.Prefetched || !env.prog.ResidentCurrent(e) {
-		t.Fatal("End state must be trivially prefetched/resident")
+	if !e.Prefetched {
+		t.Fatal("End state must be trivially prefetched")
+	}
+	e.Prefetched = false
+	if !env.prog.EnsurePrefetched(e) || !e.Prefetched {
+		t.Fatal("End state must be trivially resident")
 	}
 }
 

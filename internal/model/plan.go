@@ -26,7 +26,7 @@ import (
 //     control regions are line-aligned by reservation), the plan stores
 //     the finished line list and issues Core.PrefetchLine per entry.
 //
-//   - Residency checks. ResidentCurrent's span loop becomes the same
+//   - Residency checks. The P-state check's span loop becomes the same
 //     pre-resolved line list probed against the core's L1 tags.
 //
 // The lowering is a pure representation change: the simulated access
@@ -379,15 +379,6 @@ func (p *Program) prefetchCompiled(e *Exec, pl *stepPlan) {
 	}
 }
 
-// residentCompiled is the exact P-state check: every plan line probed
-// against the core's L1 tags.
-func (p *Program) residentCompiled(e *Exec, pl *stepPlan) bool {
-	if len(pl.fetch) == 0 {
-		return true
-	}
-	return e.Core.FirstNonResident(planBases(e, pl.bind, pl.fetchMask), pl.fetch) < 0
-}
-
 // EnsurePrefetched fuses the scheduler's P-state maintenance visit: it
 // verifies the current control state's plan lines are L1-resident and,
 // when they are not, issues the full prefetch plan (all lines, resident
@@ -400,8 +391,8 @@ func (p *Program) residentCompiled(e *Exec, pl *stepPlan) bool {
 // The fusion resolves the plan's base table once for both the check and
 // the issue, and the core's EnsureFetched hands the check's L1 probe of
 // the first absent line to its fill; the simulated sequence is identical
-// to ResidentCurrent followed (on failure) by PrefetchCurrent, because
-// residency probes charge nothing.
+// to a residency check of every plan line followed (on failure) by
+// PrefetchCurrent, because residency probes charge nothing.
 func (p *Program) EnsurePrefetched(e *Exec) bool {
 	if e.CS == CSEnd {
 		e.Prefetched = true

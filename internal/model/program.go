@@ -168,16 +168,6 @@ func (p *Program) PrefetchCurrent(e *Exec) {
 	e.Prefetched = true
 }
 
-// ResidentCurrent reports whether every span the current CS will access
-// is already in L1 — the isPrefetched check against real cache contents
-// used to maintain the P-state.
-func (p *Program) ResidentCurrent(e *Exec) bool {
-	if e.CS == CSEnd {
-		return true
-	}
-	return p.residentCompiled(e, &p.plans[e.CS])
-}
-
 // Validate checks structural soundness: every transition targets an
 // existing CS, every CS has a valid action, the start state exists, and
 // End is reachable from the start.

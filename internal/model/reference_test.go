@@ -1,9 +1,9 @@
 package model
 
 // This file is the span-interpreting reference executor: the original
-// Program.Step / PrefetchCurrent / ResidentCurrent bodies, which walk a
-// CSInfo's declared span tables and resolve every address through
-// Resolve. It is not compiled into the library — the step plans
+// Program.Step / PrefetchCurrent bodies and P-state residency check,
+// which walk a CSInfo's declared span tables and resolve every address
+// through Resolve. It is not compiled into the library — the step plans
 // (plan.go) are the only executor that ships — and exists solely as the
 // oracle the differential-replay harness (differential_test.go) holds
 // the compiled executor to: identical access sequences, counters and

@@ -153,24 +153,6 @@ func fetchLine(bases *[8]uint64, op *FetchOp) (addr, line uint64, one bool) {
 	return addr, line, op.Line || op.Size != 0 && (addr+op.Size-1)>>lineShift == line
 }
 
-// FirstNonResident returns the index of the first op whose lines are
-// not all L1-resident, or -1 when the whole plan is resident. Residency
-// probes charge nothing, exactly like ResidentL1.
-func (c *Core) FirstNonResident(bases *[8]uint64, ops []FetchOp) int {
-	l1 := c.l1
-	for i := range ops {
-		addr, line, one := fetchLine(bases, &ops[i])
-		if one {
-			if l1.hinted(line) < 0 && l1.find(line) < 0 {
-				return i
-			}
-		} else if !c.ResidentL1(addr, ops[i].Size) {
-			return i
-		}
-	}
-	return -1
-}
-
 // IssueFetch issues the whole fetch plan blind, exactly PrefetchLine /
 // Prefetch per op in op order.
 func (c *Core) IssueFetch(bases *[8]uint64, ops []FetchOp) {
@@ -184,14 +166,14 @@ func (c *Core) IssueFetch(bases *[8]uint64, ops []FetchOp) {
 }
 
 // EnsureFetched is the scheduler's P-stage visit over a fetch plan. It
-// reports whether every op's lines are L1-resident (FirstNonResident <
-// 0) and, when one is not, issues the whole plan exactly as IssueFetch
-// would. The residency check is the first absent op's L1 probe, and
-// that probe's victim is the one its fill installs into: the ops before
-// it are resident, so their issues are redundant — they write no stamp
-// and skip their probes — and the clock alone never evicts. Ops after
-// the miss take IssueFetch's probing path. The check charges nothing
-// and emits nothing.
+// reports whether every op's lines are L1-resident and, when one is
+// not, issues the whole plan exactly as IssueFetch would. The residency
+// check is the first absent op's L1 probe, and that probe's victim is
+// the one its fill installs into: the ops before it are resident, so
+// their issues are redundant — they write no stamp and skip their
+// probes — and the clock alone never evicts. Ops after the miss take
+// IssueFetch's probing path. The check charges nothing and emits
+// nothing.
 func (c *Core) EnsureFetched(bases *[8]uint64, ops []FetchOp) (resident bool) {
 	l1 := c.l1
 	for i := range ops {

@@ -7,12 +7,18 @@ import (
 
 // CorePool recycles Cores of one configuration across experiment runs.
 // A Core's backing arrays are megabyte-scale (the outer levels'
-// tag/stamp/ready arrays), so sweeps that run hundreds of points —
-// fig10's offered-load grid, the ablation matrix — used to allocate and
-// fault that footprint per point. With the pool each worker grabs a
-// reset core instead: Reset is three tag memsets (see Core.Reset), and
-// the reset-vs-fresh differential tests guarantee a pooled core is
-// observationally indistinguishable from a new one.
+// tag/stamp/ready arrays), so sweeps that run hundreds of points used
+// to allocate and fault that footprint per point. With the pool each
+// worker grabs a reset core instead: Reset is three tag memsets (see
+// Core.Reset), and the reset-vs-fresh differential tests guarantee a
+// pooled core is observationally indistinguishable from a new one.
+//
+// An exp run takes every single-core sweep point's core from one pool
+// of its configuration; the ablation points that change the
+// configuration (MSHRs, switch cost) each get a pool of their own, so
+// only the default-config points recycle. Fig14 and Fig15 run their
+// cores concurrently on rt.Engine, whose pool is per engine, and attach
+// no tracer.
 //
 // The pool itself is safe for concurrent Get/Put (the parallel sweep
 // runner's workers share one), but each checked-out Core remains

@@ -316,10 +316,9 @@ func oracleStep(c *Core, r *refCore, op *refOp) string {
 		for _, s := range op.spans {
 			r.demand(op.bases[s.Base&7]+s.Off, s.Size, true)
 		}
-	case 16, 17:
-		// The scheduler's P-stage visit: residency walk, then (16, only
-		// on a miss) the whole plan issued — EnsureFetched; 17 asks
-		// FirstNonResident and issues blind through IssueFetch.
+	case 16:
+		// The scheduler's P-stage visit: residency walk, then (only on a
+		// miss) the whole plan issued.
 		want := -1
 		for i, f := range op.fetch {
 			if !r.residentL1(op.bases[f.Base&7]+f.Off, f.Size) {
@@ -327,21 +326,20 @@ func oracleStep(c *Core, r *refCore, op *refOp) string {
 				break
 			}
 		}
-		if want >= 0 || op.kind == 17 {
+		if want >= 0 {
 			for _, f := range op.fetch {
 				r.prefetch(op.bases[f.Base&7]+f.Off, f.Size)
 			}
 		}
-		if op.kind == 16 {
-			if got := c.EnsureFetched(&op.bases, op.fetch); got != (want < 0) {
-				return fmt.Sprintf("EnsureFetched = %v, reference first miss %d", got, want)
-			}
-			break
+		if got := c.EnsureFetched(&op.bases, op.fetch); got != (want < 0) {
+			return fmt.Sprintf("EnsureFetched = %v, reference first miss %d", got, want)
 		}
-		if miss := c.FirstNonResident(&op.bases, op.fetch); miss != want {
-			return fmt.Sprintf("FirstNonResident = %d, reference %d", miss, want)
-		}
+	case 17:
+		// The blind issue of the whole plan.
 		c.IssueFetch(&op.bases, op.fetch)
+		for _, f := range op.fetch {
+			r.prefetch(op.bases[f.Base&7]+f.Off, f.Size)
+		}
 	default:
 		c.Read(op.addr, op.size)
 		r.demand(op.addr, op.size, false)
