@@ -118,10 +118,12 @@ trace-demo:
 
 # fuzz runs the fuzz targets — the control-plane wire protocol, the
 # cuckoo match table against a map, the simulator's AVX2 set scan
-# against the scalar one, and the packet parser plus NAT rewrite — for a
-# short active burst each (the seed corpora in
-# internal/{director,dstruct,sim,pkt}/testdata/fuzz also run on every
-# plain `go test`). Override FUZZTIME for longer campaigns:
+# against the scalar one, the packet parser plus NAT rewrite, and the
+# spec front end (transitions, NF compositions, modules) — for a short
+# active burst each (the seed corpora in
+# internal/{director,dstruct,sim,pkt}/testdata/fuzz and the spec
+# targets' f.Add seeds also run on every plain `go test`). Override
+# FUZZTIME for longer campaigns:
 # make fuzz FUZZTIME=5m
 FUZZTIME ?= 10s
 fuzz:
@@ -130,6 +132,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzCuckooOps$$' -fuzztime $(FUZZTIME) ./internal/dstruct/
 	$(GO) test -run '^$$' -fuzz 'FuzzSetScan$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz 'FuzzPacketRewrite$$' -fuzztime $(FUZZTIME) ./internal/pkt/
+	$(GO) test -run '^$$' -fuzz 'FuzzParseTransition$$' -fuzztime $(FUZZTIME) ./internal/spec/
+	$(GO) test -run '^$$' -fuzz 'FuzzParseNF$$' -fuzztime $(FUZZTIME) ./internal/spec/
+	$(GO) test -run '^$$' -fuzz 'FuzzParseModule$$' -fuzztime $(FUZZTIME) ./internal/spec/
 
 # chaos runs the control-plane fault drill under the race detector: a
 # director and two reconnecting agents behind the deterministic faultnet

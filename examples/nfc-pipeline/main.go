@@ -61,8 +61,6 @@ name: nat
 chain:
   - flow_classifier
   - flow_mapper
-optimize:
-  - redundant_prefetch_removal
 `
 
 // Listing 4 — the flow mapper implementation in NF-C.

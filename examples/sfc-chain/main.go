@@ -1,7 +1,7 @@
 // SFC chain: compose LB → NAT → NM → FW into one service function
 // chain and walk the compiler-optimization ladder of the paper's §VI —
-// interleaving, redundant prefetch removal, fused data packing, and
-// redundant matching removal.
+// interleaving, then redundant matching removal (fused data packing is
+// the remaining rung of gunfu-bench -exp fig13).
 //
 //	go run ./examples/sfc-chain
 package main

@@ -242,11 +242,6 @@ func FuseStates(as *AddressSpace, name string, members []FuseMember, maxFlows in
 	return compile.FuseStates(as, name, members, maxFlows)
 }
 
-// RemoveRedundantPrefetches runs the PRR dataflow pass over a Program.
-func RemoveRedundantPrefetches(p *Program) error {
-	return compile.RemoveRedundantPrefetches(p)
-}
-
 // BuildChain constructs the paper's LB→NAT→NM→FW… chain of the given
 // length over fresh state.
 func BuildChain(as *AddressSpace, length, flows int) ([]Chainable, error) {

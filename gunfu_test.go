@@ -99,9 +99,6 @@ func TestPublicAPISFC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gunfu.RemoveRedundantPrefetches(prog); err != nil {
-		t.Fatal(err)
-	}
 	core, err := gunfu.NewCore(gunfu.DefaultSimConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/gunfu-nfv/gunfu/internal/mem"
@@ -365,49 +366,50 @@ func TestFusedChainSemantics(t *testing.T) {
 	}
 }
 
-func TestPRRRemovesPrefetches(t *testing.T) {
-	const flows = 64
-	as := mem.NewAddressSpace()
-	chain := buildChain(t, as, flows, false)
-	populate(t, chain, newGen(t, flows))
-	prog, err := BuildSFC("sfc", chain, SFCOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	countSpans := func(p *model.Program) int {
-		total := 0
-		for i := 1; i < p.NumCS(); i++ {
-			info, err := p.CS(model.CSID(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += len(info.Prefetch)
-		}
-		return total
-	}
-	before := countSpans(prog)
-	if err := RemoveRedundantPrefetches(prog); err != nil {
-		t.Fatal(err)
-	}
-	after := countSpans(prog)
-	if after >= before {
-		t.Fatalf("PRR removed nothing: %d -> %d prefetch spans", before, after)
-	}
-}
-
-func TestPRRPreservesSemantics(t *testing.T) {
-	const flows, packets = 128, 1500
-	results := make([]*monitor.Monitor, 2)
-	for i, prr := range []bool{false, true} {
+// TestRetiredPRRFieldIsInert holds SFCOptions.RemoveRedundantPrefetches
+// to doing nothing, so the retired pass cannot come back through it: the
+// MR chain compiles to the same per-CS prefetch spans and runs to the
+// same interleaved result with the field set or clear.
+func TestRetiredPRRFieldIsInert(t *testing.T) {
+	const flows, packets = 128, 2000
+	run := func(prr bool) ([][]model.Span, rt.Result) {
 		as := mem.NewAddressSpace()
 		chain := buildChain(t, as, flows, false)
 		g := newGen(t, flows)
 		populate(t, chain, g)
-		runSFC(t, chain, SFCOptions{RemoveRedundantPrefetches: prr}, g, packets, true)
-		results[i] = chain[2].(*monitor.Monitor)
+		prog, err := BuildSFC("sfc", chain, SFCOptions{RemoveRedundantMatching: true, RemoveRedundantPrefetches: prr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := make([][]model.Span, prog.NumCS())
+		for i := 1; i < prog.NumCS(); i++ {
+			info, err := prog.CS(model.CSID(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			spans[i] = info.Prefetch
+		}
+		core, err := sim.NewCore(sim.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, rt.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := w.Run(g, packets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spans, res
 	}
-	if results[0].Totals() != results[1].Totals() {
-		t.Fatalf("PRR changed totals: %+v vs %+v", results[0].Totals(), results[1].Totals())
+	offSpans, offRes := run(false)
+	onSpans, onRes := run(true)
+	if !reflect.DeepEqual(onSpans, offSpans) {
+		t.Fatalf("RemoveRedundantPrefetches changed the prefetch plans:\n on %v\noff %v", onSpans, offSpans)
+	}
+	if onRes != offRes {
+		t.Fatalf("RemoveRedundantPrefetches changed the run:\n on %+v\noff %+v", onRes, offRes)
 	}
 }
 

@@ -128,13 +128,6 @@ func FromSpec(as *mem.AddressSpace, unit SpecUnit) (*SpecResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compile: %s: %w", unit.NF.Name, err)
 	}
-	for _, opt := range unit.NF.Optimize {
-		if opt == "redundant_prefetch_removal" {
-			if err := RemoveRedundantPrefetches(prog); err != nil {
-				return nil, fmt.Errorf("compile: %s: %w", unit.NF.Name, err)
-			}
-		}
-	}
 	result.Program = prog
 	return result, nil
 }

@@ -50,8 +50,6 @@ name: nat
 chain:
   - flow_classifier
   - flow_mapper
-optimize:
-  - redundant_prefetch_removal
 `
 	mapperImplSrc = `
 // Implementation Using NF-C

@@ -1,9 +1,12 @@
 // Package compile implements the GuNFu compiler of the paper's §VI: it
-// lowers NF/SFC specifications onto the model.Builder, and applies the
-// three compilation optimizations granular decomposition enables —
-// redundant matching removal (MR) for chained NFs, redundant prefetch
-// removal (PRR) over the control-state graph, and cache-conscious data
-// packing (DP) of per-flow state layouts.
+// lowers NF/SFC specifications onto the model.Builder, and applies two
+// of the compilation optimizations granular decomposition enables —
+// redundant matching removal (MR) for chained NFs and cache-conscious
+// data packing (DP) of per-flow state layouts. The paper's third,
+// redundant prefetch removal (PRR), is not implemented: under
+// interleaving the prefetches it drops are the ones re-fetching lines
+// other NFTasks evicted, so it cost throughput (EXPERIMENTS.md, Known
+// deviation 2).
 package compile
 
 import (
@@ -42,8 +45,9 @@ type SFCOptions struct {
 	// reuses its match result for every subsequent NF (all NFs must key
 	// on the five-tuple and share a flow index space).
 	RemoveRedundantMatching bool
-	// RemoveRedundantPrefetches runs the PRR dataflow pass on the built
-	// program.
+	// RemoveRedundantPrefetches is ignored: the redundant prefetch
+	// removal pass it selected was retired. The field is kept only
+	// because bench/packet.go still sets it; delete both together.
 	RemoveRedundantPrefetches bool
 }
 
@@ -74,11 +78,6 @@ func BuildSFC(name string, chain []Chainable, opts SFCOptions) (*model.Program, 
 	prog, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("compile: %s: %w", name, err)
-	}
-	if opts.RemoveRedundantPrefetches {
-		if err := RemoveRedundantPrefetches(prog); err != nil {
-			return nil, fmt.Errorf("compile: %s: PRR: %w", name, err)
-		}
 	}
 	return prog, nil
 }

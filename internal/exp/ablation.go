@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"github.com/gunfu-nfv/gunfu/internal/compile"
 	"github.com/gunfu-nfv/gunfu/internal/director"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
@@ -84,36 +83,6 @@ func Ablations(o Options) ([]*stats.Table, error) {
 		t2.AddRow(row...)
 	}
 
-	// (b2) Redundant prefetch removal on the length-4 SFC: PRR saves
-	// prefetch-issue instructions but gives up re-prefetching lines the
-	// interleaving pressure may have evicted — a wash-to-slight-loss in
-	// this model, documented in EXPERIMENTS.md.
-	t2b := stats.NewTable(
-		"Ablation B2 — redundant prefetch removal (SFC-4, 16 NFTasks)",
-		"config", "gbps", "pf-issued/pkt")
-	prrSweep := []bool{false, true}
-	rows2b := make([][]string, len(prrSweep))
-	if err := o.forEach(len(prrSweep), func(i int) error {
-		prr := prrSweep[i]
-		sfcFlows := o.pick(1<<15, 1<<12)
-		res, err := o.run(o.sfcPoint(4, sfcFlows, false, compile.SFCOptions{RemoveRedundantPrefetches: prr}), ilConfig(16), warm, window)
-		if err != nil {
-			return err
-		}
-		name := "PRR off"
-		if prr {
-			name = "PRR on"
-		}
-		rows2b[i] = []string{name, stats.F(res.Gbps(), 2),
-			stats.F(float64(res.Counters.PrefetchIssued)/float64(res.Packets), 2)}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for _, row := range rows2b {
-		t2b.AddRow(row...)
-	}
-
 	// (c) NFTask switch cost: how light the runtime must be for
 	// interleaving to pay (Figure 9's motivation).
 	t3 := stats.NewTable(
@@ -137,5 +106,5 @@ func Ablations(o Options) ([]*stats.Table, error) {
 		t3.AddRow(row...)
 	}
 
-	return []*stats.Table{t1, t2, t2b, t3}, nil
+	return []*stats.Table{t1, t2, t3}, nil
 }

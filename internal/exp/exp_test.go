@@ -312,7 +312,7 @@ func TestFig15UPFScalesAndBeatsRTC(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	tables := runQuick(t, "ablation")
-	if len(tables) != 4 {
+	if len(tables) != 3 {
 		t.Fatalf("ablation tables = %d", len(tables))
 	}
 	// Feature ladder: full config at least as fast as interleave-only.
@@ -341,7 +341,7 @@ func (c *streamCounter) Event(sim.TraceEvent)       { c.done++ }
 func (c *streamCounter) TraceKinds() sim.TraceKinds { return sim.KindSet(sim.TraceStreamDone) }
 
 // TestAblationsHonorTracer pins the Options.Tracer contract on the
-// ablation matrix: every one of its 16 sweep points — including those
+// ablation matrix: every one of its 14 sweep points — including those
 // on a sim.Config of their own — runs traced, so a tracer sees every
 // warm-up and window packet finish.
 func TestAblationsHonorTracer(t *testing.T) {
@@ -351,7 +351,7 @@ func TestAblationsHonorTracer(t *testing.T) {
 	if _, err := Run("ablation", o); err != nil {
 		t.Fatal(err)
 	}
-	const points, packets = 3 + 6 + 2 + 5, 2000 + 8000
+	const points, packets = 3 + 6 + 5, 2000 + 8000
 	if ct.done != points*packets {
 		t.Fatalf("tracer saw %d finished packets, want %d points x %d", ct.done, points, packets)
 	}

@@ -8,7 +8,8 @@
 //
 // A prefetch is a hint: it never faults, loads no register, and changes
 // nothing the program can observe but time. It is the only use of
-// package unsafe (and of assembly) in the module.
+// package unsafe in the module, and one of its two uses of assembly;
+// the other is internal/sim's AVX2 set-scan kernel (setscan_amd64.s).
 package hostmem
 
 import "unsafe"

@@ -78,9 +78,9 @@ type stepPlan struct {
 }
 
 // CompilePlans (re)lowers every control state into its step plan. Build
-// calls it automatically; compiler passes that mutate a CSInfo's span
-// sets after build (e.g. redundant-prefetch removal) must
-// call it again, or the Program will keep executing the stale plans.
+// calls it automatically; code that changes a CSInfo's span sets or an
+// action after build (the Touch tests wrap actions) must call it again,
+// or the Program will keep executing the stale plans.
 func (p *Program) CompilePlans() {
 	plans := make([]stepPlan, len(p.cs))
 	// All plans' ops live in two shared backing arrays, appended in CS

@@ -43,8 +43,7 @@ type CSInfo struct {
 	// execution of this CS.
 	Reads, Writes []Span
 	// Prefetch is what the interleaved scheduler prefetches before
-	// executing this CS. It starts as the union of Reads and Writes and
-	// may shrink under redundant-prefetch removal.
+	// executing this CS: the coalesced union of Reads and Writes.
 	Prefetch []Span
 	// Next maps EventID to the successor CS; entries of -1 are invalid
 	// transitions.

@@ -72,7 +72,6 @@ func TestInterleavedEqualsRunToCompletion(t *testing.T) {
 			sfcWorld(t, "sfc6", false, compile.SFCOptions{}),
 			sfcWorld(t, "sfc6-dp", true, compile.SFCOptions{}),
 			sfcWorld(t, "sfc6-dp-mr", true, compile.SFCOptions{RemoveRedundantMatching: true}),
-			sfcWorld(t, "sfc6-dp-mr-prr", true, compile.SFCOptions{RemoveRedundantMatching: true, RemoveRedundantPrefetches: true}),
 		)
 	}
 	rtcWorlds, rtWorlds := build(), build()

@@ -4,7 +4,7 @@ package nf_test
 // dereferences a large Go-side table. A Touch runs one scheduler lap
 // before its Fn, so it must find the record from task state that is
 // already final at P-stage time. This test wraps every action of every
-// shipped program (and of the 6-NF MR+PRR chain) in a recorder and
+// shipped program (and of the 6-NF MR chain) in a recorder and
 // checks that the Fn following a Touch on the same task sees the very
 // (CS, FlowIdx, SubIdx, Cur.Addr) the Touch saw; an index still at -1 or
 // left over from the previous packet would also panic inside the real
@@ -294,11 +294,8 @@ func touchWorlds(t *testing.T) []touchWorld {
 		return g
 	}, state: func() any { return []any{records(t, touchFlows, a.UEState), a.Rejected()} }})
 
-	// The benchmark's chain: six NFs, one shared classifier (MR), later
-	// NFs' redundant prefetches removed (PRR).
-	return append(worlds, sfcWorld(t, "sfc6-mr-prr", false, compile.SFCOptions{
-		RemoveRedundantMatching: true, RemoveRedundantPrefetches: true,
-	}))
+	// The benchmark's chain: six NFs, one shared classifier (MR).
+	return append(worlds, sfcWorld(t, "sfc6-mr", false, compile.SFCOptions{RemoveRedundantMatching: true}))
 }
 
 // sfcWorld builds the paper's six-NF chain (LB → NAT → NM → FW×3) over a

@@ -165,8 +165,7 @@ type NF struct {
 	// Stages are the chained modules in order.
 	Stages []ChainStage
 	// Optimize lists requested compilation optimizations
-	// ("redundant_matching_removal", "data_packing",
-	// "redundant_prefetch_removal").
+	// ("redundant_matching_removal", "data_packing").
 	Optimize []string
 }
 
@@ -197,7 +196,9 @@ func ParseNF(src string) (*NF, error) {
 	}
 	for _, o := range n.Optimize {
 		switch o {
-		case "redundant_matching_removal", "data_packing", "redundant_prefetch_removal":
+		case "redundant_matching_removal", "data_packing":
+		case "redundant_prefetch_removal":
+			return nil, fmt.Errorf("spec: NF %s: optimization %q was retired: under interleaving it removed prefetches of lines other tasks had evicted", n.Name, o)
 		default:
 			return nil, fmt.Errorf("spec: NF %s: unknown optimization %q", n.Name, o)
 		}

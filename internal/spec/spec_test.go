@@ -165,6 +165,10 @@ func TestParseNFErrors(t *testing.T) {
 	if _, err := ParseNF("name: x\nchain:\n  - a\noptimize:\n  - warp_drive"); err == nil {
 		t.Fatal("unknown optimization accepted")
 	}
+	_, err := ParseNF("name: x\nchain:\n  - a\noptimize:\n  - redundant_prefetch_removal")
+	if err == nil || !strings.Contains(err.Error(), "retired") {
+		t.Fatalf("retired optimization: err = %v, want one that says it was retired", err)
+	}
 }
 
 func TestYAMLParser(t *testing.T) {
