@@ -118,12 +118,12 @@ trace-demo:
 
 # fuzz runs the fuzz targets — the control-plane wire protocol, the
 # cuckoo match table against a map, the simulator's AVX2 set scan
-# against the scalar one, the packet parser plus NAT rewrite, and the
-# spec front end (transitions, NF compositions, modules) — for a short
-# active burst each (the seed corpora in
-# internal/{director,dstruct,sim,pkt}/testdata/fuzz and the spec
-# targets' f.Add seeds also run on every plain `go test`). Override
-# FUZZTIME for longer campaigns:
+# against the scalar one, the packet parser plus NAT rewrite, the spec
+# front end (transitions, NF compositions, modules) and the NF-C front
+# end (parse then compile) — for a short active burst each (the seed
+# corpora in internal/{director,dstruct,sim,pkt}/testdata/fuzz and the
+# spec and nfc targets' f.Add seeds also run on every plain `go test`).
+# Override FUZZTIME for longer campaigns:
 # make fuzz FUZZTIME=5m
 FUZZTIME ?= 10s
 fuzz:
@@ -135,6 +135,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseTransition$$' -fuzztime $(FUZZTIME) ./internal/spec/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseNF$$' -fuzztime $(FUZZTIME) ./internal/spec/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseModule$$' -fuzztime $(FUZZTIME) ./internal/spec/
+	$(GO) test -run '^$$' -fuzz 'FuzzParseCompile$$' -fuzztime $(FUZZTIME) ./internal/nfc/
 
 # chaos runs the control-plane fault drill under the race detector: a
 # director and two reconnecting agents behind the deterministic faultnet

@@ -9,15 +9,17 @@
 //	    -nf sfc -sfc-length 6 -flows 32768 -packets 200000 -tasks 16
 //
 // With -stats-every the agents stream windowed telemetry heartbeats
-// while they run, rendered as a per-agent table; -live redraws it in
-// place (ANSI), otherwise each refresh appends below the last.
+// while they run. One director.Monitor folds them per agent; its table
+// renders after every heartbeat (-live redraws it in place with ANSI,
+// otherwise each refresh appends below the last), and with -latency the
+// closing summary quotes its cluster-wide latency quantiles.
 //
-// The -slo-* flags attach a per-window SLO watcher to the heartbeat
-// stream. When an agent's window breaches the SLO (too much stall, too
-// little throughput, too high a p99 — the latter needs -latency), the
-// director flips that agent unhealthy and asks it for a flight-recorder
-// dump: the worker writes the moments before the breach as a
-// Perfetto-loadable trace and reports the file path back.
+// The -slo-* flags set the monitor's per-window SLO. When an agent's
+// window breaches it (too much stall, too little throughput, too high a
+// p99 — the latter needs -latency), the monitor flips that agent
+// unhealthy and the director asks it for a flight-recorder dump: the
+// worker writes the moments before the breach as a Perfetto-loadable
+// trace and reports the file path back.
 //
 // Robustness controls: -deploy-retries resends a timed-out deploy
 // (agents dedupe replays by sequence ID, so a retry never re-runs a
@@ -132,10 +134,9 @@ func run() int {
 	var mon *director.Monitor
 	if *statsEvery > 0 {
 		mon = director.NewMonitor()
-		var watcher *director.Watcher
 		if sloActive {
-			watcher = director.NewWatcher(slo)
-			watcher.OnBreach = func(b director.Breach) {
+			mon.SLO = slo
+			mon.OnBreach = func(b director.Breach) {
 				fmt.Fprintf(os.Stderr, "SLO BREACH %s window %d: %s — requesting flight dump\n",
 					b.Agent, b.Window, strings.Join(b.Reasons, "; "))
 				if err := d.RequestFlightDump(b.Agent); err != nil {
@@ -156,9 +157,6 @@ func run() int {
 			mu.Lock()
 			defer mu.Unlock()
 			mon.Observe(r)
-			if watcher != nil {
-				watcher.Observe(r)
-			}
 			if *live {
 				// Home the cursor and clear below before redrawing.
 				fmt.Print("\033[H\033[2J")

@@ -9,10 +9,11 @@
 // With -metrics the agent serves its observability plane on one HTTP
 // address:
 //
-//	/metrics       OpenMetrics/Prometheus text exposition: cumulative
-//	               volume counters, the raw PMU block, last-window
-//	               derived rates, rx→done latency quantiles, and Go
-//	               runtime gauges.
+//	/metrics       OpenMetrics/Prometheus text exposition: volume
+//	               counters and the raw PMU block of the current run
+//	               (a new deployment reads as a counter reset),
+//	               last-window derived rates, rx→done latency
+//	               quantiles, and Go runtime gauges.
 //	/debug/flight  the newest flight-recorder dump as Perfetto-loadable
 //	               trace JSON (404 until a dump has been taken). A dump
 //	               replays the deployment so far with the recorder
@@ -87,13 +88,14 @@ func run() int {
 }
 
 // serveMetrics wires the agent's observability plane onto one HTTP
-// server. Every metric is defined once, in the registry the
-// MetricsBridge populates, and exposed once, at /metrics.
+// server. The agent's heartbeats feed one director.Monitor, the same
+// fold the director's live table reads; /metrics exposes it.
 func serveMetrics(a *director.Agent, addr string) {
 	reg := obs.NewRegistry()
 	reg.AddGoRuntime()
-	bridge := director.NewMetricsBridge(reg)
-	a.OnStats = bridge.Observe
+	mon := director.NewMonitor()
+	mon.Register(reg)
+	a.OnStats = mon.Observe
 
 	var mu sync.Mutex
 	var lastInfo director.DumpInfo

@@ -13,6 +13,7 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/faultnet"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
+	"github.com/gunfu-nfv/gunfu/internal/obs"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
 )
 
@@ -75,11 +76,10 @@ func chaosSoak(t *testing.T, seed int64) {
 	addr := ln.Addr().String()
 
 	mon := NewMonitor()
-	watcher := NewWatcher(SLO{MinMpps: 1e6}) // impossible: every window breaches
-	d.SetStatsHandler(func(r StatsReport) {
-		mon.Observe(r)
-		watcher.Observe(r)
-	})
+	mon.SLO = SLO{MinMpps: 1e6} // impossible: every window breaches
+	reg := obs.NewRegistry()
+	mon.Register(reg)
+	d.SetStatsHandler(mon.Observe)
 	d.SetLivenessHandler(mon.SetLive)
 	if err := d.EnableLiveness(100*time.Millisecond, 5); err != nil {
 		t.Fatal(err)
@@ -121,6 +121,7 @@ func chaosSoak(t *testing.T, seed int64) {
 				t.Fatalf("round %d: agent %s returned %d packets, want %d", round, r.Agent, r.Packets, spec.Packets)
 			}
 		}
+		tableAgreesWithMetrics(t, round, mon, reg, spec.Packets)
 		if err == nil {
 			if len(results) == len(names) {
 				fullOK++
@@ -180,6 +181,43 @@ func chaosSoak(t *testing.T, seed int64) {
 	}
 	wg.Wait()
 	waitGoroutines(t, before+2, 5*time.Second)
+}
+
+// tableAgreesWithMetrics asserts that the live table and /metrics read
+// one fold: no agent's run total exceeds one run's packets (a restarted
+// run's windows are not double-counted), and gunfu_packets_total is the
+// table's total pkts summed. A heartbeat from a run DeployAll gave up on
+// may still land between the two reads, so a disagreement is retried
+// until the fold settles.
+func tableAgreesWithMetrics(t *testing.T, round int, mon *Monitor, reg *obs.Registry, perRun uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		tab := mon.Table()
+		col, err := tab.ColumnIndex("total pkts")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		for row := 0; row < tab.NumRows(); row++ {
+			total, err := tab.CellFloat(row, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if total > float64(perRun) {
+				t.Fatalf("round %d: table row %d totals %v packets, more than one run's %d", round, row, total, perRun)
+			}
+			sum += total
+		}
+		exposed := exposedSample(t, reg, "gunfu_packets_total")
+		if exposed == sum {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("round %d: gunfu_packets_total %v, table total pkts sum to %v", round, exposed, sum)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestAgentReconnect severs a live agent's connection and checks that

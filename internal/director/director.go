@@ -333,11 +333,11 @@ func (d *Director) SetLivenessHandler(fn func(agent string, live bool)) {
 
 // EnableLiveness starts the heartbeat liveness checker: an agent not
 // heard from for missed consecutive windows of the given length is
-// marked dead (surfaced via Alive, AgentInfos, the liveness handler,
-// and RegisterLiveness gauges). Any subsequent message re-marks it
-// live. The window should match the wall-clock cadence of the
-// deployment's StatsEvery heartbeats. Call before deploying; the
-// checker stops when the director closes.
+// marked dead (surfaced via Alive, AgentInfos and the liveness handler,
+// which Monitor.SetLive turns into the live table's live column). Any
+// subsequent message re-marks it live. The window should match the
+// wall-clock cadence of the deployment's StatsEvery heartbeats. Call
+// before deploying; the checker stops when the director closes.
 func (d *Director) EnableLiveness(window time.Duration, missed int) error {
 	if window <= 0 || missed <= 0 {
 		return fmt.Errorf("director: liveness needs positive window and missed count")

@@ -4,131 +4,207 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/gunfu-nfv/gunfu/internal/obs"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
 )
 
-// Monitor aggregates TypeStats heartbeats into a live per-agent view:
-// the latest window's rates plus running totals. Plug its Observe into
-// Director.SetStatsHandler and render Table whenever the display
-// refreshes. Monitor is safe for concurrent use (heartbeats arrive on
-// per-connection goroutines).
+// Monitor is the one fold of the TypeStats heartbeat stream: one
+// record per agent holding its latest window, the current run's totals
+// and latency, its SLO health and its liveness verdict. Every view of
+// a deployment reads off it: Table (the live table), OnBreach (the SLO
+// transition) and Register (the /metrics exposition). Plug Observe
+// into Director.SetStatsHandler or Agent.OnStats. Monitor is safe for
+// concurrent use (heartbeats arrive on per-connection goroutines).
 //
-// Churn safety: a heartbeat whose window index does not advance past
-// the agent's previous one means the deployment restarted (the agent
-// died mid-run, reconnected, and the director's retry re-ran it). The
-// monitor then resets that agent's running totals and latency so
-// aggregates describe the run that will actually complete, instead of
+// The restart rule: a heartbeat whose window index does not advance
+// past the agent's previous one starts a new run — a new deployment, or
+// the same one re-run after the agent died and reconnected — so the
+// abandoned run's totals and latency are dropped, and every view
+// describes the run that will actually complete instead of
 // double-counting replayed windows.
 type Monitor struct {
-	mu      sync.Mutex
-	order   []string
-	latest  map[string]StatsReport
-	total   map[string]StatsReport
-	latency map[string]*stats.Histogram
-	dead    map[string]bool
+	// SLO is checked against every heartbeat; the zero SLO checks
+	// nothing. Set it before the first Observe.
+	SLO SLO
+	// OnBreach, when set, runs on each healthy→unhealthy transition (not
+	// once per bad window), on the goroutine that called Observe — the
+	// hook that asks the offending worker for a flight dump. A healthy
+	// window re-arms the agent; a restart does not, so a replayed bad
+	// window never fires twice.
+	OnBreach func(Breach)
+
+	mu     sync.Mutex
+	order  []string // agents in first-seen order
+	agents map[string]*agentRecord
+	newest *agentRecord // the last heartbeat's agent; nil before it
+}
+
+// agentRecord is the fold's state for one agent; windows and total
+// (Latency included) cover its current run only.
+type agentRecord struct {
+	latest, total   StatsReport
+	windows         int
+	unhealthy, dead bool
 }
 
 // NewMonitor builds an empty monitor.
 func NewMonitor() *Monitor {
-	return &Monitor{
-		latest:  make(map[string]StatsReport),
-		total:   make(map[string]StatsReport),
-		latency: make(map[string]*stats.Histogram),
-		dead:    make(map[string]bool),
-	}
+	return &Monitor{agents: make(map[string]*agentRecord)}
 }
 
-// Observe folds one heartbeat in.
+// record returns the agent's record, giving a new agent a row.
+func (m *Monitor) record(agent string) *agentRecord {
+	a := m.agents[agent]
+	if a == nil {
+		a = &agentRecord{latest: StatsReport{Agent: agent}}
+		m.agents[agent] = a
+		m.order = append(m.order, agent)
+	}
+	return a
+}
+
+// Observe folds one heartbeat in and checks it against the SLO.
 func (m *Monitor) Observe(r StatsReport) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	prev, seen := m.latest[r.Agent]
-	if !seen {
-		m.order = append(m.order, r.Agent)
+	a := m.record(r.Agent)
+	if a.windows > 0 && r.Window <= a.latest.Window {
+		a.windows, a.total = 0, StatsReport{} // the restart rule
 	}
-	if seen && r.Window <= prev.Window {
-		// Restarted run: drop the abandoned run's contribution.
-		delete(m.total, r.Agent)
-		delete(m.latency, r.Agent)
-	}
-	m.latest[r.Agent] = r
-	t := m.total[r.Agent]
-	t.Agent, t.NF, t.Window, t.FreqHz = r.Agent, r.NF, r.Window, r.FreqHz
+	a.latest = r
+	a.windows++
+	t := &a.total
+	t.FreqHz = r.FreqHz
 	t.Packets += r.Packets
 	t.Bits += r.Bits
 	t.Cycles += r.Cycles
 	t.Counters = t.Counters.Add(r.Counters)
-	m.total[r.Agent] = t
 	if r.Latency != nil {
-		// All histograms share one bucket geometry, so per-agent and
-		// cluster-wide views are exact merges, not approximations.
-		h := m.latency[r.Agent]
-		if h == nil {
-			h = &stats.Histogram{}
-			m.latency[r.Agent] = h
+		if t.Latency == nil {
+			t.Latency = &stats.Histogram{}
 		}
-		h.Merge(r.Latency)
+		t.Latency.Merge(r.Latency)
+	}
+	m.newest = a
+	reasons := m.SLO.Check(r)
+	fire := len(reasons) > 0 && !a.unhealthy
+	a.unhealthy = len(reasons) > 0
+	onBreach := m.OnBreach
+	m.mu.Unlock()
+	if fire && onBreach != nil {
+		onBreach(Breach{Agent: r.Agent, NF: r.NF, Window: r.Window, Reasons: reasons, Report: r})
 	}
 }
 
 // SetLive records an agent's liveness verdict — wire it to
-// Director.SetLivenessHandler so the table can flag dead agents.
+// Director.SetLivenessHandler so the table can flag dead agents. An
+// agent can die before its first heartbeat; it still gets a row.
 func (m *Monitor) SetLive(agent string, live bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, seen := m.latest[agent]; !seen && !m.dead[agent] {
-		// An agent can die before its first heartbeat; give it a row.
-		m.order = append(m.order, agent)
-		m.latest[agent] = StatsReport{Agent: agent}
-	}
-	m.dead[agent] = !live
+	m.record(agent).dead = !live
 }
 
-// Live reports the last liveness verdict for the agent (true when no
-// verdict has been recorded).
-func (m *Monitor) Live(agent string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return !m.dead[agent]
-}
-
-// AgentLatency returns the named agent's cumulative rx→done latency
-// histogram (cycles), or nil when the agent never reported latency.
-// The returned histogram is a copy.
-func (m *Monitor) AgentLatency(agent string) *stats.Histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := m.latency[agent]
-	if h == nil {
-		return nil
-	}
-	return h.Clone()
-}
-
-// ClusterLatency returns the merge of every agent's latency windows —
-// the cluster-level distribution a fleet dashboard quotes p99 from.
-// It is assembled from the per-agent histograms at call time, so a
-// restarted run's abandoned windows don't linger in the cluster view.
+// ClusterLatency returns the merge of every agent's current-run latency
+// windows — the cluster-level distribution a fleet dashboard quotes p99
+// from. All histograms share one bucket geometry, so the merge is exact.
 // The returned histogram is a copy.
 func (m *Monitor) ClusterLatency() *stats.Histogram {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cluster := &stats.Histogram{}
-	for _, h := range m.latency {
-		cluster.Merge(h)
+	for _, name := range m.order {
+		cluster.Merge(m.agents[name].total.Latency)
 	}
 	return cluster
 }
 
-// Windows returns the number of heartbeats observed in total.
-func (m *Monitor) Windows() int {
+// runs sums the agents' current runs (windows, volume and PMU block)
+// and returns the newest heartbeat, nil before the first.
+func (m *Monitor) runs() (windows int, sum StatsReport, newest *StatsReport) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, r := range m.latest {
-		n += r.Window + 1
+	for _, name := range m.order {
+		a := m.agents[name]
+		windows += a.windows
+		sum.Packets += a.total.Packets
+		sum.Bits += a.total.Bits
+		sum.Cycles += a.total.Cycles
+		sum.Counters = sum.Counters.Add(a.total.Counters)
 	}
-	return n
+	if m.newest != nil {
+		r := m.newest.latest
+		newest = &r
+	}
+	return windows, sum, newest
+}
+
+// Register exposes the fold on reg as the gunfu_* families, each
+// defined here once. Every value is read off the fold at scrape time,
+// so /metrics always agrees with Table:
+//
+//   - the volume counters and the raw PMU block (gunfu_pmu) sum the
+//     agents' current runs, so a new deployment or a restart reads to a
+//     scraper as a counter reset;
+//   - gunfu_window holds the newest heartbeat's derived rates, and
+//     gunfu_deployment_info names its NF;
+//   - gunfu_latency_cycles summarises ClusterLatency.
+//
+// Hang the monitor off Agent.OnStats for a worker's own view, or off
+// Director.SetStatsHandler for the cluster's.
+func (m *Monitor) Register(reg *obs.Registry) {
+	counter := func(name, help string, value func(windows int, sum StatsReport) float64) {
+		reg.FamilyFunc(name, help, obs.TypeCounter, func(emit obs.Emit) { n, sum, _ := m.runs(); emit(value(n, sum)) })
+	}
+	counter("gunfu_stats_windows", "Telemetry heartbeats of the current runs.", func(n int, _ StatsReport) float64 { return float64(n) })
+	counter("gunfu_packets", "Packets processed in the current runs.", func(_ int, s StatsReport) float64 { return float64(s.Packets) })
+	counter("gunfu_bits", "Payload bits processed in the current runs.", func(_ int, s StatsReport) float64 { return s.Bits })
+	counter("gunfu_cycles", "Simulated core cycles of the current runs.", func(_ int, s StatsReport) float64 { return float64(s.Cycles) })
+	counter("gunfu_stall_cycles", "Simulated cycles stalled on memory in the current runs.",
+		func(_ int, s StatsReport) float64 { return float64(s.Counters.StallCycles) })
+	counter("gunfu_task_switches", "NFTask scheduler switches in the current runs.",
+		func(_ int, s StatsReport) float64 { return float64(s.Counters.TaskSwitches) })
+	reg.FamilyFunc("gunfu_pmu", "Raw PMU counter block of the current runs, one series per counter.", obs.TypeCounter,
+		func(emit obs.Emit) {
+			if n, sum, _ := m.runs(); n > 0 {
+				c := sum.Counters
+				for _, s := range []struct {
+					name string
+					v    uint64
+				}{
+					{"instructions", c.Instructions}, {"reads", c.Reads}, {"writes", c.Writes},
+					{"l1_hits", c.L1Hits}, {"l1_misses", c.L1Misses}, {"l2_hits", c.L2Hits}, {"l2_misses", c.L2Misses},
+					{"llc_hits", c.LLCHits}, {"llc_misses", c.LLCMisses},
+					{"prefetch_issued", c.PrefetchIssued}, {"prefetch_dropped", c.PrefetchDropped},
+					{"prefetch_redundant", c.PrefetchRedundant}, {"prefetch_useful", c.PrefetchUseful},
+					{"prefetch_late", c.PrefetchLate},
+				} {
+					emit(float64(s.v), "counter", s.name)
+				}
+			}
+		})
+	reg.FamilyFunc("gunfu_window", "Derived rates of the most recent telemetry window.", obs.TypeGauge,
+		func(emit obs.Emit) {
+			if _, _, r := m.runs(); r != nil {
+				c := r.Counters
+				for _, g := range []struct {
+					name string
+					v    float64
+				}{
+					{"ipc", c.IPC()}, {"mpki", c.MPKI()}, {"stall_fraction", c.StallFraction()},
+					{"prefetch_accuracy", c.PrefetchAccuracy()}, {"l1_hit_rate", c.L1HitRate()},
+					{"mpps", r.Mpps()}, {"gbps", r.Gbps()},
+				} {
+					emit(g.v, "rate", g.name)
+				}
+			}
+		})
+	reg.FamilyFunc("gunfu_deployment_info", "Currently deployed NF (value is always 1).", obs.TypeGauge,
+		func(emit obs.Emit) {
+			if _, _, r := m.runs(); r != nil {
+				emit(1, "nf", r.NF)
+			}
+		})
+	reg.Summary("gunfu_latency_cycles", "rx to done packet latency in simulated cycles.", m.ClusterLatency)
 }
 
 // SLO is a per-window service-level objective over heartbeat-derived
@@ -183,79 +259,19 @@ type Breach struct {
 	Report StatsReport
 }
 
-// Watcher evaluates every heartbeat against an SLO and tracks a
-// per-agent health gauge. OnBreach fires once per healthy→unhealthy
-// transition (not once per bad window) — the hook that asks the
-// offending worker for a flight dump. A healthy window re-arms the
-// agent. Safe for concurrent use.
-type Watcher struct {
-	slo SLO
-	// OnBreach, when set, runs on each healthy→unhealthy transition,
-	// on the goroutine that called Observe.
-	OnBreach func(Breach)
-
-	mu        sync.Mutex
-	unhealthy map[string]bool
-	breaches  map[string]int
-}
-
-// NewWatcher builds a watcher for the given SLO.
-func NewWatcher(slo SLO) *Watcher {
-	return &Watcher{
-		slo:       slo,
-		unhealthy: make(map[string]bool),
-		breaches:  make(map[string]int),
-	}
-}
-
-// Observe evaluates one heartbeat. Chain it after Monitor.Observe in a
-// stats handler.
-func (w *Watcher) Observe(r StatsReport) {
-	reasons := w.slo.Check(r)
-	w.mu.Lock()
-	was := w.unhealthy[r.Agent]
-	now := len(reasons) > 0
-	w.unhealthy[r.Agent] = now
-	fire := now && !was
-	if fire {
-		w.breaches[r.Agent]++
-	}
-	cb := w.OnBreach
-	w.mu.Unlock()
-	if fire && cb != nil {
-		cb(Breach{Agent: r.Agent, NF: r.NF, Window: r.Window, Reasons: reasons, Report: r})
-	}
-}
-
-// Healthy reports whether the named agent's latest observed window met
-// the SLO (true for agents never observed).
-func (w *Watcher) Healthy(agent string) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return !w.unhealthy[agent]
-}
-
-// Breaches returns how many healthy→unhealthy transitions the named
-// agent has had.
-func (w *Watcher) Breaches(agent string) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.breaches[agent]
-}
-
-// Table renders one row per agent, in first-heartbeat order: the
-// latest window's instantaneous rates alongside the deployment's
-// running totals, and the agent's liveness verdict.
+// Table renders one row per agent, in first-seen order: the latest
+// window's instantaneous rates alongside the current run's totals, and
+// the agent's liveness verdict.
 func (m *Monitor) Table() *stats.Table {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t := stats.NewTable("Live telemetry (latest window per agent)",
 		"agent", "nf", "win", "pkts", "Mpps", "Gbps", "ipc", "l1%", "stall%", "total pkts", "avg Gbps", "live")
 	for _, name := range m.order {
-		r := m.latest[name]
-		tot := m.total[name]
+		a := m.agents[name]
+		r, tot := a.latest, a.total
 		live := "yes"
-		if m.dead[name] {
+		if a.dead {
 			live = "DEAD"
 		}
 		t.AddRow(r.Agent, r.NF, stats.I(r.Window), stats.U(r.Packets),

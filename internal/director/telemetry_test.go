@@ -2,9 +2,12 @@ package director
 
 import (
 	"encoding/json"
+	"io"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,29 +47,27 @@ func TestSLOCheck(t *testing.T) {
 	}
 }
 
-func TestWatcherTransitions(t *testing.T) {
+// TestMonitorSLOTransitions pins the SLO edge: OnBreach fires once per
+// healthy→unhealthy transition, a healthy window re-arms, and agents
+// are tracked independently.
+func TestMonitorSLOTransitions(t *testing.T) {
 	var breaches []Breach
-	w := NewWatcher(SLO{MinMpps: 1})
-	w.OnBreach = func(b Breach) { breaches = append(breaches, b) }
+	m := NewMonitor()
+	m.SLO = SLO{MinMpps: 1}
+	m.OnBreach = func(b Breach) { breaches = append(breaches, b) }
 
 	good := StatsReport{Agent: "w1", NF: "nat", Packets: 2000, Cycles: 1e6, FreqHz: 1e9}
 	bad := good
 	bad.Packets = 10
 
-	if !w.Healthy("w1") {
-		t.Fatal("unobserved agent must be healthy")
-	}
-	w.Observe(good)
-	if !w.Healthy("w1") || len(breaches) != 0 {
+	m.Observe(good)
+	if len(breaches) != 0 {
 		t.Fatalf("healthy window flagged: %v", breaches)
 	}
 	bad.Window = 1
-	w.Observe(bad)
+	m.Observe(bad)
 	bad.Window = 2
-	w.Observe(bad) // still unhealthy: no second firing
-	if w.Healthy("w1") {
-		t.Fatal("breach did not flip health")
-	}
+	m.Observe(bad) // still unhealthy: no second firing
 	if len(breaches) != 1 {
 		t.Fatalf("OnBreach fired %d times, want once per transition", len(breaches))
 	}
@@ -79,21 +80,21 @@ func TestWatcherTransitions(t *testing.T) {
 	}
 
 	// A healthy window re-arms; the next breach fires again.
-	w.Observe(good)
-	if !w.Healthy("w1") {
-		t.Fatal("recovery not observed")
-	}
-	w.Observe(bad)
-	if len(breaches) != 2 || w.Breaches("w1") != 2 {
-		t.Fatalf("breaches = %d/%d", len(breaches), w.Breaches("w1"))
+	good.Window = 3
+	m.Observe(good)
+	bad.Window = 4
+	m.Observe(bad)
+	if len(breaches) != 2 || breaches[1].Agent != "w1" || breaches[1].Window != 4 {
+		t.Fatalf("breaches after recovery = %+v", breaches)
 	}
 
-	// Agents are tracked independently.
+	// Agents are tracked independently: w1 is unhealthy, w2's first bad
+	// window is its own transition.
 	other := bad
 	other.Agent = "w2"
-	w.Observe(other)
-	if w.Healthy("w2") || !strings.Contains("w1", breaches[1].Agent) {
-		t.Fatal("per-agent health not independent")
+	m.Observe(other)
+	if len(breaches) != 3 || breaches[2].Agent != "w2" {
+		t.Fatalf("per-agent health not independent: %+v", breaches)
 	}
 }
 
@@ -105,12 +106,6 @@ func TestMonitorLatencyAggregation(t *testing.T) {
 	m.Observe(StatsReport{Agent: "b", NF: "nat", Window: 0, Latency: latencyHist(1000, 2000)})
 	m.Observe(StatsReport{Agent: "c", NF: "nat", Window: 0}) // no latency requested
 
-	if h := m.AgentLatency("a"); h.Count() != 3 || h.Min() != 10 || h.Max() != 30 {
-		t.Fatalf("agent a latency count/min/max = %d/%d/%d", h.Count(), h.Min(), h.Max())
-	}
-	if h := m.AgentLatency("c"); h != nil {
-		t.Fatal("latency-less agent must report nil")
-	}
 	cl := m.ClusterLatency()
 	if cl.Count() != 5 || cl.Min() != 10 || cl.Max() != 2000 {
 		t.Fatalf("cluster count/min/max = %d/%d/%d", cl.Count(), cl.Min(), cl.Max())
@@ -122,13 +117,15 @@ func TestMonitorLatencyAggregation(t *testing.T) {
 	}
 }
 
-// TestWatcherConcurrent hammers Observe from several goroutines; run
-// under -race this pins the locking contract of Watcher and Monitor.
-func TestWatcherConcurrent(t *testing.T) {
+// TestMonitorConcurrent hammers Observe, Table and a scrape from
+// several goroutines; run under -race this pins the fold's locking.
+func TestMonitorConcurrent(t *testing.T) {
 	m := NewMonitor()
-	w := NewWatcher(SLO{MinMpps: 1})
+	m.SLO = SLO{MinMpps: 1}
 	var fired sync.Map
-	w.OnBreach = func(b Breach) { fired.Store(b.Agent, true) }
+	m.OnBreach = func(b Breach) { fired.Store(b.Agent, true) }
+	reg := obs.NewRegistry()
+	m.Register(reg)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -136,13 +133,15 @@ func TestWatcherConcurrent(t *testing.T) {
 			defer wg.Done()
 			agent := agentName(g)
 			for i := 0; i < 200; i++ {
-				r := StatsReport{
+				m.Observe(StatsReport{
 					Agent: agent, NF: "nat", Window: i,
 					Packets: uint64(10 + i%2*10000), Cycles: 1e6, FreqHz: 1e9,
 					Latency: latencyHist(uint64(i + 1)),
+				})
+				if i%50 == 0 {
+					_ = m.Table()
+					_ = reg.Expose(io.Discard)
 				}
-				m.Observe(r)
-				w.Observe(r)
 			}
 		}(g)
 	}
@@ -157,13 +156,43 @@ func TestWatcherConcurrent(t *testing.T) {
 	}
 }
 
-func TestMetricsBridge(t *testing.T) {
-	reg := obs.NewRegistry()
-	b := NewMetricsBridge(reg)
-	if b.Registry() != reg {
-		t.Fatal("Registry() identity")
+// expose scrapes reg's exposition.
+func expose(t *testing.T, reg *obs.Registry) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.Expose(&sb); err != nil {
+		t.Fatal(err)
 	}
-	b.Observe(StatsReport{
+	return sb.String()
+}
+
+// exposedSample returns the value reg exposes for series (a name with
+// its rendered labels), failing t if there is none.
+func exposedSample(t *testing.T, reg *obs.Registry, series string) float64 {
+	t.Helper()
+	out := expose(t, reg)
+	for _, line := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no %s sample in:\n%s", series, out)
+	return 0
+}
+
+// TestMonitorExposition pins Register's families on one deployment:
+// volume counters and the PMU block total the run, gunfu_window holds
+// the last window's rates, and a deployment of another NF swaps the
+// info series.
+func TestMonitorExposition(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewMonitor()
+	m.Register(reg)
+	m.Observe(StatsReport{
 		Agent: "w", NF: "nat", Window: 0, Packets: 1000, Bits: 512000,
 		Cycles: 1e6, FreqHz: 1e9,
 		Counters: sim.Counters{
@@ -173,18 +202,14 @@ func TestMetricsBridge(t *testing.T) {
 		},
 		Latency: latencyHist(100, 200, 400, 800),
 	})
-	b.Observe(StatsReport{
+	m.Observe(StatsReport{
 		Agent: "w", NF: "nat", Window: 1, Packets: 500, Bits: 256000,
 		Cycles: 5e5, FreqHz: 1e9,
 		Counters: sim.Counters{Cycles: 5e5, Instructions: 1e6, L1Hits: 2000, StallCycles: 1e5},
 		Latency:  latencyHist(1600),
 	})
 
-	var sb strings.Builder
-	if err := reg.Expose(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := expose(t, reg)
 	for _, want := range []string{
 		"gunfu_stats_windows_total 2\n",
 		"gunfu_packets_total 1500\n",
@@ -206,12 +231,8 @@ func TestMetricsBridge(t *testing.T) {
 	}
 
 	// A redeploy to a different NF swaps the info series.
-	b.Observe(StatsReport{Agent: "w", NF: "sfc", Window: 0, Packets: 1, Cycles: 1, FreqHz: 1e9})
-	sb.Reset()
-	if err := reg.Expose(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out = sb.String()
+	m.Observe(StatsReport{Agent: "w", NF: "sfc", Window: 0, Packets: 1, Cycles: 1, FreqHz: 1e9})
+	out = expose(t, reg)
 	if !strings.Contains(out, `gunfu_deployment_info{nf="sfc"} 1`+"\n") {
 		t.Fatalf("info not swapped:\n%s", out)
 	}
@@ -222,7 +243,7 @@ func TestMetricsBridge(t *testing.T) {
 
 // TestSLOBreachTriggersFlightDump is the paper-trail e2e: a deployment
 // that cannot meet an impossible throughput SLO breaches on its first
-// heartbeat, the watcher asks the offending worker for a flight dump
+// heartbeat, the monitor asks the offending worker for a flight dump
 // mid-run, and the worker answers with a Perfetto-loadable trace file.
 func TestSLOBreachTriggersFlightDump(t *testing.T) {
 	d := New()
@@ -260,17 +281,16 @@ func TestSLOBreachTriggersFlightDump(t *testing.T) {
 	}
 
 	// No simulated core sustains 1e6 Mpps: every window breaches.
-	watcher := NewWatcher(SLO{MinMpps: 1e6})
-	watcher.OnBreach = func(b Breach) {
+	mon := NewMonitor()
+	mon.SLO = SLO{MinMpps: 1e6}
+	var breaches atomic.Int32
+	mon.OnBreach = func(b Breach) {
+		breaches.Add(1)
 		if err := d.RequestFlightDump(b.Agent); err != nil {
 			t.Errorf("dump request: %v", err)
 		}
 	}
-	mon := NewMonitor()
-	d.SetStatsHandler(func(r StatsReport) {
-		mon.Observe(r)
-		watcher.Observe(r)
-	})
+	d.SetStatsHandler(mon.Observe)
 	dumps := make(chan DumpInfo, 4)
 	d.SetDumpHandler(func(info DumpInfo) { dumps <- info })
 
@@ -284,8 +304,9 @@ func TestSLOBreachTriggersFlightDump(t *testing.T) {
 	if res.Packets != 4000 {
 		t.Fatalf("packets = %d", res.Packets)
 	}
-	if watcher.Healthy("w-slo") || watcher.Breaches("w-slo") != 1 {
-		t.Fatalf("healthy=%v breaches=%d", watcher.Healthy("w-slo"), watcher.Breaches("w-slo"))
+	// Four bad windows, one healthy→unhealthy edge: one breach.
+	if n := breaches.Load(); n != 1 {
+		t.Fatalf("breaches = %d, want 1", n)
 	}
 
 	var info DumpInfo
@@ -334,10 +355,11 @@ func TestSLOBreachTriggersFlightDump(t *testing.T) {
 	}
 
 	// Latency telemetry flowed end to end into cluster aggregation.
-	if cl := mon.ClusterLatency(); cl.Count() != 4000 {
+	cl := mon.ClusterLatency()
+	if cl.Count() != 4000 {
 		t.Fatalf("cluster latency samples = %d", cl.Count())
 	}
-	if mon.AgentLatency("w-slo").Quantile(0.99) == 0 {
+	if cl.Quantile(0.99) == 0 {
 		t.Fatal("p99 latency is zero")
 	}
 }
@@ -413,10 +435,12 @@ func TestDumpOnIdleAgent(t *testing.T) {
 // TestMonitorRestartResets pins the churn contract: a heartbeat whose
 // window index regresses means the deployment restarted (agent died
 // mid-run and the retry re-ran it), and the abandoned run's totals and
-// latency windows must vanish from both the per-agent and cluster
-// views instead of double-counting.
+// latency windows must vanish from the table, the cluster latency and
+// the exposition alike instead of double-counting.
 func TestMonitorRestartResets(t *testing.T) {
 	m := NewMonitor()
+	reg := obs.NewRegistry()
+	m.Register(reg)
 	m.Observe(StatsReport{Agent: "a", NF: "nat", Window: 0, Packets: 100, Latency: latencyHist(10)})
 	m.Observe(StatsReport{Agent: "a", NF: "nat", Window: 1, Packets: 100, Latency: latencyHist(20)})
 	// The restart: window 0 again.
@@ -430,11 +454,16 @@ func TestMonitorRestartResets(t *testing.T) {
 	if total, err := tab.CellFloat(0, col); err != nil || total != 50 {
 		t.Fatalf("total pkts after restart = %v (%v), want 50", total, err)
 	}
-	if h := m.AgentLatency("a"); h.Count() != 1 || h.Min() != 30 {
-		t.Fatalf("agent latency after restart = %d samples, min %d", h.Count(), h.Min())
+	if cl := m.ClusterLatency(); cl.Count() != 1 || cl.Min() != 30 {
+		t.Fatalf("cluster latency after restart = %d samples, min %d", cl.Count(), cl.Min())
 	}
-	if cl := m.ClusterLatency(); cl.Count() != 1 {
-		t.Fatalf("cluster latency after restart = %d samples", cl.Count())
+	// The exposition reads the same fold: the abandoned run is gone
+	// from /metrics too.
+	out := expose(t, reg)
+	for _, want := range []string{"gunfu_packets_total 50\n", "gunfu_latency_cycles_count 1\n", "gunfu_stats_windows_total 1\n"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("exposition after restart missing %q:\n%s", want, out)
+		}
 	}
 
 	// A same-window duplicate (replayed heartbeat) is treated the same
@@ -445,18 +474,12 @@ func TestMonitorRestartResets(t *testing.T) {
 	}
 }
 
-// TestMonitorLiveness pins SetLive/Live/Table: a dead verdict flags the
-// row (creating a placeholder for agents that died before their first
-// heartbeat), and a revival clears it.
+// TestMonitorLiveness pins SetLive and the table's live column: a dead
+// verdict flags the row (creating a placeholder for agents that died
+// before their first heartbeat), and a revival clears it.
 func TestMonitorLiveness(t *testing.T) {
 	m := NewMonitor()
-	if !m.Live("ghost") {
-		t.Fatal("unjudged agent must default to live")
-	}
 	m.SetLive("ghost", false)
-	if m.Live("ghost") {
-		t.Fatal("dead verdict not recorded")
-	}
 	tab := m.Table()
 	if tab.NumRows() != 1 {
 		t.Fatalf("rows = %d, want placeholder row", tab.NumRows())
@@ -469,26 +492,25 @@ func TestMonitorLiveness(t *testing.T) {
 		t.Fatalf("live cell = %q (%v)", cell, err)
 	}
 	m.SetLive("ghost", true)
-	if !m.Live("ghost") {
-		t.Fatal("revival not recorded")
-	}
 	if cell, _ := m.Table().Cell(0, col); cell != "yes" {
 		t.Fatalf("live cell after revival = %q", cell)
 	}
 }
 
-// TestWatcherNoDuplicateBreachAcrossRestart: an agent that dies
+// TestMonitorNoDuplicateBreachAcrossRestart: an agent that dies
 // unhealthy, reconnects, and replays an equally unhealthy window must
-// not fire a second breach — the healthy→unhealthy edge never
-// re-occurred, so re-firing would double the flight dumps.
-func TestWatcherNoDuplicateBreachAcrossRestart(t *testing.T) {
-	w := NewWatcher(SLO{MinMpps: 1})
+// not fire a second breach — the restart rule drops the run's totals
+// but not its health, since the healthy→unhealthy edge never
+// re-occurred and re-firing would double the flight dumps.
+func TestMonitorNoDuplicateBreachAcrossRestart(t *testing.T) {
+	m := NewMonitor()
+	m.SLO = SLO{MinMpps: 1}
 	fired := 0
-	w.OnBreach = func(Breach) { fired++ }
+	m.OnBreach = func(Breach) { fired++ }
 	bad := StatsReport{Agent: "w1", NF: "nat", Window: 0, Packets: 10, Cycles: 1e6, FreqHz: 1e9}
-	w.Observe(bad)
+	m.Observe(bad)
 	// Death, reconnect, re-run: the replayed run starts at window 0.
-	w.Observe(bad)
+	m.Observe(bad)
 	if fired != 1 {
 		t.Fatalf("breaches fired = %d, want 1", fired)
 	}
@@ -496,9 +518,9 @@ func TestWatcherNoDuplicateBreachAcrossRestart(t *testing.T) {
 	good := bad
 	good.Packets = 2000
 	good.Window = 1
-	w.Observe(good)
+	m.Observe(good)
 	bad.Window = 2
-	w.Observe(bad)
+	m.Observe(bad)
 	if fired != 2 {
 		t.Fatalf("breaches after recovery = %d, want 2", fired)
 	}

@@ -31,19 +31,21 @@ func TestParseMapper(t *testing.T) {
 	}
 }
 
+// parseErrors are sources Parse must reject.
+var parseErrors = []struct{ name, src string }{
+	{"empty", "  // nothing\n"},
+	{"not action", "foo(bar){}"},
+	{"missing paren", "NFAction flow {}"},
+	{"unterminated block", "NFAction(a) { Emit(Event_X);"},
+	{"missing semicolon", "NFAction(a) { Emit(Event_X) }"},
+	{"bad assign op", "NFAction(a) { Packet.src_ip * 2; }"},
+	{"duplicate action", "NFAction(a) { Emit(Event_X); } NFAction(a) { Emit(Event_X); }"},
+	{"bad char", "NFAction(a) { Packet.src_ip = $; }"},
+	{"missing field", "NFAction(a) { Packet = 1; }"},
+}
+
 func TestParseErrors(t *testing.T) {
-	tests := []struct{ name, src string }{
-		{"empty", "  // nothing\n"},
-		{"not action", "foo(bar){}"},
-		{"missing paren", "NFAction flow {}"},
-		{"unterminated block", "NFAction(a) { Emit(Event_X);"},
-		{"missing semicolon", "NFAction(a) { Emit(Event_X) }"},
-		{"bad assign op", "NFAction(a) { Packet.src_ip * 2; }"},
-		{"duplicate action", "NFAction(a) { Emit(Event_X); } NFAction(a) { Emit(Event_X); }"},
-		{"bad char", "NFAction(a) { Packet.src_ip = $; }"},
-		{"missing field", "NFAction(a) { Packet = 1; }"},
-	}
-	for _, tt := range tests {
+	for _, tt := range parseErrors {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := Parse(tt.src); err == nil {
 				t.Fatalf("Parse accepted %q", tt.src)
@@ -98,17 +100,20 @@ func TestCompileExtractsAccessSets(t *testing.T) {
 	}
 }
 
+// compileErrors are sources Parse accepts and Compile must reject
+// against mapperSchema.
+var compileErrors = []struct{ name, src string }{
+	{"unknown packet field", "NFAction(a) { Packet.warp = 1; Emit(Event_X); }"},
+	{"unknown perflow field", "NFAction(a) { PerFlowState.zzz = 1; Emit(Event_X); }"},
+	{"no schema root", "NFAction(a) { SubFlowState.x = 1; Emit(Event_X); }"},
+	{"undeclared local", "NFAction(a) { x = 1; Emit(Event_X); }"},
+	{"undeclared local read", "NFAction(a) { var y = x; Emit(Event_X); }"},
+	{"redeclared local", "NFAction(a) { var x = 1; var x = 2; Emit(Event_X); }"},
+	{"too many locals", "NFAction(a) { var a0=0; var a1=0; var a2=0; var a3=0; var a4=0; var a5=0; var a6=0; var a7=0; var a8=0; Emit(Event_X); }"},
+}
+
 func TestCompileErrors(t *testing.T) {
-	tests := []struct{ name, src string }{
-		{"unknown packet field", "NFAction(a) { Packet.warp = 1; Emit(Event_X); }"},
-		{"unknown perflow field", "NFAction(a) { PerFlowState.zzz = 1; Emit(Event_X); }"},
-		{"no schema root", "NFAction(a) { SubFlowState.x = 1; Emit(Event_X); }"},
-		{"undeclared local", "NFAction(a) { x = 1; Emit(Event_X); }"},
-		{"undeclared local read", "NFAction(a) { var y = x; Emit(Event_X); }"},
-		{"redeclared local", "NFAction(a) { var x = 1; var x = 2; Emit(Event_X); }"},
-		{"too many locals", "NFAction(a) { var a0=0; var a1=0; var a2=0; var a3=0; var a4=0; var a5=0; var a6=0; var a7=0; var a8=0; Emit(Event_X); }"},
-	}
-	for _, tt := range tests {
+	for _, tt := range compileErrors {
 		t.Run(tt.name, func(t *testing.T) {
 			actions, err := Parse(tt.src)
 			if err != nil {
@@ -149,8 +154,8 @@ func TestMapperExecution(t *testing.T) {
 	}
 }
 
-func TestArithmeticAndControlFlow(t *testing.T) {
-	src := `
+// calcSrc exercises locals, arithmetic, compound assignment and if/else.
+const calcSrc = `
 NFAction(calc) {
   var x = 10;
   var y = x * 3 + 2;     // 32
@@ -164,7 +169,9 @@ NFAction(calc) {
   }
 }
 `
-	actions, err := Parse(src)
+
+func TestArithmeticAndControlFlow(t *testing.T) {
+	actions, err := Parse(calcSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +192,8 @@ NFAction(calc) {
 	}
 }
 
-func TestElseBranchAndComparisons(t *testing.T) {
-	src := `
+// cmpSrc branches on packet-field comparisons.
+const cmpSrc = `
 NFAction(cmp) {
   if (Packet.src_port >= 1000 && Packet.src_port != 2000) {
     Emit(Event_High);
@@ -195,7 +202,9 @@ NFAction(cmp) {
   }
 }
 `
-	actions, err := Parse(src)
+
+func TestElseBranchAndComparisons(t *testing.T) {
+	actions, err := Parse(cmpSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +225,8 @@ NFAction(cmp) {
 	}
 }
 
-func TestDivModByZeroSafe(t *testing.T) {
-	src := `
+// divZeroSrc divides and takes a remainder by zero.
+const divZeroSrc = `
 NFAction(z) {
   var a = 10 / 0;
   var b = 10 % 0;
@@ -225,7 +234,9 @@ NFAction(z) {
   Emit(Event_X);
 }
 `
-	actions, err := Parse(src)
+
+func TestDivModByZeroSafe(t *testing.T) {
+	actions, err := Parse(divZeroSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,9 +252,11 @@ NFAction(z) {
 	}
 }
 
+// accSrc accumulates into per-flow state.
+const accSrc = `NFAction(acc) { PerFlowState.ip += 5; Emit(Event_X); }`
+
 func TestCompoundAssignOnState(t *testing.T) {
-	src := `NFAction(acc) { PerFlowState.ip += 5; Emit(Event_X); }`
-	actions, err := Parse(src)
+	actions, err := Parse(accSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,9 +310,11 @@ func TestToActionIntegration(t *testing.T) {
 	}
 }
 
+// cfgSrc writes control state.
+const cfgSrc = `NFAction(cfg) { ControlState.mode = 1; Emit(Event_X); }`
+
 func TestControlWritesMakeConfigAction(t *testing.T) {
-	src := `NFAction(cfg) { ControlState.mode = 1; Emit(Event_X); }`
-	actions, err := Parse(src)
+	actions, err := Parse(cfgSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,9 +342,11 @@ func TestControlWritesMakeConfigAction(t *testing.T) {
 	}
 }
 
+// quietSrc emits no event.
+const quietSrc = `NFAction(quiet) { PerFlowState.ip = 1; }`
+
 func TestNoEmitDefaultsToDone(t *testing.T) {
-	src := `NFAction(quiet) { PerFlowState.ip = 1; }`
-	actions, err := Parse(src)
+	actions, err := Parse(quietSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,12 +388,14 @@ func TestStoreValidation(t *testing.T) {
 	}
 }
 
-func TestTempStateRoundTrips(t *testing.T) {
-	src := `
+// tempSrc carries temp state from one action to the next.
+const tempSrc = `
 NFAction(a) { TempState.t0 = 42; Emit(Event_X); }
 NFAction(b) { PerFlowState.ip = TempState.t0; Emit(Event_X); }
 `
-	actions, err := Parse(src)
+
+func TestTempStateRoundTrips(t *testing.T) {
+	actions, err := Parse(tempSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

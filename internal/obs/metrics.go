@@ -91,7 +91,8 @@ type Family struct {
 	series map[string]*Metric
 
 	// collect, when set, refreshes the family under the registry lock
-	// immediately before each scrape (runtime gauges, summaries).
+	// immediately before each scrape (runtime gauges, FamilyFunc
+	// families, summaries).
 	collect func(f *Family)
 }
 
@@ -145,39 +146,44 @@ func (r *Registry) GaugeFamily(name, help string) *Family {
 	return r.family(name, help, TypeGauge)
 }
 
-// GaugeFunc registers a gauge whose value is computed at scrape time.
+// Emit sets one series of a scrape-time family: its value and label
+// pairs (k1, v1, k2, v2, ...).
+type Emit func(v float64, labels ...string)
+
+// FamilyFunc registers a family whose series fn emits afresh at every
+// scrape, in emission order; a series fn does not emit is not exposed.
 // fn runs under the registry lock and must not call back into the
 // registry.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.family(name, help, TypeGauge)
+func (r *Registry) FamilyFunc(name, help string, typ MetricType, fn func(Emit)) {
+	f := r.family(name, help, typ)
 	r.mu.Lock()
-	f.collect = func(f *Family) { f.with().val = fn() }
+	f.collect = func(f *Family) {
+		f.resetSeries()
+		fn(func(v float64, labels ...string) { f.with(labels...).val = v })
+	}
 	r.mu.Unlock()
 }
 
 // Summary registers a quantile summary over the histogram src returns.
 // src runs at scrape time (under the registry lock; it must not call
 // back into the registry) and should return a consistent snapshot —
-// hand out a Clone if the histogram is concurrently mutated. qs
-// defaults to p50/p95/p99/p99.9.
+// hand out a Clone if the histogram is concurrently mutated; nil
+// exposes no series. qs defaults to p50/p95/p99/p99.9.
 func (r *Registry) Summary(name, help string, src func() *stats.Histogram, qs ...float64) {
 	if len(qs) == 0 {
 		qs = []float64{0.5, 0.95, 0.99, 0.999}
 	}
-	f := r.family(name, help, TypeSummary)
-	r.mu.Lock()
-	f.collect = func(f *Family) {
+	r.FamilyFunc(name, help, TypeSummary, func(emit Emit) {
 		h := src()
 		if h == nil {
 			return
 		}
 		for _, q := range qs {
-			f.with("quantile", strconv.FormatFloat(q, 'g', -1, 64)).val = float64(h.Quantile(q))
+			emit(float64(h.Quantile(q)), "quantile", strconv.FormatFloat(q, 'g', -1, 64))
 		}
-		f.with("#sum").val = float64(h.Sum())
-		f.with("#count").val = float64(h.Count())
-	}
-	r.mu.Unlock()
+		emit(float64(h.Sum()), "#sum")
+		emit(float64(h.Count()), "#count")
+	})
 }
 
 // With returns the series for the given label pairs (k1, v1, k2, v2,
@@ -211,6 +217,11 @@ func (f *Family) with(labels ...string) *Metric {
 func (f *Family) ResetSeries() {
 	f.reg.mu.Lock()
 	defer f.reg.mu.Unlock()
+	f.resetSeries()
+}
+
+// resetSeries is ResetSeries without the lock, for collect callbacks.
+func (f *Family) resetSeries() {
 	f.order = f.order[:0]
 	for k := range f.series {
 		delete(f.series, k)

@@ -53,7 +53,11 @@ func TestRegistryExposition(t *testing.T) {
 		h.Add(v)
 	}
 	reg.Summary("gunfu_latency_cycles", "rx to done latency.", func() *stats.Histogram { return &h })
-	reg.GaugeFunc("gunfu_up", "Liveness.", func() float64 { return 1 })
+	reg.FamilyFunc("gunfu_up", "Liveness.", obs.TypeGauge, func(emit obs.Emit) { emit(1) })
+	reg.FamilyFunc("gunfu_info", "Scrape-time series.", obs.TypeGauge, func(emit obs.Emit) {
+		emit(1, "nf", "nat")
+		emit(2, "nf", "sfc")
+	})
 
 	out := scrape(t, reg)
 	for _, want := range []string{
@@ -70,6 +74,7 @@ func TestRegistryExposition(t *testing.T) {
 		"gunfu_latency_cycles_sum 500500\n",
 		"gunfu_latency_cycles_count 1000\n",
 		"gunfu_up 1\n",
+		`gunfu_info{nf="nat"} 1` + "\n" + `gunfu_info{nf="sfc"} 2` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)

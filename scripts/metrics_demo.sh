@@ -6,7 +6,7 @@
 # deployment runs:
 #
 #   1. scrapes OpenMetrics from the worker's /metrics,
-#   2. lets the director's SLO watcher breach (the demo SLO demands an
+#   2. lets the director's SLO check breach (the demo SLO demands an
 #      impossible throughput), which requests a flight-recorder dump
 #      from the worker,
 #   3. fetches the dump from /debug/flight — load it in
