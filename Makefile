@@ -119,10 +119,12 @@ trace-demo:
 # fuzz runs the fuzz targets — the control-plane wire protocol, the
 # cuckoo match table against a map, the simulator's AVX2 set scan
 # against the scalar one, the packet parser plus NAT rewrite, the spec
-# front end (transitions, NF compositions, modules) and the NF-C front
-# end (parse then compile) — for a short active burst each (the seed
-# corpora in internal/{director,dstruct,sim,pkt}/testdata/fuzz and the
-# spec and nfc targets' f.Add seeds also run on every plain `go test`).
+# front end (transitions, NF compositions, modules), the NF-C front
+# end (parse then compile) and the spec → program path (FromSpec, then
+# one packet under both runtimes) — for a short active burst each (the
+# seed corpora in internal/{director,dstruct,sim,pkt}/testdata/fuzz and
+# the spec, nfc and compile targets' f.Add seeds also run on every
+# plain `go test`).
 # Override FUZZTIME for longer campaigns:
 # make fuzz FUZZTIME=5m
 FUZZTIME ?= 10s
@@ -136,6 +138,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseNF$$' -fuzztime $(FUZZTIME) ./internal/spec/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseModule$$' -fuzztime $(FUZZTIME) ./internal/spec/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCompile$$' -fuzztime $(FUZZTIME) ./internal/nfc/
+	$(GO) test -run '^$$' -fuzz 'FuzzFromSpec$$' -fuzztime $(FUZZTIME) ./internal/compile/
 
 # chaos runs the control-plane fault drill under the race detector: a
 # director and two reconnecting agents behind the deterministic faultnet

@@ -337,7 +337,9 @@ type (
 	// enough for serving deployments.
 	LatencyProbe = obs.LatencyProbe
 	// MetricsRegistry is the stdlib-only OpenMetrics text-exposition
-	// registry (mount it at /metrics).
+	// registry (mount it at /metrics). It stores no values: every
+	// family is a FamilyFunc (or a Summary over a histogram) that emits
+	// its series at scrape time.
 	MetricsRegistry = obs.Registry
 )
 

@@ -113,6 +113,12 @@ func FromSpec(as *mem.AddressSpace, unit SpecUnit) (*SpecResult, error) {
 			cls := nf.Classifier{Table: table, Module: mod.Name}
 			next = cls.Attach(b, next, model.EndName)
 		case CategoryStatefulNF:
+			if i == 0 {
+				// Without a classifier no stage sets the flow index its
+				// per-flow state is addressed by.
+				return nil, fmt.Errorf("compile: %s: chain must start with a %s, not %q",
+					unit.NF.Name, CategoryClassifier, mod.Name)
+			}
 			entry, err := attachStatefulNF(as, b, mod, actions, unit.MaxFlows, next, result)
 			if err != nil {
 				return nil, err

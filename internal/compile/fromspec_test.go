@@ -223,4 +223,12 @@ func TestFromSpecErrors(t *testing.T) {
 	if _, err := FromSpec(as, SpecUnit{Modules: mods, NF: badNF, NFCSource: mapperImplSrc, MaxFlows: 8}); err == nil {
 		t.Fatal("classifier in non-first stage accepted")
 	}
+	// No classifier at all: nothing would set the mapper's flow index.
+	noCls, err := spec.ParseNF("name: x\nchain:\n  - flow_mapper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromSpec(as, SpecUnit{Modules: mods, NF: noCls, NFCSource: mapperImplSrc, MaxFlows: 8}); err == nil {
+		t.Fatal("chain without a classifier accepted")
+	}
 }

@@ -24,8 +24,10 @@ type Config struct {
 	MaxFlows int
 	// NATIP is the translated source address.
 	NATIP uint32
-	// PortBase is the first translated source port; flow i maps to
-	// PortBase+i (mod the port space above PortBase).
+	// PortBase is the first translated source port. With S =
+	// 65536-PortBase ports per address, flow i maps to port
+	// PortBase + i%S on address NATIP + i/S, so no two flows share a
+	// mapping.
 	PortBase uint16
 	// States optionally overrides the per-flow state objects — used by
 	// the compiler's data-packing pass to place this NAT's record
@@ -111,26 +113,23 @@ func New(as *mem.AddressSpace, cfg Config) (*NAT, error) {
 // newFlow records tuple's pre-translation source and assigns flow idx
 // its translation.
 func (n *NAT) newFlow(tuple pkt.FiveTuple, idx int32) Flow {
-	return Flow{
-		OrigIP:     tuple.SrcIP,
-		OrigPort:   tuple.SrcPort,
-		Proto:      tuple.Proto,
-		MappedIP:   n.natIP,
-		MappedPort: n.mappedPort(idx),
-	}
+	f := Flow{OrigIP: tuple.SrcIP, OrigPort: tuple.SrcPort, Proto: tuple.Proto}
+	f.MappedIP, f.MappedPort = n.mapping(idx)
+	return f
 }
 
 // Translate returns tuple as this NAT emits it for flow idx: source
 // address and port rewritten to the NAT mapping.
 func (n *NAT) Translate(tuple pkt.FiveTuple, idx int32) pkt.FiveTuple {
-	tuple.SrcIP = n.natIP
-	tuple.SrcPort = n.mappedPort(idx)
+	tuple.SrcIP, tuple.SrcPort = n.mapping(idx)
 	return tuple
 }
 
-func (n *NAT) mappedPort(idx int32) uint16 {
+// mapping is flow idx's translated (address, port): the ports from
+// PortBase up on NATIP, then the same ports on each next address.
+func (n *NAT) mapping(idx int32) (uint32, uint16) {
 	space := int32(65536) - int32(n.portBase)
-	return n.portBase + uint16(idx%space)
+	return n.natIP + uint32(idx/space), n.portBase + uint16(idx%space)
 }
 
 // AttachData registers only the flow-mapper data module — the form used

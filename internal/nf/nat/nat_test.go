@@ -259,3 +259,41 @@ func OrderUniformFor(t *testing.T) traffic.FlowOrder {
 	t.Helper()
 	return traffic.OrderUniform
 }
+
+// TestMappingInjective: past the 65536-PortBase ports of NATIP the
+// mapping moves on to the next address instead of wrapping, so no two
+// flows share a translated (address, port); the installed record and
+// Translate agree on it.
+func TestMappingInjective(t *testing.T) {
+	const natIP, flows, space = 0x0a000001, 2000, 65536 - 65000
+	n, err := New(mem.NewAddressSpace(), Config{MaxFlows: flows, NATIP: natIP, PortBase: 65000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := traffic.NewFlowGen(traffic.FlowGenConfig{Flows: flows, PacketBytes: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[[2]uint32]int, flows)
+	for i := 0; i < flows; i++ {
+		out := n.Translate(g.FlowTuple(i), int32(i))
+		key := [2]uint32{out.SrcIP, uint32(out.SrcPort)}
+		if j, dup := seen[key]; dup {
+			t.Fatalf("flows %d and %d both map to %#x:%d", j, i, out.SrcIP, out.SrcPort)
+		}
+		seen[key] = i
+		if i < space && (out.SrcIP != natIP || out.SrcPort != uint16(65000+i)) {
+			t.Fatalf("flow %d below the wrap maps to %#x:%d, want %#x:%d", i, out.SrcIP, out.SrcPort, natIP, 65000+i)
+		}
+		if err := n.AddFlow(g.FlowTuple(i), int32(i)); err != nil {
+			t.Fatal(err)
+		}
+		f, err := n.Flow(int32(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.MappedIP != out.SrcIP || f.MappedPort != out.SrcPort {
+			t.Fatalf("flow %d: record maps to %#x:%d, Translate to %#x:%d", i, f.MappedIP, f.MappedPort, out.SrcIP, out.SrcPort)
+		}
+	}
+}

@@ -37,6 +37,14 @@ func NewTraceWriter(prog *model.Program, freqHz float64) *TraceWriter {
 	return &TraceWriter{prog: prog, freq: freqHz}
 }
 
+// traceWriterKinds are the kinds convert renders.
+var traceWriterKinds = sim.AllTraceKinds &^ sim.KindSet(sim.TraceAccess, sim.TraceActionBegin, sim.TracePrefetchUseful)
+
+// TraceKinds implements sim.KindTracer: the kinds with a visual form —
+// every kind but state accesses, action begins (a slice is emitted
+// whole at its end) and useful-prefetch hits.
+func (tw *TraceWriter) TraceKinds() sim.TraceKinds { return traceWriterKinds }
+
 // Event implements sim.Tracer.
 func (tw *TraceWriter) Event(ev sim.TraceEvent) {
 	tw.events = append(tw.events, ev)
@@ -187,8 +195,13 @@ func (tw *TraceWriter) WriteJSON(w io.Writer) error {
 		_, err = w.Write(b)
 		return err
 	}
-	// Metadata first: name every track that appears anywhere.
+	// Metadata first: name every track a rendered kind appears on, so
+	// kinds outside TraceKinds (recorded beside a wider tracer, or by a
+	// flight recorder) leave the output as it is.
 	for _, ev := range tw.events {
+		if !traceWriterKinds.Has(ev.Kind) {
+			continue
+		}
 		tids[taskTid(ev.Task)] = true
 		if ev.Kind == sim.TracePrefetchIssued && ev.Task >= 0 {
 			tids[tidPfBase+int(ev.Task)] = true

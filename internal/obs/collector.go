@@ -31,8 +31,9 @@ type stateStats struct {
 
 // Collector is a sim.Tracer that aggregates the event stream into
 // per-NFAction and per-NFState attribution plus a per-packet latency
-// histogram (rx cycle to stream-done cycle). It is built entirely from
-// events — it never queries the core — and renders stats.Table reports.
+// histogram (rx cycle to stream-done cycle, matched by its
+// LatencyProbe). It is built entirely from events — it never queries
+// the core — and renders stats.Table reports.
 type Collector struct {
 	prog   *model.Program
 	freq   float64
@@ -40,31 +41,31 @@ type Collector struct {
 	states [8]stateStats // indexed by model.BaseKind (1..6)
 	causes [8]uint64     // stall cycles by sim.StallCause
 
-	lat     stats.Histogram
-	rxCycle map[uint64]uint64 // packet buffer addr -> rx cycle
+	probe LatencyProbe
 
 	events   uint64
-	rx       uint64
-	done     uint64
 	switches uint64
 }
 
 // NewCollector builds a collector for programs compiled like prog
 // (the CS table supplies action names) on a core clocked at freqHz.
 func NewCollector(prog *model.Program, freqHz float64) *Collector {
-	return &Collector{
-		prog:    prog,
-		freq:    freqHz,
-		perCS:   make([]csStats, prog.NumCS()),
-		rxCycle: make(map[uint64]uint64, 64),
-	}
+	c := &Collector{prog: prog, freq: freqHz, perCS: make([]csStats, prog.NumCS())}
+	c.probe.resize(probeSlots)
+	return c
+}
+
+// TraceKinds implements sim.KindTracer: every kind but the two no
+// report reads, FSM transitions and redundant prefetches.
+func (c *Collector) TraceKinds() sim.TraceKinds {
+	return sim.AllTraceKinds &^ sim.KindSet(sim.TraceTransition, sim.TracePrefetchRedundant)
 }
 
 // Events returns the number of trace events consumed.
 func (c *Collector) Events() uint64 { return c.events }
 
 // Latency returns the per-packet rx→done latency histogram in cycles.
-func (c *Collector) Latency() *stats.Histogram { return &c.lat }
+func (c *Collector) Latency() *stats.Histogram { return c.probe.Histogram() }
 
 // cs returns the per-CS accumulator for ev, or nil when the event is
 // not attributed to a control state.
@@ -132,15 +133,8 @@ func (c *Collector) event(ev *sim.TraceEvent) {
 		}
 	case sim.TraceTaskSwitch:
 		c.switches++
-	case sim.TraceRx:
-		c.rx++
-		c.rxCycle[ev.A] = ev.Cycle
-	case sim.TraceStreamDone:
-		c.done++
-		if rx, ok := c.rxCycle[ev.A]; ok {
-			c.lat.Add(ev.Cycle - rx)
-			delete(c.rxCycle, ev.A)
-		}
+	case sim.TraceRx, sim.TraceStreamDone:
+		c.probe.event(ev)
 	}
 }
 
@@ -210,19 +204,20 @@ func (c *Collector) StateTable() *stats.Table {
 // LatencyTable renders the per-packet latency distribution with the
 // tail quantiles (p50/p95/p99/p99.9) in cycles and microseconds.
 func (c *Collector) LatencyTable() *stats.Table {
+	lat := c.probe.Histogram()
 	t := stats.NewTable(
-		"Per-packet latency (rx → stream done), "+stats.U(c.lat.Count())+" packets",
+		"Per-packet latency (rx → stream done), "+stats.U(lat.Count())+" packets",
 		"metric", "cycles", "usec")
 	row := func(name string, v uint64) {
 		t.AddRow(name, stats.U(v), stats.F(c.usec(v), 3))
 	}
-	row("min", c.lat.Min())
-	t.AddRow("mean", stats.F(c.lat.Mean(), 1), stats.F(c.lat.Mean()/c.freq*1e6, 3))
-	row("p50", c.lat.Quantile(0.50))
-	row("p95", c.lat.Quantile(0.95))
-	row("p99", c.lat.Quantile(0.99))
-	row("p99.9", c.lat.Quantile(0.999))
-	row("max", c.lat.Max())
+	row("min", lat.Min())
+	t.AddRow("mean", stats.F(lat.Mean(), 1), stats.F(lat.Mean()/c.freq*1e6, 3))
+	row("p50", lat.Quantile(0.50))
+	row("p95", lat.Quantile(0.95))
+	row("p99", lat.Quantile(0.99))
+	row("p99.9", lat.Quantile(0.999))
+	row("max", lat.Max())
 	return t
 }
 

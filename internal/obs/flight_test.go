@@ -183,8 +183,9 @@ func TestLatencyProbe(t *testing.T) {
 	}
 }
 
-// TestLatencyProbeMatchesCollector pins the probe against Collector's
-// latency histogram on a real run: same events, same distribution.
+// TestLatencyProbeMatchesCollector pins a standalone probe against
+// Collector's latency histogram on a real run: the collector hands its
+// own probe every rx and done, so the distributions are the same.
 func TestLatencyProbeMatchesCollector(t *testing.T) {
 	prog, _, _ := buildNAT(t, 64)
 	col := obs.NewCollector(prog, sim.DefaultConfig().FreqHz)

@@ -12,12 +12,12 @@ package obs
 //   - No dependencies. The exposition format is a few lines of framing
 //     around name/labels/value triples; a client library would be 100x
 //     the code it replaces.
-//   - Updates are heartbeat-rate (per StatsEvery window), scrapes are
-//     human/Prometheus-rate. One registry-wide mutex is plenty; nothing
-//     here is on the simulation hot path.
-//   - Quantiles come from stats.Histogram via a scrape-time callback,
-//     so the histogram owner controls synchronization and the registry
-//     never holds stale quantile snapshots.
+//   - One copy of every value. The registry stores none: each family
+//     is a scrape-time function over the value's owner (the director's
+//     Monitor fold, a stats.Histogram, runtime/metrics), so the owner
+//     controls synchronization and the exposition is never stale.
+//   - Scrapes are human/Prometheus-rate. One registry-wide mutex is
+//     plenty; nothing here is on the simulation hot path.
 
 import (
 	"fmt"
@@ -65,103 +65,56 @@ func (t MetricType) String() string {
 }
 
 // Registry is a set of metric families rendered as OpenMetrics text
-// exposition. It is an http.Handler (mount it at /metrics) and is safe
-// for concurrent use. The zero Registry is not ready; use NewRegistry.
+// exposition. Every family is scrape-time: its collect function emits
+// the current series at each Expose, so the registry stores no values.
+// It is an http.Handler (mount it at /metrics) and is safe for
+// concurrent use. The zero Registry is not ready; use NewRegistry.
 type Registry struct {
 	mu     sync.Mutex
-	fams   []*Family
-	byName map[string]*Family
+	fams   []*family
+	byName map[string]*family
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*Family)}
+	return &Registry{byName: make(map[string]*family)}
 }
 
-// Family is one named metric family holding zero or more label-set
-// series. Families render in registration order; series within a
-// family render in first-use order.
-type Family struct {
-	reg  *Registry
-	name string
-	help string
-	typ  MetricType
-
-	order  []string
-	series map[string]*Metric
-
-	// collect, when set, refreshes the family under the registry lock
-	// immediately before each scrape (runtime gauges, FamilyFunc
-	// families, summaries).
-	collect func(f *Family)
+// family is one named metric family. Families render in registration
+// order; series within a family render in emission order.
+type family struct {
+	name    string
+	help    string
+	typ     MetricType
+	collect func(Emit)
 }
 
-// Metric is one series of a family: a label set and a value. Mutate it
-// through Set/Add/Inc; reads happen at scrape time.
-type Metric struct {
-	fam    *Family
-	labels string // pre-rendered `{k="v",...}` or ""
-	val    float64
-}
+// Emit writes one series of a scrape-time family: its value and label
+// pairs (k1, v1, k2, v2, ...). An odd pair count panics.
+type Emit func(v float64, labels ...string)
 
-// family registers or fetches a family, enforcing one type per name.
-func (r *Registry) family(name, help string, typ MetricType) *Family {
+// FamilyFunc registers a family whose series fn emits afresh at every
+// scrape, in emission order; a family fn emits nothing for is not
+// exposed, HELP and TYPE lines included. Registering a name again with
+// the same type replaces its fn; a different type or an invalid name
+// panics. fn runs under the registry lock and must not call back into
+// the registry.
+func (r *Registry) FamilyFunc(name, help string, typ MetricType, fn func(Emit)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.byName[name]; ok {
 		if f.typ != typ {
 			panic(fmt.Sprintf("obs: metric %q re-registered as %v (was %v)", name, typ, f.typ))
 		}
-		return f
+		f.collect = fn
+		return
 	}
 	if !validMetricName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
-	f := &Family{reg: r, name: name, help: help, typ: typ, series: make(map[string]*Metric)}
+	f := &family{name: name, help: help, typ: typ, collect: fn}
 	r.fams = append(r.fams, f)
 	r.byName[name] = f
-	return f
-}
-
-// Counter registers (or fetches) a counter family and returns its
-// unlabeled series.
-func (r *Registry) Counter(name, help string) *Metric {
-	return r.family(name, help, TypeCounter).With()
-}
-
-// Gauge registers (or fetches) a gauge family and returns its
-// unlabeled series.
-func (r *Registry) Gauge(name, help string) *Metric {
-	return r.family(name, help, TypeGauge).With()
-}
-
-// CounterFamily registers (or fetches) a counter family for labeled
-// series; call With on the result per label set.
-func (r *Registry) CounterFamily(name, help string) *Family {
-	return r.family(name, help, TypeCounter)
-}
-
-// GaugeFamily registers (or fetches) a gauge family for labeled series.
-func (r *Registry) GaugeFamily(name, help string) *Family {
-	return r.family(name, help, TypeGauge)
-}
-
-// Emit sets one series of a scrape-time family: its value and label
-// pairs (k1, v1, k2, v2, ...).
-type Emit func(v float64, labels ...string)
-
-// FamilyFunc registers a family whose series fn emits afresh at every
-// scrape, in emission order; a series fn does not emit is not exposed.
-// fn runs under the registry lock and must not call back into the
-// registry.
-func (r *Registry) FamilyFunc(name, help string, typ MetricType, fn func(Emit)) {
-	f := r.family(name, help, typ)
-	r.mu.Lock()
-	f.collect = func(f *Family) {
-		f.resetSeries()
-		fn(func(v float64, labels ...string) { f.with(labels...).val = v })
-	}
-	r.mu.Unlock()
 }
 
 // Summary registers a quantile summary over the histogram src returns.
@@ -186,81 +139,24 @@ func (r *Registry) Summary(name, help string, src func() *stats.Histogram, qs ..
 	})
 }
 
-// With returns the series for the given label pairs (k1, v1, k2, v2,
-// ...), creating it on first use. An odd pair count panics.
-func (f *Family) With(labels ...string) *Metric {
-	f.reg.mu.Lock()
-	defer f.reg.mu.Unlock()
-	return f.with(labels...)
-}
-
-// with is With without the lock, for collect callbacks. Label keys
-// beginning with '#' are rendering directives (summary _sum/_count
-// pseudo-series), not labels.
-func (f *Family) with(labels ...string) *Metric {
-	if len(labels)%2 != 0 && !(len(labels) == 1 && strings.HasPrefix(labels[0], "#")) {
+// sampleName returns the exposition name and rendered labels of one
+// series of f. Label keys beginning with '#' are rendering directives
+// (summary _sum/_count pseudo-series), not labels.
+func (f *family) sampleName(labels []string) string {
+	if len(labels) == 1 && strings.HasPrefix(labels[0], "#") {
+		return f.name + "_" + labels[0][1:]
+	}
+	if len(labels)%2 != 0 {
 		panic(fmt.Sprintf("obs: metric %q: odd label pairs %v", f.name, labels))
 	}
-	key := renderLabels(labels)
-	if m, ok := f.series[key]; ok {
-		return m
-	}
-	m := &Metric{fam: f, labels: key}
-	f.series[key] = m
-	f.order = append(f.order, key)
-	return m
+	return f.name + f.typ.suffix() + renderLabels(labels)
 }
 
-// ResetSeries drops every series of the family (label churn on
-// deployment change: old label sets stop being exported rather than
-// freezing at their last value).
-func (f *Family) ResetSeries() {
-	f.reg.mu.Lock()
-	defer f.reg.mu.Unlock()
-	f.resetSeries()
-}
-
-// resetSeries is ResetSeries without the lock, for collect callbacks.
-func (f *Family) resetSeries() {
-	f.order = f.order[:0]
-	for k := range f.series {
-		delete(f.series, k)
-	}
-}
-
-// Set sets the series value.
-func (m *Metric) Set(v float64) {
-	m.fam.reg.mu.Lock()
-	m.val = v
-	m.fam.reg.mu.Unlock()
-}
-
-// Add increments the series value by v.
-func (m *Metric) Add(v float64) {
-	m.fam.reg.mu.Lock()
-	m.val += v
-	m.fam.reg.mu.Unlock()
-}
-
-// Inc increments the series value by one.
-func (m *Metric) Inc() { m.Add(1) }
-
-// Value returns the current series value.
-func (m *Metric) Value() float64 {
-	m.fam.reg.mu.Lock()
-	defer m.fam.reg.mu.Unlock()
-	return m.val
-}
-
-// renderLabels pre-renders a label pair list to `{k="v",...}` with
-// OpenMetrics escaping; "" for no labels, and rendering directives
-// ("#sum", "#count") pass through verbatim.
+// renderLabels renders a label pair list to `{k="v",...}` with
+// OpenMetrics escaping; "" for no labels.
 func renderLabels(labels []string) string {
 	if len(labels) == 0 {
 		return ""
-	}
-	if len(labels) == 1 && strings.HasPrefix(labels[0], "#") {
-		return labels[0]
 	}
 	var sb strings.Builder
 	sb.WriteByte('{')
@@ -319,33 +215,25 @@ func formatValue(v float64) string {
 }
 
 // Expose renders the registry as OpenMetrics text exposition,
-// terminated by "# EOF". Scrape-time collect hooks run first.
+// terminated by "# EOF": each family's collect function runs in
+// registration order and its samples are written as it emits them.
 func (r *Registry) Expose(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var sb strings.Builder
 	for _, f := range r.fams {
-		if f.collect != nil {
-			f.collect(f)
-		}
-		if len(f.order) == 0 {
-			continue
-		}
-		if f.help != "" {
-			fmt.Fprintf(&sb, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		}
-		fmt.Fprintf(&sb, "# TYPE %s %s\n", f.name, f.typ)
-		for _, key := range f.order {
-			m := f.series[key]
-			switch {
-			case key == "#sum":
-				fmt.Fprintf(&sb, "%s_sum %s\n", f.name, formatValue(m.val))
-			case key == "#count":
-				fmt.Fprintf(&sb, "%s_count %s\n", f.name, formatValue(m.val))
-			default:
-				fmt.Fprintf(&sb, "%s%s%s %s\n", f.name, f.typ.suffix(), key, formatValue(m.val))
+		header := false
+		f.collect(func(v float64, labels ...string) {
+			name := f.sampleName(labels)
+			if !header {
+				if f.help != "" {
+					fmt.Fprintf(&sb, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+				}
+				fmt.Fprintf(&sb, "# TYPE %s %s\n", f.name, f.typ)
+				header = true
 			}
-		}
+			fmt.Fprintf(&sb, "%s %s\n", name, formatValue(v))
+		})
 	}
 	sb.WriteString("# EOF\n")
 	_, err := io.WriteString(w, sb.String())
@@ -385,48 +273,27 @@ func (r *Registry) AddGoRuntime() {
 	for _, d := range all {
 		known[d.Name] = d.Kind
 	}
-	samples := make([]metrics.Sample, 0, len(goRuntimeMetrics))
-	type slot struct{ fam *Family }
-	slots := make([]slot, 0, len(goRuntimeMetrics))
+	var samples []metrics.Sample
 	for _, gm := range goRuntimeMetrics {
 		kind, ok := known[gm.src]
 		if !ok || (kind != metrics.KindUint64 && kind != metrics.KindFloat64) {
 			continue
 		}
+		// The first family's fn refreshes every sample with one
+		// metrics.Read; the rest run after it in the same scrape (fns
+		// run in registration order) and read their sample.
+		i := len(samples)
 		samples = append(samples, metrics.Sample{Name: gm.src})
-		slots = append(slots, slot{fam: r.family(gm.name, gm.help, gm.typ)})
-	}
-	if len(samples) == 0 {
-		return
-	}
-	// One collect hook refreshes every runtime gauge with a single
-	// metrics.Read; hang it off the first family (collect hooks run
-	// per-family in registration order, so one owner suffices).
-	r.mu.Lock()
-	slots[0].fam.collect = func(*Family) {
-		metrics.Read(samples)
-		for i, s := range samples {
-			var v float64
-			switch s.Value.Kind() {
-			case metrics.KindUint64:
-				v = float64(s.Value.Uint64())
-			case metrics.KindFloat64:
-				v = s.Value.Float64()
+		r.FamilyFunc(gm.name, gm.help, gm.typ, func(emit Emit) {
+			if i == 0 {
+				metrics.Read(samples)
 			}
-			slots[i].fam.with().val = v
-		}
+			switch v := samples[i].Value; v.Kind() {
+			case metrics.KindUint64:
+				emit(float64(v.Uint64()))
+			case metrics.KindFloat64:
+				emit(v.Float64())
+			}
+		})
 	}
-	r.mu.Unlock()
-}
-
-// Families returns the registered family names in registration order
-// (for tests and diagnostics).
-func (r *Registry) Families() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, len(r.fams))
-	for i, f := range r.fams {
-		names[i] = f.name
-	}
-	return names
 }

@@ -38,16 +38,19 @@ func sample(t *testing.T, out, series string) float64 {
 	return 0
 }
 
+// value registers a family exposing the one unlabeled series v.
+func value(reg *obs.Registry, name, help string, typ obs.MetricType, v float64) {
+	reg.FamilyFunc(name, help, typ, func(emit obs.Emit) { emit(v) })
+}
+
 func TestRegistryExposition(t *testing.T) {
 	reg := obs.NewRegistry()
-	pkts := reg.Counter("gunfu_packets", "Packets processed.")
-	pkts.Add(1000)
-	pkts.Add(500)
-	ipc := reg.Gauge("gunfu_ipc", "Last-window IPC.")
-	ipc.Set(1.75)
-	pmu := reg.CounterFamily("gunfu_pmu", "Raw PMU counters.")
-	pmu.With("counter", "l1_misses").Set(42)
-	pmu.With("counter", "llc_misses").Set(7)
+	value(reg, "gunfu_packets", "Packets processed.", obs.TypeCounter, 1500)
+	value(reg, "gunfu_ipc", "Last-window IPC.", obs.TypeGauge, 1.75)
+	reg.FamilyFunc("gunfu_pmu", "Raw PMU counters.", obs.TypeCounter, func(emit obs.Emit) {
+		emit(42, "counter", "l1_misses")
+		emit(7, "counter", "llc_misses")
+	})
 	var h stats.Histogram
 	for v := uint64(1); v <= 1000; v++ {
 		h.Add(v)
@@ -58,6 +61,8 @@ func TestRegistryExposition(t *testing.T) {
 		emit(1, "nf", "nat")
 		emit(2, "nf", "sfc")
 	})
+	reg.FamilyFunc("gunfu_empty", "Emits nothing.", obs.TypeGauge, func(obs.Emit) {})
+	reg.Summary("gunfu_no_histogram", "Nil source.", func() *stats.Histogram { return nil })
 
 	out := scrape(t, reg)
 	for _, want := range []string{
@@ -91,12 +96,17 @@ func TestRegistryExposition(t *testing.T) {
 	if strings.Contains(out, "# TYPE gunfu_packets_total") {
 		t.Fatalf("family name must not carry the _total suffix:\n%s", out)
 	}
+	// A family that emits nothing gets no HELP or TYPE line.
+	if strings.Contains(out, "gunfu_empty") || strings.Contains(out, "gunfu_no_histogram") {
+		t.Fatalf("empty family exposed:\n%s", out)
+	}
 }
 
 func TestRegistryLabelEscaping(t *testing.T) {
 	reg := obs.NewRegistry()
-	f := reg.GaugeFamily("weird", "with \"quotes\" and\nnewline")
-	f.With("k", `a"b\c`+"\nd").Set(3)
+	reg.FamilyFunc("weird", "with \"quotes\" and\nnewline", obs.TypeGauge, func(emit obs.Emit) {
+		emit(3, "k", `a"b\c`+"\nd")
+	})
 	out := scrape(t, reg)
 	if !strings.Contains(out, `# HELP weird with "quotes" and\nnewline`+"\n") {
 		t.Fatalf("help not escaped:\n%s", out)
@@ -108,8 +118,8 @@ func TestRegistryLabelEscaping(t *testing.T) {
 
 func TestRegistryServeHTTP(t *testing.T) {
 	reg := obs.NewRegistry()
-	reg.Counter("hits", "Hits.").Add(3)
-	reg.GaugeFamily("temp", "Temp.").With("zone", "a").Set(20.5)
+	value(reg, "hits", "Hits.", obs.TypeCounter, 3)
+	reg.FamilyFunc("temp", "Temp.", obs.TypeGauge, func(emit obs.Emit) { emit(20.5, "zone", "a") })
 
 	srv := httptest.NewServer(reg)
 	defer srv.Close()
@@ -149,47 +159,58 @@ func TestRegistryGoRuntime(t *testing.T) {
 	}
 }
 
-func TestRegistryResetSeries(t *testing.T) {
-	reg := obs.NewRegistry()
-	info := reg.GaugeFamily("deployment_info", "Current deployment.")
-	info.With("nf", "nat").Set(1)
-	if !strings.Contains(scrape(t, reg), `deployment_info{nf="nat"} 1`) {
-		t.Fatal("series missing before reset")
-	}
-	info.ResetSeries()
-	info.With("nf", "sfc").Set(1)
-	out := scrape(t, reg)
-	if strings.Contains(out, `nf="nat"`) || !strings.Contains(out, `deployment_info{nf="sfc"} 1`) {
-		t.Fatalf("reset did not swap series:\n%s", out)
-	}
-}
-
+// TestRegistryReRegistration: registering a name again with the same
+// type replaces its fn (one family, one TYPE line, the new value); a
+// type conflict, an invalid name and odd label pairs panic.
 func TestRegistryReRegistration(t *testing.T) {
 	reg := obs.NewRegistry()
-	a := reg.Counter("c", "help")
-	b := reg.Counter("c", "help")
-	if a != b {
-		t.Fatal("re-registration must return the same series")
+	value(reg, "c", "help", obs.TypeCounter, 1)
+	value(reg, "c", "help", obs.TypeCounter, 2)
+	out := scrape(t, reg)
+	if got := sample(t, out, "c_total"); got != 2 || strings.Count(out, "# TYPE c ") != 1 {
+		t.Fatalf("re-registration must replace the fn of the one family:\n%s", out)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("type conflict must panic")
-		}
-	}()
-	reg.Gauge("c", "help")
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s must panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("type conflict", func() { value(reg, "c", "help", obs.TypeGauge, 1) })
+	mustPanic("invalid name", func() { value(reg, "9lives", "", obs.TypeGauge, 1) })
+	reg.FamilyFunc("odd", "", obs.TypeGauge, func(emit obs.Emit) { emit(1, "k") })
+	mustPanic("odd label pairs", func() { scrape(t, reg) })
 }
 
-// TestRegistryConcurrent hammers updates and scrapes together; run
-// under -race this pins the locking contract.
+// TestRegistryConcurrent hammers value owners and scrapes together;
+// run under -race this pins the locking contract: a family fn reads
+// its owner under the owner's own lock, the registry adds none.
 func TestRegistryConcurrent(t *testing.T) {
 	reg := obs.NewRegistry()
-	ctr := reg.Counter("n", "")
-	fam := reg.GaugeFamily("g", "")
+	var mu sync.Mutex
+	var n float64
+	g := map[string]float64{}
 	var h stats.Histogram
-	var hmu sync.Mutex
+	reg.FamilyFunc("n", "", obs.TypeCounter, func(emit obs.Emit) {
+		mu.Lock()
+		defer mu.Unlock()
+		emit(n)
+	})
+	reg.FamilyFunc("g", "", obs.TypeGauge, func(emit obs.Emit) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, w := range []string{"a", "b", "c", "d"} {
+			if v, ok := g[w]; ok {
+				emit(v, "w", w)
+			}
+		}
+	})
 	reg.Summary("s", "", func() *stats.Histogram {
-		hmu.Lock()
-		defer hmu.Unlock()
+		mu.Lock()
+		defer mu.Unlock()
 		return h.Clone()
 	})
 	var wg sync.WaitGroup
@@ -198,11 +219,11 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				ctr.Inc()
-				fam.With("w", string(rune('a'+w))).Set(float64(i))
-				hmu.Lock()
+				mu.Lock()
+				n++
+				g[string(rune('a'+w))] = float64(i)
 				h.Add(uint64(i))
-				hmu.Unlock()
+				mu.Unlock()
 			}
 		}(w)
 	}
@@ -215,7 +236,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := ctr.Value(); got != 2000 {
+	if got := sample(t, scrape(t, reg), "n_total"); got != 2000 {
 		t.Fatalf("counter = %v", got)
 	}
 }

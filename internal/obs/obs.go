@@ -26,14 +26,19 @@
 //
 // All five implement sim.BatchTracer: the core hands them each flush as
 // one slice (see sim.Core.FlushTrace), so per-event cost is a loop
-// iteration, not an interface call. LatencyProbe also implements
-// sim.KindTracer, declaring the two kinds it consumes, so a core it is
-// attached to alone builds no other event; Multi declares the union of
-// its members' kinds.
+// iteration, not an interface call. All but FlightRecorder also
+// implement sim.KindTracer, declaring the kinds they consume, so a core
+// builds no other event: LatencyProbe rx and stream-done, Collector
+// every kind its reports read, TraceWriter every kind it renders, and
+// Multi the union of its members' kinds. FlightRecorder takes every
+// kind, because a dump must be byte-identical to live recording.
+// Collector matches rx to done through its LatencyProbe, so no tracer
+// keeps a Go map on its event path.
 //
 // Registry is the serving surface: a stdlib-only OpenMetrics text
-// exposition registry (metrics.go) bridging PMU-derived rates,
-// latency quantiles and Go runtime gauges to HTTP scrapers.
+// exposition registry (metrics.go) that stores no values — every family
+// is a scrape-time function over its owner — exposing PMU-derived
+// rates, latency quantiles and Go runtime gauges to HTTP scrapers.
 //
 // Everything here is observation-only: a tracer never calls back into
 // the simulation, so attaching one is counter-neutral by construction

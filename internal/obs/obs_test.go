@@ -285,3 +285,68 @@ func TestMultiKinds(t *testing.T) {
 		t.Fatal("KindsOf: nil must consume nothing, a kind-less tracer everything")
 	}
 }
+
+// kindCounter is an undeclared tracer: beside it, the core emits every
+// kind, and it counts what it sees by kind.
+type kindCounter [sim.TraceKindCount]uint64
+
+func (k *kindCounter) Event(ev sim.TraceEvent) { k[ev.Kind]++ }
+
+// TestKindsInvisibleToOutput: a declared kind set only spares the core
+// the events a tracer ignores. Collector's tables and TraceWriter's
+// JSON are the same bytes whether the tracer runs alone (its own kinds)
+// or beside an undeclared tracer under Multi (every kind).
+func TestKindsInvisibleToOutput(t *testing.T) {
+	prog, _, _ := buildNAT(t, 16)
+	freq := sim.DefaultConfig().FreqHz
+	for _, tc := range []struct {
+		name    string
+		tracer  func() sim.Tracer
+		render  func(sim.Tracer, *bytes.Buffer) error
+		ignored []sim.TraceKind
+	}{
+		{"Collector.Tables", func() sim.Tracer { return obs.NewCollector(prog, freq) },
+			func(tr sim.Tracer, buf *bytes.Buffer) error {
+				for _, tab := range tr.(*obs.Collector).Tables() {
+					if err := tab.Render(buf); err != nil {
+						return err
+					}
+				}
+				return nil
+			}, []sim.TraceKind{sim.TraceTransition, sim.TracePrefetchRedundant}},
+		{"TraceWriter.WriteJSON", func() sim.Tracer { return obs.NewTraceWriter(prog, freq) },
+			func(tr sim.Tracer, buf *bytes.Buffer) error { return tr.(*obs.TraceWriter).WriteJSON(buf) },
+			[]sim.TraceKind{sim.TraceAccess, sim.TraceActionBegin, sim.TracePrefetchUseful}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			alone, beside := tc.tracer(), tc.tracer()
+			for _, k := range tc.ignored {
+				if sim.KindsOf(alone).Has(k) {
+					t.Fatalf("declares %v, which it ignores", k)
+				}
+			}
+			full := &kindCounter{}
+			runTraced(t, 2000, alone)
+			runTraced(t, 2000, beside, full)
+			// The comparison is only meaningful if the full stream carried
+			// kinds the tracer alone was spared.
+			var spared uint64
+			for _, k := range tc.ignored {
+				spared += full[k]
+			}
+			if spared == 0 {
+				t.Fatalf("the full stream carried none of %v", tc.ignored)
+			}
+			var a, b bytes.Buffer
+			if err := tc.render(alone, &a); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.render(beside, &b); err != nil {
+				t.Fatal(err)
+			}
+			if a.Len() == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("output differs: alone %d bytes, beside a full-stream tracer %d bytes", a.Len(), b.Len())
+			}
+		})
+	}
+}
