@@ -30,10 +30,14 @@ cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=riscv64 $(GO) build ./...
 
-# lint runs go vet always, and staticcheck when it is on PATH (CI
-# installs a pinned version; local environments without it still get
-# the vet pass instead of a hard failure).
+# lint fails on any file gofmt would rewrite, runs go vet always, and
+# staticcheck when it is on PATH (CI installs a pinned version; local
+# environments without it still get the vet pass instead of a hard
+# failure).
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

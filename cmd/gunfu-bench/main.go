@@ -46,7 +46,7 @@ import (
 	"time"
 
 	gunfu "github.com/gunfu-nfv/gunfu"
-	"github.com/gunfu-nfv/gunfu/internal/director"
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 )
 
 func main() {
@@ -85,7 +85,7 @@ func run() int {
 			attr:       *attr,
 			cpuProfile: *cpuProfile,
 			memProfile: *memProfile,
-			spec: director.DeploySpec{
+			spec: deploy.Spec{
 				NF: *nfName, Flows: *flows, Packets: *packets, Warmup: *warmup,
 				PacketBytes: *packetBytes, Tasks: *tasks, Seed: *seed,
 				SFCLength: *sfcLength, PDRs: *pdrs,

@@ -5,20 +5,20 @@ import (
 	"io"
 	"os"
 
-	"github.com/gunfu-nfv/gunfu/internal/director"
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/obs"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
 
 // profileSpec selects the workload for a -trace/-attr profile run. It
-// builds through the deployable registry (director.Registry.Build), so
+// builds through the deployable registry (deploy.Registry.Build), so
 // the profiled NF and worker are exactly what the control plane deploys.
 type profileSpec struct {
 	tracePath  string // Chrome trace JSON output ("" = off)
 	attr       bool   // print attribution tables
 	cpuProfile string // pprof CPU profile of the measured window ("" = off)
 	memProfile string // pprof heap profile after the window ("" = off)
-	spec       director.DeploySpec
+	spec       deploy.Spec
 }
 
 // profile executes one observed run: warmup untraced, then the
@@ -33,7 +33,7 @@ func profile(p profileSpec, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	prog, run, err := director.DefaultRegistry().Build(core, p.spec)
+	prog, run, err := deploy.DefaultRegistry().Build(core, p.spec)
 	if err != nil {
 		return err
 	}

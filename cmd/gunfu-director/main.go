@@ -41,6 +41,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/director"
 	"github.com/gunfu-nfv/gunfu/internal/faultnet"
 )
@@ -188,7 +189,7 @@ func run() int {
 		return 1
 	}
 
-	depl := director.DeploySpec{
+	depl := deploy.Spec{
 		NF:          *nf,
 		Flows:       *flows,
 		Packets:     *packets,

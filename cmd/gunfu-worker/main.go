@@ -35,6 +35,7 @@ import (
 	"strconv"
 	"sync"
 
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/director"
 	"github.com/gunfu-nfv/gunfu/internal/obs"
 )
@@ -59,7 +60,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "gunfu-worker: -name is required")
 		return 2
 	}
-	a, err := director.NewAgent(*name, director.DefaultRegistry())
+	a, err := director.NewAgent(*name, deploy.DefaultRegistry())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gunfu-worker: %v\n", err)
 		return 1

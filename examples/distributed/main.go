@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/director"
 )
 
@@ -40,7 +41,7 @@ func run() error {
 
 	var wg sync.WaitGroup
 	for _, name := range []string{"edge-1", "edge-2", "edge-3"} {
-		agent, err := director.NewAgent(name, director.DefaultRegistry())
+		agent, err := director.NewAgent(name, deploy.DefaultRegistry())
 		if err != nil {
 			return err
 		}
@@ -64,7 +65,7 @@ func run() error {
 	}
 	fmt.Printf("agents registered: %v\n\n", d.Agents())
 
-	deploy := director.DeploySpec{
+	spec := deploy.Spec{
 		NF:          "nat",
 		Flows:       32768,
 		Packets:     60000,
@@ -80,8 +81,8 @@ func run() error {
 		{"per-packet RTC", 0},
 		{"interleaved x16", 16},
 	} {
-		deploy.Tasks = cfg.tasks
-		results, err := d.DeployAll(deploy, 5*time.Minute)
+		spec.Tasks = cfg.tasks
+		results, err := d.DeployAll(spec, 5*time.Minute)
 		if err != nil {
 			return err
 		}

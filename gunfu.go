@@ -32,7 +32,7 @@ package gunfu
 
 import (
 	"github.com/gunfu-nfv/gunfu/internal/compile"
-	"github.com/gunfu-nfv/gunfu/internal/director"
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/exp"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
@@ -245,7 +245,7 @@ func FuseStates(as *AddressSpace, name string, members []FuseMember, maxFlows in
 // BuildChain constructs the paper's LB→NAT→NM→FW… chain of the given
 // length over fresh state.
 func BuildChain(as *AddressSpace, length, flows int) ([]Chainable, error) {
-	return director.BuildChain(as, length, flows)
+	return deploy.NewChain(as, length, flows, false)
 }
 
 // Traffic generation (see internal/traffic).

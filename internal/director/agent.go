@@ -12,219 +12,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/gunfu-nfv/gunfu/internal/compile"
-	"github.com/gunfu-nfv/gunfu/internal/mem"
-	"github.com/gunfu-nfv/gunfu/internal/model"
-	"github.com/gunfu-nfv/gunfu/internal/nf"
-	"github.com/gunfu-nfv/gunfu/internal/nf/fw"
-	"github.com/gunfu-nfv/gunfu/internal/nf/lb"
-	"github.com/gunfu-nfv/gunfu/internal/nf/monitor"
-	"github.com/gunfu-nfv/gunfu/internal/nf/nat"
-	"github.com/gunfu-nfv/gunfu/internal/nf/upf"
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/obs"
-	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
-	"github.com/gunfu-nfv/gunfu/internal/traffic"
 )
 
-// Factory builds a deployable NF: the compiled program and the
-// workload source for one run, with state drawn from as.
-type Factory func(as *mem.AddressSpace, d DeploySpec) (*model.Program, rt.Source, error)
-
-// Registry maps deployable NF names to factories.
-type Registry map[string]Factory
-
-// DefaultRegistry returns the built-in deployables: the NFs of the
-// paper's evaluation, each pre-populated for the requested flow count.
-func DefaultRegistry() Registry {
-	return Registry{
-		"nat":          natFactory,
-		"upf-downlink": upfFactory,
-		"sfc":          sfcFactory,
-	}
-}
-
-// Build constructs deployment d on core through its factory: the
-// program and its windowed Run. d.Tasks is max_interleaved, and 0
-// selects the run-to-completion baseline (rt.RTCConfig).
-func (r Registry) Build(core *sim.Core, d DeploySpec) (*model.Program, func(uint64) (rt.Result, error), error) {
-	factory, ok := r[d.NF]
-	if !ok {
-		return nil, nil, fmt.Errorf("unknown NF %q", d.NF)
-	}
-	as := mem.NewAddressSpace()
-	prog, src, err := factory(as, d)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := rt.RTCConfig()
-	if d.Tasks > 0 {
-		cfg = rt.DefaultConfig()
-		cfg.Tasks = d.Tasks
-	}
-	w, err := rt.NewWorker(core, as, prog, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prog, func(n uint64) (rt.Result, error) { return w.Run(src, n) }, nil
-}
-
-func natFactory(as *mem.AddressSpace, d DeploySpec) (*model.Program, rt.Source, error) {
-	n, err := nat.New(as, nat.Config{MaxFlows: d.Flows})
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := traffic.NewFlowGen(traffic.FlowGenConfig{
-		Flows: d.Flows, PacketBytes: d.PacketBytes, Order: traffic.OrderUniform, Seed: d.Seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := 0; i < d.Flows; i++ {
-		if err := n.AddFlow(g.FlowTuple(i), int32(i)); err != nil {
-			return nil, nil, err
-		}
-	}
-	prog, err := n.Program()
-	return prog, g, err
-}
-
-func upfFactory(as *mem.AddressSpace, d DeploySpec) (*model.Program, rt.Source, error) {
-	pdrs := d.PDRs
-	if pdrs == 0 {
-		pdrs = 16
-	}
-	u, err := upf.New(as, upf.Config{Sessions: d.Flows, PDRsPerSession: pdrs})
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := traffic.NewMGWGen(traffic.MGWConfig{
-		Sessions: d.Flows, PDRs: pdrs, PacketBytes: d.PacketBytes, Seed: d.Seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	prog, err := u.DownlinkProgram()
-	return prog, g, err
-}
-
-func sfcFactory(as *mem.AddressSpace, d DeploySpec) (*model.Program, rt.Source, error) {
-	length := d.SFCLength
-	if length == 0 {
-		length = 4
-	}
-	return NewSFC(as, length, d.Flows, false, compile.SFCOptions{}, d.PacketBytes, 0, 0, d.Seed)
-}
-
-// NewSFC builds the paper's SFC of the given length as one deployable:
-// the chain over flows flows (fused as NewChain describes), populated
-// with its workload's flow tuples and compiled with opts, plus that
-// workload. size is the packet size in bytes, 0 for the CAIDA IMIX
-// trace; a non-zero shardCount restricts the workload to flows
-// [shardBase, shardBase+shardCount) — RSS steering one core's share to
-// it — while the chain still holds every flow.
-func NewSFC(as *mem.AddressSpace, length, flows int, fused bool, opts compile.SFCOptions, size, shardBase, shardCount int, seed int64) (*model.Program, rt.Source, error) {
-	var src rt.Source
-	var tuple func(i int) pkt.FiveTuple
-	if size == 0 {
-		g, err := traffic.NewCaidaGen(traffic.CaidaConfig{
-			Flows: flows, Seed: seed, ShardBase: shardBase, ShardCount: shardCount,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		src, tuple = g, g.FlowTuple
-	} else {
-		g, err := traffic.NewFlowGen(traffic.FlowGenConfig{
-			Flows: flows, PacketBytes: size, Order: traffic.OrderUniform, Seed: seed,
-			ShardBase: shardBase, ShardCount: shardCount,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		src, tuple = g, g.FlowTuple
-	}
-	chain, err := NewChain(as, length, flows, fused)
-	if err != nil {
-		return nil, nil, err
-	}
-	tuples := make([]pkt.FiveTuple, flows)
-	for i := range tuples {
-		tuples[i] = tuple(i)
-	}
-	if err := compile.PopulateFlows(chain, tuples); err != nil {
-		return nil, nil, err
-	}
-	prog, err := compile.BuildSFC("sfc", chain, opts)
-	return prog, src, err
-}
-
-// BuildChain constructs the paper's SFC of the given length (2–6):
-// LB → NAT → NM → FW, extended with additional firewalls carrying
-// different policies for lengths above four, exactly as §VII-B
-// describes.
-func BuildChain(as *mem.AddressSpace, length, flows int) ([]compile.Chainable, error) {
-	return NewChain(as, length, flows, false)
-}
-
-// NewChain is BuildChain with a choice of state placement: each NF's
-// per-flow record in its own pool or, with fused, all of them in one
-// co-access-packed pool — the DP-for-SFC optimization.
-func NewChain(as *mem.AddressSpace, length, flows int, fused bool) ([]compile.Chainable, error) {
-	if length < 2 || length > 6 {
-		return nil, fmt.Errorf("director: SFC length %d outside [2,6]", length)
-	}
-	type member struct {
-		compile.FuseMember
-		build func(states *nf.States) (compile.Chainable, error)
-	}
-	members := []member{
-		{compile.FuseMember{Name: "lb", Fields: lb.FlowFields(), Hot: lb.HotFields()},
-			func(st *nf.States) (compile.Chainable, error) {
-				return lb.New(as, lb.Config{MaxFlows: flows, States: st})
-			}},
-		{compile.FuseMember{Name: "nat", Fields: nat.FlowFields(), Hot: nat.HotFields()},
-			func(st *nf.States) (compile.Chainable, error) {
-				return nat.New(as, nat.Config{MaxFlows: flows, States: st})
-			}},
-		{compile.FuseMember{Name: "nm", Fields: monitor.FlowFields(), Hot: monitor.HotFields()},
-			func(st *nf.States) (compile.Chainable, error) {
-				return monitor.New(as, monitor.Config{MaxFlows: flows, States: st})
-			}},
-	}
-	for i := 1; i <= 3; i++ {
-		name := fmt.Sprintf("fw%d", i)
-		policy := fw.DefaultPolicy(8 * (i + 1)) // different policies per FW
-		members = append(members, member{
-			compile.FuseMember{Name: name, Fields: fw.FlowFields(), Hot: fw.HotFields()},
-			func(st *nf.States) (compile.Chainable, error) {
-				return fw.New(as, fw.Config{Name: name, MaxFlows: flows, Policy: policy, States: st})
-			}})
-	}
-	members = members[:length]
-
-	// Unfused, the map stays nil and every NF reserves its own pool.
-	var states map[string]*nf.States
-	if fused {
-		fuse := make([]compile.FuseMember, length)
-		for i, m := range members {
-			fuse[i] = m.FuseMember
-		}
-		var err error
-		if states, err = compile.FuseStates(as, "sfc", fuse, flows); err != nil {
-			return nil, err
-		}
-	}
-	chain := make([]compile.Chainable, length)
-	for i, m := range members {
-		var err error
-		if chain[i], err = m.build(states[m.Name]); err != nil {
-			return nil, err
-		}
-	}
-	return chain, nil
-}
+// DefaultRegistry forwards deploy.DefaultRegistry, kept for the benchmark.
+func DefaultRegistry() deploy.Registry { return deploy.DefaultRegistry() }
 
 // DefaultFlightEvents is the default number of events a flight dump
 // holds: enough cycles of context around an anomaly (roughly the last
@@ -236,7 +31,7 @@ const DefaultFlightEvents = 1 << 16
 // and executes deployments on a local simulated core.
 type Agent struct {
 	name string
-	reg  Registry
+	reg  deploy.Registry
 	// SimConfig is the core configuration deployments run on.
 	SimConfig sim.Config
 	// OnStats, when set, observes every heartbeat this agent emits
@@ -300,7 +95,7 @@ type Agent struct {
 const replyCacheSize = 8
 
 // NewAgent builds an agent with the given deployable registry.
-func NewAgent(name string, reg Registry) (*Agent, error) {
+func NewAgent(name string, reg deploy.Registry) (*Agent, error) {
 	if name == "" {
 		return nil, fmt.Errorf("director: agent needs a name")
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/faultnet"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
@@ -323,12 +324,12 @@ func TestDeployReplayIdempotent(t *testing.T) {
 
 	var mu sync.Mutex
 	runs := 0
-	reg := Registry{
+	reg := deploy.Registry{
 		"nat": func(as *mem.AddressSpace, d DeploySpec) (*model.Program, rt.Source, error) {
 			mu.Lock()
 			runs++
 			mu.Unlock()
-			return natFactory(as, d)
+			return deploy.DefaultRegistry()["nat"](as, d)
 		},
 	}
 	a, err := NewAgent("w-dup", reg)

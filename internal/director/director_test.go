@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/gunfu-nfv/gunfu/internal/mem"
 )
 
 // startCluster brings up a director and n agents on loopback and
@@ -264,31 +262,6 @@ func TestAgentValidation(t *testing.T) {
 	}
 	if _, err := NewAgent("x", nil); err == nil {
 		t.Fatal("registry-less agent accepted")
-	}
-}
-
-func TestBuildChainLengths(t *testing.T) {
-	for length := 2; length <= 6; length++ {
-		chain, err := BuildChain(mem.NewAddressSpace(), length, 64)
-		if err != nil {
-			t.Fatalf("length %d: %v", length, err)
-		}
-		if len(chain) != length {
-			t.Fatalf("length %d built %d NFs", length, len(chain))
-		}
-		names := make(map[string]bool)
-		for _, c := range chain {
-			if names[c.Name()] {
-				t.Fatalf("duplicate NF name %q in chain of %d", c.Name(), length)
-			}
-			names[c.Name()] = true
-		}
-	}
-	if _, err := BuildChain(mem.NewAddressSpace(), 1, 64); err == nil {
-		t.Fatal("length 1 accepted")
-	}
-	if _, err := BuildChain(mem.NewAddressSpace(), 7, 64); err == nil {
-		t.Fatal("length 7 accepted")
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
 )
@@ -47,55 +48,9 @@ const (
 	TypeDumpDone = "dump-done"
 )
 
-// DeploySpec describes one NF deployment: which registered NF to run
-// and under which workload and execution-model parameters.
-type DeploySpec struct {
-	// NF names a factory in the agent's registry (e.g. "nat",
-	// "upf-downlink", "sfc").
-	NF string `json:"nf"`
-	// Flows is the concurrent flow population.
-	Flows int `json:"flows"`
-	// Packets is the measurement window length.
-	Packets uint64 `json:"packets"`
-	// Warmup packets run before the measured window.
-	Warmup uint64 `json:"warmup"`
-	// PacketBytes is the workload packet size.
-	PacketBytes int `json:"packet_bytes"`
-	// Tasks is max_interleaved; 0 selects the RTC baseline.
-	Tasks int `json:"tasks"`
-	// Seed makes the workload deterministic.
-	Seed int64 `json:"seed"`
-	// SFCLength selects the chain length for the "sfc" NF.
-	SFCLength int `json:"sfc_length,omitempty"`
-	// PDRs selects rules per session for the "upf-downlink" NF.
-	PDRs int `json:"pdrs,omitempty"`
-	// StatsEvery, when positive, splits the measured window into chunks
-	// of this many packets and streams a TypeStats heartbeat after each
-	// chunk while the deployment runs. The final TypeResult still
-	// carries the whole window's totals.
-	StatsEvery uint64 `json:"stats_every,omitempty"`
-	// Latency, when true, attaches a latency probe so every heartbeat
-	// carries the window's rx→done histogram (cycles) — the input to
-	// p99 SLO evaluation and cluster-level quantile aggregation.
-	Latency bool `json:"latency,omitempty"`
-}
-
-// Validate checks the spec's common fields.
-func (d DeploySpec) Validate() error {
-	if d.NF == "" {
-		return fmt.Errorf("director: deploy: NF name required")
-	}
-	if d.Flows <= 0 || d.Packets == 0 {
-		return fmt.Errorf("director: deploy: Flows and Packets must be positive")
-	}
-	if d.PacketBytes < 64 {
-		return fmt.Errorf("director: deploy: PacketBytes must be >= 64")
-	}
-	if d.Tasks < 0 {
-		return fmt.Errorf("director: deploy: Tasks must be >= 0 (0 selects run-to-completion), got %d", d.Tasks)
-	}
-	return nil
-}
+// DeploySpec is the deploy message's spec: an alias of deploy.Spec, so
+// the wire type cannot drift from what every other caller builds.
+type DeploySpec = deploy.Spec
 
 // Result carries an agent's measurements back to the director.
 type Result struct {

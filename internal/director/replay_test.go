@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/obs"
@@ -46,22 +47,11 @@ func liveDumps(t *testing.T, d DeploySpec, events int) [][]byte {
 	}
 	f := obs.NewFlightRecorder(events)
 	core.SetTracer(f)
-	var run func(uint64) (rt.Result, error)
-	if d.Tasks > 0 {
-		cfg := rt.DefaultConfig()
-		cfg.Tasks = d.Tasks
-		w, err := rt.NewWorker(core, as, prog, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run = func(n uint64) (rt.Result, error) { return w.Run(src, n) }
-	} else {
-		w, err := rt.NewWorker(core, as, prog, rt.RTCConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		run = func(n uint64) (rt.Result, error) { return w.Run(src, n) }
+	w, err := rt.NewWorker(core, as, prog, rt.ConfigFor(d.Tasks))
+	if err != nil {
+		t.Fatal(err)
 	}
+	run := func(n uint64) (rt.Result, error) { return w.Run(src, n) }
 	var dumps [][]byte
 	for _, n := range runCalls(d) {
 		if _, err := run(n); err != nil {
@@ -158,10 +148,10 @@ func TestReplayedDumpMatchesLiveRecording(t *testing.T) {
 // where in DumpInfo.Error and writes no file.
 func TestReplayDivergenceIsReported(t *testing.T) {
 	calls := 0
-	reg := Registry{"nat": func(as *mem.AddressSpace, d DeploySpec) (*model.Program, rt.Source, error) {
+	reg := deploy.Registry{"nat": func(as *mem.AddressSpace, d DeploySpec) (*model.Program, rt.Source, error) {
 		calls++
 		d.Seed += int64(calls) // a different workload every build
-		return natFactory(as, d)
+		return deploy.DefaultRegistry()["nat"](as, d)
 	}}
 	a, err := NewAgent("w", reg)
 	if err != nil {
@@ -197,7 +187,7 @@ func TestReplayDivergenceIsReported(t *testing.T) {
 func TestAgentLiveTaps(t *testing.T) {
 	for _, latency := range []bool{false, true} {
 		seen := map[sim.Tracer]bool{}
-		reg := Registry{"taps": func(as *mem.AddressSpace, d DeploySpec) (*model.Program, rt.Source, error) {
+		reg := deploy.Registry{"taps": func(as *mem.AddressSpace, d DeploySpec) (*model.Program, rt.Source, error) {
 			b := model.NewBuilder("taps")
 			b.AddModule("m", model.Binding{}, nil)
 			done := b.Event("done")

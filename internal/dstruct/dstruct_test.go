@@ -1,6 +1,8 @@
 package dstruct
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -220,6 +222,48 @@ func TestMDITreeLookup(t *testing.T) {
 			if sess != int32(i) || pdr != int32(i*4+p) {
 				t.Fatalf("Lookup = sess %d pdr %d, want %d/%d", sess, pdr, i, i*4+p)
 			}
+		}
+	}
+}
+
+// TestMDITreeUnsortedInput: a tree built from shuffled sessions and
+// shuffled ranges is the sorted fixture's tree — as many nodes, the
+// same answer for every lookup — and the caller's slices keep their
+// shuffled order.
+func TestMDITreeUnsortedInput(t *testing.T) {
+	sorted, err := NewMDITree(mem.NewAddressSpace(), "t", sessionsFixture(64, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	shuffled := sessionsFixture(64, 8)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, s := range shuffled {
+		rng.Shuffle(len(s.PDRs), func(i, j int) { s.PDRs[i], s.PDRs[j] = s.PDRs[j], s.PDRs[i] })
+	}
+	before := slices.Clone(shuffled)
+	for i := range before {
+		before[i].PDRs = slices.Clone(before[i].PDRs)
+	}
+	tree, err := NewMDITree(mem.NewAddressSpace(), "t", shuffled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.Nodes() != sorted.Nodes() {
+		t.Fatalf("shuffled input built %d nodes, sorted %d", tree.Nodes(), sorted.Nodes())
+	}
+	for ue := uint32(0x0a000000); ue <= 0x0a000000+64; ue++ {
+		for port := 0; port < 65536; port += 1021 {
+			gs, gp, gok := tree.Lookup(ue, uint16(port))
+			ws, wp, wok := sorted.Lookup(ue, uint16(port))
+			if gs != ws || gp != wp || gok != wok {
+				t.Fatalf("Lookup(%#x, %d) = %d,%d,%v from shuffled input, %d,%d,%v from sorted", ue, port, gs, gp, gok, ws, wp, wok)
+			}
+		}
+	}
+	for i := range before {
+		if before[i].UEIP != shuffled[i].UEIP || !slices.Equal(before[i].PDRs, shuffled[i].PDRs) {
+			t.Fatalf("NewMDITree reordered the caller's sessions or ranges (session slot %d)", i)
 		}
 	}
 }

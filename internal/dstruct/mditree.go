@@ -1,8 +1,9 @@
 package dstruct
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/gunfu-nfv/gunfu/internal/hostmem"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
@@ -87,8 +88,7 @@ func NewMDITree(as *mem.AddressSpace, name string, sessions []SessionRules) (*MD
 	t.nodes = make([]node, 0, total)
 
 	// Level-2 subtrees first so level-1 nodes can point at them.
-	sorted := append([]SessionRules(nil), sessions...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].UEIP < sorted[j].UEIP })
+	sorted := inOrder(sessions, func(a, b SessionRules) int { return cmp.Compare(a.UEIP, b.UEIP) })
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i].UEIP == sorted[i-1].UEIP {
 			return nil, fmt.Errorf("dstruct: mditree %s: duplicate UE IP %#x", name, sorted[i].UEIP)
@@ -97,8 +97,7 @@ func NewMDITree(as *mem.AddressSpace, name string, sessions []SessionRules) (*MD
 
 	subRoots := make([]int32, len(sorted))
 	for i, s := range sorted {
-		ranges := append([]PortRange(nil), s.PDRs...)
-		sort.Slice(ranges, func(a, b int) bool { return ranges[a].Lo < ranges[b].Lo })
+		ranges := inOrder(s.PDRs, func(a, b PortRange) int { return cmp.Compare(a.Lo, b.Lo) })
 		for j := 0; j < len(ranges); j++ {
 			if ranges[j].Lo > ranges[j].Hi {
 				return nil, fmt.Errorf("dstruct: mditree %s: inverted range [%d,%d]", name, ranges[j].Lo, ranges[j].Hi)
@@ -114,6 +113,16 @@ func NewMDITree(as *mem.AddressSpace, name string, sessions []SessionRules) (*MD
 	base := as.Reserve(uint64(len(t.nodes))*sim.LineBytes, sim.LineBytes)
 	t.region = mem.Region{Name: name, Base: base, Size: uint64(len(t.nodes)) * sim.LineBytes}
 	return t, nil
+}
+
+// inOrder returns s if it is sorted by compare, else a sorted copy.
+func inOrder[S ~[]E, E any](s S, compare func(a, b E) int) S {
+	if slices.IsSortedFunc(s, compare) {
+		return s
+	}
+	s = slices.Clone(s)
+	slices.SortFunc(s, compare)
+	return s
 }
 
 // buildRanges builds a balanced BST over disjoint sorted port ranges.

@@ -1,7 +1,7 @@
 package exp
 
 import (
-	"github.com/gunfu-nfv/gunfu/internal/director"
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
@@ -16,13 +16,13 @@ func Ablations(o Options) ([]*stats.Table, error) {
 	warm := o.pickU(20000, 2000)
 	window := o.pickU(100000, 8000)
 
-	nat := o.deploy(director.DeploySpec{NF: "nat", Flows: flows})
+	nat := o.deploy(deploy.Spec{NF: "nat", Flows: flows})
 	// natOn runs the NAT at 16 NFTasks on cores of simCfg, from a pool of
 	// that configuration.
 	natOn := func(simCfg sim.Config) (rt.Result, error) {
 		p := o
 		p.pool = sim.NewCorePool(simCfg)
-		return p.run(nat, ilConfig(16), warm, window)
+		return p.run(nat, rt.ConfigFor(16), warm, window)
 	}
 
 	// (a) Scheduler feature ladder.
@@ -40,7 +40,7 @@ func Ablations(o Options) ([]*stats.Table, error) {
 	rows1 := make([][]string, len(features))
 	if err := o.forEach(len(features), func(i int) error {
 		f := features[i]
-		cfg := ilConfig(16)
+		cfg := rt.ConfigFor(16)
 		if f.mutate != nil {
 			f.mutate(&cfg)
 		}

@@ -5,8 +5,8 @@
 //
 // Every single-core sweep point is one call, Options.run: build the
 // deployable in a fresh address space — NAT and UPF through
-// director.DefaultRegistry()'s factories, the SFC through
-// director.NewSFC, the same constructors agents and gunfu-bench use —
+// deploy.DefaultRegistry()'s factories, the SFC through
+// deploy.NewSFC, the same constructors agents and gunfu-bench use —
 // and run it on a core from the run's sim.CorePool, traced when
 // Options.Tracer is set. The multi-core figures (14, 15) are one
 // renderer over one rt.Engine runner.
@@ -26,7 +26,7 @@ import (
 	"sync/atomic"
 
 	"github.com/gunfu-nfv/gunfu/internal/compile"
-	"github.com/gunfu-nfv/gunfu/internal/director"
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
@@ -190,45 +190,30 @@ func Run(name string, o Options) ([]*stats.Table, error) {
 	return tables, nil
 }
 
-// ilConfig returns the interleaved model's worker tuning at the given
-// task count.
-func ilConfig(tasks int) rt.Config {
-	cfg := rt.DefaultConfig()
-	cfg.Tasks = tasks
-	if cfg.Batch < 2*tasks {
-		// Keep every NFTask occupied: the rx burst must cover the
-		// interleaving depth or deep sweeps degenerate to Batch tasks.
-		cfg.Batch = 2 * tasks
-	}
-	return cfg
-}
-
 // deployable builds one sweep point's program and workload, with state
 // drawn from as.
 type deployable func(as *mem.AddressSpace) (*model.Program, rt.Source, error)
 
-// registry holds the deployables agents and gunfu-bench build.
-var registry = director.DefaultRegistry()
-
-// deploy is registry deployable d.NF at 64 B packets and the run's
-// seed: the factory call agents and gunfu-bench make.
-func (o Options) deploy(d director.DeploySpec) deployable {
+// deploy is deploy.DefaultRegistry()'s deployable d.NF at 64 B packets
+// and the run's seed: the factory call agents and gunfu-bench make.
+func (o Options) deploy(d deploy.Spec) deployable {
 	d.PacketBytes, d.Seed = 64, o.Seed
-	return func(as *mem.AddressSpace) (*model.Program, rt.Source, error) { return registry[d.NF](as, d) }
+	factory := deploy.DefaultRegistry()[d.NF]
+	return func(as *mem.AddressSpace) (*model.Program, rt.Source, error) { return factory(as, d) }
 }
 
 // sfcPoint is the paper's SFC of the given length over flows flows at 64 B
 // packets and the run's seed.
 func (o Options) sfcPoint(length, flows int, fused bool, opts compile.SFCOptions) deployable {
 	return func(as *mem.AddressSpace) (*model.Program, rt.Source, error) {
-		return director.NewSFC(as, length, flows, fused, opts, 64, 0, 0, o.Seed)
+		return deploy.NewSFC(as, length, flows, fused, opts, 64, 0, 0, o.Seed)
 	}
 }
 
 // run is one sweep point: build in a fresh address space, run under cfg
-// — ilConfig(tasks), or rt.RTCConfig() for run-to-completion — on a
-// core from the run's pool with o.Tracer attached, for warmup packets
-// and then the measured window, whose result it returns.
+// — rt.ConfigFor(tasks), run-to-completion at 0 — on a core from the
+// run's pool with o.Tracer attached, for warmup packets and then the
+// measured window, whose result it returns.
 func (o Options) run(build deployable, cfg rt.Config, warmup, window uint64) (rt.Result, error) {
 	as := mem.NewAddressSpace()
 	prog, src, err := build(as)

@@ -1,7 +1,7 @@
 package exp
 
 import (
-	"github.com/gunfu-nfv/gunfu/internal/director"
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
 )
@@ -14,11 +14,11 @@ var taskSweep = []int{1, 2, 4, 8, 16, 32, 64}
 func (o Options) sweepTasks(build deployable, warm, window uint64) ([]rt.Result, error) {
 	results := make([]rt.Result, 1+len(taskSweep))
 	err := o.forEach(len(results), func(i int) (err error) {
-		cfg := rt.RTCConfig()
+		tasks := 0
 		if i > 0 {
-			cfg = ilConfig(taskSweep[i-1])
+			tasks = taskSweep[i-1]
 		}
-		results[i], err = o.run(build, cfg, warm, window)
+		results[i], err = o.run(build, rt.ConfigFor(tasks), warm, window)
 		return err
 	})
 	return results, err
@@ -37,7 +37,7 @@ func Fig10(o Options) ([]*stats.Table, error) {
 	t1 := stats.NewTable(
 		"Figure 10(a) — UPF downlink throughput vs interleaved NFTasks (PDRs=16, 64B, 1 core)",
 		"config", "gbps", "mpps", "cyc/pkt", "speedup-vs-rtc")
-	results, err := o.sweepTasks(o.deploy(director.DeploySpec{NF: "upf-downlink", Flows: sessions, PDRs: 16}), warm, window)
+	results, err := o.sweepTasks(o.deploy(deploy.Spec{NF: "upf-downlink", Flows: sessions, PDRs: 16}), warm, window)
 	if err != nil {
 		return nil, err
 	}
@@ -61,12 +61,12 @@ func Fig10(o Options) ([]*stats.Table, error) {
 	rows := make([][]string, len(pdrSweep))
 	if err := o.forEach(len(pdrSweep), func(i int) error {
 		pdrs := pdrSweep[i]
-		upf := o.deploy(director.DeploySpec{NF: "upf-downlink", Flows: sessions, PDRs: pdrs})
+		upf := o.deploy(deploy.Spec{NF: "upf-downlink", Flows: sessions, PDRs: pdrs})
 		rtcRes, err := o.run(upf, rt.RTCConfig(), warm, window)
 		if err != nil {
 			return err
 		}
-		ilRes, err := o.run(upf, ilConfig(16), warm, window)
+		ilRes, err := o.run(upf, rt.ConfigFor(16), warm, window)
 		if err != nil {
 			return err
 		}
@@ -102,7 +102,7 @@ func Fig11(o Options) ([]*stats.Table, error) {
 		"Figure 11 — NAT throughput and cache utilization vs interleaved NFTasks (130K flows, 64B, 1 core)",
 		"config", "gbps", "mpps", "l1hit", "l2hit", "ipc", "speedup-vs-rtc")
 
-	results, err := o.sweepTasks(o.deploy(director.DeploySpec{NF: "nat", Flows: flows}), warm, window)
+	results, err := o.sweepTasks(o.deploy(deploy.Spec{NF: "nat", Flows: flows}), warm, window)
 	if err != nil {
 		return nil, err
 	}

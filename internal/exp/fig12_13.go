@@ -35,11 +35,11 @@ func Fig12(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		ilRes, err := o.run(o.amfPoint(ues, m, nil), ilConfig(16), warm, window)
+		ilRes, err := o.run(o.amfPoint(ues, m, nil), rt.ConfigFor(16), warm, window)
 		if err != nil {
 			return err
 		}
-		dpRes, err := o.run(o.amfPoint(ues, m, packed), ilConfig(16), warm, window)
+		dpRes, err := o.run(o.amfPoint(ues, m, packed), rt.ConfigFor(16), warm, window)
 		if err != nil {
 			return err
 		}
@@ -101,17 +101,17 @@ func Fig13(o Options) ([]*stats.Table, error) {
 			return err
 		}
 		// Interleaved.
-		ilRes, err := o.run(o.sfcPoint(length, flows, false, compile.SFCOptions{}), ilConfig(16), warm, window)
+		ilRes, err := o.run(o.sfcPoint(length, flows, false, compile.SFCOptions{}), rt.ConfigFor(16), warm, window)
 		if err != nil {
 			return err
 		}
 		// Interleaved + data packing (fused pools).
-		dpRes, err := o.run(o.sfcPoint(length, flows, true, compile.SFCOptions{}), ilConfig(16), warm, window)
+		dpRes, err := o.run(o.sfcPoint(length, flows, true, compile.SFCOptions{}), rt.ConfigFor(16), warm, window)
 		if err != nil {
 			return err
 		}
 		// Interleaved + DP + redundant matching removal.
-		mrRes, err := o.run(o.sfcPoint(length, flows, true, compile.SFCOptions{RemoveRedundantMatching: true}), ilConfig(16), warm, window)
+		mrRes, err := o.run(o.sfcPoint(length, flows, true, compile.SFCOptions{RemoveRedundantMatching: true}), rt.ConfigFor(16), warm, window)
 		if err != nil {
 			return err
 		}

@@ -2,7 +2,7 @@ package exp
 
 import (
 	"github.com/gunfu-nfv/gunfu/internal/compile"
-	"github.com/gunfu-nfv/gunfu/internal/director"
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf/upf"
@@ -51,7 +51,7 @@ func Fig14(o Options) ([]*stats.Table, error) {
 			// no matching removal — since those are GuNFu compiler
 			// features the compared platforms lack.
 			opts := compile.SFCOptions{RemoveRedundantMatching: interleaved}
-			return director.NewSFC(as, 6, flows, interleaved, opts, size, shardBase, shardCount, o.Seed+int64(core)*7919)
+			return deploy.NewSFC(as, 6, flows, interleaved, opts, size, shardBase, shardCount, o.Seed+int64(core)*7919)
 		})
 }
 
@@ -159,9 +159,9 @@ func (o Options) runCores(setup coreSetup, size, cores int, interleaved bool) (r
 	totalFlows := o.pick(130000, 8192)
 	share := max(totalFlows/cores, 16)
 	perCore := o.pickU(60000, 4000)
-	cfg := rt.DefaultConfig()
-	if !interleaved {
-		cfg = rt.RTCConfig()
+	cfg := rt.ConfigFor(0)
+	if interleaved {
+		cfg = rt.ConfigFor(16)
 	}
 	setups := make([]rt.CoreSetup, cores)
 	for i := range setups {

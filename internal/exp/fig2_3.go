@@ -1,7 +1,7 @@
 package exp
 
 import (
-	"github.com/gunfu-nfv/gunfu/internal/director"
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf/amf"
@@ -27,7 +27,7 @@ func Fig2(o Options) ([]*stats.Table, error) {
 	rows1 := make([][]string, len(sessionsSweep))
 	if err := o.forEach(len(sessionsSweep), func(i int) error {
 		sessions := sessionsSweep[i]
-		res, err := o.run(o.deploy(director.DeploySpec{NF: "upf-downlink", Flows: sessions, PDRs: 16}), rt.RTCConfig(), warm, window)
+		res, err := o.run(o.deploy(deploy.Spec{NF: "upf-downlink", Flows: sessions, PDRs: 16}), rt.RTCConfig(), warm, window)
 		if err != nil {
 			return err
 		}
@@ -60,7 +60,7 @@ func Fig2(o Options) ([]*stats.Table, error) {
 	rows2 := make([][]string, len(pdrSweep))
 	if err := o.forEach(len(pdrSweep), func(i int) error {
 		pdrs := pdrSweep[i]
-		res, err := o.run(o.deploy(director.DeploySpec{NF: "upf-downlink", Flows: fixedSessions, PDRs: pdrs}), rt.RTCConfig(), warm, window)
+		res, err := o.run(o.deploy(deploy.Spec{NF: "upf-downlink", Flows: fixedSessions, PDRs: pdrs}), rt.RTCConfig(), warm, window)
 		if err != nil {
 			return err
 		}

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/gunfu-nfv/gunfu/internal/director"
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
@@ -21,19 +21,19 @@ import (
 // The golden strings were captured from the seed engine with Seed=42
 // and quick-mode populations.
 
-// goldenCase is one seeded scenario: a registry deployable (NF and
-// population) under one worker config, and its pinned fingerprint.
+// goldenCase is one seeded scenario: a registry deployable (NF,
+// population and task count, which picks the worker config) and its
+// pinned fingerprint.
 type goldenCase struct {
 	name string
-	spec director.DeploySpec
-	cfg  rt.Config
+	spec deploy.Spec
 	want string
 }
 
 // run builds the case through the registry's factory, runs it as a
 // sweep point of o and returns its fingerprint.
 func (tc goldenCase) run(o Options) (string, error) {
-	res, err := o.run(o.deploy(tc.spec), tc.cfg, 2000, 8000)
+	res, err := o.run(o.deploy(tc.spec), rt.ConfigFor(tc.spec.Tasks), 2000, 8000)
 	if err != nil {
 		return "", err
 	}
@@ -49,37 +49,34 @@ func fingerprint(packets, cycles, accessCycles uint64, ctr sim.Counters) string 
 }
 
 func goldenCases() []goldenCase {
-	nat := director.DeploySpec{NF: "nat", Flows: 1 << 13}
-	upf := director.DeploySpec{NF: "upf-downlink", Flows: 1 << 11, PDRs: 16}
+	nat := func(tasks int) deploy.Spec { return deploy.Spec{NF: "nat", Flows: 1 << 13, Tasks: tasks} }
+	upf := func(tasks int) deploy.Spec {
+		return deploy.Spec{NF: "upf-downlink", Flows: 1 << 11, PDRs: 16, Tasks: tasks}
+	}
 	return []goldenCase{
 		{
 			name: "nat-rtc",
-			spec: nat,
-			cfg:  rt.RTCConfig(),
+			spec: nat(0),
 			want: "packets=8000 cycles=2175288 access=1677440 Counters{Cycles:0x213138, Instructions:0xfafa4, Reads:0x7e34, Writes:0x3e80, L1Hits:0x61f4, L1Misses:0x5ac0, L2Hits:0x2fc0, L2Misses:0x2b00, LLCHits:0x14b8, LLCMisses:0x1648, PrefetchIssued:0x0, PrefetchDropped:0x0, PrefetchRedundant:0x0, PrefetchUseful:0x0, PrefetchLate:0x0, StallCycles:0x1810b0, TaskSwitches:0x0}",
 		},
 		{
 			name: "nat-il16",
-			spec: nat,
-			cfg:  ilConfig(16),
+			spec: nat(16),
 			want: "packets=8000 cycles=1379326 access=248638 Counters{Cycles:0x150bfe, Instructions:0x18de82, Reads:0x7e34, Writes:0x3e80, L1Hits:0xb357, L1Misses:0x95d, L2Hits:0x7a6, L2Misses:0x1b7, LLCHits:0x1b5, LLCMisses:0x2, PrefetchIssued:0x63d9, PrefetchDropped:0x5, PrefetchRedundant:0x154c, PrefetchUseful:0x6096, PrefetchLate:0x6e, StallCycles:0xfde2, TaskSwitches:0xb9cf}",
 		},
 		{
 			name: "nat-il64",
-			spec: nat,
-			cfg:  ilConfig(64),
+			spec: nat(64),
 			want: "packets=8000 cycles=1602288 access=467978 Counters{Cycles:0x1872f0, Instructions:0x18eae7, Reads:0x7e34, Writes:0x3e80, L1Hits:0x7f0c, L1Misses:0x3da8, L2Hits:0x319d, L2Misses:0xc0b, LLCHits:0xc08, LLCMisses:0x3, PrefetchIssued:0x7982, PrefetchDropped:0x29, PrefetchRedundant:0x140, PrefetchUseful:0x3c10, PrefetchLate:0x3d, StallCycles:0x527da, TaskSwitches:0xbab2}",
 		},
 		{
 			name: "upf-rtc",
-			spec: upf,
-			cfg:  rt.RTCConfig(),
+			spec: upf(0),
 			want: "packets=8000 cycles=7650362 access=6677082 Counters{Cycles:0x74bc3a, Instructions:0x1ff338, Reads:0x200f8, Writes:0x5dc0, L1Hits:0xdb53, L1Misses:0x18365, L2Hits:0xe65b, L2Misses:0x9d0a, LLCHits:0x3eda, LLCMisses:0x5e30, PrefetchIssued:0x0, PrefetchDropped:0x0, PrefetchRedundant:0x0, PrefetchUseful:0x0, PrefetchLate:0x0, StallCycles:0x62750e, TaskSwitches:0x0}",
 		},
 		{
 			name: "upf-il16",
-			spec: upf,
-			cfg:  ilConfig(16),
+			spec: upf(16),
 			want: "packets=8000 cycles=4611199 access=737147 Counters{Cycles:0x465c7f, Instructions:0x4a8f3e, Reads:0x200f8, Writes:0x5dc0, L1Hits:0x25e17, L1Misses:0xa1, L2Hits:0x10, L2Misses:0x91, LLCHits:0x90, LLCMisses:0x1, PrefetchIssued:0x1a3c2, PrefetchDropped:0x2, PrefetchRedundant:0x35a, PrefetchUseful:0x19963, PrefetchLate:0xa5a, StallCycles:0x1c71f, TaskSwitches:0x369be}",
 		},
 	}
@@ -95,6 +92,38 @@ func TestGoldenCounters(t *testing.T) {
 			}
 			if got != tc.want {
 				t.Errorf("simulated counters drifted from the seed engine\n got: %s\nwant: %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestGoldenCountersRegistry builds every golden case the way agents
+// and gunfu-bench do — deploy.DefaultRegistry().Build on a fresh core,
+// the spec's Tasks choosing the worker config — and holds it to the
+// same pinned fingerprint: one worker-config rule for every caller.
+func TestGoldenCountersRegistry(t *testing.T) {
+	for _, tc := range goldenCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			core, err := sim.NewCore(sim.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := tc.spec
+			d.PacketBytes, d.Seed = 64, 42
+			_, run, err := deploy.DefaultRegistry().Build(core, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := run(2000); err != nil {
+				t.Fatal(err)
+			}
+			res, err := run(8000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fingerprint(res.Packets, res.Cycles, res.AccessCycles, res.Counters)
+			if got != tc.want {
+				t.Errorf("the registry's worker config drifted from the sweeps'\n got: %s\nwant: %s", got, tc.want)
 			}
 		})
 	}

@@ -45,7 +45,7 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{CutProb: -0.1},
 		{CutProb: 1.5},
-		{CutProb: 0.5},                                  // cut range missing
+		{CutProb: 0.5}, // cut range missing
 		{CutProb: 0.5, CutAfterMin: 10, CutAfterMax: 5}, // inverted range
 		{Latency: time.Millisecond},                     // no cadence
 	}

@@ -14,7 +14,7 @@ import (
 	"testing"
 
 	"github.com/gunfu-nfv/gunfu/internal/compile"
-	"github.com/gunfu-nfv/gunfu/internal/director"
+	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf/amf"
@@ -312,7 +312,7 @@ func sfcWorld(t *testing.T, name string, fused bool, opts compile.SFCOptions) to
 		return g
 	}
 	as := mem.NewAddressSpace()
-	chain, err := director.NewChain(as, 6, touchFlows, fused)
+	chain, err := deploy.NewChain(as, 6, touchFlows, fused)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,8 +180,9 @@ func New(as *mem.AddressSpace, cfg Config) (*UPF, error) {
 		pdrs:     make([]PDR, nPDR),
 	}
 
-	// Populate sessions, PDRs, the MDI tree and the TEID table.
+	// Populate sessions, PDRs (one array), the MDI tree and the TEID table.
 	rules := make([]dstruct.SessionRules, cfg.Sessions)
+	ranges := make([]dstruct.PortRange, nPDR)
 	span := 65536 / cfg.PDRsPerSession
 	u.teids, err = dstruct.NewCuckoo(as, cfg.Name+".teid", cfg.Sessions)
 	if err != nil {
@@ -198,9 +199,10 @@ func New(as *mem.AddressSpace, cfg Config) (*UPF, error) {
 		if err := u.teids.Insert(uint64(teid), int32(i)); err != nil {
 			return nil, fmt.Errorf("upf: teid table: %w", err)
 		}
-		sr := dstruct.SessionRules{UEIP: cfg.UEIP(i), Session: int32(i)}
+		first, end := i*cfg.PDRsPerSession, (i+1)*cfg.PDRsPerSession
+		sr := dstruct.SessionRules{UEIP: cfg.UEIP(i), Session: int32(i), PDRs: ranges[first:first:end]}
 		for p := 0; p < cfg.PDRsPerSession; p++ {
-			idx := i*cfg.PDRsPerSession + p
+			idx := first + p
 			action := FARForward
 			if cfg.DropEvery > 0 && (p+1)%cfg.DropEvery == 0 {
 				action = FARDrop

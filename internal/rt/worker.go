@@ -86,6 +86,17 @@ func RTCConfig() Config {
 	return c
 }
 
+// ConfigFor is the worker config for max_interleaved = tasks: RTCConfig
+// at 0, else DefaultConfig with a burst that keeps every NFTask busy.
+func ConfigFor(tasks int) Config {
+	if tasks == 0 {
+		return RTCConfig()
+	}
+	c := DefaultConfig()
+	c.Tasks, c.Batch = tasks, max(c.Batch, 2*tasks)
+	return c
+}
+
 func (c Config) validate() error {
 	if c.Tasks <= 0 {
 		return fmt.Errorf("rt: Tasks must be positive, got %d", c.Tasks)
