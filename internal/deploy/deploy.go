@@ -53,16 +53,16 @@ type Spec struct {
 // Validate checks the spec's common fields.
 func (d Spec) Validate() error {
 	if d.NF == "" {
-		return fmt.Errorf("director: deploy: NF name required")
+		return fmt.Errorf("deploy: NF name required")
 	}
 	if d.Flows <= 0 || d.Packets == 0 {
-		return fmt.Errorf("director: deploy: Flows and Packets must be positive")
+		return fmt.Errorf("deploy: Flows and Packets must be positive")
 	}
 	if d.PacketBytes < 64 {
-		return fmt.Errorf("director: deploy: PacketBytes must be >= 64")
+		return fmt.Errorf("deploy: PacketBytes must be >= 64")
 	}
 	if d.Tasks < 0 {
-		return fmt.Errorf("director: deploy: Tasks must be >= 0 (0 selects run-to-completion), got %d", d.Tasks)
+		return fmt.Errorf("deploy: Tasks must be >= 0 (0 selects run-to-completion), got %d", d.Tasks)
 	}
 	return nil
 }

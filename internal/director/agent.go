@@ -504,7 +504,7 @@ func (a *Agent) execute(env Envelope, send func(Envelope) error) Envelope {
 	}
 
 	// The only live tap is the latency probe, when the spec asks for
-	// latency telemetry: it consumes rx and done events alone, so the
+	// latency telemetry: it consumes stream-done events alone, so the
 	// core builds no others. Flight dumps come from replays.
 	var probe *obs.LatencyProbe
 	if d.Latency {
@@ -539,14 +539,7 @@ func (a *Agent) execute(env Envelope, send func(Envelope) error) Envelope {
 
 	return Envelope{
 		Type: TypeResult, Seq: env.Seq, Agent: a.name,
-		Result: &Result{
-			Agent:    a.name,
-			Packets:  res.Packets,
-			Bits:     res.Bits,
-			Cycles:   res.Cycles,
-			FreqHz:   res.FreqHz,
-			Counters: res.Counters,
-		},
+		Result: &Result{Agent: a.name, Result: res},
 	}
 }
 
@@ -571,16 +564,8 @@ func (a *Agent) measure(d DeploySpec, seq int, run func(uint64) (rt.Result, erro
 		if err != nil {
 			return rt.Result{}, err
 		}
-		total.Packets += r.Packets
-		total.Bits += r.Bits
-		total.Cycles += r.Cycles
-		total.FreqHz = r.FreqHz
-		total.Counters = total.Counters.Add(r.Counters)
-		rep := StatsReport{
-			Agent: a.name, NF: d.NF, Window: window,
-			Packets: r.Packets, Bits: r.Bits,
-			Cycles: r.Cycles, FreqHz: r.FreqHz, Counters: r.Counters,
-		}
+		total = total.Add(r)
+		rep := StatsReport{Agent: a.name, NF: d.NF, Window: window, Result: r}
 		if probe != nil {
 			rep.Latency = probe.TakeWindow()
 		}

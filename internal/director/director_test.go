@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/gunfu-nfv/gunfu/internal/rt"
 )
 
 // startCluster brings up a director and n agents on loopback and
@@ -280,12 +282,14 @@ func TestDeploySpecValidate(t *testing.T) {
 	for i, b := range bad {
 		if err := b.Validate(); err == nil {
 			t.Fatalf("spec %d accepted: %+v", i, b)
+		} else if !strings.HasPrefix(err.Error(), "deploy: ") {
+			t.Fatalf("spec %d: error %q does not name its package", i, err)
 		}
 	}
 }
 
 func TestResultGbps(t *testing.T) {
-	r := Result{Bits: 1e9, Cycles: 1000, FreqHz: 1e9}
+	r := Result{Result: rt.Result{Bits: 1e9, Cycles: 1000, FreqHz: 1e9}}
 	// 1e9 bits in 1 microsecond = 1e15 bps... sanity: cycles/freq = 1µs.
 	if g := r.Gbps(); g < 0.9e6 || g > 1.1e6 {
 		t.Fatalf("Gbps = %v", g)

@@ -20,7 +20,7 @@ import (
 	"io"
 
 	"github.com/gunfu-nfv/gunfu/internal/deploy"
-	"github.com/gunfu-nfv/gunfu/internal/sim"
+	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
 )
 
@@ -52,26 +52,12 @@ const (
 // the wire type cannot drift from what every other caller builds.
 type DeploySpec = deploy.Spec
 
-// Result carries an agent's measurements back to the director.
+// Result carries an agent's measurements back to the director: the
+// measured window's record, under the agent's name.
 type Result struct {
 	// Agent is the reporting agent's name.
 	Agent string `json:"agent"`
-	// Packets and Bits are the processed volume.
-	Packets uint64  `json:"packets"`
-	Bits    float64 `json:"bits"`
-	// Cycles is the simulated window, FreqHz its clock.
-	Cycles uint64  `json:"cycles"`
-	FreqHz float64 `json:"freq_hz"`
-	// Counters is the PMU delta.
-	Counters sim.Counters `json:"counters"`
-}
-
-// Gbps converts the result to gigabits per second of simulated time.
-func (r Result) Gbps() float64 {
-	if r.Cycles == 0 || r.FreqHz == 0 {
-		return 0
-	}
-	return r.Bits / (float64(r.Cycles) / r.FreqHz) / 1e9
+	rt.Result
 }
 
 // StatsReport is one telemetry heartbeat: the windowed delta of a
@@ -84,14 +70,9 @@ type StatsReport struct {
 	NF string `json:"nf"`
 	// Window is the chunk index within the deployment, from 0.
 	Window int `json:"window"`
-	// Packets and Bits are the chunk's processed volume.
-	Packets uint64  `json:"packets"`
-	Bits    float64 `json:"bits"`
-	// Cycles is the chunk's simulated span, FreqHz its clock.
-	Cycles uint64  `json:"cycles"`
-	FreqHz float64 `json:"freq_hz"`
-	// Counters is the chunk's PMU delta.
-	Counters sim.Counters `json:"counters"`
+	// Result is the chunk's record: volume, simulated span, clock and
+	// PMU delta.
+	rt.Result
 	// Latency is the chunk's rx→done latency histogram in cycles
 	// (present when the deployment requested DeploySpec.Latency).
 	// Histograms share one fixed bucket geometry, so receivers can
@@ -106,22 +87,6 @@ func (s StatsReport) P99Cycles() uint64 {
 		return 0
 	}
 	return s.Latency.Quantile(0.99)
-}
-
-// Gbps returns the chunk's throughput in gigabits per simulated second.
-func (s StatsReport) Gbps() float64 {
-	if s.Cycles == 0 || s.FreqHz == 0 {
-		return 0
-	}
-	return s.Bits / (float64(s.Cycles) / s.FreqHz) / 1e9
-}
-
-// Mpps returns the chunk's rate in million packets per simulated second.
-func (s StatsReport) Mpps() float64 {
-	if s.Cycles == 0 || s.FreqHz == 0 {
-		return 0
-	}
-	return float64(s.Packets) / (float64(s.Cycles) / s.FreqHz) / 1e6
 }
 
 // Envelope is the wire message.

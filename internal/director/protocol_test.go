@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
 )
@@ -31,15 +32,16 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 			Tasks: 16, Seed: 9, SFCLength: 5, PDRs: 8, StatsEvery: 500,
 		}},
 		{Type: TypeResult, Seq: 3, Agent: "w1", Result: &Result{
-			Agent: "w1", Packets: 5000, Bits: 2.56e6, Cycles: 1e6, FreqHz: 2.7e9, Counters: ctr,
+			Agent: "w1", Result: rt.Result{Packets: 5000, Bits: 2.56e6, Cycles: 1e6, FreqHz: 2.7e9, Counters: ctr},
 		}},
 		{Type: TypeStats, Seq: 3, Agent: "w1", Stats: &StatsReport{
-			Agent: "w1", NF: "sfc", Window: 2, Packets: 500, Bits: 2.56e5,
-			Cycles: 1e5, FreqHz: 2.7e9, Counters: ctr,
+			Agent: "w1", NF: "sfc", Window: 2,
+			Result: rt.Result{Packets: 500, Bits: 2.56e5, Cycles: 1e5, FreqHz: 2.7e9, Counters: ctr},
 		}},
 		{Type: TypeStats, Seq: 3, Agent: "w1", Stats: &StatsReport{
-			Agent: "w1", NF: "nat", Window: 0, Packets: 3, Bits: 1536,
-			Cycles: 900, FreqHz: 2.7e9, Latency: latencyHist(120, 340, 2200),
+			Agent: "w1", NF: "nat", Window: 0,
+			Result:  rt.Result{Packets: 3, Bits: 1536, Cycles: 900, FreqHz: 2.7e9},
+			Latency: latencyHist(120, 340, 2200),
 		}},
 		{Type: TypeDump, Agent: "w1"},
 		{Type: TypeDumpDone, Agent: "w1", Dump: &DumpInfo{
@@ -69,8 +71,56 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
+// fromRun copies into dst (a *Result or *StatsReport) every field of
+// res that dst has by name, promoted fields included — the report an
+// agent builds from a run — so the byte pin below does not depend on
+// how the records declare their fields.
+func fromRun(dst any, res rt.Result) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(res)
+	for i := 0; i < s.NumField(); i++ {
+		if f := d.FieldByName(s.Type().Field(i).Name); f.IsValid() {
+			f.Set(s.Field(i))
+		}
+	}
+}
+
+// TestWireBytesPinned pins the encoded TypeResult and TypeStats
+// envelopes byte for byte, every field set: the window record's field
+// names, order and number formats are the wire contract, and a run's
+// AccessCycles never goes on the wire.
+func TestWireBytesPinned(t *testing.T) {
+	run := rt.Result{
+		Packets: 5000, Bits: 2.56e6, Cycles: 1234567, FreqHz: 2.7e9, AccessCycles: 4242,
+		Counters: sim.Counters{
+			Cycles: 1, Instructions: 2, Reads: 3, Writes: 4, L1Hits: 5, L1Misses: 6,
+			L2Hits: 7, L2Misses: 8, LLCHits: 9, LLCMisses: 10, PrefetchIssued: 11,
+			PrefetchDropped: 12, PrefetchRedundant: 13, PrefetchUseful: 14, PrefetchLate: 15,
+			StallCycles: 16, TaskSwitches: 17,
+		},
+	}
+	res := &Result{Agent: "w1"}
+	fromRun(res, run)
+	rep := &StatsReport{Agent: "w1", NF: "sfc", Window: 3, Latency: latencyHist(1, 2, 3)}
+	fromRun(rep, run)
+	for _, tc := range []struct {
+		env  Envelope
+		want string
+	}{
+		{Envelope{Type: TypeResult, Seq: 7, Agent: "w1", Result: res}, `{"type":"result","seq":7,"agent":"w1","result":{"agent":"w1","packets":5000,"bits":2560000,"cycles":1234567,"freq_hz":2700000000,"counters":{"Cycles":1,"Instructions":2,"Reads":3,"Writes":4,"L1Hits":5,"L1Misses":6,"L2Hits":7,"L2Misses":8,"LLCHits":9,"LLCMisses":10,"PrefetchIssued":11,"PrefetchDropped":12,"PrefetchRedundant":13,"PrefetchUseful":14,"PrefetchLate":15,"StallCycles":16,"TaskSwitches":17}}}`},
+		{Envelope{Type: TypeStats, Seq: 7, Agent: "w1", Stats: rep}, `{"type":"stats","seq":7,"agent":"w1","stats":{"agent":"w1","nf":"sfc","window":3,"packets":5000,"bits":2560000,"cycles":1234567,"freq_hz":2700000000,"counters":{"Cycles":1,"Instructions":2,"Reads":3,"Writes":4,"L1Hits":5,"L1Misses":6,"L2Hits":7,"L2Misses":8,"LLCHits":9,"LLCMisses":10,"PrefetchIssued":11,"PrefetchDropped":12,"PrefetchRedundant":13,"PrefetchUseful":14,"PrefetchLate":15,"StallCycles":16,"TaskSwitches":17},"latency":{"sub_bits":5,"counts":[0,1,1,1],"total":3,"sum":6,"min":1,"max":3}}}`},
+	} {
+		b, err := encode(tc.env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(b); got != tc.want+"\n" {
+			t.Errorf("%s envelope bytes changed\n got %q\nwant %q", tc.env.Type, got, tc.want)
+		}
+	}
+}
+
 func TestStatsReportRates(t *testing.T) {
-	r := StatsReport{Packets: 1000, Bits: 512000, Cycles: 1000000, FreqHz: 1e9}
+	r := StatsReport{Result: rt.Result{Packets: 1000, Bits: 512000, Cycles: 1000000, FreqHz: 1e9}}
 	if g := r.Gbps(); g < 0.5119 || g > 0.5121 {
 		t.Fatalf("Gbps = %v", g)
 	}

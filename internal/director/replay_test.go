@@ -183,7 +183,7 @@ func TestReplayDivergenceIsReported(t *testing.T) {
 
 // TestAgentLiveTaps guards what a live deployment carries: nothing
 // without latency telemetry, and with it only the latency probe, which
-// consumes rx and done events alone — one of each per packet.
+// consumes stream-done events alone — one per packet.
 func TestAgentLiveTaps(t *testing.T) {
 	for _, latency := range []bool{false, true} {
 		seen := map[sim.Tracer]bool{}
@@ -231,8 +231,8 @@ func TestAgentLiveTaps(t *testing.T) {
 			switch {
 			case !latency && tr != nil:
 				t.Fatalf("deployment without latency telemetry ran with tracer %T attached", tr)
-			case latency && sim.KindsOf(tr) != sim.KindSet(sim.TraceRx, sim.TraceStreamDone):
-				t.Fatalf("latency deployment's tracer %T consumes kinds %#x, want rx|done only", tr, sim.KindsOf(tr))
+			case latency && sim.KindsOf(tr) != sim.KindSet(sim.TraceStreamDone):
+				t.Fatalf("latency deployment's tracer %T consumes kinds %#x, want done only", tr, sim.KindsOf(tr))
 			}
 		}
 		if latency && latencySamples != d.Packets {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/gunfu-nfv/gunfu/internal/obs"
+	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
 )
 
@@ -73,11 +74,7 @@ func (m *Monitor) Observe(r StatsReport) {
 	a.latest = r
 	a.windows++
 	t := &a.total
-	t.FreqHz = r.FreqHz
-	t.Packets += r.Packets
-	t.Bits += r.Bits
-	t.Cycles += r.Cycles
-	t.Counters = t.Counters.Add(r.Counters)
+	t.Result = t.Result.Add(r.Result)
 	if r.Latency != nil {
 		if t.Latency == nil {
 			t.Latency = &stats.Histogram{}
@@ -120,16 +117,13 @@ func (m *Monitor) ClusterLatency() *stats.Histogram {
 
 // runs sums the agents' current runs (windows, volume and PMU block)
 // and returns the newest heartbeat, nil before the first.
-func (m *Monitor) runs() (windows int, sum StatsReport, newest *StatsReport) {
+func (m *Monitor) runs() (windows int, sum rt.Result, newest *StatsReport) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, name := range m.order {
 		a := m.agents[name]
 		windows += a.windows
-		sum.Packets += a.total.Packets
-		sum.Bits += a.total.Bits
-		sum.Cycles += a.total.Cycles
-		sum.Counters = sum.Counters.Add(a.total.Counters)
+		sum = sum.Add(a.total.Result)
 	}
 	if m.newest != nil {
 		r := m.newest.latest
@@ -152,17 +146,17 @@ func (m *Monitor) runs() (windows int, sum StatsReport, newest *StatsReport) {
 // Hang the monitor off Agent.OnStats for a worker's own view, or off
 // Director.SetStatsHandler for the cluster's.
 func (m *Monitor) Register(reg *obs.Registry) {
-	counter := func(name, help string, value func(windows int, sum StatsReport) float64) {
+	counter := func(name, help string, value func(windows int, sum rt.Result) float64) {
 		reg.FamilyFunc(name, help, obs.TypeCounter, func(emit obs.Emit) { n, sum, _ := m.runs(); emit(value(n, sum)) })
 	}
-	counter("gunfu_stats_windows", "Telemetry heartbeats of the current runs.", func(n int, _ StatsReport) float64 { return float64(n) })
-	counter("gunfu_packets", "Packets processed in the current runs.", func(_ int, s StatsReport) float64 { return float64(s.Packets) })
-	counter("gunfu_bits", "Payload bits processed in the current runs.", func(_ int, s StatsReport) float64 { return s.Bits })
-	counter("gunfu_cycles", "Simulated core cycles of the current runs.", func(_ int, s StatsReport) float64 { return float64(s.Cycles) })
+	counter("gunfu_stats_windows", "Telemetry heartbeats of the current runs.", func(n int, _ rt.Result) float64 { return float64(n) })
+	counter("gunfu_packets", "Packets processed in the current runs.", func(_ int, s rt.Result) float64 { return float64(s.Packets) })
+	counter("gunfu_bits", "Payload bits processed in the current runs.", func(_ int, s rt.Result) float64 { return s.Bits })
+	counter("gunfu_cycles", "Simulated core cycles of the current runs.", func(_ int, s rt.Result) float64 { return float64(s.Cycles) })
 	counter("gunfu_stall_cycles", "Simulated cycles stalled on memory in the current runs.",
-		func(_ int, s StatsReport) float64 { return float64(s.Counters.StallCycles) })
+		func(_ int, s rt.Result) float64 { return float64(s.Counters.StallCycles) })
 	counter("gunfu_task_switches", "NFTask scheduler switches in the current runs.",
-		func(_ int, s StatsReport) float64 { return float64(s.Counters.TaskSwitches) })
+		func(_ int, s rt.Result) float64 { return float64(s.Counters.TaskSwitches) })
 	reg.FamilyFunc("gunfu_pmu", "Raw PMU counter block of the current runs, one series per counter.", obs.TypeCounter,
 		func(emit obs.Emit) {
 			if n, sum, _ := m.runs(); n > 0 {

@@ -12,15 +12,16 @@ import (
 	"time"
 
 	"github.com/gunfu-nfv/gunfu/internal/obs"
+	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
 
 func TestSLOCheck(t *testing.T) {
 	// A window: 1000 packets in 1e6 cycles at 1 GHz = 1 Mpps, 40% stall.
 	rep := StatsReport{
-		Agent: "w", NF: "nat", Packets: 1000, Cycles: 1e6, FreqHz: 1e9,
-		Counters: sim.Counters{Cycles: 1e6, StallCycles: 4e5},
-		Latency:  latencyHist(100, 200, 3000),
+		Agent: "w", NF: "nat",
+		Result:  rt.Result{Packets: 1000, Cycles: 1e6, FreqHz: 1e9, Counters: sim.Counters{Cycles: 1e6, StallCycles: 4e5}},
+		Latency: latencyHist(100, 200, 3000),
 	}
 	cases := []struct {
 		name string
@@ -56,7 +57,7 @@ func TestMonitorSLOTransitions(t *testing.T) {
 	m.SLO = SLO{MinMpps: 1}
 	m.OnBreach = func(b Breach) { breaches = append(breaches, b) }
 
-	good := StatsReport{Agent: "w1", NF: "nat", Packets: 2000, Cycles: 1e6, FreqHz: 1e9}
+	good := StatsReport{Agent: "w1", NF: "nat", Result: rt.Result{Packets: 2000, Cycles: 1e6, FreqHz: 1e9}}
 	bad := good
 	bad.Packets = 10
 
@@ -135,7 +136,7 @@ func TestMonitorConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				m.Observe(StatsReport{
 					Agent: agent, NF: "nat", Window: i,
-					Packets: uint64(10 + i%2*10000), Cycles: 1e6, FreqHz: 1e9,
+					Result:  rt.Result{Packets: uint64(10 + i%2*10000), Cycles: 1e6, FreqHz: 1e9},
 					Latency: latencyHist(uint64(i + 1)),
 				})
 				if i%50 == 0 {
@@ -193,20 +194,24 @@ func TestMonitorExposition(t *testing.T) {
 	m := NewMonitor()
 	m.Register(reg)
 	m.Observe(StatsReport{
-		Agent: "w", NF: "nat", Window: 0, Packets: 1000, Bits: 512000,
-		Cycles: 1e6, FreqHz: 1e9,
-		Counters: sim.Counters{
-			Cycles: 1e6, Instructions: 15e5, StallCycles: 25e4,
-			Reads: 4000, Writes: 1000, L1Hits: 4500, L1Misses: 500,
-			PrefetchIssued: 400, PrefetchUseful: 300, TaskSwitches: 900,
+		Agent: "w", NF: "nat", Window: 0,
+		Result: rt.Result{
+			Packets: 1000, Bits: 512000, Cycles: 1e6, FreqHz: 1e9,
+			Counters: sim.Counters{
+				Cycles: 1e6, Instructions: 15e5, StallCycles: 25e4,
+				Reads: 4000, Writes: 1000, L1Hits: 4500, L1Misses: 500,
+				PrefetchIssued: 400, PrefetchUseful: 300, TaskSwitches: 900,
+			},
 		},
 		Latency: latencyHist(100, 200, 400, 800),
 	})
 	m.Observe(StatsReport{
-		Agent: "w", NF: "nat", Window: 1, Packets: 500, Bits: 256000,
-		Cycles: 5e5, FreqHz: 1e9,
-		Counters: sim.Counters{Cycles: 5e5, Instructions: 1e6, L1Hits: 2000, StallCycles: 1e5},
-		Latency:  latencyHist(1600),
+		Agent: "w", NF: "nat", Window: 1,
+		Result: rt.Result{
+			Packets: 500, Bits: 256000, Cycles: 5e5, FreqHz: 1e9,
+			Counters: sim.Counters{Cycles: 5e5, Instructions: 1e6, L1Hits: 2000, StallCycles: 1e5},
+		},
+		Latency: latencyHist(1600),
 	})
 
 	out := expose(t, reg)
@@ -231,7 +236,7 @@ func TestMonitorExposition(t *testing.T) {
 	}
 
 	// A redeploy to a different NF swaps the info series.
-	m.Observe(StatsReport{Agent: "w", NF: "sfc", Window: 0, Packets: 1, Cycles: 1, FreqHz: 1e9})
+	m.Observe(StatsReport{Agent: "w", NF: "sfc", Window: 0, Result: rt.Result{Packets: 1, Cycles: 1, FreqHz: 1e9}})
 	out = expose(t, reg)
 	if !strings.Contains(out, `gunfu_deployment_info{nf="sfc"} 1`+"\n") {
 		t.Fatalf("info not swapped:\n%s", out)
@@ -441,10 +446,10 @@ func TestMonitorRestartResets(t *testing.T) {
 	m := NewMonitor()
 	reg := obs.NewRegistry()
 	m.Register(reg)
-	m.Observe(StatsReport{Agent: "a", NF: "nat", Window: 0, Packets: 100, Latency: latencyHist(10)})
-	m.Observe(StatsReport{Agent: "a", NF: "nat", Window: 1, Packets: 100, Latency: latencyHist(20)})
+	m.Observe(StatsReport{Agent: "a", NF: "nat", Window: 0, Result: rt.Result{Packets: 100}, Latency: latencyHist(10)})
+	m.Observe(StatsReport{Agent: "a", NF: "nat", Window: 1, Result: rt.Result{Packets: 100}, Latency: latencyHist(20)})
 	// The restart: window 0 again.
-	m.Observe(StatsReport{Agent: "a", NF: "nat", Window: 0, Packets: 50, Latency: latencyHist(30)})
+	m.Observe(StatsReport{Agent: "a", NF: "nat", Window: 0, Result: rt.Result{Packets: 50}, Latency: latencyHist(30)})
 
 	tab := m.Table()
 	col, err := tab.ColumnIndex("total pkts")
@@ -468,7 +473,7 @@ func TestMonitorRestartResets(t *testing.T) {
 
 	// A same-window duplicate (replayed heartbeat) is treated the same
 	// way — the totals never exceed what one run produced.
-	m.Observe(StatsReport{Agent: "a", NF: "nat", Window: 0, Packets: 50, Latency: latencyHist(40)})
+	m.Observe(StatsReport{Agent: "a", NF: "nat", Window: 0, Result: rt.Result{Packets: 50}, Latency: latencyHist(40)})
 	if total, err := m.Table().CellFloat(0, col); err != nil || total != 50 {
 		t.Fatalf("total pkts after duplicate window = %v (%v)", total, err)
 	}
@@ -507,7 +512,7 @@ func TestMonitorNoDuplicateBreachAcrossRestart(t *testing.T) {
 	m.SLO = SLO{MinMpps: 1}
 	fired := 0
 	m.OnBreach = func(Breach) { fired++ }
-	bad := StatsReport{Agent: "w1", NF: "nat", Window: 0, Packets: 10, Cycles: 1e6, FreqHz: 1e9}
+	bad := StatsReport{Agent: "w1", NF: "nat", Window: 0, Result: rt.Result{Packets: 10, Cycles: 1e6, FreqHz: 1e9}}
 	m.Observe(bad)
 	// Death, reconnect, re-run: the replayed run starts at window 0.
 	m.Observe(bad)

@@ -27,7 +27,9 @@ const (
 
 // refWorker lays its rx ring and task scratch out exactly as
 // rt.NewWorker does (ring first, then one scratch region per task), so
-// both sides of the differential resolve the same addresses.
+// both sides of the differential resolve the same addresses. It keeps
+// its own rx cycle per buffer address for the stream-done latency, so
+// the worker's packet stamp is checked, never trusted.
 type refWorker struct {
 	core  *sim.Core
 	prog  *model.Program
@@ -36,6 +38,7 @@ type refWorker struct {
 	ring  *pkt.Ring
 	tasks []model.Exec
 	seq   uint64
+	rxAt  map[uint64]uint64
 }
 
 func newRefWorker(core *sim.Core, as *mem.AddressSpace, prog *model.Program, mode refMode, cfg rt.Config) *refWorker {
@@ -47,7 +50,7 @@ func newRefWorker(core *sim.Core, as *mem.AddressSpace, prog *model.Program, mod
 	if mode == refRTC {
 		n = 1
 	}
-	w := &refWorker{core: core, prog: prog, mode: mode, cfg: cfg, ring: ring, tasks: make([]model.Exec, n)}
+	w := &refWorker{core: core, prog: prog, mode: mode, cfg: cfg, ring: ring, tasks: make([]model.Exec, n), rxAt: map[uint64]uint64{}}
 	for i := range w.tasks {
 		w.tasks[i] = model.Exec{
 			Core:     core,
@@ -59,7 +62,8 @@ func newRefWorker(core *sim.Core, as *mem.AddressSpace, prog *model.Program, mod
 }
 
 // receive models one rx burst: slot assignment, the DDIO fill of the
-// header lines, the per-packet receive cost, and the TraceRx event.
+// header lines, the per-packet receive cost, and the TraceRx event
+// with the rx cycle it records.
 func (w *refWorker) receive(src rt.Source, limit uint64) []*pkt.Packet {
 	n := uint64(w.cfg.Batch)
 	if limit > 0 && limit < n {
@@ -81,6 +85,7 @@ func (w *refWorker) receive(src rt.Source, limit uint64) []*pkt.Packet {
 		w.core.DMAFill(p.Addr, min(uint64(len(p.Data)), 128))
 		w.core.Compute(w.cfg.RxCost)
 		if traced {
+			w.rxAt[p.Addr] = w.core.Now()
 			w.core.Emit(sim.TraceRx, sim.CauseNone, p.Addr, uint64(p.Bits()), 0)
 		}
 		batch = append(batch, p)
@@ -112,7 +117,8 @@ func (w *refWorker) Run(src rt.Source, maxPackets uint64) (rt.Result, error) {
 		res.AccessCycles += t.AccessCycles
 		t.AccessCycles = 0
 		if traced {
-			core.Emit(sim.TraceStreamDone, sim.CauseNone, t.Pkt.Addr, uint64(t.Pkt.Bits()), 0)
+			core.Emit(sim.TraceStreamDone, sim.CauseNone, t.Pkt.Addr, uint64(t.Pkt.Bits()), core.Now()-w.rxAt[t.Pkt.Addr])
+			delete(w.rxAt, t.Pkt.Addr)
 		}
 	}
 

@@ -31,9 +31,9 @@ type stateStats struct {
 
 // Collector is a sim.Tracer that aggregates the event stream into
 // per-NFAction and per-NFState attribution plus a per-packet latency
-// histogram (rx cycle to stream-done cycle, matched by its
-// LatencyProbe). It is built entirely from events — it never queries
-// the core — and renders stats.Table reports.
+// histogram (each stream-done event's rx→done span). It is built
+// entirely from events — it never queries the core — and renders
+// stats.Table reports.
 type Collector struct {
 	prog   *model.Program
 	freq   float64
@@ -41,7 +41,7 @@ type Collector struct {
 	states [8]stateStats // indexed by model.BaseKind (1..6)
 	causes [8]uint64     // stall cycles by sim.StallCause
 
-	probe LatencyProbe
+	latency stats.Histogram
 
 	events   uint64
 	switches uint64
@@ -50,22 +50,20 @@ type Collector struct {
 // NewCollector builds a collector for programs compiled like prog
 // (the CS table supplies action names) on a core clocked at freqHz.
 func NewCollector(prog *model.Program, freqHz float64) *Collector {
-	c := &Collector{prog: prog, freq: freqHz, perCS: make([]csStats, prog.NumCS())}
-	c.probe.resize(probeSlots)
-	return c
+	return &Collector{prog: prog, freq: freqHz, perCS: make([]csStats, prog.NumCS())}
 }
 
-// TraceKinds implements sim.KindTracer: every kind but the two no
-// report reads, FSM transitions and redundant prefetches.
+// TraceKinds implements sim.KindTracer: every kind but the three no
+// report reads, rx, FSM transitions and redundant prefetches.
 func (c *Collector) TraceKinds() sim.TraceKinds {
-	return sim.AllTraceKinds &^ sim.KindSet(sim.TraceTransition, sim.TracePrefetchRedundant)
+	return sim.AllTraceKinds &^ sim.KindSet(sim.TraceRx, sim.TraceTransition, sim.TracePrefetchRedundant)
 }
 
 // Events returns the number of trace events consumed.
 func (c *Collector) Events() uint64 { return c.events }
 
 // Latency returns the per-packet rx→done latency histogram in cycles.
-func (c *Collector) Latency() *stats.Histogram { return c.probe.Histogram() }
+func (c *Collector) Latency() *stats.Histogram { return &c.latency }
 
 // cs returns the per-CS accumulator for ev, or nil when the event is
 // not attributed to a control state.
@@ -133,8 +131,8 @@ func (c *Collector) event(ev *sim.TraceEvent) {
 		}
 	case sim.TraceTaskSwitch:
 		c.switches++
-	case sim.TraceRx, sim.TraceStreamDone:
-		c.probe.event(ev)
+	case sim.TraceStreamDone:
+		c.latency.Add(ev.C)
 	}
 }
 
@@ -204,7 +202,7 @@ func (c *Collector) StateTable() *stats.Table {
 // LatencyTable renders the per-packet latency distribution with the
 // tail quantiles (p50/p95/p99/p99.9) in cycles and microseconds.
 func (c *Collector) LatencyTable() *stats.Table {
-	lat := c.probe.Histogram()
+	lat := &c.latency
 	t := stats.NewTable(
 		"Per-packet latency (rx → stream done), "+stats.U(lat.Count())+" packets",
 		"metric", "cycles", "usec")

@@ -8,7 +8,6 @@ import (
 
 	"github.com/gunfu-nfv/gunfu/internal/obs"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
-	"github.com/gunfu-nfv/gunfu/internal/stats"
 )
 
 func TestFlightRecorderRingOrder(t *testing.T) {
@@ -156,20 +155,14 @@ func TestFlightDumpPerfetto(t *testing.T) {
 
 func TestLatencyProbe(t *testing.T) {
 	p := obs.NewLatencyProbe()
-	// Two packets: rx at 100/200, done at 150/400 -> latencies 50, 200.
+	// Two streams done with rx→done spans 50 and 200; an rx is ignored.
 	p.Event(sim.TraceEvent{Kind: sim.TraceRx, A: 0x1000, Cycle: 100})
-	p.Event(sim.TraceEvent{Kind: sim.TraceRx, A: 0x2000, Cycle: 200})
-	p.Event(sim.TraceEvent{Kind: sim.TraceStreamDone, A: 0x1000, Cycle: 150})
-	p.Event(sim.TraceEvent{Kind: sim.TraceStreamDone, A: 0x2000, Cycle: 400})
-	// An unmatched done is ignored.
-	p.Event(sim.TraceEvent{Kind: sim.TraceStreamDone, A: 0x9999, Cycle: 500})
+	p.Event(sim.TraceEvent{Kind: sim.TraceStreamDone, A: 0x1000, Cycle: 150, C: 50})
+	p.Event(sim.TraceEvent{Kind: sim.TraceStreamDone, A: 0x2000, Cycle: 400, C: 200})
 	h := p.Histogram()
 	if h.Count() != 2 || h.Min() != 50 || h.Max() != 200 {
 		t.Fatalf("count/min/max = %d/%d/%d", h.Count(), h.Min(), h.Max())
 	}
-
-	// A packet in flight across TakeWindow keeps its rx cycle.
-	p.Event(sim.TraceEvent{Kind: sim.TraceRx, A: 0x3000, Cycle: 1000})
 	w := p.TakeWindow()
 	if w.Count() != 2 {
 		t.Fatalf("window count = %d", w.Count())
@@ -177,15 +170,15 @@ func TestLatencyProbe(t *testing.T) {
 	if p.Histogram().Count() != 0 {
 		t.Fatal("TakeWindow did not reset")
 	}
-	p.Event(sim.TraceEvent{Kind: sim.TraceStreamDone, A: 0x3000, Cycle: 1600})
+	p.EventBatch([]sim.TraceEvent{{Kind: sim.TraceStreamDone, A: 0x3000, Cycle: 1600, C: 600}})
 	if h := p.Histogram(); h.Count() != 1 || h.Min() != 600 {
-		t.Fatalf("carried-over latency = %d (count %d)", h.Min(), h.Count())
+		t.Fatalf("next window's latency = %d (count %d)", h.Min(), h.Count())
 	}
 }
 
 // TestLatencyProbeMatchesCollector pins a standalone probe against
-// Collector's latency histogram on a real run: the collector hands its
-// own probe every rx and done, so the distributions are the same.
+// Collector's latency histogram on a real run: both fold every
+// stream-done's span, so the distributions are the same.
 func TestLatencyProbeMatchesCollector(t *testing.T) {
 	prog, _, _ := buildNAT(t, 64)
 	col := obs.NewCollector(prog, sim.DefaultConfig().FreqHz)
@@ -200,104 +193,5 @@ func TestLatencyProbeMatchesCollector(t *testing.T) {
 		if ph.Quantile(q) != ch.Quantile(q) {
 			t.Fatalf("q=%v: probe %d, collector %d", q, ph.Quantile(q), ch.Quantile(q))
 		}
-	}
-}
-
-// mapProbe is the reference LatencyProbe: the Go-map matcher the probe
-// used before its open-addressed table.
-type mapProbe struct {
-	rx   map[uint64]uint64
-	hist stats.Histogram
-}
-
-func (m *mapProbe) event(ev sim.TraceEvent) {
-	switch ev.Kind {
-	case sim.TraceRx:
-		m.rx[ev.A] = ev.Cycle
-	case sim.TraceStreamDone:
-		if rx, ok := m.rx[ev.A]; ok {
-			m.hist.Add(ev.Cycle - rx)
-			delete(m.rx, ev.A)
-		}
-	}
-}
-
-// recorder keeps every event it is handed.
-type recorder struct{ evs []sim.TraceEvent }
-
-func (r *recorder) Event(ev sim.TraceEvent) { r.evs = append(r.evs, ev) }
-
-// TestLatencyProbeMatchesMap feeds recorded and synthetic streams, cut
-// into TakeWindow windows, to the probe and to the map reference: every
-// window's histogram must be bit-identical.
-func TestLatencyProbeMatchesMap(t *testing.T) {
-	rx := func(addr, cycle uint64) sim.TraceEvent {
-		return sim.TraceEvent{Kind: sim.TraceRx, A: addr, Cycle: cycle}
-	}
-	done := func(addr, cycle uint64) sim.TraceEvent {
-		return sim.TraceEvent{Kind: sim.TraceStreamDone, A: addr, Cycle: cycle}
-	}
-	// A recorded stream: a real NAT run, every kind included.
-	rec := &recorder{}
-	runTraced(t, 3000, rec)
-
-	// 300 packets in flight at once, on slot-strided addresses (the
-	// runtime's ring) and a few arbitrary ones, completing in a
-	// scrambled order; some addresses are received twice before done.
-	var crowd []sim.TraceEvent
-	var addrs []uint64
-	for i := uint64(0); i < 300; i++ {
-		a := 0x10000 + i*2048
-		if i%37 == 0 {
-			a = i * 0x9E3779B9
-		}
-		addrs = append(addrs, a)
-		crowd = append(crowd, rx(a, 10*i))
-		if i%50 == 0 {
-			crowd = append(crowd, rx(a, 10*i+5)) // a re-rx replaces the cycle
-		}
-	}
-	for i := range addrs {
-		j := (i * 7919) % len(addrs)
-		crowd = append(crowd, done(addrs[j], 5000+uint64(i)*3))
-	}
-
-	cases := []struct {
-		name string
-		evs  []sim.TraceEvent
-		cuts []int // TakeWindow after this many events
-	}{
-		{"recorded NAT stream", rec.evs, []int{len(rec.evs) / 3, len(rec.evs) / 2}},
-		{"carry-over across TakeWindow", []sim.TraceEvent{
-			rx(0x1000, 100), rx(0x2000, 200), done(0x1000, 150),
-			done(0x2000, 900), rx(0x3000, 1000), done(0x3000, 1600),
-		}, []int{3, 5}},
-		{"done with no rx", []sim.TraceEvent{
-			done(0x9999, 50), rx(0x1000, 100), done(0x9999, 120), done(0x1000, 400), done(0x1000, 500),
-		}, []int{2}},
-		{"more than 64 in flight", crowd, []int{150, 300, 400}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p := obs.NewLatencyProbe()
-			ref := &mapProbe{rx: map[uint64]uint64{}}
-			window := func(at int) {
-				if got, want := p.TakeWindow(), ref.hist.Clone(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("window ending at event %d: probe %d samples (min %d max %d), map %d (min %d max %d)",
-						at, got.Count(), got.Min(), got.Max(), want.Count(), want.Min(), want.Max())
-				}
-				ref.hist.Reset()
-			}
-			cuts := tc.cuts
-			for i, ev := range tc.evs {
-				p.Event(ev)
-				ref.event(ev)
-				if len(cuts) > 0 && cuts[0] == i+1 {
-					window(i + 1)
-					cuts = cuts[1:]
-				}
-			}
-			window(len(tc.evs))
-		})
 	}
 }

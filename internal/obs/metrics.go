@@ -90,7 +90,7 @@ type family struct {
 }
 
 // Emit writes one series of a scrape-time family: its value and label
-// pairs (k1, v1, k2, v2, ...). An odd pair count panics.
+// pairs (k1, v1, k2, v2, ...). An odd pair count fails the scrape.
 type Emit func(v float64, labels ...string)
 
 // FamilyFunc registers a family whose series fn emits afresh at every
@@ -142,14 +142,14 @@ func (r *Registry) Summary(name, help string, src func() *stats.Histogram, qs ..
 // sampleName returns the exposition name and rendered labels of one
 // series of f. Label keys beginning with '#' are rendering directives
 // (summary _sum/_count pseudo-series), not labels.
-func (f *family) sampleName(labels []string) string {
+func (f *family) sampleName(labels []string) (string, error) {
 	if len(labels) == 1 && strings.HasPrefix(labels[0], "#") {
-		return f.name + "_" + labels[0][1:]
+		return f.name + "_" + labels[0][1:], nil
 	}
 	if len(labels)%2 != 0 {
-		panic(fmt.Sprintf("obs: metric %q: odd label pairs %v", f.name, labels))
+		return "", fmt.Errorf("obs: metric %q: odd label pairs %v", f.name, labels)
 	}
-	return f.name + f.typ.suffix() + renderLabels(labels)
+	return f.name + f.typ.suffix() + renderLabels(labels), nil
 }
 
 // renderLabels renders a label pair list to `{k="v",...}` with
@@ -216,15 +216,24 @@ func formatValue(v float64) string {
 
 // Expose renders the registry as OpenMetrics text exposition,
 // terminated by "# EOF": each family's collect function runs in
-// registration order and its samples are written as it emits them.
+// registration order and its samples are written as it emits them. A
+// family that emits a malformed series fails the scrape: Expose returns
+// the error, naming the family, and writes nothing.
 func (r *Registry) Expose(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var sb strings.Builder
+	var err error
 	for _, f := range r.fams {
 		header := false
 		f.collect(func(v float64, labels ...string) {
-			name := f.sampleName(labels)
+			if err != nil {
+				return
+			}
+			var name string
+			if name, err = f.sampleName(labels); err != nil {
+				return
+			}
 			if !header {
 				if f.help != "" {
 					fmt.Fprintf(&sb, "# HELP %s %s\n", f.name, escapeHelp(f.help))
@@ -235,15 +244,24 @@ func (r *Registry) Expose(w io.Writer) error {
 			fmt.Fprintf(&sb, "%s %s\n", name, formatValue(v))
 		})
 	}
+	if err != nil {
+		return err
+	}
 	sb.WriteString("# EOF\n")
-	_, err := io.WriteString(w, sb.String())
+	_, err = io.WriteString(w, sb.String())
 	return err
 }
 
-// ServeHTTP implements http.Handler with the OpenMetrics content type.
+// ServeHTTP implements http.Handler with the OpenMetrics content type;
+// a scrape that fails is answered 500 with its error.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	var sb strings.Builder
+	if err := r.Expose(&sb); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-	_ = r.Expose(w)
+	_, _ = io.WriteString(w, sb.String())
 }
 
 // goRuntimeMetrics maps the curated runtime/metrics samples the

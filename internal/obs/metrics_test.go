@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -161,7 +162,9 @@ func TestRegistryGoRuntime(t *testing.T) {
 
 // TestRegistryReRegistration: registering a name again with the same
 // type replaces its fn (one family, one TYPE line, the new value); a
-// type conflict, an invalid name and odd label pairs panic.
+// type conflict and an invalid name panic at registration. Odd label
+// pairs, which only a scrape can see, fail it: Expose returns an error
+// naming the family and writes nothing, and ServeHTTP answers 500.
 func TestRegistryReRegistration(t *testing.T) {
 	reg := obs.NewRegistry()
 	value(reg, "c", "help", obs.TypeCounter, 1)
@@ -182,7 +185,20 @@ func TestRegistryReRegistration(t *testing.T) {
 	mustPanic("type conflict", func() { value(reg, "c", "help", obs.TypeGauge, 1) })
 	mustPanic("invalid name", func() { value(reg, "9lives", "", obs.TypeGauge, 1) })
 	reg.FamilyFunc("odd", "", obs.TypeGauge, func(emit obs.Emit) { emit(1, "k") })
-	mustPanic("odd label pairs", func() { scrape(t, reg) })
+	var sb strings.Builder
+	if err := reg.Expose(&sb); err == nil || !strings.Contains(err.Error(), `"odd"`) || sb.Len() != 0 {
+		t.Fatalf("odd label pairs: Expose error %v after writing %q, want an error naming the family and no output", err, sb.String())
+	}
+	srv := httptest.NewServer(reg)
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if body, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "odd label pairs") {
+		t.Fatalf("odd label pairs: /metrics answered %d %q, want 500 with the error", resp.StatusCode, body)
+	}
 }
 
 // TestRegistryConcurrent hammers value owners and scrapes together;

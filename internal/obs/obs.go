@@ -28,12 +28,13 @@
 // one slice (see sim.Core.FlushTrace), so per-event cost is a loop
 // iteration, not an interface call. All but FlightRecorder also
 // implement sim.KindTracer, declaring the kinds they consume, so a core
-// builds no other event: LatencyProbe rx and stream-done, Collector
-// every kind its reports read, TraceWriter every kind it renders, and
-// Multi the union of its members' kinds. FlightRecorder takes every
-// kind, because a dump must be byte-identical to live recording.
-// Collector matches rx to done through its LatencyProbe, so no tracer
-// keeps a Go map on its event path.
+// builds no other event: LatencyProbe stream-done, Collector every
+// kind its reports read, TraceWriter every kind it renders, and Multi
+// the union of its members' kinds. FlightRecorder takes every kind,
+// because a dump must be byte-identical to live recording. The worker
+// measures each packet's rx→done span itself and carries it on the
+// stream-done event, so neither Collector nor LatencyProbe matches rx
+// to done, and no tracer keeps per-packet state on its event path.
 //
 // Registry is the serving surface: a stdlib-only OpenMetrics text
 // exposition registry (metrics.go) that stores no values — every family

@@ -270,12 +270,12 @@ func (k *kindsTracer) TraceKinds() sim.TraceKinds { return k.kinds }
 // TestMultiKinds: Multi declares the union of its members' kinds, and a
 // member that declares none widens it to every kind.
 func TestMultiKinds(t *testing.T) {
-	rxDone := sim.KindSet(sim.TraceRx, sim.TraceStreamDone)
+	done := sim.KindSet(sim.TraceStreamDone)
 	access := &kindsTracer{kinds: sim.KindSet(sim.TraceAccess)}
-	if got := sim.KindsOf(obs.NewLatencyProbe()); got != rxDone {
-		t.Fatalf("LatencyProbe kinds = %#x, want rx|done %#x", got, rxDone)
+	if got := sim.KindsOf(obs.NewLatencyProbe()); got != done {
+		t.Fatalf("LatencyProbe kinds = %#x, want done %#x", got, done)
 	}
-	if got, want := sim.KindsOf(obs.Multi(obs.NewLatencyProbe(), access)), rxDone|sim.KindSet(sim.TraceAccess); got != want {
+	if got, want := sim.KindsOf(obs.Multi(obs.NewLatencyProbe(), access)), done|sim.KindSet(sim.TraceAccess); got != want {
 		t.Fatalf("Multi(probe, access) kinds = %#x, want %#x", got, want)
 	}
 	if got := sim.KindsOf(obs.Multi(obs.NewLatencyProbe(), access, obs.NewFlightRecorder(64))); got != sim.AllTraceKinds {

@@ -65,6 +65,10 @@ type Packet struct {
 	UE uint32
 	// MsgType distinguishes control-plane message kinds (NAS procedures).
 	MsgType uint8
+	// RxCycle is the core cycle the packet was received at, like a DPDK
+	// mbuf's rx timestamp; a traced worker stamps it, and its stream-done
+	// event reports the rx→done span from it.
+	RxCycle uint64
 }
 
 // Bits returns the wire length in bits, for Gbps computations.

@@ -86,6 +86,60 @@ func TestRunReturnFlushesTrace(t *testing.T) {
 	}
 }
 
+// eventLog keeps every event it is handed.
+type eventLog struct{ evs []sim.TraceEvent }
+
+func (l *eventLog) Event(ev sim.TraceEvent) { l.evs = append(l.evs, ev) }
+
+// TestStreamDoneLatency holds each stream-done's C to the reference
+// rule: the span from the TraceRx of the same buffer address to the
+// done, matched in the full event stream. Every rx finds its done
+// within the Run that received it — no stream straddles a Run — over
+// windows that fall anywhere against the burst size, interleaved (16
+// and 64 NFTasks) and run to completion.
+func TestStreamDoneLatency(t *testing.T) {
+	prog, g := buildNAT(t, 4096)
+	for name, cfg := range map[string]rt.Config{
+		"il16": rt.ConfigFor(16),
+		"il64": rt.ConfigFor(64),
+		"rtc":  rt.RTCConfig(),
+	} {
+		w := newWorker(t, prog, cfg)
+		log := &eventLog{}
+		w.Core().SetTracer(log)
+		var checked uint64
+		for _, n := range []uint64{1, 97, 5000, 20000} {
+			if _, err := w.Run(g, n); err != nil {
+				t.Fatal(err)
+			}
+			rx := map[uint64]uint64{}
+			for _, ev := range log.evs {
+				switch ev.Kind {
+				case sim.TraceRx:
+					rx[ev.A] = ev.Cycle
+				case sim.TraceStreamDone:
+					at, ok := rx[ev.A]
+					if !ok {
+						t.Fatalf("%s: done at %#x without an rx in its Run", name, ev.A)
+					}
+					if ev.C != ev.Cycle-at {
+						t.Fatalf("%s: done at %#x reports C = %d, rx→done span is %d", name, ev.A, ev.C, ev.Cycle-at)
+					}
+					delete(rx, ev.A)
+					checked++
+				}
+			}
+			if len(rx) != 0 {
+				t.Fatalf("%s: %d rx left unmatched when Run(%d) returned", name, len(rx), n)
+			}
+			log.evs = log.evs[:0]
+		}
+		if checked != 1+97+5000+20000 {
+			t.Fatalf("%s: checked %d streams", name, checked)
+		}
+	}
+}
+
 // TestConfigValidation enumerates every invalid rt.Config error path
 // with a substring the rejection must carry, so the guards (including
 // the ring-wrap bound) cannot silently rot.
@@ -234,14 +288,18 @@ func TestRTCRunExhausted(t *testing.T) {
 	}
 }
 
+// TestRunWindowsAreDeltas: each Run reports its own window, and two
+// consecutive windows Add up to exactly the one window a fresh worker
+// reports over the same packets (the windows end on burst boundaries,
+// so both runs schedule identically).
 func TestRunWindowsAreDeltas(t *testing.T) {
 	prog, g := buildNAT(t, 64)
 	w := newWorker(t, prog, rt.DefaultConfig())
-	r1, err := w.Run(g, 500)
+	r1, err := w.Run(g, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := w.Run(g, 500)
+	r2, err := w.Run(g, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,6 +309,14 @@ func TestRunWindowsAreDeltas(t *testing.T) {
 	// Warm run should be no slower than cold (same packet count).
 	if r2.Cycles > r1.Cycles*3/2 {
 		t.Fatalf("warm window much slower: %d vs %d", r2.Cycles, r1.Cycles)
+	}
+	prog, g = buildNAT(t, 64)
+	whole, err := newWorker(t, prog, rt.DefaultConfig()).Run(g, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := r1.Add(r2); sum != whole {
+		t.Fatalf("windows add to %+v, the whole window is %+v", sum, whole)
 	}
 }
 

@@ -119,20 +119,37 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Result summarizes one worker run over its measurement window.
+// Result summarizes one worker run over its measurement window. It is
+// also the window record the control plane carries: the JSON tags are
+// the wire names of director.Result and director.StatsReport, which
+// embed it.
 type Result struct {
 	// Packets is the number of streams run to completion.
-	Packets uint64
+	Packets uint64 `json:"packets"`
 	// Bits is the total wire bits processed, for Gbps computation.
-	Bits float64
+	Bits float64 `json:"bits"`
 	// Cycles is the simulated cycle span of the window.
-	Cycles uint64
+	Cycles uint64 `json:"cycles"`
 	// FreqHz echoes the core clock for throughput conversion.
-	FreqHz float64
+	FreqHz float64 `json:"freq_hz"`
 	// Counters is the PMU delta over the window.
-	Counters sim.Counters
+	Counters sim.Counters `json:"counters"`
 	// AccessCycles is the cycles spent charging declared state accesses.
-	AccessCycles uint64
+	// It stays off the wire.
+	AccessCycles uint64 `json:"-"`
+}
+
+// Add returns r extended by the window o that follows it: volumes,
+// cycles and counters sum, and the clock is o's.
+func (r Result) Add(o Result) Result {
+	return Result{
+		Packets:      r.Packets + o.Packets,
+		Bits:         r.Bits + o.Bits,
+		Cycles:       r.Cycles + o.Cycles,
+		FreqHz:       o.FreqHz,
+		Counters:     r.Counters.Add(o.Counters),
+		AccessCycles: r.AccessCycles + o.AccessCycles,
+	}
 }
 
 // Gbps returns the simulated throughput in gigabits per second.
@@ -258,6 +275,7 @@ func (w *Worker) receive(src Source, limit uint64) []*pkt.Packet {
 		w.core.DMAFill(p.Addr, hdr)
 		w.core.Compute(w.cfg.RxCost)
 		if traced {
+			p.RxCycle = w.core.Now()
 			w.core.Emit(sim.TraceRx, sim.CauseNone, p.Addr, uint64(p.Bits()), 0)
 		}
 		batch = append(batch, p)
@@ -362,7 +380,7 @@ func (w *Worker) Run(src Source, maxPackets uint64) (Result, error) {
 				accessCycles += t.AccessCycles
 				t.AccessCycles = 0
 				if traced {
-					core.Emit(sim.TraceStreamDone, sim.CauseNone, t.Pkt.Addr, uint64(t.Pkt.Bits()), 0)
+					core.Emit(sim.TraceStreamDone, sim.CauseNone, t.Pkt.Addr, uint64(t.Pkt.Bits()), core.Now()-t.Pkt.RxCycle)
 				}
 				if next < len(batch) {
 					t.ResetStream(batch[next], start, seq0+uint64(next))

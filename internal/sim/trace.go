@@ -64,7 +64,8 @@ const (
 	TraceTaskSwitch
 	// TraceStreamDone is a function stream running to completion.
 	// A = packet buffer address (matches the TraceRx of the same
-	// packet), B = wire bits.
+	// packet), B = wire bits, C = rx→done latency in cycles (this
+	// event's Cycle minus the packet's TraceRx Cycle).
 	TraceStreamDone
 )
 
