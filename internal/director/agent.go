@@ -32,8 +32,6 @@ const DefaultFlightEvents = 1 << 16
 type Agent struct {
 	name string
 	reg  deploy.Registry
-	// SimConfig is the core configuration deployments run on.
-	SimConfig sim.Config
 	// OnStats, when set, observes every heartbeat this agent emits
 	// (StatsEvery deployments only), before it goes on the wire. Local
 	// exporters — the worker's metrics registry — hang off this hook.
@@ -54,10 +52,6 @@ type Agent struct {
 	// Dial overrides the transport dialer — the seam tests and the
 	// chaos harness use to interpose faultnet. Nil dials plain TCP.
 	Dial func(addr string) (net.Conn, error)
-	// WriteTimeout bounds every wire send (0 = none); a director that
-	// stops draining its socket fails the agent's send instead of
-	// wedging a deployment. NewAgent defaults it to DefaultWriteTimeout.
-	WriteTimeout time.Duration
 
 	// dumpReq is the one cross-goroutine dump surface: the connection
 	// reader sets it, the execute goroutine takes it at its next safe
@@ -70,29 +64,27 @@ type Agent struct {
 	flight  *obs.FlightRecorder
 	dumpSeq int
 
-	// cores recycles the deployment core: a fresh one is ~4 MB of tag,
-	// stamp and directory arrays, a pooled one a generation reset.
-	// Built on first use from SimConfig and rebuilt if that field is
-	// changed between deployments. Owned by the execute goroutine.
+	// cores recycles the deployment core, a sim.DefaultConfig one: a
+	// fresh core is ~4 MB of tag, stamp and directory arrays, a pooled
+	// one a generation reset. Owned by the execute goroutine.
 	cores *sim.CorePool
 
-	// replies caches completed deploy replies by sequence ID so a
-	// director resend (deploy retry after a timeout or reconnect) gets
-	// the cached answer instead of a duplicate run. Owned by the
-	// runOnce loop goroutine; runs are sequential across reconnects.
-	replies    map[int]Envelope
-	replyOrder []int
+	// reply is the last completed deploy's reply. A deploy whose
+	// non-zero sequence ID matches it is a director resend (a retry
+	// after a timeout or a reconnect) and is answered from here instead
+	// of running twice. One slot is enough: the director holds the
+	// agent name's deploy lock across every retry and reuses the
+	// sequence ID, so a resend can only ask for the deployment in
+	// flight, and resends arrive in order on a connection. Owned by the
+	// runOnce loop goroutine, which serves one connection at a time, so
+	// the slot survives reconnects.
+	reply Envelope
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	connMu   sync.Mutex
 	conn     net.Conn
 }
-
-// replyCacheSize bounds the deploy dedup cache. The director runs one
-// deployment at a time per agent, so a handful of entries covers every
-// replay window.
-const replyCacheSize = 8
 
 // NewAgent builds an agent with the given deployable registry.
 func NewAgent(name string, reg deploy.Registry) (*Agent, error) {
@@ -105,9 +97,8 @@ func NewAgent(name string, reg deploy.Registry) (*Agent, error) {
 	return &Agent{
 		name:         name,
 		reg:          reg,
-		SimConfig:    sim.DefaultConfig(),
 		FlightEvents: DefaultFlightEvents,
-		WriteTimeout: DefaultWriteTimeout,
+		cores:        sim.NewCorePool(sim.DefaultConfig()),
 		stop:         make(chan struct{}),
 	}, nil
 }
@@ -229,34 +220,18 @@ func (a *Agent) setConn(c net.Conn) {
 	a.connMu.Unlock()
 }
 
-// sendOn writes one envelope under the agent's write deadline. Only
-// the runOnce loop goroutine writes to the connection, so sends need
-// no lock.
-func (a *Agent) sendOn(conn net.Conn, env Envelope) error {
+// sendOn writes one envelope under DefaultWriteTimeout, so a director
+// that stops draining its socket fails the send instead of wedging a
+// deployment. Only the runOnce loop goroutine writes to the
+// connection, so sends need no lock.
+func sendOn(conn net.Conn, env Envelope) error {
 	b, err := encode(env)
 	if err != nil {
 		return err
 	}
-	if a.WriteTimeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(a.WriteTimeout))
-	}
+	_ = conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 	_, err = conn.Write(b)
 	return err
-}
-
-// remember caches a completed deploy reply for replay dedup.
-func (a *Agent) remember(seq int, reply Envelope) {
-	if a.replies == nil {
-		a.replies = make(map[int]Envelope)
-	}
-	if _, ok := a.replies[seq]; !ok {
-		a.replyOrder = append(a.replyOrder, seq)
-	}
-	a.replies[seq] = reply
-	for len(a.replyOrder) > replyCacheSize {
-		delete(a.replies, a.replyOrder[0])
-		a.replyOrder = a.replyOrder[1:]
-	}
 }
 
 // runOnce serves one connection's lifetime. A reader goroutine drains
@@ -281,7 +256,7 @@ func (a *Agent) runOnce(addr string) (shutdown, registered bool, err error) {
 		a.setConn(nil)
 		_ = conn.Close()
 	}()
-	send := func(env Envelope) error { return a.sendOn(conn, env) }
+	send := func(env Envelope) error { return sendOn(conn, env) }
 	if err := send(Envelope{Type: TypeRegister, Agent: a.name}); err != nil {
 		return false, false, fmt.Errorf("director: agent %s: register: %w", a.name, err)
 	}
@@ -317,21 +292,12 @@ func (a *Agent) runOnce(addr string) (shutdown, registered bool, err error) {
 		case TypeShutdown:
 			return true, true, nil
 		case TypeDeploy:
-			if reply, ok := a.replies[env.Seq]; ok && env.Seq != 0 {
-				// A replayed deploy (director retry after a timeout or a
-				// reconnect): idempotence means answering from the cache,
-				// not running the deployment twice.
-				if err := send(reply); err != nil {
-					return false, true, fmt.Errorf("director: agent %s: reply: %w", a.name, err)
-				}
-				a.maybeDump(send)
-				continue
+			// A replayed deploy (a director retry after a timeout or a
+			// reconnect) is answered from the reply slot, not run twice.
+			if env.Seq == 0 || env.Seq != a.reply.Seq {
+				a.reply = a.execute(env, send)
 			}
-			reply := a.execute(env, send)
-			if env.Seq != 0 {
-				a.remember(env.Seq, reply)
-			}
-			if err := send(reply); err != nil {
+			if err := send(a.reply); err != nil {
 				return false, true, fmt.Errorf("director: agent %s: reply: %w", a.name, err)
 			}
 			// A dump requested in the deployment's last moments may not
@@ -380,12 +346,10 @@ func (a *Agent) maybeDump(send func(Envelope) error) {
 	}
 }
 
-// recipe is what it takes to re-execute a deployment: its spec, the
-// core configuration it ran on, and the Run calls it completed so far,
-// each with the result it returned live.
+// recipe is what it takes to re-execute a deployment: its spec and the
+// Run calls it completed so far, each with the result it returned live.
 type recipe struct {
 	spec DeploySpec
-	cfg  sim.Config
 	runs []recipeRun
 }
 
@@ -415,12 +379,11 @@ func (a *Agent) replayDump() ([]byte, error) {
 	if a.flight == nil {
 		a.flight = obs.NewFlightRecorder(a.FlightEvents)
 	}
-	pool := a.corePool(rec.cfg)
-	core, err := pool.Get()
+	core, err := a.cores.Get()
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
-	defer pool.Put(core)
+	defer a.cores.Put(core)
 	prog, run, err := a.reg.Build(core, rec.spec)
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
@@ -448,7 +411,7 @@ func (a *Agent) replayDump() ([]byte, error) {
 	}
 	core.SetTracer(nil) // delivers the tail
 	var buf bytes.Buffer
-	if err := a.flight.DumpPerfetto(&buf, prog, rec.cfg.FreqHz); err != nil {
+	if err := a.flight.DumpPerfetto(&buf, prog, a.cores.Config().FreqHz); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -468,15 +431,6 @@ func divergence(live, replay rt.Result) string {
 	return ""
 }
 
-// corePool returns the agent's core pool for cfg, rebuilding it when
-// the configuration changed.
-func (a *Agent) corePool(cfg sim.Config) *sim.CorePool {
-	if a.cores == nil || a.cores.Config() != cfg {
-		a.cores = sim.NewCorePool(cfg)
-	}
-	return a.cores
-}
-
 // execute runs one deployment and builds the reply envelope. send, when
 // non-nil, carries mid-run TypeStats heartbeats back to the director.
 func (a *Agent) execute(env Envelope, send func(Envelope) error) Envelope {
@@ -490,14 +444,13 @@ func (a *Agent) execute(env Envelope, send func(Envelope) error) Envelope {
 	if err := d.Validate(); err != nil {
 		return fail(err)
 	}
-	pool := a.corePool(a.SimConfig)
-	core, err := pool.Get()
+	core, err := a.cores.Get()
 	if err != nil {
 		return fail(err)
 	}
 	// Put flushes the run's last trace events into the probe, detaches
 	// it and resets the core.
-	defer pool.Put(core)
+	defer a.cores.Put(core)
 	_, live, err := a.reg.Build(core, d)
 	if err != nil {
 		return fail(err)
@@ -513,7 +466,7 @@ func (a *Agent) execute(env Envelope, send func(Envelope) error) Envelope {
 	}
 
 	// Every completed Run call extends the replay recipe a dump re-runs.
-	rec := &recipe{spec: d, cfg: pool.Config()}
+	rec := &recipe{spec: d}
 	a.last = rec
 	run := func(n uint64) (rt.Result, error) {
 		res, err := live(n)
@@ -576,7 +529,7 @@ func (a *Agent) measure(d DeploySpec, seq int, run func(uint64) (rt.Result, erro
 			if err := send(Envelope{Type: TypeStats, Seq: seq, Agent: a.name, Stats: &rep}); err != nil {
 				// The connection died mid-run. The deployment itself is
 				// healthy, so finish it — the result lands in the reply
-				// cache and the director's replayed deploy (after the
+				// slot and the director's replayed deploy (after the
 				// agent reconnects) is answered from there. Heartbeats
 				// into the dead connection stop; local hooks keep firing.
 				send = nil

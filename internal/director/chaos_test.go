@@ -1,6 +1,7 @@
 package director
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -313,8 +314,9 @@ func TestServeGivesUp(t *testing.T) {
 
 // TestDeployReplayIdempotent drives an agent from a bare-wire fake
 // director: the same deploy sequence ID sent twice must execute once
-// and answer twice with byte-identical results (the dedup cache), and
-// a fresh sequence ID must execute again.
+// and answer twice with byte-identical results (the reply slot), a
+// fresh sequence ID must execute again, and its resend is answered
+// from the slot in turn.
 func TestDeployReplayIdempotent(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -363,7 +365,9 @@ func TestDeployReplayIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	awaitResult := func() Result {
+	// awaitResult returns the next result and its frame re-encoded
+	// (decode→encode is canonical, so equal frames encode equal bytes).
+	awaitResult := func() (Result, []byte) {
 		t.Helper()
 		for {
 			env, err := mr.next()
@@ -374,7 +378,11 @@ func TestDeployReplayIdempotent(t *testing.T) {
 			case TypeStats, TypeDumpDone:
 				continue
 			case TypeResult:
-				return *env.Result
+				b, err := encode(env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return *env.Result, b
 			default:
 				t.Fatalf("reply = %+v", env)
 			}
@@ -384,9 +392,9 @@ func TestDeployReplayIdempotent(t *testing.T) {
 	spec := DeploySpec{NF: "nat", Flows: 64, Packets: 300, PacketBytes: 64, Tasks: 2, Seed: 3}
 	dep := Envelope{Type: TypeDeploy, Seq: 7, Deploy: &spec}
 	send(dep)
-	r1 := awaitResult()
+	r1, _ := awaitResult()
 	send(dep) // replay: same sequence ID
-	r2 := awaitResult()
+	r2, _ := awaitResult()
 	mu.Lock()
 	ran := runs
 	mu.Unlock()
@@ -399,15 +407,148 @@ func TestDeployReplayIdempotent(t *testing.T) {
 
 	dep.Seq = 8 // a genuinely new deployment runs again
 	send(dep)
-	_ = awaitResult()
+	_, f1 := awaitResult()
 	mu.Lock()
 	ran = runs
 	mu.Unlock()
 	if ran != 2 {
 		t.Fatalf("fresh sequence executed %d times total", ran)
 	}
+	send(dep) // the slot now holds seq 8's reply
+	_, f2 := awaitResult()
+	mu.Lock()
+	ran = runs
+	mu.Unlock()
+	if ran != 2 {
+		t.Fatalf("replayed seq 8 executed again: %d runs total", ran)
+	}
+	if !bytes.Equal(f1, f2) {
+		t.Fatalf("replayed seq 8 reply drifted:\n first %s\nsecond %s", f1, f2)
+	}
 
 	send(Envelope{Type: TypeShutdown})
+}
+
+// dialFakeAgent registers name with the director at addr over a bare
+// connection and forwards every frame the director sends on it; the
+// channel closes when the connection does.
+func dialFakeAgent(t *testing.T, addr, name string) (net.Conn, <-chan Envelope) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := encode(Envelope{Type: TypeRegister, Agent: name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	frames := make(chan Envelope, 8)
+	go func() {
+		defer close(frames)
+		mr := newMsgReader(conn)
+		for {
+			env, err := mr.next()
+			if err != nil {
+				return
+			}
+			frames <- env
+		}
+	}()
+	return conn, frames
+}
+
+// TestDeployOneInFlightPerAgent pins the rule the agent's one-entry
+// reply slot relies on: while a deploy to a name is unanswered, a
+// second Deploy to that name sends nothing; a resend after the agent
+// reconnects carries the same sequence ID; and the queued deploy goes
+// out, with a larger sequence ID, only once the first is answered.
+func TestDeployOneInFlightPerAgent(t *testing.T) {
+	d := New()
+	d.Retries = 3
+	addr, err := d.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	conn, frames := dialFakeAgent(t, addr, "w")
+	if err := d.WaitAgents(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	next := func(frames <-chan Envelope) Envelope {
+		t.Helper()
+		select {
+		case env, ok := <-frames:
+			if !ok || env.Type != TypeDeploy {
+				t.Fatalf("frame = %+v (open %v), want a deploy", env, ok)
+			}
+			return env
+		case <-time.After(10 * time.Second):
+			t.Fatal("no deploy frame")
+		}
+		return Envelope{}
+	}
+	quiet := func(frames <-chan Envelope, what string) {
+		t.Helper()
+		select {
+		case env := <-frames:
+			t.Fatalf("%s: director sent %+v", what, env)
+		case <-time.After(200 * time.Millisecond):
+		}
+	}
+	answer := func(conn net.Conn, env Envelope) {
+		t.Helper()
+		res := Result{Agent: "w", Result: rt.Result{Packets: env.Deploy.Packets}}
+		b, err := encode(Envelope{Type: TypeResult, Seq: env.Seq, Agent: "w", Result: &res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type outcome struct {
+		res Result
+		err error
+	}
+	start := func(packets uint64) <-chan outcome {
+		out := make(chan outcome, 1)
+		go func() {
+			spec := DeploySpec{NF: "nat", Flows: 64, Packets: packets, PacketBytes: 64, Tasks: 2}
+			res, err := d.Deploy("w", spec, 30*time.Second)
+			out <- outcome{res, err}
+		}()
+		return out
+	}
+
+	first := start(100)
+	n := next(frames)
+	second := start(200)
+	quiet(frames, "second deploy while seq N is unanswered")
+
+	// Drop the connection and register again: the resend is seq N.
+	conn.Close()
+	conn, frames = dialFakeAgent(t, addr, "w")
+	defer conn.Close()
+	if resent := next(frames); resent.Seq != n.Seq || resent.Deploy.Packets != 100 {
+		t.Fatalf("resend = seq %d, %d packets; want seq %d, 100 packets", resent.Seq, resent.Deploy.Packets, n.Seq)
+	}
+	quiet(frames, "second deploy while the resend of seq N is unanswered")
+
+	answer(conn, n)
+	m := next(frames)
+	if m.Seq <= n.Seq || m.Deploy.Packets != 200 {
+		t.Fatalf("queued deploy = seq %d, %d packets; want seq > %d, 200 packets", m.Seq, m.Deploy.Packets, n.Seq)
+	}
+	answer(conn, m)
+	for i, o := range []outcome{<-first, <-second} {
+		if want := uint64(100 * (i + 1)); o.err != nil || o.res.Packets != want {
+			t.Fatalf("deploy %d = %+v, %v; want %d packets", i+1, o.res, o.err, want)
+		}
+	}
 }
 
 // TestDeployAllWedgedAgent pins the shared-deadline contract: one

@@ -12,7 +12,7 @@ import (
 
 // DefaultWriteTimeout bounds every control-plane wire send. A peer
 // that stops draining its socket fails the send instead of wedging the
-// sender forever; both Director and Agent default to it.
+// sender forever; the Director and the Agent both send under it.
 const DefaultWriteTimeout = 10 * time.Second
 
 // ErrDeployTimeout reports a deployment that produced no reply within
@@ -82,21 +82,14 @@ type Director struct {
 	// sequence ID, and agents deduplicate on it, so a retry that races
 	// a slow first attempt cannot run the deployment twice.
 	Retries int
-	// WriteTimeout bounds each wire send to an agent (0 = none).
-	// New defaults it to DefaultWriteTimeout.
-	WriteTimeout time.Duration
 
 	ln net.Listener
 
-	mu     sync.Mutex
-	agents map[string]*agentConn
-	// known tracks every agent name ever registered: its liveness and
-	// last-heard stamp survive disconnects so reconnecting agents are
-	// recognized and deploys can wait out a reconnect window.
-	known   map[string]*agentState
-	deploys map[string]*sync.Mutex
-	seq     int
-	closed  bool
+	mu sync.Mutex
+	// agents holds one record per agent name ever registered.
+	agents map[string]*peer
+	seq    int
+	closed bool
 	// arrival signals agent registration to waiters.
 	arrival chan struct{}
 	// onStats receives unsolicited TypeStats heartbeats.
@@ -111,33 +104,22 @@ type Director struct {
 	wg sync.WaitGroup
 }
 
-// agentState is the per-name record that outlives connections.
-type agentState struct {
+// peer is the director's one record of an agent name. It outlives
+// connections: the liveness verdict and the deploy lock survive a
+// disconnect, so a reconnecting agent is recognized, and a deployment
+// that spans the reconnect still owns the agent. Fields other than
+// deploy are guarded by Director.mu.
+type peer struct {
+	conn      *agentConn // nil while the agent is disconnected
 	lastHeard time.Time
-	dead      bool
-}
-
-// AgentInfo is one agent's liveness snapshot.
-type AgentInfo struct {
-	// Name is the agent's registered name.
-	Name string
-	// Connected reports whether a connection is currently open.
-	Connected bool
-	// Live is false once the liveness checker has marked the agent
-	// dead (K missed heartbeat windows); a reconnect or any message
-	// re-marks it live.
-	Live bool
-	// LastHeard is when the agent last sent anything.
-	LastHeard time.Time
+	dead      bool // marked by the liveness checker, cleared by any message
+	// deploy serializes deployments to the name, not to a connection.
+	deploy sync.Mutex
 }
 
 type agentConn struct {
-	name         string
-	conn         net.Conn
-	writeTimeout time.Duration
-
-	mu      sync.Mutex // serializes requests to this agent
-	sendMu  sync.Mutex // serializes writes (Deploy holds mu for the whole run)
+	conn    net.Conn
+	sendMu  sync.Mutex // serializes writes
 	pending chan Envelope
 }
 
@@ -152,9 +134,7 @@ func (ac *agentConn) send(env Envelope) error {
 	}
 	ac.sendMu.Lock()
 	defer ac.sendMu.Unlock()
-	if ac.writeTimeout > 0 {
-		_ = ac.conn.SetWriteDeadline(time.Now().Add(ac.writeTimeout))
-	}
+	_ = ac.conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 	_, err = ac.conn.Write(b)
 	return err
 }
@@ -162,12 +142,9 @@ func (ac *agentConn) send(env Envelope) error {
 // New creates a director.
 func New() *Director {
 	return &Director{
-		WriteTimeout: DefaultWriteTimeout,
-		agents:       make(map[string]*agentConn),
-		known:        make(map[string]*agentState),
-		deploys:      make(map[string]*sync.Mutex),
-		arrival:      make(chan struct{}, 16),
-		liveStop:     make(chan struct{}),
+		agents:   make(map[string]*peer),
+		arrival:  make(chan struct{}, 16),
+		liveStop: make(chan struct{}),
 	}
 }
 
@@ -205,16 +182,11 @@ func (d *Director) acceptLoop() {
 
 // touch stamps the agent as heard-from; a message from a dead agent
 // resurrects it (and fires the liveness transition hook).
-func (d *Director) touch(name string) {
+func (d *Director) touch(name string, p *peer) {
 	d.mu.Lock()
-	st := d.known[name]
-	if st == nil {
-		st = &agentState{}
-		d.known[name] = st
-	}
-	st.lastHeard = time.Now()
-	revived := st.dead
-	st.dead = false
+	p.lastHeard = time.Now()
+	revived := p.dead
+	p.dead = false
 	cb := d.onLive
 	d.mu.Unlock()
 	if revived && cb != nil {
@@ -231,26 +203,26 @@ func (d *Director) serveConn(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	ac := &agentConn{
-		name:         reg.Agent,
-		conn:         conn,
-		writeTimeout: d.WriteTimeout,
-		pending:      make(chan Envelope, 4),
-	}
+	ac := &agentConn{conn: conn, pending: make(chan Envelope, 4)}
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		_ = conn.Close()
 		return
 	}
-	if old := d.agents[reg.Agent]; old != nil {
+	p := d.agents[reg.Agent]
+	if p == nil {
+		p = &peer{}
+		d.agents[reg.Agent] = p
+	}
+	if p.conn != nil {
 		// A reconnect raced the old connection's teardown: the newest
 		// registration wins, and closing the stale conn reaps its reader.
-		_ = old.conn.Close()
+		_ = p.conn.conn.Close()
 	}
-	d.agents[reg.Agent] = ac
+	p.conn = ac
 	d.mu.Unlock()
-	d.touch(reg.Agent)
+	d.touch(reg.Agent, p)
 	select {
 	case d.arrival <- struct{}{}:
 	default:
@@ -261,7 +233,7 @@ func (d *Director) serveConn(conn net.Conn) {
 		if err != nil {
 			break
 		}
-		d.touch(reg.Agent)
+		d.touch(reg.Agent, p)
 		if env.Type == TypeStats {
 			if env.Stats != nil {
 				d.mu.Lock()
@@ -291,10 +263,10 @@ func (d *Director) serveConn(conn net.Conn) {
 		}
 	}
 	d.mu.Lock()
-	// Guarded delete: a reconnect may already have replaced this entry,
-	// and deleting blindly would evict the live connection.
-	if d.agents[reg.Agent] == ac {
-		delete(d.agents, reg.Agent)
+	// Guarded: a reconnect may already have replaced this connection,
+	// and clearing blindly would orphan the live one.
+	if p.conn == ac {
+		p.conn = nil
 	}
 	d.mu.Unlock()
 	// Closing pending tells a blocked Deploy immediately that this
@@ -333,7 +305,7 @@ func (d *Director) SetLivenessHandler(fn func(agent string, live bool)) {
 
 // EnableLiveness starts the heartbeat liveness checker: an agent not
 // heard from for missed consecutive windows of the given length is
-// marked dead (surfaced via Alive, AgentInfos and the liveness handler,
+// marked dead (surfaced via Alive and the liveness handler,
 // which Monitor.SetLive turns into the live table's live column). Any
 // subsequent message re-marks it live. The window should match the
 // wall-clock cadence of the deployment's StatsEvery heartbeats. Call
@@ -354,9 +326,9 @@ func (d *Director) EnableLiveness(window time.Duration, missed int) error {
 			case now := <-ticker.C:
 				var died []string
 				d.mu.Lock()
-				for name, st := range d.known {
-					if !st.dead && now.Sub(st.lastHeard) >= time.Duration(missed)*window {
-						st.dead = true
+				for name, p := range d.agents {
+					if !p.dead && now.Sub(p.lastHeard) >= time.Duration(missed)*window {
+						p.dead = true
 						died = append(died, name)
 					}
 				}
@@ -380,37 +352,23 @@ func (d *Director) EnableLiveness(window time.Duration, missed int) error {
 func (d *Director) Alive(name string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st := d.known[name]
-	return st != nil && !st.dead
-}
-
-// AgentInfos returns a liveness snapshot of every agent ever
-// registered, sorted by name.
-func (d *Director) AgentInfos() []AgentInfo {
-	d.mu.Lock()
-	infos := make([]AgentInfo, 0, len(d.known))
-	for name, st := range d.known {
-		_, connected := d.agents[name]
-		infos = append(infos, AgentInfo{
-			Name: name, Connected: connected, Live: !st.dead, LastHeard: st.lastHeard,
-		})
-	}
-	d.mu.Unlock()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	return infos
+	p := d.agents[name]
+	return p != nil && !p.dead
 }
 
 // RequestFlightDump asks the named agent to dump its flight-recorder
 // ring. The request is out-of-band: it is safe (and intended) while a
 // deployment is running on that agent — the agent honors it at its
 // next window boundary and answers with a TypeDumpDone notice routed
-// to the SetDumpHandler callback.
+// to the SetDumpHandler callback. A registered agent whose connection
+// is down gets an error saying so, not ErrUnknownAgent.
 func (d *Director) RequestFlightDump(agent string) error {
-	d.mu.Lock()
-	ac, ok := d.agents[agent]
-	d.mu.Unlock()
-	if !ok {
+	ac, p := d.lookup(agent)
+	if p == nil {
 		return &AgentError{Agent: agent, Err: ErrUnknownAgent}
+	}
+	if ac == nil {
+		return &AgentError{Agent: agent, Err: errors.New("dump request: not connected")}
 	}
 	if err := ac.send(Envelope{Type: TypeDump, Agent: agent}); err != nil {
 		return &AgentError{Agent: agent, Err: fmt.Errorf("dump request: %w", err)}
@@ -423,8 +381,10 @@ func (d *Director) Agents() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	names := make([]string, 0, len(d.agents))
-	for n := range d.agents {
-		names = append(names, n)
+	for n, p := range d.agents {
+		if p.conn != nil {
+			names = append(names, n)
+		}
 	}
 	return names
 }
@@ -434,15 +394,12 @@ func (d *Director) Agents() []string {
 func (d *Director) WaitAgents(n int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		d.mu.Lock()
-		have := len(d.agents)
-		d.mu.Unlock()
-		if have >= n {
+		if have := len(d.Agents()); have >= n {
 			return nil
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			return fmt.Errorf("director: only %d of %d agents after %v", have, n, timeout)
+			return fmt.Errorf("director: only %d of %d agents after %v", len(d.Agents()), n, timeout)
 		}
 		if remain > 20*time.Millisecond {
 			remain = 20 * time.Millisecond
@@ -455,25 +412,15 @@ func (d *Director) WaitAgents(n int, timeout time.Duration) error {
 }
 
 // lookup returns the agent's current connection, nil if disconnected,
-// and whether the name has ever registered.
-func (d *Director) lookup(agent string) (ac *agentConn, known bool) {
+// and its record, nil if the name never registered.
+func (d *Director) lookup(agent string) (*agentConn, *peer) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.agents[agent], d.known[agent] != nil
-}
-
-// deployLock returns the per-agent-name deploy mutex. Serialization
-// must key on the name, not the connection: a deployment that spans a
-// reconnect still owns the agent.
-func (d *Director) deployLock(agent string) *sync.Mutex {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	mu := d.deploys[agent]
-	if mu == nil {
-		mu = &sync.Mutex{}
-		d.deploys[agent] = mu
+	p := d.agents[agent]
+	if p == nil {
+		return nil, nil
 	}
-	return mu
+	return p.conn, p
 }
 
 // Deploy sends spec to the named agent, blocks for its result, and
@@ -494,14 +441,12 @@ func (d *Director) DeployContext(ctx context.Context, agent string, depl DeployS
 	if err := depl.Validate(); err != nil {
 		return Result{}, err
 	}
-	ac, known := d.lookup(agent)
-	if ac == nil && !known {
+	_, p := d.lookup(agent)
+	if p == nil {
 		return Result{}, &AgentError{Agent: agent, Err: ErrUnknownAgent}
 	}
-
-	mu := d.deployLock(agent)
-	mu.Lock()
-	defer mu.Unlock()
+	p.deploy.Lock()
+	defer p.deploy.Unlock()
 
 	d.mu.Lock()
 	d.seq++
@@ -643,9 +588,11 @@ func (d *Director) Close() error {
 		return nil
 	}
 	d.closed = true
-	conns := make([]*agentConn, 0, len(d.agents))
-	for _, ac := range d.agents {
-		conns = append(conns, ac)
+	var conns []*agentConn
+	for _, p := range d.agents {
+		if p.conn != nil {
+			conns = append(conns, p.conn)
+		}
 	}
 	d.mu.Unlock()
 	close(d.liveStop)

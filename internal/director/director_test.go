@@ -3,6 +3,7 @@ package director
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -244,6 +245,40 @@ func TestDeployErrors(t *testing.T) {
 	}
 	if _, err := d.Deploy(agentName(0), DeploySpec{NF: "nat"}, time.Second); err == nil {
 		t.Fatal("invalid spec accepted")
+	}
+}
+
+// TestRequestFlightDumpDisconnected: a dump request to an agent that
+// registered and then lost its connection says it is not connected,
+// not that the agent is unknown; a name that never registered is.
+func TestRequestFlightDumpDisconnected(t *testing.T) {
+	d := New()
+	addr, err := d.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	conn, _ := dialFakeAgent(t, addr, "w")
+	if err := d.WaitAgents(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	for deadline := time.Now().Add(5 * time.Second); len(d.Agents()) > 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("director never noticed the disconnect")
+		}
+	}
+
+	err = d.RequestFlightDump("w")
+	var ae *AgentError
+	if !errors.As(err, &ae) || ae.Agent != "w" || !strings.Contains(err.Error(), "not connected") {
+		t.Fatalf("dump to a disconnected agent: %v", err)
+	}
+	if errors.Is(err, ErrUnknownAgent) {
+		t.Fatalf("a registered agent reported unknown: %v", err)
+	}
+	if err := d.RequestFlightDump("ghost"); !errors.Is(err, ErrUnknownAgent) {
+		t.Fatalf("dump to a never-registered agent: %v", err)
 	}
 }
 

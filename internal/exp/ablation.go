@@ -67,7 +67,7 @@ func Ablations(o Options) ([]*stats.Table, error) {
 	mshrSweep := []int{2, 4, 8, 12, 16, 32}
 	rows2 := make([][]string, len(mshrSweep))
 	if err := o.forEach(len(mshrSweep), func(i int) error {
-		simCfg := o.simCfg()
+		simCfg := sim.DefaultConfig()
 		simCfg.MSHRs = mshrSweep[i]
 		res, err := natOn(simCfg)
 		if err != nil {
@@ -91,7 +91,7 @@ func Ablations(o Options) ([]*stats.Table, error) {
 	costSweep := []uint64{4, 12, 24, 48, 96}
 	rows3 := make([][]string, len(costSweep))
 	if err := o.forEach(len(costSweep), func(i int) error {
-		simCfg := o.simCfg()
+		simCfg := sim.DefaultConfig()
 		simCfg.SwitchCost = costSweep[i]
 		res, err := natOn(simCfg)
 		if err != nil {

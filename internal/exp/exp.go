@@ -42,8 +42,6 @@ type Options struct {
 	Seed int64
 	// Out receives rendered tables; nil discards them.
 	Out io.Writer
-	// Sim overrides the simulated core configuration.
-	Sim *sim.Config
 	// Parallel is the number of sweep points a runner may execute
 	// concurrently (host goroutines). Sweep points are share-nothing —
 	// each builds its own core, address space and seeded generators —
@@ -66,13 +64,6 @@ type Options struct {
 	// differential tests pin that — so tables stay byte-identical while a
 	// figure run stops allocating a megabyte-scale hierarchy per point.
 	pool *sim.CorePool
-}
-
-func (o Options) simCfg() sim.Config {
-	if o.Sim != nil {
-		return *o.Sim
-	}
-	return sim.DefaultConfig()
 }
 
 func (o Options) out() io.Writer {
@@ -177,7 +168,7 @@ func Run(name string, o Options) ([]*stats.Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown experiment %q (have %v)", name, Names())
 	}
-	o.pool = sim.NewCorePool(o.simCfg())
+	o.pool = sim.NewCorePool(sim.DefaultConfig())
 	tables, err := r(o)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", name, err)

@@ -179,7 +179,7 @@ func (o Options) runCores(setup coreSetup, size, cores int, interleaved bool) (r
 			return w, src, err
 		}}
 	}
-	eng, err := rt.NewEngine(o.simCfg(), setups)
+	eng, err := rt.NewEngine(sim.DefaultConfig(), setups)
 	if err != nil {
 		return rt.Result{}, err
 	}

@@ -3,9 +3,8 @@
 // The simulator in internal/sim charges cycles by address; this package
 // hands out the addresses: regions for flow tables, pre-allocated
 // datablock pools for per-flow and sub-flow state (the paper's §V "NF
-// Management"), arenas for pointer-linked structures such as tree nodes,
-// and record layouts whose field placement is the target of the
-// compiler's data-packing optimization (§VI-B).
+// Management"), and record layouts whose field placement is the target
+// of the compiler's data-packing optimization (§VI-B).
 //
 // No packet or state bytes are stored at these addresses — the actual
 // data lives in ordinary Go values — but every address is unique and
@@ -132,26 +131,3 @@ func (p *Pool) Count() int { return p.count }
 
 // Region returns the pool's address region.
 func (p *Pool) Region() Region { return p.region }
-
-// Arena allocates individually-addressed blocks, used for pointer-linked
-// match structures (tree nodes, hash buckets) whose traversal is the
-// pointer-chasing workload the paper's matching actions exhibit.
-type Arena struct {
-	as   *AddressSpace
-	name string
-	used uint64
-}
-
-// NewArena returns an arena drawing from as.
-func NewArena(as *AddressSpace, name string) *Arena {
-	return &Arena{as: as, name: name}
-}
-
-// Alloc reserves size bytes aligned to a cache line and returns the base.
-func (a *Arena) Alloc(size uint64) uint64 {
-	a.used += size
-	return a.as.Reserve(size, sim.LineBytes)
-}
-
-// Used returns the bytes allocated from this arena.
-func (a *Arena) Used() uint64 { return a.used }

@@ -107,19 +107,6 @@ func TestMustAddrPanics(t *testing.T) {
 	p.MustAddr(5)
 }
 
-func TestArena(t *testing.T) {
-	as := NewAddressSpace()
-	a := NewArena(as, "nodes")
-	x := a.Alloc(64)
-	y := a.Alloc(64)
-	if x == y {
-		t.Fatal("arena reused address")
-	}
-	if a.Used() != 128 {
-		t.Fatalf("Used = %d", a.Used())
-	}
-}
-
 func TestNewLayout(t *testing.T) {
 	l, err := NewLayout(
 		Field{Name: "a", Size: 4},
