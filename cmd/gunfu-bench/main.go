@@ -28,12 +28,12 @@
 //	gunfu-bench -attr -nf nat -warmup 20000 -packets 200000 \
 //	    -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Tables are byte-identical for any -parallel value: sweep points are
-// share-nothing simulations, rows are emitted in sweep order, and
-// concurrently-run figures render into buffers flushed in selection
-// order — parallelism only changes host wall-clock time. Progress and
-// timing lines go to stderr; stdout carries only the experiment
-// headers and tables.
+// Tables are byte-identical for any -parallel value (fig9, which
+// measures host wall-clock time, aside): sweep points are share-nothing
+// simulations, rows are emitted in sweep order, and figures render into
+// buffers flushed in selection order — parallelism only changes host
+// wall-clock time. Progress and timing lines go to stderr; stdout
+// carries only the experiment headers and tables.
 package main
 
 import (
@@ -43,6 +43,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	gunfu "github.com/gunfu-nfv/gunfu"
@@ -57,7 +58,7 @@ func run() int {
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids, or \"all\"")
 	quick := flag.Bool("quick", false, "reduced populations and windows")
 	seed := flag.Int64("seed", 42, "workload seed")
-	parallel := flag.Int("parallel", 1, "concurrent sweep points per experiment (<=1 = sequential)")
+	parallel := flag.Int("parallel", 1, "concurrent experiments, and concurrent sweep points per experiment (<=1 = sequential)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 
 	// Profile mode.
@@ -139,50 +140,41 @@ func run() int {
 		return 0
 	}
 
-	if *parallel <= 1 {
-		opts := gunfu.ExpOptions{Quick: *quick, Seed: *seed, Out: os.Stdout}
-		for _, name := range names {
-			start := time.Now()
-			fmt.Printf("== %s ==\n", name)
-			if _, err := gunfu.RunExperiment(name, opts); err != nil {
-				fmt.Fprintf(os.Stderr, "gunfu-bench: %v\n", err)
-				return 1
-			}
-			fmt.Println()
-			fmt.Fprintf(os.Stderr, "gunfu-bench: %s completed in %.1fs\n", name, time.Since(start).Seconds())
-		}
-		return finishProfiles()
-	}
-
-	// Parallel mode: figures run concurrently (each additionally fanning
-	// its sweep points out over up to -parallel workers), rendering into
-	// per-figure buffers that are flushed to stdout in selection order —
-	// so stdout is byte-identical to the sequential run.
+	// Figures run on max(-parallel, 1) workers that take them in
+	// selection order, each figure fanning its sweep points out over up
+	// to -parallel workers of its own. Every figure renders into its own
+	// buffer, flushed to stdout in selection order once it and every
+	// figure before it are done, so at -parallel 1 stdout streams figure
+	// by figure, and for any -parallel value it carries the same bytes
+	// (fig9's host-time rows aside).
 	bufs := make([]bytes.Buffer, len(names))
 	errs := make([]error, len(names))
 	done := make([]chan struct{}, len(names))
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	sem := make(chan struct{}, *parallel)
+	// After a failure no worker takes another figure; every figure
+	// before the failed one was taken earlier and still completes.
+	var next atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for i, name := range names {
+	for range min(max(*parallel, 1), len(names)) {
 		wg.Add(1)
-		go func(i int, name string) {
+		go func() {
 			defer wg.Done()
-			defer close(done[i])
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			fmt.Fprintf(&bufs[i], "== %s ==\n", name)
-			opts := gunfu.ExpOptions{Quick: *quick, Seed: *seed, Out: &bufs[i], Parallel: *parallel}
-			if _, err := gunfu.RunExperiment(name, opts); err != nil {
-				errs[i] = err
-				return
+			for i := int(next.Add(1)) - 1; i < len(names) && !failed.Load(); i = int(next.Add(1)) - 1 {
+				start := time.Now()
+				fmt.Fprintf(&bufs[i], "== %s ==\n", names[i])
+				opts := gunfu.ExpOptions{Quick: *quick, Seed: *seed, Out: &bufs[i], Parallel: *parallel}
+				if _, errs[i] = gunfu.RunExperiment(names[i], opts); errs[i] != nil {
+					failed.Store(true)
+				} else {
+					fmt.Fprintln(&bufs[i])
+					fmt.Fprintf(os.Stderr, "gunfu-bench: %s completed in %.1fs\n", names[i], time.Since(start).Seconds())
+				}
+				close(done[i])
 			}
-			fmt.Fprintln(&bufs[i])
-			fmt.Fprintf(os.Stderr, "gunfu-bench: %s completed in %.1fs\n", name, time.Since(start).Seconds())
-		}(i, name)
+		}()
 	}
 	for i := range names {
 		<-done[i]

@@ -129,18 +129,7 @@ func upfFactory(as *mem.AddressSpace, d Spec) (*model.Program, rt.Source, error)
 	if pdrs == 0 {
 		pdrs = 16
 	}
-	u, err := upf.New(as, upf.Config{Sessions: d.Flows, PDRsPerSession: pdrs})
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := traffic.NewMGWGen(traffic.MGWConfig{
-		Sessions: d.Flows, PDRs: pdrs, PacketBytes: d.PacketBytes, Seed: d.Seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	prog, err := u.DownlinkProgram()
-	return prog, g, err
+	return NewUPF(as, d.Flows, pdrs, d.PacketBytes, 0, 0, d.Seed)
 }
 
 func sfcFactory(as *mem.AddressSpace, d Spec) (*model.Program, rt.Source, error) {
@@ -192,6 +181,55 @@ func NewSFC(as *mem.AddressSpace, length, flows int, fused bool, opts compile.SF
 	}
 	prog, err := compile.BuildSFC("sfc", chain, opts)
 	return prog, src, err
+}
+
+// NewUPF builds the UPF downlink over sessions PFCP sessions of pdrs
+// PDRs each as one deployable, plus its MGW workload. As for NewSFC,
+// size is the packet size in bytes, 0 for the CAIDA IMIX size mix, and
+// a non-zero shardCount restricts the workload to sessions [shardBase,
+// shardBase+shardCount) while the UPF still holds every session.
+func NewUPF(as *mem.AddressSpace, sessions, pdrs, size, shardBase, shardCount int, seed int64) (*model.Program, rt.Source, error) {
+	u, err := upf.New(as, upf.Config{Sessions: sessions, PDRsPerSession: pdrs})
+	if err != nil {
+		return nil, nil, err
+	}
+	prog, err := u.DownlinkProgram()
+	if err != nil {
+		return nil, nil, err
+	}
+	mgwCfg := traffic.MGWConfig{
+		Sessions: sessions, PDRs: pdrs, PacketBytes: size, Seed: seed,
+		ShardBase: shardBase, ShardCount: shardCount,
+	}
+	if size != 0 {
+		g, err := traffic.NewMGWGen(mgwCfg)
+		return prog, g, err
+	}
+	mgwCfg.PacketBytes = 64
+	mgw, err := traffic.NewMGWGen(mgwCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	sizes, err := traffic.NewCaidaGen(traffic.CaidaConfig{Flows: 64, Seed: seed + 1})
+	if err != nil {
+		return nil, nil, err
+	}
+	return prog, &caidaMGW{mgw: mgw, sizes: sizes}, nil
+}
+
+// caidaMGW is the MGW workload with the CAIDA IMIX size mix: UE-
+// addressed downlink traffic whose packet sizes follow the trace
+// distribution.
+type caidaMGW struct {
+	mgw   *traffic.MGWGen
+	sizes *traffic.CaidaGen
+}
+
+// Next emits an MGW packet with an IMIX wire length.
+func (c *caidaMGW) Next() *pkt.Packet {
+	p := c.mgw.Next()
+	p.WireLen = c.sizes.Next().WireLen
+	return p
 }
 
 // NewChain constructs the paper's SFC of the given length (2–6):

@@ -17,12 +17,17 @@ func Ablations(o Options) ([]*stats.Table, error) {
 	window := o.pickU(100000, 8000)
 
 	nat := o.deploy(deploy.Spec{NF: "nat", Flows: flows})
-	// natOn runs the NAT at 16 NFTasks on cores of simCfg, from a pool of
-	// that configuration.
-	natOn := func(simCfg sim.Config) (rt.Result, error) {
-		p := o
-		p.pool = sim.NewCorePool(simCfg)
-		return p.run(nat, rt.ConfigFor(16), warm, window)
+	// natOn sweeps the NAT at 16 NFTasks over n core configurations:
+	// point i runs on cores of sim.DefaultConfig() mutated by set(i, ·),
+	// from a pool of that configuration.
+	natOn := func(n int, set func(i int, c *sim.Config)) ([]rt.Result, error) {
+		return sweep(o, n, func(i int) (rt.Result, error) {
+			simCfg := sim.DefaultConfig()
+			set(i, &simCfg)
+			p := o
+			p.pool = sim.NewCorePool(simCfg)
+			return p.run(nat, rt.ConfigFor(16), warm, window)
+		})
 	}
 
 	// (a) Scheduler feature ladder.
@@ -35,28 +40,20 @@ func Ablations(o Options) ([]*stats.Table, error) {
 	}{
 		{"interleave only (no prefetch)", func(c *rt.Config) { c.Prefetch = false }},
 		{"prefetch, no resident check", func(c *rt.Config) { c.ResidentCheck = false }},
-		{"full (prefetch + P-state check)", nil},
+		{"full (prefetch + P-state check)", func(*rt.Config) {}},
 	}
-	rows1 := make([][]string, len(features))
-	if err := o.forEach(len(features), func(i int) error {
-		f := features[i]
+	byFeature, err := sweep(o, len(features), func(i int) (rt.Result, error) {
 		cfg := rt.ConfigFor(16)
-		if f.mutate != nil {
-			f.mutate(&cfg)
-		}
-		res, err := o.run(nat, cfg, warm, window)
-		if err != nil {
-			return err
-		}
-		rows1[i] = []string{f.name, stats.F(res.Gbps(), 2), stats.F(res.CyclesPerPacket(), 1),
-			stats.Pct(res.Counters.L1HitRate()),
-			stats.F(float64(res.Counters.PrefetchUseful)/float64(res.Packets), 2)}
-		return nil
-	}); err != nil {
+		features[i].mutate(&cfg)
+		return o.run(nat, cfg, warm, window)
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows1 {
-		t1.AddRow(row...)
+	for i, res := range byFeature {
+		t1.AddRow(features[i].name, stats.F(res.Gbps(), 2), stats.F(res.CyclesPerPacket(), 1),
+			stats.Pct(res.Counters.L1HitRate()),
+			stats.F(float64(res.Counters.PrefetchUseful)/float64(res.Packets), 2))
 	}
 
 	// (b) MSHR budget: memory-level parallelism available to the
@@ -65,22 +62,13 @@ func Ablations(o Options) ([]*stats.Table, error) {
 		"Ablation B — MSHR budget (NAT, 130K flows, 16 NFTasks)",
 		"mshrs", "gbps", "pf-dropped/pkt")
 	mshrSweep := []int{2, 4, 8, 12, 16, 32}
-	rows2 := make([][]string, len(mshrSweep))
-	if err := o.forEach(len(mshrSweep), func(i int) error {
-		simCfg := sim.DefaultConfig()
-		simCfg.MSHRs = mshrSweep[i]
-		res, err := natOn(simCfg)
-		if err != nil {
-			return err
-		}
-		rows2[i] = []string{stats.I(mshrSweep[i]), stats.F(res.Gbps(), 2),
-			stats.F(float64(res.Counters.PrefetchDropped)/float64(res.Packets), 2)}
-		return nil
-	}); err != nil {
+	byMSHRs, err := natOn(len(mshrSweep), func(i int, c *sim.Config) { c.MSHRs = mshrSweep[i] })
+	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows2 {
-		t2.AddRow(row...)
+	for i, res := range byMSHRs {
+		t2.AddRow(stats.I(mshrSweep[i]), stats.F(res.Gbps(), 2),
+			stats.F(float64(res.Counters.PrefetchDropped)/float64(res.Packets), 2))
 	}
 
 	// (c) NFTask switch cost: how light the runtime must be for
@@ -89,21 +77,12 @@ func Ablations(o Options) ([]*stats.Table, error) {
 		"Ablation C — NFTask switch cost (NAT, 130K flows, 16 NFTasks)",
 		"switch-cycles", "gbps", "cyc/pkt")
 	costSweep := []uint64{4, 12, 24, 48, 96}
-	rows3 := make([][]string, len(costSweep))
-	if err := o.forEach(len(costSweep), func(i int) error {
-		simCfg := sim.DefaultConfig()
-		simCfg.SwitchCost = costSweep[i]
-		res, err := natOn(simCfg)
-		if err != nil {
-			return err
-		}
-		rows3[i] = []string{stats.U(costSweep[i]), stats.F(res.Gbps(), 2), stats.F(res.CyclesPerPacket(), 1)}
-		return nil
-	}); err != nil {
+	byCost, err := natOn(len(costSweep), func(i int, c *sim.Config) { c.SwitchCost = costSweep[i] })
+	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows3 {
-		t3.AddRow(row...)
+	for i, res := range byCost {
+		t3.AddRow(stats.U(costSweep[i]), stats.F(res.Gbps(), 2), stats.F(res.CyclesPerPacket(), 1))
 	}
 
 	return []*stats.Table{t1, t2, t3}, nil

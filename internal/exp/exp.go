@@ -3,13 +3,17 @@
 // figure's series as a text table, plus ablation studies over the
 // design knobs DESIGN.md calls out.
 //
+// Every sweep runs through sweep, which fans its points out over
+// Options.Parallel workers and hands them back in index order; each
+// figure then renders its rows with a plain loop over the results.
 // Every single-core sweep point is one call, Options.run: build the
 // deployable in a fresh address space — NAT and UPF through
 // deploy.DefaultRegistry()'s factories, the SFC through
 // deploy.NewSFC, the same constructors agents and gunfu-bench use —
 // and run it on a core from the run's sim.CorePool, traced when
 // Options.Tracer is set. The multi-core figures (14, 15) are one
-// renderer over one rt.Engine runner.
+// renderer over one rt.Engine runner, whose per-core instances build
+// through deploy.NewSFC and deploy.NewUPF with each core's RSS shard.
 //
 // Runners come in two sizes: the full populations of the paper (the
 // defaults) and a Quick mode with reduced populations for CI and
@@ -88,10 +92,22 @@ func (o Options) pickU(full, quick uint64) uint64 {
 	return full
 }
 
-// forEach runs fn(i) for every i in [0, n): sequentially when
-// o.Parallel <= 1, otherwise on min(Parallel, n) workers pulling
-// indexes from a shared counter. fn must write its output into an
-// index-addressed slot so callers can emit rows in sweep order; the
+// sweep runs point(i) for every i in [0, n) through forEach and returns
+// the results in index order, so a figure renders its rows with a plain
+// loop whatever o.Parallel is. On failure the error is forEach's: the
+// lowest-index one.
+func sweep[T any](o Options, n int, point func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := o.forEach(n, func(i int) (err error) {
+		out[i], err = point(i)
+		return err
+	})
+	return out, err
+}
+
+// forEach is the engine under sweep: it runs fn(i) for every i in
+// [0, n), sequentially when o.Parallel <= 1, otherwise on
+// min(Parallel, n) workers pulling indexes from a shared counter. The
 // lowest-index error (if any) is returned either way, keeping error
 // selection independent of goroutine timing.
 func (o Options) forEach(n int, fn func(i int) error) error {

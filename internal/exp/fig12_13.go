@@ -28,43 +28,30 @@ func Fig12(o Options) ([]*stats.Table, error) {
 	// Message type 0 runs the full interleaved call flow — the
 	// cycle-weighted aggregate, where the state-heaviest messages
 	// dominate and data packing shows its net effect.
-	rows := make([][]string, traffic.NumAMFMessages+1)
-	if err := o.forEach(len(rows), func(i int) error {
+	results, err := sweep(o, traffic.NumAMFMessages+1, func(i int) (r [3]rt.Result, err error) {
 		m := uint8(i)
-		rtcRes, err := o.run(o.amfPoint(ues, m, nil), rt.RTCConfig(), warm, window)
-		if err != nil {
-			return err
+		if r[0], err = o.run(o.amfPoint(ues, m, nil), rt.RTCConfig(), warm, window); err != nil {
+			return r, err
 		}
-		ilRes, err := o.run(o.amfPoint(ues, m, nil), rt.ConfigFor(16), warm, window)
-		if err != nil {
-			return err
+		if r[1], err = o.run(o.amfPoint(ues, m, nil), rt.ConfigFor(16), warm, window); err != nil {
+			return r, err
 		}
-		dpRes, err := o.run(o.amfPoint(ues, m, packed), rt.ConfigFor(16), warm, window)
-		if err != nil {
-			return err
-		}
-		_, _, rtcLLC := rtcRes.MissesPerPacket()
-		_, _, ilLLC := ilRes.MissesPerPacket()
-		label := traffic.AMFMessageName(m)
-		if m == 0 {
-			label = "FullCallFlow"
-		}
-		rows[i] = []string{
-			label,
-			stats.F(rtcRes.Mpps()*1000, 1),
-			stats.F(ilRes.Mpps()*1000, 1),
-			stats.F(ilRes.Mpps()/rtcRes.Mpps(), 2),
-			stats.F(dpRes.Mpps()*1000, 1),
-			stats.F(dpRes.Mpps()/ilRes.Mpps(), 2),
-			stats.F(rtcLLC, 2),
-			stats.F(ilLLC, 2),
-		}
-		return nil
-	}); err != nil {
+		r[2], err = o.run(o.amfPoint(ues, m, packed), rt.ConfigFor(16), warm, window)
+		return r, err
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
-		t.AddRow(row...)
+	for i, r := range results {
+		rtc, il, dp := r[0], r[1], r[2]
+		_, _, rtcLLC := rtc.MissesPerPacket()
+		_, _, ilLLC := il.MissesPerPacket()
+		label := traffic.AMFMessageName(uint8(i))
+		if i == 0 {
+			label = "FullCallFlow"
+		}
+		t.AddRow(label, stats.F(rtc.Mpps()*1000, 1), stats.F(il.Mpps()*1000, 1), stats.F(il.Mpps()/rtc.Mpps(), 2),
+			stats.F(dp.Mpps()*1000, 1), stats.F(dp.Mpps()/il.Mpps(), 2), stats.F(rtcLLC, 2), stats.F(ilLLC, 2))
 	}
 	return []*stats.Table{t}, nil
 }
@@ -91,53 +78,38 @@ func Fig13(o Options) ([]*stats.Table, error) {
 		"Figure 13(c) — SFC IPC by configuration",
 		"len", "rtc-ipc", "il16-ipc", "il+dp-ipc", "il+dp+mr-ipc")
 
-	rows := make([][]string, len(lengths))
-	rows2 := make([][]string, len(lengths))
-	if err := o.forEach(len(lengths), func(i int) error {
-		length := lengths[i]
-		// RTC baseline (plain chain, no optimizations).
-		rtcRes, err := o.run(o.sfcPoint(length, flows, false, compile.SFCOptions{}), rt.RTCConfig(), warm, window)
-		if err != nil {
-			return err
+	// The ladder: RTC over the plain chain, then 16 interleaved
+	// NFTasks, + data packing (fused pools), + redundant matching
+	// removal.
+	ladder := [4]struct {
+		fused bool
+		opts  compile.SFCOptions
+		cfg   rt.Config
+	}{
+		{false, compile.SFCOptions{}, rt.RTCConfig()},
+		{false, compile.SFCOptions{}, rt.ConfigFor(16)},
+		{true, compile.SFCOptions{}, rt.ConfigFor(16)},
+		{true, compile.SFCOptions{RemoveRedundantMatching: true}, rt.ConfigFor(16)},
+	}
+	results, err := sweep(o, len(lengths), func(i int) (r [len(ladder)]rt.Result, err error) {
+		for k, step := range ladder {
+			if r[k], err = o.run(o.sfcPoint(lengths[i], flows, step.fused, step.opts), step.cfg, warm, window); err != nil {
+				return r, err
+			}
 		}
-		// Interleaved.
-		ilRes, err := o.run(o.sfcPoint(length, flows, false, compile.SFCOptions{}), rt.ConfigFor(16), warm, window)
-		if err != nil {
-			return err
-		}
-		// Interleaved + data packing (fused pools).
-		dpRes, err := o.run(o.sfcPoint(length, flows, true, compile.SFCOptions{}), rt.ConfigFor(16), warm, window)
-		if err != nil {
-			return err
-		}
-		// Interleaved + DP + redundant matching removal.
-		mrRes, err := o.run(o.sfcPoint(length, flows, true, compile.SFCOptions{RemoveRedundantMatching: true}), rt.ConfigFor(16), warm, window)
-		if err != nil {
-			return err
-		}
-
-		rows[i] = []string{
-			stats.I(length),
-			stats.F(rtcRes.Gbps(), 2),
-			stats.F(ilRes.Gbps(), 2),
-			stats.F(dpRes.Gbps(), 2),
-			stats.F(mrRes.Gbps(), 2),
-			stats.F(mrRes.Gbps()/rtcRes.Gbps(), 2),
-		}
-		rows2[i] = []string{
-			stats.I(length),
-			stats.F(rtcRes.Counters.IPC(), 2),
-			stats.F(ilRes.Counters.IPC(), 2),
-			stats.F(dpRes.Counters.IPC(), 2),
-			stats.F(mrRes.Counters.IPC(), 2),
-		}
-		return nil
-	}); err != nil {
+		return r, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	for i := range lengths {
-		t.AddRow(rows[i]...)
-		t2.AddRow(rows2[i]...)
+	for i, r := range results {
+		gbps, ipc := []string{stats.I(lengths[i])}, []string{stats.I(lengths[i])}
+		for _, res := range r {
+			gbps = append(gbps, stats.F(res.Gbps(), 2))
+			ipc = append(ipc, stats.F(res.Counters.IPC(), 2))
+		}
+		t.AddRow(append(gbps, stats.F(r[len(r)-1].Gbps()/r[0].Gbps(), 2))...)
+		t2.AddRow(ipc...)
 	}
 	return []*stats.Table{t, t2}, nil
 }

@@ -5,12 +5,9 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/deploy"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
-	"github.com/gunfu-nfv/gunfu/internal/nf/upf"
-	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/stats"
-	"github.com/gunfu-nfv/gunfu/internal/traffic"
 )
 
 // LineRateGbps is the paper's NIC line rate (100 Gbps ConnectX-6).
@@ -67,24 +64,7 @@ func Fig15(o Options) ([]*stats.Table, error) {
 		"Figure 15 — UPF multi-core scaling, GuNFu aggregate Gbps (130K sessions, 16 PDRs; '*' = line rate)",
 		"Figure 15 (comparison) — monolithic RTC (L25GC-style) vs GuNFu, 16 PDRs",
 		func(as *mem.AddressSpace, core, size, sessions, shardBase, shardCount int, _ bool) (*model.Program, rt.Source, error) {
-			seed := o.Seed + int64(core)*104729
-			u, err := upf.New(as, upf.Config{Sessions: sessions, PDRsPerSession: 16})
-			if err != nil {
-				return nil, nil, err
-			}
-			prog, err := u.DownlinkProgram()
-			if err != nil {
-				return nil, nil, err
-			}
-			if size == 0 {
-				src, err := newCaidaMGW(sessions, shardBase, shardCount, seed)
-				return prog, src, err
-			}
-			src, err := traffic.NewMGWGen(traffic.MGWConfig{
-				Sessions: sessions, PDRs: 16, PacketBytes: size, Seed: seed,
-				ShardBase: shardBase, ShardCount: shardCount,
-			})
-			return prog, src, err
+			return deploy.NewUPF(as, sessions, 16, size, shardBase, shardCount, o.Seed+int64(core)*104729)
 		})
 }
 
@@ -102,20 +82,15 @@ func (o Options) scaling(sizes, coreCounts []int, title, cmpTitle string, setup 
 	// The grid flattens into one sweep so every cell can run
 	// concurrently; cells are re-assembled into rows by index.
 	t := stats.NewTable(title, append([]string{"size"}, coreLabels(coreCounts)...)...)
-	cells := make([]string, len(sizes)*len(coreCounts))
-	if err := o.forEach(len(cells), func(i int) error {
+	cells, err := sweep(o, len(sizes)*len(coreCounts), func(i int) (string, error) {
 		agg, err := o.runCores(setup, sizes[i/len(coreCounts)], coreCounts[i%len(coreCounts)], true)
-		if err != nil {
-			return err
-		}
-		cells[i] = capGbps(agg.Gbps())
-		return nil
-	}); err != nil {
+		return capGbps(agg.Gbps()), err
+	})
+	if err != nil {
 		return nil, err
 	}
 	for si, size := range sizes {
-		row := append([]string{sizeLabel(size)}, cells[si*len(coreCounts):(si+1)*len(coreCounts)]...)
-		t.AddRow(row...)
+		t.AddRow(append([]string{sizeLabel(size)}, cells[si*len(coreCounts):(si+1)*len(coreCounts)]...)...)
 	}
 
 	cmpCores := o.pick(4, 2)
@@ -124,19 +99,14 @@ func (o Options) scaling(sizes, coreCounts []int, title, cmpTitle string, setup 
 		col++
 	}
 	t2 := stats.NewTable(cmpTitle+", "+stats.I(cmpCores)+" cores", "size", "rtc-gbps", "gunfu-gbps")
-	rows2 := make([][]string, len(sizes))
-	if err := o.forEach(len(sizes), func(i int) error {
-		rtcAgg, err := o.runCores(setup, sizes[i], cmpCores, false)
-		if err != nil {
-			return err
-		}
-		rows2[i] = []string{sizeLabel(sizes[i]), capGbps(rtcAgg.Gbps()), cells[i*len(coreCounts)+col]}
-		return nil
-	}); err != nil {
+	rtc, err := sweep(o, len(sizes), func(i int) (rt.Result, error) {
+		return o.runCores(setup, sizes[i], cmpCores, false)
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows2 {
-		t2.AddRow(row...)
+	for i, size := range sizes {
+		t2.AddRow(sizeLabel(size), capGbps(rtc[i].Gbps()), cells[i*len(coreCounts)+col])
 	}
 	return []*stats.Table{t, t2}, nil
 }
@@ -188,34 +158,4 @@ func (o Options) runCores(setup coreSetup, size, cores int, interleaved bool) (r
 		return rt.Result{}, err
 	}
 	return rt.AggregateStrict(results)
-}
-
-// caidaMGW wraps the MGW generator with the CAIDA IMIX size mix: UE-
-// addressed downlink traffic whose packet sizes follow the trace
-// distribution.
-type caidaMGW struct {
-	mgw   *traffic.MGWGen
-	sizes *traffic.CaidaGen
-}
-
-func newCaidaMGW(sessions, shardBase, shardCount int, seed int64) (rt.Source, error) {
-	mgw, err := traffic.NewMGWGen(traffic.MGWConfig{
-		Sessions: sessions, PDRs: 16, PacketBytes: 64, Seed: seed,
-		ShardBase: shardBase, ShardCount: shardCount,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sizes, err := traffic.NewCaidaGen(traffic.CaidaConfig{Flows: 64, Seed: seed + 1})
-	if err != nil {
-		return nil, err
-	}
-	return &caidaMGW{mgw: mgw, sizes: sizes}, nil
-}
-
-// Next emits an MGW packet with an IMIX wire length.
-func (c *caidaMGW) Next() *pkt.Packet {
-	p := c.mgw.Next()
-	p.WireLen = c.sizes.Next().WireLen
-	return p
 }

@@ -24,29 +24,17 @@ func Fig2(o Options) ([]*stats.Table, error) {
 	t1 := stats.NewTable(
 		"Figure 2(a) — RTC UPF vs PFCP session count (PDRs=16, 64B packets, 1 core)",
 		"sessions", "gbps", "mpps", "cyc/pkt", "l1miss/pkt", "llcmiss/pkt", "state-access%")
-	rows1 := make([][]string, len(sessionsSweep))
-	if err := o.forEach(len(sessionsSweep), func(i int) error {
-		sessions := sessionsSweep[i]
-		res, err := o.run(o.deploy(deploy.Spec{NF: "upf-downlink", Flows: sessions, PDRs: 16}), rt.RTCConfig(), warm, window)
-		if err != nil {
-			return err
-		}
-		l1, _, llc := res.MissesPerPacket()
-		rows1[i] = []string{
-			stats.I(sessions),
-			stats.F(res.Gbps(), 2),
-			stats.F(res.Mpps(), 2),
-			stats.F(res.CyclesPerPacket(), 1),
-			stats.F(l1, 2),
-			stats.F(llc, 2),
-			stats.Pct(float64(res.AccessCycles) / float64(res.Cycles)),
-		}
-		return nil
-	}); err != nil {
+	bySessions, err := sweep(o, len(sessionsSweep), func(i int) (rt.Result, error) {
+		return o.run(o.deploy(deploy.Spec{NF: "upf-downlink", Flows: sessionsSweep[i], PDRs: 16}), rt.RTCConfig(), warm, window)
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows1 {
-		t1.AddRow(row...)
+	for i, res := range bySessions {
+		l1, _, llc := res.MissesPerPacket()
+		t1.AddRow(stats.I(sessionsSweep[i]), stats.F(res.Gbps(), 2), stats.F(res.Mpps(), 2),
+			stats.F(res.CyclesPerPacket(), 1), stats.F(l1, 2), stats.F(llc, 2),
+			stats.Pct(float64(res.AccessCycles)/float64(res.Cycles)))
 	}
 
 	pdrSweep := []int{2, 8, 16, 32, 64}
@@ -57,28 +45,16 @@ func Fig2(o Options) ([]*stats.Table, error) {
 	t2 := stats.NewTable(
 		"Figure 2(b) — RTC UPF vs PDRs per session (sessions=2^15, 64B packets, 1 core)",
 		"pdrs", "gbps", "mpps", "cyc/pkt", "l1miss/pkt", "llcmiss/pkt")
-	rows2 := make([][]string, len(pdrSweep))
-	if err := o.forEach(len(pdrSweep), func(i int) error {
-		pdrs := pdrSweep[i]
-		res, err := o.run(o.deploy(deploy.Spec{NF: "upf-downlink", Flows: fixedSessions, PDRs: pdrs}), rt.RTCConfig(), warm, window)
-		if err != nil {
-			return err
-		}
-		l1, _, llc := res.MissesPerPacket()
-		rows2[i] = []string{
-			stats.I(pdrs),
-			stats.F(res.Gbps(), 2),
-			stats.F(res.Mpps(), 2),
-			stats.F(res.CyclesPerPacket(), 1),
-			stats.F(l1, 2),
-			stats.F(llc, 2),
-		}
-		return nil
-	}); err != nil {
+	byPDRs, err := sweep(o, len(pdrSweep), func(i int) (rt.Result, error) {
+		return o.run(o.deploy(deploy.Spec{NF: "upf-downlink", Flows: fixedSessions, PDRs: pdrSweep[i]}), rt.RTCConfig(), warm, window)
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows2 {
-		t2.AddRow(row...)
+	for i, res := range byPDRs {
+		l1, _, llc := res.MissesPerPacket()
+		t2.AddRow(stats.I(pdrSweep[i]), stats.F(res.Gbps(), 2), stats.F(res.Mpps(), 2),
+			stats.F(res.CyclesPerPacket(), 1), stats.F(l1, 2), stats.F(llc, 2))
 	}
 	return []*stats.Table{t1, t2}, nil
 }
@@ -113,29 +89,18 @@ func Fig3(o Options) ([]*stats.Table, error) {
 	t := stats.NewTable(
 		"Figure 3 — RTC AMF state-intensive registration messages (UEs=2^17, 1 core)",
 		"message", "kmsg/s", "cyc/msg", "state-access%", "l1miss/msg", "l2miss/msg", "llcmiss/msg")
-	rows := make([][]string, traffic.NumAMFMessages)
-	if err := o.forEach(traffic.NumAMFMessages, func(i int) error {
-		m := uint8(i + 1)
-		res, err := o.run(o.amfPoint(ues, m, nil), rt.RTCConfig(), warm, window)
-		if err != nil {
-			return err
-		}
-		l1, l2, llc := res.MissesPerPacket()
-		rows[i] = []string{
-			traffic.AMFMessageName(m),
-			stats.F(res.Mpps()*1000, 1),
-			stats.F(res.CyclesPerPacket(), 1),
-			stats.Pct(float64(res.AccessCycles) / float64(res.Cycles)),
-			stats.F(l1, 2),
-			stats.F(l2, 2),
-			stats.F(llc, 2),
-		}
-		return nil
-	}); err != nil {
+	// Message types are 1-based; 0 is the full call flow (Figure 12).
+	results, err := sweep(o, traffic.NumAMFMessages, func(i int) (rt.Result, error) {
+		return o.run(o.amfPoint(ues, uint8(i+1), nil), rt.RTCConfig(), warm, window)
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
-		t.AddRow(row...)
+	for i, res := range results {
+		l1, l2, llc := res.MissesPerPacket()
+		t.AddRow(traffic.AMFMessageName(uint8(i+1)), stats.F(res.Mpps()*1000, 1),
+			stats.F(res.CyclesPerPacket(), 1), stats.Pct(float64(res.AccessCycles)/float64(res.Cycles)),
+			stats.F(l1, 2), stats.F(l2, 2), stats.F(llc, 2))
 	}
 	return []*stats.Table{t}, nil
 }

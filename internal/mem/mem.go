@@ -97,20 +97,11 @@ func (p *Pool) Addr(i int) (uint64, error) {
 	return p.region.Base + uint64(i)*p.entrySize, nil
 }
 
-// MustAddr is Addr for indexes the caller has already validated (e.g. a
-// match result previously stored into the pool); it panics on misuse,
-// which indicates a runtime bug rather than bad input.
-func (p *Pool) MustAddr(i int) uint64 {
-	a, err := p.Addr(i)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
-// AddrAt is the hot-path form of MustAddr: a single bounds check that
-// the compiler can inline at the call site, with the panic outlined.
-// Semantics are identical to MustAddr (panic on an out-of-range index).
+// AddrAt is Addr for indexes the caller has already validated (e.g. a
+// match result previously stored into the pool) — the hot-path form: a
+// single bounds check that the compiler can inline at the call site,
+// with the panic outlined. It panics on an out-of-range index, which
+// indicates a runtime bug rather than bad input.
 func (p *Pool) AddrAt(i int32) uint64 {
 	if i < 0 || int(i) >= p.count {
 		p.badIndex(i)

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -93,18 +95,28 @@ func TestPoolErrors(t *testing.T) {
 	}
 }
 
-func TestMustAddrPanics(t *testing.T) {
+// TestAddrAtPanics pins AddrAt's out-of-range contract: a negative
+// index and one past the end both panic, naming the pool.
+func TestAddrAtPanics(t *testing.T) {
 	as := NewAddressSpace()
-	p, err := NewPool(as, "p", 8, 1)
+	p, err := NewPool(as, "flows", 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustAddr(5) did not panic")
-		}
-	}()
-	p.MustAddr(5)
+	for _, i := range []int32{-1, 4} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("AddrAt(%d) did not panic", i)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, "pool flows") {
+					t.Fatalf("AddrAt(%d) panic %q does not name the pool", i, msg)
+				}
+			}()
+			p.AddrAt(i)
+		}()
+	}
 }
 
 func TestNewLayout(t *testing.T) {

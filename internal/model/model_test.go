@@ -115,7 +115,7 @@ func TestStepChargesDeclaredSpanAddresses(t *testing.T) {
 	}
 	// The read span resolves to pool entry 3's "counter" field; reading
 	// it again now must be an L1 hit.
-	addr := env.pool.MustAddr(3)
+	addr := env.pool.AddrAt(3)
 	base := env.core.Counters()
 	env.core.Read(addr, 8)
 	if d := env.core.Counters().Sub(base); d.L1Hits != 1 {
@@ -484,8 +484,8 @@ func TestResolveBases(t *testing.T) {
 		span Span
 		want uint64
 	}{
-		{Span{BasePerFlow, 8, 8}, pf.MustAddr(2) + 8},
-		{Span{BaseSubFlow, 0, 8}, sf.MustAddr(3)},
+		{Span{BasePerFlow, 8, 8}, pf.AddrAt(2) + 8},
+		{Span{BaseSubFlow, 0, 8}, sf.AddrAt(3)},
 		{Span{BasePacket, 14, 4}, 0x9000 + 14},
 		{Span{BaseControl, 4, 4}, 0x7004},
 		{Span{BaseTemp, 16, 8}, 0xA010},

@@ -20,9 +20,9 @@ import (
 func Resolve(s Span, bind *Binding, e *Exec) uint64 {
 	switch s.Base {
 	case BasePerFlow:
-		return bind.PerFlow.MustAddr(int(e.FlowIdx)) + s.Off
+		return bind.PerFlow.AddrAt(e.FlowIdx) + s.Off
 	case BaseSubFlow:
-		return bind.SubFlow.MustAddr(int(e.SubIdx)) + s.Off
+		return bind.SubFlow.AddrAt(e.SubIdx) + s.Off
 	case BasePacket:
 		return e.Pkt.Addr + s.Off
 	case BaseControl:
