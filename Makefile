@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify cross lint bench-smoke bench-compile bench-paired bench-ab profile examples quick trace-demo metrics-demo fuzz chaos chaos-demo
+.PHONY: build test verify cross lint loc bench-smoke bench-compile bench-paired bench-ab profile examples quick trace-demo metrics-demo fuzz chaos chaos-demo
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,15 @@ lint:
 	else \
 		echo "staticcheck not installed; skipped (CI runs it pinned)"; \
 	fi
+
+# loc counts the non-test Go lines outside bench/ (hidden directories
+# such as build outputs skipped): one line per package directory,
+# largest first, then the total — the figure a simplicity change
+# reports as "non-test Go N → M".
+loc:
+	@find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); pkg[d] += $$1; sum += $$1 } \
+		END { for (d in pkg) printf "%7d %s\n", pkg[d], d | "sort -rn"; close("sort -rn"); printf "%7d total\n", sum }'
 
 # bench-smoke runs one short iteration of every hot-path benchmark —
 # enough to catch a benchmark that no longer compiles or allocates,

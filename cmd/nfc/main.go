@@ -6,11 +6,17 @@
 // Usage:
 //
 //	nfc -schema 'PerFlowState=ip,port' path/to/actions.nfc
+//
+// cmd/nfc/testdata/mapper.nfc is the paper's Listing 4 flow mapper:
+//
+//	go run ./cmd/nfc -schema 'PerFlowState=ip,port' cmd/nfc/testdata/mapper.nfc
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -18,49 +24,59 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	schemaFlag := flag.String("schema", "", "state schema: Root=field,field;Root=... (roots: PerFlowState, SubFlowState, ControlState, TempState)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: nfc [-schema ...] <file.nfc>")
+// run is the command with its arguments and output streams; it returns
+// the exit status: 0 on success, 1 when the file cannot be read, parsed
+// or compiled, 2 on a usage or schema error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nfc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	schemaFlag := fs.String("schema", "", "state schema: Root=field,field;Root=... (roots: PerFlowState, SubFlowState, ControlState, TempState)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: nfc [-schema ...] <file.nfc>")
+		return 2
+	}
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nfc: %v\n", err)
+		fmt.Fprintf(stderr, "nfc: %v\n", err)
 		return 1
 	}
 	schema, err := parseSchema(*schemaFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nfc: %v\n", err)
+		fmt.Fprintf(stderr, "nfc: %v\n", err)
 		return 2
 	}
 	actions, err := nfc.Parse(string(src))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nfc: %v\n", err)
+		fmt.Fprintf(stderr, "nfc: %v\n", err)
 		return 1
 	}
 	for _, ast := range actions {
 		compiled, err := nfc.Compile(ast, schema)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nfc: %v\n", err)
+			fmt.Fprintf(stderr, "nfc: %v\n", err)
 			return 1
 		}
-		fmt.Printf("NFAction %s (cost≈%d insts, %d temp slots)\n",
+		fmt.Fprintf(stdout, "NFAction %s (cost≈%d insts, %d temp slots)\n",
 			compiled.Name, compiled.Cost, compiled.NumLocals)
-		dumpSet("reads", compiled.Reads)
-		dumpSet("writes", compiled.Writes)
-		fmt.Printf("  emits:  %s\n", strings.Join(compiled.Events, ", "))
+		dumpSet(stdout, "reads", compiled.Reads)
+		dumpSet(stdout, "writes", compiled.Writes)
+		fmt.Fprintf(stdout, "  emits:  %s\n", strings.Join(compiled.Events, ", "))
 	}
 	return 0
 }
 
-func dumpSet(label string, set map[nfc.Root][]string) {
+func dumpSet(w io.Writer, label string, set map[nfc.Root][]string) {
 	if len(set) == 0 {
-		fmt.Printf("  %s: (none)\n", label)
+		fmt.Fprintf(w, "  %s: (none)\n", label)
 		return
 	}
 	var parts []string
@@ -69,7 +85,7 @@ func dumpSet(label string, set map[nfc.Root][]string) {
 			parts = append(parts, fmt.Sprintf("%s{%s}", root, strings.Join(fields, ",")))
 		}
 	}
-	fmt.Printf("  %s: %s\n", label, strings.Join(parts, " "))
+	fmt.Fprintf(w, "  %s: %s\n", label, strings.Join(parts, " "))
 }
 
 func parseSchema(s string) (nfc.Schema, error) {

@@ -36,7 +36,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/exp"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
-	"github.com/gunfu-nfv/gunfu/internal/nf"
 	"github.com/gunfu-nfv/gunfu/internal/nf/amf"
 	"github.com/gunfu-nfv/gunfu/internal/nf/fw"
 	"github.com/gunfu-nfv/gunfu/internal/nf/lb"
@@ -96,10 +95,9 @@ type (
 	EventID = model.EventID
 	// FieldRef symbolically names the state an action accesses.
 	FieldRef = model.FieldRef
-	// Binding resolves a module's state pools.
+	// Binding is one module's state: its pools, their layouts and its
+	// control region.
 	Binding = model.Binding
-	// Layouts maps state kinds to record layouts for one module.
-	Layouts = model.Layouts
 )
 
 // NewBuilder starts a program named name.
@@ -186,8 +184,6 @@ type (
 	Monitor = monitor.Monitor
 	// MonitorConfig parametrizes a monitor.
 	MonitorConfig = monitor.Config
-	// States bundles an NF's per-flow state objects.
-	States = nf.States
 )
 
 // NewNAT builds a NAT instance.
@@ -237,8 +233,9 @@ func PackLayout(fields []Field, groups [][]string) (*Layout, error) {
 	return compile.PackLayout(fields, groups)
 }
 
-// FuseStates builds one fused, packed per-flow pool for a whole chain.
-func FuseStates(as *AddressSpace, name string, members []FuseMember, maxFlows int) (map[string]*States, error) {
+// FuseStates builds one fused, packed per-flow pool for a whole chain
+// and returns each member's Binding of it.
+func FuseStates(as *AddressSpace, name string, members []FuseMember, maxFlows int) (map[string]*Binding, error) {
 	return compile.FuseStates(as, name, members, maxFlows)
 }
 
@@ -286,9 +283,6 @@ func NewAMFGen(cfg AMFTrafficConfig) (*AMFGen, error) { return traffic.NewAMFGen
 
 // NewCaidaGen builds the CAIDA-like trace generator.
 func NewCaidaGen(cfg CaidaConfig) (*CaidaGen, error) { return traffic.NewCaidaGen(cfg) }
-
-// LimitSource bounds a source to n packets.
-func LimitSource(src Source, n uint64) Source { return traffic.NewLimited(src, n) }
 
 // Experiments (see internal/exp): the paper's figures as runnable
 // table generators.

@@ -6,7 +6,6 @@ import (
 
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
-	"github.com/gunfu-nfv/gunfu/internal/nf"
 	"github.com/gunfu-nfv/gunfu/internal/nf/fw"
 	"github.com/gunfu-nfv/gunfu/internal/nf/lb"
 	"github.com/gunfu-nfv/gunfu/internal/nf/monitor"
@@ -105,7 +104,8 @@ func TestPackLayoutRespectsFrequency(t *testing.T) {
 
 func buildChain(t *testing.T, as *mem.AddressSpace, flows int, fused bool) []Chainable {
 	t.Helper()
-	var fusedStates map[string]*nf.States
+	// Unfused, the map stays nil and every NF reserves its own pool.
+	var fusedStates map[string]*model.Binding
 	if fused {
 		members := []FuseMember{
 			{Name: "lb", Fields: lb.FlowFields(), Hot: lb.HotFields()},
@@ -119,26 +119,19 @@ func buildChain(t *testing.T, as *mem.AddressSpace, flows int, fused bool) []Cha
 			t.Fatal(err)
 		}
 	}
-	get := func(name string) *nf.States {
-		if fusedStates == nil {
-			return nil
-		}
-		return fusedStates[name]
-	}
-
-	l, err := lb.New(as, lb.Config{MaxFlows: flows, States: get("lb")})
+	l, err := lb.New(as, lb.Config{MaxFlows: flows, States: fusedStates["lb"]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := nat.New(as, nat.Config{MaxFlows: flows, States: get("nat")})
+	n, err := nat.New(as, nat.Config{MaxFlows: flows, States: fusedStates["nat"]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := monitor.New(as, monitor.Config{MaxFlows: flows, States: get("nm")})
+	m, err := monitor.New(as, monitor.Config{MaxFlows: flows, States: fusedStates["nm"]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := fw.New(as, fw.Config{MaxFlows: flows, States: get("fw")})
+	f, err := fw.New(as, fw.Config{MaxFlows: flows, States: fusedStates["fw"]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,16 +322,16 @@ func TestFuseStatesSharedPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fusedStates["nat"].Pool != fusedStates["lb"].Pool {
+	if fusedStates["nat"].PerFlow != fusedStates["lb"].PerFlow {
 		t.Fatal("members do not share the fused pool")
 	}
 	// Hot fields across both NFs must land in fewer lines than two
 	// separate one-line records would occupy.
-	natHot, err := fusedStates["nat"].Layout.LinesTouched(nat.HotFields())
+	natHot, err := fusedStates["nat"].PerFlowLayout.LinesTouched(nat.HotFields())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lbHot, err := fusedStates["lb"].Layout.LinesTouched(lb.HotFields())
+	lbHot, err := fusedStates["lb"].PerFlowLayout.LinesTouched(lb.HotFields())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,11 +180,10 @@ func attachStatefulNF(as *mem.AddressSpace, b *model.Builder, mod *spec.Module,
 	env := nfc.NewEnv(nfc.Stores{PerFlow: store})
 	schema := nfc.Schema{nfc.RootPerFlow: fieldNames}
 
-	bind := model.Binding{
-		PerFlow: pool,
+	b.AddModule(mod.Name, model.Binding{
+		PerFlow: pool, PerFlowLayout: layout,
 		Control: mem.Region{Name: mod.Name + ".control", Base: as.Reserve(64, 0), Size: 64},
-	}
-	b.AddModule(mod.Name, bind, model.Layouts{model.KindPerFlow: layout})
+	})
 
 	// Control states = every non-Start/End transition source.
 	csSeen := make(map[string]bool)

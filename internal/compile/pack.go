@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"github.com/gunfu-nfv/gunfu/internal/mem"
-	"github.com/gunfu-nfv/gunfu/internal/nf"
+	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
 
@@ -109,7 +109,7 @@ func packWithOrder(fields []mem.Field, groups [][]string, index map[string]int, 
 
 	place := func(i int) {
 		f := fields[i]
-		align := alignOf(f.Size)
+		align := f.Align()
 		off := (cursor + align - 1) &^ (align - 1)
 		// Avoid straddling a line when the field could fit in one.
 		if f.Size <= sim.LineBytes {
@@ -153,19 +153,6 @@ func packWithOrder(fields []mem.Field, groups [][]string, index map[string]int, 
 	return mem.PackedLayout(fields, offsets)
 }
 
-func alignOf(size uint64) uint64 {
-	switch {
-	case size >= 8:
-		return 8
-	case size >= 4:
-		return 4
-	case size >= 2:
-		return 2
-	default:
-		return 1
-	}
-}
-
 // FuseMember describes one NF's contribution to a fused SFC pool.
 type FuseMember struct {
 	// Name is the NF instance name.
@@ -181,9 +168,11 @@ type FuseMember struct {
 // highly correlated temporally, we put them in the same cache line if
 // possible"): it builds ONE per-flow pool whose entries concatenate
 // every member's record, with all members' hot fields packed together
-// at the front of the entry. Each member receives a layout view using
-// its own field names, so the NFs' action declarations are unchanged.
-func FuseStates(as *mem.AddressSpace, name string, members []FuseMember, maxFlows int) (map[string]*nf.States, error) {
+// at the front of the entry. Each member receives a Binding of the
+// fused pool whose per-flow layout is a view using its own field names,
+// so the NFs' action declarations are unchanged, and its own control
+// region.
+func FuseStates(as *mem.AddressSpace, name string, members []FuseMember, maxFlows int) (map[string]*model.Binding, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("compile: fuse: no members")
 	}
@@ -221,7 +210,7 @@ func FuseStates(as *mem.AddressSpace, name string, members []FuseMember, maxFlow
 		return nil, fmt.Errorf("compile: fuse: %w", err)
 	}
 
-	out := make(map[string]*nf.States, len(members))
+	out := make(map[string]*model.Binding, len(members))
 	for _, m := range members {
 		view := make(map[string]uint64, len(m.Fields))
 		for _, f := range m.Fields {
@@ -236,10 +225,10 @@ func FuseStates(as *mem.AddressSpace, name string, members []FuseMember, maxFlow
 			return nil, fmt.Errorf("compile: fuse: view for %s: %w", m.Name, err)
 		}
 		ctrlBase := as.Reserve(64, 0)
-		out[m.Name] = &nf.States{
-			Pool:    pool,
-			Layout:  layout,
-			Control: mem.Region{Name: m.Name + ".control", Base: ctrlBase, Size: 64},
+		out[m.Name] = &model.Binding{
+			PerFlow:       pool,
+			PerFlowLayout: layout,
+			Control:       mem.Region{Name: m.Name + ".control", Base: ctrlBase, Size: 64},
 		}
 	}
 	return out, nil

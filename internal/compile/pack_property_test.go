@@ -152,12 +152,12 @@ func TestFuseStatesDisjointProperty(t *testing.T) {
 				return false
 			}
 			if pool == nil {
-				pool = st.Pool
-			} else if pool != st.Pool {
+				pool = st.PerFlow
+			} else if pool != st.PerFlow {
 				return false
 			}
 			for _, f := range m.Fields {
-				off, size, err := st.Layout.Span(f.Name)
+				off, size, err := st.PerFlowLayout.Span(f.Name)
 				if err != nil {
 					return false
 				}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"github.com/gunfu-nfv/gunfu/internal/model"
-	"github.com/gunfu-nfv/gunfu/internal/nf"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
 )
 
@@ -35,8 +34,6 @@ type Chainable interface {
 	// identity for non-rewriting NFs). Chain population uses it so each
 	// NF's match table is keyed on the packet as it arrives there.
 	Translate(tuple pkt.FiveTuple, idx int32) pkt.FiveTuple
-	// States exposes the NF's per-flow state objects.
-	States() *nf.States
 }
 
 // SFCOptions selects the compilation optimizations for a chain.

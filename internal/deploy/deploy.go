@@ -8,7 +8,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/compile"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
-	"github.com/gunfu-nfv/gunfu/internal/nf"
 	"github.com/gunfu-nfv/gunfu/internal/nf/fw"
 	"github.com/gunfu-nfv/gunfu/internal/nf/lb"
 	"github.com/gunfu-nfv/gunfu/internal/nf/monitor"
@@ -243,19 +242,19 @@ func NewChain(as *mem.AddressSpace, length, flows int, fused bool) ([]compile.Ch
 	}
 	type member struct {
 		compile.FuseMember
-		build func(states *nf.States) (compile.Chainable, error)
+		build func(states *model.Binding) (compile.Chainable, error)
 	}
 	members := []member{
 		{compile.FuseMember{Name: "lb", Fields: lb.FlowFields(), Hot: lb.HotFields()},
-			func(st *nf.States) (compile.Chainable, error) {
+			func(st *model.Binding) (compile.Chainable, error) {
 				return lb.New(as, lb.Config{MaxFlows: flows, States: st})
 			}},
 		{compile.FuseMember{Name: "nat", Fields: nat.FlowFields(), Hot: nat.HotFields()},
-			func(st *nf.States) (compile.Chainable, error) {
+			func(st *model.Binding) (compile.Chainable, error) {
 				return nat.New(as, nat.Config{MaxFlows: flows, States: st})
 			}},
 		{compile.FuseMember{Name: "nm", Fields: monitor.FlowFields(), Hot: monitor.HotFields()},
-			func(st *nf.States) (compile.Chainable, error) {
+			func(st *model.Binding) (compile.Chainable, error) {
 				return monitor.New(as, monitor.Config{MaxFlows: flows, States: st})
 			}},
 	}
@@ -264,14 +263,14 @@ func NewChain(as *mem.AddressSpace, length, flows int, fused bool) ([]compile.Ch
 		policy := fw.DefaultPolicy(8 * (i + 1)) // different policies per FW
 		members = append(members, member{
 			compile.FuseMember{Name: name, Fields: fw.FlowFields(), Hot: fw.HotFields()},
-			func(st *nf.States) (compile.Chainable, error) {
+			func(st *model.Binding) (compile.Chainable, error) {
 				return fw.New(as, fw.Config{Name: name, MaxFlows: flows, Policy: policy, States: st})
 			}})
 	}
 	members = members[:length]
 
 	// Unfused, the map stays nil and every NF reserves its own pool.
-	var states map[string]*nf.States
+	var states map[string]*model.Binding
 	if fused {
 		fuse := make([]compile.FuseMember, length)
 		for i, m := range members {

@@ -189,7 +189,7 @@ func TestAgentLiveTaps(t *testing.T) {
 		seen := map[sim.Tracer]bool{}
 		reg := deploy.Registry{"taps": func(as *mem.AddressSpace, d DeploySpec) (*model.Program, rt.Source, error) {
 			b := model.NewBuilder("taps")
-			b.AddModule("m", model.Binding{}, nil)
+			b.AddModule("m", model.Binding{})
 			done := b.Event("done")
 			b.AddState("m", "A", model.Action{
 				Name: "a",

@@ -15,6 +15,22 @@ type Field struct {
 	Size uint64
 }
 
+// Align is the field's natural alignment: its size rounded down to a
+// power of two, capped at 8 bytes. NewLayout and the data-packing pass
+// both place fields by it.
+func (f Field) Align() uint64 {
+	switch {
+	case f.Size >= 8:
+		return 8
+	case f.Size >= 4:
+		return 4
+	case f.Size >= 2:
+		return 2
+	default:
+		return 1
+	}
+}
+
 // Layout maps a record's named fields to byte offsets. The per-flow and
 // sub-flow state of every NF is described by a Layout; the compiler's
 // data-packing pass (§VI-B of the paper) rewrites the field order so
@@ -26,9 +42,9 @@ type Layout struct {
 	size    uint64
 }
 
-// NewLayout places fields in declaration order, each aligned to
-// min(Size, 8) rounded up to a power of two. This is the "natural"
-// layout a C struct declaration would produce — the unpacked baseline.
+// NewLayout places fields in declaration order, each at its Align. This
+// is the "natural" layout a C struct declaration would produce — the
+// unpacked baseline.
 func NewLayout(fields ...Field) (*Layout, error) {
 	l := &Layout{
 		fields:  make([]Field, 0, len(fields)),
@@ -42,7 +58,7 @@ func NewLayout(fields ...Field) (*Layout, error) {
 		if _, dup := l.offsets[f.Name]; dup {
 			return nil, fmt.Errorf("mem: layout: duplicate field %q", f.Name)
 		}
-		align := alignOf(f.Size)
+		align := f.Align()
 		off = (off + align - 1) &^ (align - 1)
 		l.offsets[f.Name] = off
 		l.fields = append(l.fields, f)
@@ -142,17 +158,4 @@ func (l *Layout) LinesTouched(names []string) (int, error) {
 		}
 	}
 	return len(seen), nil
-}
-
-func alignOf(size uint64) uint64 {
-	switch {
-	case size >= 8:
-		return 8
-	case size >= 4:
-		return 4
-	case size >= 2:
-		return 2
-	default:
-		return 1
-	}
 }

@@ -23,7 +23,7 @@ func BenchmarkProgramStep(b *testing.B) {
 	control := mem.Region{Name: "ctl", Base: as.Reserve(256, 64), Size: 256}
 
 	bl := model.NewBuilder("bench")
-	bl.AddModule("m", model.Binding{PerFlow: perFlow, Control: control}, nil)
+	bl.AddModule("m", model.Binding{PerFlow: perFlow, Control: control})
 	adv := bl.Event("adv")
 	fn := func(e *model.Exec) model.EventID { return adv }
 	span := func(base model.BaseKind, off, size uint64) model.FieldRef {

@@ -5,16 +5,11 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
 
 // EndName is the reserved control-state name for stream completion.
 const EndName = "End"
-
-// Layouts maps each state kind of a module to the record layout its
-// field references resolve against.
-type Layouts map[StateKind]*mem.Layout
 
 // Builder assembles a Program from modules, control states, actions and
 // transitions. It is the target both of the spec compiler (internal/
@@ -22,18 +17,13 @@ type Layouts map[StateKind]*mem.Layout
 type Builder struct {
 	name    string
 	events  []string
-	modules map[string]*moduleDef
+	modules map[string]*Binding
 	order   []string // module insertion order, for deterministic builds
 	csNames []string // "module.state", insertion order
 	csDefs  map[string]*csDef
 	trans   []transDef
 	start   string
 	err     error
-}
-
-type moduleDef struct {
-	bind    Binding
-	layouts Layouts
 }
 
 type csDef struct {
@@ -51,7 +41,7 @@ func NewBuilder(name string) *Builder {
 	return &Builder{
 		name:    name,
 		events:  []string{"", "packet", "done"},
-		modules: make(map[string]*moduleDef),
+		modules: make(map[string]*Binding),
 		csDefs:  make(map[string]*csDef),
 	}
 }
@@ -76,8 +66,8 @@ func (b *Builder) Event(name string) EventID {
 	return EventID(len(b.events) - 1)
 }
 
-// AddModule declares a module with its state bindings and layouts.
-func (b *Builder) AddModule(name string, bind Binding, layouts Layouts) {
+// AddModule declares a module with its state binding.
+func (b *Builder) AddModule(name string, bind Binding) {
 	if name == "" || strings.Contains(name, ".") {
 		b.fail(fmt.Errorf("model: invalid module name %q", name))
 		return
@@ -86,7 +76,7 @@ func (b *Builder) AddModule(name string, bind Binding, layouts Layouts) {
 		b.fail(fmt.Errorf("model: duplicate module %q", name))
 		return
 	}
-	b.modules[name] = &moduleDef{bind: bind, layouts: layouts}
+	b.modules[name] = &bind
 	b.order = append(b.order, name)
 }
 
@@ -126,49 +116,28 @@ func (b *Builder) SetStart(name string) {
 }
 
 // compileRefs lowers FieldRefs to coalesced spans against the module's
-// layouts.
+// binding.
 func (b *Builder) compileRefs(module string, refs []FieldRef) ([]Span, error) {
-	mod := b.modules[module]
+	bind := b.modules[module]
 	spans := make([]Span, 0, len(refs))
 	for _, ref := range refs {
 		if ref.Explicit != nil {
 			spans = append(spans, *ref.Explicit)
 			continue
 		}
-		base, err := baseFor(ref.State)
-		if err != nil {
-			return nil, err
-		}
-		layout, ok := mod.layouts[ref.State]
-		if !ok {
-			return nil, fmt.Errorf("model: module %s has no %v layout", module, ref.State)
+		layout := bind.layout(ref.Base)
+		if layout == nil {
+			return nil, fmt.Errorf("model: module %s has no %v layout", module, ref.Base)
 		}
 		for _, f := range ref.Fields {
 			off, size, err := layout.Span(f)
 			if err != nil {
-				return nil, fmt.Errorf("model: module %s %v state: %w", module, ref.State, err)
+				return nil, fmt.Errorf("model: module %s %v state: %w", module, ref.Base, err)
 			}
-			spans = append(spans, Span{Base: base, Off: off, Size: size})
+			spans = append(spans, Span{Base: ref.Base, Off: off, Size: size})
 		}
 	}
 	return coalesce(spans), nil
-}
-
-func baseFor(kind StateKind) (BaseKind, error) {
-	switch kind {
-	case KindPerFlow:
-		return BasePerFlow, nil
-	case KindSubFlow:
-		return BaseSubFlow, nil
-	case KindPacket:
-		return BasePacket, nil
-	case KindControl:
-		return BaseControl, nil
-	case KindTemp:
-		return BaseTemp, nil
-	default:
-		return 0, fmt.Errorf("model: %v state has no layout-relative base; use Raw or Dynamic", kind)
-	}
 }
 
 // coalesce sorts spans by (base, offset) and merges neighbours whose
@@ -211,9 +180,8 @@ func (b *Builder) Build() (*Program, error) {
 		return nil, fmt.Errorf("model: program %s: no start state", b.name)
 	}
 	p := &Program{
-		name:      b.name,
-		events:    append([]string(nil), b.events...),
-		tempLines: 1,
+		name:   b.name,
+		events: append([]string(nil), b.events...),
 	}
 	// CS 0 is End.
 	p.cs = append(p.cs, CSInfo{Name: EndName})
@@ -222,7 +190,6 @@ func (b *Builder) Build() (*Program, error) {
 	actionIDs := make(map[string]ActionID)
 	for _, full := range b.csNames {
 		def := b.csDefs[full]
-		mod := b.modules[def.module]
 
 		reads, err := b.compileRefs(def.module, def.action.Reads)
 		if err != nil {
@@ -248,12 +215,8 @@ func (b *Builder) Build() (*Program, error) {
 			Reads:    reads,
 			Writes:   writes,
 			Prefetch: coalesce(append(append([]Span{}, reads...), writes...)),
-			Bind:     &mod.bind,
+			Bind:     b.modules[def.module],
 		})
-
-		if tl, ok := mod.layouts[KindTemp]; ok && tl.Lines() > p.tempLines {
-			p.tempLines = tl.Lines()
-		}
 	}
 
 	// Transition tables.

@@ -118,7 +118,7 @@ func buildRandomProgram(t *testing.T, rng *rand.Rand) *diffWorld {
 	}
 
 	b := model.NewBuilder("diff")
-	b.AddModule("m", model.Binding{PerFlow: perFlow, SubFlow: subFlow, Control: control}, nil)
+	b.AddModule("m", model.Binding{PerFlow: perFlow, SubFlow: subFlow, Control: control})
 	e0 := b.Event("e0")
 	e1 := b.Event("e1")
 	nStates := 2 + rng.Intn(5)

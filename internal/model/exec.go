@@ -55,8 +55,9 @@ type Exec struct {
 	Temp [8]uint64
 	// Cur is the stepwise matching cursor.
 	Cur Cursor
-	// TempAddr is the simulated address of this task's scratch region
-	// (part of the NFTask structure itself).
+	// TempAddr is the simulated address of this task's one scratch line
+	// (part of the NFTask structure itself); BaseTemp spans resolve
+	// against it.
 	TempAddr uint64
 	// CS is the current control state.
 	CS CSID

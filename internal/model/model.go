@@ -10,6 +10,12 @@
 // Decomposition Property — which is what lets the interleaved runtime
 // prefetch them and the compiler pack them.
 //
+// The paper's NFState classes are one enum, BaseKind: an access names
+// its class, and the class says where the bytes live (the module's
+// per-flow or sub-flow pool, its control region, the packet, the
+// task's scratch line or the match cursor). A module's state is one
+// record, its Binding: the pools, their layouts and the control region.
+//
 // Both execution models in this repository run the same Program on the
 // same worker, internal/rt: interleaving many streams with prefetching
 // (the paper's contribution), or, under rt.RTCConfig, one stream with no
@@ -37,65 +43,29 @@ const (
 	EvDone EventID = 2
 )
 
-// StateKind classifies NFStates per the paper's taxonomy (§IV-A).
-type StateKind int
-
-// The NFState categories.
-const (
-	// KindMatch is flow-classification structure state (hash buckets,
-	// tree nodes) — the pointer-chasing source.
-	KindMatch StateKind = iota + 1
-	// KindPerFlow is per-flow session state.
-	KindPerFlow
-	// KindSubFlow is second-level state such as a UPF PDR.
-	KindSubFlow
-	// KindPacket is the packet buffer itself.
-	KindPacket
-	// KindControl is per-NF-instance configuration shared across flows.
-	KindControl
-	// KindTemp is scratch state that lives across the actions of one
-	// packet and dies with it.
-	KindTemp
-)
-
-// String names the kind for diagnostics.
-func (k StateKind) String() string {
-	switch k {
-	case KindMatch:
-		return "match"
-	case KindPerFlow:
-		return "per-flow"
-	case KindSubFlow:
-		return "sub-flow"
-	case KindPacket:
-		return "packet"
-	case KindControl:
-		return "control"
-	case KindTemp:
-		return "temp"
-	default:
-		return fmt.Sprintf("StateKind(%d)", int(k))
-	}
-}
-
-// BaseKind says how a Span's base address is resolved at runtime.
+// BaseKind is the NFState taxonomy of the paper's §IV-A, named by
+// where each state class lives: a state access's class is also how the
+// runtime resolves its base address. Match state (hash buckets, tree
+// nodes) is BaseDynamic: the stepwise structure's next node.
 type BaseKind int
 
-// The resolvable bases.
+// The NFState classes and the bases they resolve against.
 const (
-	// BasePerFlow resolves against the module's per-flow pool at the
-	// task's matched flow index.
+	// BasePerFlow is per-flow session state: the module's per-flow
+	// pool at the task's matched flow index.
 	BasePerFlow BaseKind = iota + 1
-	// BaseSubFlow resolves against the module's sub-flow pool at the
-	// task's matched sub-flow index.
+	// BaseSubFlow is second-level state such as a UPF PDR: the
+	// module's sub-flow pool at the task's matched sub-flow index.
 	BaseSubFlow
-	// BasePacket resolves against the packet buffer address.
+	// BasePacket is the packet buffer itself.
 	BasePacket
-	// BaseControl resolves against the module's control state region.
+	// BaseControl is per-NF-instance configuration shared across
+	// flows: the module's control-state region.
 	BaseControl
-	// BaseTemp resolves against the task's own scratch region.
+	// BaseTemp is scratch state that lives across the actions of one
+	// packet and dies with it: the task's one scratch line.
 	BaseTemp
-	// BaseDynamic resolves against the task's match cursor address —
+	// BaseDynamic is match state: the task's match cursor address —
 	// the next bucket or tree node of a stepwise matching structure,
 	// set by the previous step.
 	BaseDynamic
@@ -132,31 +102,34 @@ type Span struct {
 	Off, Size uint64
 }
 
-// FieldRef is the symbolic (pre-compilation) form of a state access:
-// either named fields of a module state layout, or an explicit span.
+// FieldRef is the symbolic (pre-compilation) form of a state access
+// to one state class: either named fields of the class's record layout
+// in the module's Binding, or an explicit span.
 type FieldRef struct {
-	// State is the NFState category accessed.
-	State StateKind
-	// Fields names layout fields; used when Explicit is nil.
+	// Base is the state class accessed.
+	Base BaseKind
+	// Fields names layout fields; used when Explicit is nil. Only the
+	// per-flow and sub-flow classes have layouts.
 	Fields []string
 	// Explicit, when non-nil, bypasses layout lookup entirely.
 	Explicit *Span
 }
 
-// Fields builds a FieldRef naming layout fields of a state kind.
-func Fields(kind StateKind, names ...string) FieldRef {
-	return FieldRef{State: kind, Fields: names}
+// Fields builds a FieldRef naming fields of the per-flow or sub-flow
+// layout in the module's Binding.
+func Fields(base BaseKind, names ...string) FieldRef {
+	return FieldRef{Base: base, Fields: names}
 }
 
-// Raw builds a FieldRef with an explicit span.
-func Raw(kind StateKind, base BaseKind, off, size uint64) FieldRef {
-	return FieldRef{State: kind, Explicit: &Span{Base: base, Off: off, Size: size}}
+// Raw builds a FieldRef for size bytes at off from the base.
+func Raw(base BaseKind, off, size uint64) FieldRef {
+	return FieldRef{Base: base, Explicit: &Span{Base: base, Off: off, Size: size}}
 }
 
 // Dynamic builds a FieldRef for a stepwise match structure's next node:
 // size bytes at the task's cursor address.
 func Dynamic(size uint64) FieldRef {
-	return Raw(KindMatch, BaseDynamic, 0, size)
+	return Raw(BaseDynamic, 0, size)
 }
 
 // ActionKind classifies NFActions by the states they interact with

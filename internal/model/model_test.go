@@ -33,12 +33,12 @@ func newTestEnv(t *testing.T) *testEnv {
 	}
 
 	b := NewBuilder("test")
-	b.AddModule("m", Binding{PerFlow: pool}, Layouts{KindPerFlow: layout})
+	b.AddModule("m", Binding{PerFlow: pool, PerFlowLayout: layout})
 	b.AddState("m", "load", Action{
 		Name:  "load",
 		Kind:  ActionData,
 		Cost:  10,
-		Reads: []FieldRef{Fields(KindPerFlow, "counter")},
+		Reads: []FieldRef{Fields(BasePerFlow, "counter")},
 		Fn: func(e *Exec) EventID {
 			e.Temp[0]++
 			return EventID(3) // "go", interned below as the first custom event
@@ -48,7 +48,7 @@ func newTestEnv(t *testing.T) *testEnv {
 		Name:   "store",
 		Kind:   ActionData,
 		Cost:   5,
-		Writes: []FieldRef{Fields(KindPerFlow, "verdict")},
+		Writes: []FieldRef{Fields(BasePerFlow, "verdict")},
 		Fn: func(e *Exec) EventID {
 			return EvDone
 		},
@@ -284,9 +284,6 @@ func TestProgramLookups(t *testing.T) {
 	if _, err := p.Action(99); err == nil {
 		t.Fatal("Action(99) succeeded")
 	}
-	if p.TempLines() < 1 {
-		t.Fatal("TempLines < 1")
-	}
 	if p.NumEvents() != 4 {
 		t.Fatalf("NumEvents = %d, want 4", p.NumEvents())
 	}
@@ -299,26 +296,26 @@ func TestBuilderErrors(t *testing.T) {
 		build func(b *Builder)
 	}{
 		{"duplicate module", func(b *Builder) {
-			b.AddModule("m", Binding{}, nil)
-			b.AddModule("m", Binding{}, nil)
+			b.AddModule("m", Binding{})
+			b.AddModule("m", Binding{})
 		}},
 		{"dotted module name", func(b *Builder) {
-			b.AddModule("a.b", Binding{}, nil)
+			b.AddModule("a.b", Binding{})
 		}},
 		{"state in unknown module", func(b *Builder) {
 			b.AddState("ghost", "s", Action{Name: "a", Fn: noop})
 		}},
 		{"duplicate state", func(b *Builder) {
-			b.AddModule("m", Binding{}, nil)
+			b.AddModule("m", Binding{})
 			b.AddState("m", "s", Action{Name: "a", Fn: noop})
 			b.AddState("m", "s", Action{Name: "a", Fn: noop})
 		}},
 		{"nil Fn", func(b *Builder) {
-			b.AddModule("m", Binding{}, nil)
+			b.AddModule("m", Binding{})
 			b.AddState("m", "s", Action{Name: "a"})
 		}},
 		{"empty state name", func(b *Builder) {
-			b.AddModule("m", Binding{}, nil)
+			b.AddModule("m", Binding{})
 			b.AddState("m", "", Action{Name: "a", Fn: noop})
 		}},
 	}
@@ -338,7 +335,7 @@ func TestBuildErrors(t *testing.T) {
 	noop := func(e *Exec) EventID { return EvDone }
 	newOK := func() *Builder {
 		b := NewBuilder("p")
-		b.AddModule("m", Binding{}, nil)
+		b.AddModule("m", Binding{})
 		b.AddState("m", "s", Action{Name: "a", Fn: noop})
 		b.AddTransition("m.s", "done", EndName)
 		b.SetStart("m.s")
@@ -397,10 +394,10 @@ func TestBuilderUnknownLayoutField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.AddModule("m", Binding{}, Layouts{KindPerFlow: layout})
+	b.AddModule("m", Binding{PerFlowLayout: layout})
 	b.AddState("m", "s", Action{
 		Name:  "a",
-		Reads: []FieldRef{Fields(KindPerFlow, "ghost")},
+		Reads: []FieldRef{Fields(BasePerFlow, "ghost")},
 		Fn:    func(e *Exec) EventID { return EvDone },
 	})
 	b.AddTransition("m.s", "done", EndName)
@@ -410,18 +407,47 @@ func TestBuilderUnknownLayoutField(t *testing.T) {
 	}
 }
 
+// TestBuilderMissingLayout holds the one-record rule: a Fields ref
+// resolves only against the per-flow or sub-flow layout in its module's
+// Binding, so naming fields of a class with no layout there fails Build
+// with an error naming the module and the class.
 func TestBuilderMissingLayout(t *testing.T) {
-	b := NewBuilder("p")
-	b.AddModule("m", Binding{}, nil)
-	b.AddState("m", "s", Action{
-		Name:  "a",
-		Reads: []FieldRef{Fields(KindPerFlow, "x")},
-		Fn:    func(e *Exec) EventID { return EvDone },
-	})
-	b.AddTransition("m.s", "done", EndName)
-	b.SetStart("m.s")
-	if _, err := b.Build(); err == nil {
-		t.Fatal("missing layout accepted")
+	layout, err := mem.NewLayout(mem.Field{Name: "x", Size: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both layouts present: the classes without one never borrow them.
+	full := Binding{PerFlowLayout: layout, SubFlowLayout: layout}
+	tests := []struct {
+		base BaseKind
+		bind Binding
+	}{
+		{BasePerFlow, Binding{SubFlowLayout: layout}},
+		{BaseSubFlow, Binding{PerFlowLayout: layout}},
+		{BasePacket, full},
+		{BaseControl, full},
+		{BaseTemp, full},
+		{BaseDynamic, full},
+	}
+	for _, tc := range tests {
+		t.Run(tc.base.String(), func(t *testing.T) {
+			b := NewBuilder("p")
+			b.AddModule("mod", tc.bind)
+			b.AddState("mod", "s", Action{
+				Name:  "a",
+				Reads: []FieldRef{Fields(tc.base, "x")},
+				Fn:    func(e *Exec) EventID { return EvDone },
+			})
+			b.AddTransition("mod.s", "done", EndName)
+			b.SetStart("mod.s")
+			_, err := b.Build()
+			if err == nil {
+				t.Fatal("missing layout accepted")
+			}
+			if msg := err.Error(); !strings.Contains(msg, "module mod") || !strings.Contains(msg, tc.base.String()) {
+				t.Fatalf("error %q does not name module mod and base %v", msg, tc.base)
+			}
+		})
 	}
 }
 
@@ -523,12 +549,6 @@ func TestResetStream(t *testing.T) {
 }
 
 func TestKindAndBaseStrings(t *testing.T) {
-	kinds := []StateKind{KindMatch, KindPerFlow, KindSubFlow, KindPacket, KindControl, KindTemp, StateKind(99)}
-	for _, k := range kinds {
-		if k.String() == "" {
-			t.Fatalf("empty String for %d", int(k))
-		}
-	}
 	bases := []BaseKind{BasePerFlow, BaseSubFlow, BasePacket, BaseControl, BaseTemp, BaseDynamic, BaseKind(99)}
 	for _, b := range bases {
 		if b.String() == "" {

@@ -16,17 +16,36 @@ const CSEnd CSID = 0
 // ActionID indexes a Program's action table.
 type ActionID int32
 
-// Binding resolves a module's state bases: which pools its per-flow and
-// sub-flow spans index into and where its control state lives. Modules
-// composed into one SFC may share bindings (after redundant-matching
-// removal they must, for the reused match result to be meaningful).
+// Binding is the one record of a module's state: which pools its
+// per-flow and sub-flow spans index into, the record layouts their
+// field references resolve against, and where its control state lives.
+// Modules composed into one SFC may share bindings (after
+// redundant-matching removal they must, for the reused match result to
+// be meaningful).
 type Binding struct {
-	// PerFlow is the module's per-flow datablock pool.
-	PerFlow *mem.Pool
-	// SubFlow is the module's sub-flow datablock pool (may be nil).
-	SubFlow *mem.Pool
+	// PerFlow is the module's per-flow datablock pool, and
+	// PerFlowLayout names the fields of one of its entries.
+	PerFlow       *mem.Pool
+	PerFlowLayout *mem.Layout
+	// SubFlow is the module's sub-flow datablock pool and
+	// SubFlowLayout its entry layout (both may be nil).
+	SubFlow       *mem.Pool
+	SubFlowLayout *mem.Layout
 	// Control is the module's control-state region.
 	Control mem.Region
+}
+
+// layout returns the record layout base's field references resolve
+// against, or nil: only the per-flow and sub-flow classes have one.
+func (b *Binding) layout(base BaseKind) *mem.Layout {
+	switch base {
+	case BasePerFlow:
+		return b.PerFlowLayout
+	case BaseSubFlow:
+		return b.SubFlowLayout
+	default:
+		return nil
+	}
 }
 
 // CSInfo is one compiled control state: the fetching function F
@@ -60,9 +79,6 @@ type Program struct {
 	actions []Action
 	events  []string
 	start   CSID
-	// tempLines is the number of cache lines of per-task scratch the
-	// program requires (the NFTask temp field allocation).
-	tempLines int
 	// plans holds each control state lowered into its compiled step plan
 	// (see plan.go); indexed by CSID, entry 0 (End) unused. Build
 	// compiles them; compiler passes that mutate CSInfo span sets via
@@ -81,9 +97,6 @@ func (p *Program) NumCS() int { return len(p.cs) }
 
 // NumActions returns the size of the action table.
 func (p *Program) NumActions() int { return len(p.actions) }
-
-// TempLines returns the per-task scratch requirement in cache lines.
-func (p *Program) TempLines() int { return p.tempLines }
 
 // CS returns the control state record for id. The returned pointer
 // aliases program state; compiler passes mutate it in place.

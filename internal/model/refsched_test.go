@@ -54,7 +54,7 @@ func newRefWorker(core *sim.Core, as *mem.AddressSpace, prog *model.Program, mod
 	for i := range w.tasks {
 		w.tasks[i] = model.Exec{
 			Core:     core,
-			TempAddr: as.Reserve(uint64(prog.TempLines())*sim.LineBytes, sim.LineBytes),
+			TempAddr: as.Reserve(sim.LineBytes, sim.LineBytes),
 			Done:     true,
 		}
 	}

@@ -170,12 +170,12 @@ type UE struct {
 
 // AMF is one AMF instance.
 type AMF struct {
-	cfg     Config
-	layout  *mem.Layout
-	pool    *mem.Pool
-	control mem.Region
-	table   *dstruct.Cuckoo
-	ues     []UE
+	cfg Config
+	// bind is the state binding every AMF module shares: the UE
+	// contexts are its per-flow pool.
+	bind  model.Binding
+	table *dstruct.Cuckoo
+	ues   []UE
 	// rejected counts messages for unknown UEs.
 	rejected uint64
 }
@@ -208,12 +208,13 @@ func New(as *mem.AddressSpace, cfg Config) (*AMF, error) {
 		return nil, fmt.Errorf("amf: %w", err)
 	}
 	a := &AMF{
-		cfg:     cfg,
-		layout:  layout,
-		pool:    pool,
-		control: mem.Region{Name: cfg.Name + ".control", Base: as.Reserve(64, 0), Size: 64},
-		table:   table,
-		ues:     make([]UE, cfg.MaxUEs),
+		cfg: cfg,
+		bind: model.Binding{
+			PerFlow: pool, PerFlowLayout: layout,
+			Control: mem.Region{Name: cfg.Name + ".control", Base: as.Reserve(64, 0), Size: 64},
+		},
+		table: table,
+		ues:   make([]UE, cfg.MaxUEs),
 	}
 	for i := 0; i < cfg.MaxUEs; i++ {
 		if err := table.Insert(uint64(i)+1, int32(i)); err != nil {
@@ -227,10 +228,10 @@ func New(as *mem.AddressSpace, cfg Config) (*AMF, error) {
 func (a *AMF) Name() string { return a.cfg.Name }
 
 // ContextLines returns the UE context footprint in cache lines.
-func (a *AMF) ContextLines() int { return a.layout.Lines() }
+func (a *AMF) ContextLines() int { return a.bind.PerFlowLayout.Lines() }
 
 // Layout returns the active UE-context layout.
-func (a *AMF) Layout() *mem.Layout { return a.layout }
+func (a *AMF) Layout() *mem.Layout { return a.bind.PerFlowLayout }
 
 // Rejected returns the count of messages for unknown UEs.
 func (a *AMF) Rejected() uint64 { return a.rejected }
@@ -248,8 +249,6 @@ func (a *AMF) UEState(i int32) (UE, error) {
 // messages exit toward next.
 func (a *AMF) Attach(b *model.Builder, next string) string {
 	name := a.cfg.Name
-	bind := model.Binding{PerFlow: a.pool, Control: a.control}
-	layouts := model.Layouts{model.KindPerFlow: a.layout}
 	ues := a.ues
 
 	// UE lookup by NGAP UE id.
@@ -261,7 +260,7 @@ func (a *AMF) Attach(b *model.Builder, next string) string {
 
 	// Dispatch on message type.
 	mDisp := name + "_dispatch"
-	b.AddModule(mDisp, bind, layouts)
+	b.AddModule(mDisp, a.bind)
 	evByMsg := make(map[uint8]model.EventID, traffic.NumAMFMessages)
 	for _, h := range handlers() {
 		evByMsg[h.msg] = b.Event("nas_" + h.name)
@@ -291,12 +290,12 @@ func (a *AMF) Attach(b *model.Builder, next string) string {
 	for _, h := range handlers() {
 		h := h
 		m := name + "_" + h.name
-		b.AddModule(m, bind, layouts)
+		b.AddModule(m, a.bind)
 		b.AddState(m, h.loadName, model.Action{
 			Name:  h.loadName,
 			Kind:  model.ActionData,
 			Cost:  h.loadCost,
-			Reads: []model.FieldRef{model.Fields(model.KindPerFlow, h.loadReads...)},
+			Reads: []model.FieldRef{model.Fields(model.BasePerFlow, h.loadReads...)},
 			Fn: func(e *model.Exec) model.EventID {
 				// Stage a digest of the loaded fields for the apply
 				// step (simulating verification material).
@@ -309,8 +308,8 @@ func (a *AMF) Attach(b *model.Builder, next string) string {
 			Name:   h.applyName,
 			Kind:   model.ActionData,
 			Cost:   h.applyCost,
-			Reads:  []model.FieldRef{model.Fields(model.KindPerFlow, h.applyReads...)},
-			Writes: []model.FieldRef{model.Fields(model.KindPerFlow, h.applyWrite...)},
+			Reads:  []model.FieldRef{model.Fields(model.BasePerFlow, h.applyReads...)},
+			Writes: []model.FieldRef{model.Fields(model.BasePerFlow, h.applyWrite...)},
 			Fn: func(e *model.Exec) model.EventID {
 				ue := &ues[e.FlowIdx]
 				ue.Msgs++

@@ -19,9 +19,10 @@ type FlowTableConfig[F any] struct {
 	// MaxFlows sizes the record slice, the per-flow pool and the match
 	// table.
 	MaxFlows int
-	// States, when non-nil, replaces the pool of Fields the table would
-	// reserve itself (a fused SFC pool from the data-packing pass).
-	States *States
+	// States, when non-nil, replaces the per-flow state binding the
+	// table would reserve itself from Fields (a fused SFC pool from the
+	// data-packing pass).
+	States *model.Binding
 	// Fields is the per-flow record's simulated layout, natural order.
 	Fields []mem.Field
 	// NewFlow builds the record installed for tuple at index idx, by
@@ -51,10 +52,10 @@ type FlowTableConfig[F any] struct {
 // protocol on a miss. The NF embeds it and adds only its record type,
 // its data action and its first-packet declarations.
 type FlowTable[F any] struct {
-	cfg    FlowTableConfig[F]
-	states *States
-	table  *dstruct.Cuckoo
-	flows  []F
+	cfg   FlowTableConfig[F]
+	bind  *model.Binding
+	table *dstruct.Cuckoo
+	flows []F
 	// touch prefetches the record at the task's flow index. It is built
 	// in NewFlowTable, not in Touch: a closure made by a method that
 	// inlines into its caller keeps hostmem.Prefetch as a call.
@@ -72,10 +73,10 @@ func NewFlowTable[F any](as *mem.AddressSpace, cfg FlowTableConfig[F]) (*FlowTab
 	if cfg.MaxFlows <= 0 {
 		return nil, fmt.Errorf("nf: %s: MaxFlows must be positive, got %d", cfg.Name, cfg.MaxFlows)
 	}
-	states := cfg.States
-	if states == nil {
+	bind := cfg.States
+	if bind == nil {
 		var err error
-		if states, err = BuildStates(as, cfg.Name, cfg.Fields, cfg.MaxFlows); err != nil {
+		if bind, err = BuildStates(as, cfg.Name, cfg.Fields, cfg.MaxFlows); err != nil {
 			return nil, err
 		}
 	}
@@ -85,16 +86,13 @@ func NewFlowTable[F any](as *mem.AddressSpace, cfg FlowTableConfig[F]) (*FlowTab
 	}
 	flows := make([]F, cfg.MaxFlows)
 	return &FlowTable[F]{
-		cfg: cfg, states: states, table: table, flows: flows,
+		cfg: cfg, bind: bind, table: table, flows: flows,
 		touch: func(e *model.Exec) { hostmem.Prefetch(&flows[e.FlowIdx]) },
 	}, nil
 }
 
 // Name returns the instance name.
 func (t *FlowTable[F]) Name() string { return t.cfg.Name }
-
-// States exposes the per-flow state objects (for data packing).
-func (t *FlowTable[F]) States() *States { return t.states }
 
 // Drops returns the first packets dropped because the table was full.
 func (t *FlowTable[F]) Drops() uint64 { return t.drops }
@@ -134,10 +132,10 @@ func (t *FlowTable[F]) AddFlow(tuple pkt.FiveTuple, idx int32) error {
 }
 
 // AddModule registers module Name+suffix bound to the table's per-flow
-// states and returns its name.
+// state binding and returns its name.
 func (t *FlowTable[F]) AddModule(b *model.Builder, suffix string) string {
 	m := t.cfg.Name + suffix
-	b.AddModule(m, t.states.Binding(), model.Layouts{model.KindPerFlow: t.states.Layout})
+	b.AddModule(m, *t.bind)
 	return m
 }
 

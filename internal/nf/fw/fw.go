@@ -49,9 +49,9 @@ type Config struct {
 	// Policy is the rule list, evaluated first-match. A packet matching
 	// no rule is dropped.
 	Policy []Rule
-	// States optionally overrides the per-flow state objects — used by
+	// States optionally overrides the per-flow state binding — used by
 	// the compiler's data-packing pass for fused SFC pools.
-	States *nf.States
+	States *model.Binding
 }
 
 // DefaultPolicy builds an n-rule policy whose final rule is a
@@ -124,7 +124,7 @@ func New(as *mem.AddressSpace, cfg Config) (*FW, error) {
 		Walk:       f.attachPolicyWalk,
 		Alloc:      model.Action{Name: "alloc", Cost: 150}, // table insert
 		Install: model.Action{Name: "install", Cost: 30, Writes: []model.FieldRef{
-			model.Fields(model.KindPerFlow, "allowed", "state", "rule_id"),
+			model.Fields(model.BasePerFlow, "allowed", "state", "rule_id"),
 		}},
 	})
 	if err != nil {
@@ -165,10 +165,10 @@ func (f *FW) AttachData(b *model.Builder, next string) string {
 		Kind: model.ActionData,
 		Cost: 30,
 		Reads: []model.FieldRef{
-			model.Fields(model.KindPerFlow, "allowed", "state"),
+			model.Fields(model.BasePerFlow, "allowed", "state"),
 			nf.PacketHeaderSpan(),
 		},
-		Writes: []model.FieldRef{model.Fields(model.KindPerFlow, "pkts")},
+		Writes: []model.FieldRef{model.Fields(model.BasePerFlow, "pkts")},
 		Fn: func(e *model.Exec) model.EventID {
 			fl := &flows[e.FlowIdx]
 			fl.Pkts++

@@ -19,9 +19,9 @@ type Config struct {
 	MaxFlows int
 	// Backends is the virtual-IP backend pool size.
 	Backends int
-	// States optionally overrides the per-flow state objects — used by
+	// States optionally overrides the per-flow state binding — used by
 	// the compiler's data-packing pass for fused SFC pools.
-	States *nf.States
+	States *model.Binding
 }
 
 // Flow is the LB's per-flow record.
@@ -76,10 +76,10 @@ func New(as *mem.AddressSpace, cfg Config) (*LB, error) {
 		// The consistent backend pick reads the backend table in
 		// control state (one line).
 		Alloc: model.Action{Name: "pick", Cost: 120, Reads: []model.FieldRef{
-			model.Raw(model.KindControl, model.BaseControl, 0, 64),
+			model.Raw(model.BaseControl, 0, 64),
 		}},
 		Install: model.Action{Name: "bind", Cost: 25, Writes: []model.FieldRef{
-			model.Fields(model.KindPerFlow, "backend", "backend_ip", "backend_port", "vip"),
+			model.Fields(model.BasePerFlow, "backend", "backend_ip", "backend_port", "vip"),
 		}},
 	})
 	if err != nil {
@@ -123,11 +123,11 @@ func (l *LB) AttachData(b *model.Builder, next string) string {
 		Kind: model.ActionData,
 		Cost: 40,
 		Reads: []model.FieldRef{
-			model.Fields(model.KindPerFlow, "backend_ip", "backend_port"),
+			model.Fields(model.BasePerFlow, "backend_ip", "backend_port"),
 			nf.PacketHeaderSpan(),
 		},
 		Writes: []model.FieldRef{
-			model.Fields(model.KindPerFlow, "pkts"),
+			model.Fields(model.BasePerFlow, "pkts"),
 			nf.PacketHeaderSpan(),
 		},
 		Fn: func(e *model.Exec) model.EventID {

@@ -104,9 +104,6 @@ func TestAddFlowBounds(t *testing.T) {
 	if l.Name() != "lb" {
 		t.Fatalf("Name = %q", l.Name())
 	}
-	if l.States() == nil {
-		t.Fatal("States() nil")
-	}
 }
 
 func TestBackendDeterministic(t *testing.T) {

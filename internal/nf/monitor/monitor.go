@@ -18,9 +18,9 @@ type Config struct {
 	Name string
 	// MaxFlows sizes the per-flow pool and match table.
 	MaxFlows int
-	// States optionally overrides the per-flow state objects — used by
+	// States optionally overrides the per-flow state binding — used by
 	// the compiler's data-packing pass for fused SFC pools.
-	States *nf.States
+	States *model.Binding
 }
 
 // Flow is the monitor's per-flow record.
@@ -76,7 +76,7 @@ func New(as *mem.AddressSpace, cfg Config) (*Monitor, error) {
 		MissModule: "_alloc",
 		Alloc:      model.Action{Name: "register", Cost: 160},
 		Install: model.Action{Name: "init", Cost: 20, Writes: []model.FieldRef{
-			model.Fields(model.KindPerFlow, "first_seen", "flags_seen"),
+			model.Fields(model.BasePerFlow, "first_seen", "flags_seen"),
 		}},
 	})
 	if err != nil {
@@ -104,9 +104,9 @@ func (m *Monitor) AttachData(b *model.Builder, next string) string {
 			nf.PacketHeaderSpan(),
 		},
 		Writes: []model.FieldRef{
-			model.Fields(model.KindPerFlow, "pkts", "bytes", "small_pkts", "last_seen"),
+			model.Fields(model.BasePerFlow, "pkts", "bytes", "small_pkts", "last_seen"),
 			// Aggregate counters live in control state.
-			model.Raw(model.KindControl, model.BaseControl, 0, 16),
+			model.Raw(model.BaseControl, 0, 16),
 		},
 		Fn: func(e *model.Exec) model.EventID {
 			fl := &flows[e.FlowIdx]

@@ -29,10 +29,10 @@ type Config struct {
 	// PortBase + i%S on address NATIP + i/S, so no two flows share a
 	// mapping.
 	PortBase uint16
-	// States optionally overrides the per-flow state objects — used by
+	// States optionally overrides the per-flow state binding — used by
 	// the compiler's data-packing pass to place this NAT's record
 	// inside a fused SFC pool.
-	States *nf.States
+	States *model.Binding
 }
 
 // Flow is the NAT's per-flow record. Field order mirrors the natural
@@ -101,7 +101,7 @@ func New(as *mem.AddressSpace, cfg Config) (*NAT, error) {
 		MissModule: "_alloc",
 		Alloc:      model.Action{Name: "alloc", Cost: 220}, // table insert + port allocation
 		Install: model.Action{Name: "init", Cost: 30, Writes: []model.FieldRef{
-			model.Fields(model.KindPerFlow, "orig_ip", "orig_port", "proto", "mapped_ip", "mapped_port"),
+			model.Fields(model.BasePerFlow, "orig_ip", "orig_port", "proto", "mapped_ip", "mapped_port"),
 		}},
 	})
 	if err != nil {
@@ -144,11 +144,11 @@ func (n *NAT) AttachData(b *model.Builder, next string) string {
 		Kind: model.ActionData,
 		Cost: 55, // header rewrite + checksum fold
 		Reads: []model.FieldRef{
-			model.Fields(model.KindPerFlow, "mapped_ip", "mapped_port"),
+			model.Fields(model.BasePerFlow, "mapped_ip", "mapped_port"),
 			nf.PacketHeaderSpan(),
 		},
 		Writes: []model.FieldRef{
-			model.Fields(model.KindPerFlow, "pkts", "bytes", "last_seen"),
+			model.Fields(model.BasePerFlow, "pkts", "bytes", "last_seen"),
 			nf.PacketHeaderSpan(),
 		},
 		Fn: func(e *model.Exec) model.EventID {

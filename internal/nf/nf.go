@@ -39,22 +39,13 @@ const (
 // PacketHeaderSpan is the packet-state span covering the Ethernet, IPv4
 // and transport-port bytes the classifiers and rewriters touch.
 func PacketHeaderSpan() model.FieldRef {
-	return model.Raw(model.KindPacket, model.BasePacket, 0, pkt.EthLen+pkt.IPv4Len+4)
-}
-
-// States bundles the simulated-memory objects backing one NF instance.
-type States struct {
-	// Pool is the per-flow datablock pool.
-	Pool *mem.Pool
-	// Layout maps per-flow field names to offsets within a pool entry.
-	Layout *mem.Layout
-	// Control is the NF's control-state region.
-	Control mem.Region
+	return model.Raw(model.BasePacket, 0, pkt.EthLen+pkt.IPv4Len+4)
 }
 
 // BuildStates reserves a per-flow pool for maxFlows records with the
-// given natural layout plus a one-line control region.
-func BuildStates(as *mem.AddressSpace, name string, fields []mem.Field, maxFlows int) (*States, error) {
+// given natural layout plus a one-line control region, and returns the
+// binding of the two.
+func BuildStates(as *mem.AddressSpace, name string, fields []mem.Field, maxFlows int) (*model.Binding, error) {
 	layout, err := mem.NewLayout(fields...)
 	if err != nil {
 		return nil, fmt.Errorf("nf: %s layout: %w", name, err)
@@ -64,16 +55,11 @@ func BuildStates(as *mem.AddressSpace, name string, fields []mem.Field, maxFlows
 		return nil, fmt.Errorf("nf: %s pool: %w", name, err)
 	}
 	ctrlBase := as.Reserve(64, 0)
-	return &States{
-		Pool:    pool,
-		Layout:  layout,
-		Control: mem.Region{Name: name + ".control", Base: ctrlBase, Size: 64},
+	return &model.Binding{
+		PerFlow:       pool,
+		PerFlowLayout: layout,
+		Control:       mem.Region{Name: name + ".control", Base: ctrlBase, Size: 64},
 	}, nil
-}
-
-// Binding returns the model binding for these states.
-func (s *States) Binding() model.Binding {
-	return model.Binding{PerFlow: s.Pool, Control: s.Control}
 }
 
 // Classifier is the granularly decomposed five-tuple cuckoo classifier:
@@ -110,7 +96,7 @@ func (c *Classifier) Attach(b *model.Builder, successTarget, missTarget string) 
 	evSuccess := b.Event(EvMatchSuccess)
 	evFail := b.Event(EvMatchFail)
 
-	b.AddModule(m, model.Binding{}, nil)
+	b.AddModule(m, model.Binding{})
 
 	b.AddState(m, "get_key", model.Action{
 		Name:  "get_key",

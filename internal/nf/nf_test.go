@@ -16,15 +16,17 @@ func TestBuildStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Pool.Count() != 16 {
-		t.Fatalf("pool count = %d", st.Pool.Count())
+	if st.PerFlow.Count() != 16 {
+		t.Fatalf("pool count = %d", st.PerFlow.Count())
 	}
 	if st.Control.Size != 64 {
 		t.Fatalf("control size = %d", st.Control.Size)
 	}
-	b := st.Binding()
-	if b.PerFlow != st.Pool || b.Control != st.Control {
-		t.Fatal("Binding mismatch")
+	if off, err := st.PerFlowLayout.Offset("a"); err != nil || off != 0 {
+		t.Fatalf("per-flow layout: a at %d, %v", off, err)
+	}
+	if st.SubFlow != nil || st.SubFlowLayout != nil {
+		t.Fatal("five-tuple binding has sub-flow state")
 	}
 	if _, err := BuildStates(as, "bad", nil, 16); err == nil {
 		t.Fatal("empty fields accepted")
@@ -41,7 +43,7 @@ func classifierProgram(t *testing.T, table *dstruct.Cuckoo, keyFn func(*pkt.Pack
 	b := model.NewBuilder("cls-test")
 	var lastFlow int32 = -1
 	evDone := model.EvDone
-	b.AddModule("sink", model.Binding{}, nil)
+	b.AddModule("sink", model.Binding{})
 	b.AddState("sink", "take", model.Action{
 		Name: "take",
 		Fn: func(e *model.Exec) model.EventID {

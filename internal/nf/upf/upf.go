@@ -131,12 +131,10 @@ func pdrFields() []mem.Field {
 
 // UPF is one UPF instance.
 type UPF struct {
-	cfg      Config
-	sessPool *mem.Pool
-	pdrPool  *mem.Pool
-	sessLay  *mem.Layout
-	pdrLay   *mem.Layout
-	control  mem.Region
+	cfg Config
+	// bind is the one state binding every UPF module shares: sessions
+	// are its per-flow pool, PDRs its sub-flow pool.
+	bind     model.Binding
 	tree     *dstruct.MDITree
 	teids    *dstruct.Cuckoo
 	sessions []Session
@@ -170,12 +168,12 @@ func New(as *mem.AddressSpace, cfg Config) (*UPF, error) {
 	}
 
 	u := &UPF{
-		cfg:      cfg,
-		sessPool: sessPool,
-		pdrPool:  pdrPool,
-		sessLay:  sessLay,
-		pdrLay:   pdrLay,
-		control:  mem.Region{Name: cfg.Name + ".control", Base: as.Reserve(64, 0), Size: 64},
+		cfg: cfg,
+		bind: model.Binding{
+			PerFlow: sessPool, PerFlowLayout: sessLay,
+			SubFlow: pdrPool, SubFlowLayout: pdrLay,
+			Control: mem.Region{Name: cfg.Name + ".control", Base: as.Reserve(64, 0), Size: 64},
+		},
 		sessions: make([]Session, cfg.Sessions),
 		pdrs:     make([]PDR, nPDR),
 	}
@@ -249,18 +247,6 @@ func (u *UPF) PDRRecord(idx int32) (PDR, error) {
 // Drops returns packets discarded by FARDrop (plus unmatched traffic).
 func (u *UPF) Drops() uint64 { return u.drops }
 
-// binding returns the module binding shared by the UPF's modules.
-func (u *UPF) binding() model.Binding {
-	return model.Binding{PerFlow: u.sessPool, SubFlow: u.pdrPool, Control: u.control}
-}
-
-func (u *UPF) layouts() model.Layouts {
-	return model.Layouts{
-		model.KindPerFlow: u.sessLay,
-		model.KindSubFlow: u.pdrLay,
-	}
-}
-
 // AttachDownlink registers the downlink pipeline (match → far → encap)
 // on b, exiting toward next. It returns the entry state name.
 func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
@@ -280,7 +266,7 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 	sessions := u.sessions
 
 	// Match module: granularly decomposed MDI walk.
-	b.AddModule(mMatch, u.binding(), u.layouts())
+	b.AddModule(mMatch, u.bind)
 	b.AddState(mMatch, "walk_start", model.Action{
 		Name:  "walk_start",
 		Kind:  model.ActionMatch,
@@ -317,15 +303,15 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 	b.AddTransition(mMatch+".walk", nf.EvMatchFail, model.EndName)
 
 	// FAR module: read the matched PDR's verdict.
-	b.AddModule(mFar, u.binding(), u.layouts())
+	b.AddModule(mFar, u.bind)
 	b.AddState(mFar, "apply", model.Action{
 		Name: "apply",
 		Kind: model.ActionData,
 		Cost: 15,
 		Reads: []model.FieldRef{
-			model.Fields(model.KindSubFlow, "far_action", "outer_teid"),
+			model.Fields(model.BaseSubFlow, "far_action", "outer_teid"),
 		},
-		Writes: []model.FieldRef{model.Fields(model.KindSubFlow, "pkts", "bytes")},
+		Writes: []model.FieldRef{model.Fields(model.BaseSubFlow, "pkts", "bytes")},
 		Fn: func(e *model.Exec) model.EventID {
 			p := &pdrs[e.SubIdx]
 			p.Pkts++
@@ -348,19 +334,19 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 	b.AddTransition(mFar+".apply", "buffer", model.EndName)
 
 	// Encap module: GTP-U encapsulation from session state.
-	b.AddModule(mEncap, u.binding(), u.layouts())
+	b.AddModule(mEncap, u.bind)
 	b.AddState(mEncap, "encap", model.Action{
 		Name: "encap",
 		Kind: model.ActionData,
 		Cost: 70, // outer header construction + checksum
 		Reads: []model.FieldRef{
-			model.Fields(model.KindPerFlow, "teid_out", "ran_ip", "qfi"),
+			model.Fields(model.BasePerFlow, "teid_out", "ran_ip", "qfi"),
 		},
 		Writes: []model.FieldRef{
 			// Outer Ethernet+IPv4+UDP+GTP-U headers prepended to the
 			// frame.
-			model.Raw(model.KindPacket, model.BasePacket, 0, pkt.EthLen+pkt.IPv4Len+pkt.UDPLen+pkt.GTPULen),
-			model.Fields(model.KindPerFlow, "usage_pkts", "usage_bytes"),
+			model.Raw(model.BasePacket, 0, pkt.EthLen+pkt.IPv4Len+pkt.UDPLen+pkt.GTPULen),
+			model.Fields(model.BasePerFlow, "usage_pkts", "usage_bytes"),
 		},
 		Fn: func(e *model.Exec) model.EventID {
 			s := &sessions[e.FlowIdx]
@@ -399,18 +385,18 @@ func (u *UPF) AttachUplink(b *model.Builder, next string) string {
 		KeyFn:  func(p *pkt.Packet) uint64 { return uint64(p.TEID) },
 	}
 
-	b.AddModule(mDecap, u.binding(), u.layouts())
+	b.AddModule(mDecap, u.bind)
 	b.AddState(mDecap, "decap", model.Action{
 		Name: "decap",
 		Kind: model.ActionData,
 		Cost: 45,
 		Reads: []model.FieldRef{
-			model.Fields(model.KindPerFlow, "teid_out", "qfi"),
+			model.Fields(model.BasePerFlow, "teid_out", "qfi"),
 			nf.PacketHeaderSpan(),
 		},
 		Writes: []model.FieldRef{
-			model.Raw(model.KindPacket, model.BasePacket, 0, pkt.EthLen+pkt.IPv4Len),
-			model.Fields(model.KindPerFlow, "usage_pkts", "usage_bytes"),
+			model.Raw(model.BasePacket, 0, pkt.EthLen+pkt.IPv4Len),
+			model.Fields(model.BasePerFlow, "usage_pkts", "usage_bytes"),
 		},
 		Fn: func(e *model.Exec) model.EventID {
 			s := &sessions[e.FlowIdx]

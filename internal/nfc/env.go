@@ -101,8 +101,9 @@ func NewEnv(stores Stores) *Env {
 
 // FieldRefs translates a compiled action's access sets for one root
 // into model FieldRefs: packet fields become wire-offset spans, stored
-// roots become layout field references (the module layout must name
-// the same fields).
+// roots become field references resolved against the module's Binding
+// (its layouts must name the same fields; only per-flow and sub-flow
+// state has a layout, so Build rejects a control-field reference).
 func FieldRefs(accesses map[Root][]string) ([]model.FieldRef, error) {
 	var refs []model.FieldRef
 	for root, fields := range accesses {
@@ -113,17 +114,17 @@ func FieldRefs(accesses map[Root][]string) ([]model.FieldRef, error) {
 				if !ok {
 					return nil, fmt.Errorf("nfc: unknown packet field %q", f)
 				}
-				refs = append(refs, model.Raw(model.KindPacket, model.BasePacket, pf.off, pf.size))
+				refs = append(refs, model.Raw(model.BasePacket, pf.off, pf.size))
 			}
 		case RootPerFlow:
-			refs = append(refs, model.Fields(model.KindPerFlow, fields...))
+			refs = append(refs, model.Fields(model.BasePerFlow, fields...))
 		case RootSubFlow:
-			refs = append(refs, model.Fields(model.KindSubFlow, fields...))
+			refs = append(refs, model.Fields(model.BaseSubFlow, fields...))
 		case RootControl:
-			refs = append(refs, model.Fields(model.KindControl, fields...))
+			refs = append(refs, model.Fields(model.BaseControl, fields...))
 		case RootTemp:
 			// Temp words live in the task's scratch line.
-			refs = append(refs, model.Raw(model.KindTemp, model.BaseTemp, 0, 64))
+			refs = append(refs, model.Raw(model.BaseTemp, 0, 64))
 		default:
 			return nil, fmt.Errorf("nfc: unmappable root %v", root)
 		}

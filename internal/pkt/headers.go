@@ -142,17 +142,6 @@ func EncodeUDP(b []byte, src, dst uint16, length uint16) error {
 	return nil
 }
 
-// EncodeTCPPorts writes just the port fields of a TCP header; the NFs
-// only rewrite ports, so the remaining fields are caller-provided bytes.
-func EncodeTCPPorts(b []byte, src, dst uint16) error {
-	if len(b) < 4 {
-		return fmt.Errorf("pkt: tcp ports need 4 bytes, have %d", len(b))
-	}
-	binary.BigEndian.PutUint16(b[0:2], src)
-	binary.BigEndian.PutUint16(b[2:4], dst)
-	return nil
-}
-
 // GTPUHeader is the fixed part of a GTP-U header.
 type GTPUHeader struct {
 	// MsgType is 0xFF (G-PDU) for user traffic.

@@ -241,9 +241,6 @@ func TestEncodeShortBuffers(t *testing.T) {
 	if err := EncodeGTPU(short, GTPUHeader{}); err == nil {
 		t.Fatal("short gtpu encode succeeded")
 	}
-	if err := EncodeTCPPorts(short, 0, 0); err == nil {
-		t.Fatal("short tcp encode succeeded")
-	}
 }
 
 func TestRewriteNAT(t *testing.T) {

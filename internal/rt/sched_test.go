@@ -133,7 +133,7 @@ func buildSchedWorld(t *testing.T, rng *rand.Rand, rec *schedRec) (*mem.AddressS
 	hasSub := subFlow != nil
 
 	b := model.NewBuilder("sched")
-	b.AddModule("m", model.Binding{PerFlow: perFlow, SubFlow: subFlow, Control: control}, nil)
+	b.AddModule("m", model.Binding{PerFlow: perFlow, SubFlow: subFlow, Control: control})
 	e0 := b.Event("e0")
 	e1 := b.Event("e1")
 	nStates := 2 + rng.Intn(5)
@@ -325,7 +325,7 @@ func TestExecSeqIsPerPacket(t *testing.T) {
 	for _, cfg := range []rt.Config{rt.RTCConfig(), rt.DefaultConfig()} {
 		seqOf := make(map[uint64]uint64)
 		b := model.NewBuilder("seq")
-		b.AddModule("m", model.Binding{}, nil)
+		b.AddModule("m", model.Binding{})
 		done := b.Event("done")
 		b.AddState("m", "A", model.Action{
 			Name: "a",

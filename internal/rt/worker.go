@@ -211,8 +211,8 @@ type Worker struct {
 	ringNext []int32
 }
 
-// NewWorker builds a worker for prog on core, reserving the NFTask
-// scratch regions and the rx ring from as.
+// NewWorker builds a worker for prog on core, reserving the rx ring and
+// each NFTask's one scratch line from as.
 func NewWorker(core *sim.Core, as *mem.AddressSpace, prog *model.Program, cfg Config) (*Worker, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -231,11 +231,10 @@ func NewWorker(core *sim.Core, as *mem.AddressSpace, prog *model.Program, cfg Co
 		batch:    make([]*pkt.Packet, 0, cfg.Batch),
 		ringNext: make([]int32, cfg.Tasks),
 	}
-	tempSize := uint64(prog.TempLines()) * sim.LineBytes
 	for i := range w.tasks {
 		w.tasks[i] = model.Exec{
 			Core:     core,
-			TempAddr: as.Reserve(tempSize, sim.LineBytes),
+			TempAddr: as.Reserve(sim.LineBytes, sim.LineBytes),
 			Done:     true, // idle until a packet is loaded
 		}
 	}

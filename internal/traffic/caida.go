@@ -84,12 +84,6 @@ func (g *CaidaGen) FlowTuple(i int) pkt.FiveTuple { return g.tuples[i] }
 // Flows returns the flow population size.
 func (g *CaidaGen) Flows() int { return len(g.tuples) }
 
-// AvgPacketBytes returns the expected IMIX packet size, for line-rate
-// arithmetic.
-func AvgPacketBytes() float64 {
-	return 7.0/12*float64(imixSizes[0]) + 4.0/12*float64(imixSizes[1]) + 1.0/12*float64(imixSizes[2])
-}
-
 // Next emits the next trace packet: Zipf-popular flow, IMIX size.
 func (g *CaidaGen) Next() *pkt.Packet {
 	tuple := g.tuples[g.cfg.ShardBase+int(g.zipf.Uint64())]
