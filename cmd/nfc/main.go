@@ -98,17 +98,9 @@ func parseSchema(s string) (nfc.Schema, error) {
 		if len(eq) != 2 {
 			return nil, fmt.Errorf("bad schema entry %q", part)
 		}
-		var root nfc.Root
-		switch eq[0] {
-		case "PerFlowState":
-			root = nfc.RootPerFlow
-		case "SubFlowState":
-			root = nfc.RootSubFlow
-		case "ControlState":
-			root = nfc.RootControl
-		case "TempState":
-			root = nfc.RootTemp
-		default:
+		// Packet fields are builtin, not declared.
+		root, ok := nfc.ParseRoot(eq[0])
+		if !ok || root == nfc.RootPacket {
 			return nil, fmt.Errorf("unknown schema root %q", eq[0])
 		}
 		var fields []string

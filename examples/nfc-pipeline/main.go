@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/gunfu-nfv/gunfu/internal/compile"
@@ -80,7 +81,7 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "nfc-pipeline: %v\n", err)
 		os.Exit(1)
 	}
@@ -131,7 +132,9 @@ func build() (*compile.SpecResult, *mem.AddressSpace, *traffic.FlowGen, error) {
 	return res, as, g, nil
 }
 
-func run() error {
+// run builds the NAT from Listings 1–4, runs it under both execution
+// models and writes the report to w.
+func run(w io.Writer) error {
 	// Show the visibility the compiler extracted from the NF-C source.
 	actions, err := nfc.Parse(mapperImpl)
 	if err != nil {
@@ -141,16 +144,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("NF-C action %q compiled:\n", compiled.Name)
-	fmt.Printf("  reads:  PerFlowState%v\n", compiled.Reads[nfc.RootPerFlow])
-	fmt.Printf("  writes: Packet%v\n", compiled.Writes[nfc.RootPacket])
-	fmt.Printf("  emits:  %v\n\n", compiled.Events)
+	fmt.Fprintf(w, "NF-C action %q compiled:\n", compiled.Name)
+	fmt.Fprintf(w, "  reads:  PerFlowState%v\n", compiled.Reads[nfc.RootPerFlow])
+	fmt.Fprintf(w, "  writes: Packet%v\n", compiled.Writes[nfc.RootPacket])
+	fmt.Fprintf(w, "  emits:  %v\n\n", compiled.Events)
 
 	res, as, g, err := build()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("compiled program %q: %d control states, %d actions\n\n",
+	fmt.Fprintf(w, "compiled program %q: %d control states, %d actions\n\n",
 		res.Program.Name(), res.Program.NumCS(), res.Program.NumActions())
 
 	// RTC baseline.
@@ -179,20 +182,20 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	w, err := rt.NewWorker(core, as, res.Program, rt.DefaultConfig())
+	ilW, err := rt.NewWorker(core, as, res.Program, rt.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	if _, err := w.Run(g, packets/10); err != nil {
+	if _, err := ilW.Run(g, packets/10); err != nil {
 		return err
 	}
-	il, err := w.Run(g, packets)
+	il, err := ilW.Run(g, packets)
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("spec-compiled NAT, %d flows, 64B packets:\n", flows)
-	fmt.Printf("  %-24s %8.2f Gbps\n", "per-packet RTC:", base.Gbps())
-	fmt.Printf("  %-24s %8.2f Gbps  (%.2fx)\n", "interleaved x16:", il.Gbps(), il.Gbps()/base.Gbps())
+	fmt.Fprintf(w, "spec-compiled NAT, %d flows, 64B packets:\n", flows)
+	fmt.Fprintf(w, "  %-24s %8.2f Gbps\n", "per-packet RTC:", base.Gbps())
+	fmt.Fprintf(w, "  %-24s %8.2f Gbps  (%.2fx)\n", "interleaved x16:", il.Gbps(), il.Gbps()/base.Gbps())
 	return nil
 }

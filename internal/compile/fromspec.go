@@ -36,8 +36,6 @@ type SpecResult struct {
 	Table *dstruct.Cuckoo
 	// Stores maps each StatefulNF module to its per-flow value store.
 	Stores map[string]*nfc.Store
-	// Pools maps each StatefulNF module to its per-flow pool.
-	Pools map[string]*mem.Pool
 }
 
 // AddFlow registers tuple at per-flow index idx.
@@ -87,18 +85,15 @@ func FromSpec(as *mem.AddressSpace, unit SpecUnit) (*SpecResult, error) {
 	}
 
 	b := model.NewBuilder(unit.NF.Name)
-	result := &SpecResult{
-		Stores: make(map[string]*nfc.Store),
-		Pools:  make(map[string]*mem.Pool),
-	}
+	result := &SpecResult{Stores: make(map[string]*nfc.Store)}
 
 	// Resolve stage specs and entry points back to front.
 	next := model.EndName
 	for i := len(unit.NF.Stages) - 1; i >= 0; i-- {
 		stage := unit.NF.Stages[i]
-		mod, ok := unit.Modules[stage.Module]
+		mod, ok := unit.Modules[stage]
 		if !ok {
-			return nil, fmt.Errorf("compile: composition references unknown module %q", stage.Module)
+			return nil, fmt.Errorf("compile: composition references unknown module %q", stage)
 		}
 		switch mod.Category {
 		case CategoryClassifier:
@@ -138,52 +133,30 @@ func FromSpec(as *mem.AddressSpace, unit SpecUnit) (*SpecResult, error) {
 	return result, nil
 }
 
-// attachStatefulNF lowers one StatefulNF module: per-flow layout and
-// store from the spec's states declarations, one NF-C action per
-// control state, transitions from the spec's Δ.
+// attachStatefulNF lowers one StatefulNF module: per-flow state (an
+// 8-byte field per declared name) and store from the spec's states,
+// one NF-C action per control state, transitions from the spec's Δ.
 func attachStatefulNF(as *mem.AddressSpace, b *model.Builder, mod *spec.Module,
 	actions map[string]*nfc.ActionAST, maxFlows int, next string, result *SpecResult) (string, error) {
 
-	// Union of per-flow fields across the module's states.
-	var fieldNames []string
-	seen := make(map[string]bool)
-	for _, cs := range mod.StatesOrder {
-		for _, f := range mod.States[cs] {
-			if !seen[f] {
-				seen[f] = true
-				fieldNames = append(fieldNames, f)
-			}
-		}
-	}
-	if len(fieldNames) == 0 {
+	if len(mod.States) == 0 {
 		return "", fmt.Errorf("compile: module %s declares no per-flow state", mod.Name)
 	}
-	fields := make([]mem.Field, len(fieldNames))
-	for i, n := range fieldNames {
+	fields := make([]mem.Field, len(mod.States))
+	for i, n := range mod.States {
 		fields[i] = mem.Field{Name: n, Size: 8}
 	}
-	layout, err := mem.NewLayout(fields...)
+	bind, err := nf.BuildStates(as, mod.Name, fields, maxFlows)
 	if err != nil {
 		return "", fmt.Errorf("compile: module %s: %w", mod.Name, err)
 	}
-	pool, err := mem.NewPool(as, mod.Name+".perflow", layout.Size(), maxFlows)
-	if err != nil {
-		return "", fmt.Errorf("compile: module %s: %w", mod.Name, err)
-	}
-	store, err := nfc.NewStore(fieldNames, maxFlows)
+	store, err := nfc.NewStore(mod.States, maxFlows)
 	if err != nil {
 		return "", fmt.Errorf("compile: module %s: %w", mod.Name, err)
 	}
 	result.Stores[mod.Name] = store
-	result.Pools[mod.Name] = pool
-
-	env := nfc.NewEnv(nfc.Stores{PerFlow: store})
-	schema := nfc.Schema{nfc.RootPerFlow: fieldNames}
-
-	b.AddModule(mod.Name, model.Binding{
-		PerFlow: pool, PerFlowLayout: layout,
-		Control: mem.Region{Name: mod.Name + ".control", Base: as.Reserve(64, 0), Size: 64},
-	})
+	b.AddModule(mod.Name, *bind)
+	schema := nfc.Schema{nfc.RootPerFlow: mod.States}
 
 	// Control states = every non-Start/End transition source.
 	csSeen := make(map[string]bool)
@@ -203,7 +176,7 @@ func attachStatefulNF(as *mem.AddressSpace, b *model.Builder, mod *spec.Module,
 		if err != nil {
 			return "", fmt.Errorf("compile: module %s: %w", mod.Name, err)
 		}
-		act, err := nfc.ToAction(compiled, env, b)
+		act, err := nfc.ToAction(compiled, store, b)
 		if err != nil {
 			return "", fmt.Errorf("compile: module %s: %w", mod.Name, err)
 		}

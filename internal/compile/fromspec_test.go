@@ -232,3 +232,48 @@ func TestFromSpecErrors(t *testing.T) {
 		t.Fatal("chain without a classifier accepted")
 	}
 }
+
+// prefetchHash folds the line address of every prefetch a core issues
+// into one FNV-1a-style hash.
+type prefetchHash struct{ h uint64 }
+
+func (p *prefetchHash) Event(ev sim.TraceEvent) {
+	if ev.Kind == sim.TracePrefetchIssued {
+		p.h = (p.h ^ ev.A) * 1099511628211
+	}
+}
+
+// TestFromSpecAddressTrace pins where FromSpec places state: the line
+// addresses of every prefetch over 500 packets, folded into one hash.
+// Reserving the control region before the per-flow pool, resizing a
+// record or moving the rx ring changes the hash, though the
+// nfc-pipeline example's two-decimal Gbps may not move.
+func TestFromSpecAddressTrace(t *testing.T) {
+	const flows, packets, want = 256, 500, uint64(12410474141050102405)
+	res, as := compileSpecNAT(t, flows)
+	g, err := traffic.NewFlowGen(traffic.FlowGenConfig{Flows: flows, PacketBytes: 64, Order: traffic.OrderUniform, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < flows; i++ {
+		if err := res.AddFlow(g.FlowTuple(i), int32(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	core, err := sim.NewCore(sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := &prefetchHash{h: 14695981039346656037}
+	core.SetTracer(trace)
+	w, err := rt.NewWorker(core, as, res.Program, rt.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Run(g, packets); err != nil {
+		t.Fatal(err)
+	}
+	if trace.h != want {
+		t.Fatalf("prefetch address hash = %d, want %d", trace.h, want)
+	}
+}

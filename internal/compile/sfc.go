@@ -2,11 +2,19 @@
 // lowers NF/SFC specifications onto the model.Builder, and applies two
 // of the compilation optimizations granular decomposition enables —
 // redundant matching removal (MR) for chained NFs and cache-conscious
-// data packing (DP) of per-flow state layouts. The paper's third,
-// redundant prefetch removal (PRR), is not implemented: under
-// interleaving the prefetches it drops are the ones re-fetching lines
-// other NFTasks evicted, so it cost throughput (EXPERIMENTS.md, Known
-// deviation 2).
+// data packing (DP) of per-flow state layouts — to chains of Go NFs
+// (BuildSFC with SFCOptions, FuseStates).
+//
+// FromSpec compiles the paper's programming model (Listings 1–4): a
+// StatefulClassifier module contributes only its name and category,
+// because its control states and match state are nf.Classifier's; a
+// StatefulNF module contributes its transitions and per-flow states,
+// and its actions come from NF-C. FromSpec applies no optimizations.
+//
+// The paper's third optimization, redundant prefetch removal (PRR), is
+// not implemented: under interleaving the prefetches it drops are the
+// ones re-fetching lines other NFTasks evicted, so it cost throughput
+// (EXPERIMENTS.md, Known deviation 2).
 package compile
 
 import (

@@ -18,7 +18,6 @@ type Builder struct {
 	name    string
 	events  []string
 	modules map[string]*Binding
-	order   []string // module insertion order, for deterministic builds
 	csNames []string // "module.state", insertion order
 	csDefs  map[string]*csDef
 	trans   []transDef
@@ -77,7 +76,6 @@ func (b *Builder) AddModule(name string, bind Binding) {
 		return
 	}
 	b.modules[name] = &bind
-	b.order = append(b.order, name)
 }
 
 // AddState adds a control state to a module with its action.

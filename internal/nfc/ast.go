@@ -19,40 +19,31 @@ const (
 	RootTemp
 )
 
-// String names the root as it appears in source.
-func (r Root) String() string {
-	switch r {
-	case RootPacket:
-		return "Packet"
-	case RootPerFlow:
-		return "PerFlowState"
-	case RootSubFlow:
-		return "SubFlowState"
-	case RootControl:
-		return "ControlState"
-	case RootTemp:
-		return "TempState"
-	default:
-		return fmt.Sprintf("Root(%d)", int(r))
-	}
+// rootNames spells each root as it appears in source.
+var rootNames = [...]string{
+	RootPacket:  "Packet",
+	RootPerFlow: "PerFlowState",
+	RootSubFlow: "SubFlowState",
+	RootControl: "ControlState",
+	RootTemp:    "TempState",
 }
 
-// rootByName resolves the extended keywords.
-func rootByName(name string) (Root, bool) {
-	switch name {
-	case "Packet":
-		return RootPacket, true
-	case "PerFlowState":
-		return RootPerFlow, true
-	case "SubFlowState":
-		return RootSubFlow, true
-	case "ControlState":
-		return RootControl, true
-	case "TempState":
-		return RootTemp, true
-	default:
-		return 0, false
+// String names the root as it appears in source.
+func (r Root) String() string {
+	if r >= RootPacket && int(r) < len(rootNames) {
+		return rootNames[r]
 	}
+	return fmt.Sprintf("Root(%d)", int(r))
+}
+
+// ParseRoot resolves a root keyword ("Packet", "PerFlowState", …).
+func ParseRoot(name string) (Root, bool) {
+	for r := RootPacket; int(r) < len(rootNames); r++ {
+		if rootNames[r] == name {
+			return r, true
+		}
+	}
+	return 0, false
 }
 
 // ActionAST is one parsed NFAction definition.

@@ -2,7 +2,9 @@ package nfc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
@@ -32,15 +34,7 @@ type Compiled struct {
 	NumLocals int
 	// Cost is the instruction-count estimate charged per execution.
 	Cost uint64
-	run  func(e *model.Exec, env *Env) int // returns event index or -1
-}
-
-// Env supplies the runtime storage NF-C references resolve against.
-type Env struct {
-	// Get loads field idx of root for the current task.
-	Get func(root Root, idx int, e *model.Exec) uint64
-	// Set stores field idx of root for the current task.
-	Set func(root Root, idx int, e *model.Exec, v uint64)
+	run  func(e *model.Exec, s *Store) int // returns event index or -1
 }
 
 // packetField describes a builtin Packet.* accessor.
@@ -132,9 +126,9 @@ func Compile(a *ActionAST, schema Schema) (*Compiled, error) {
 		Events:    append([]string(nil), c.events...),
 		NumLocals: len(c.locals),
 		Cost:      c.cost + 5,
-		run: func(e *model.Exec, env *Env) int {
-			for _, s := range body {
-				if ev := s(e, env); ev >= 0 {
+		run: func(e *model.Exec, s *Store) int {
+			for _, fn := range body {
+				if ev := fn(e, s); ev >= 0 {
 					return ev
 				}
 			}
@@ -157,11 +151,15 @@ func flatten(m map[Root]map[string]bool) map[Root][]string {
 	return out
 }
 
-// stmtFn executes one statement; a return ≥ 0 is an emitted event index.
-type stmtFn func(e *model.Exec, env *Env) int
+// stmtFn executes one statement against the task and its module's
+// per-flow store; a return ≥ 0 is an emitted event index.
+type stmtFn func(e *model.Exec, s *Store) int
 
 // exprFn evaluates one expression.
-type exprFn func(e *model.Exec, env *Env) uint64
+type exprFn func(e *model.Exec, s *Store) uint64
+
+// setFn stores one value.
+type setFn func(e *model.Exec, s *Store, v uint64)
 
 func (c *compiler) stmts(list []Stmt) ([]stmtFn, error) {
 	out := make([]stmtFn, 0, len(list))
@@ -185,7 +183,7 @@ func (c *compiler) stmt(s Stmt) (stmtFn, error) {
 			c.evIdx[s.Event] = idx
 		}
 		c.cost++
-		return func(e *model.Exec, env *Env) int { return idx }, nil
+		return func(*model.Exec, *Store) int { return idx }, nil
 
 	case *VarStmt:
 		if _, dup := c.locals[s.Name]; dup {
@@ -201,8 +199,8 @@ func (c *compiler) stmt(s Stmt) (stmtFn, error) {
 		slot := len(c.locals)
 		c.locals[s.Name] = slot
 		c.cost++
-		return func(e *model.Exec, env *Env) int {
-			e.Temp[slot] = val(e, env)
+		return func(e *model.Exec, st *Store) int {
+			e.Temp[slot] = val(e, st)
 			return -1
 		}, nil
 
@@ -219,29 +217,29 @@ func (c *compiler) stmt(s Stmt) (stmtFn, error) {
 				return nil, fmt.Errorf("line %d: undeclared local %q (use var)", s.Line, lv.Name)
 			}
 			op := s.Op
-			return func(e *model.Exec, env *Env) int {
-				applyOp(&e.Temp[slot], op, val(e, env))
+			return func(e *model.Exec, st *Store) int {
+				applyOp(&e.Temp[slot], op, val(e, st))
 				return -1
 			}, nil
 		case *RefLV:
-			idx, err := c.resolve(lv.Root, lv.Field, s.Line, true)
+			get, set, err := c.resolve(lv.Root, lv.Field, s.Line, true)
 			if err != nil {
 				return nil, err
 			}
 			if s.Op != "=" {
 				// Compound assignment also reads.
-				if _, err := c.resolve(lv.Root, lv.Field, s.Line, false); err != nil {
+				if _, _, err := c.resolve(lv.Root, lv.Field, s.Line, false); err != nil {
 					return nil, err
 				}
 			}
-			root, op := lv.Root, s.Op
-			return func(e *model.Exec, env *Env) int {
+			op := s.Op
+			return func(e *model.Exec, st *Store) int {
 				if op == "=" {
-					env.Set(root, idx, e, val(e, env))
+					set(e, st, val(e, st))
 				} else {
-					cur := env.Get(root, idx, e)
-					applyOp(&cur, op, val(e, env))
-					env.Set(root, idx, e, cur)
+					cur := get(e, st)
+					applyOp(&cur, op, val(e, st))
+					set(e, st, cur)
 				}
 				return -1
 			}, nil
@@ -263,13 +261,13 @@ func (c *compiler) stmt(s Stmt) (stmtFn, error) {
 			return nil, err
 		}
 		c.cost += 2
-		return func(e *model.Exec, env *Env) int {
+		return func(e *model.Exec, st *Store) int {
 			branch := els
-			if cond(e, env) != 0 {
+			if cond(e, st) != 0 {
 				branch = then
 			}
 			for _, fn := range branch {
-				if ev := fn(e, env); ev >= 0 {
+				if ev := fn(e, st); ev >= 0 {
 					return ev
 				}
 			}
@@ -292,71 +290,66 @@ func applyOp(dst *uint64, op string, v uint64) {
 	}
 }
 
-// resolve maps (root, field) to a runtime index and records the access.
-func (c *compiler) resolve(root Root, field string, line int, write bool) (int, error) {
-	var idx int
+// resolve type-checks root.field, records the access, and returns the
+// field's run-time load and store. Only Packet and PerFlowState bind
+// at run time: a packet reference captures its builtin accessor, a
+// per-flow one its index into the module's Store. Other roots are
+// checked against the schema for the access sets alone; ToAction
+// refuses an action that touches one, so their accessors stay nil.
+func (c *compiler) resolve(root Root, field string, line int, write bool) (exprFn, setFn, error) {
+	var get exprFn
+	var set setFn
 	if root == RootPacket {
-		if _, ok := packetFields[field]; !ok {
-			return 0, fmt.Errorf("line %d: unknown packet field %q", line, field)
+		pf, ok := packetFields[field]
+		if !ok {
+			return nil, nil, fmt.Errorf("line %d: unknown packet field %q (have %s)",
+				line, field, strings.Join(PacketFieldNames(), ", "))
 		}
-		idx = packetFieldIndex(field)
+		get = func(e *model.Exec, _ *Store) uint64 { return pf.get(e.Pkt) }
+		set = func(e *model.Exec, _ *Store, v uint64) { pf.set(e.Pkt, v) }
 	} else {
 		fields, ok := c.schema[root]
 		if !ok {
-			return 0, fmt.Errorf("line %d: no %s schema declared", line, root)
+			return nil, nil, fmt.Errorf("line %d: no %s schema declared", line, root)
 		}
-		idx = -1
-		for i, f := range fields {
-			if f == field {
-				idx = i
-				break
-			}
-		}
+		idx := slices.Index(fields, field)
 		if idx < 0 {
-			return 0, fmt.Errorf("line %d: unknown %s field %q", line, root, field)
+			return nil, nil, fmt.Errorf("line %d: unknown %s field %q", line, root, field)
+		}
+		if root == RootPerFlow {
+			get = func(e *model.Exec, s *Store) uint64 { return s.vals[e.FlowIdx][idx] }
+			set = func(e *model.Exec, s *Store, v uint64) { s.vals[e.FlowIdx][idx] = v }
 		}
 	}
-	set := c.reads
+	accesses := c.reads
 	if write {
-		set = c.writes
+		accesses = c.writes
 	}
-	if set[root] == nil {
-		set[root] = make(map[string]bool)
+	if accesses[root] == nil {
+		accesses[root] = make(map[string]bool)
 	}
-	set[root][field] = true
-	return idx, nil
-}
-
-// packetFieldIndex gives every builtin packet field a stable index.
-func packetFieldIndex(name string) int {
-	names := PacketFieldNames()
-	for i, n := range names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
+	accesses[root][field] = true
+	return get, set, nil
 }
 
 func (c *compiler) expr(x Expr) (exprFn, error) {
 	switch x := x.(type) {
 	case *NumberLit:
 		v := x.Val
-		return func(*model.Exec, *Env) uint64 { return v }, nil
+		return func(*model.Exec, *Store) uint64 { return v }, nil
 	case *VarExpr:
 		slot, ok := c.locals[x.Name]
 		if !ok {
 			return nil, fmt.Errorf("undeclared local %q", x.Name)
 		}
-		return func(e *model.Exec, env *Env) uint64 { return e.Temp[slot] }, nil
+		return func(e *model.Exec, _ *Store) uint64 { return e.Temp[slot] }, nil
 	case *RefExpr:
-		idx, err := c.resolve(x.Root, x.Field, 0, false)
+		get, _, err := c.resolve(x.Root, x.Field, 0, false)
 		if err != nil {
 			return nil, err
 		}
-		root := x.Root
 		c.cost++
-		return func(e *model.Exec, env *Env) uint64 { return env.Get(root, idx, e) }, nil
+		return get, nil
 	case *UnaryExpr:
 		inner, err := c.expr(x.X)
 		if err != nil {
@@ -365,10 +358,10 @@ func (c *compiler) expr(x Expr) (exprFn, error) {
 		c.cost++
 		switch x.Op {
 		case "-":
-			return func(e *model.Exec, env *Env) uint64 { return -inner(e, env) }, nil
+			return func(e *model.Exec, st *Store) uint64 { return -inner(e, st) }, nil
 		case "!":
-			return func(e *model.Exec, env *Env) uint64 {
-				if inner(e, env) == 0 {
+			return func(e *model.Exec, st *Store) uint64 {
+				if inner(e, st) == 0 {
 					return 1
 				}
 				return 0
@@ -387,8 +380,8 @@ func (c *compiler) expr(x Expr) (exprFn, error) {
 		}
 		c.cost++
 		op := x.Op
-		return func(e *model.Exec, env *Env) uint64 {
-			a, b := l(e, env), r(e, env)
+		return func(e *model.Exec, st *Store) uint64 {
+			a, b := l(e, st), r(e, st)
 			switch op {
 			case "+":
 				return a + b

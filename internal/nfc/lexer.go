@@ -1,10 +1,15 @@
 // Package nfc implements NF-C, the paper's C-like DSL for NFAction
 // logic (§IV-B, Listing 4). NF-C code names NFStates through the
 // extended keywords Packet, PerFlowState, SubFlowState, ControlState
-// and TempState; the compiler extracts each action's read and write
-// sets — the deep visibility granular decomposition requires — and
-// produces an executable model.ActionFunc whose temporary variables
-// live in the NFTask's temp fields, exactly as §VI-A describes.
+// and TempState; Compile type-checks all five against a schema and
+// extracts each action's read and write sets — the deep visibility
+// granular decomposition requires, and what cmd/nfc dumps.
+//
+// At run time only Packet and PerFlowState bind: ToAction ties a
+// compiled action to its module's per-flow Store and produces an
+// executable model.Action whose local variables live in the NFTask's
+// temp words (§VI-A). An action touching SubFlowState, ControlState or
+// TempState compiles but does not bind.
 package nfc
 
 import (

@@ -126,18 +126,19 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
-func newTestEnv(t *testing.T) (*Env, *Store) {
+// newTestStore is a per-flow store matching mapperSchema.
+func newTestStore(t *testing.T) *Store {
 	t.Helper()
 	store, err := NewStore([]string{"ip", "port"}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewEnv(Stores{PerFlow: store}), store
+	return store
 }
 
 func TestMapperExecution(t *testing.T) {
 	c := compileMapper(t)
-	env, store := newTestEnv(t)
+	store := newTestStore(t)
 	if err := store.Set(3, 0, 0x01020304); err != nil { // ip
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestMapperExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &model.Exec{FlowIdx: 3, Pkt: &pkt.Packet{}}
-	ev := c.run(e, env)
+	ev := c.run(e, store)
 	if ev != 0 {
 		t.Fatalf("emitted event index %d", ev)
 	}
@@ -179,9 +180,9 @@ func TestArithmeticAndControlFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, store := newTestEnv(t)
+	store := newTestStore(t)
 	e := &model.Exec{FlowIdx: 0, Pkt: &pkt.Packet{}}
-	ev := c.run(e, env)
+	ev := c.run(e, store)
 	if c.Events[ev] != "hit" {
 		t.Fatalf("emitted %q, want hit", c.Events[ev])
 	}
@@ -212,13 +213,12 @@ func TestElseBranchAndComparisons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, _ := newTestEnv(t)
 	for _, tt := range []struct {
 		port uint16
 		want string
 	}{{1500, "high"}, {500, "low"}, {2000, "low"}} {
 		e := &model.Exec{Pkt: &pkt.Packet{Tuple: pkt.FiveTuple{SrcPort: tt.port}}}
-		ev := c.run(e, env)
+		ev := c.run(e, nil) // packet fields only: no store needed
 		if c.Events[ev] != tt.want {
 			t.Fatalf("port %d emitted %q, want %q", tt.port, c.Events[ev], tt.want)
 		}
@@ -244,9 +244,9 @@ func TestDivModByZeroSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, store := newTestEnv(t)
+	store := newTestStore(t)
 	e := &model.Exec{FlowIdx: 0, Pkt: &pkt.Packet{}}
-	c.run(e, env) // must not panic
+	c.run(e, store) // must not panic
 	if v, _ := store.Get(0, 0); v != 0 {
 		t.Fatalf("division by zero yielded %d", v)
 	}
@@ -271,10 +271,10 @@ func TestCompoundAssignOnState(t *testing.T) {
 	if got := c.Writes[RootPerFlow]; len(got) != 1 || got[0] != "ip" {
 		t.Fatalf("writes = %v", got)
 	}
-	env, store := newTestEnv(t)
+	store := newTestStore(t)
 	e := &model.Exec{FlowIdx: 1, Pkt: &pkt.Packet{}}
-	c.run(e, env)
-	c.run(e, env)
+	c.run(e, store)
+	c.run(e, store)
 	if v, _ := store.Get(1, 0); v != 10 {
 		t.Fatalf("accumulator = %d, want 10", v)
 	}
@@ -282,7 +282,7 @@ func TestCompoundAssignOnState(t *testing.T) {
 
 func TestToActionIntegration(t *testing.T) {
 	c := compileMapper(t)
-	env, store := newTestEnv(t)
+	store := newTestStore(t)
 	if err := store.Set(0, 0, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestToActionIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := model.NewBuilder("p")
-	act, err := ToAction(c, env, b)
+	act, err := ToAction(c, store, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,32 +313,45 @@ func TestToActionIntegration(t *testing.T) {
 // cfgSrc writes control state.
 const cfgSrc = `NFAction(cfg) { ControlState.mode = 1; Emit(Event_X); }`
 
-func TestControlWritesMakeConfigAction(t *testing.T) {
-	actions, err := Parse(cfgSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Compile(actions[0], Schema{RootControl: {"mode"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := NewStore([]string{"mode"}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := NewEnv(Stores{Control: ctrl})
-	b := model.NewBuilder("p")
-	act, err := ToAction(c, env, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if act.Kind != model.ActionConfig {
-		t.Fatalf("kind = %v, want config", act.Kind)
-	}
-	e := &model.Exec{Pkt: &pkt.Packet{}}
-	act.Fn(e)
-	if v, _ := ctrl.Get(0, 0); v != 1 {
-		t.Fatal("control state not written")
+// tempSrc carries temp state from one action to the next.
+const tempSrc = `
+NFAction(a) { TempState.t0 = 42; Emit(Event_X); }
+NFAction(b) { PerFlowState.ip = TempState.t0; Emit(Event_X); }
+`
+
+// TestToActionRefusesUnboundRoots: only Packet and PerFlowState bind
+// at run time. An action on another root compiles, for its access
+// sets, but ToAction refuses it with an error naming the action and
+// the root. "temp alias" is the regression that motivated the rule:
+// bound, its local x and TempState.t0 shared the task's first temp
+// word, so the action wrote 5 where TempState.t0 held 77.
+func TestToActionRefusesUnboundRoots(t *testing.T) {
+	for _, tt := range []struct {
+		name, src, root string
+		schema          Schema
+	}{
+		{"temp alias", "NFAction(b) { var x = 5; Packet.src_port = TempState.t0; Emit(Event_Done); }",
+			"TempState", Schema{RootTemp: {"t0"}}},
+		{"temp carry", tempSrc, "TempState", Schema{RootPerFlow: {"ip", "port"}, RootTemp: {"t0"}}},
+		{"control", cfgSrc, "ControlState", Schema{RootControl: {"mode"}}},
+		{"subflow", "NFAction(s) { SubFlowState.n += 1; }", "SubFlowState", Schema{RootSubFlow: {"n"}}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			actions, err := Parse(tt.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range actions {
+				c, err := Compile(a, tt.schema)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = ToAction(c, newTestStore(t), model.NewBuilder("p"))
+				if err == nil || !strings.Contains(err.Error(), tt.root) || !strings.Contains(err.Error(), "action "+c.Name) {
+					t.Fatalf("ToAction(%s) err = %v, want one naming the action and %s", c.Name, err, tt.root)
+				}
+			}
+		})
 	}
 }
 
@@ -354,9 +367,8 @@ func TestNoEmitDefaultsToDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, _ := newTestEnv(t)
 	b := model.NewBuilder("p")
-	act, err := ToAction(c, env, b)
+	act, err := ToAction(c, newTestStore(t), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,35 +397,6 @@ func TestStoreValidation(t *testing.T) {
 	}
 	if got := s.Fields(); len(got) != 1 || got[0] != "a" {
 		t.Fatalf("Fields = %v", got)
-	}
-}
-
-// tempSrc carries temp state from one action to the next.
-const tempSrc = `
-NFAction(a) { TempState.t0 = 42; Emit(Event_X); }
-NFAction(b) { PerFlowState.ip = TempState.t0; Emit(Event_X); }
-`
-
-func TestTempStateRoundTrips(t *testing.T) {
-	actions, err := Parse(tempSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schema := Schema{RootPerFlow: {"ip", "port"}, RootTemp: {"t0"}}
-	ca, err := Compile(actions[0], schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := Compile(actions[1], schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, store := newTestEnv(t)
-	e := &model.Exec{FlowIdx: 0, Pkt: &pkt.Packet{}}
-	ca.run(e, env)
-	cb.run(e, env)
-	if v, _ := store.Get(0, 0); v != 42 {
-		t.Fatalf("temp state did not carry across actions: %d", v)
 	}
 }
 

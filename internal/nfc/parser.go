@@ -207,7 +207,7 @@ func (p *parser) parseLValue() (LValue, error) {
 	if err != nil {
 		return nil, err
 	}
-	if root, ok := rootByName(name.text); ok {
+	if root, ok := ParseRoot(name.text); ok {
 		if _, err := p.eat(tokPunct, "."); err != nil {
 			return nil, err
 		}
@@ -291,7 +291,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return e, nil
 	case t.kind == tokIdent:
 		p.pos++
-		if root, ok := rootByName(t.text); ok {
+		if root, ok := ParseRoot(t.text); ok {
 			if _, err := p.eat(tokPunct, "."); err != nil {
 				return nil, err
 			}

@@ -623,3 +623,52 @@ func TestRingGuardRejectsWrappableSlots(t *testing.T) {
 		t.Fatalf("boundary config rejected: %v", err)
 	}
 }
+
+// TestExhaustionUnderBothConfigs: with one MSHR the prefetcher is
+// exhausted almost at once. The interleaved worker counts the
+// prefetches it drops and the run-to-completion worker issues none, and
+// both still complete every offered packet. Under RTCConfig as under
+// any config, a ring too small for Tasks+Batch is a NewWorker error.
+func TestExhaustionUnderBothConfigs(t *testing.T) {
+	const offered = 2000
+	simCfg := sim.DefaultConfig()
+	simCfg.MSHRs = 1
+	for _, tc := range []struct {
+		name string
+		cfg  rt.Config
+	}{{"interleaved", rt.ConfigFor(16)}, {"rtc", rt.RTCConfig()}} {
+		cfg := tc.cfg
+		t.Run(tc.name, func(t *testing.T) {
+			prog, g := buildNAT(t, 4096)
+			core, err := sim.NewCore(simCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := w.Run(traffic.NewLimited(g, offered), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Packets != offered {
+				t.Fatalf("completed %d of %d packets", res.Packets, offered)
+			}
+			c := res.Counters
+			if cfg.Prefetch && c.PrefetchDropped == 0 {
+				t.Fatalf("one MSHR under %d tasks dropped no prefetch: %+v", cfg.Tasks, c)
+			}
+			if !cfg.Prefetch && c.PrefetchIssued+c.PrefetchDropped != 0 {
+				t.Fatalf("RTC issued %d and dropped %d prefetches", c.PrefetchIssued, c.PrefetchDropped)
+			}
+
+			small := cfg
+			small.RingSlots = cfg.Tasks + cfg.Batch - 1
+			_, err = rt.NewWorker(core, mem.NewAddressSpace(), prog, small)
+			if err == nil || !strings.Contains(err.Error(), "RingSlots") {
+				t.Fatalf("RingSlots %d < Tasks+Batch %d: err = %v", small.RingSlots, cfg.Tasks+cfg.Batch, err)
+			}
+		})
+	}
+}

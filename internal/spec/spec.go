@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -42,28 +43,22 @@ func ParseTransition(s string) (Transition, error) {
 	return tr, nil
 }
 
-// Module is a parsed module specification (Listing 1/2): the control
-// states with their fetch sets and the transitions among them.
+// Module is a parsed module specification (Listing 1/2), reduced to
+// what compile.FromSpec reads: its name and category, the Δ edges
+// among its control states, and the per-flow fields its states
+// declare. Listing 1's parameters and fetch blocks parse as ignored
+// keys: FromSpec derives every fetch set from NF-C's access analysis.
 type Module struct {
 	// Name identifies the module.
 	Name string
 	// Category is the declared kind (StatefulClassifier, StatefulNF, …).
 	Category string
-	// Parameters are the init/configuration parameters.
-	Parameters []string
 	// Transitions are the Δ edges.
 	Transitions []Transition
-	// Fetch maps each control state to the state names its action
-	// accesses (the F function of the model) — the per-state fetch
-	// blocks of Listing 1.
-	Fetch map[string][]string
-	// FetchOrder preserves the source order of Fetch keys.
-	FetchOrder []string
-	// States maps control states to the user-defined per-flow field
-	// list (Listing 2's "states: flow_mapper: [ip, port]").
-	States map[string][]string
-	// StatesOrder preserves the source order of States keys.
-	StatesOrder []string
+	// States are the per-flow fields the module's control states
+	// declare (Listing 2's "states: flow_mapper: [ip, port]"), in
+	// source order, each once.
+	States []string
 }
 
 // ParseModule reads a module specification document.
@@ -75,14 +70,9 @@ func ParseModule(src string) (*Module, error) {
 	m := &Module{
 		Name:     root.ScalarOr("name", ""),
 		Category: root.ScalarOr("category", ""),
-		Fetch:    make(map[string][]string),
-		States:   make(map[string][]string),
 	}
 	if m.Name == "" {
 		return nil, fmt.Errorf("spec: module has no name")
-	}
-	if m.Parameters, err = root.StringList("parameters"); err != nil {
-		return nil, err
 	}
 	trs, err := root.StringList("transitions")
 	if err != nil {
@@ -98,19 +88,6 @@ func ParseModule(src string) (*Module, error) {
 		}
 		m.Transitions = append(m.Transitions, tr)
 	}
-	if fetch, ok := root.Get("fetch"); ok {
-		if fetch.Kind != KindMap {
-			return nil, fmt.Errorf("spec: module %s: fetch must be a mapping", m.Name)
-		}
-		for _, cs := range fetch.Keys {
-			names, err := fetch.StringList(cs)
-			if err != nil {
-				return nil, fmt.Errorf("spec: module %s fetch %s: %w", m.Name, cs, err)
-			}
-			m.Fetch[cs] = names
-			m.FetchOrder = append(m.FetchOrder, cs)
-		}
-	}
 	if states, ok := root.Get("states"); ok {
 		if states.Kind != KindMap {
 			return nil, fmt.Errorf("spec: module %s: states must be a mapping", m.Name)
@@ -120,8 +97,11 @@ func ParseModule(src string) (*Module, error) {
 			if err != nil {
 				return nil, fmt.Errorf("spec: module %s states %s: %w", m.Name, cs, err)
 			}
-			m.States[cs] = names
-			m.StatesOrder = append(m.StatesOrder, cs)
+			for _, f := range names {
+				if !slices.Contains(m.States, f) {
+					m.States = append(m.States, f)
+				}
+			}
 		}
 	}
 	// Exactly one Start edge defines the entry.
@@ -148,30 +128,19 @@ func (m *Module) Entry() (state, event string) {
 	return "", ""
 }
 
-// ChainStage is one stage of an NF/SFC composition spec (Listing 3):
-// "0:receive_packet,packet->1:flow_classifier" chains stage 0 to the
-// named module at stage 1 on the given event.
-type ChainStage struct {
-	// Index is the stage number.
-	Index int
-	// Module is the module instantiated at this stage.
-	Module string
-}
-
 // NF is a parsed NF/SFC composition specification.
 type NF struct {
 	// Name identifies the composed network function.
 	Name string
-	// Stages are the chained modules in order.
-	Stages []ChainStage
-	// Optimize lists requested compilation optimizations
-	// ("redundant_matching_removal", "data_packing").
-	Optimize []string
+	// Stages are the chained module names in order.
+	Stages []string
 }
 
 // ParseNF reads an NF/SFC composition document. The chain is given as
 // a "chain" list of module names in order (a readable equivalent of
-// Listing 3's indexed transitions).
+// Listing 3's indexed transitions). An "optimize" key is an error:
+// compile.FromSpec applies no optimizations, so a requested one would
+// be dropped without a word.
 func ParseNF(src string) (*NF, error) {
 	root, err := Parse(src)
 	if err != nil {
@@ -181,27 +150,15 @@ func ParseNF(src string) (*NF, error) {
 	if n.Name == "" {
 		return nil, fmt.Errorf("spec: NF has no name")
 	}
-	chain, err := root.StringList("chain")
-	if err != nil {
+	if _, ok := root.Get("optimize"); ok {
+		return nil, fmt.Errorf("spec: NF %s: optimize is not supported: compile.FromSpec applies no optimizations "+
+			"(redundant matching removal and data packing exist for Go NFs as compile.SFCOptions and compile.FuseStates)", n.Name)
+	}
+	if n.Stages, err = root.StringList("chain"); err != nil {
 		return nil, err
 	}
-	if len(chain) == 0 {
+	if len(n.Stages) == 0 {
 		return nil, fmt.Errorf("spec: NF %s has an empty chain", n.Name)
-	}
-	for i, mod := range chain {
-		n.Stages = append(n.Stages, ChainStage{Index: i, Module: mod})
-	}
-	if n.Optimize, err = root.StringList("optimize"); err != nil {
-		return nil, err
-	}
-	for _, o := range n.Optimize {
-		switch o {
-		case "redundant_matching_removal", "data_packing":
-		case "redundant_prefetch_removal":
-			return nil, fmt.Errorf("spec: NF %s: optimization %q was retired: under interleaving it removed prefetches of lines other tasks had evicted", n.Name, o)
-		default:
-			return nil, fmt.Errorf("spec: NF %s: unknown optimization %q", n.Name, o)
-		}
 	}
 	return n, nil
 }

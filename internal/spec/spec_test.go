@@ -53,9 +53,6 @@ func TestParseClassifierSpec(t *testing.T) {
 	if m.Name != "flow_classifier" || m.Category != "StatefulClassifier" {
 		t.Fatalf("header = %q/%q", m.Name, m.Category)
 	}
-	if len(m.Parameters) != 1 || m.Parameters[0] != "header_type" {
-		t.Fatalf("parameters = %v", m.Parameters)
-	}
 	if len(m.Transitions) != 8 {
 		t.Fatalf("transitions = %d, want 8", len(m.Transitions))
 	}
@@ -63,11 +60,9 @@ func TestParseClassifierSpec(t *testing.T) {
 	if entry != "get_key" || event != "packet" {
 		t.Fatalf("entry = %s on %s", entry, event)
 	}
-	if got := m.Fetch["check_1"]; len(got) != 1 || got[0] != "bucket" {
-		t.Fatalf("fetch[check_1] = %v", got)
-	}
-	if len(m.FetchOrder) != 4 {
-		t.Fatalf("fetch order = %v", m.FetchOrder)
+	// parameters and fetch are ignored keys: nothing becomes state.
+	if len(m.States) != 0 {
+		t.Fatalf("states = %v, want none", m.States)
 	}
 }
 
@@ -76,7 +71,7 @@ func TestParseMapperSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.States["flow_mapper"]; len(got) != 2 || got[0] != "ip" || got[1] != "port" {
+	if got := m.States; len(got) != 2 || got[0] != "ip" || got[1] != "port" {
 		t.Fatalf("states = %v", got)
 	}
 	entry, event := m.Entry()
@@ -118,7 +113,6 @@ func TestParseModuleErrors(t *testing.T) {
 		{"bad transition", "name: x\ntransitions:\n  - bogus"},
 		{"no start", "name: x\ntransitions:\n  - a,e->End"},
 		{"two starts", "name: x\ntransitions:\n  - Start,packet->a\n  - Start,packet->b"},
-		{"fetch not map", "name: x\ntransitions:\n  - Start,packet->a\nfetch:\n  - item"},
 		{"states not map", "name: x\ntransitions:\n  - Start,packet->a\nstates:\n  - item"},
 	}
 	for _, tt := range tests {
@@ -136,22 +130,28 @@ name: nat
 chain:
   - flow_classifier
   - flow_mapper
-optimize:
-  - redundant_matching_removal
-  - data_packing
 `
 	n, err := ParseNF(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Name != "nat" || len(n.Stages) != 2 {
+	if n.Name != "nat" || len(n.Stages) != 2 || n.Stages[1] != "flow_mapper" {
 		t.Fatalf("NF = %+v", n)
 	}
-	if n.Stages[1].Module != "flow_mapper" || n.Stages[1].Index != 1 {
-		t.Fatalf("stage 1 = %+v", n.Stages[1])
+}
+
+// TestParseNFRejectsOptimize: FromSpec applies no optimizations, so a
+// composition that requests one — even one the Go NFs have — is an
+// error naming where MR and DP do exist, not a silently plain program.
+func TestParseNFRejectsOptimize(t *testing.T) {
+	_, err := ParseNF("name: x\nchain:\n  - a\noptimize:\n  - redundant_matching_removal\n  - data_packing")
+	if err == nil {
+		t.Fatal("optimize accepted")
 	}
-	if len(n.Optimize) != 2 {
-		t.Fatalf("optimize = %v", n.Optimize)
+	for _, want := range []string{"FromSpec applies no optimizations", "compile.SFCOptions", "compile.FuseStates"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want it to mention %q", err, want)
+		}
 	}
 }
 
@@ -162,12 +162,8 @@ func TestParseNFErrors(t *testing.T) {
 	if _, err := ParseNF("name: x"); err == nil {
 		t.Fatal("NF without chain accepted")
 	}
-	if _, err := ParseNF("name: x\nchain:\n  - a\noptimize:\n  - warp_drive"); err == nil {
-		t.Fatal("unknown optimization accepted")
-	}
-	_, err := ParseNF("name: x\nchain:\n  - a\noptimize:\n  - redundant_prefetch_removal")
-	if err == nil || !strings.Contains(err.Error(), "retired") {
-		t.Fatalf("retired optimization: err = %v, want one that says it was retired", err)
+	if _, err := ParseNF("name: x\nchain: a"); err == nil {
+		t.Fatal("scalar chain accepted")
 	}
 }
 
@@ -258,13 +254,13 @@ func TestStringListErrors(t *testing.T) {
 }
 
 func TestParseStripsComments(t *testing.T) {
-	m, err := ParseModule(classifierSpec)
+	m, err := ParseModule(mapperSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range m.Parameters {
-		if strings.Contains(p, "#") {
-			t.Fatalf("comment leaked into value %q", p)
+	for _, f := range m.States {
+		if strings.Contains(f, "#") {
+			t.Fatalf("comment leaked into value %q", f)
 		}
 	}
 }

@@ -1,7 +1,16 @@
 // Package spec implements GuNFu's specification language (§IV-B of the
-// paper): YAML module specifications (Listing 1: control states,
-// transitions, fetch sets), NF/SFC composition specifications
-// (Listing 3), and the parser that reads them.
+// paper): YAML module specifications (Listings 1 and 2), NF/SFC
+// composition specifications (Listing 3), and the parser that reads
+// them.
+//
+// It keeps only what compile.FromSpec compiles. From a module: name,
+// category, transitions and the per-flow fields under states (of a
+// StatefulClassifier FromSpec reads only name and category: its states
+// are nf.Classifier's). Other keys, such as Listing 1's parameters and
+// per-state fetch sets, parse and are ignored, because FromSpec
+// derives every fetch set from NF-C's access analysis. From a
+// composition: name and chain; an optimize key is rejected, because
+// FromSpec applies no optimizations.
 //
 // The parser handles the YAML subset the specs use — nested maps,
 // block lists, string scalars, comments — with no external
