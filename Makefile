@@ -130,11 +130,12 @@ trace-demo:
 		-nf nat -flows 4096 -packets 8000 -warmup 2000 -tasks 16
 
 # fuzz runs the fuzz targets — the control-plane wire protocol, the
-# cuckoo match table against a map, the simulator's AVX2 set scan
-# against the scalar one, the packet parser plus NAT rewrite, the spec
-# front end (transitions, NF compositions, modules), the NF-C front
-# end (parse then compile) and the spec → program path (FromSpec, then
-# one packet under both runtimes) — for a short active burst each (the
+# cuckoo match table against a map, the MDI tree against a scan of its
+# rules, the simulator's AVX2 set scan against the scalar one, the
+# packet parser plus NAT rewrite, the spec front end (transitions, NF
+# compositions, modules), the NF-C front end (parse then compile) and
+# the spec → program path (FromSpec, then one packet under both
+# runtimes) — for a short active burst each (the
 # seed corpora in internal/{director,dstruct,sim,pkt}/testdata/fuzz and
 # the spec, nfc and compile targets' f.Add seeds also run on every
 # plain `go test`).
@@ -145,6 +146,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzProtocolReadMsg$$' -fuzztime $(FUZZTIME) ./internal/director/
 	$(GO) test -run '^$$' -fuzz 'FuzzProtocolRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/director/
 	$(GO) test -run '^$$' -fuzz 'FuzzCuckooOps$$' -fuzztime $(FUZZTIME) ./internal/dstruct/
+	$(GO) test -run '^$$' -fuzz 'FuzzMDITree$$' -fuzztime $(FUZZTIME) ./internal/dstruct/
 	$(GO) test -run '^$$' -fuzz 'FuzzSetScan$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz 'FuzzPacketRewrite$$' -fuzztime $(FUZZTIME) ./internal/pkt/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseTransition$$' -fuzztime $(FUZZTIME) ./internal/spec/

@@ -1,6 +1,8 @@
 package dstruct
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"testing"
@@ -407,6 +409,63 @@ func TestMDITreeProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMDIWalkAddressTrace pins the tree's simulated behaviour: an FNV
+// hash of every address Begin and WalkStep stage and of every step's
+// result, over lookups that hit, miss on the port (sessions with gaps
+// between their ranges), miss on the UE IP, and reach a session with no
+// PDRs, plus Depth and Nodes. Node numbering and visit order decide
+// every simulated access of the UPF's match module, so a host-side
+// layout change must leave all three values where they are.
+func TestMDIWalkAddressTrace(t *testing.T) {
+	const base = 0x0a000000
+	sessions := sessionsFixture(61, 8)
+	for i := range sessions {
+		if i%3 == 1 { // every other range dropped: port misses
+			var kept []PortRange
+			for j, r := range sessions[i].PDRs {
+				if j%2 == 0 {
+					kept = append(kept, r)
+				}
+			}
+			sessions[i].PDRs = kept
+		}
+		if i%7 == 5 { // a lone middle range
+			sessions[i].PDRs = sessions[i].PDRs[3:4]
+		}
+	}
+	sessions = append(sessions, SessionRules{UEIP: base + 61, Session: 61})
+	tree, err := NewMDITree(mem.NewAddressSpace(), "t", sessions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	var results [4]int
+	var cur model.Cursor
+	for ue := uint32(base - 2); ue < base+64; ue++ {
+		for port := 0; port < 65536; port += 997 {
+			tree.Begin(&cur, ue, uint16(port))
+			for {
+				binary.LittleEndian.PutUint64(buf[:], cur.Addr)
+				h.Write(buf[:])
+				res := tree.WalkStep(&cur)
+				h.Write([]byte{byte(res)})
+				if res != StepContinue {
+					results[res]++
+					break
+				}
+			}
+		}
+	}
+	if results[StepFound] == 0 || results[StepMiss] == 0 {
+		t.Fatalf("fixture does not cover hits and misses: %v", results)
+	}
+	const wantHash, wantDepth, wantNodes = uint64(0x420ac2a7767c0b4f), 10, 422
+	if got := h.Sum64(); got != wantHash || tree.Depth() != wantDepth || tree.Nodes() != wantNodes {
+		t.Fatalf("walk trace hash %#x, Depth %d, Nodes %d; pinned %#x, %d, %d", got, tree.Depth(), tree.Nodes(), wantHash, wantDepth, wantNodes)
 	}
 }
 

@@ -1,9 +1,12 @@
 package dstruct
 
 import (
+	"slices"
 	"testing"
 
+	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
+	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
 
 // Cuckoo op codes of the fuzz encoding: data is a sequence of
@@ -149,4 +152,126 @@ func TestCuckooReinsertAfterDisplacement(t *testing.T) {
 	if _, ok := c.Lookup(k); ok {
 		t.Fatal("k still present after Delete: it was stored twice")
 	}
+}
+
+// mdiSessions decodes fuzz bytes into sessions with disjoint port
+// ranges, at most 32 of them. Each session takes a header byte: its low
+// three bits s choose the shape (0 no PDRs, 1 the whole port space,
+// otherwise s-1 ranges, each read from two bytes: the gap after the
+// previous range and the range's length, as the byte plus its low bits
+// in 256-port units), bit 3 lists the ranges in descending order and
+// the high nibble spaces the UE IPs, so that addresses between
+// sessions miss.
+func mdiSessions(data []byte) []SessionRules {
+	var sessions []SessionRules
+	ue, pdr := uint32(0x0a000000), int32(0)
+	for i := 0; i < len(data) && len(sessions) < 32; {
+		h := data[i]
+		i++
+		ue += 1 + uint32(h>>4)
+		s := SessionRules{UEIP: ue, Session: int32(len(sessions))}
+		switch shape := h & 7; shape {
+		case 0:
+		case 1:
+			s.PDRs = []PortRange{{Lo: 0, Hi: 65535, PDR: pdr}}
+			pdr++
+		default:
+			next := 0
+			for r := 0; r < int(shape)-1 && i+1 < len(data); r++ {
+				gap, length := int(data[i]), int(data[i+1])
+				i += 2
+				lo := next + gap%8*256 + gap
+				hi := lo + length%16*256 + length
+				if lo > 65535 {
+					break
+				}
+				hi = min(hi, 65535)
+				s.PDRs = append(s.PDRs, PortRange{Lo: uint16(lo), Hi: uint16(hi), PDR: pdr})
+				pdr++
+				next = hi + 1
+			}
+		}
+		if h&8 != 0 {
+			slices.Reverse(s.PDRs)
+		}
+		sessions = append(sessions, s)
+	}
+	return sessions
+}
+
+// bruteMatch scans the input rules for (ip, port).
+func bruteMatch(sessions []SessionRules, ip uint32, port uint16) (session, pdr int32, ok bool) {
+	for _, s := range sessions {
+		if s.UEIP != ip {
+			continue
+		}
+		for _, r := range s.PDRs {
+			if r.Lo <= port && port <= r.Hi {
+				return s.Session, r.PDR, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// FuzzMDITree builds a tree from decoded sessions and checks, for probes
+// around every session and every range edge, that the stepwise walk,
+// Lookup and a scan of the input rules agree, that a walk takes at most
+// Depth()+1 steps and that every address it stages lies in Region().
+func FuzzMDITree(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sessions := mdiSessions(data)
+		if len(sessions) == 0 {
+			return
+		}
+		tree, err := NewMDITree(mem.NewAddressSpace(), "t", sessions)
+		if err != nil {
+			t.Fatalf("decoded sessions refused: %v", err)
+		}
+		nodes := len(sessions)
+		for _, s := range sessions {
+			nodes += len(s.PDRs)
+		}
+		if tree.Nodes() != nodes || tree.Sessions() != len(sessions) {
+			t.Fatalf("Nodes, Sessions = %d, %d; the input has %d, %d", tree.Nodes(), tree.Sessions(), nodes, len(sessions))
+		}
+		region := tree.Region()
+		probe := func(ip uint32, port uint16) {
+			wantS, wantP, wantOK := bruteMatch(sessions, ip, port)
+			if s, p, ok := tree.Lookup(ip, port); s != wantS || p != wantP || ok != wantOK {
+				t.Fatalf("Lookup(%#x, %d) = %d,%d,%v, the rules say %d,%d,%v", ip, port, s, p, ok, wantS, wantP, wantOK)
+			}
+			var cur model.Cursor
+			tree.Begin(&cur, ip, port)
+			for steps := 1; ; steps++ {
+				if !region.Contains(cur.Addr, sim.LineBytes) {
+					t.Fatalf("walk for (%#x, %d) staged %#x outside %s", ip, port, cur.Addr, region.Name)
+				}
+				if steps > tree.Depth()+1 {
+					t.Fatalf("walk for (%#x, %d) passed %d steps at Depth %d", ip, port, steps, tree.Depth())
+				}
+				res := tree.WalkStep(&cur)
+				if res == StepContinue {
+					continue
+				}
+				ok := res == StepFound
+				if ok != wantOK || ok && (SessionOf(&cur) != wantS || cur.Idx != wantP) {
+					t.Fatalf("walk for (%#x, %d) = %d,%d,%v, the rules say %d,%d,%v", ip, port, SessionOf(&cur), cur.Idx, ok, wantS, wantP, wantOK)
+				}
+				return
+			}
+		}
+		for _, s := range sessions {
+			for _, ip := range []uint32{s.UEIP - 1, s.UEIP, s.UEIP + 1} {
+				probe(ip, 0)
+				probe(ip, 65535)
+				for _, r := range s.PDRs {
+					probe(ip, r.Lo-1)
+					probe(ip, r.Lo)
+					probe(ip, r.Hi)
+					probe(ip, r.Hi+1)
+				}
+			}
+		}
+	})
 }

@@ -3,6 +3,8 @@ package dstruct
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"github.com/gunfu-nfv/gunfu/internal/hostmem"
@@ -48,28 +50,38 @@ const (
 	StepMiss
 )
 
-// node is one tree node in slab form. Both dimensions share the search
-// logic: descend left when x < a, right when x > b, match when a≤x≤b.
-// For the first (UE IP) dimension a == b == UEIP and sub points at the
-// session's second-level subtree; for the second (port) dimension
-// [a,b] is the PDR's port range and val its PDR index.
-type node struct {
-	a, b        uint32
-	left, right int32
-	val         int32
-	sub         int32
+// ruleNode is one second-dimension node: a PDR's source-port range
+// and its PDR index.
+type ruleNode struct {
+	lo, hi uint16
+	pdr    int32
+}
+
+// sessionNode is one first-dimension node: a session's UE IP, its
+// session index, and the root and entry count of its rule subtree.
+type sessionNode struct {
+	ueip    uint32
+	session int32
+	sub     int32
+	rules   int32
 }
 
 // MDITree is the multidimensional interval tree mapping a packet's
 // (dstIP, srcPort) to its (session, PDR) pair. Each node occupies one
 // simulated cache line, so a lookup's cost is its depth in lines —
 // the pointer-chasing workload of the paper's matching actions.
+//
+// Nodes share one index space: each session's rule subtree in UE IP
+// order, then the session tree, i.e. rule nodes [0, len(rules)) and
+// session nodes from len(rules) on. Every subtree is a balanced
+// midpoint build laid out in preorder, so children are implied: node p
+// over L entries holds the entry at L/2 and has its left child at p+1
+// over L/2 entries and its right child at p+1+L/2 over L-L/2-1. A walk
+// carries its subtree's entry count instead of reading child links.
 type MDITree struct {
-	region mem.Region
-	nodes  []node
-	root   int32
-	// sessions counts level-1 entries for diagnostics.
-	sessions int
+	region   mem.Region
+	rules    []ruleNode
+	sessions []sessionNode
 }
 
 // NewMDITree builds the tree for the given sessions, reserving one
@@ -78,40 +90,56 @@ func NewMDITree(as *mem.AddressSpace, name string, sessions []SessionRules) (*MD
 	if len(sessions) == 0 {
 		return nil, fmt.Errorf("dstruct: mditree %s: no sessions", name)
 	}
-	t := &MDITree{root: -1, sessions: len(sessions)}
-
-	// Estimate node count: one per session plus one per PDR.
-	total := len(sessions)
-	for _, s := range sessions {
-		total += len(s.PDRs)
-	}
-	t.nodes = make([]node, 0, total)
-
-	// Level-2 subtrees first so level-1 nodes can point at them.
 	sorted := inOrder(sessions, func(a, b SessionRules) int { return cmp.Compare(a.UEIP, b.UEIP) })
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i].UEIP == sorted[i-1].UEIP {
 			return nil, fmt.Errorf("dstruct: mditree %s: duplicate UE IP %#x", name, sorted[i].UEIP)
 		}
 	}
-
-	subRoots := make([]int32, len(sorted))
-	for i, s := range sorted {
+	n := len(sessions)
+	for _, s := range sessions {
+		n += len(s.PDRs)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("dstruct: mditree %s: %d nodes exceed the int32 index space", name, n)
+	}
+	t := &MDITree{
+		rules:    make([]ruleNode, n-len(sessions)),
+		sessions: make([]sessionNode, len(sessions)),
+	}
+	// An in-order pass over the session tree meets the sessions in UE IP
+	// order, which is the order their rule subtrees occupy.
+	var next int32
+	var place func(p int, sessions []SessionRules) error
+	place = func(p int, sessions []SessionRules) error {
+		if len(sessions) == 0 {
+			return nil
+		}
+		mid := len(sessions) / 2
+		if err := place(p+1, sessions[:mid]); err != nil {
+			return err
+		}
+		s := sessions[mid]
 		ranges := inOrder(s.PDRs, func(a, b PortRange) int { return cmp.Compare(a.Lo, b.Lo) })
-		for j := 0; j < len(ranges); j++ {
-			if ranges[j].Lo > ranges[j].Hi {
-				return nil, fmt.Errorf("dstruct: mditree %s: inverted range [%d,%d]", name, ranges[j].Lo, ranges[j].Hi)
+		for j, r := range ranges {
+			if r.Lo > r.Hi {
+				return fmt.Errorf("dstruct: mditree %s: inverted range [%d,%d]", name, r.Lo, r.Hi)
 			}
-			if j > 0 && ranges[j].Lo <= ranges[j-1].Hi {
-				return nil, fmt.Errorf("dstruct: mditree %s: overlapping PDR ranges for UE %#x", name, s.UEIP)
+			if j > 0 && r.Lo <= ranges[j-1].Hi {
+				return fmt.Errorf("dstruct: mditree %s: overlapping PDR ranges for UE %#x", name, s.UEIP)
 			}
 		}
-		subRoots[i] = t.buildRanges(ranges)
+		t.sessions[p] = sessionNode{ueip: s.UEIP, session: s.Session, sub: next, rules: int32(len(ranges))}
+		placeRanges(t.rules[next:next+int32(len(ranges))], ranges)
+		next += int32(len(ranges))
+		return place(p+1+mid, sessions[mid+1:])
 	}
-	t.root = t.buildSessions(sorted, subRoots, 0, len(sorted))
+	if err := place(0, sorted); err != nil {
+		return nil, err
+	}
 
-	base := as.Reserve(uint64(len(t.nodes))*sim.LineBytes, sim.LineBytes)
-	t.region = mem.Region{Name: name, Base: base, Size: uint64(len(t.nodes)) * sim.LineBytes}
+	base := as.Reserve(uint64(n)*sim.LineBytes, sim.LineBytes)
+	t.region = mem.Region{Name: name, Base: base, Size: uint64(n) * sim.LineBytes}
 	return t, nil
 }
 
@@ -125,32 +153,17 @@ func inOrder[S ~[]E, E any](s S, compare func(a, b E) int) S {
 	return s
 }
 
-// buildRanges builds a balanced BST over disjoint sorted port ranges.
-func (t *MDITree) buildRanges(ranges []PortRange) int32 {
+// placeRanges lays disjoint sorted port ranges out in dst as a balanced
+// preorder subtree.
+func placeRanges(dst []ruleNode, ranges []PortRange) {
 	if len(ranges) == 0 {
-		return -1
+		return
 	}
 	mid := len(ranges) / 2
 	r := ranges[mid]
-	idx := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{a: uint32(r.Lo), b: uint32(r.Hi), val: r.PDR, left: -1, right: -1, sub: -1})
-	t.nodes[idx].left = t.buildRanges(ranges[:mid])
-	t.nodes[idx].right = t.buildRanges(ranges[mid+1:])
-	return idx
-}
-
-// buildSessions builds a balanced BST over sessions sorted by UE IP.
-func (t *MDITree) buildSessions(sessions []SessionRules, subRoots []int32, lo, hi int) int32 {
-	if lo >= hi {
-		return -1
-	}
-	mid := (lo + hi) / 2
-	s := sessions[mid]
-	idx := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{a: s.UEIP, b: s.UEIP, val: s.Session, sub: subRoots[mid], left: -1, right: -1})
-	t.nodes[idx].left = t.buildSessions(sessions, subRoots, lo, mid)
-	t.nodes[idx].right = t.buildSessions(sessions, subRoots, mid+1, hi)
-	return idx
+	dst[0] = ruleNode{lo: r.Lo, hi: r.Hi, pdr: r.PDR}
+	placeRanges(dst[1:1+mid], ranges[:mid])
+	placeRanges(dst[1+mid:], ranges[mid+1:])
 }
 
 // NodeAddr returns the simulated address of node i.
@@ -162,33 +175,29 @@ func (t *MDITree) NodeAddr(i int32) uint64 {
 func (t *MDITree) Region() mem.Region { return t.region }
 
 // Nodes returns the node count.
-func (t *MDITree) Nodes() int { return len(t.nodes) }
+func (t *MDITree) Nodes() int { return len(t.rules) + len(t.sessions) }
 
 // Sessions returns the number of level-1 entries.
-func (t *MDITree) Sessions() int { return t.sessions }
+func (t *MDITree) Sessions() int { return len(t.sessions) }
+
+// root returns the session tree's root node.
+func (t *MDITree) root() int32 { return int32(len(t.rules)) }
 
 // Depth returns the maximum root-to-leaf descent length in nodes (the
 // second dimension's subtree counts from its session node), i.e. the
 // worst-case number of dependent line accesses per lookup.
 func (t *MDITree) Depth() int {
-	var path func(i int32) int
-	path = func(i int32) int {
-		if i < 0 {
+	// A midpoint subtree over L entries is bits.Len(L) nodes deep.
+	var path func(p, n int32) int
+	path = func(p, n int32) int {
+		if n == 0 {
 			return 0
 		}
-		n := t.nodes[i]
-		best := path(n.left)
-		if r := path(n.right); r > best {
-			best = r
-		}
-		if n.sub >= 0 {
-			if s := path(n.sub); s > best {
-				best = s
-			}
-		}
-		return 1 + best
+		half := n / 2
+		sub := bits.Len32(uint32(t.sessions[p-t.root()].rules))
+		return 1 + max(path(p+1, half), path(p+1+half, n-half-1), sub)
 	}
-	return path(t.root)
+	return path(t.root(), int32(len(t.sessions)))
 }
 
 // Begin stages a stepwise lookup for (dstIP, srcPort) at the root.
@@ -197,57 +206,70 @@ func (t *MDITree) Begin(cur *model.Cursor, dstIP uint32, srcPort uint16) {
 	cur.Stage = 1
 	cur.Aux[0] = uint64(dstIP)
 	cur.Aux[1] = uint64(srcPort)
-	cur.Aux[2] = uint64(t.root)
-	cur.Addr = t.NodeAddr(t.root)
+	t.stage(cur, t.root(), int32(len(t.sessions)))
+}
+
+// stage points the cursor at node p, the root of a subtree over n
+// entries: Aux[2] carries p in its low half and n in its high half.
+func (t *MDITree) stage(cur *model.Cursor, p, n int32) StepResult {
+	cur.Aux[2] = uint64(uint32(p)) | uint64(n)<<32
+	cur.Addr = t.NodeAddr(p)
+	return StepContinue
 }
 
 // TouchStep prefetches, on the host, the node WalkStep will consume at
 // the cursor — the Go-side twin of the simulated fetch of cur.Addr.
 func (t *MDITree) TouchStep(cur *model.Cursor) {
-	hostmem.Prefetch(&t.nodes[int32(cur.Aux[2])])
+	p := int32(cur.Aux[2])
+	if cur.Stage == 1 {
+		hostmem.Prefetch(&t.sessions[p-t.root()])
+	} else {
+		hostmem.Prefetch(&t.rules[p])
+	}
 }
 
 // WalkStep consumes the node at the cursor (already charged by the
 // runtime) and either descends — staging the next node's address for
-// prefetching — or terminates with the match result.
+// prefetching — or terminates with the match result. Both dimensions
+// search alike: match inside the node's interval, descend left below
+// it and right above it.
 func (t *MDITree) WalkStep(cur *model.Cursor) StepResult {
-	n := &t.nodes[int32(cur.Aux[2])]
-	var x uint32
+	p, n := int32(cur.Aux[2]), int32(cur.Aux[2]>>32)
+	// x is the searched key, below the low end of the node's interval.
+	var x, below uint32
 	if cur.Stage == 1 {
-		x = uint32(cur.Aux[0]) // UE IP dimension
-	} else {
-		x = uint32(cur.Aux[1]) // port dimension
-	}
-	var next int32
-	switch {
-	case x < n.a:
-		next = n.left
-	case x > n.b:
-		next = n.right
-	default:
-		if cur.Stage == 1 {
+		s := &t.sessions[p-t.root()]
+		x, below = uint32(cur.Aux[0]), s.ueip
+		if x == s.ueip {
 			// Session found: record it and drop into its subtree.
-			cur.Aux[3] = uint64(uint32(n.val))
-			if n.sub < 0 {
+			cur.Aux[3] = uint64(uint32(s.session))
+			if s.rules == 0 {
 				cur.Ok = false
 				return StepMiss
 			}
 			cur.Stage = 2
-			cur.Aux[2] = uint64(n.sub)
-			cur.Addr = t.NodeAddr(n.sub)
-			return StepContinue
+			return t.stage(cur, s.sub, s.rules)
 		}
-		cur.Ok = true
-		cur.Idx = n.val
-		return StepFound
+	} else {
+		r := &t.rules[p]
+		x, below = uint32(cur.Aux[1]), uint32(r.lo)
+		if x >= below && x <= uint32(r.hi) {
+			cur.Ok = true
+			cur.Idx = r.pdr
+			return StepFound
+		}
 	}
-	if next < 0 {
+	half := n / 2
+	if x < below {
+		p, n = p+1, half
+	} else {
+		p, n = p+1+half, n-half-1
+	}
+	if n == 0 {
 		cur.Ok = false
 		return StepMiss
 	}
-	cur.Aux[2] = uint64(next)
-	cur.Addr = t.NodeAddr(next)
-	return StepContinue
+	return t.stage(cur, p, n)
 }
 
 // SessionOf returns the session index recorded by a completed walk.
@@ -260,14 +282,12 @@ func SessionOf(cur *model.Cursor) int32 {
 func (t *MDITree) Lookup(dstIP uint32, srcPort uint16) (session, pdr int32, ok bool) {
 	var cur model.Cursor
 	t.Begin(&cur, dstIP, srcPort)
-	for i := 0; i < len(t.nodes)+2; i++ {
+	for {
 		switch t.WalkStep(&cur) {
-		case StepContinue:
 		case StepFound:
 			return SessionOf(&cur), cur.Idx, true
 		case StepMiss:
 			return 0, 0, false
 		}
 	}
-	return 0, 0, false
 }

@@ -16,6 +16,7 @@ package upf
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/gunfu-nfv/gunfu/internal/dstruct"
 	"github.com/gunfu-nfv/gunfu/internal/hostmem"
@@ -65,6 +66,12 @@ func (c *Config) setDefaults() error {
 	if c.PDRsPerSession <= 0 || c.PDRsPerSession > 65536 {
 		return fmt.Errorf("upf: PDRsPerSession must be in [1,65536], got %d", c.PDRsPerSession)
 	}
+	// PDR pool indices and MDI tree nodes (one per PDR and per session)
+	// are int32.
+	if c.Sessions > math.MaxInt32/(c.PDRsPerSession+1) {
+		return fmt.Errorf("upf: Sessions (%d) x (PDRsPerSession (%d) + 1) tree nodes exceed the int32 index space",
+			c.Sessions, c.PDRsPerSession)
+	}
 	if c.RANIP == 0 {
 		c.RANIP = 0xc0a86401 // 192.168.100.1
 	}
@@ -105,10 +112,10 @@ func sessionFields() []mem.Field {
 	}
 }
 
-// PDR is the packet-detection-rule (sub-flow) record.
+// PDR is the packet-detection-rule (sub-flow) record. The simulated
+// layout's precedence has no Go twin: a session's port ranges are
+// disjoint, so precedence never decides a match.
 type PDR struct {
-	// Precedence orders rules (cold).
-	Precedence uint32
 	// FARAction is the forwarding verdict (hot, read).
 	FARAction uint8
 	// OuterTEID overrides the session TEID when non-zero (hot, read).
@@ -205,7 +212,7 @@ func New(as *mem.AddressSpace, cfg Config) (*UPF, error) {
 			if cfg.DropEvery > 0 && (p+1)%cfg.DropEvery == 0 {
 				action = FARDrop
 			}
-			u.pdrs[idx] = PDR{Precedence: uint32(p), FARAction: action}
+			u.pdrs[idx] = PDR{FARAction: action}
 			lo := p * span
 			hi := lo + span - 1
 			if p == cfg.PDRsPerSession-1 {

@@ -1,6 +1,8 @@
 package upf
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/gunfu-nfv/gunfu/internal/mem"
@@ -267,5 +269,39 @@ func TestExecutionModelsAgree(t *testing.T) {
 			t.Fatalf("session %d diverged: rtc{%d,%d} il{%d,%d}",
 				i, s1.UsagePkts, s1.UsageBytes, s2.UsagePkts, s2.UsageBytes)
 		}
+	}
+}
+
+// TestUPFHostBytesPerPDR holds the UPF's host footprint: 4096 sessions
+// of 16 PDRs must retain at most 44 bytes of Go heap per PDR — an
+// 8-byte rule node and a 24-byte PDR record, plus each session's share
+// of its record, tree node and TEID entry. The match state is what
+// bounds the session populations a figure sweep can build.
+func TestUPFHostBytesPerPDR(t *testing.T) {
+	const sessions, pdrs, limit = 4096, 16, 44.0
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	u := newUPF(t, Config{Sessions: sessions, PDRsPerSession: pdrs})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(u)
+	got := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (sessions * pdrs)
+	t.Logf("%.1f B of Go heap per PDR", got)
+	if got > limit {
+		t.Fatalf("New retains %.1f B per PDR at %d sessions x %d PDRs, want <= %.0f", got, sessions, pdrs, limit)
+	}
+}
+
+// TestPopulationFitsInt32 checks that a population whose PDR and tree
+// indices would overflow int32 is refused before anything is
+// allocated, naming both fields.
+func TestPopulationFitsInt32(t *testing.T) {
+	_, err := New(mem.NewAddressSpace(), Config{Sessions: 1 << 15, PDRsPerSession: 1 << 16})
+	if err == nil {
+		t.Fatal("2^31 PDRs accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "Sessions") || !strings.Contains(msg, "PDRsPerSession") {
+		t.Fatalf("error %q does not name Sessions and PDRsPerSession", msg)
 	}
 }
