@@ -17,9 +17,38 @@ import (
 // that keeps the tables well-formed but turns a reproduced claim into
 // something else fails here, quoting the claim it breaks.
 
-// fig10Paper is EXPERIMENTS.md's "Paper:" sentence for Figure 10.
-const fig10Paper = "Paper: optimal at 16–32 NFTasks, degradation at 64 (cache contention); " +
-	"RTC's L1 utilization decays with rule count while GuNFu's stays stable."
+// EXPERIMENTS.md's "Paper:" sentences, which every violation quotes.
+const (
+	fig2Paper = "Paper: as PFCP sessions and PDRs grow, the per-packet RTC UPF's " +
+		"throughput falls; profiling attributes it to flow-matching and state access misses."
+	fig10Paper = "Paper: optimal at 16–32 NFTasks, degradation at 64 (cache contention); " +
+		"RTC's L1 utilization decays with rule count while GuNFu's stays stable."
+	fig11Paper = "Paper: 1 NFTask is *worse* than RTC; benefits appear ≥4; 16 optimal; 64 degrades."
+)
+
+// requirePaper fails unless EXPERIMENTS.md still says sentence, up to
+// line breaks.
+func requirePaper(t *testing.T, sentence string) {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(strings.Join(strings.Fields(string(doc)), " "), sentence) {
+		t.Errorf("EXPERIMENTS.md no longer says %q", sentence)
+	}
+}
+
+// violations collects claim violations, each followed by the paper
+// sentence it breaks.
+type violations struct {
+	paper string
+	out   []string
+}
+
+func (v *violations) fail(format string, args ...any) {
+	v.out = append(v.out, fmt.Sprintf(format, args...)+"\n  "+v.paper)
+}
 
 // quickTables parses testdata/quick/<name>.txt back into its tables.
 // Each block is a title line, a header line, a rule of dashes and rows
@@ -63,14 +92,68 @@ func column(t *testing.T, tb *stats.Table, name string) []float64 {
 	return vals
 }
 
-// fig10Shape is what the Fig. 10 claims read: 10(a)'s throughput per
-// config (RTC, IL-<tasks>) and 10(b)'s L1 hit rates, in percent, over
-// the PDR sweep.
-type fig10Shape struct {
+// depthShape is one task-depth sweep: throughput per config (RTC,
+// IL-<tasks>), in table order.
+type depthShape struct {
 	configs []string
 	gbps    []float64
-	rtcL1   []float64
-	il16L1  []float64
+}
+
+func readDepths(t *testing.T, tb *stats.Table) depthShape {
+	t.Helper()
+	s := depthShape{gbps: column(t, tb, "gbps")}
+	for r := range tb.NumRows() {
+		c, _ := tb.Cell(r, 0)
+		s.configs = append(s.configs, c)
+	}
+	return s
+}
+
+// check adds the interleaving-depth claims Figs. 10(a) and 11 share:
+// one NFTask is below RTC, four are above it, the best depth is 16 or
+// 32 NFTasks, and 64 are below the best.
+func (s depthShape) check(v *violations, fig string) {
+	gbps := func(config string) float64 {
+		i := slices.Index(s.configs, config)
+		if i < 0 {
+			v.fail("%s: no %s row", fig, config)
+			return 0
+		}
+		return s.gbps[i]
+	}
+	rtc := gbps("RTC")
+	if il1 := gbps("IL-1"); il1 >= rtc {
+		v.fail("%s: IL-1 reads %.2f Gbit/s, not below RTC's %.2f: one NFTask has nothing to overlap", fig, il1, rtc)
+	}
+	if il4 := gbps("IL-4"); il4 <= rtc {
+		v.fail("%s: IL-4 reads %.2f Gbit/s, not above RTC's %.2f", fig, il4, rtc)
+	}
+	best, bestGbps := "", 0.0
+	for i, c := range s.configs {
+		if strings.HasPrefix(c, "IL-") && s.gbps[i] > bestGbps {
+			best, bestGbps = c, s.gbps[i]
+		}
+	}
+	if best != "IL-16" && best != "IL-32" {
+		v.fail("%s: the best depth is %s (%.2f Gbit/s), not 16 or 32 NFTasks", fig, best, bestGbps)
+	}
+	// The paper reads this drop as cache contention. At the default
+	// 2048-B rx slot stride it is mostly header-line aliasing: every
+	// packet header maps to one of two L1 sets (ROADMAP item 2), and at
+	// a 2304-B stride the NAT's 16 → 64 loss shrinks from 15.6 % to
+	// 1.7 %. The predicate holds the shape the tables show, not that
+	// cause.
+	if il64 := gbps("IL-64"); il64 >= bestGbps {
+		v.fail("%s: IL-64 reads %.2f Gbit/s, not below the best depth's %.2f", fig, il64, bestGbps)
+	}
+}
+
+// fig10Shape is what the Fig. 10 claims read: 10(a)'s throughput per
+// config and 10(b)'s L1 hit rates, in percent, over the PDR sweep.
+type fig10Shape struct {
+	depthShape
+	rtcL1  []float64
+	il16L1 []float64
 }
 
 func readFig10(t *testing.T) fig10Shape {
@@ -80,71 +163,31 @@ func readFig10(t *testing.T) fig10Shape {
 		t.Fatalf("fig10: %d tables, want 10(a) and 10(b)", len(tables))
 	}
 	a, b := tables[0], tables[1]
-	s := fig10Shape{gbps: column(t, a, "gbps"), rtcL1: column(t, b, "rtc-l1hit"), il16L1: column(t, b, "il16-l1hit")}
-	for r := range a.NumRows() {
-		c, _ := a.Cell(r, 0)
-		s.configs = append(s.configs, c)
-	}
-	return s
+	return fig10Shape{depthShape: readDepths(t, a), rtcL1: column(t, b, "rtc-l1hit"), il16L1: column(t, b, "il16-l1hit")}
 }
 
 // fig10Violations returns one message per Fig. 10 claim the shape
 // breaks. Quick scale: 10(a) at 2^11 sessions x 16 PDRs, 10(b) over
 // 2, 16 and 64 PDRs.
 func fig10Violations(s fig10Shape) []string {
-	var out []string
-	fail := func(format string, args ...any) {
-		out = append(out, fmt.Sprintf(format, args...)+"\n  "+fig10Paper)
-	}
-	gbps := func(config string) float64 {
-		i := slices.Index(s.configs, config)
-		if i < 0 {
-			fail("Fig. 10(a): no %s row", config)
-			return 0
-		}
-		return s.gbps[i]
-	}
-	rtc := gbps("RTC")
-	if il1 := gbps("IL-1"); il1 >= rtc {
-		fail("Fig. 10(a): IL-1 reads %.2f Gbit/s, not below RTC's %.2f: one NFTask has nothing to overlap", il1, rtc)
-	}
-	if il4 := gbps("IL-4"); il4 <= rtc {
-		fail("Fig. 10(a): IL-4 reads %.2f Gbit/s, not above RTC's %.2f", il4, rtc)
-	}
-	best, bestGbps := "", 0.0
-	for i, c := range s.configs {
-		if strings.HasPrefix(c, "IL-") && s.gbps[i] > bestGbps {
-			best, bestGbps = c, s.gbps[i]
-		}
-	}
-	if best != "IL-16" && best != "IL-32" {
-		fail("Fig. 10(a): the best depth is %s (%.2f Gbit/s), not 16 or 32 NFTasks", best, bestGbps)
-	}
-	if il64 := gbps("IL-64"); il64 >= bestGbps {
-		fail("Fig. 10(a): IL-64 reads %.2f Gbit/s, not below the best depth's %.2f", il64, bestGbps)
-	}
+	v := violations{paper: fig10Paper}
+	s.check(&v, "Fig. 10(a)")
 	for i, hit := range s.il16L1 {
 		if hit < 99 {
-			fail("Fig. 10(b): IL-16's L1 hit rate is %.1f%% at PDR row %d, below 99%%", hit, i)
+			v.fail("Fig. 10(b): IL-16's L1 hit rate is %.1f%% at PDR row %d, below 99%%", hit, i)
 		}
 	}
 	for i := 1; i < len(s.rtcL1); i++ {
 		if s.rtcL1[i] >= s.rtcL1[i-1] {
-			fail("Fig. 10(b): RTC's L1 hit rate does not fall as PDRs grow: %.1f%% after %.1f%% (PDR rows %d, %d)",
+			v.fail("Fig. 10(b): RTC's L1 hit rate does not fall as PDRs grow: %.1f%% after %.1f%% (PDR rows %d, %d)",
 				s.rtcL1[i], s.rtcL1[i-1], i-1, i)
 		}
 	}
-	return out
+	return v.out
 }
 
 func TestFig10Claims(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(strings.Join(strings.Fields(string(doc)), " "), fig10Paper) {
-		t.Errorf("EXPERIMENTS.md no longer says %q", fig10Paper)
-	}
+	requirePaper(t, fig10Paper)
 	for _, v := range fig10Violations(readFig10(t)) {
 		t.Error(v)
 	}
@@ -168,6 +211,110 @@ func TestFig10ClaimsCatchFlips(t *testing.T) {
 		flip(&s)
 		if len(fig10Violations(s)) == 0 {
 			t.Errorf("flip %q breaks no Fig. 10 predicate", name)
+		}
+	}
+}
+
+func readFig11(t *testing.T) depthShape {
+	t.Helper()
+	tables := quickTables(t, "fig11")
+	if len(tables) != 1 {
+		t.Fatalf("fig11: %d tables, want 1", len(tables))
+	}
+	return readDepths(t, tables[0])
+}
+
+// fig11Violations returns one message per Fig. 11 claim the NAT's task
+// sweep breaks (quick scale: 2^13 flows, 64 B).
+func fig11Violations(s depthShape) []string {
+	v := violations{paper: fig11Paper}
+	s.check(&v, "Fig. 11")
+	return v.out
+}
+
+func TestFig11Claims(t *testing.T) {
+	requirePaper(t, fig11Paper)
+	for _, v := range fig11Violations(readFig11(t)) {
+		t.Error(v)
+	}
+}
+
+// TestFig11ClaimsCatchFlips flips each claimed row of the checked-in
+// table in turn: every flip must break at least one predicate.
+func TestFig11ClaimsCatchFlips(t *testing.T) {
+	at := func(s depthShape, config string) int { return slices.Index(s.configs, config) }
+	flips := map[string]func(s *depthShape){
+		"IL-1 reaches RTC":    func(s *depthShape) { s.gbps[at(*s, "IL-1")] = s.gbps[at(*s, "RTC")] },
+		"IL-4 falls to RTC":   func(s *depthShape) { s.gbps[at(*s, "IL-4")] = s.gbps[at(*s, "RTC")] },
+		"IL-8 is best":        func(s *depthShape) { s.gbps[at(*s, "IL-8")] = slices.Max(s.gbps) + 1 },
+		"IL-64 is best":       func(s *depthShape) { s.gbps[at(*s, "IL-64")] = slices.Max(s.gbps) + 1 },
+		"IL-64 ties the best": func(s *depthShape) { s.gbps[at(*s, "IL-64")] = slices.Max(s.gbps) },
+	}
+	for name, flip := range flips {
+		s := readFig11(t)
+		flip(&s)
+		if len(fig11Violations(s)) == 0 {
+			t.Errorf("flip %q breaks no Fig. 11 predicate", name)
+		}
+	}
+}
+
+// fig2Shape is what the Fig. 2 claims read: the RTC UPF's throughput
+// over 2(a)'s session sweep and 2(b)'s PDR sweep, in table order.
+type fig2Shape struct {
+	bySessions, byPDRs []float64
+}
+
+func readFig2(t *testing.T) fig2Shape {
+	t.Helper()
+	tables := quickTables(t, "fig2")
+	if len(tables) != 2 {
+		t.Fatalf("fig2: %d tables, want 2(a) and 2(b)", len(tables))
+	}
+	return fig2Shape{bySessions: column(t, tables[0], "gbps"), byPDRs: column(t, tables[1], "gbps")}
+}
+
+// fig2Violations returns one message per Fig. 2 claim the shape
+// breaks: Gbit/s does not rise with sessions (quick scale: 512, 2048,
+// 8192 at 16 PDRs) or with PDRs (2, 16, 64 at 2^11 sessions).
+func fig2Violations(s fig2Shape) []string {
+	v := violations{paper: fig2Paper}
+	for _, sweep := range []struct {
+		fig, of string
+		gbps    []float64
+	}{{"Fig. 2(a)", "sessions", s.bySessions}, {"Fig. 2(b)", "PDRs", s.byPDRs}} {
+		for i := 1; i < len(sweep.gbps); i++ {
+			if sweep.gbps[i] > sweep.gbps[i-1] {
+				v.fail("%s: RTC throughput rises with %s: %.2f Gbit/s after %.2f (rows %d, %d)",
+					sweep.fig, sweep.of, sweep.gbps[i], sweep.gbps[i-1], i-1, i)
+			}
+		}
+	}
+	return v.out
+}
+
+func TestFig2Claims(t *testing.T) {
+	requirePaper(t, fig2Paper)
+	for _, v := range fig2Violations(readFig2(t)) {
+		t.Error(v)
+	}
+}
+
+// TestFig2ClaimsCatchFlips flips each sweep of the checked-in tables:
+// every flip must break at least one predicate.
+func TestFig2ClaimsCatchFlips(t *testing.T) {
+	rise := func(g []float64) { g[len(g)-1] = g[len(g)-2] + 0.01 }
+	flips := map[string]func(s *fig2Shape){
+		"rises with sessions":      func(s *fig2Shape) { slices.Reverse(s.bySessions) },
+		"rises with PDRs":          func(s *fig2Shape) { slices.Reverse(s.byPDRs) },
+		"last session point rises": func(s *fig2Shape) { rise(s.bySessions) },
+		"last PDR point rises":     func(s *fig2Shape) { rise(s.byPDRs) },
+	}
+	for name, flip := range flips {
+		s := readFig2(t)
+		flip(&s)
+		if len(fig2Violations(s)) == 0 {
+			t.Errorf("flip %q breaks no Fig. 2 predicate", name)
 		}
 	}
 }

@@ -2,7 +2,7 @@
 // machine the simulator itself runs on. The simulated P-stage fetch
 // (model.Program.EnsurePrefetched) hides an NF's state latency inside
 // sim.Core; the NF's Go-side records — cuckoo buckets, tree nodes,
-// per-flow structs, generator templates — miss the host's caches for
+// per-flow structs — miss the host's caches for
 // the same reason the simulated state misses the simulated ones, and
 // the same lap of lead time hides that too.
 //

@@ -1,6 +1,7 @@
 package nf_test
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/gunfu-nfv/gunfu/internal/compile"
@@ -10,6 +11,7 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/nf/lb"
 	"github.com/gunfu-nfv/gunfu/internal/nf/monitor"
 	"github.com/gunfu-nfv/gunfu/internal/nf/nat"
+	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
 )
@@ -108,5 +110,40 @@ func TestFirstPacketsInstallUntilTableFull(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAddFlowRefusesInstalledKey crafts two tuples whose classifier
+// keys collide — FiveTuple.Hash XORs the ports into the source address
+// before mixing, so 10.0.0.1:1024 and 6.0.0.1:2048 toward the same
+// destination pre-mix to one value — and requires AddFlow to refuse the
+// second at another index, naming both, instead of re-pointing flow
+// 0's entry at record 1. Re-installing a key at its own index stays
+// allowed.
+func TestAddFlowRefusesInstalledKey(t *testing.T) {
+	a := pkt.FiveTuple{SrcIP: 0x0a000001, DstIP: 0xc0a80001, SrcPort: 1024, DstPort: 443, Proto: pkt.ProtoUDP}
+	b := pkt.FiveTuple{SrcIP: 0x06000001, DstIP: 0xc0a80001, SrcPort: 2048, DstPort: 443, Proto: pkt.ProtoUDP}
+	if a.Hash() != b.Hash() {
+		t.Fatalf("%v and %v no longer share a key (%#x, %#x)", a, b, a.Hash(), b.Hash())
+	}
+	n, err := nat.New(mem.NewAddressSpace(), nat.Config{MaxFlows: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.AddFlow(a, 0); err != nil {
+		t.Fatal(err)
+	}
+	err = n.AddFlow(b, 1)
+	if err == nil {
+		t.Fatalf("AddFlow(%v, 1) accepted a key installed at flow 0", b)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "flow index 1") || !strings.Contains(msg, "flow index 0") {
+		t.Fatalf("error %q does not name both flow indexes", msg)
+	}
+	if f, err := n.Flow(1); err != nil || f != (nat.Flow{}) {
+		t.Fatalf("refused AddFlow wrote record 1: %+v (err %v)", f, err)
+	}
+	if err := n.AddFlow(a, 0); err != nil {
+		t.Fatalf("re-installing %v at its own index: %v", a, err)
 	}
 }

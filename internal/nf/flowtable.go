@@ -116,12 +116,20 @@ func (t *FlowTable[F]) Flow(idx int32) (F, error) {
 }
 
 // AddFlow installs tuple at index idx: a classifier entry and a fresh
-// record. Installing at or past the allocation cursor moves it.
+// record. Installing at or past the allocation cursor moves it. The
+// classifier keys on tuple.Hash(), so a tuple whose key is already
+// installed at another index is refused rather than re-pointing that
+// flow's entry; re-installing at the same index is allowed.
 func (t *FlowTable[F]) AddFlow(tuple pkt.FiveTuple, idx int32) error {
 	if idx < 0 || int(idx) >= len(t.flows) {
 		return fmt.Errorf("nf: %s: flow index %d out of range [0,%d)", t.cfg.Name, idx, len(t.flows))
 	}
-	if err := t.table.Insert(tuple.Hash(), idx); err != nil {
+	key := tuple.Hash()
+	if cur, ok := t.table.Lookup(key); ok && cur != idx {
+		return fmt.Errorf("nf: %s: flow index %d: %v's key %#016x is already installed at flow index %d",
+			t.cfg.Name, idx, tuple, key, cur)
+	}
+	if err := t.table.Insert(key, idx); err != nil {
 		return fmt.Errorf("nf: %s: %w", t.cfg.Name, err)
 	}
 	t.flows[idx] = t.cfg.NewFlow(tuple, idx)

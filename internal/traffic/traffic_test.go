@@ -1,8 +1,13 @@
 package traffic
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
@@ -73,11 +78,10 @@ func TestFlowGenDeterministic(t *testing.T) {
 	}
 }
 
-// TestFlowGenLookaheadSequence pins the look-ahead ring as invisible:
-// the emitted sequence is the one an independent replay gets by drawing
-// exactly one pick per packet, at emission time, from a fresh rng with
-// the generator's seed.
-func TestFlowGenLookaheadSequence(t *testing.T) {
+// TestFlowGenSequence pins the emitted sequence to one pick per
+// packet: an independent replay drawing each pick at emission time
+// from a fresh rng with the generator's seed emits the same flows.
+func TestFlowGenSequence(t *testing.T) {
 	const flows, seed, packets = 1000, 42, 5000
 	orders := []struct {
 		name  string
@@ -333,21 +337,16 @@ func TestPoolRecycles(t *testing.T) {
 	}
 }
 
-// BenchmarkFlowGenNext prices one generated packet over a population
-// whose records fit the host's caches (256 flows, 16 KiB) and one whose
-// records do not (131072 flows, 8 MiB) — the nat_hit and nat_miss
-// populations of the repo's benchmark.
+// BenchmarkFlowGenNext prices one generated packet over the nat_hit
+// and nat_miss populations of the repo's benchmark (256 and 131072
+// flows). The generator keeps no per-flow bytes, so the two differ
+// only in the picks.
 func BenchmarkFlowGenNext(b *testing.B) {
 	for _, flows := range []int{256, 131072} {
 		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
 			g, err := NewFlowGen(FlowGenConfig{Flows: flows, PacketBytes: 64, Order: OrderUniform, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
-			}
-			// Build every flow's header template first: steady state
-			// copies templates, it does not encode.
-			for i := 0; i < 8*flows; i++ {
-				g.Next()
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -359,3 +358,155 @@ func BenchmarkFlowGenNext(b *testing.B) {
 }
 
 var sinkPkt *pkt.Packet
+
+// source is what every generator is to a worker.
+type source interface{ Next() *pkt.Packet }
+
+// streamHash folds the first 2^17 packets of src into an FNV-64a hash:
+// each packet's 42 header bytes, its tuple and its wire size.
+func streamHash(src source) uint64 {
+	h := fnv.New64a()
+	var b []byte
+	for range 1 << 17 {
+		p := src.Next()
+		b = append(b[:0], p.Data[:hdrBytes]...)
+		b = appendTuple(b, p.Tuple)
+		b = binary.BigEndian.AppendUint64(b, uint64(p.WireLen))
+		h.Write(b)
+	}
+	return h.Sum64()
+}
+
+func appendTuple(b []byte, t pkt.FiveTuple) []byte {
+	b = binary.BigEndian.AppendUint32(b, t.SrcIP)
+	b = binary.BigEndian.AppendUint32(b, t.DstIP)
+	b = binary.BigEndian.AppendUint16(b, t.SrcPort)
+	b = binary.BigEndian.AppendUint16(b, t.DstPort)
+	return append(b, t.Proto)
+}
+
+// TestGeneratorStreamsPinned pins every generator's emitted packets,
+// and FlowGen's population, to hashes taken before FlowGen dropped its
+// per-flow records and the generators shared one header writer: how a
+// frame is built may change, what is built may not.
+func TestGeneratorStreamsPinned(t *testing.T) {
+	flowGen := func(cfg FlowGenConfig) func() (source, error) {
+		return func() (source, error) { return NewFlowGen(cfg) }
+	}
+	cases := []struct {
+		name string
+		mk   func() (source, error)
+		want uint64
+	}{
+		{"flowgen/uniform", flowGen(FlowGenConfig{Flows: 131072, PacketBytes: 64, Order: OrderUniform, Seed: 1}),
+			0xbf1465ec3a9c3d07},
+		{"flowgen/zipf-tcp", flowGen(FlowGenConfig{Flows: 16384, PacketBytes: 512, Order: OrderZipf, Seed: 2, Proto: pkt.ProtoTCP}),
+			0x3c57baedcb77fba5},
+		{"flowgen/roundrobin-shard", flowGen(FlowGenConfig{Flows: 4096, PacketBytes: 1500, Order: OrderRoundRobin, Seed: 3, ShardBase: 1000, ShardCount: 1500}),
+			0xdf6bebbbf800119d},
+		{"mgw", func() (source, error) {
+			return NewMGWGen(MGWConfig{Sessions: 32768, PDRs: 16, PacketBytes: 64, Seed: 4})
+		},
+			0x5d4d8f3fa82c811b},
+		{"caida", func() (source, error) { return NewCaidaGen(CaidaConfig{Flows: 131072, Seed: 5}) },
+			0x256dfaecd2dfe4aa},
+		{"amf", func() (source, error) { return NewAMFGen(AMFConfig{UEs: 1 << 17, Seed: 6}) },
+			0x3d0fabc0e4d82325},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src, err := c.mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := streamHash(src)
+			if g, ok := src.(*FlowGen); ok {
+				h := fnv.New64a()
+				b := binary.BigEndian.AppendUint64(nil, got)
+				for i := range g.Flows() {
+					b = appendTuple(b, g.FlowTuple(i))
+				}
+				h.Write(b)
+				got = h.Sum64()
+			}
+			if got != c.want {
+				t.Errorf("stream hash %#016x, want %#016x", got, c.want)
+			}
+		})
+	}
+}
+
+// TestFlowGenHostBytes holds FlowGen to no per-flow bytes: a
+// generator over 2^20 flows retains at most 4 KiB of Go heap more than
+// one over a single flow. A 64-byte record per flow would be 64 MiB.
+func TestFlowGenHostBytes(t *testing.T) {
+	retained := func(flows int) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		g, err := NewFlowGen(FlowGenConfig{Flows: flows, PacketBytes: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(g)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	retained(1) // the first generator also pays the runtime's one-time costs
+	one, many := retained(1), retained(1<<20)
+	t.Logf("1 flow retains %d B, 2^20 flows %d B", one, many)
+	if d := many - one; d > 4<<10 {
+		t.Fatalf("2^20 flows retain %d B more than 1 flow, want <= 4096", d)
+	}
+}
+
+// encodeHeader is the reference frame header for tuple at wire bytes:
+// the pkt encoders, field by field.
+func encodeHeader(t testing.TB, tuple pkt.FiveTuple, wire int) []byte {
+	b := make([]byte, hdrBytes)
+	err := errors.Join(
+		pkt.EncodeEthernet(b, [6]byte{2, 0, 0, 0, 0, 1}, [6]byte{2, 0, 0, 0, 0, 2}, pkt.EtherTypeIPv4),
+		pkt.EncodeIPv4(b[pkt.EthLen:], pkt.IPv4Header{
+			TotalLen: uint16(wire - pkt.EthLen), TTL: 64, Proto: tuple.Proto, Src: tuple.SrcIP, Dst: tuple.DstIP,
+		}),
+		pkt.EncodeUDP(b[pkt.EthLen+pkt.IPv4Len:], tuple.SrcPort, tuple.DstPort, uint16(wire-pkt.EthLen-pkt.IPv4Len)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// checkHeaderWriter writes tuple's header over a buffer of stale bytes
+// and requires the encoders' bytes, the generator's parsed fields, and
+// a re-parse that reads the tuple back.
+func checkHeaderWriter(t testing.TB, tuple pkt.FiveTuple, wire int) {
+	p := &pkt.Packet{Data: bytes.Repeat([]byte{0xa5}, bufBytes)}
+	buildUDPish(p, tuple, wire)
+	if want := encodeHeader(t, tuple, wire); !bytes.Equal(p.Data[:hdrBytes], want) {
+		t.Fatalf("%v at %d B:\n got %x\nwant %x", tuple, wire, p.Data[:hdrBytes], want)
+	}
+	if p.Tuple != tuple || p.WireLen != wire {
+		t.Fatalf("writer set %v, %d B; want %v, %d B", p.Tuple, p.WireLen, tuple, wire)
+	}
+	q := &pkt.Packet{Data: p.Data}
+	if err := q.Parse(); err != nil {
+		t.Fatalf("%v at %d B does not parse: %v", tuple, wire, err)
+	}
+	if q.Tuple != tuple {
+		t.Fatalf("parsed %v, wrote %v", q.Tuple, tuple)
+	}
+}
+
+func TestHeaderWriterMatchesEncoders(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for wire := 64; wire <= 1518; wire++ {
+		for _, proto := range []uint8{pkt.ProtoTCP, pkt.ProtoUDP} {
+			checkHeaderWriter(t, pkt.FiveTuple{
+				SrcIP: rng.Uint32(), DstIP: rng.Uint32(),
+				SrcPort: uint16(rng.Uint32()), DstPort: uint16(rng.Uint32()), Proto: proto,
+			}, wire)
+		}
+	}
+}
