@@ -193,7 +193,6 @@ func TestAgentLiveTaps(t *testing.T) {
 			done := b.Event("done")
 			b.AddState("m", "A", model.Action{
 				Name: "a",
-				Kind: model.ActionData,
 				Fn: func(e *model.Exec) model.EventID {
 					seen[e.Core.Tracer()] = true
 					return done

@@ -88,7 +88,7 @@ func (m *Monitor) Observe(r StatsReport) {
 	onBreach := m.OnBreach
 	m.mu.Unlock()
 	if fire && onBreach != nil {
-		onBreach(Breach{Agent: r.Agent, NF: r.NF, Window: r.Window, Reasons: reasons, Report: r})
+		onBreach(Breach{Agent: r.Agent, NF: r.NF, Window: r.Window, Reasons: reasons})
 	}
 }
 
@@ -249,8 +249,6 @@ type Breach struct {
 	Window int
 	// Reasons lists the violated objectives.
 	Reasons []string
-	// Report is the heartbeat that triggered the breach.
-	Report StatsReport
 }
 
 // Table renders one row per agent, in first-seen order: the latest

@@ -24,6 +24,13 @@ const (
 	fig10Paper = "Paper: optimal at 16–32 NFTasks, degradation at 64 (cache contention); " +
 		"RTC's L1 utilization decays with rule count while GuNFu's stays stable."
 	fig11Paper = "Paper: 1 NFTask is *worse* than RTC; benefits appear ≥4; 16 optimal; 64 degrades."
+	fig3Paper  = "Paper: the >20-cache-line UE context makes state access dominate AMF " +
+		"message processing; heavier messages touch more lines and cost more."
+	fig12Paper = "Paper: ~60% improvement on registration processing; data packing adds " +
+		"~5% by needing fewer cache lines for the same state."
+	fig13Paper = "Paper: interleaving, then data packing, then redundant matching removal " +
+		"(~6× over RTC at length 6, having eliminated the pointer-chasing matching of five NFs); " +
+		"IPC shows the efficiency gap."
 )
 
 // requirePaper fails unless EXPERIMENTS.md still says sentence, up to
@@ -99,14 +106,19 @@ type depthShape struct {
 	gbps    []float64
 }
 
+// labels returns the table's first column, the row labels, in row
+// order.
+func labels(tb *stats.Table) []string {
+	out := make([]string, tb.NumRows())
+	for r := range out {
+		out[r], _ = tb.Cell(r, 0)
+	}
+	return out
+}
+
 func readDepths(t *testing.T, tb *stats.Table) depthShape {
 	t.Helper()
-	s := depthShape{gbps: column(t, tb, "gbps")}
-	for r := range tb.NumRows() {
-		c, _ := tb.Cell(r, 0)
-		s.configs = append(s.configs, c)
-	}
-	return s
+	return depthShape{configs: labels(tb), gbps: column(t, tb, "gbps")}
 }
 
 // check adds the interleaving-depth claims Figs. 10(a) and 11 share:
@@ -315,6 +327,221 @@ func TestFig2ClaimsCatchFlips(t *testing.T) {
 		flip(&s)
 		if len(fig2Violations(s)) == 0 {
 			t.Errorf("flip %q breaks no Fig. 2 predicate", name)
+		}
+	}
+}
+
+// fig3Shape is what the Fig. 3 claims read: per message, cycles, the
+// state-access share of cycles in percent, and LLC misses.
+type fig3Shape struct {
+	messages                     []string
+	cycles, stateAccess, llcMiss []float64
+}
+
+func readFig3(t *testing.T) fig3Shape {
+	t.Helper()
+	tables := quickTables(t, "fig3")
+	if len(tables) != 1 {
+		t.Fatalf("fig3: %d tables, want 1", len(tables))
+	}
+	tb := tables[0]
+	return fig3Shape{messages: labels(tb), cycles: column(t, tb, "cyc/msg"),
+		stateAccess: column(t, tb, "state-access%"), llcMiss: column(t, tb, "llcmiss/msg")}
+}
+
+// fig3Violations returns one message per Fig. 3 claim the RTC AMF's
+// messages break: state access is at least 60% of every message's
+// cycles, and a message with strictly more LLC misses costs strictly
+// more cycles (quick scale: 2^17 UEs).
+func fig3Violations(s fig3Shape) []string {
+	v := violations{paper: fig3Paper}
+	for i, m := range s.messages {
+		if s.stateAccess[i] < 60 {
+			v.fail("Fig. 3: state access is %.1f%% of %s's cycles, below 60%%", s.stateAccess[i], m)
+		}
+		for j, o := range s.messages {
+			if s.llcMiss[i] > s.llcMiss[j] && s.cycles[i] <= s.cycles[j] {
+				v.fail("Fig. 3: %s misses more (%.2f LLC/msg vs %.2f) yet costs no more than %s (%.1f cyc/msg vs %.1f)",
+					m, s.llcMiss[i], s.llcMiss[j], o, s.cycles[i], s.cycles[j])
+			}
+		}
+	}
+	return v.out
+}
+
+func TestFig3Claims(t *testing.T) {
+	requirePaper(t, fig3Paper)
+	for _, v := range fig3Violations(readFig3(t)) {
+		t.Error(v)
+	}
+}
+
+// TestFig3ClaimsCatchFlips flips each claim of the checked-in table in
+// turn: every flip must break at least one predicate.
+func TestFig3ClaimsCatchFlips(t *testing.T) {
+	at := func(s fig3Shape, m string) int { return slices.Index(s.messages, m) }
+	flips := map[string]func(s *fig3Shape){
+		"state access below 60% on the lightest message": func(s *fig3Shape) { s.stateAccess[at(*s, "RegistrationRequest")] = 59.9 },
+		"the heaviest message is the cheapest":           func(s *fig3Shape) { s.cycles[at(*s, "RegistrationComplete")] = slices.Min(s.cycles) },
+		"cost ignores misses":                            func(s *fig3Shape) { slices.Reverse(s.cycles) },
+		"two messages of unequal misses cost the same": func(s *fig3Shape) {
+			s.cycles[at(*s, "PDUSessionRequest")] = s.cycles[at(*s, "AuthResponse")]
+		},
+	}
+	for name, flip := range flips {
+		s := readFig3(t)
+		flip(&s)
+		if len(fig3Violations(s)) == 0 {
+			t.Errorf("flip %q breaks no Fig. 3 predicate", name)
+		}
+	}
+}
+
+// fig12Shape is what the Fig. 12 claims read: per message, IL-16's
+// speedup over RTC, data packing's gain over IL-16, and both runs' LLC
+// misses per message.
+type fig12Shape struct {
+	messages                         []string
+	speedup, dpGain, rtcLLC, il16LLC []float64
+}
+
+func readFig12(t *testing.T) fig12Shape {
+	t.Helper()
+	tables := quickTables(t, "fig12")
+	if len(tables) != 1 {
+		t.Fatalf("fig12: %d tables, want 1", len(tables))
+	}
+	tb := tables[0]
+	return fig12Shape{messages: labels(tb), speedup: column(t, tb, "il16-speedup"), dpGain: column(t, tb, "dp-gain"),
+		rtcLLC: column(t, tb, "rtc-llcm/msg"), il16LLC: column(t, tb, "il16-llcm/msg")}
+}
+
+// fig12Violations returns one message per Fig. 12 claim the AMF's
+// messages break: IL-16 beats RTC on every message with fewer LLC
+// misses, and data packing does not lose on the full call flow (quick
+// scale: 2^17 UEs). Single messages may regress under packing, as
+// EXPERIMENTS.md records for AuthResponse.
+func fig12Violations(s fig12Shape) []string {
+	v := violations{paper: fig12Paper}
+	for i, m := range s.messages {
+		if s.speedup[i] <= 1 {
+			v.fail("Fig. 12: IL-16's speedup on %s is %.2f, not above 1", m, s.speedup[i])
+		}
+		if s.il16LLC[i] >= s.rtcLLC[i] {
+			v.fail("Fig. 12: IL-16 takes %.2f LLC misses per %s, not below RTC's %.2f", s.il16LLC[i], m, s.rtcLLC[i])
+		}
+	}
+	if i := slices.Index(s.messages, "FullCallFlow"); i < 0 {
+		v.fail("Fig. 12: no FullCallFlow row")
+	} else if s.dpGain[i] < 1 {
+		v.fail("Fig. 12: data packing's gain on the full call flow is %.2f, below 1", s.dpGain[i])
+	}
+	return v.out
+}
+
+func TestFig12Claims(t *testing.T) {
+	requirePaper(t, fig12Paper)
+	for _, v := range fig12Violations(readFig12(t)) {
+		t.Error(v)
+	}
+}
+
+// TestFig12ClaimsCatchFlips flips each claim of the checked-in table
+// in turn: every flip must break at least one predicate.
+func TestFig12ClaimsCatchFlips(t *testing.T) {
+	at := func(s fig12Shape, m string) int { return slices.Index(s.messages, m) }
+	flips := map[string]func(s *fig12Shape){
+		"IL-16 ties RTC on one message":       func(s *fig12Shape) { s.speedup[at(*s, "RegistrationRequest")] = 1 },
+		"IL-16 misses as often as RTC":        func(s *fig12Shape) { s.il16LLC[at(*s, "SecModeComplete")] = s.rtcLLC[at(*s, "SecModeComplete")] },
+		"data packing loses on the full flow": func(s *fig12Shape) { s.dpGain[at(*s, "FullCallFlow")] = 0.99 },
+		"no full call flow row":               func(s *fig12Shape) { s.messages[at(*s, "FullCallFlow")] = "Flow" },
+	}
+	for name, flip := range flips {
+		s := readFig12(t)
+		flip(&s)
+		if len(fig12Violations(s)) == 0 {
+			t.Errorf("flip %q breaks no Fig. 12 predicate", name)
+		}
+	}
+}
+
+// fig13Configs are the compiler ladder's rungs, in 13(a)'s and 13(c)'s
+// column order.
+var fig13Configs = []string{"RTC", "IL-16", "+DP", "+DP+MR"}
+
+// fig13Shape is what the Fig. 13 claims read: per chain length, each
+// rung's Gbit/s (13(a)) and IPC (13(c)), and MR's speedup over RTC.
+type fig13Shape struct {
+	lengths   []string
+	gbps, ipc [4][]float64
+	mrSpeedup []float64
+}
+
+func readFig13(t *testing.T) fig13Shape {
+	t.Helper()
+	tables := quickTables(t, "fig13")
+	if len(tables) != 2 {
+		t.Fatalf("fig13: %d tables, want 13(a,b) and 13(c)", len(tables))
+	}
+	a, c := tables[0], tables[1]
+	s := fig13Shape{lengths: labels(a), mrSpeedup: column(t, a, "mr-speedup-vs-rtc")}
+	for i, prefix := range []string{"rtc", "il16", "il+dp", "il+dp+mr"} {
+		s.gbps[i] = column(t, a, prefix+"-gbps")
+		s.ipc[i] = column(t, c, prefix+"-ipc")
+	}
+	return s
+}
+
+// fig13Violations returns one message per Fig. 13 claim the SFC ladder
+// breaks: at every chain length each rung is faster than the one below
+// it, MR's speedup over RTC grows with length, and RTC's IPC is below
+// every optimized rung's (quick scale: lengths 2, 4, 6).
+func fig13Violations(s fig13Shape) []string {
+	v := violations{paper: fig13Paper}
+	for i, l := range s.lengths {
+		for r := 1; r < len(fig13Configs); r++ {
+			if s.gbps[r][i] <= s.gbps[r-1][i] {
+				v.fail("Fig. 13(a): at length %s %s reads %.2f Gbit/s, not above %s's %.2f",
+					l, fig13Configs[r], s.gbps[r][i], fig13Configs[r-1], s.gbps[r-1][i])
+			}
+			if s.ipc[0][i] >= s.ipc[r][i] {
+				v.fail("Fig. 13(c): at length %s RTC's IPC %.2f is not below %s's %.2f",
+					l, s.ipc[0][i], fig13Configs[r], s.ipc[r][i])
+			}
+		}
+		if i > 0 && s.mrSpeedup[i] <= s.mrSpeedup[i-1] {
+			v.fail("Fig. 13(b): MR's speedup over RTC does not grow with length: %.2f at %s after %.2f at %s",
+				s.mrSpeedup[i], l, s.mrSpeedup[i-1], s.lengths[i-1])
+		}
+	}
+	return v.out
+}
+
+func TestFig13Claims(t *testing.T) {
+	requirePaper(t, fig13Paper)
+	for _, v := range fig13Violations(readFig13(t)) {
+		t.Error(v)
+	}
+}
+
+// TestFig13ClaimsCatchFlips flips each claim of the checked-in tables
+// in turn: every flip must break at least one predicate.
+func TestFig13ClaimsCatchFlips(t *testing.T) {
+	const rtc, il16, dp, mr = 0, 1, 2, 3
+	flips := map[string]func(s *fig13Shape){
+		"IL-16 ties RTC at length 2":      func(s *fig13Shape) { s.gbps[il16][0] = s.gbps[rtc][0] },
+		"+DP below IL-16 at length 4":     func(s *fig13Shape) { s.gbps[dp][1] = s.gbps[il16][1] - 0.01 },
+		"+DP+MR ties +DP at length 6":     func(s *fig13Shape) { s.gbps[mr][2] = s.gbps[dp][2] },
+		"MR's speedup stops growing":      func(s *fig13Shape) { s.mrSpeedup[2] = s.mrSpeedup[1] },
+		"MR's speedup shrinks":            func(s *fig13Shape) { slices.Reverse(s.mrSpeedup) },
+		"RTC's IPC reaches +DP's":         func(s *fig13Shape) { s.ipc[rtc][1] = s.ipc[dp][1] },
+		"RTC's IPC tops IL-16's at len 6": func(s *fig13Shape) { s.ipc[rtc][2] = s.ipc[il16][2] + 0.01 },
+	}
+	for name, flip := range flips {
+		s := readFig13(t)
+		flip(&s)
+		if len(fig13Violations(s)) == 0 {
+			t.Errorf("flip %q breaks no Fig. 13 predicate", name)
 		}
 	}
 }

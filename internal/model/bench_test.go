@@ -29,15 +29,15 @@ func BenchmarkProgramStep(b *testing.B) {
 	span := func(base model.BaseKind, off, size uint64) model.FieldRef {
 		return model.FieldRef{Explicit: &model.Span{Base: base, Off: off, Size: size}}
 	}
-	bl.AddState("m", "A", model.Action{Name: "a", Kind: model.ActionData, Cost: 20, Fn: fn,
+	bl.AddState("m", "A", model.Action{Name: "a", Cost: 20, Fn: fn,
 		Reads:  []model.FieldRef{span(model.BasePacket, 14, 20), span(model.BasePerFlow, 0, 16)},
 		Writes: []model.FieldRef{span(model.BaseTemp, 0, 8)},
 	})
-	bl.AddState("m", "B", model.Action{Name: "b", Kind: model.ActionData, Cost: 30, Fn: fn,
+	bl.AddState("m", "B", model.Action{Name: "b", Cost: 30, Fn: fn,
 		Reads:  []model.FieldRef{span(model.BasePerFlow, 16, 32), span(model.BaseTemp, 0, 8)},
 		Writes: []model.FieldRef{span(model.BasePerFlow, 16, 16), span(model.BasePacket, 26, 6)},
 	})
-	bl.AddState("m", "C", model.Action{Name: "c", Kind: model.ActionData, Cost: 10, Fn: fn,
+	bl.AddState("m", "C", model.Action{Name: "c", Cost: 10, Fn: fn,
 		Reads:  []model.FieldRef{span(model.BaseControl, 0, 24)},
 		Writes: []model.FieldRef{span(model.BaseControl, 24, 8)},
 	})

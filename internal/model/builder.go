@@ -208,7 +208,6 @@ func (b *Builder) Build() (*Program, error) {
 		ids[full] = CSID(len(p.cs))
 		p.cs = append(p.cs, CSInfo{
 			Name:     full,
-			Module:   def.module,
 			Action:   aid,
 			Reads:    reads,
 			Writes:   writes,

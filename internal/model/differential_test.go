@@ -137,7 +137,6 @@ func buildRandomProgram(t *testing.T, rng *rand.Rand) *diffWorld {
 	}
 	b.AddState("m", "init", model.Action{
 		Name:  "ainit",
-		Kind:  model.ActionData,
 		Cost:  uint64(rng.Intn(60)),
 		Reads: initRefs,
 		Fn: func(e *model.Exec) model.EventID {
@@ -156,7 +155,6 @@ func buildRandomProgram(t *testing.T, rng *rand.Rand) *diffWorld {
 		stateIdx := uint64(i)
 		b.AddState("m", stateName(i), model.Action{
 			Name:   "a" + stateName(i),
-			Kind:   model.ActionData,
 			Cost:   uint64(rng.Intn(60)),
 			Reads:  randRefs(3),
 			Writes: randRefs(2),

@@ -132,35 +132,6 @@ func Dynamic(size uint64) FieldRef {
 	return Raw(BaseDynamic, 0, size)
 }
 
-// ActionKind classifies NFActions by the states they interact with
-// (§IV-A): match actions locate per-flow/sub-flow state, data actions
-// transform it, config actions touch control state.
-type ActionKind int
-
-// The NFAction categories.
-const (
-	// ActionMatch locates per-flow or sub-flow state via match state.
-	ActionMatch ActionKind = iota + 1
-	// ActionData transforms data states.
-	ActionData
-	// ActionConfig reads or updates control state.
-	ActionConfig
-)
-
-// String names the action kind.
-func (k ActionKind) String() string {
-	switch k {
-	case ActionMatch:
-		return "match"
-	case ActionData:
-		return "data"
-	case ActionConfig:
-		return "config"
-	default:
-		return fmt.Sprintf("ActionKind(%d)", int(k))
-	}
-}
-
 // ActionFunc is the application logic of an NFAction. It runs with its
 // declared state spans already charged (and, under the interleaved
 // runtime, already prefetched), performs Go-side computation and packet
@@ -170,12 +141,14 @@ type ActionFunc func(e *Exec) EventID
 // Action is one NFAction: the event handler bound to a control state.
 // Reads and Writes declare every data-state access the Fn performs —
 // the Granular Decomposition Property requires that this set not depend
-// on computation inside the Fn.
+// on computation inside the Fn. The paper's action categories (§IV-A)
+// are read off these declarations rather than stored: a match action
+// locates per-flow or sub-flow state through match state, a data action
+// transforms data states, a config action reads or updates control
+// state.
 type Action struct {
 	// Name identifies the action in specs and dumps.
 	Name string
-	// Kind is the paper's action taxonomy.
-	Kind ActionKind
 	// Cost is the action's computation in simulated instructions.
 	Cost uint64
 	// Reads and Writes are the declared state accesses.

@@ -36,7 +36,6 @@ func newTestEnv(t *testing.T) *testEnv {
 	b.AddModule("m", Binding{PerFlow: pool, PerFlowLayout: layout})
 	b.AddState("m", "load", Action{
 		Name:  "load",
-		Kind:  ActionData,
 		Cost:  10,
 		Reads: []FieldRef{Fields(BasePerFlow, "counter")},
 		Fn: func(e *Exec) EventID {
@@ -46,7 +45,6 @@ func newTestEnv(t *testing.T) *testEnv {
 	})
 	b.AddState("m", "store", Action{
 		Name:   "store",
-		Kind:   ActionData,
 		Cost:   5,
 		Writes: []FieldRef{Fields(BasePerFlow, "verdict")},
 		Fn: func(e *Exec) EventID {
@@ -553,12 +551,6 @@ func TestKindAndBaseStrings(t *testing.T) {
 	for _, b := range bases {
 		if b.String() == "" {
 			t.Fatalf("empty String for %d", int(b))
-		}
-	}
-	acts := []ActionKind{ActionMatch, ActionData, ActionConfig, ActionKind(99)}
-	for _, a := range acts {
-		if a.String() == "" {
-			t.Fatalf("empty String for %d", int(a))
 		}
 	}
 }

@@ -54,8 +54,6 @@ func (b *Binding) layout(base BaseKind) *mem.Layout {
 type CSInfo struct {
 	// Name is "module.state" for diagnostics and spec round-trips.
 	Name string
-	// Module is the owning module name.
-	Module string
 	// Action indexes the program's action table.
 	Action ActionID
 	// Reads and Writes are the compiled access spans, charged on every

@@ -164,8 +164,6 @@ type UE struct {
 	State uint8
 	// Msgs counts NAS messages handled.
 	Msgs uint64
-	// NasCount is the uplink NAS counter.
-	NasCount uint32
 }
 
 // AMF is one AMF instance.
@@ -268,7 +266,6 @@ func (a *AMF) Attach(b *model.Builder, next string) string {
 	evDrop := b.Event(nf.EvDrop)
 	b.AddState(mDisp, "dispatch", model.Action{
 		Name:  "dispatch",
-		Kind:  model.ActionData,
 		Cost:  25,
 		Reads: []model.FieldRef{nf.PacketHeaderSpan()},
 		Fn: func(e *model.Exec) model.EventID {
@@ -293,27 +290,19 @@ func (a *AMF) Attach(b *model.Builder, next string) string {
 		b.AddModule(m, a.bind)
 		b.AddState(m, h.loadName, model.Action{
 			Name:  h.loadName,
-			Kind:  model.ActionData,
 			Cost:  h.loadCost,
 			Reads: []model.FieldRef{model.Fields(model.BasePerFlow, h.loadReads...)},
-			Fn: func(e *model.Exec) model.EventID {
-				// Stage a digest of the loaded fields for the apply
-				// step (simulating verification material).
-				e.Temp[0] = uint64(e.FlowIdx)<<8 | uint64(h.msg)
-				return evFwd
-			},
+			Fn:    func(*model.Exec) model.EventID { return evFwd },
 			Touch: touchUE,
 		})
 		b.AddState(m, h.applyName, model.Action{
 			Name:   h.applyName,
-			Kind:   model.ActionData,
 			Cost:   h.applyCost,
 			Reads:  []model.FieldRef{model.Fields(model.BasePerFlow, h.applyReads...)},
 			Writes: []model.FieldRef{model.Fields(model.BasePerFlow, h.applyWrite...)},
 			Fn: func(e *model.Exec) model.EventID {
 				ue := &ues[e.FlowIdx]
 				ue.Msgs++
-				ue.NasCount++
 				if ue.State < h.msg {
 					ue.State = h.msg
 				}

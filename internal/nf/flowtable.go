@@ -39,7 +39,7 @@ type FlowTableConfig[F any] struct {
 	// leave toward the state named alloc. It returns their entry state.
 	Walk func(b *model.Builder, module, alloc string) string
 	// Alloc and Install name, cost and declare the spans of the two
-	// first-packet config states; the table supplies Kind and Fn.
+	// first-packet config states; the table supplies Fn.
 	// Alloc must declare no per-flow span: it runs before the packet
 	// has a flow index.
 	Alloc, Install model.Action
@@ -175,7 +175,6 @@ func (t *FlowTable[F]) attachFirstPacket(b *model.Builder, dataEntry string) str
 		entry = t.cfg.Walk(b, m, allocState)
 	}
 
-	alloc.Kind = model.ActionConfig
 	alloc.Fn = func(e *model.Exec) model.EventID {
 		idx := t.next
 		if int(idx) >= len(t.flows) || t.AddFlow(e.Pkt.Tuple, idx) != nil {
@@ -185,7 +184,6 @@ func (t *FlowTable[F]) attachFirstPacket(b *model.Builder, dataEntry string) str
 		e.FlowIdx = idx
 		return evFwd
 	}
-	install.Kind = model.ActionConfig
 	install.Fn = func(*model.Exec) model.EventID { return evFwd }
 	b.AddState(m, alloc.Name, alloc)
 	b.AddState(m, install.Name, install)

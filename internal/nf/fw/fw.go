@@ -162,7 +162,6 @@ func (f *FW) AttachData(b *model.Builder, next string) string {
 	m := f.AddModule(b, "_check")
 	b.AddState(m, "check", model.Action{
 		Name: "check",
-		Kind: model.ActionData,
 		Cost: 30,
 		Reads: []model.FieldRef{
 			model.Fields(model.BasePerFlow, "allowed", "state"),
@@ -197,7 +196,6 @@ func (f *FW) attachPolicyWalk(b *model.Builder, m, alloc string) string {
 
 	b.AddState(m, "walk_start", model.Action{
 		Name: "walk_start",
-		Kind: model.ActionMatch,
 		Cost: 10,
 		Fn: func(e *model.Exec) model.EventID {
 			e.Cur.Reset()
@@ -208,7 +206,6 @@ func (f *FW) attachPolicyWalk(b *model.Builder, m, alloc string) string {
 	})
 	b.AddState(m, "walk", model.Action{
 		Name:  "walk",
-		Kind:  model.ActionMatch,
 		Cost:  20, // evaluate up to rulesPerLine rules
 		Reads: []model.FieldRef{model.Dynamic(64)},
 		Fn: func(e *model.Exec) model.EventID {

@@ -120,7 +120,6 @@ func (l *LB) AttachData(b *model.Builder, next string) string {
 	m := l.AddModule(b, "_steer")
 	b.AddState(m, "steer", model.Action{
 		Name: "steer",
-		Kind: model.ActionData,
 		Cost: 40,
 		Reads: []model.FieldRef{
 			model.Fields(model.BasePerFlow, "backend_ip", "backend_port"),

@@ -29,8 +29,6 @@ type Flow struct {
 	Pkts, Bytes uint64
 	// SmallPkts counts packets under 128B, a simple size histogram bin.
 	SmallPkts uint64
-	// LastSeen is the last update cycle (hot, written).
-	LastSeen uint64
 }
 
 // FlowFields returns the simulated per-flow layout in natural order.
@@ -98,7 +96,6 @@ func (m *Monitor) AttachData(b *model.Builder, next string) string {
 	mod := m.AddModule(b, "_acct")
 	b.AddState(mod, "update", model.Action{
 		Name: "update",
-		Kind: model.ActionData,
 		Cost: 35,
 		Reads: []model.FieldRef{
 			nf.PacketHeaderSpan(),
@@ -115,7 +112,6 @@ func (m *Monitor) AttachData(b *model.Builder, next string) string {
 			if e.Pkt.WireLen < 128 {
 				fl.SmallPkts++
 			}
-			fl.LastSeen = e.Core.Now()
 			m.totals.Pkts++
 			m.totals.Bytes += uint64(e.Pkt.WireLen)
 			return evFwd

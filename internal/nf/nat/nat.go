@@ -35,20 +35,15 @@ type Config struct {
 	States *model.Binding
 }
 
-// Flow is the NAT's per-flow record. Field order mirrors the natural
-// (unpacked) C-struct declaration; the simulated layout built in New
-// matches it field for field.
+// Flow is the NAT's per-flow record: what the rewrite action reads and
+// the accounting it keeps. The simulated layout (FlowFields) is the
+// full natural C-struct declaration, cold fields included.
 type Flow struct {
-	// OrigIP/OrigPort record the pre-translation source (cold).
-	OrigIP   uint32
-	OrigPort uint16
-	// Proto is the flow's protocol (cold).
-	Proto uint8
 	// MappedIP/MappedPort are the translation target (hot, read).
 	MappedIP   uint32
 	MappedPort uint16
-	// Pkts/Bytes/LastSeen are accounting (hot, written).
-	Pkts, Bytes, LastSeen uint64
+	// Pkts/Bytes are accounting (hot, written).
+	Pkts, Bytes uint64
 }
 
 // FlowFields returns the simulated per-flow layout in natural
@@ -110,10 +105,9 @@ func New(as *mem.AddressSpace, cfg Config) (*NAT, error) {
 	return n, nil
 }
 
-// newFlow records tuple's pre-translation source and assigns flow idx
-// its translation.
-func (n *NAT) newFlow(tuple pkt.FiveTuple, idx int32) Flow {
-	f := Flow{OrigIP: tuple.SrcIP, OrigPort: tuple.SrcPort, Proto: tuple.Proto}
+// newFlow assigns flow idx its translation.
+func (n *NAT) newFlow(_ pkt.FiveTuple, idx int32) Flow {
+	var f Flow
 	f.MappedIP, f.MappedPort = n.mapping(idx)
 	return f
 }
@@ -141,7 +135,6 @@ func (n *NAT) AttachData(b *model.Builder, next string) string {
 	m := n.AddModule(b, "_mapper")
 	b.AddState(m, "rewrite", model.Action{
 		Name: "rewrite",
-		Kind: model.ActionData,
 		Cost: 55, // header rewrite + checksum fold
 		Reads: []model.FieldRef{
 			model.Fields(model.BasePerFlow, "mapped_ip", "mapped_port"),
@@ -158,7 +151,6 @@ func (n *NAT) AttachData(b *model.Builder, next string) string {
 			_ = e.Pkt.RewriteNAT(f.MappedIP, f.MappedPort)
 			f.Pkts++
 			f.Bytes += uint64(e.Pkt.WireLen)
-			f.LastSeen = e.Core.Now()
 			return evFwd
 		},
 		Touch: n.Touch(),

@@ -100,7 +100,6 @@ func (c *Classifier) Attach(b *model.Builder, successTarget, missTarget string) 
 
 	b.AddState(m, "get_key", model.Action{
 		Name:  "get_key",
-		Kind:  model.ActionMatch,
 		Cost:  25,
 		Reads: []model.FieldRef{PacketHeaderSpan()},
 		Fn: func(e *model.Exec) model.EventID {
@@ -125,7 +124,6 @@ func (c *Classifier) Attach(b *model.Builder, successTarget, missTarget string) 
 	for _, state := range []string{"check_1", "check_2"} {
 		b.AddState(m, state, model.Action{
 			Name:  state,
-			Kind:  model.ActionMatch,
 			Cost:  12,
 			Reads: []model.FieldRef{model.Dynamic(64)},
 			Fn:    check,

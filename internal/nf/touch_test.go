@@ -113,24 +113,6 @@ func records[F any](t *testing.T, n int, get func(int32) (F, error)) []F {
 	return out
 }
 
-// natFlows and monitorFlows are records with LastSeen cleared: it holds
-// the simulated clock, the one field a schedule is meant to change.
-func natFlows(t *testing.T, n *nat.NAT) []nat.Flow {
-	flows := records(t, touchFlows, n.Flow)
-	for i := range flows {
-		flows[i].LastSeen = 0
-	}
-	return flows
-}
-
-func monitorFlows(t *testing.T, m *monitor.Monitor) []monitor.Flow {
-	flows := records(t, touchFlows, m.Flow)
-	for i := range flows {
-		flows[i].LastSeen = 0
-	}
-	return flows
-}
-
 // flowNF is what flowWorld needs of a five-tuple NF.
 type flowNF struct {
 	addFlow func(pkt.FiveTuple, int32) error
@@ -220,7 +202,7 @@ func touchWorlds(t *testing.T) []touchWorld {
 			if err != nil {
 				return flowNF{}, err
 			}
-			return flowNF{n.AddFlow, n.Program, func() any { return natFlows(t, n) }}, nil
+			return flowNF{n.AddFlow, n.Program, func() any { return records(t, touchFlows, n.Flow) }}, nil
 		}),
 		flowWorld(t, "lb", touchFlows/2, func(as *mem.AddressSpace) (flowNF, error) {
 			l, err := lb.New(as, lb.Config{MaxFlows: touchFlows})
@@ -241,7 +223,7 @@ func touchWorlds(t *testing.T) []touchWorld {
 			if err != nil {
 				return flowNF{}, err
 			}
-			return flowNF{m.AddFlow, m.Program, func() any { return []any{monitorFlows(t, m), m.Totals()} }}, nil
+			return flowNF{m.AddFlow, m.Program, func() any { return []any{records(t, touchFlows, m.Flow), m.Totals()} }}, nil
 		}),
 	}
 
@@ -335,9 +317,9 @@ func sfcWorld(t *testing.T, name string, fused bool, opts compile.SFCOptions) to
 			case *lb.LB:
 				all = append(all, records(t, touchFlows, c.Flow))
 			case *nat.NAT:
-				all = append(all, natFlows(t, c))
+				all = append(all, records(t, touchFlows, c.Flow))
 			case *monitor.Monitor:
-				all = append(all, monitorFlows(t, c), c.Totals())
+				all = append(all, records(t, touchFlows, c.Flow), c.Totals())
 			case *fw.FW:
 				all = append(all, records(t, touchFlows, c.Flow), c.Drops())
 			default:

@@ -32,9 +32,6 @@ const (
 	FARForward uint8 = iota + 1
 	// FARDrop discards the packet.
 	FARDrop
-	// FARBuffer queues the packet for paging (modelled as drop with a
-	// distinct counter).
-	FARBuffer
 )
 
 // Config parametrizes a UPF instance. Session UE IPs follow the MGW
@@ -83,15 +80,12 @@ func (c Config) UEIP(i int) uint32 { return 0x0a000000 + uint32(i) }
 
 // Session is the PFCP session (per-flow) record. The simulated layout
 // spans two cache lines, matching the paper's description of UPF
-// per-flow state.
+// per-flow state; the Go record keeps only what the actions read or
+// count.
 type Session struct {
-	// SEID is the PFCP session id (cold).
-	SEID uint64
 	// TEIDOut and RANIP are the downlink tunnel parameters (hot, read).
 	TEIDOut uint32
 	RANIP   uint32
-	// QFI is the QoS flow id stamped on encapsulation (hot, read).
-	QFI uint8
 	// UsagePkts and UsageBytes are usage-reporting counters (hot,
 	// written).
 	UsagePkts, UsageBytes uint64
@@ -146,8 +140,8 @@ type UPF struct {
 	teids    *dstruct.Cuckoo
 	sessions []Session
 	pdrs     []PDR
-	// drops/buffered count FAR-discarded packets for observability.
-	drops, buffered uint64
+	// drops counts FAR-discarded and unmatched packets.
+	drops uint64
 }
 
 // New builds and fully configures a UPF: session state, PDR state, the
@@ -195,12 +189,7 @@ func New(as *mem.AddressSpace, cfg Config) (*UPF, error) {
 	}
 	for i := 0; i < cfg.Sessions; i++ {
 		teid := uint32(0x10000 + i)
-		u.sessions[i] = Session{
-			SEID:    uint64(i) + 1,
-			TEIDOut: teid,
-			RANIP:   cfg.RANIP,
-			QFI:     9,
-		}
+		u.sessions[i] = Session{TEIDOut: teid, RANIP: cfg.RANIP}
 		if err := u.teids.Insert(uint64(teid), int32(i)); err != nil {
 			return nil, fmt.Errorf("upf: teid table: %w", err)
 		}
@@ -266,7 +255,6 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 	evMiss := b.Event(nf.EvMatchFail)
 	evFwd := b.Event(nf.EvForward)
 	evDrop := b.Event(nf.EvDrop)
-	evBuf := b.Event("buffer")
 
 	tree := u.tree
 	pdrs := u.pdrs
@@ -276,7 +264,6 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 	b.AddModule(mMatch, u.bind)
 	b.AddState(mMatch, "walk_start", model.Action{
 		Name:  "walk_start",
-		Kind:  model.ActionMatch,
 		Cost:  20,
 		Reads: []model.FieldRef{nf.PacketHeaderSpan()},
 		Fn: func(e *model.Exec) model.EventID {
@@ -286,7 +273,6 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 	})
 	b.AddState(mMatch, "walk", model.Action{
 		Name:  "walk",
-		Kind:  model.ActionMatch,
 		Cost:  8,
 		Reads: []model.FieldRef{model.Dynamic(64)},
 		Fn: func(e *model.Exec) model.EventID {
@@ -313,7 +299,6 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 	b.AddModule(mFar, u.bind)
 	b.AddState(mFar, "apply", model.Action{
 		Name: "apply",
-		Kind: model.ActionData,
 		Cost: 15,
 		Reads: []model.FieldRef{
 			model.Fields(model.BaseSubFlow, "far_action", "outer_teid"),
@@ -323,28 +308,21 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 			p := &pdrs[e.SubIdx]
 			p.Pkts++
 			p.Bytes += uint64(e.Pkt.WireLen)
-			switch p.FARAction {
-			case FARForward:
+			if p.FARAction == FARForward {
 				return evFwd
-			case FARBuffer:
-				u.buffered++
-				return evBuf
-			default:
-				u.drops++
-				return evDrop
 			}
+			u.drops++
+			return evDrop
 		},
 		Touch: func(e *model.Exec) { hostmem.Prefetch(&pdrs[e.SubIdx]) },
 	})
 	b.AddTransition(mFar+".apply", nf.EvForward, mEncap+".encap")
 	b.AddTransition(mFar+".apply", nf.EvDrop, model.EndName)
-	b.AddTransition(mFar+".apply", "buffer", model.EndName)
 
 	// Encap module: GTP-U encapsulation from session state.
 	b.AddModule(mEncap, u.bind)
 	b.AddState(mEncap, "encap", model.Action{
 		Name: "encap",
-		Kind: model.ActionData,
 		Cost: 70, // outer header construction + checksum
 		Reads: []model.FieldRef{
 			model.Fields(model.BasePerFlow, "teid_out", "ran_ip", "qfi"),
@@ -395,7 +373,6 @@ func (u *UPF) AttachUplink(b *model.Builder, next string) string {
 	b.AddModule(mDecap, u.bind)
 	b.AddState(mDecap, "decap", model.Action{
 		Name: "decap",
-		Kind: model.ActionData,
 		Cost: 45,
 		Reads: []model.FieldRef{
 			model.Fields(model.BasePerFlow, "teid_out", "qfi"),

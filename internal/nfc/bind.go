@@ -84,7 +84,6 @@ func ToAction(c *Compiled, store *Store, b *model.Builder) (model.Action, error)
 	run := c.run
 	return model.Action{
 		Name:   c.Name,
-		Kind:   model.ActionData,
 		Cost:   c.Cost,
 		Reads:  fieldRefs(c.Reads),
 		Writes: fieldRefs(c.Writes),

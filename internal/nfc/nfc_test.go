@@ -294,7 +294,7 @@ func TestToActionIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if act.Name != "flow_mapper" || act.Kind != model.ActionData {
+	if act.Name != "flow_mapper" {
 		t.Fatalf("action = %+v", act)
 	}
 	if len(act.Reads) == 0 || len(act.Writes) == 0 {

@@ -43,8 +43,7 @@ type Collector struct {
 
 	latency stats.Histogram
 
-	events   uint64
-	switches uint64
+	events uint64
 }
 
 // NewCollector builds a collector for programs compiled like prog
@@ -53,10 +52,11 @@ func NewCollector(prog *model.Program, freqHz float64) *Collector {
 	return &Collector{prog: prog, freq: freqHz, perCS: make([]csStats, prog.NumCS())}
 }
 
-// TraceKinds implements sim.KindTracer: every kind but the three no
-// report reads, rx, FSM transitions and redundant prefetches.
+// TraceKinds implements sim.KindTracer: every kind but the four no
+// report reads, rx, FSM transitions, redundant prefetches and task
+// switches.
 func (c *Collector) TraceKinds() sim.TraceKinds {
-	return sim.AllTraceKinds &^ sim.KindSet(sim.TraceRx, sim.TraceTransition, sim.TracePrefetchRedundant)
+	return sim.AllTraceKinds &^ sim.KindSet(sim.TraceRx, sim.TraceTransition, sim.TracePrefetchRedundant, sim.TraceTaskSwitch)
 }
 
 // Events returns the number of trace events consumed.
@@ -129,19 +129,18 @@ func (c *Collector) event(ev *sim.TraceEvent) {
 		if s := c.cs(ev); s != nil {
 			s.pfDropped++
 		}
-	case sim.TraceTaskSwitch:
-		c.switches++
 	case sim.TraceStreamDone:
 		c.latency.Add(ev.C)
 	}
 }
 
-// usec converts cycles to microseconds at the collector's clock.
-func (c *Collector) usec(cycles uint64) float64 {
+// usec converts cycles to microseconds at the collector's clock, or
+// reads 0 without one.
+func (c *Collector) usec(cycles float64) float64 {
 	if c.freq == 0 {
 		return 0
 	}
-	return float64(cycles) / c.freq * 1e6
+	return cycles / c.freq * 1e6
 }
 
 // ActionTable renders per-NFAction attribution: executions, cycles,
@@ -207,10 +206,10 @@ func (c *Collector) LatencyTable() *stats.Table {
 		"Per-packet latency (rx → stream done), "+stats.U(lat.Count())+" packets",
 		"metric", "cycles", "usec")
 	row := func(name string, v uint64) {
-		t.AddRow(name, stats.U(v), stats.F(c.usec(v), 3))
+		t.AddRow(name, stats.U(v), stats.F(c.usec(float64(v)), 3))
 	}
 	row("min", lat.Min())
-	t.AddRow("mean", stats.F(lat.Mean(), 1), stats.F(lat.Mean()/c.freq*1e6, 3))
+	t.AddRow("mean", stats.F(lat.Mean(), 1), stats.F(c.usec(lat.Mean()), 3))
 	row("p50", lat.Quantile(0.50))
 	row("p95", lat.Quantile(0.95))
 	row("p99", lat.Quantile(0.99))

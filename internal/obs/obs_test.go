@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/gunfu-nfv/gunfu/internal/mem"
@@ -175,6 +176,24 @@ func TestCollectorLatencyAndTables(t *testing.T) {
 	}
 }
 
+// TestLatencyTableZeroClock: without a clock every usec cell, mean
+// included, reads 0 rather than a division by zero.
+func TestLatencyTableZeroClock(t *testing.T) {
+	prog, _, _ := buildNAT(t, 16)
+	col := obs.NewCollector(prog, 0)
+	runTraced(t, 500, col)
+	if col.Latency().Count() == 0 {
+		t.Fatal("no latency samples")
+	}
+	var buf bytes.Buffer
+	if err := col.LatencyTable().Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); strings.Contains(out, "Inf") || strings.Contains(out, "NaN") {
+		t.Fatalf("zero-clock latency table:\n%s", out)
+	}
+}
+
 func TestChromeTraceJSON(t *testing.T) {
 	prog, _, _ := buildNAT(t, 16)
 	tw := obs.NewTraceWriter(prog, sim.DefaultConfig().FreqHz)
@@ -286,6 +305,38 @@ func TestMultiKinds(t *testing.T) {
 	}
 }
 
+// TestCollectorSparesTaskSwitches: no Collector table reads a task
+// switch, so a core whose only tracer is a Collector builds none of
+// those events, though the run switches tasks; the Collector sees
+// exactly the full stream's events of its declared kinds.
+func TestCollectorSparesTaskSwitches(t *testing.T) {
+	prog, _, _ := buildNAT(t, 16)
+	col := obs.NewCollector(prog, sim.DefaultConfig().FreqHz)
+	core, err := sim.NewCore(sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.SetTracer(col)
+	if core.Kinds().Has(sim.TraceTaskSwitch) {
+		t.Fatal("a Collector-only core emits task-switch events")
+	}
+	res := runTraced(t, 2000, col)
+	full := &kindCounter{}
+	runTraced(t, 2000, full)
+	if res.Counters.TaskSwitches == 0 || full[sim.TraceTaskSwitch] == 0 {
+		t.Fatal("the workload made no task switches")
+	}
+	var want uint64
+	for k, n := range full {
+		if sim.KindsOf(col).Has(sim.TraceKind(k)) {
+			want += n
+		}
+	}
+	if col.Events() != want {
+		t.Fatalf("collector consumed %d events, full stream has %d of its kinds", col.Events(), want)
+	}
+}
+
 // kindCounter is an undeclared tracer: beside it, the core emits every
 // kind, and it counts what it sees by kind.
 type kindCounter [sim.TraceKindCount]uint64
@@ -313,7 +364,7 @@ func TestKindsInvisibleToOutput(t *testing.T) {
 					}
 				}
 				return nil
-			}, []sim.TraceKind{sim.TraceTransition, sim.TracePrefetchRedundant}},
+			}, []sim.TraceKind{sim.TraceTransition, sim.TracePrefetchRedundant, sim.TraceTaskSwitch}},
 		{"TraceWriter.WriteJSON", func() sim.Tracer { return obs.NewTraceWriter(prog, freq) },
 			func(tr sim.Tracer, buf *bytes.Buffer) error { return tr.(*obs.TraceWriter).WriteJSON(buf) },
 			[]sim.TraceKind{sim.TraceAccess, sim.TraceActionBegin, sim.TracePrefetchUseful}},

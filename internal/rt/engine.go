@@ -31,7 +31,6 @@ type CoreSetup struct {
 // (the reset-vs-fresh differential test guarantees a pooled core is
 // observationally indistinguishable from a new one).
 type Engine struct {
-	simCfg sim.Config
 	setups []CoreSetup
 	pool   *sim.CorePool
 }
@@ -41,7 +40,7 @@ func NewEngine(simCfg sim.Config, setups []CoreSetup) (*Engine, error) {
 	if len(setups) == 0 {
 		return nil, fmt.Errorf("rt: engine needs at least one core")
 	}
-	return &Engine{simCfg: simCfg, setups: setups, pool: sim.NewCorePool(simCfg)}, nil
+	return &Engine{setups: setups, pool: sim.NewCorePool(simCfg)}, nil
 }
 
 // Run executes all cores, each processing up to perCorePackets, and

@@ -146,7 +146,6 @@ func buildSchedWorld(t *testing.T, rng *rand.Rand, rec *schedRec) (*mem.AddressS
 		}
 		b.AddState("m", schedStateName(i), model.Action{
 			Name:   "a" + schedStateName(i),
-			Kind:   model.ActionData,
 			Cost:   uint64(rng.Intn(60)),
 			Reads:  randRefs(bases, 3),
 			Writes: randRefs(bases, 2),
@@ -329,7 +328,6 @@ func TestExecSeqIsPerPacket(t *testing.T) {
 		done := b.Event("done")
 		b.AddState("m", "A", model.Action{
 			Name: "a",
-			Kind: model.ActionData,
 			Fn: func(e *model.Exec) model.EventID {
 				seqOf[binary.LittleEndian.Uint64(e.Pkt.Data)] = e.Seq
 				return done

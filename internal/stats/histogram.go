@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -150,8 +151,10 @@ func (h *Histogram) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a histogram produced by MarshalJSON. It rejects
-// payloads from a build with a different bucket geometry: bucket counts
-// are only mergeable when both sides split octaves identically.
+// payloads from a build with a different bucket geometry — bucket counts
+// are only mergeable when both sides split octaves identically — and
+// payloads no sequence of Adds produces (see check), which would skew
+// every quantile of a histogram they are merged into.
 func (h *Histogram) UnmarshalJSON(b []byte) error {
 	var w histogramWire
 	if err := json.Unmarshal(b, &w); err != nil {
@@ -160,11 +163,54 @@ func (h *Histogram) UnmarshalJSON(b []byte) error {
 	if w.SubBits != histSubBits {
 		return fmt.Errorf("stats: histogram sub_bits %d incompatible with %d", w.SubBits, histSubBits)
 	}
+	if err := w.check(); err != nil {
+		return err
+	}
 	h.counts = append(h.counts[:0], w.Counts...)
 	h.total = w.Total
 	h.sum = w.Sum
 	h.min = w.Min
 	h.max = w.Max
+	return nil
+}
+
+// check holds w to what a recorded histogram satisfies: no bucket past
+// the one MaxUint64 maps to, counts summing to total, an empty
+// histogram's sum, min and max all zero, and a non-empty one's min and
+// max in its lowest and highest non-empty buckets.
+func (w *histogramWire) check() error {
+	if n := histBucket(math.MaxUint64) + 1; len(w.Counts) > n {
+		return fmt.Errorf("stats: histogram has %d buckets, a uint64 reaches %d", len(w.Counts), n)
+	}
+	var n, carry uint64
+	lo, hi := -1, -1
+	for i, c := range w.Counts {
+		if c == 0 {
+			continue
+		}
+		if n, carry = bits.Add64(n, c, 0); carry != 0 {
+			return fmt.Errorf("stats: histogram counts overflow uint64")
+		}
+		if lo < 0 {
+			lo = i
+		}
+		hi = i
+	}
+	if n != w.Total {
+		return fmt.Errorf("stats: histogram counts sum to %d, total is %d", n, w.Total)
+	}
+	if w.Total == 0 {
+		if w.Sum != 0 || w.Min != 0 || w.Max != 0 {
+			return fmt.Errorf("stats: empty histogram has sum %d, min %d, max %d", w.Sum, w.Min, w.Max)
+		}
+		return nil
+	}
+	if w.Min > w.Max {
+		return fmt.Errorf("stats: histogram min %d above max %d", w.Min, w.Max)
+	}
+	if lo != histBucket(w.Min) || hi != histBucket(w.Max) {
+		return fmt.Errorf("stats: histogram min %d and max %d lie outside its buckets %d..%d", w.Min, w.Max, lo, hi)
+	}
 	return nil
 }
 

@@ -175,6 +175,32 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHistogramRejectsInconsistentWire: a wire histogram no sequence of
+// Adds produces is refused, so it never reaches a Merge; a consistent
+// one still decodes.
+func TestHistogramRejectsInconsistentWire(t *testing.T) {
+	for _, tc := range []struct{ name, payload string }{
+		{"counts exceed total", `{"sub_bits":5,"counts":[0,0,4],"total":1,"max":9}`},
+		{"bucket past uint64", `{"sub_bits":5,"counts":[` + strings.Repeat("0,", 2000) +
+			`1],"total":1,"sum":18446744073709551615,"min":18446744073709551615,"max":18446744073709551615}`},
+		{"counts overflow", `{"sub_bits":5,"counts":[18446744073709551615,2],"total":1,"min":0,"max":1}`},
+		{"empty with max", `{"sub_bits":5,"counts":[],"total":0,"max":5}`},
+		{"empty with sum", `{"sub_bits":5,"counts":[0],"total":0,"sum":3}`},
+		{"min above max", `{"sub_bits":5,"counts":[0,1,0,0,0,0,0,1],"total":2,"sum":8,"min":7,"max":1}`},
+		{"min above its bucket", `{"sub_bits":5,"counts":[1],"total":1,"sum":5,"min":5,"max":5}`},
+		{"max above its bucket", `{"sub_bits":5,"counts":[0,1],"total":1,"sum":1,"min":1,"max":9}`},
+	} {
+		var h Histogram
+		if err := h.UnmarshalJSON([]byte(tc.payload)); err == nil {
+			t.Errorf("%s: accepted (count %d, p50 %d, p99 %d)", tc.name, h.Count(), h.Quantile(0.5), h.Quantile(0.99))
+		}
+	}
+	var h Histogram
+	if err := h.UnmarshalJSON([]byte(`{"sub_bits":5,"counts":[0,1,1,1],"total":3,"sum":6,"min":1,"max":3}`)); err != nil {
+		t.Fatalf("consistent payload rejected: %v", err)
+	}
+}
+
 func TestHistogramCloneAndReset(t *testing.T) {
 	var h Histogram
 	for v := uint64(1); v < 1000; v *= 2 {
