@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	gunfu "github.com/gunfu-nfv/gunfu"
@@ -21,7 +22,7 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "amf-registration: %v\n", err)
 		os.Exit(1)
 	}
@@ -44,12 +45,12 @@ func build(layout *gunfu.Layout) (*gunfu.Program, *gunfu.AMFGen, *gunfu.AddressS
 	return prog, g, as, a, nil
 }
 
-func run() error {
+func run(w io.Writer) error {
 	prog, g, as, a, err := build(nil)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("5G AMF initial registration, %d UEs, UE context = %d cache lines\n\n",
+	fmt.Fprintf(w, "5G AMF initial registration, %d UEs, UE context = %d cache lines\n\n",
 		ues, a.ContextLines())
 
 	// RTC baseline.
@@ -68,7 +69,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-34s %9.1f kmsg/s  LLC misses/msg %.2f\n",
+	fmt.Fprintf(w, "%-34s %9.1f kmsg/s  LLC misses/msg %.2f\n",
 		"RTC:", base.Mpps()*1000, llcPerMsg(base))
 
 	// Interleaved.
@@ -80,18 +81,18 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	w, err := gunfu.NewWorker(core, as, prog, gunfu.DefaultWorkerConfig())
+	ilW, err := gunfu.NewWorker(core, as, prog, gunfu.DefaultWorkerConfig())
 	if err != nil {
 		return err
 	}
-	if _, err := w.Run(g, messages/10); err != nil {
+	if _, err := ilW.Run(g, messages/10); err != nil {
 		return err
 	}
-	il, err := w.Run(g, messages)
+	il, err := ilW.Run(g, messages)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-34s %9.1f kmsg/s  LLC misses/msg %.2f  (%.2fx)\n",
+	fmt.Fprintf(w, "%-34s %9.1f kmsg/s  LLC misses/msg %.2f  (%.2fx)\n",
 		"interleaved (16 streams):", il.Mpps()*1000, llcPerMsg(il), il.Mpps()/base.Mpps())
 
 	// Interleaved + data-packed UE context: the compiler groups each
@@ -108,18 +109,18 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	w, err = gunfu.NewWorker(core, as, prog, gunfu.DefaultWorkerConfig())
+	ilW, err = gunfu.NewWorker(core, as, prog, gunfu.DefaultWorkerConfig())
 	if err != nil {
 		return err
 	}
-	if _, err := w.Run(g, messages/10); err != nil {
+	if _, err := ilW.Run(g, messages/10); err != nil {
 		return err
 	}
-	dp, err := w.Run(g, messages)
+	dp, err := ilW.Run(g, messages)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-34s %9.1f kmsg/s  LLC misses/msg %.2f  (+%.1f%% over interleaved)\n",
+	fmt.Fprintf(w, "%-34s %9.1f kmsg/s  LLC misses/msg %.2f  (+%.1f%% over interleaved)\n",
 		"interleaved + data packing:", dp.Mpps()*1000, llcPerMsg(dp),
 		100*(dp.Mpps()/il.Mpps()-1))
 	return nil

@@ -16,6 +16,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -25,19 +26,19 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "distributed: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	d := director.New()
 	addr, err := d.Listen("127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	fmt.Printf("director listening on %s\n", addr)
+	fmt.Fprintf(w, "director listening on %s\n", addr)
 
 	var wg sync.WaitGroup
 	for _, name := range []string{"edge-1", "edge-2", "edge-3"} {
@@ -63,7 +64,7 @@ func run() error {
 	if err := d.WaitAgents(3, 10*time.Second); err != nil {
 		return err
 	}
-	fmt.Printf("agents registered: %v\n\n", d.Agents())
+	fmt.Fprintf(w, "agents registered: %v\n\n", d.Agents())
 
 	spec := deploy.Spec{
 		NF:          "nat",
@@ -87,13 +88,13 @@ func run() error {
 			return err
 		}
 		var total float64
-		fmt.Printf("%s:\n", cfg.label)
+		fmt.Fprintf(w, "%s:\n", cfg.label)
 		for _, r := range results {
-			fmt.Printf("  %-8s %8.2f Gbps  ipc=%.2f  l1=%5.1f%%\n",
+			fmt.Fprintf(w, "  %-8s %8.2f Gbps  ipc=%.2f  l1=%5.1f%%\n",
 				r.Agent, r.Gbps(), r.Counters.IPC(), 100*r.Counters.L1HitRate())
 			total += r.Gbps()
 		}
-		fmt.Printf("  aggregate: %.2f Gbps\n\n", total)
+		fmt.Fprintf(w, "  aggregate: %.2f Gbps\n\n", total)
 	}
 	return nil
 }

@@ -6,19 +6,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	gunfu "github.com/gunfu-nfv/gunfu"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	const flows = 65536
 	const packets = 100000
 
@@ -88,13 +89,13 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("stateful NAT, %d concurrent flows, 64B packets, one simulated core\n\n", flows)
-	fmt.Printf("%-28s %8.2f Gbps  %6.2f Mpps  L1 hit %5.1f%%  IPC %.2f\n",
+	fmt.Fprintf(w, "stateful NAT, %d concurrent flows, 64B packets, one simulated core\n\n", flows)
+	fmt.Fprintf(w, "%-28s %8.2f Gbps  %6.2f Mpps  L1 hit %5.1f%%  IPC %.2f\n",
 		"per-packet RTC (baseline):", rtcRes.Gbps(), rtcRes.Mpps(),
 		100*rtcRes.Counters.L1HitRate(), rtcRes.Counters.IPC())
-	fmt.Printf("%-28s %8.2f Gbps  %6.2f Mpps  L1 hit %5.1f%%  IPC %.2f\n",
+	fmt.Fprintf(w, "%-28s %8.2f Gbps  %6.2f Mpps  L1 hit %5.1f%%  IPC %.2f\n",
 		"interleaved streams (GuNFu):", ilRes.Gbps(), ilRes.Mpps(),
 		100*ilRes.Counters.L1HitRate(), ilRes.Counters.IPC())
-	fmt.Printf("\nspeedup: %.2fx\n", ilRes.Gbps()/rtcRes.Gbps())
+	fmt.Fprintf(w, "\nspeedup: %.2fx\n", ilRes.Gbps()/rtcRes.Gbps())
 	return nil
 }

@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	gunfu "github.com/gunfu-nfv/gunfu"
@@ -20,7 +21,7 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "sfc-chain: %v\n", err)
 		os.Exit(1)
 	}
@@ -77,8 +78,8 @@ func measure(prog *gunfu.Program, g *gunfu.FlowGen, as *gunfu.AddressSpace, task
 	return w.Run(g, packets)
 }
 
-func run() error {
-	fmt.Printf("service function chain LB->NAT->NM->FW, %d flows, 64B packets, one core\n\n", flows)
+func run(w io.Writer) error {
+	fmt.Fprintf(w, "service function chain LB->NAT->NM->FW, %d flows, 64B packets, one core\n\n", flows)
 
 	steps := []struct {
 		name  string
@@ -103,9 +104,9 @@ func run() error {
 		if i == 0 {
 			base = res.Gbps()
 		}
-		fmt.Printf("%-32s %8.2f Gbps  IPC %.2f  (%.2fx)\n",
+		fmt.Fprintf(w, "%-32s %8.2f Gbps  IPC %.2f  (%.2fx)\n",
 			s.name, res.Gbps(), res.Counters.IPC(), res.Gbps()/base)
 	}
-	fmt.Println("\n(run gunfu-bench -exp fig13 for the full ladder incl. fused data packing)")
+	fmt.Fprintln(w, "\n(run gunfu-bench -exp fig13 for the full ladder incl. fused data packing)")
 	return nil
 }

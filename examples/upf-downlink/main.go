@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	gunfu "github.com/gunfu-nfv/gunfu"
@@ -22,7 +23,7 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "upf-downlink: %v\n", err)
 		os.Exit(1)
 	}
@@ -47,12 +48,12 @@ func build() (*gunfu.Program, *gunfu.MGWGen, *gunfu.AddressSpace, *gunfu.UPF, er
 	return prog, g, as, u, nil
 }
 
-func run() error {
+func run(w io.Writer) error {
 	prog, g, as, u, err := build()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("5G UPF downlink: %d sessions x %d PDRs (MDI tree depth %d), 128B packets\n\n",
+	fmt.Fprintf(w, "5G UPF downlink: %d sessions x %d PDRs (MDI tree depth %d), 128B packets\n\n",
 		sessions, pdrs, u.Tree().Depth())
 
 	// RTC baseline first.
@@ -71,7 +72,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-10s %8.2f Gbps  %7.1f cyc/pkt  L1 %5.1f%%\n",
+	fmt.Fprintf(w, "%-10s %8.2f Gbps  %7.1f cyc/pkt  L1 %5.1f%%\n",
 		"RTC", base.Gbps(), base.CyclesPerPacket(), 100*base.Counters.L1HitRate())
 
 	for _, tasks := range []int{1, 4, 16, 64} {
@@ -85,18 +86,18 @@ func run() error {
 		}
 		cfg := gunfu.DefaultWorkerConfig()
 		cfg.Tasks = tasks
-		w, err := gunfu.NewWorker(core, as, prog, cfg)
+		ilW, err := gunfu.NewWorker(core, as, prog, cfg)
 		if err != nil {
 			return err
 		}
-		if _, err := w.Run(g, packets/10); err != nil {
+		if _, err := ilW.Run(g, packets/10); err != nil {
 			return err
 		}
-		res, err := w.Run(g, packets)
+		res, err := ilW.Run(g, packets)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("IL-%-7d %8.2f Gbps  %7.1f cyc/pkt  L1 %5.1f%%  (%.2fx RTC)\n",
+		fmt.Fprintf(w, "IL-%-7d %8.2f Gbps  %7.1f cyc/pkt  L1 %5.1f%%  (%.2fx RTC)\n",
 			tasks, res.Gbps(), res.CyclesPerPacket(),
 			100*res.Counters.L1HitRate(), res.Gbps()/base.Gbps())
 	}
@@ -106,7 +107,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nsession 0: TEID=%#x usage=%d pkts / %d bytes\n",
+	fmt.Fprintf(w, "\nsession 0: TEID=%#x usage=%d pkts / %d bytes\n",
 		s.TEIDOut, s.UsagePkts, s.UsageBytes)
 	return nil
 }

@@ -17,9 +17,12 @@
 // (see DESIGN.md); throughput and cache metrics are reported in
 // simulated cycles at a 2.7 GHz clock.
 //
-// The quickest path: build an NF (or take one from the included
-// library), compile it to a Program, and run it under the interleaved
-// Worker or the run-to-completion baseline:
+// The facade exports what its callers (the examples, the commands, the
+// benchmark) use. NFs are authored inside the module, under
+// internal/nf or through the spec → NF-C path of internal/compile; the
+// facade builds the paper's NAT, UPF and AMF and its LB→NAT→NM→FW…
+// chain. The quickest path: build one, take its Program, and run it
+// under the interleaved Worker or the run-to-completion baseline:
 //
 //	as := gunfu.NewAddressSpace()
 //	n, _ := gunfu.NewNAT(as, gunfu.NATConfig{MaxFlows: 65536})
@@ -37,9 +40,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf/amf"
-	"github.com/gunfu-nfv/gunfu/internal/nf/fw"
-	"github.com/gunfu-nfv/gunfu/internal/nf/lb"
-	"github.com/gunfu-nfv/gunfu/internal/nf/monitor"
 	"github.com/gunfu-nfv/gunfu/internal/nf/nat"
 	"github.com/gunfu-nfv/gunfu/internal/nf/upf"
 	"github.com/gunfu-nfv/gunfu/internal/obs"
@@ -74,34 +74,13 @@ type (
 	Layout = mem.Layout
 	// Field is one named state variable in a Layout.
 	Field = mem.Field
-	// Pool is a pre-allocated per-flow datablock table.
-	Pool = mem.Pool
 )
 
 // NewAddressSpace creates a fresh simulated address space.
 func NewAddressSpace() *AddressSpace { return mem.NewAddressSpace() }
 
-// The NF model (see internal/model): granular decomposition's parts.
-type (
-	// Program is a compiled network function or SFC.
-	Program = model.Program
-	// Builder assembles Programs from modules, states and transitions.
-	Builder = model.Builder
-	// Action is one NFAction with its declared state accesses.
-	Action = model.Action
-	// Exec is the per-stream execution context (the NFTask payload).
-	Exec = model.Exec
-	// EventID identifies an interned NFEvent.
-	EventID = model.EventID
-	// FieldRef symbolically names the state an action accesses.
-	FieldRef = model.FieldRef
-	// Binding is one module's state: its pools, their layouts and its
-	// control region.
-	Binding = model.Binding
-)
-
-// NewBuilder starts a program named name.
-func NewBuilder(name string) *Builder { return model.NewBuilder(name) }
+// Program is a compiled network function or SFC (see internal/model).
+type Program = model.Program
 
 // Packets and flows (see internal/pkt).
 type (
@@ -156,7 +135,8 @@ func NewEngine(cfg SimConfig, setups []CoreSetup) (*Engine, error) {
 // AggregateResults combines per-core results into a fleet view.
 func AggregateResults(results []Result) Result { return rt.Aggregate(results) }
 
-// The NF library: the paper's evaluated network functions.
+// The paper's single network functions (BuildChain builds the SFC
+// members).
 type (
 	// NAT is the stateful network address translator.
 	NAT = nat.NAT
@@ -170,20 +150,6 @@ type (
 	AMF = amf.AMF
 	// AMFConfig parametrizes an AMF.
 	AMFConfig = amf.Config
-	// LB is the stateful load balancer.
-	LB = lb.LB
-	// LBConfig parametrizes an LB.
-	LBConfig = lb.Config
-	// FW is the stateful firewall.
-	FW = fw.FW
-	// FWConfig parametrizes a firewall.
-	FWConfig = fw.Config
-	// FWRule is one firewall policy rule.
-	FWRule = fw.Rule
-	// Monitor is the per-flow network monitor.
-	Monitor = monitor.Monitor
-	// MonitorConfig parametrizes a monitor.
-	MonitorConfig = monitor.Config
 )
 
 // NewNAT builds a NAT instance.
@@ -195,26 +161,12 @@ func NewUPF(as *AddressSpace, cfg UPFConfig) (*UPF, error) { return upf.New(as, 
 // NewAMF builds an AMF with its UE population registered.
 func NewAMF(as *AddressSpace, cfg AMFConfig) (*AMF, error) { return amf.New(as, cfg) }
 
-// NewLB builds a load balancer instance.
-func NewLB(as *AddressSpace, cfg LBConfig) (*LB, error) { return lb.New(as, cfg) }
-
-// NewFW builds a firewall instance.
-func NewFW(as *AddressSpace, cfg FWConfig) (*FW, error) { return fw.New(as, cfg) }
-
-// NewMonitor builds a monitor instance.
-func NewMonitor(as *AddressSpace, cfg MonitorConfig) (*Monitor, error) { return monitor.New(as, cfg) }
-
-// FWDefaultPolicy builds an n-rule policy ending in a catch-all allow.
-func FWDefaultPolicy(n int) []FWRule { return fw.DefaultPolicy(n) }
-
 // The compiler (see internal/compile).
 type (
 	// Chainable is an NF that composes into service function chains.
 	Chainable = compile.Chainable
 	// SFCOptions selects the chain compilation optimizations.
 	SFCOptions = compile.SFCOptions
-	// FuseMember describes one NF's records for fused data packing.
-	FuseMember = compile.FuseMember
 )
 
 // BuildSFC compiles a chain of NFs into one Program.
@@ -231,12 +183,6 @@ func PopulateFlows(chain []Chainable, tuples []FiveTuple) error {
 // shared cache lines.
 func PackLayout(fields []Field, groups [][]string) (*Layout, error) {
 	return compile.PackLayout(fields, groups)
-}
-
-// FuseStates builds one fused, packed per-flow pool for a whole chain
-// and returns each member's Binding of it.
-func FuseStates(as *AddressSpace, name string, members []FuseMember, maxFlows int) (map[string]*Binding, error) {
-	return compile.FuseStates(as, name, members, maxFlows)
 }
 
 // BuildChain constructs the paper's LB→NAT→NM→FW… chain of the given
@@ -259,18 +205,10 @@ type (
 	AMFTrafficConfig = traffic.AMFConfig
 	// AMFGen emits NAS registration messages.
 	AMFGen = traffic.AMFGen
-	// CaidaConfig parametrizes the CAIDA-like synthetic trace.
-	CaidaConfig = traffic.CaidaConfig
-	// CaidaGen emits the heavy-tailed IMIX trace.
-	CaidaGen = traffic.CaidaGen
 )
 
-// Flow orders for FlowGenConfig.Order.
-const (
-	OrderUniform    = traffic.OrderUniform
-	OrderZipf       = traffic.OrderZipf
-	OrderRoundRobin = traffic.OrderRoundRobin
-)
+// OrderUniform (a FlowGenConfig.Order) draws flows uniformly at random.
+const OrderUniform = traffic.OrderUniform
 
 // NewFlowGen builds a synthetic flow workload generator.
 func NewFlowGen(cfg FlowGenConfig) (*FlowGen, error) { return traffic.NewFlowGen(cfg) }
@@ -280,9 +218,6 @@ func NewMGWGen(cfg MGWConfig) (*MGWGen, error) { return traffic.NewMGWGen(cfg) }
 
 // NewAMFGen builds the registration call-flow generator.
 func NewAMFGen(cfg AMFTrafficConfig) (*AMFGen, error) { return traffic.NewAMFGen(cfg) }
-
-// NewCaidaGen builds the CAIDA-like trace generator.
-func NewCaidaGen(cfg CaidaConfig) (*CaidaGen, error) { return traffic.NewCaidaGen(cfg) }
 
 // Experiments (see internal/exp): the paper's figures as runnable
 // table generators.
@@ -310,46 +245,15 @@ type (
 	// (Core.SetTracer): in emission order, delivered at flush points —
 	// every Worker.Run return among them — not synchronously.
 	Tracer = sim.Tracer
-	// BatchTracer is the optional upgrade a Tracer implements to take
-	// each flush as one slice instead of one call per event.
-	BatchTracer = sim.BatchTracer
 	// TraceEvent is one cycle-stamped simulation event.
 	TraceEvent = sim.TraceEvent
-	// ObsCollector folds the event stream into per-NFAction /
-	// per-NFState attribution tables and latency quantiles.
-	ObsCollector = obs.Collector
-	// ObsTraceWriter exports the event stream as Chrome trace-event
-	// JSON for ui.perfetto.dev.
-	ObsTraceWriter = obs.TraceWriter
-	// LatencyHistogram is the log-bucketed quantile histogram behind
-	// the latency tables.
-	LatencyHistogram = stats.Histogram
 	// FlightRecorder is the fixed-size ring of the newest events,
 	// dumpable as a Perfetto trace after the fact.
 	FlightRecorder = obs.FlightRecorder
 	// LatencyProbe tracks only the rx→done latency distribution, cheap
 	// enough for serving deployments.
 	LatencyProbe = obs.LatencyProbe
-	// MetricsRegistry is the stdlib-only OpenMetrics text-exposition
-	// registry (mount it at /metrics). It stores no values: every
-	// family is a FamilyFunc (or a Summary over a histogram) that emits
-	// its series at scrape time.
-	MetricsRegistry = obs.Registry
 )
-
-// NewObsCollector builds an attribution collector for prog at freqHz.
-func NewObsCollector(prog *Program, freqHz float64) *ObsCollector {
-	return obs.NewCollector(prog, freqHz)
-}
-
-// NewObsTraceWriter builds a Chrome trace exporter for prog at freqHz.
-func NewObsTraceWriter(prog *Program, freqHz float64) *ObsTraceWriter {
-	return obs.NewTraceWriter(prog, freqHz)
-}
-
-// MultiTracer fans one event stream out to several tracers (nils are
-// dropped; an all-nil call returns nil, keeping the fast path).
-func MultiTracer(tracers ...Tracer) Tracer { return obs.Multi(tracers...) }
 
 // NewFlightRecorder builds an event ring holding the newest `size`
 // events (rounded up to a power of two, minimum 64).
@@ -357,6 +261,3 @@ func NewFlightRecorder(size int) *FlightRecorder { return obs.NewFlightRecorder(
 
 // NewLatencyProbe builds an rx→done latency tracer.
 func NewLatencyProbe() *LatencyProbe { return obs.NewLatencyProbe() }
-
-// NewMetricsRegistry builds an empty OpenMetrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }

@@ -376,7 +376,7 @@ func (d *Director) RequestFlightDump(agent string) error {
 	return nil
 }
 
-// Agents returns the names of currently connected agents.
+// Agents returns the names of currently connected agents, sorted.
 func (d *Director) Agents() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -386,6 +386,7 @@ func (d *Director) Agents() []string {
 			names = append(names, n)
 		}
 	}
+	sort.Strings(names)
 	return names
 }
 
@@ -539,17 +540,16 @@ func (d *Director) awaitReply(ctx context.Context, ac *agentConn, agent string, 
 
 // DeployAll deploys the same spec to every connected agent in parallel
 // (the multi-core scaling experiments) under one shared deadline, and
-// returns the successful agents' results. When some agents fail, their
-// results are simply absent and the error is a *DeployAllError
-// attributing each failure — one wedged or dead agent degrades the
-// run instead of aborting it, and cannot extend wall-clock past
-// timeout.
+// returns the successful agents' results in name order. When some
+// agents fail, their results are simply absent and the error is a
+// *DeployAllError attributing each failure — one wedged or dead agent
+// degrades the run instead of aborting it, and cannot extend
+// wall-clock past timeout.
 func (d *Director) DeployAll(depl DeploySpec, timeout time.Duration) ([]Result, error) {
 	agents := d.Agents()
 	if len(agents) == 0 {
 		return nil, fmt.Errorf("director: no agents registered")
 	}
-	sort.Strings(agents)
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -108,6 +109,20 @@ func TestDeployAllParallel(t *testing.T) {
 	for _, r := range results {
 		if r.Packets != 2000 {
 			t.Fatalf("agent %s processed %d", r.Agent, r.Packets)
+		}
+	}
+}
+
+// TestAgentsSorted requires Agents to list names in order on every
+// call, not in the director's map order.
+func TestAgentsSorted(t *testing.T) {
+	d, stop := startCluster(t, 8)
+	defer stop()
+
+	for i := 0; i < 20; i++ {
+		names := d.Agents()
+		if len(names) != 8 || !sort.StringsAreSorted(names) {
+			t.Fatalf("call %d: Agents() = %v, want 8 sorted names", i, names)
 		}
 	}
 }

@@ -82,7 +82,10 @@ func Fig10(o Options) ([]*stats.Table, error) {
 // Fig11 reproduces Figure 11: the NAT under granular decomposition —
 // one NFTask is slower than RTC (scheduler overhead with nothing to
 // overlap), the benefit appears from 4 streams, peaks near 16, and
-// degrades at 64 when prefetched lines start being evicted before use.
+// degrades at 64. At the default 2048-B rx slot stride that drop is
+// mostly header-line aliasing (every header in one of two L1 sets):
+// the NAT loses 15.6 % from 16 to 64 tasks there and 1.7 % at a
+// 2304-B stride (ROADMAP item 2).
 func Fig11(o Options) ([]*stats.Table, error) {
 	flows := o.pick(1<<17, 1<<13)
 	warm := o.pickU(20000, 2000)

@@ -144,9 +144,6 @@ func TestCollectorLatencyAndTables(t *testing.T) {
 		if err := tab.Render(&buf); err != nil {
 			t.Fatalf("render %q: %v", tab.Title, err)
 		}
-		if err := tab.WriteCSV(&buf); err != nil {
-			t.Fatalf("csv %q: %v", tab.Title, err)
-		}
 	}
 
 	// The per-action table must attribute at least as many executions as

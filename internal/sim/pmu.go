@@ -141,17 +141,6 @@ func (c Counters) PrefetchAccuracy() float64 {
 	return float64(c.PrefetchUseful) / float64(c.PrefetchIssued)
 }
 
-// PrefetchCoverage returns the fraction of would-be demand misses the
-// prefetcher absorbed: useful prefetches over useful prefetches plus
-// the L1 misses that still happened.
-func (c Counters) PrefetchCoverage() float64 {
-	total := c.PrefetchUseful + c.L1Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.PrefetchUseful) / float64(total)
-}
-
 // String renders a compact one-line summary for logs and dumps,
 // including the derived metrics that make a single line readable:
 // MPKI, the stall share of total cycles, and prefetch accuracy.

@@ -23,15 +23,11 @@ func TestDerivedMetrics(t *testing.T) {
 	if got := c.PrefetchAccuracy(); got != 0.75 {
 		t.Fatalf("PrefetchAccuracy = %v, want 0.75", got)
 	}
-	// Coverage: 60 useful over 60+50 would-be misses.
-	if got := c.PrefetchCoverage(); got < 0.5454 || got > 0.5455 {
-		t.Fatalf("PrefetchCoverage = %v, want ~0.5455", got)
-	}
 }
 
 func TestDerivedMetricsZeroSafe(t *testing.T) {
 	var c Counters
-	if c.MPKI() != 0 || c.StallFraction() != 0 || c.PrefetchAccuracy() != 0 || c.PrefetchCoverage() != 0 {
+	if c.MPKI() != 0 || c.StallFraction() != 0 || c.PrefetchAccuracy() != 0 {
 		t.Fatal("zero counters must yield zero derived metrics, not NaN")
 	}
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"bytes"
 	"math/rand"
 	"sort"
 	"strings"
@@ -247,27 +246,5 @@ func TestHistogramBucketRoundTrip(t *testing.T) {
 		if histBucketMax(idx) < v {
 			t.Fatalf("bucketMax(%d) = %d below member %d", idx, histBucketMax(idx), v)
 		}
-	}
-}
-
-func TestTableWriteCSV(t *testing.T) {
-	tab := NewTable("title ignored", "name", "value", "note")
-	tab.AddRow("a", "1", "plain")
-	tab.AddRow("b", "2", `comma, and "quote"`)
-	tab.AddRow("c") // short row pads empty cells
-	var buf bytes.Buffer
-	if err := tab.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-	want := "name,value,note\n" +
-		"a,1,plain\n" +
-		"b,2,\"comma, and \"\"quote\"\"\"\n" +
-		"c,,\n"
-	if got != want {
-		t.Fatalf("csv:\n got %q\nwant %q", got, want)
-	}
-	if strings.Contains(got, "title") {
-		t.Fatal("title must not leak into CSV")
 	}
 }

@@ -3,7 +3,6 @@
 package stats
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -110,27 +109,6 @@ func (t *Table) Render(w io.Writer) error {
 	sb.WriteByte('\n')
 	_, err := io.WriteString(w, sb.String())
 	return err
-}
-
-// WriteCSV writes the table as RFC 4180 CSV: one header record of the
-// column names followed by the data rows. The title is not emitted
-// (CSV has no comment syntax); callers wanting it should write their
-// own preamble.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Columns); err != nil {
-		return fmt.Errorf("stats: csv header: %w", err)
-	}
-	for i, row := range t.rows {
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("stats: csv row %d: %w", i, err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("stats: csv flush: %w", err)
-	}
-	return nil
 }
 
 func pad(s string, w int) string {
