@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify cross lint loc bench-smoke bench-compile bench-paired bench-ab profile examples quick trace-demo metrics-demo fuzz chaos chaos-demo
+.PHONY: build test verify cross lint loc bench-smoke bench-compile bench-paired bench-ab stmts profile examples quick trace-demo metrics-demo fuzz chaos chaos-demo
 
 build:
 	$(GO) build ./...
@@ -97,6 +97,17 @@ WORKLOAD ?= cluster_deploy
 PAIRS ?= 10
 bench-ab:
 	BASE=$(BASE) WORKLOAD=$(WORKLOAD) PAIRS=$(PAIRS) scripts/bench_ab.sh
+
+# stmts prints the statement ladder of one benchmark workload: Go
+# statements executed per operation (per packet on the four packet
+# workloads), per package and per file, from the coverage counters of a
+# 1-s and a 2-s run whose set-ups match. Exact where host time is not;
+# see scripts/stmt_ladder.sh. WORKLOAD must be given: bench-ab's default
+# does not apply here.
+#   make stmts WORKLOAD=upf_mgw
+stmts:
+	@if [ "$(origin WORKLOAD)" = file ]; then echo "usage: make stmts WORKLOAD=<workload>" >&2; exit 2; fi
+	scripts/stmt_ladder.sh $(WORKLOAD)
 
 # profile runs a measured NAT window with host pprof attached — warmup
 # packets are excluded from the CPU profile, so it shows only the

@@ -184,18 +184,44 @@ func TestCuckooProperty(t *testing.T) {
 	}
 }
 
-func sessionsFixture(n, pdrs int) []SessionRules {
-	out := make([]SessionRules, 0, n)
+// testSession is one session's rule set as a test writes it: the
+// header fields and the session's own ranges.
+type testSession struct {
+	UEIP    uint32
+	Session int32
+	PDRs    []PortRange
+}
+
+// flat lays test sessions out as NewMDITree takes them: one header per
+// session and every session's ranges back to back in one array.
+func flat(sessions []testSession) ([]SessionRules, []PortRange) {
+	headers := make([]SessionRules, len(sessions))
+	var ranges []PortRange
+	for i, s := range sessions {
+		headers[i] = SessionRules{UEIP: s.UEIP, Session: s.Session, Rules: int32(len(s.PDRs))}
+		ranges = append(ranges, s.PDRs...)
+	}
+	return headers, ranges
+}
+
+// newMDITree builds a tree from test sessions on a fresh address space.
+func newMDITree(sessions []testSession) (*MDITree, error) {
+	headers, ranges := flat(sessions)
+	return NewMDITree(mem.NewAddressSpace(), "t", headers, ranges)
+}
+
+func sessionsFixture(n, pdrs int) []testSession {
+	out := make([]testSession, 0, n)
 	span := 65536 / pdrs
 	for i := 0; i < n; i++ {
-		s := SessionRules{UEIP: 0x0a000000 + uint32(i), Session: int32(i)}
+		s := testSession{UEIP: 0x0a000000 + uint32(i), Session: int32(i)}
 		for p := 0; p < pdrs; p++ {
 			lo := p * span
 			hi := lo + span - 1
 			if p == pdrs-1 {
 				hi = 65535
 			}
-			s.PDRs = append(s.PDRs, PortRange{Lo: uint16(lo), Hi: uint16(hi), PDR: int32(i*pdrs + p)})
+			s.PDRs = append(s.PDRs, PortRange{Lo: uint16(lo), Hi: uint16(hi)})
 		}
 		out = append(out, s)
 	}
@@ -204,7 +230,7 @@ func sessionsFixture(n, pdrs int) []SessionRules {
 
 func TestMDITreeLookup(t *testing.T) {
 	sessions := sessionsFixture(100, 4)
-	tree, err := NewMDITree(mem.NewAddressSpace(), "t", sessions)
+	tree, err := newMDITree(sessions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +256,11 @@ func TestMDITreeLookup(t *testing.T) {
 
 // TestMDITreeUnsortedInput: a tree built from shuffled sessions and
 // shuffled ranges is the sorted fixture's tree — as many nodes, the
-// same answer for every lookup — and the caller's slices keep their
-// shuffled order.
+// same answer for every lookup, rule indexes included, since they
+// follow UE IP and Lo order rather than input order — and the caller's
+// headers and ranges keep their shuffled order.
 func TestMDITreeUnsortedInput(t *testing.T) {
-	sorted, err := NewMDITree(mem.NewAddressSpace(), "t", sessionsFixture(64, 8))
+	sorted, err := newMDITree(sessionsFixture(64, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +270,9 @@ func TestMDITreeUnsortedInput(t *testing.T) {
 	for _, s := range shuffled {
 		rng.Shuffle(len(s.PDRs), func(i, j int) { s.PDRs[i], s.PDRs[j] = s.PDRs[j], s.PDRs[i] })
 	}
-	before := slices.Clone(shuffled)
-	for i := range before {
-		before[i].PDRs = slices.Clone(before[i].PDRs)
-	}
-	tree, err := NewMDITree(mem.NewAddressSpace(), "t", shuffled)
+	headers, ranges := flat(shuffled)
+	wantHeaders, wantRanges := slices.Clone(headers), slices.Clone(ranges)
+	tree, err := NewMDITree(mem.NewAddressSpace(), "t", headers, ranges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,15 +288,34 @@ func TestMDITreeUnsortedInput(t *testing.T) {
 			}
 		}
 	}
-	for i := range before {
-		if before[i].UEIP != shuffled[i].UEIP || !slices.Equal(before[i].PDRs, shuffled[i].PDRs) {
-			t.Fatalf("NewMDITree reordered the caller's sessions or ranges (session slot %d)", i)
+	if !slices.Equal(headers, wantHeaders) || !slices.Equal(ranges, wantRanges) {
+		t.Fatal("NewMDITree reordered the caller's unsorted headers or ranges")
+	}
+}
+
+// TestMDITreeAdoptsSortedRanges: sorted input is built in place — the
+// tree's rule nodes are the caller's ranges array, each session's run
+// permuted into preorder — so building allocates no copy of the rules.
+func TestMDITreeAdoptsSortedRanges(t *testing.T) {
+	headers, ranges := flat(sessionsFixture(8, 7))
+	tree, err := NewMDITree(mem.NewAddressSpace(), "t", headers, ranges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &tree.rules[0] != &ranges[0] || len(tree.rules) != len(ranges) {
+		t.Fatal("sorted ranges were copied, not adopted")
+	}
+	// A run of 7 sorted ranges r0..r6 lies in preorder as r3 r1 r0 r2 r5 r4 r6.
+	_, want := flat(sessionsFixture(1, 7))
+	for i, k := range []int{3, 1, 0, 2, 5, 4, 6} {
+		if ranges[7+i] != want[k] {
+			t.Fatalf("session 1's node %d holds %v, want sorted range %d %v", i, ranges[7+i], k, want[k])
 		}
 	}
 }
 
 func TestMDITreeMiss(t *testing.T) {
-	tree, err := NewMDITree(mem.NewAddressSpace(), "t", sessionsFixture(10, 2))
+	tree, err := newMDITree(sessionsFixture(10, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,12 +325,12 @@ func TestMDITreeMiss(t *testing.T) {
 }
 
 func TestMDITreeMissWithinSession(t *testing.T) {
-	sessions := []SessionRules{{
+	sessions := []testSession{{
 		UEIP:    0x0a000001,
 		Session: 0,
-		PDRs:    []PortRange{{Lo: 100, Hi: 200, PDR: 0}},
+		PDRs:    []PortRange{{Lo: 100, Hi: 200}},
 	}}
-	tree, err := NewMDITree(mem.NewAddressSpace(), "t", sessions)
+	tree, err := newMDITree(sessions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,8 +347,8 @@ func TestMDITreeMissWithinSession(t *testing.T) {
 }
 
 func TestMDITreeSessionWithNoPDRs(t *testing.T) {
-	sessions := []SessionRules{{UEIP: 1, Session: 0}}
-	tree, err := NewMDITree(mem.NewAddressSpace(), "t", sessions)
+	sessions := []testSession{{UEIP: 1, Session: 0}}
+	tree, err := newMDITree(sessions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,31 +359,37 @@ func TestMDITreeSessionWithNoPDRs(t *testing.T) {
 
 func TestMDITreeErrors(t *testing.T) {
 	as := mem.NewAddressSpace()
-	if _, err := NewMDITree(as, "t", nil); err == nil {
+	if _, err := NewMDITree(as, "t", nil, nil); err == nil {
 		t.Fatal("empty sessions accepted")
 	}
-	dup := []SessionRules{{UEIP: 1, Session: 0}, {UEIP: 1, Session: 1}}
-	if _, err := NewMDITree(as, "t", dup); err == nil {
-		t.Fatal("duplicate UE IP accepted")
+	for name, sessions := range map[string][]testSession{
+		"duplicate UE IP": {{UEIP: 1, Session: 0}, {UEIP: 1, Session: 1}},
+		"overlapping ranges": {{
+			UEIP: 1, Session: 0,
+			PDRs: []PortRange{{Lo: 0, Hi: 100}, {Lo: 50, Hi: 150}},
+		}},
+		"inverted range": {{
+			UEIP: 1, Session: 0,
+			PDRs: []PortRange{{Lo: 100, Hi: 50}},
+		}},
+	} {
+		headers, ranges := flat(sessions)
+		if _, err := NewMDITree(as, "t", headers, ranges); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	overlap := []SessionRules{{
-		UEIP: 1, Session: 0,
-		PDRs: []PortRange{{Lo: 0, Hi: 100, PDR: 0}, {Lo: 50, Hi: 150, PDR: 1}},
-	}}
-	if _, err := NewMDITree(as, "t", overlap); err == nil {
-		t.Fatal("overlapping ranges accepted")
+	headers, ranges := flat(sessionsFixture(2, 4))
+	if _, err := NewMDITree(as, "t", headers, ranges[1:]); err == nil {
+		t.Error("7 ranges accepted for headers counting 8")
 	}
-	inverted := []SessionRules{{
-		UEIP: 1, Session: 0,
-		PDRs: []PortRange{{Lo: 100, Hi: 50, PDR: 0}},
-	}}
-	if _, err := NewMDITree(as, "t", inverted); err == nil {
-		t.Fatal("inverted range accepted")
+	headers[0].Rules, headers[1].Rules = -4, 12
+	if _, err := NewMDITree(as, "t", headers, ranges); err == nil {
+		t.Error("negative rule count accepted")
 	}
 }
 
 func TestMDITreeDepthLogarithmic(t *testing.T) {
-	tree, err := NewMDITree(mem.NewAddressSpace(), "t", sessionsFixture(1024, 16))
+	tree, err := newMDITree(sessionsFixture(1024, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +400,7 @@ func TestMDITreeDepthLogarithmic(t *testing.T) {
 }
 
 func TestMDITreeStepwiseMatchesLookup(t *testing.T) {
-	tree, err := NewMDITree(mem.NewAddressSpace(), "t", sessionsFixture(64, 8))
+	tree, err := newMDITree(sessionsFixture(64, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +435,7 @@ func TestMDITreeStepwiseMatchesLookup(t *testing.T) {
 // Property: stepwise walk and reference lookup agree for arbitrary
 // queries, hit or miss.
 func TestMDITreeProperty(t *testing.T) {
-	tree, err := NewMDITree(mem.NewAddressSpace(), "t", sessionsFixture(128, 4))
+	tree, err := newMDITree(sessionsFixture(128, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,8 +486,8 @@ func TestMDIWalkAddressTrace(t *testing.T) {
 			sessions[i].PDRs = sessions[i].PDRs[3:4]
 		}
 	}
-	sessions = append(sessions, SessionRules{UEIP: base + 61, Session: 61})
-	tree, err := NewMDITree(mem.NewAddressSpace(), "t", sessions)
+	sessions = append(sessions, testSession{UEIP: base + 61, Session: 61})
+	tree, err := newMDITree(sessions)
 	if err != nil {
 		t.Fatal(err)
 	}

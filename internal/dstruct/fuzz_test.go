@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
@@ -162,19 +161,18 @@ func TestCuckooReinsertAfterDisplacement(t *testing.T) {
 // in 256-port units), bit 3 lists the ranges in descending order and
 // the high nibble spaces the UE IPs, so that addresses between
 // sessions miss.
-func mdiSessions(data []byte) []SessionRules {
-	var sessions []SessionRules
-	ue, pdr := uint32(0x0a000000), int32(0)
+func mdiSessions(data []byte) []testSession {
+	var sessions []testSession
+	ue := uint32(0x0a000000)
 	for i := 0; i < len(data) && len(sessions) < 32; {
 		h := data[i]
 		i++
 		ue += 1 + uint32(h>>4)
-		s := SessionRules{UEIP: ue, Session: int32(len(sessions))}
+		s := testSession{UEIP: ue, Session: int32(len(sessions))}
 		switch shape := h & 7; shape {
 		case 0:
 		case 1:
-			s.PDRs = []PortRange{{Lo: 0, Hi: 65535, PDR: pdr}}
-			pdr++
+			s.PDRs = []PortRange{{Lo: 0, Hi: 65535}}
 		default:
 			next := 0
 			for r := 0; r < int(shape)-1 && i+1 < len(data); r++ {
@@ -186,8 +184,7 @@ func mdiSessions(data []byte) []SessionRules {
 					break
 				}
 				hi = min(hi, 65535)
-				s.PDRs = append(s.PDRs, PortRange{Lo: uint16(lo), Hi: uint16(hi), PDR: pdr})
-				pdr++
+				s.PDRs = append(s.PDRs, PortRange{Lo: uint16(lo), Hi: uint16(hi)})
 				next = hi + 1
 			}
 		}
@@ -199,15 +196,28 @@ func mdiSessions(data []byte) []SessionRules {
 	return sessions
 }
 
-// bruteMatch scans the input rules for (ip, port).
-func bruteMatch(sessions []SessionRules, ip uint32, port uint16) (session, pdr int32, ok bool) {
+// bruteMatch scans the input rules for (ip, port). The PDR index it
+// expects follows the tree's contract from the rules alone: the ranges
+// of every session with a lower UE IP, plus the matched range's rank by
+// Lo within its session.
+func bruteMatch(sessions []testSession, ip uint32, port uint16) (session, pdr int32, ok bool) {
 	for _, s := range sessions {
 		if s.UEIP != ip {
 			continue
 		}
 		for _, r := range s.PDRs {
 			if r.Lo <= port && port <= r.Hi {
-				return s.Session, r.PDR, true
+				for _, o := range sessions {
+					if o.UEIP < ip {
+						pdr += int32(len(o.PDRs))
+					}
+				}
+				for _, o := range s.PDRs {
+					if o.Lo < r.Lo {
+						pdr++
+					}
+				}
+				return s.Session, pdr, true
 			}
 		}
 	}
@@ -224,7 +234,7 @@ func FuzzMDITree(f *testing.F) {
 		if len(sessions) == 0 {
 			return
 		}
-		tree, err := NewMDITree(mem.NewAddressSpace(), "t", sessions)
+		tree, err := newMDITree(sessions)
 		if err != nil {
 			t.Fatalf("decoded sessions refused: %v", err)
 		}

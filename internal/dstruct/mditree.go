@@ -14,26 +14,26 @@ import (
 )
 
 // PortRange is one PDR's SDF filter reduced to its discriminating
-// dimension: a source-port interval mapping to a PDR pool index.
+// dimension: a source-port interval. It is also the tree's rule node:
+// a rule's PDR index is implied by its place (see MDITree).
 type PortRange struct {
 	// Lo and Hi bound the matched source ports, inclusive.
 	Lo, Hi uint16
-	// PDR is the sub-flow pool index of the matched rule.
-	PDR int32
 }
 
-// SessionRules is the rule set of one PFCP session: the UE IP that
-// selects the session (first dimension) and the PDR filters that select
-// the rule within it (second dimension).
+// SessionRules is the header of one PFCP session's rule set: the UE IP
+// that selects the session (first dimension) and how many PDR filters,
+// held in the ranges passed beside it, select the rule within it
+// (second dimension).
 type SessionRules struct {
 	// UEIP is the session's UE address, matched against the packet's
 	// destination IP on the downlink.
 	UEIP uint32
 	// Session is the per-flow pool index of the session state.
 	Session int32
-	// PDRs are the session's packet detection rules; their port ranges
-	// must be disjoint.
-	PDRs []PortRange
+	// Rules is the length of the session's run of port ranges; the
+	// ranges of one session must be disjoint.
+	Rules int32
 }
 
 // StepResult is the outcome of one MDI tree descent step.
@@ -44,18 +44,11 @@ const (
 	// StepContinue means the walk continues at the cursor's new address.
 	StepContinue StepResult = iota + 1
 	// StepFound means the PDR was located: cur.Idx is the PDR index and
-	// cur.Aux[3] the session index.
+	// SessionOf(cur) the session index.
 	StepFound
 	// StepMiss means no rule matches the packet.
 	StepMiss
 )
-
-// ruleNode is one second-dimension node: a PDR's source-port range
-// and its PDR index.
-type ruleNode struct {
-	lo, hi uint16
-	pdr    int32
-}
 
 // sessionNode is one first-dimension node: a session's UE IP, its
 // session index, and the root and entry count of its rule subtree.
@@ -78,38 +71,60 @@ type sessionNode struct {
 // over L entries holds the entry at L/2 and has its left child at p+1
 // over L/2 entries and its right child at p+1+L/2 over L-L/2-1. A walk
 // carries its subtree's entry count instead of reading child links.
+//
+// A rule node is a bare PortRange: the PDR index a match returns is
+// implied too (see NewMDITree), so a walk tracks the rank of its
+// subtree's first entry as it descends: a subtree over entries
+// [o, o+L) holds entry o+L/2 at its root, its left child keeps o and
+// its right child starts at o+L/2+1.
 type MDITree struct {
 	region   mem.Region
-	rules    []ruleNode
+	rules    []PortRange
 	sessions []sessionNode
 }
 
 // NewMDITree builds the tree for the given sessions, reserving one
-// simulated line per node from as.
-func NewMDITree(as *mem.AddressSpace, name string, sessions []SessionRules) (*MDITree, error) {
+// simulated line per node from as. ranges holds every session's run of
+// port ranges back to back, in the order of sessions, each run
+// sessions[i].Rules long. A match on a session's k-th range by Lo
+// returns rule index sub+k, where sub counts the ranges of the sessions
+// with lower UE IPs.
+//
+// When sessions are in UE IP order and each run in Lo order, the tree
+// takes ranges over as its rule nodes, permuting each run into preorder
+// in place, and the caller must not use ranges again. Other input is
+// sorted into a copy and both slices are left as they were.
+func NewMDITree(as *mem.AddressSpace, name string, sessions []SessionRules, ranges []PortRange) (*MDITree, error) {
 	if len(sessions) == 0 {
 		return nil, fmt.Errorf("dstruct: mditree %s: no sessions", name)
 	}
-	sorted := inOrder(sessions, func(a, b SessionRules) int { return cmp.Compare(a.UEIP, b.UEIP) })
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i].UEIP == sorted[i-1].UEIP {
-			return nil, fmt.Errorf("dstruct: mditree %s: duplicate UE IP %#x", name, sorted[i].UEIP)
-		}
-	}
-	n := len(sessions)
+	total := 0
 	for _, s := range sessions {
-		n += len(s.PDRs)
+		if s.Rules < 0 {
+			return nil, fmt.Errorf("dstruct: mditree %s: negative rule count %d for UE %#x", name, s.Rules, s.UEIP)
+		}
+		total += int(s.Rules)
 	}
+	if total != len(ranges) {
+		return nil, fmt.Errorf("dstruct: mditree %s: sessions hold %d rules, %d ranges given", name, total, len(ranges))
+	}
+	n := len(sessions) + len(ranges)
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("dstruct: mditree %s: %d nodes exceed the int32 index space", name, n)
 	}
-	t := &MDITree{
-		rules:    make([]ruleNode, n-len(sessions)),
-		sessions: make([]sessionNode, len(sessions)),
+	sessions, ranges = inOrder(sessions, ranges)
+	for i := 1; i < len(sessions); i++ {
+		if sessions[i].UEIP == sessions[i-1].UEIP {
+			return nil, fmt.Errorf("dstruct: mditree %s: duplicate UE IP %#x", name, sessions[i].UEIP)
+		}
 	}
+	t := &MDITree{rules: ranges, sessions: make([]sessionNode, len(sessions))}
 	// An in-order pass over the session tree meets the sessions in UE IP
-	// order, which is the order their rule subtrees occupy.
+	// order, which is the order their runs, and so their rule subtrees,
+	// occupy. Each run is copied to scratch and laid back out in
+	// preorder.
 	var next int32
+	var scratch []PortRange
 	var place func(p int, sessions []SessionRules) error
 	place = func(p int, sessions []SessionRules) error {
 		if len(sessions) == 0 {
@@ -120,21 +135,22 @@ func NewMDITree(as *mem.AddressSpace, name string, sessions []SessionRules) (*MD
 			return err
 		}
 		s := sessions[mid]
-		ranges := inOrder(s.PDRs, func(a, b PortRange) int { return cmp.Compare(a.Lo, b.Lo) })
-		for j, r := range ranges {
+		run := t.rules[next : next+s.Rules]
+		for j, r := range run {
 			if r.Lo > r.Hi {
 				return fmt.Errorf("dstruct: mditree %s: inverted range [%d,%d]", name, r.Lo, r.Hi)
 			}
-			if j > 0 && r.Lo <= ranges[j-1].Hi {
+			if j > 0 && r.Lo <= run[j-1].Hi {
 				return fmt.Errorf("dstruct: mditree %s: overlapping PDR ranges for UE %#x", name, s.UEIP)
 			}
 		}
-		t.sessions[p] = sessionNode{ueip: s.UEIP, session: s.Session, sub: next, rules: int32(len(ranges))}
-		placeRanges(t.rules[next:next+int32(len(ranges))], ranges)
-		next += int32(len(ranges))
+		t.sessions[p] = sessionNode{ueip: s.UEIP, session: s.Session, sub: next, rules: s.Rules}
+		scratch = append(scratch[:0], run...)
+		placeRanges(run, scratch)
+		next += s.Rules
 		return place(p+1+mid, sessions[mid+1:])
 	}
-	if err := place(0, sorted); err != nil {
+	if err := place(0, sessions); err != nil {
 		return nil, err
 	}
 
@@ -143,27 +159,54 @@ func NewMDITree(as *mem.AddressSpace, name string, sessions []SessionRules) (*MD
 	return t, nil
 }
 
-// inOrder returns s if it is sorted by compare, else a sorted copy.
-func inOrder[S ~[]E, E any](s S, compare func(a, b E) int) S {
-	if slices.IsSortedFunc(s, compare) {
-		return s
+// inOrder returns sessions and ranges as they are if the sessions are in
+// UE IP order and every run in Lo order, else sorted copies: the
+// headers by UE IP, and the runs moved with their sessions and each
+// sorted by Lo.
+func inOrder(sessions []SessionRules, ranges []PortRange) ([]SessionRules, []PortRange) {
+	byIP := func(a, b SessionRules) int { return cmp.Compare(a.UEIP, b.UEIP) }
+	byLo := func(a, b PortRange) int { return cmp.Compare(a.Lo, b.Lo) }
+	sorted := slices.IsSortedFunc(sessions, byIP)
+	var off int32
+	for _, s := range sessions {
+		sorted = sorted && slices.IsSortedFunc(ranges[off:off+s.Rules], byLo)
+		off += s.Rules
 	}
-	s = slices.Clone(s)
-	slices.SortFunc(s, compare)
-	return s
+	if sorted {
+		return sessions, ranges
+	}
+	type run struct {
+		SessionRules
+		off int32
+	}
+	runs := make([]run, len(sessions))
+	off = 0
+	for i, s := range sessions {
+		runs[i] = run{s, off}
+		off += s.Rules
+	}
+	slices.SortFunc(runs, func(a, b run) int { return byIP(a.SessionRules, b.SessionRules) })
+	outS := make([]SessionRules, len(runs))
+	outR := make([]PortRange, 0, len(ranges))
+	for i, r := range runs {
+		outS[i] = r.SessionRules
+		k := len(outR)
+		outR = append(outR, ranges[r.off:r.off+r.Rules]...)
+		slices.SortFunc(outR[k:], byLo)
+	}
+	return outS, outR
 }
 
 // placeRanges lays disjoint sorted port ranges out in dst as a balanced
 // preorder subtree.
-func placeRanges(dst []ruleNode, ranges []PortRange) {
-	if len(ranges) == 0 {
+func placeRanges(dst, sorted []PortRange) {
+	if len(sorted) == 0 {
 		return
 	}
-	mid := len(ranges) / 2
-	r := ranges[mid]
-	dst[0] = ruleNode{lo: r.Lo, hi: r.Hi, pdr: r.PDR}
-	placeRanges(dst[1:1+mid], ranges[:mid])
-	placeRanges(dst[1+mid:], ranges[mid+1:])
+	mid := len(sorted) / 2
+	dst[0] = sorted[mid]
+	placeRanges(dst[1:1+mid], sorted[:mid])
+	placeRanges(dst[1+mid:], sorted[mid+1:])
 }
 
 // NodeAddr returns the simulated address of node i.
@@ -211,6 +254,8 @@ func (t *MDITree) Begin(cur *model.Cursor, dstIP uint32, srcPort uint16) {
 
 // stage points the cursor at node p, the root of a subtree over n
 // entries: Aux[2] carries p in its low half and n in its high half.
+// In the rule dimension Aux[3]'s high half carries the rule index of
+// the subtree's first entry, its low half the session index.
 func (t *MDITree) stage(cur *model.Cursor, p, n int32) StepResult {
 	cur.Aux[2] = uint64(uint32(p)) | uint64(n)<<32
 	cur.Addr = t.NodeAddr(p)
@@ -241,8 +286,9 @@ func (t *MDITree) WalkStep(cur *model.Cursor) StepResult {
 		s := &t.sessions[p-t.root()]
 		x, below = uint32(cur.Aux[0]), s.ueip
 		if x == s.ueip {
-			// Session found: record it and drop into its subtree.
-			cur.Aux[3] = uint64(uint32(s.session))
+			// Session found: record it and drop into its subtree, whose
+			// first entry has rule index sub.
+			cur.Aux[3] = uint64(uint32(s.session)) | uint64(uint32(s.sub))<<32
 			if s.rules == 0 {
 				cur.Ok = false
 				return StepMiss
@@ -252,10 +298,10 @@ func (t *MDITree) WalkStep(cur *model.Cursor) StepResult {
 		}
 	} else {
 		r := &t.rules[p]
-		x, below = uint32(cur.Aux[1]), uint32(r.lo)
-		if x >= below && x <= uint32(r.hi) {
+		x, below = uint32(cur.Aux[1]), uint32(r.Lo)
+		if x >= below && x <= uint32(r.Hi) {
 			cur.Ok = true
-			cur.Idx = r.pdr
+			cur.Idx = int32(cur.Aux[3]>>32) + n/2
 			return StepFound
 		}
 	}
@@ -264,6 +310,10 @@ func (t *MDITree) WalkStep(cur *model.Cursor) StepResult {
 		p, n = p+1, half
 	} else {
 		p, n = p+1+half, n-half-1
+		// The node's entry and its left subtree rank below the right
+		// subtree. (In the session dimension this lands in a half of
+		// Aux[3] the session match overwrites.)
+		cur.Aux[3] += uint64(half+1) << 32
 	}
 	if n == 0 {
 		cur.Ok = false

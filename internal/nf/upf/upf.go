@@ -106,16 +106,23 @@ func sessionFields() []mem.Field {
 	}
 }
 
-// PDR is the packet-detection-rule (sub-flow) record. The simulated
-// layout's precedence has no Go twin: a session's port ranges are
-// disjoint, so precedence never decides a match.
+// PDR is the packet-detection-rule (sub-flow) state PDRRecord reports:
+// the rule's forwarding verdict and its counters. The UPF keeps only
+// the counters, a 16-byte record per rule; the verdict follows from the
+// config (see dropsAt), and the simulated layout's precedence and outer
+// TEID have no Go twin: a session's port ranges are disjoint, so
+// precedence never decides a match, and no rule overrides its
+// session's tunnel.
 type PDR struct {
 	// FARAction is the forwarding verdict (hot, read).
 	FARAction uint8
-	// OuterTEID overrides the session TEID when non-zero (hot, read).
-	OuterTEID uint32
 	// Pkts and Bytes are per-rule counters (hot, written).
 	Pkts, Bytes uint64
+}
+
+// pdrCounters is a PDR's Go record: the counters apply writes.
+type pdrCounters struct {
+	pkts, bytes uint64
 }
 
 func pdrFields() []mem.Field {
@@ -139,7 +146,7 @@ type UPF struct {
 	tree     *dstruct.MDITree
 	teids    *dstruct.Cuckoo
 	sessions []Session
-	pdrs     []PDR
+	pdrs     []pdrCounters
 	// drops counts FAR-discarded and unmatched packets.
 	drops uint64
 }
@@ -176,10 +183,13 @@ func New(as *mem.AddressSpace, cfg Config) (*UPF, error) {
 			Control: mem.Region{Name: cfg.Name + ".control", Base: as.Reserve(64, 0), Size: 64},
 		},
 		sessions: make([]Session, cfg.Sessions),
-		pdrs:     make([]PDR, nPDR),
+		pdrs:     make([]pdrCounters, nPDR),
 	}
 
-	// Populate sessions, PDRs (one array), the MDI tree and the TEID table.
+	// Populate sessions, the MDI tree and the TEID table.
+	// PDRs are numbered i*PDRsPerSession + p, which is UE IP order and
+	// then port order: the rule index the tree implies for each range,
+	// so the tree adopts the ranges array as its rule nodes.
 	rules := make([]dstruct.SessionRules, cfg.Sessions)
 	ranges := make([]dstruct.PortRange, nPDR)
 	span := 65536 / cfg.PDRsPerSession
@@ -193,25 +203,17 @@ func New(as *mem.AddressSpace, cfg Config) (*UPF, error) {
 		if err := u.teids.Insert(uint64(teid), int32(i)); err != nil {
 			return nil, fmt.Errorf("upf: teid table: %w", err)
 		}
-		first, end := i*cfg.PDRsPerSession, (i+1)*cfg.PDRsPerSession
-		sr := dstruct.SessionRules{UEIP: cfg.UEIP(i), Session: int32(i), PDRs: ranges[first:first:end]}
+		rules[i] = dstruct.SessionRules{UEIP: cfg.UEIP(i), Session: int32(i), Rules: int32(cfg.PDRsPerSession)}
 		for p := 0; p < cfg.PDRsPerSession; p++ {
-			idx := first + p
-			action := FARForward
-			if cfg.DropEvery > 0 && (p+1)%cfg.DropEvery == 0 {
-				action = FARDrop
-			}
-			u.pdrs[idx] = PDR{FARAction: action}
 			lo := p * span
 			hi := lo + span - 1
 			if p == cfg.PDRsPerSession-1 {
 				hi = 65535
 			}
-			sr.PDRs = append(sr.PDRs, dstruct.PortRange{Lo: uint16(lo), Hi: uint16(hi), PDR: int32(idx)})
+			ranges[i*cfg.PDRsPerSession+p] = dstruct.PortRange{Lo: uint16(lo), Hi: uint16(hi)}
 		}
-		rules[i] = sr
 	}
-	u.tree, err = dstruct.NewMDITree(as, cfg.Name+".mdi", rules)
+	u.tree, err = dstruct.NewMDITree(as, cfg.Name+".mdi", rules, ranges)
 	if err != nil {
 		return nil, fmt.Errorf("upf: %w", err)
 	}
@@ -237,7 +239,18 @@ func (u *UPF) PDRRecord(idx int32) (PDR, error) {
 	if idx < 0 || int(idx) >= len(u.pdrs) {
 		return PDR{}, fmt.Errorf("upf: pdr %d out of range", idx)
 	}
-	return u.pdrs[idx], nil
+	c := &u.pdrs[idx]
+	rec := PDR{FARAction: FARForward, Pkts: c.pkts, Bytes: c.bytes}
+	if u.dropsAt(idx) {
+		rec.FARAction = FARDrop
+	}
+	return rec, nil
+}
+
+// dropsAt reports whether PDR idx's FAR action is FARDrop: with
+// DropEvery > 0, every DropEvery-th rule of a session drops.
+func (u *UPF) dropsAt(idx int32) bool {
+	return u.cfg.DropEvery > 0 && (int(idx)%u.cfg.PDRsPerSession+1)%u.cfg.DropEvery == 0
 }
 
 // Drops returns packets discarded by FARDrop (plus unmatched traffic).
@@ -306,9 +319,9 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 		Writes: []model.FieldRef{model.Fields(model.BaseSubFlow, "pkts", "bytes")},
 		Fn: func(e *model.Exec) model.EventID {
 			p := &pdrs[e.SubIdx]
-			p.Pkts++
-			p.Bytes += uint64(e.Pkt.WireLen)
-			if p.FARAction == FARForward {
+			p.pkts++
+			p.bytes += uint64(e.Pkt.WireLen)
+			if !u.dropsAt(e.SubIdx) {
 				return evFwd
 			}
 			u.drops++
@@ -336,9 +349,6 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 		Fn: func(e *model.Exec) model.EventID {
 			s := &sessions[e.FlowIdx]
 			teid := s.TEIDOut
-			if o := pdrs[e.SubIdx].OuterTEID; o != 0 {
-				teid = o
-			}
 			// Write the GTP-U header into the frame's tunnel header
 			// slot; errors are impossible for generator frames.
 			_ = pkt.EncodeGTPU(e.Pkt.Data[pkt.EthLen+pkt.IPv4Len+pkt.UDPLen:],

@@ -44,6 +44,35 @@ func TestProgramsBuild(t *testing.T) {
 	}
 }
 
+// TestTreeIndexesArePDRs: the rule index the MDI tree implies for a
+// match (the session's first rule plus the range's rank by port) is the
+// UPF's own PDR numbering, session i's p-th rule at i*PDRsPerSession+p,
+// and that rule carries the p-th verdict.
+func TestTreeIndexesArePDRs(t *testing.T) {
+	const sessions, pdrs = 37, 5
+	u := newUPF(t, Config{Sessions: sessions, PDRsPerSession: pdrs, DropEvery: 2})
+	span := 65536 / pdrs
+	for i := 0; i < sessions; i++ {
+		for p := 0; p < pdrs; p++ {
+			s, idx, ok := u.Tree().Lookup(u.cfg.UEIP(i), uint16(p*span+span/2))
+			if !ok || s != int32(i) || idx != int32(i*pdrs+p) {
+				t.Fatalf("session %d rule %d: Lookup = %d,%d,%v, want %d,%d,true", i, p, s, idx, ok, i, i*pdrs+p)
+			}
+			rec, err := u.PDRRecord(idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := FARForward
+			if (p+1)%2 == 0 {
+				want = FARDrop
+			}
+			if rec.FARAction != want {
+				t.Fatalf("PDR %d verdict %d, want %d", idx, rec.FARAction, want)
+			}
+		}
+	}
+}
+
 func runRTC(t *testing.T, prog *model.Program, src rt.Source, n uint64) rt.Result {
 	t.Helper()
 	core, err := sim.NewCore(sim.DefaultConfig())
@@ -273,23 +302,32 @@ func TestExecutionModelsAgree(t *testing.T) {
 }
 
 // TestUPFHostBytesPerPDR holds the UPF's host footprint: 4096 sessions
-// of 16 PDRs must retain at most 44 bytes of Go heap per PDR — an
-// 8-byte rule node and a 24-byte PDR record, plus each session's share
-// of its record, tree node and TEID entry. The match state is what
-// bounds the session populations a figure sweep can build.
+// of 16 PDRs must retain at most 28 bytes of Go heap per PDR — a
+// 16-byte counter record and a 4-byte rule node, plus each session's
+// share of its record, tree node and TEID entry — and allocate at most
+// 30 while New runs, which leaves room for the per-session headers the
+// tree is built from and no copy of the rules.
+// The match state is what bounds the session populations a figure
+// sweep can build.
 func TestUPFHostBytesPerPDR(t *testing.T) {
-	const sessions, pdrs, limit = 4096, 16, 44.0
+	const sessions, pdrs, retainLimit, allocLimit = 4096, 16, 28.0, 30.0
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	u := newUPF(t, Config{Sessions: sessions, PDRsPerSession: pdrs})
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(u)
-	got := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (sessions * pdrs)
-	t.Logf("%.1f B of Go heap per PDR", got)
-	if got > limit {
-		t.Fatalf("New retains %.1f B per PDR at %d sessions x %d PDRs, want <= %.0f", got, sessions, pdrs, limit)
+	retained := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (sessions * pdrs)
+	perPDR := float64(allocated) / (sessions * pdrs)
+	t.Logf("%.1f B of Go heap per PDR retained, %.1f B allocated", retained, perPDR)
+	if retained > retainLimit {
+		t.Errorf("New retains %.1f B per PDR at %d sessions x %d PDRs, want <= %.0f", retained, sessions, pdrs, retainLimit)
+	}
+	if perPDR > allocLimit {
+		t.Errorf("New allocates %.1f B per PDR at %d sessions x %d PDRs, want <= %.0f", perPDR, sessions, pdrs, allocLimit)
 	}
 }
 

@@ -632,7 +632,8 @@ func TestRingGuardRejectsWrappableSlots(t *testing.T) {
 // exhausted almost at once. The interleaved worker counts the
 // prefetches it drops and the run-to-completion worker issues none, and
 // both still complete every offered packet. Under RTCConfig as under
-// any config, a ring too small for Tasks+Batch is a NewWorker error.
+// any config, a ring too small for Tasks+Batch is a NewWorker error
+// that is rt.ErrRingTooSmall.
 func TestExhaustionUnderBothConfigs(t *testing.T) {
 	const offered = 2000
 	simCfg := sim.DefaultConfig()
@@ -670,7 +671,7 @@ func TestExhaustionUnderBothConfigs(t *testing.T) {
 			small := cfg
 			small.RingSlots = cfg.Tasks + cfg.Batch - 1
 			_, err = rt.NewWorker(core, mem.NewAddressSpace(), prog, small)
-			if err == nil || !strings.Contains(err.Error(), "RingSlots") {
+			if !errors.Is(err, rt.ErrRingTooSmall) {
 				t.Fatalf("RingSlots %d < Tasks+Batch %d: err = %v", small.RingSlots, cfg.Tasks+cfg.Batch, err)
 			}
 		})

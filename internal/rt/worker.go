@@ -20,6 +20,7 @@
 package rt
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/gunfu-nfv/gunfu/internal/mem"
@@ -33,6 +34,11 @@ import (
 type Source interface {
 	Next() *pkt.Packet
 }
+
+// ErrRingTooSmall is the error, wrapped with the sizes, that a config
+// whose RingSlots are fewer than Tasks+Batch is refused with: a wrapped
+// slot could be overwritten while an in-flight task still points at it.
+var ErrRingTooSmall = errors.New("rt: RingSlots must be >= Tasks+Batch")
 
 // Config tunes a worker.
 type Config struct {
@@ -113,8 +119,8 @@ func (c Config) validate() error {
 		// scheduler and up to Batch more are staged by receive, so the
 		// ring must cover both before any sequence number wraps onto a
 		// slot that is still referenced.
-		return fmt.Errorf("rt: RingSlots (%d) must be >= Tasks+Batch (%d): a wrapped slot could be overwritten while an in-flight task still points at it",
-			c.RingSlots, c.Tasks+c.Batch)
+		return fmt.Errorf("%w: RingSlots %d, Tasks+Batch %d (a wrapped slot could be overwritten while an in-flight task still points at it)",
+			ErrRingTooSmall, c.RingSlots, c.Tasks+c.Batch)
 	}
 	return nil
 }

@@ -523,10 +523,3 @@ func (c *Core) ResidentL1(addr, size uint64) bool {
 	}
 	return true
 }
-
-// ResidentL1Line reports whether the single line containing addr is
-// present in L1 (in-flight fills count as present): the pre-resolved
-// form of ResidentL1 used by compiled step plans.
-func (c *Core) ResidentL1Line(addr uint64) bool {
-	return c.l1.find(addr>>lineShift) >= 0
-}

@@ -50,7 +50,7 @@ func TestMSHROutOfOrderCompletion(t *testing.T) {
 		c.Read(inL2+i*stride, 8)
 	}
 	c.DMAFill(inLLC, 8)
-	if c.ResidentL1Line(inL2) || c.l2.find(inL2>>lineShift) < 0 || c.llc.find(inLLC>>lineShift) < 0 {
+	if c.ResidentL1(inL2, 1) || c.l2.find(inL2>>lineShift) < 0 || c.llc.find(inLLC>>lineShift) < 0 {
 		t.Fatal("setup: lines are not where the test needs them")
 	}
 

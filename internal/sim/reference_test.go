@@ -295,8 +295,8 @@ func oracleStep(c *Core, r *refCore, op *refOp) string {
 			return fmt.Sprintf("ResidentL1 = %v, reference %v", got, want)
 		}
 	case 10:
-		if got, want := c.ResidentL1Line(op.addr), r.residentL1(op.addr, 1); got != want {
-			return fmt.Sprintf("ResidentL1Line = %v, reference %v", got, want)
+		if got, want := c.ResidentL1(op.addr, 1), r.residentL1(op.addr, 1); got != want {
+			return fmt.Sprintf("ResidentL1 of one byte = %v, reference %v", got, want)
 		}
 	case 11:
 		if op.size%61 == 0 {

@@ -66,7 +66,7 @@ func apply(c *Core, op coreOp) (res bool) {
 	case 6:
 		res = c.ResidentL1(op.addr, op.size)
 	case 7:
-		res = c.ResidentL1Line(op.addr)
+		res = c.ResidentL1(op.addr, 1)
 	case 8:
 		c.Write(op.addr, op.size)
 	default:
@@ -206,7 +206,7 @@ func TestResetEquivalenceScanTwin(t *testing.T) {
 		if s := l1.hinted(line); s >= 0 {
 			t.Fatalf("line %#x: stale hint verified slot %d against a zeroed tag", line, s)
 		}
-		if dirty.ResidentL1Line(line << lineShift) {
+		if dirty.ResidentL1(line<<lineShift, 1) {
 			t.Fatalf("line %#x still L1-resident after Reset", line)
 		}
 	}

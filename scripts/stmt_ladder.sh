@@ -1,0 +1,133 @@
+#!/usr/bin/env bash
+# Statement ladder: Go statements executed per operation of one of the
+# benchmark's workloads (per packet for nat_miss, nat_hit, upf_mgw and
+# sfc6_engine2), per package and per file. Host time on a shared VM
+# spreads tens of percent run to run; the toolchain's coverage counters
+# count executed statements exactly, so a code change's host work shows
+# as a repeatable delta.
+#
+# Recipe: build ./bench with coverage counters on every package of the
+# module (into a temporary directory, never under bench/), run the
+# workload for --seconds 1 and --seconds 2, each with its own
+# GOCOVERDIR, subtract the two `go tool covdata textfmt` outputs block
+# by block and divide by the difference in the runs' `attempted`.
+# Subtracting cancels set-up and tear-down, provided both runs timed the
+# same number of set-ups: the two `info:` lines must report the same
+# `setup_samples`, and a pair that does not is run again.
+#
+# fig_sweep runs the same number of passes at 1 and at 2 seconds, so
+# its two runs do not differ and the script says so and stops.
+#
+# Blind spots: assembly (the AVX2 set-scan kernel), the Go runtime (GC,
+# maps, channels), inlining and memory stalls. The ladder counts work
+# done; it does not replace host_pps or peak_rss_mb.
+#
+# The seed (3), the pairs tried before giving up on equal setup_samples
+# (5) and the smallest per-file figure printed (0.1) are fixed, so two
+# ladders of one workload compare. The coverage mode follows from the
+# workload: atomic for sfc6_engine2, whose two engine cores run on two
+# goroutines, and for cluster_deploy, whose director and agents do;
+# count for the rest.
+#
+# Usage:
+#   scripts/stmt_ladder.sh <workload>     (one of BENCHMARK.json's workloads)
+set -euo pipefail
+
+if [ $# -ne 1 ] || [ -z "$1" ]; then
+	echo "usage: scripts/stmt_ladder.sh <workload>" >&2
+	exit 2
+fi
+WORKLOAD=$1
+SEED=3
+TRIES=5
+MIN=0.1
+case "$WORKLOAD" in
+sfc6_engine2 | cluster_deploy) MODE=atomic ;;
+*) MODE=count ;;
+esac
+
+root=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+echo "== building ./bench with -covermode=$MODE" >&2
+(cd "$root" && go build -cover -covermode="$MODE" -coverpkg=./... -o "$tmp/bench.cover" ./bench)
+
+run() { # seconds — writes $tmp/s<seconds>.{out,txt}
+	local dir="$tmp/cov$1"
+	rm -rf "$dir" && mkdir -p "$dir"
+	if ! (cd "$tmp" && GOCOVERDIR="$dir" "$tmp/bench.cover" --workload "$WORKLOAD" --seed "$SEED" --seconds "$1" --trace 0) >"$tmp/s$1.out" 2>"$tmp/s$1.log"; then
+		echo "stmt_ladder: --seconds $1 run failed:" >&2
+		cat "$tmp/s$1.log" >&2
+		exit 1
+	fi
+	go tool covdata textfmt -i="$dir" -o "$tmp/s$1.txt"
+}
+
+setups() { # seconds — the run's setup_samples
+	grep '^info: ' "$tmp/s$1.out" | sed 's/^info: //' |
+		python3 -c 'import json, sys; print(json.load(sys.stdin).get("setup_samples", "none"))'
+}
+
+for try in $(seq "$TRIES"); do
+	echo "== $WORKLOAD seed $SEED: pair $try/$TRIES (--seconds 1, then 2)" >&2
+	run 1
+	run 2
+	a=$(setups 1) b=$(setups 2)
+	if [ "$a" = "$b" ]; then
+		break
+	fi
+	echo "   setup_samples $a vs $b: running the pair again" >&2
+	if [ "$try" = "$TRIES" ]; then
+		echo "stmt_ladder: no pair in $TRIES agreed on setup_samples" >&2
+		exit 1
+	fi
+done
+
+python3 - "$tmp" "$WORKLOAD" "$SEED" "$MODE" "$MIN" "$(go list -m)" <<'EOF'
+import collections, json, os, sys
+
+tmp, workload, seed, mode, least, module = sys.argv[1:7]
+least = float(least)
+
+def blocks(path):
+    # textfmt: "mode: X", then "file:l.c,l.c stmts count" per block.
+    out = collections.Counter()
+    stmts = {}
+    for line in open(path).read().splitlines()[1:]:
+        block, n, count = line.rsplit(" ", 2)
+        stmts[block] = int(n)
+        out[block] += int(count)
+    return out, stmts
+
+def attempted(path):
+    return json.loads(open(path).read().splitlines()[-1])["attempted"]
+
+c1, stmts = blocks(os.path.join(tmp, "s1.txt"))
+c2, stmts2 = blocks(os.path.join(tmp, "s2.txt"))
+stmts.update(stmts2)
+ops = attempted(os.path.join(tmp, "s2.out")) - attempted(os.path.join(tmp, "s1.out"))
+if ops <= 0:
+    sys.exit(f"stmt_ladder: the 2-s run attempted {ops} more operations than the 1-s run")
+
+per_file = collections.Counter()
+for block, n in stmts.items():
+    d = c2[block] - c1[block]
+    if d:
+        per_file[block.rsplit(":", 1)[0].removeprefix(module + "/")] += n * d
+per_pkg = collections.Counter()
+for f, v in per_file.items():
+    per_pkg[os.path.dirname(f)] += v
+
+total = sum(per_file.values()) / ops
+print(f"stmt ladder: {workload} seed {seed}, -covermode={mode}, {ops} more operations in the 2-s run")
+print(f"{'total':<40} {total:10.1f} stmts/op")
+print("\nper package")
+for p, v in per_pkg.most_common():
+    if abs(v / ops) >= least:
+        print(f"  {p:<38} {v / ops:10.1f}")
+print(f"\nper file (>= {least:g})")
+for f, v in per_file.most_common():
+    if abs(v / ops) >= least:
+        print(f"  {f:<38} {v / ops:10.1f}")
+EOF
