@@ -31,13 +31,22 @@ type Chainable interface {
 	// Name returns the instance name (unique within a chain).
 	Name() string
 	// Attach registers the full NF (classifier + data path), exiting
-	// toward next, and returns its entry state.
-	Attach(b *model.Builder, next string) string
+	// toward next, and returns its entry state. A non-nil onAlloc runs
+	// after each first packet the NF installs, with the packet's tuple
+	// and new flow index, and an error from it drops the packet; the
+	// head of a chain compiled with redundant matching removal installs
+	// the downstream records with it.
+	Attach(b *model.Builder, next string, onAlloc func(pkt.FiveTuple, int32) error) string
 	// AttachData registers only the data path, relying on a FlowIdx set
 	// by an upstream classifier — the post-MR form.
 	AttachData(b *model.Builder, next string) string
-	// AddFlow pre-populates per-flow state for tuple at index idx.
+	// AddFlow pre-populates per-flow state for tuple at index idx: the
+	// record and the classifier entry.
 	AddFlow(tuple pkt.FiveTuple, idx int32) error
+	// AddRecord writes the record for tuple at index idx and defers the
+	// classifier entry until a classifier attaches (Attach), which under
+	// redundant matching removal a downstream NF's never does.
+	AddRecord(tuple pkt.FiveTuple, idx int32) error
 	// Translate returns the tuple as the NF emits it for flow idx (the
 	// identity for non-rewriting NFs). Chain population uses it so each
 	// NF's match table is keyed on the packet as it arrives there.
@@ -72,11 +81,18 @@ func BuildSFC(name string, chain []Chainable, opts SFCOptions) (*model.Program, 
 	b := model.NewBuilder(name)
 	next := model.EndName
 	for i := len(chain) - 1; i >= 0; i-- {
-		if opts.RemoveRedundantMatching && i > 0 {
+		switch {
+		case !opts.RemoveRedundantMatching:
+			next = chain[i].Attach(b, next, nil)
+		case i > 0:
 			// Downstream NFs reuse the head classifier's match result.
 			next = chain[i].AttachData(b, next)
-		} else {
-			next = chain[i].Attach(b, next)
+		default:
+			// They have no first-packet path either: the head's first
+			// packets install their records.
+			next = chain[0].Attach(b, next, func(tuple pkt.FiveTuple, idx int32) error {
+				return addDownstream(chain, tuple, idx)
+			})
 		}
 	}
 	b.SetStart(next)
@@ -89,17 +105,35 @@ func BuildSFC(name string, chain []Chainable, opts SFCOptions) (*model.Program, 
 
 // PopulateFlows installs the (tuple → index) assignment into every NF
 // of the chain, establishing the shared flow index space that redundant
-// matching removal relies on. Each NF is keyed on the tuple as packets
-// reach it: the flow's original tuple transformed by every upstream
-// NF's rewrite.
+// matching removal relies on: AddFlow on the head, AddRecord on every
+// NF downstream, whose classifier entries are built only if BuildSFC
+// attaches their classifiers (it does not under MR). Each NF is keyed
+// on the tuple as packets reach it: the flow's original tuple
+// transformed by every upstream NF's rewrite. A key two flows share in
+// a downstream NF fails a BuildSFC without MR, not PopulateFlows.
 func PopulateFlows(chain []Chainable, tuples []pkt.FiveTuple) error {
+	if len(chain) == 0 {
+		return nil
+	}
 	for i, tuple := range tuples {
-		cur := tuple
-		for _, c := range chain {
-			if err := c.AddFlow(cur, int32(i)); err != nil {
-				return fmt.Errorf("compile: populating %s flow %d: %w", c.Name(), i, err)
-			}
-			cur = c.Translate(cur, int32(i))
+		if err := chain[0].AddFlow(tuple, int32(i)); err != nil {
+			return fmt.Errorf("compile: populating %s flow %d: %w", chain[0].Name(), i, err)
+		}
+		if err := addDownstream(chain, tuple, int32(i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// addDownstream writes flow idx's record into every NF after the head,
+// keyed on tuple (as it reaches the head) rewritten by every upstream
+// NF's Translate. The head must hold the flow's record already.
+func addDownstream(chain []Chainable, tuple pkt.FiveTuple, idx int32) error {
+	for i := 1; i < len(chain); i++ {
+		tuple = chain[i-1].Translate(tuple, idx)
+		if err := chain[i].AddRecord(tuple, idx); err != nil {
+			return fmt.Errorf("compile: populating %s flow %d: %w", chain[i].Name(), idx, err)
 		}
 	}
 	return nil

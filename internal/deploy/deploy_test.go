@@ -1,10 +1,14 @@
 package deploy
 
 import (
+	"runtime"
 	"testing"
 
+	"github.com/gunfu-nfv/gunfu/internal/compile"
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/nf/upf"
+	"github.com/gunfu-nfv/gunfu/internal/pkt"
+	"github.com/gunfu-nfv/gunfu/internal/traffic"
 )
 
 func TestBuildChainLengths(t *testing.T) {
@@ -70,5 +74,48 @@ func TestNewUPFShardSteering(t *testing.T) {
 		if len(lens) < 2 {
 			t.Fatalf("size 0: only wire lengths %v, want an IMIX mix", lens)
 		}
+	}
+}
+
+// TestSFCHostBytesPerFlow holds the six-NF chain's host footprint under
+// redundant matching removal: at 16384 flows, NewChain, PopulateFlows
+// and BuildSFC retain at most 184 bytes of Go heap per flow. That is
+// the six records (LB 16, NAT 16, NM 24, three FWs 16 each), the head's
+// cuckoo table at 50 % load (32) and the five downstream NFs' logged
+// keys (8 each), with slack for the race detector. Only the head's
+// classifier is read, so no other table is built.
+func TestSFCHostBytesPerFlow(t *testing.T) {
+	const flows, limit = 16384, 184.0
+	g, err := traffic.NewFlowGen(traffic.FlowGenConfig{Flows: flows, PacketBytes: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := make([]pkt.FiveTuple, flows)
+	for i := range tuples {
+		tuples[i] = g.FlowTuple(i)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	chain, err := NewChain(mem.NewAddressSpace(), 6, flows, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := compile.PopulateFlows(chain, tuples); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := compile.BuildSFC("sfc6", chain, compile.SFCOptions{RemoveRedundantMatching: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(chain)
+	runtime.KeepAlive(prog)
+	runtime.KeepAlive(tuples)
+	got := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / flows
+	t.Logf("%.1f B of Go heap per flow", got)
+	if got > limit {
+		t.Fatalf("the MR six-NF chain retains %.1f B per flow at %d flows, want <= %.0f", got, flows, limit)
 	}
 }

@@ -36,8 +36,11 @@ const maxKicks = 500
 // int32 values (pool entry indexes). Each bucket occupies one simulated
 // cache line.
 type Cuckoo struct {
-	region  mem.Region
-	mask    uint64
+	region mem.Region
+	mask   uint64
+	// buckets is the host copy of the table. It is nil until the first
+	// Insert or Allocate, so a table no classifier reads keeps no host
+	// bytes.
 	buckets []bucket
 	entries int
 }
@@ -53,7 +56,8 @@ type bucket struct {
 }
 
 // NewCuckoo builds a table able to hold at least capacity entries at a
-// conservative load factor, drawing simulated addresses from as.
+// conservative load factor, drawing simulated addresses from as. The
+// host buckets are allocated on first need (Insert, Allocate).
 func NewCuckoo(as *mem.AddressSpace, name string, capacity int) (*Cuckoo, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("dstruct: cuckoo %s: capacity must be positive", name)
@@ -65,10 +69,19 @@ func NewCuckoo(as *mem.AddressSpace, name string, capacity int) (*Cuckoo, error)
 	}
 	base := as.Reserve(buckets*sim.LineBytes, sim.LineBytes)
 	return &Cuckoo{
-		region:  mem.Region{Name: name, Base: base, Size: buckets * sim.LineBytes},
-		mask:    buckets - 1,
-		buckets: make([]bucket, buckets),
+		region: mem.Region{Name: name, Base: base, Size: buckets * sim.LineBytes},
+		mask:   buckets - 1,
 	}, nil
+}
+
+// Allocate makes the host buckets of a table that has none yet. Insert
+// does so itself; a classifier calls it when it attaches, because the
+// stepwise lookup (Begin, TouchStep, CheckStep) never tests for a
+// table without buckets.
+func (c *Cuckoo) Allocate() {
+	if c.buckets == nil {
+		c.buckets = make([]bucket, c.mask+1)
+	}
 }
 
 func nextPow2(v uint64) uint64 {
@@ -110,6 +123,7 @@ func (c *Cuckoo) Buckets() int { return int(c.mask + 1) }
 // control-plane operation (session establishment) and is not charged
 // to the cache simulator.
 func (c *Cuckoo) Insert(key uint64, val int32) error {
+	c.Allocate()
 	if bkt, s := c.find(key); bkt != nil {
 		bkt.vals[s] = val
 		return nil
@@ -156,8 +170,12 @@ func (c *Cuckoo) displace(key uint64, val int32, b uint64) error {
 		c.region.Name, maxKicks, c.entries, len(c.buckets)*slotsPerBucket)
 }
 
-// find returns the bucket and slot holding key, or a nil bucket.
+// find returns the bucket and slot holding key, or a nil bucket; a
+// table without buckets holds nothing.
 func (c *Cuckoo) find(key uint64) (*bucket, int) {
+	if c.buckets == nil {
+		return nil, 0
+	}
 	for _, b := range [2]uint64{hash1(key) & c.mask, hash2(key) & c.mask} {
 		bkt := &c.buckets[b]
 		for s := 0; s < slotsPerBucket; s++ {

@@ -84,6 +84,35 @@ func TestCuckooCapacityError(t *testing.T) {
 	}
 }
 
+// TestCuckooBucketsOnFirstNeed: a new table keeps no host buckets, and
+// Lookup and Delete on it miss, until Insert or Allocate makes them; an
+// Allocate after that keeps what the table holds.
+func TestCuckooBucketsOnFirstNeed(t *testing.T) {
+	c := newCuckoo(t, 1000)
+	if _, ok := c.Lookup(1); ok || c.Delete(1) || c.Len() != 0 || c.buckets != nil {
+		t.Fatalf("empty table: found key 1 or holds buckets (%d)", len(c.buckets))
+	}
+	if err := c.Insert(1, 7); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.buckets) != c.Buckets() {
+		t.Fatalf("Insert made %d buckets, want %d", len(c.buckets), c.Buckets())
+	}
+	c.Allocate()
+	if v, ok := c.Lookup(1); !ok || v != 7 {
+		t.Fatalf("Allocate after Insert lost key 1: %d, %v", v, ok)
+	}
+	a := newCuckoo(t, 1000)
+	a.Allocate()
+	var cur model.Cursor
+	a.Begin(1, &cur)
+	for !a.CheckStep(&cur) {
+	}
+	if cur.Ok || len(a.buckets) != a.Buckets() {
+		t.Fatalf("allocated empty table: stepwise hit %v, %d buckets", cur.Ok, len(a.buckets))
+	}
+}
+
 func TestCuckooStepwiseLookup(t *testing.T) {
 	c := newCuckoo(t, 100)
 	for i := 0; i < 100; i++ {

@@ -58,6 +58,7 @@ func cuckooOps(t *testing.T, data []byte) (refused int) {
 				t.Fatalf("op %d: Lookup(%d) = %d,%v, want %d,%v", i/2, key, v, ok, w, wok)
 			}
 		case opStepwise:
+			c.Allocate() // a classifier attaches before it looks up
 			v, ok := stepwise(c, key)
 			if w, wok := want[key]; ok != wok || (ok && v != w) {
 				t.Fatalf("op %d: stepwise lookup of %d = %d,%v, want %d,%v", i/2, key, v, ok, w, wok)

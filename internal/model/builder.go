@@ -45,9 +45,12 @@ func NewBuilder(name string) *Builder {
 	}
 }
 
-// fail records the first error; later calls become no-ops so call sites
-// can chain without per-call checks.
-func (b *Builder) fail(err error) {
+// Fail records err as the build's error unless one is already recorded;
+// Build returns it. Registration calls that fail record their error
+// here, so call sites chain without per-call checks, and so can a
+// contributor whose own set-up fails while it registers (an NF whose
+// match table cannot take its installed keys).
+func (b *Builder) Fail(err error) {
 	if b.err == nil {
 		b.err = err
 	}
@@ -68,11 +71,11 @@ func (b *Builder) Event(name string) EventID {
 // AddModule declares a module with its state binding.
 func (b *Builder) AddModule(name string, bind Binding) {
 	if name == "" || strings.Contains(name, ".") {
-		b.fail(fmt.Errorf("model: invalid module name %q", name))
+		b.Fail(fmt.Errorf("model: invalid module name %q", name))
 		return
 	}
 	if _, dup := b.modules[name]; dup {
-		b.fail(fmt.Errorf("model: duplicate module %q", name))
+		b.Fail(fmt.Errorf("model: duplicate module %q", name))
 		return
 	}
 	b.modules[name] = &bind
@@ -81,20 +84,20 @@ func (b *Builder) AddModule(name string, bind Binding) {
 // AddState adds a control state to a module with its action.
 func (b *Builder) AddState(module, state string, act Action) {
 	if _, ok := b.modules[module]; !ok {
-		b.fail(fmt.Errorf("model: AddState: unknown module %q", module))
+		b.Fail(fmt.Errorf("model: AddState: unknown module %q", module))
 		return
 	}
 	full := module + "." + state
 	if full == EndName || state == "" {
-		b.fail(fmt.Errorf("model: invalid state name %q", state))
+		b.Fail(fmt.Errorf("model: invalid state name %q", state))
 		return
 	}
 	if _, dup := b.csDefs[full]; dup {
-		b.fail(fmt.Errorf("model: duplicate control state %q", full))
+		b.Fail(fmt.Errorf("model: duplicate control state %q", full))
 		return
 	}
 	if act.Fn == nil {
-		b.fail(fmt.Errorf("model: state %q: action %q has no Fn", full, act.Name))
+		b.Fail(fmt.Errorf("model: state %q: action %q has no Fn", full, act.Name))
 		return
 	}
 	b.csDefs[full] = &csDef{module: module, action: act}

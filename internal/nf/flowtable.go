@@ -26,7 +26,7 @@ type FlowTableConfig[F any] struct {
 	// Fields is the per-flow record's simulated layout, natural order.
 	Fields []mem.Field
 	// NewFlow builds the record installed for tuple at index idx, by
-	// AddFlow and by a first packet alike.
+	// AddFlow, AddRecord and a first packet alike.
 	NewFlow func(tuple pkt.FiveTuple, idx int32) F
 	// Data registers the NF's data module exiting toward next and
 	// returns its entry state: the NF's AttachData.
@@ -55,14 +55,23 @@ type FlowTable[F any] struct {
 	cfg   FlowTableConfig[F]
 	bind  *model.Binding
 	table *dstruct.Cuckoo
-	flows []F
+	// built reports that table holds every installed key. Until a
+	// classifier attaches or an AddFlow needs the table, AddRecord logs
+	// the keys in pending, in install order, and pendingIdx holds their
+	// flow indexes: nil while each key's index is its position in the
+	// log, as PopulateFlows installs them.
+	built      bool
+	pending    []uint64
+	pendingIdx []int32
+	flows      []F
 	// touch prefetches the record at the task's flow index. It is built
 	// in NewFlowTable, not in Touch: a closure made by a method that
 	// inlines into its caller keeps hostmem.Prefetch as a call.
 	touch func(*model.Exec)
 	// next is the index the next first packet is installed at.
 	next int32
-	// drops counts first packets that found no room.
+	// drops counts first packets alloc dropped: no room, or an install
+	// refused.
 	drops uint64
 }
 
@@ -119,23 +128,101 @@ func (t *FlowTable[F]) Flow(idx int32) (F, error) {
 // record. Installing at or past the allocation cursor moves it. The
 // classifier keys on tuple.Hash(), so a tuple whose key is already
 // installed at another index is refused rather than re-pointing that
-// flow's entry; re-installing at the same index is allowed.
+// flow's entry; re-installing at the same index is allowed. The first
+// AddFlow builds the table from the keys AddRecord logged.
 func (t *FlowTable[F]) AddFlow(tuple pkt.FiveTuple, idx int32) error {
+	if err := t.checkIndex(idx); err != nil {
+		return err
+	}
+	if err := t.build(); err != nil {
+		return err
+	}
+	if err := t.insert(tuple.Hash(), idx); err != nil {
+		return err
+	}
+	t.install(tuple, idx)
+	return nil
+}
+
+// AddRecord writes tuple's fresh record at index idx and logs its
+// classifier key, in install order, for the table to be built from when
+// a classifier attaches (Attach) or an AddFlow needs it; once the table
+// is built, AddRecord is AddFlow. A chain member downstream of redundant
+// matching removal has no classifier, so its table is never built and
+// the log, 8 B per flow, is what it keeps of its match state; the log
+// stays, so the chain still compiles without MR. A duplicate key is
+// refused when the table is built.
+func (t *FlowTable[F]) AddRecord(tuple pkt.FiveTuple, idx int32) error {
+	if t.built {
+		return t.AddFlow(tuple, idx)
+	}
+	if err := t.checkIndex(idx); err != nil {
+		return err
+	}
+	if t.pending == nil {
+		t.pending = make([]uint64, 0, len(t.flows))
+	}
+	if t.pendingIdx == nil && int(idx) != len(t.pending) {
+		t.pendingIdx = make([]int32, len(t.pending), cap(t.pending))
+		for i := range t.pendingIdx {
+			t.pendingIdx[i] = int32(i)
+		}
+	}
+	t.pending = append(t.pending, tuple.Hash())
+	if t.pendingIdx != nil {
+		t.pendingIdx = append(t.pendingIdx, idx)
+	}
+	t.install(tuple, idx)
+	return nil
+}
+
+func (t *FlowTable[F]) checkIndex(idx int32) error {
 	if idx < 0 || int(idx) >= len(t.flows) {
 		return fmt.Errorf("nf: %s: flow index %d out of range [0,%d)", t.cfg.Name, idx, len(t.flows))
 	}
-	key := tuple.Hash()
-	if cur, ok := t.table.Lookup(key); ok && cur != idx {
-		return fmt.Errorf("nf: %s: flow index %d: %v's key %#016x is already installed at flow index %d",
-			t.cfg.Name, idx, tuple, key, cur)
-	}
-	if err := t.table.Insert(key, idx); err != nil {
-		return fmt.Errorf("nf: %s: %w", t.cfg.Name, err)
-	}
+	return nil
+}
+
+// install writes tuple's fresh record at idx, the one path every record
+// is written on, and moves the allocation cursor past it.
+func (t *FlowTable[F]) install(tuple pkt.FiveTuple, idx int32) {
 	t.flows[idx] = t.cfg.NewFlow(tuple, idx)
 	if idx >= t.next {
 		t.next = idx + 1
 	}
+}
+
+// insert adds key→idx to the built table, refusing a key installed at
+// another index.
+func (t *FlowTable[F]) insert(key uint64, idx int32) error {
+	if cur, ok := t.table.Lookup(key); ok && cur != idx {
+		return fmt.Errorf("nf: %s: flow index %d: key %#016x is already installed at flow index %d",
+			t.cfg.Name, idx, key, cur)
+	}
+	if err := t.table.Insert(key, idx); err != nil {
+		return fmt.Errorf("nf: %s: %w", t.cfg.Name, err)
+	}
+	return nil
+}
+
+// build replays the logged keys into the table, in install order, so it
+// comes out as eager AddFlow calls would have left it, and frees the
+// log. A refused key fails the build and keeps the log.
+func (t *FlowTable[F]) build() error {
+	if t.built {
+		return nil
+	}
+	t.table.Allocate()
+	for i, key := range t.pending {
+		idx := int32(i)
+		if t.pendingIdx != nil {
+			idx = t.pendingIdx[i]
+		}
+		if err := t.insert(key, idx); err != nil {
+			return err
+		}
+	}
+	t.built, t.pending, t.pendingIdx = true, nil, nil
 	return nil
 }
 
@@ -149,11 +236,20 @@ func (t *FlowTable[F]) AddModule(b *model.Builder, suffix string) string {
 
 // Attach registers the whole NF on b — data module, first-packet
 // states, classifier — exiting toward next (another NF's entry or
-// model.EndName), and returns its entry state.
-func (t *FlowTable[F]) Attach(b *model.Builder, next string) string {
+// model.EndName), and returns its entry state. It builds the match
+// table from the logged keys; a key the table refuses fails b's Build.
+// onAlloc, if not nil, serves the head of a chain compiled with
+// redundant matching removal: after a first packet's alloc installs its
+// flow, it runs with the packet's tuple and the new index, to install
+// the records of the NFs downstream, which have no first-packet path of
+// their own. An onAlloc error drops the packet, counted in Drops.
+func (t *FlowTable[F]) Attach(b *model.Builder, next string, onAlloc func(pkt.FiveTuple, int32) error) string {
+	if err := t.build(); err != nil {
+		b.Fail(err)
+	}
 	cls := Classifier{Table: t.table, Module: t.cfg.Name + "_cls"}
 	dataEntry := t.cfg.Data(b, next)
-	return cls.Attach(b, dataEntry, t.attachFirstPacket(b, dataEntry))
+	return cls.Attach(b, dataEntry, t.attachFirstPacket(b, dataEntry, onAlloc))
 }
 
 // attachFirstPacket registers the classifier-miss path, two config
@@ -161,10 +257,12 @@ func (t *FlowTable[F]) Attach(b *model.Builder, next string) string {
 // it either binds the packet to the next free index (match-table entry
 // and Go-side record installed) or drops it, counted, leaving table and
 // cursor as they were; it resolves no per-flow span, since no index
-// exists until it has run. Install declares the new record's per-flow
-// writes, which resolve against the index alloc bound, and hands the
-// packet to the data action.
-func (t *FlowTable[F]) attachFirstPacket(b *model.Builder, dataEntry string) string {
+// exists until it has run. After a successful install alloc runs
+// onAlloc, if not nil (see Attach); its error drops the packet,
+// counted, with the flow left installed. Install declares the new
+// record's per-flow writes, which resolve against the index alloc
+// bound, and hands the packet to the data action.
+func (t *FlowTable[F]) attachFirstPacket(b *model.Builder, dataEntry string, onAlloc func(pkt.FiveTuple, int32) error) string {
 	evFwd := b.Event(EvForward)
 	evDrop := b.Event(EvDrop)
 	m := t.AddModule(b, t.cfg.MissModule)
@@ -177,7 +275,8 @@ func (t *FlowTable[F]) attachFirstPacket(b *model.Builder, dataEntry string) str
 
 	alloc.Fn = func(e *model.Exec) model.EventID {
 		idx := t.next
-		if int(idx) >= len(t.flows) || t.AddFlow(e.Pkt.Tuple, idx) != nil {
+		if int(idx) >= len(t.flows) || t.AddFlow(e.Pkt.Tuple, idx) != nil ||
+			onAlloc != nil && onAlloc(e.Pkt.Tuple, idx) != nil {
 			t.drops++
 			return evDrop
 		}
@@ -196,6 +295,6 @@ func (t *FlowTable[F]) attachFirstPacket(b *model.Builder, dataEntry string) str
 // Program builds the standalone NF program.
 func (t *FlowTable[F]) Program() (*model.Program, error) {
 	b := model.NewBuilder(t.cfg.Name)
-	b.SetStart(t.Attach(b, model.EndName))
+	b.SetStart(t.Attach(b, model.EndName, nil))
 	return b.Build()
 }

@@ -24,16 +24,21 @@ type Config struct {
 	States *model.Binding
 }
 
-// Flow is the LB's per-flow record.
+// Flow is the LB's per-flow record. The rewrite target follows from
+// the backend index (backendIP, backendPort), so the record does not
+// cache it; the simulated layout (FlowFields) does.
 type Flow struct {
 	// Backend is the bound backend index (hot, read).
 	Backend int32
-	// BackendIP/BackendPort cache the rewrite target (hot, read).
-	BackendIP   uint32
-	BackendPort uint16
 	// Pkts counts packets steered (hot, written).
 	Pkts uint64
 }
+
+// backendPort is the port every backend serves on.
+const backendPort = 8080
+
+// backendIP is backend be's address in the 10.100.0.x pool.
+func backendIP(be int32) uint32 { return 0x0a640000 + uint32(be) }
 
 // FlowFields returns the simulated per-flow layout in natural order.
 func FlowFields() []mem.Field {
@@ -95,20 +100,14 @@ func (l *LB) backendFor(tuple pkt.FiveTuple) int32 {
 
 // newFlow binds tuple to its backend.
 func (l *LB) newFlow(tuple pkt.FiveTuple, _ int32) Flow {
-	be := l.backendFor(tuple)
-	return Flow{
-		Backend:     be,
-		BackendIP:   0x0a640000 + uint32(be), // 10.100.0.x pool
-		BackendPort: 8080,
-	}
+	return Flow{Backend: l.backendFor(tuple)}
 }
 
 // Translate returns tuple as the LB emits it for flow idx: destination
 // rewritten to the bound backend.
 func (l *LB) Translate(tuple pkt.FiveTuple, idx int32) pkt.FiveTuple {
 	if f, err := l.Flow(idx); err == nil {
-		tuple.DstIP = f.BackendIP
-		tuple.DstPort = f.BackendPort
+		tuple.DstIP, tuple.DstPort = backendIP(f.Backend), backendPort
 	}
 	return tuple
 }
@@ -134,8 +133,7 @@ func (l *LB) AttachData(b *model.Builder, next string) string {
 			f.Pkts++
 			// DNAT toward the bound backend (dst rewrite modelled via
 			// the tuple; the charged spans cover the header bytes).
-			e.Pkt.Tuple.DstIP = f.BackendIP
-			e.Pkt.Tuple.DstPort = f.BackendPort
+			e.Pkt.Tuple.DstIP, e.Pkt.Tuple.DstPort = backendIP(f.Backend), backendPort
 			return evFwd
 		},
 		Touch: l.Touch(),

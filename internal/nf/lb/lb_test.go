@@ -85,8 +85,8 @@ func TestNewFlowPicksBackend(t *testing.T) {
 	if f.Pkts != 3 {
 		t.Fatalf("dataplane-allocated flow pkts = %d, want 3", f.Pkts)
 	}
-	if f.BackendIP == 0 {
-		t.Fatal("no backend bound on allocation")
+	if want := l.backendFor(g.FlowTuple(0)); f.Backend != want {
+		t.Fatalf("allocation bound backend %d, want the tuple's pick %d", f.Backend, want)
 	}
 }
 

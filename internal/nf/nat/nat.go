@@ -35,13 +35,12 @@ type Config struct {
 	States *model.Binding
 }
 
-// Flow is the NAT's per-flow record: what the rewrite action reads and
-// the accounting it keeps. The simulated layout (FlowFields) is the
-// full natural C-struct declaration, cold fields included.
+// Flow is the NAT's per-flow record: the accounting the rewrite action
+// keeps. The translation target it reads follows from the flow index
+// (mapping), so the record does not hold it; the simulated layout
+// (FlowFields) is the full natural C-struct declaration, mapping and
+// cold fields included.
 type Flow struct {
-	// MappedIP/MappedPort are the translation target (hot, read).
-	MappedIP   uint32
-	MappedPort uint16
 	// Pkts/Bytes are accounting (hot, written).
 	Pkts, Bytes uint64
 }
@@ -74,6 +73,8 @@ type NAT struct {
 	*nf.FlowTable[Flow]
 	natIP    uint32
 	portBase uint16
+	// space is the number of ports per address, 65536-portBase.
+	space int32
 }
 
 // New builds a NAT drawing simulated memory from as.
@@ -87,11 +88,11 @@ func New(as *mem.AddressSpace, cfg Config) (*NAT, error) {
 	if cfg.PortBase == 0 {
 		cfg.PortBase = 1024
 	}
-	n := &NAT{natIP: cfg.NATIP, portBase: cfg.PortBase}
+	n := &NAT{natIP: cfg.NATIP, portBase: cfg.PortBase, space: 65536 - int32(cfg.PortBase)}
 	var err error
 	n.FlowTable, err = nf.NewFlowTable(as, nf.FlowTableConfig[Flow]{
 		Name: cfg.Name, MaxFlows: cfg.MaxFlows, States: cfg.States, Fields: FlowFields(),
-		NewFlow:    n.newFlow,
+		NewFlow:    func(pkt.FiveTuple, int32) Flow { return Flow{} },
 		Data:       n.AttachData,
 		MissModule: "_alloc",
 		Alloc:      model.Action{Name: "alloc", Cost: 220}, // table insert + port allocation
@@ -105,13 +106,6 @@ func New(as *mem.AddressSpace, cfg Config) (*NAT, error) {
 	return n, nil
 }
 
-// newFlow assigns flow idx its translation.
-func (n *NAT) newFlow(_ pkt.FiveTuple, idx int32) Flow {
-	var f Flow
-	f.MappedIP, f.MappedPort = n.mapping(idx)
-	return f
-}
-
 // Translate returns tuple as this NAT emits it for flow idx: source
 // address and port rewritten to the NAT mapping.
 func (n *NAT) Translate(tuple pkt.FiveTuple, idx int32) pkt.FiveTuple {
@@ -120,10 +114,13 @@ func (n *NAT) Translate(tuple pkt.FiveTuple, idx int32) pkt.FiveTuple {
 }
 
 // mapping is flow idx's translated (address, port): the ports from
-// PortBase up on NATIP, then the same ports on each next address.
+// PortBase up on NATIP, then the same ports on each next address. Flows
+// on NATIP, the common case, skip the divide.
 func (n *NAT) mapping(idx int32) (uint32, uint16) {
-	space := int32(65536) - int32(n.portBase)
-	return n.natIP + uint32(idx/space), n.portBase + uint16(idx%space)
+	if idx < n.space {
+		return n.natIP, n.portBase + uint16(idx)
+	}
+	return n.natIP + uint32(idx/n.space), n.portBase + uint16(idx%n.space)
 }
 
 // AttachData registers only the flow-mapper data module — the form used
@@ -148,7 +145,7 @@ func (n *NAT) AttachData(b *model.Builder, next string) string {
 			f := &flows[e.FlowIdx]
 			// Rewrite errors are impossible for generator frames; a
 			// failure here is a harness bug, surfaced via counters.
-			_ = e.Pkt.RewriteNAT(f.MappedIP, f.MappedPort)
+			_ = e.Pkt.RewriteNAT(n.mapping(e.FlowIdx))
 			f.Pkts++
 			f.Bytes += uint64(e.Pkt.WireLen)
 			return evFwd

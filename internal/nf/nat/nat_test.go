@@ -260,19 +260,20 @@ func OrderUniformFor(t *testing.T) traffic.FlowOrder {
 
 // TestMappingInjective: past the 65536-PortBase ports of NATIP the
 // mapping moves on to the next address instead of wrapping, so no two
-// flows share a translated (address, port); the installed record and
-// Translate agree on it.
+// flows share a translated (address, port); the rewrite and Translate
+// agree on it.
 func TestMappingInjective(t *testing.T) {
 	const natIP, flows, space = 0x0a000001, 2000, 65536 - 65000
 	n, err := New(mem.NewAddressSpace(), Config{MaxFlows: flows, NATIP: natIP, PortBase: 65000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := traffic.NewFlowGen(traffic.FlowGenConfig{Flows: flows, PacketBytes: 64, Seed: 3})
+	g, err := traffic.NewFlowGen(traffic.FlowGenConfig{Flows: flows, PacketBytes: 64, Order: traffic.OrderRoundRobin, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[[2]uint32]int, flows)
+	want := make([]pkt.FiveTuple, flows)
 	for i := 0; i < flows; i++ {
 		out := n.Translate(g.FlowTuple(i), int32(i))
 		key := [2]uint32{out.SrcIP, uint32(out.SrcPort)}
@@ -286,23 +287,54 @@ func TestMappingInjective(t *testing.T) {
 		if err := n.AddFlow(g.FlowTuple(i), int32(i)); err != nil {
 			t.Fatal(err)
 		}
-		f, err := n.Flow(int32(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.MappedIP != out.SrcIP || f.MappedPort != out.SrcPort {
-			t.Fatalf("flow %d: record maps to %#x:%d, Translate to %#x:%d", i, f.MappedIP, f.MappedPort, out.SrcIP, out.SrcPort)
+		want[i] = out
+	}
+	// One packet of every flow, in flow order, through the rewrite.
+	src := &rewriteSource{gen: g}
+	prog, err := n.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	core, err := sim.NewCore(sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, rt.RTCConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Run(src, flows); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range src.out {
+		if p.Tuple.SrcIP != want[i].SrcIP || p.Tuple.SrcPort != want[i].SrcPort {
+			t.Fatalf("flow %d: rewritten to %#x:%d, Translate maps to %#x:%d", i, p.Tuple.SrcIP, p.Tuple.SrcPort, want[i].SrcIP, want[i].SrcPort)
 		}
 	}
 }
 
+// rewriteSource hands out the generator's packets as private copies and
+// keeps them, so their rewritten tuples can be read after the run.
+type rewriteSource struct {
+	gen *traffic.FlowGen
+	out []*pkt.Packet
+}
+
+func (s *rewriteSource) Next() *pkt.Packet {
+	q := *s.gen.Next()
+	q.Data = append([]byte(nil), q.Data...)
+	s.out = append(s.out, &q)
+	return &q
+}
+
 // TestNATHostBytesPerFlow holds the NAT's host footprint: 2^17 flows
-// must retain at most 60 bytes of Go heap per flow — a 24-byte record
-// (mapping and accounting only; the simulated layout keeps the cold
-// fields) plus half of a 64-byte cuckoo bucket (the table sizes for a
-// 50% load), with slack for the race detector's own allocations.
+// must retain at most 52 bytes of Go heap per flow — a 16-byte record
+// (accounting only; the mapping follows from the flow index, and the
+// simulated layout keeps it and the cold fields) plus half of a 64-byte
+// cuckoo bucket (the table sizes for a 50% load), with slack for the
+// race detector's own allocations.
 func TestNATHostBytesPerFlow(t *testing.T) {
-	const flows, limit = 1 << 17, 60.0
+	const flows, limit = 1 << 17, 52.0
 	g, err := traffic.NewFlowGen(traffic.FlowGenConfig{Flows: flows, PacketBytes: 64, Seed: 42})
 	if err != nil {
 		t.Fatal(err)

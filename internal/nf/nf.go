@@ -82,13 +82,15 @@ func DefaultKey(p *pkt.Packet) uint64 { return p.Tuple.Hash() }
 // Attach registers the classifier's module and control states on b.
 // On success control transfers to successTarget with the task's
 // FlowIdx set; on failure to missTarget. It returns the entry state
-// name ("module.get_key").
+// name ("module.get_key"). It allocates the table's host buckets, if
+// no insert has yet.
 func (c *Classifier) Attach(b *model.Builder, successTarget, missTarget string) string {
 	keyFn := c.KeyFn
 	if keyFn == nil {
 		keyFn = DefaultKey
 	}
 	table := c.Table
+	table.Allocate()
 	m := c.Module
 
 	evHashed := b.Event(EvHashed)

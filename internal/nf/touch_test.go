@@ -310,24 +310,29 @@ func sfcWorld(t *testing.T, name string, fused bool, opts compile.SFCOptions) to
 	if err != nil {
 		t.Fatal(err)
 	}
-	return touchWorld{name: name, as: as, prog: prog, src: src, state: func() any {
-		var all []any
-		for _, c := range chain {
-			switch c := c.(type) {
-			case *lb.LB:
-				all = append(all, records(t, touchFlows, c.Flow))
-			case *nat.NAT:
-				all = append(all, records(t, touchFlows, c.Flow))
-			case *monitor.Monitor:
-				all = append(all, records(t, touchFlows, c.Flow), c.Totals())
-			case *fw.FW:
-				all = append(all, records(t, touchFlows, c.Flow), c.Drops())
-			default:
-				t.Fatalf("chain member %s has no state snapshot", c.Name())
-			}
+	return touchWorld{name: name, as: as, prog: prog, src: src, state: func() any { return chainState(t, chain, touchFlows) }}
+}
+
+// chainState snapshots a chain's state: every member's first flows
+// records and drop count, and the monitor's totals.
+func chainState(t *testing.T, chain []compile.Chainable, flows int) any {
+	t.Helper()
+	var all []any
+	for _, c := range chain {
+		switch c := c.(type) {
+		case *lb.LB:
+			all = append(all, records(t, flows, c.Flow), c.Drops())
+		case *nat.NAT:
+			all = append(all, records(t, flows, c.Flow), c.Drops())
+		case *monitor.Monitor:
+			all = append(all, records(t, flows, c.Flow), c.Drops(), c.Totals())
+		case *fw.FW:
+			all = append(all, records(t, flows, c.Flow), c.Drops())
+		default:
+			t.Fatalf("chain member %s has no state snapshot", c.Name())
 		}
-		return all
-	}}
+	}
+	return all
 }
 
 func TestTouchSeesWhatFnSees(t *testing.T) {

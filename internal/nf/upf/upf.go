@@ -78,10 +78,12 @@ func (c *Config) setDefaults() error {
 // UEIP returns the UE address of session i.
 func (c Config) UEIP(i int) uint32 { return 0x0a000000 + uint32(i) }
 
-// Session is the PFCP session (per-flow) record. The simulated layout
-// spans two cache lines, matching the paper's description of UPF
-// per-flow state; the Go record keeps only what the actions read or
-// count.
+// Session is the PFCP session (per-flow) state UPF.Session reports: its
+// downlink tunnel and its usage counters. The simulated layout spans
+// two cache lines, matching the paper's description of UPF per-flow
+// state. The UPF keeps only the counters, a 16-byte record per session:
+// the tunnel follows from the session index (TEID) and the config
+// (RANIP).
 type Session struct {
 	// TEIDOut and RANIP are the downlink tunnel parameters (hot, read).
 	TEIDOut uint32
@@ -90,6 +92,16 @@ type Session struct {
 	// written).
 	UsagePkts, UsageBytes uint64
 }
+
+// sessionCounters is a session's Go record: the counters encap and
+// decap write.
+type sessionCounters struct {
+	pkts, bytes uint64
+}
+
+// teidOf is session i's tunnel endpoint identifier, the key of the uplink
+// TEID table and the downlink tunnel's outer TEID.
+func teidOf(i int32) uint32 { return 0x10000 + uint32(i) }
 
 func sessionFields() []mem.Field {
 	return []mem.Field{
@@ -145,14 +157,15 @@ type UPF struct {
 	bind     model.Binding
 	tree     *dstruct.MDITree
 	teids    *dstruct.Cuckoo
-	sessions []Session
+	sessions []sessionCounters
 	pdrs     []pdrCounters
 	// drops counts FAR-discarded and unmatched packets.
 	drops uint64
 }
 
-// New builds and fully configures a UPF: session state, PDR state, the
-// MDI tree for downlink matching, and the TEID table for uplink.
+// New builds and fully configures a UPF: session state, PDR state and
+// the MDI tree for downlink matching. It reserves the TEID table for
+// uplink matching, which AttachUplink fills.
 func New(as *mem.AddressSpace, cfg Config) (*UPF, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
@@ -182,14 +195,14 @@ func New(as *mem.AddressSpace, cfg Config) (*UPF, error) {
 			SubFlow: pdrPool, SubFlowLayout: pdrLay,
 			Control: mem.Region{Name: cfg.Name + ".control", Base: as.Reserve(64, 0), Size: 64},
 		},
-		sessions: make([]Session, cfg.Sessions),
+		sessions: make([]sessionCounters, cfg.Sessions),
 		pdrs:     make([]pdrCounters, nPDR),
 	}
 
-	// Populate sessions, the MDI tree and the TEID table.
-	// PDRs are numbered i*PDRsPerSession + p, which is UE IP order and
-	// then port order: the rule index the tree implies for each range,
-	// so the tree adopts the ranges array as its rule nodes.
+	// Populate the MDI tree. PDRs are numbered i*PDRsPerSession + p,
+	// which is UE IP order and then port order: the rule index the tree
+	// implies for each range, so the tree adopts the ranges array as its
+	// rule nodes.
 	rules := make([]dstruct.SessionRules, cfg.Sessions)
 	ranges := make([]dstruct.PortRange, nPDR)
 	span := 65536 / cfg.PDRsPerSession
@@ -198,11 +211,6 @@ func New(as *mem.AddressSpace, cfg Config) (*UPF, error) {
 		return nil, fmt.Errorf("upf: %w", err)
 	}
 	for i := 0; i < cfg.Sessions; i++ {
-		teid := uint32(0x10000 + i)
-		u.sessions[i] = Session{TEIDOut: teid, RANIP: cfg.RANIP}
-		if err := u.teids.Insert(uint64(teid), int32(i)); err != nil {
-			return nil, fmt.Errorf("upf: teid table: %w", err)
-		}
 		rules[i] = dstruct.SessionRules{UEIP: cfg.UEIP(i), Session: int32(i), Rules: int32(cfg.PDRsPerSession)}
 		for p := 0; p < cfg.PDRsPerSession; p++ {
 			lo := p * span
@@ -226,12 +234,13 @@ func (u *UPF) Name() string { return u.cfg.Name }
 // Tree exposes the MDI tree (for depth diagnostics in reports).
 func (u *UPF) Tree() *dstruct.MDITree { return u.tree }
 
-// Session returns a copy of session i's record.
+// Session returns session i's state.
 func (u *UPF) Session(i int32) (Session, error) {
 	if i < 0 || int(i) >= len(u.sessions) {
 		return Session{}, fmt.Errorf("upf: session %d out of range", i)
 	}
-	return u.sessions[i], nil
+	c := &u.sessions[i]
+	return Session{TEIDOut: teidOf(i), RANIP: u.cfg.RANIP, UsagePkts: c.pkts, UsageBytes: c.bytes}, nil
 }
 
 // PDRRecord returns a copy of PDR idx's record.
@@ -272,6 +281,7 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 	tree := u.tree
 	pdrs := u.pdrs
 	sessions := u.sessions
+	ranIP := u.cfg.RANIP
 
 	// Match module: granularly decomposed MDI walk.
 	b.AddModule(mMatch, u.bind)
@@ -348,16 +358,16 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 		},
 		Fn: func(e *model.Exec) model.EventID {
 			s := &sessions[e.FlowIdx]
-			teid := s.TEIDOut
+			teid := teidOf(e.FlowIdx)
 			// Write the GTP-U header into the frame's tunnel header
 			// slot; errors are impossible for generator frames.
 			_ = pkt.EncodeGTPU(e.Pkt.Data[pkt.EthLen+pkt.IPv4Len+pkt.UDPLen:],
 				pkt.GTPUHeader{MsgType: 0xFF, Length: uint16(e.Pkt.WireLen), TEID: teid})
 			e.Pkt.TEID = teid
-			e.Pkt.Tuple.DstIP = s.RANIP
+			e.Pkt.Tuple.DstIP = ranIP
 			e.Pkt.WireLen += pkt.EthLen + pkt.IPv4Len + pkt.UDPLen + pkt.GTPULen
-			s.UsagePkts++
-			s.UsageBytes += uint64(e.Pkt.WireLen)
+			s.pkts++
+			s.bytes += uint64(e.Pkt.WireLen)
 			return evFwd
 		},
 		Touch: func(e *model.Exec) { hostmem.Prefetch(&sessions[e.FlowIdx]) },
@@ -368,11 +378,20 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 }
 
 // AttachUplink registers the uplink pipeline (TEID match → decap) on b,
-// exiting toward next. It returns the entry state name.
+// exiting toward next. It returns the entry state name. The first call
+// fills the TEID table, in session order; a table that cannot take a
+// key fails b's Build.
 func (u *UPF) AttachUplink(b *model.Builder, next string) string {
 	mDecap := u.cfg.Name + "_decap"
 	evFwd := b.Event(nf.EvForward)
 	sessions := u.sessions
+
+	for i := u.teids.Len(); i < len(sessions); i++ {
+		if err := u.teids.Insert(uint64(teidOf(int32(i))), int32(i)); err != nil {
+			b.Fail(fmt.Errorf("upf: teid table: %w", err))
+			break
+		}
+	}
 
 	cls := nf.Classifier{
 		Table:  u.teids,
@@ -398,8 +417,8 @@ func (u *UPF) AttachUplink(b *model.Builder, next string) string {
 				e.Pkt.WireLen -= pkt.GTPULen + pkt.UDPLen + pkt.IPv4Len
 			}
 			e.Pkt.TEID = 0
-			s.UsagePkts++
-			s.UsageBytes += uint64(e.Pkt.WireLen)
+			s.pkts++
+			s.bytes += uint64(e.Pkt.WireLen)
 			return evFwd
 		},
 		Touch: func(e *model.Exec) { hostmem.Prefetch(&sessions[e.FlowIdx]) },

@@ -302,15 +302,16 @@ func TestExecutionModelsAgree(t *testing.T) {
 }
 
 // TestUPFHostBytesPerPDR holds the UPF's host footprint: 4096 sessions
-// of 16 PDRs must retain at most 28 bytes of Go heap per PDR — a
+// of 16 PDRs must retain at most 23 bytes of Go heap per PDR — a
 // 16-byte counter record and a 4-byte rule node, plus each session's
-// share of its record, tree node and TEID entry — and allocate at most
-// 30 while New runs, which leaves room for the per-session headers the
-// tree is built from and no copy of the rules.
+// share of its 16-byte counter record and its tree node; the TEID table
+// is filled by AttachUplink, not New — and allocate at most 24 while
+// New runs, which leaves room for the per-session headers the tree is
+// built from and no copy of the rules.
 // The match state is what bounds the session populations a figure
 // sweep can build.
 func TestUPFHostBytesPerPDR(t *testing.T) {
-	const sessions, pdrs, retainLimit, allocLimit = 4096, 16, 28.0, 30.0
+	const sessions, pdrs, retainLimit, allocLimit = 4096, 16, 23.0, 24.0
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Statement ladder: Go statements executed per operation of one of the
 # benchmark's workloads (per packet for nat_miss, nat_hit, upf_mgw and
-# sfc6_engine2), per package and per file. Host time on a shared VM
-# spreads tens of percent run to run; the toolchain's coverage counters
-# count executed statements exactly, so a code change's host work shows
-# as a repeatable delta.
+# sfc6_engine2, per simulated packet for fig_sweep), per package and
+# per file. Host time on a shared VM spreads tens of percent run to run;
+# the toolchain's coverage counters count executed statements exactly,
+# so a code change's host work shows as a repeatable delta.
 #
 # Recipe: build ./bench with coverage counters on every package of the
 # module (into a temporary directory, never under bench/), run the
@@ -15,8 +15,12 @@
 # same number of set-ups: the two `info:` lines must report the same
 # `setup_samples`, and a pair that does not is run again.
 #
-# fig_sweep runs the same number of passes at 1 and at 2 seconds, so
-# its two runs do not differ and the script says so and stops.
+# fig_sweep measures at least 3 passes, so its 1-s and 2-s runs would
+# not differ. It runs --seconds 3 and --seconds 6 instead (3 and 7
+# measured passes), and the divisor is the difference in simulated
+# packets: the `info:` line's pass_pkts times its passes. Every pass
+# regenerates the same tables, so one pass's statements include the NF
+# construction and core resets of its sweep points.
 #
 # Blind spots: assembly (the AVX2 set-scan kernel), the Go runtime (GC,
 # maps, channels), inlining and memory stalls. The ladder counts work
@@ -41,6 +45,10 @@ WORKLOAD=$1
 SEED=3
 TRIES=5
 MIN=0.1
+SHORT=1 LONG=2
+if [ "$WORKLOAD" = fig_sweep ]; then
+	SHORT=3 LONG=6
+fi
 case "$WORKLOAD" in
 sfc6_engine2 | cluster_deploy) MODE=atomic ;;
 *) MODE=count ;;
@@ -70,10 +78,10 @@ setups() { # seconds — the run's setup_samples
 }
 
 for try in $(seq "$TRIES"); do
-	echo "== $WORKLOAD seed $SEED: pair $try/$TRIES (--seconds 1, then 2)" >&2
-	run 1
-	run 2
-	a=$(setups 1) b=$(setups 2)
+	echo "== $WORKLOAD seed $SEED: pair $try/$TRIES (--seconds $SHORT, then $LONG)" >&2
+	run "$SHORT"
+	run "$LONG"
+	a=$(setups "$SHORT") b=$(setups "$LONG")
 	if [ "$a" = "$b" ]; then
 		break
 	fi
@@ -84,10 +92,10 @@ for try in $(seq "$TRIES"); do
 	fi
 done
 
-python3 - "$tmp" "$WORKLOAD" "$SEED" "$MODE" "$MIN" "$(go list -m)" <<'EOF'
+python3 - "$tmp" "$WORKLOAD" "$SEED" "$MODE" "$MIN" "$(go list -m)" "$SHORT" "$LONG" <<'EOF'
 import collections, json, os, sys
 
-tmp, workload, seed, mode, least, module = sys.argv[1:7]
+tmp, workload, seed, mode, least, module, short, long_ = sys.argv[1:9]
 least = float(least)
 
 def blocks(path):
@@ -100,15 +108,20 @@ def blocks(path):
         out[block] += int(count)
     return out, stmts
 
-def attempted(path):
-    return json.loads(open(path).read().splitlines()[-1])["attempted"]
+def operations(seconds):
+    lines = open(os.path.join(tmp, f"s{seconds}.out")).read().splitlines()
+    if workload != "fig_sweep":
+        return json.loads(lines[-1])["attempted"]
+    info = json.loads(next(l for l in lines if l.startswith("info: "))[len("info: "):])
+    return info["pass_pkts"] * info["passes"]
 
-c1, stmts = blocks(os.path.join(tmp, "s1.txt"))
-c2, stmts2 = blocks(os.path.join(tmp, "s2.txt"))
+unit = "simulated packet" if workload == "fig_sweep" else "op"
+c1, stmts = blocks(os.path.join(tmp, f"s{short}.txt"))
+c2, stmts2 = blocks(os.path.join(tmp, f"s{long_}.txt"))
 stmts.update(stmts2)
-ops = attempted(os.path.join(tmp, "s2.out")) - attempted(os.path.join(tmp, "s1.out"))
+ops = operations(long_) - operations(short)
 if ops <= 0:
-    sys.exit(f"stmt_ladder: the 2-s run attempted {ops} more operations than the 1-s run")
+    sys.exit(f"stmt_ladder: the {long_}-s run measured {ops} more {unit}s than the {short}-s run")
 
 per_file = collections.Counter()
 for block, n in stmts.items():
@@ -120,8 +133,8 @@ for f, v in per_file.items():
     per_pkg[os.path.dirname(f)] += v
 
 total = sum(per_file.values()) / ops
-print(f"stmt ladder: {workload} seed {seed}, -covermode={mode}, {ops} more operations in the 2-s run")
-print(f"{'total':<40} {total:10.1f} stmts/op")
+print(f"stmt ladder: {workload} seed {seed}, -covermode={mode}, {ops} more {unit}s in the {long_}-s run")
+print(f"{'total':<40} {total:10.1f} stmts/{unit}")
 print("\nper package")
 for p, v in per_pkg.most_common():
     if abs(v / ops) >= least:
