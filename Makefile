@@ -99,11 +99,12 @@ bench-ab:
 	BASE=$(BASE) WORKLOAD=$(WORKLOAD) PAIRS=$(PAIRS) scripts/bench_ab.sh
 
 # stmts prints the statement ladder of one benchmark workload: Go
-# statements executed per operation (per packet on the four packet
-# workloads), per package and per file, from the coverage counters of a
-# 1-s and a 2-s run whose set-ups match. Exact where host time is not;
-# see scripts/stmt_ladder.sh. WORKLOAD must be given: bench-ab's default
-# does not apply here.
+# statements executed per operation, per package and per file, from the
+# coverage counters of two runs whose set-ups match. The four packet
+# workloads and cluster_deploy run 1 s and 2 s and count per packet and
+# per deploy; fig_sweep runs 3 s and 6 s and counts per simulated
+# packet. Exact where host time is not; see scripts/stmt_ladder.sh.
+# WORKLOAD must be given: bench-ab's default does not apply here.
 #   make stmts WORKLOAD=upf_mgw
 stmts:
 	@if [ "$(origin WORKLOAD)" = file ]; then echo "usage: make stmts WORKLOAD=<workload>" >&2; exit 2; fi

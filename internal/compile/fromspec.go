@@ -36,14 +36,29 @@ type SpecResult struct {
 	Table *dstruct.Cuckoo
 	// Stores maps each StatefulNF module to its per-flow value store.
 	Stores map[string]*nfc.Store
+	// maxFlows is the per-flow pools' entry count, the flow index bound.
+	maxFlows int
 }
 
-// AddFlow registers tuple at per-flow index idx.
+// AddFlow registers tuple at per-flow index idx. The index must address
+// the per-flow pools, and since the classifier keys on tuple.Hash(), a
+// tuple whose key is already installed at another index is refused
+// rather than re-pointing that flow's entry; re-installing at the same
+// index is allowed.
 func (r *SpecResult) AddFlow(tuple pkt.FiveTuple, idx int32) error {
 	if r.Table == nil {
 		return fmt.Errorf("compile: spec program has no classifier table")
 	}
-	if err := r.Table.Insert(tuple.Hash(), idx); err != nil {
+	name := r.Table.Region().Name
+	if idx < 0 || int(idx) >= r.maxFlows {
+		return fmt.Errorf("compile: %s: flow index %d out of range [0,%d)", name, idx, r.maxFlows)
+	}
+	key := tuple.Hash()
+	if cur, ok := r.Table.Lookup(key); ok && cur != idx {
+		return fmt.Errorf("compile: %s: flow index %d: key %#016x is already installed at flow index %d",
+			name, idx, key, cur)
+	}
+	if err := r.Table.Insert(key, idx); err != nil {
 		return fmt.Errorf("compile: %w", err)
 	}
 	return nil
@@ -85,7 +100,7 @@ func FromSpec(as *mem.AddressSpace, unit SpecUnit) (*SpecResult, error) {
 	}
 
 	b := model.NewBuilder(unit.NF.Name)
-	result := &SpecResult{Stores: make(map[string]*nfc.Store)}
+	result := &SpecResult{Stores: make(map[string]*nfc.Store), maxFlows: unit.MaxFlows}
 
 	// Resolve stage specs and entry points back to front.
 	next := model.EndName

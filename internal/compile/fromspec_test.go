@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/gunfu-nfv/gunfu/internal/mem"
@@ -138,6 +139,47 @@ func TestFromSpecNATProcessesPackets(t *testing.T) {
 	}
 	if r.Packets != packets {
 		t.Fatalf("processed %d packets", r.Packets)
+	}
+}
+
+// TestSpecAddFlowRefusesBadInstalls: SpecResult.AddFlow follows the
+// flow table's install rule. An index past the per-flow pools is
+// refused, naming the index and the bound, instead of panicking on the
+// flow's first packet; a tuple whose classifier key is installed at
+// another index is refused, naming both indexes, instead of re-pointing
+// that flow's entry (the crafted pair of TestAddFlowRefusesInstalledKey
+// in internal/nf); re-installing at the same index is allowed.
+func TestSpecAddFlowRefusesBadInstalls(t *testing.T) {
+	res, _ := compileSpecNAT(t, 4)
+	x := pkt.FiveTuple{SrcIP: 0x0a000001, DstIP: 0xc0a80001, SrcPort: 1024, DstPort: 443, Proto: pkt.ProtoUDP}
+	y := pkt.FiveTuple{SrcIP: 0x06000001, DstIP: 0xc0a80001, SrcPort: 2048, DstPort: 443, Proto: pkt.ProtoUDP}
+	if x.Hash() != y.Hash() {
+		t.Fatalf("%v and %v no longer share a key", x, y)
+	}
+	for _, idx := range []int32{4, -1} {
+		err := res.AddFlow(x, idx)
+		if err == nil {
+			t.Fatalf("AddFlow at index %d accepted by a 4-flow program", idx)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "flow index") || !strings.Contains(msg, "[0,4)") {
+			t.Fatalf("error %q does not name the index and its bound", msg)
+		}
+	}
+	if err := res.AddFlow(x, 0); err != nil {
+		t.Fatal(err)
+	}
+	err := res.AddFlow(y, 1)
+	if err == nil {
+		t.Fatalf("AddFlow(%v, 1) accepted a key installed at flow 0", y)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "flow index 1") || !strings.Contains(msg, "flow index 0") {
+		t.Fatalf("error %q does not name both flow indexes", msg)
+	}
+	if idx, ok := res.Table.Lookup(x.Hash()); !ok || idx != 0 {
+		t.Fatalf("key of %v maps to %d,%v after the refused install, want 0,true", x, idx, ok)
+	}
+	if err := res.AddFlow(x, 0); err != nil {
+		t.Fatalf("re-installing %v at its own index: %v", x, err)
 	}
 }
 

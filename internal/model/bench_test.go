@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkProgramStep measures the compiled step-plan executor on a
-// representative three-state program (per-flow, packet and temp spans),
+// representative three-state program (per-flow, packet and control spans),
 // host nanoseconds per control-state step. The simulated answers are
 // pinned by the golden tests and the differential harness; only host
 // speed may move here.
@@ -31,10 +31,10 @@ func BenchmarkProgramStep(b *testing.B) {
 	}
 	bl.AddState("m", "A", model.Action{Name: "a", Cost: 20, Fn: fn,
 		Reads:  []model.FieldRef{span(model.BasePacket, 14, 20), span(model.BasePerFlow, 0, 16)},
-		Writes: []model.FieldRef{span(model.BaseTemp, 0, 8)},
+		Writes: []model.FieldRef{span(model.BasePacket, 30, 4)},
 	})
 	bl.AddState("m", "B", model.Action{Name: "b", Cost: 30, Fn: fn,
-		Reads:  []model.FieldRef{span(model.BasePerFlow, 16, 32), span(model.BaseTemp, 0, 8)},
+		Reads:  []model.FieldRef{span(model.BasePerFlow, 16, 32), span(model.BasePacket, 30, 4)},
 		Writes: []model.FieldRef{span(model.BasePerFlow, 16, 16), span(model.BasePacket, 26, 6)},
 	})
 	bl.AddState("m", "C", model.Action{Name: "c", Cost: 10, Fn: fn,
@@ -55,7 +55,7 @@ func BenchmarkProgramStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := &pkt.Packet{Addr: as.Reserve(2048, 64), Data: make([]byte, 128)}
-	e := &model.Exec{Core: core, TempAddr: as.Reserve(64, 64)}
+	e := &model.Exec{Core: core}
 	e.ResetStream(p, prog.Start(), 0)
 	e.FlowIdx = 0
 

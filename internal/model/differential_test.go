@@ -33,11 +33,10 @@ type diffWorld struct {
 	// as is the address space after the program's own reservations; a
 	// runtime built on a copy of it lands on the same addresses as any
 	// other built on another copy.
-	as       mem.AddressSpace
-	tempAddr uint64
-	pktAddr  uint64
-	dynBase  uint64
-	dynSize  uint64
+	as      mem.AddressSpace
+	pktAddr uint64
+	dynBase uint64
+	dynSize uint64
 }
 
 // diffResult is everything one executor side produced.
@@ -86,10 +85,9 @@ func buildRandomProgram(t *testing.T, rng *rand.Rand) *diffWorld {
 	}
 	control := mem.Region{Name: "ctl", Base: as.Reserve(512, uint64(8<<rng.Intn(4))), Size: 512}
 	w := &diffWorld{
-		tempAddr: as.Reserve(64, 64),
-		pktAddr:  as.Reserve(2048, 64) + uint64(rng.Intn(3))*8,
-		dynBase:  as.Reserve(4096, 64),
-		dynSize:  4096,
+		pktAddr: as.Reserve(2048, 64) + uint64(rng.Intn(3))*8,
+		dynBase: as.Reserve(4096, 64),
+		dynSize: 4096,
 	}
 
 	bases := []struct {
@@ -99,7 +97,6 @@ func buildRandomProgram(t *testing.T, rng *rand.Rand) *diffWorld {
 		{model.BasePerFlow, perFlow.EntrySize()},
 		{model.BasePacket, 128},
 		{model.BaseControl, control.Size},
-		{model.BaseTemp, 64},
 		{model.BaseDynamic, 256},
 	}
 	if subFlow != nil {
@@ -129,7 +126,7 @@ func buildRandomProgram(t *testing.T, rng *rand.Rand) *diffWorld {
 	// same under a bare Exec loop and under a real runtime (whose
 	// ResetStream leaves the indexes unmatched). It may only touch bases
 	// that resolve before matching.
-	early := bases[1:4] // packet, control, temp
+	early := bases[1:3] // packet, control
 	initRefs := make([]model.FieldRef, 0, 2)
 	for i := 0; i < rng.Intn(3); i++ {
 		eb := early[rng.Intn(len(early))]
@@ -213,7 +210,7 @@ func replay(t *testing.T, w *diffWorld, s diffSide, packets int) diffResult {
 	var res diffResult
 	core.SetAccessLog(func(a sim.MemAccess) { res.log = append(res.log, a) })
 	p := &pkt.Packet{Addr: w.pktAddr, Data: make([]byte, 128)}
-	e := &model.Exec{Core: core, TempAddr: w.tempAddr}
+	e := &model.Exec{Core: core}
 	for seq := 0; seq < packets; seq++ {
 		e.ResetStream(p, w.prog.Start(), uint64(seq))
 		for visits := 0; !e.Done; visits++ {

@@ -48,17 +48,13 @@ type Exec struct {
 	FlowIdx int32
 	// SubIdx is the sub-flow match result (e.g. the matched PDR).
 	SubIdx int32
-	// Key and Key2 stage match keys between get_key and hash steps.
-	Key, Key2 uint64
+	// Key stages a match key between get_key and hash steps.
+	Key uint64
 	// Temp is word-sized scratch storage allocated by the compiler from
 	// the action implementations' temporary variables.
 	Temp [8]uint64
 	// Cur is the stepwise matching cursor.
 	Cur Cursor
-	// TempAddr is the simulated address of this task's one scratch line
-	// (part of the NFTask structure itself); BaseTemp spans resolve
-	// against it.
-	TempAddr uint64
 	// CS is the current control state.
 	CS CSID
 	// Seq is the packet's receive sequence number on its worker: the
@@ -88,7 +84,6 @@ func (e *Exec) ResetStream(p *pkt.Packet, start CSID, seq uint64) {
 	e.FlowIdx = -1
 	e.SubIdx = -1
 	e.Key = 0
-	e.Key2 = 0
 	e.Cur.Reset()
 	e.CS = start
 	e.Seq = seq

@@ -62,9 +62,9 @@ const (
 	// BaseControl is per-NF-instance configuration shared across
 	// flows: the module's control-state region.
 	BaseControl
-	// BaseTemp is scratch state that lives across the actions of one
-	// packet and dies with it: the task's one scratch line.
-	BaseTemp
+	// Kind 5 is unused: traces carry a span's kind, and BaseDynamic
+	// keeps the value the pinned traces record.
+	_
 	// BaseDynamic is match state: the task's match cursor address —
 	// the next bucket or tree node of a stepwise matching structure,
 	// set by the previous step.
@@ -82,8 +82,6 @@ func (b BaseKind) String() string {
 		return "packet"
 	case BaseControl:
 		return "control"
-	case BaseTemp:
-		return "temp"
 	case BaseDynamic:
 		return "dynamic"
 	default:

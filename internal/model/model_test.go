@@ -69,7 +69,7 @@ func newTestEnv(t *testing.T) *testEnv {
 }
 
 func newExec(env *testEnv) *Exec {
-	e := &Exec{Core: env.core, TempAddr: 0x100}
+	e := &Exec{Core: env.core}
 	p := &pkt.Packet{Addr: 0x2000, WireLen: 64}
 	e.ResetStream(p, env.prog.Start(), 0)
 	e.FlowIdx = 3
@@ -424,7 +424,6 @@ func TestBuilderMissingLayout(t *testing.T) {
 		{BaseSubFlow, Binding{PerFlowLayout: layout}},
 		{BasePacket, full},
 		{BaseControl, full},
-		{BaseTemp, full},
 		{BaseDynamic, full},
 	}
 	for _, tc := range tests {
@@ -497,10 +496,9 @@ func TestResolveBases(t *testing.T) {
 	}
 	bind := &Binding{PerFlow: pf, SubFlow: sf, Control: mem.Region{Base: 0x7000, Size: 64}}
 	e := &Exec{
-		Pkt:      &pkt.Packet{Addr: 0x9000},
-		FlowIdx:  2,
-		SubIdx:   3,
-		TempAddr: 0xA000,
+		Pkt:     &pkt.Packet{Addr: 0x9000},
+		FlowIdx: 2,
+		SubIdx:  3,
 	}
 	e.Cur.Addr = 0xB000
 
@@ -512,7 +510,6 @@ func TestResolveBases(t *testing.T) {
 		{Span{BaseSubFlow, 0, 8}, sf.AddrAt(3)},
 		{Span{BasePacket, 14, 4}, 0x9000 + 14},
 		{Span{BaseControl, 4, 4}, 0x7004},
-		{Span{BaseTemp, 16, 8}, 0xA010},
 		{Span{BaseDynamic, 0, 64}, 0xB000},
 	}
 	for _, tt := range tests {
@@ -547,7 +544,7 @@ func TestResetStream(t *testing.T) {
 }
 
 func TestKindAndBaseStrings(t *testing.T) {
-	bases := []BaseKind{BasePerFlow, BaseSubFlow, BasePacket, BaseControl, BaseTemp, BaseDynamic, BaseKind(99)}
+	bases := []BaseKind{BasePerFlow, BaseSubFlow, BasePacket, BaseControl, BaseDynamic, BaseKind(99)}
 	for _, b := range bases {
 		if b.String() == "" {
 			t.Fatalf("empty String for %d", int(b))

@@ -46,7 +46,6 @@ const (
 	pbPerFlow
 	pbSubFlow
 	pbPacket
-	pbTemp
 	pbDynamic
 	pbCount
 )
@@ -123,8 +122,6 @@ func lowerBase(s Span, bind *Binding) (base uint8, off uint64) {
 	case BaseControl:
 		// Statically resolvable: fold the region base into the offset.
 		return pbStatic, bind.Control.Base + s.Off
-	case BaseTemp:
-		return pbTemp, s.Off
 	case BaseDynamic:
 		return pbDynamic, s.Off
 	default:
@@ -174,7 +171,7 @@ func alignedBase(base uint8, bind *Binding) bool {
 	case pbSubFlow:
 		return poolAligned(bind.SubFlow)
 	default:
-		// Packet, temp and dynamic bases are runtime values with no
+		// Packet and dynamic bases are runtime values with no
 		// compile-time alignment guarantee.
 		return false
 	}
@@ -246,9 +243,6 @@ func planBases(e *Exec, bind *Binding, mask uint8) *[8]uint64 {
 	if mask&(1<<pbPacket) != 0 {
 		bases[pbPacket] = e.Pkt.Addr
 	}
-	if mask&(1<<pbTemp) != 0 {
-		bases[pbTemp] = e.TempAddr
-	}
 	if mask&(1<<pbDynamic) != 0 {
 		bases[pbDynamic] = e.Cur.Addr
 	}
@@ -291,9 +285,6 @@ func (p *Program) stepCompiled(e *Exec, pl *stepPlan) error {
 		if m&(1<<pbPacket) != 0 {
 			bases[pbPacket] = e.Pkt.Addr
 		}
-		if m&(1<<pbTemp) != 0 {
-			bases[pbTemp] = e.TempAddr
-		}
 		if m&(1<<pbDynamic) != 0 {
 			bases[pbDynamic] = e.Cur.Addr
 		}
@@ -317,9 +308,6 @@ func (p *Program) stepCompiled(e *Exec, pl *stepPlan) error {
 		}
 		if m&(1<<pbPacket) != 0 {
 			bases[pbPacket] = e.Pkt.Addr
-		}
-		if m&(1<<pbTemp) != 0 {
-			bases[pbTemp] = e.TempAddr
 		}
 		if m&(1<<pbDynamic) != 0 {
 			bases[pbDynamic] = e.Cur.Addr
@@ -416,9 +404,6 @@ func (p *Program) EnsurePrefetched(e *Exec) bool {
 	}
 	if m&(1<<pbPacket) != 0 {
 		bases[pbPacket] = e.Pkt.Addr
-	}
-	if m&(1<<pbTemp) != 0 {
-		bases[pbTemp] = e.TempAddr
 	}
 	if m&(1<<pbDynamic) != 0 {
 		bases[pbDynamic] = e.Cur.Addr

@@ -27,8 +27,6 @@ func Resolve(s Span, bind *Binding, e *Exec) uint64 {
 		return e.Pkt.Addr + s.Off
 	case BaseControl:
 		return bind.Control.Base + s.Off
-	case BaseTemp:
-		return e.TempAddr + s.Off
 	case BaseDynamic:
 		return e.Cur.Addr + s.Off
 	default:

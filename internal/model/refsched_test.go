@@ -52,11 +52,8 @@ func newRefWorker(core *sim.Core, as *mem.AddressSpace, prog *model.Program, mod
 	}
 	w := &refWorker{core: core, prog: prog, mode: mode, cfg: cfg, ring: ring, tasks: make([]model.Exec, n), rxAt: map[uint64]uint64{}}
 	for i := range w.tasks {
-		w.tasks[i] = model.Exec{
-			Core:     core,
-			TempAddr: as.Reserve(sim.LineBytes, sim.LineBytes),
-			Done:     true,
-		}
+		as.Reserve(sim.LineBytes, sim.LineBytes) // the line rt.NewWorker keeps per task
+		w.tasks[i] = model.Exec{Core: core, Done: true}
 	}
 	return w
 }

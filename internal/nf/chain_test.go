@@ -1,6 +1,7 @@
 package nf_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -219,19 +220,47 @@ func TestDownstreamDuplicateKey(t *testing.T) {
 	}
 }
 
-// TestAddRecordReplaysInInstallOrder: keys AddRecord logs out of index
-// order, one index installed twice, build the table AddFlow calls in the
-// same order build.
+// TestAddRecordReplaysInInstallOrder: before its table is built, a
+// flow table's key log is in flow-index order, so AddRecord refuses an
+// index other than the log's length (a gap or a repeat), naming the
+// table, the index and the log length, and writes no record; keys
+// logged in order build the table AddFlow calls in the same order
+// build.
 func TestAddRecordReplaysInInstallOrder(t *testing.T) {
-	installs := []struct{ flow, idx int32 }{{0, 3}, {1, 1}, {2, 3}, {3, 0}, {4, 2}, {5, 7}, {6, 5}}
+	const flows = 8
 	g := newFlowGen(t, chainFlows)
-	build := func(add func(*nat.NAT, pkt.FiveTuple, int32) error) *dstruct.Cuckoo {
-		n, err := nat.New(mem.NewAddressSpace(), nat.Config{MaxFlows: 8})
+	newNAT := func() *nat.NAT {
+		n, err := nat.New(mem.NewAddressSpace(), nat.Config{MaxFlows: flows})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, in := range installs {
-			if err := add(n, g.FlowTuple(int(in.flow)), in.idx); err != nil {
+		return n
+	}
+
+	n := newNAT()
+	if err := n.AddRecord(g.FlowTuple(0), 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range []int32{0, 2} {
+		err := n.AddRecord(g.FlowTuple(1), idx)
+		if err == nil {
+			t.Fatalf("AddRecord at index %d accepted with one flow logged", idx)
+		}
+		want := []string{"nat", fmt.Sprintf("flow index %d", idx), "holds 1 flows"}
+		for _, w := range want {
+			if !strings.Contains(err.Error(), w) {
+				t.Fatalf("error %q does not name %q", err, w)
+			}
+		}
+	}
+	if f, err := n.Flow(2); err != nil || f != (nat.Flow{}) {
+		t.Fatalf("refused AddRecord wrote record 2: %+v (err %v)", f, err)
+	}
+
+	build := func(add func(*nat.NAT, pkt.FiveTuple, int32) error) *dstruct.Cuckoo {
+		n := newNAT()
+		for i := 0; i < flows; i++ {
+			if err := add(n, g.FlowTuple(i), int32(i)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -57,13 +57,10 @@ type FlowTable[F any] struct {
 	table *dstruct.Cuckoo
 	// built reports that table holds every installed key. Until a
 	// classifier attaches or an AddFlow needs the table, AddRecord logs
-	// the keys in pending, in install order, and pendingIdx holds their
-	// flow indexes: nil while each key's index is its position in the
-	// log, as PopulateFlows installs them.
-	built      bool
-	pending    []uint64
-	pendingIdx []int32
-	flows      []F
+	// the keys in pending, in flow-index order: entry i is flow i's key.
+	built   bool
+	pending []uint64
+	flows   []F
 	// touch prefetches the record at the task's flow index. It is built
 	// in NewFlowTable, not in Touch: a closure made by a method that
 	// inlines into its caller keeps hostmem.Prefetch as a call.
@@ -145,13 +142,15 @@ func (t *FlowTable[F]) AddFlow(tuple pkt.FiveTuple, idx int32) error {
 }
 
 // AddRecord writes tuple's fresh record at index idx and logs its
-// classifier key, in install order, for the table to be built from when
-// a classifier attaches (Attach) or an AddFlow needs it; once the table
-// is built, AddRecord is AddFlow. A chain member downstream of redundant
-// matching removal has no classifier, so its table is never built and
-// the log, 8 B per flow, is what it keeps of its match state; the log
-// stays, so the chain still compiles without MR. A duplicate key is
-// refused when the table is built.
+// classifier key for the table to be built from when a classifier
+// attaches (Attach) or an AddFlow needs it; once the table is built,
+// AddRecord is AddFlow. Until then the log is in flow-index order, as
+// PopulateFlows and a chain head's first packets install: only the next
+// index, idx == the log's length, is accepted. A chain member downstream
+// of redundant matching removal has no classifier, so its table is never
+// built and the log, 8 B per flow, is what it keeps of its match state;
+// the log stays, so the chain still compiles without MR. A duplicate key
+// is refused when the table is built.
 func (t *FlowTable[F]) AddRecord(tuple pkt.FiveTuple, idx int32) error {
 	if t.built {
 		return t.AddFlow(tuple, idx)
@@ -159,19 +158,14 @@ func (t *FlowTable[F]) AddRecord(tuple pkt.FiveTuple, idx int32) error {
 	if err := t.checkIndex(idx); err != nil {
 		return err
 	}
+	if int(idx) != len(t.pending) {
+		return fmt.Errorf("nf: %s: flow index %d logged out of order: the key log holds %d flows",
+			t.cfg.Name, idx, len(t.pending))
+	}
 	if t.pending == nil {
 		t.pending = make([]uint64, 0, len(t.flows))
 	}
-	if t.pendingIdx == nil && int(idx) != len(t.pending) {
-		t.pendingIdx = make([]int32, len(t.pending), cap(t.pending))
-		for i := range t.pendingIdx {
-			t.pendingIdx[i] = int32(i)
-		}
-	}
 	t.pending = append(t.pending, tuple.Hash())
-	if t.pendingIdx != nil {
-		t.pendingIdx = append(t.pendingIdx, idx)
-	}
 	t.install(tuple, idx)
 	return nil
 }
@@ -205,24 +199,20 @@ func (t *FlowTable[F]) insert(key uint64, idx int32) error {
 	return nil
 }
 
-// build replays the logged keys into the table, in install order, so it
-// comes out as eager AddFlow calls would have left it, and frees the
-// log. A refused key fails the build and keeps the log.
+// build replays the logged keys into the table, in flow-index order,
+// so it comes out as eager AddFlow calls would have left it, and frees
+// the log. A refused key fails the build and keeps the log.
 func (t *FlowTable[F]) build() error {
 	if t.built {
 		return nil
 	}
 	t.table.Allocate()
 	for i, key := range t.pending {
-		idx := int32(i)
-		if t.pendingIdx != nil {
-			idx = t.pendingIdx[i]
-		}
-		if err := t.insert(key, idx); err != nil {
+		if err := t.insert(key, int32(i)); err != nil {
 			return err
 		}
 	}
-	t.built, t.pending, t.pendingIdx = true, nil, nil
+	t.built, t.pending = true, nil
 	return nil
 }
 

@@ -68,7 +68,7 @@ func runOnce(t *testing.T, prog *model.Program, p *pkt.Packet) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &model.Exec{Core: core, TempAddr: 0x100}
+	e := &model.Exec{Core: core}
 	e.ResetStream(p, prog.Start(), 0)
 	for i := 0; !e.Done; i++ {
 		if err := prog.Step(e); err != nil {
@@ -148,7 +148,7 @@ func TestClassifierStagesPrefetchableAddresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &model.Exec{Core: core, TempAddr: 0x100}
+	e := &model.Exec{Core: core}
 	e.ResetStream(&pkt.Packet{Addr: 0x4000, Tuple: tuple, Data: make([]byte, 64)}, prog.Start(), 0)
 	if err := prog.Step(e); err != nil { // get_key
 		t.Fatal(err)

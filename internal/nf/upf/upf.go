@@ -9,9 +9,6 @@
 // one control state with the next node's address staged for prefetch —
 // the pointer-chasing workload whose stalls the interleaved execution
 // model hides.
-//
-// Uplink: a cuckoo lookup on the GTP-U TEID locates the session and the
-// packet is decapsulated.
 package upf
 
 import (
@@ -24,14 +21,6 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf"
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
-)
-
-// FAR action values (3GPP TS 29.244 apply-action, reduced).
-const (
-	// FARForward tunnels the packet onward.
-	FARForward uint8 = iota + 1
-	// FARDrop discards the packet.
-	FARDrop
 )
 
 // Config parametrizes a UPF instance. Session UE IPs follow the MGW
@@ -47,10 +36,6 @@ type Config struct {
 	PDRsPerSession int
 	// RANIP is the gNB tunnel endpoint for downlink encapsulation.
 	RANIP uint32
-	// DropEvery, when n > 0, marks every n-th PDR with FARDrop, giving
-	// the control-flow divergence the paper says batch-oriented
-	// prefetching handles poorly.
-	DropEvery int
 }
 
 func (c *Config) setDefaults() error {
@@ -93,14 +78,13 @@ type Session struct {
 	UsagePkts, UsageBytes uint64
 }
 
-// sessionCounters is a session's Go record: the counters encap and
-// decap write.
+// sessionCounters is a session's Go record: the counters encap writes.
 type sessionCounters struct {
 	pkts, bytes uint64
 }
 
-// teidOf is session i's tunnel endpoint identifier, the key of the uplink
-// TEID table and the downlink tunnel's outer TEID.
+// teidOf is session i's tunnel endpoint identifier, the downlink
+// tunnel's outer TEID.
 func teidOf(i int32) uint32 { return 0x10000 + uint32(i) }
 
 func sessionFields() []mem.Field {
@@ -118,23 +102,15 @@ func sessionFields() []mem.Field {
 	}
 }
 
-// PDR is the packet-detection-rule (sub-flow) state PDRRecord reports:
-// the rule's forwarding verdict and its counters. The UPF keeps only
-// the counters, a 16-byte record per rule; the verdict follows from the
-// config (see dropsAt), and the simulated layout's precedence and outer
-// TEID have no Go twin: a session's port ranges are disjoint, so
-// precedence never decides a match, and no rule overrides its
-// session's tunnel.
+// PDR is the packet-detection-rule (sub-flow) state the UPF keeps and
+// PDRRecord reports: the rule's counters, a 16-byte record per rule,
+// which apply writes. The simulated layout's precedence, FAR action and
+// outer TEID have no Go twin: a session's port ranges are disjoint, so
+// precedence never decides a match, every rule forwards, and no rule
+// overrides its session's tunnel.
 type PDR struct {
-	// FARAction is the forwarding verdict (hot, read).
-	FARAction uint8
 	// Pkts and Bytes are per-rule counters (hot, written).
 	Pkts, Bytes uint64
-}
-
-// pdrCounters is a PDR's Go record: the counters apply writes.
-type pdrCounters struct {
-	pkts, bytes uint64
 }
 
 func pdrFields() []mem.Field {
@@ -156,16 +132,14 @@ type UPF struct {
 	// are its per-flow pool, PDRs its sub-flow pool.
 	bind     model.Binding
 	tree     *dstruct.MDITree
-	teids    *dstruct.Cuckoo
 	sessions []sessionCounters
-	pdrs     []pdrCounters
-	// drops counts FAR-discarded and unmatched packets.
+	pdrs     []PDR
+	// drops counts unmatched packets.
 	drops uint64
 }
 
 // New builds and fully configures a UPF: session state, PDR state and
-// the MDI tree for downlink matching. It reserves the TEID table for
-// uplink matching, which AttachUplink fills.
+// the MDI tree for downlink matching.
 func New(as *mem.AddressSpace, cfg Config) (*UPF, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
@@ -196,7 +170,7 @@ func New(as *mem.AddressSpace, cfg Config) (*UPF, error) {
 			Control: mem.Region{Name: cfg.Name + ".control", Base: as.Reserve(64, 0), Size: 64},
 		},
 		sessions: make([]sessionCounters, cfg.Sessions),
-		pdrs:     make([]pdrCounters, nPDR),
+		pdrs:     make([]PDR, nPDR),
 	}
 
 	// Populate the MDI tree. PDRs are numbered i*PDRsPerSession + p,
@@ -206,8 +180,11 @@ func New(as *mem.AddressSpace, cfg Config) (*UPF, error) {
 	rules := make([]dstruct.SessionRules, cfg.Sessions)
 	ranges := make([]dstruct.PortRange, nPDR)
 	span := 65536 / cfg.PDRsPerSession
-	u.teids, err = dstruct.NewCuckoo(as, cfg.Name+".teid", cfg.Sessions)
-	if err != nil {
+	// The TEID table's simulated region stays reserved before the tree,
+	// though nothing reads it, so every downlink address stays where the
+	// pinned figures and traces put it; its host buckets are never
+	// allocated.
+	if _, err := dstruct.NewCuckoo(as, cfg.Name+".teid", cfg.Sessions); err != nil {
 		return nil, fmt.Errorf("upf: %w", err)
 	}
 	for i := 0; i < cfg.Sessions; i++ {
@@ -248,21 +225,10 @@ func (u *UPF) PDRRecord(idx int32) (PDR, error) {
 	if idx < 0 || int(idx) >= len(u.pdrs) {
 		return PDR{}, fmt.Errorf("upf: pdr %d out of range", idx)
 	}
-	c := &u.pdrs[idx]
-	rec := PDR{FARAction: FARForward, Pkts: c.pkts, Bytes: c.bytes}
-	if u.dropsAt(idx) {
-		rec.FARAction = FARDrop
-	}
-	return rec, nil
+	return u.pdrs[idx], nil
 }
 
-// dropsAt reports whether PDR idx's FAR action is FARDrop: with
-// DropEvery > 0, every DropEvery-th rule of a session drops.
-func (u *UPF) dropsAt(idx int32) bool {
-	return u.cfg.DropEvery > 0 && (int(idx)%u.cfg.PDRsPerSession+1)%u.cfg.DropEvery == 0
-}
-
-// Drops returns packets discarded by FARDrop (plus unmatched traffic).
+// Drops returns the packets no PDR matched.
 func (u *UPF) Drops() uint64 { return u.drops }
 
 // AttachDownlink registers the downlink pipeline (match → far → encap)
@@ -276,7 +242,6 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 	evFound := b.Event("pdr_found")
 	evMiss := b.Event(nf.EvMatchFail)
 	evFwd := b.Event(nf.EvForward)
-	evDrop := b.Event(nf.EvDrop)
 
 	tree := u.tree
 	pdrs := u.pdrs
@@ -318,7 +283,8 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 	b.AddTransition(mMatch+".walk", "pdr_found", mFar+".apply")
 	b.AddTransition(mMatch+".walk", nf.EvMatchFail, model.EndName)
 
-	// FAR module: read the matched PDR's verdict.
+	// FAR module: apply the matched PDR's FAR. Every rule forwards, but
+	// the read span keeps the verdict and outer TEID the FAR reads.
 	b.AddModule(mFar, u.bind)
 	b.AddState(mFar, "apply", model.Action{
 		Name: "apply",
@@ -329,18 +295,13 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 		Writes: []model.FieldRef{model.Fields(model.BaseSubFlow, "pkts", "bytes")},
 		Fn: func(e *model.Exec) model.EventID {
 			p := &pdrs[e.SubIdx]
-			p.pkts++
-			p.bytes += uint64(e.Pkt.WireLen)
-			if !u.dropsAt(e.SubIdx) {
-				return evFwd
-			}
-			u.drops++
-			return evDrop
+			p.Pkts++
+			p.Bytes += uint64(e.Pkt.WireLen)
+			return evFwd
 		},
 		Touch: func(e *model.Exec) { hostmem.Prefetch(&pdrs[e.SubIdx]) },
 	})
 	b.AddTransition(mFar+".apply", nf.EvForward, mEncap+".encap")
-	b.AddTransition(mFar+".apply", nf.EvDrop, model.EndName)
 
 	// Encap module: GTP-U encapsulation from session state.
 	b.AddModule(mEncap, u.bind)
@@ -377,69 +338,10 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 	return mMatch + ".walk_start"
 }
 
-// AttachUplink registers the uplink pipeline (TEID match → decap) on b,
-// exiting toward next. It returns the entry state name. The first call
-// fills the TEID table, in session order; a table that cannot take a
-// key fails b's Build.
-func (u *UPF) AttachUplink(b *model.Builder, next string) string {
-	mDecap := u.cfg.Name + "_decap"
-	evFwd := b.Event(nf.EvForward)
-	sessions := u.sessions
-
-	for i := u.teids.Len(); i < len(sessions); i++ {
-		if err := u.teids.Insert(uint64(teidOf(int32(i))), int32(i)); err != nil {
-			b.Fail(fmt.Errorf("upf: teid table: %w", err))
-			break
-		}
-	}
-
-	cls := nf.Classifier{
-		Table:  u.teids,
-		Module: u.cfg.Name + "_teid",
-		KeyFn:  func(p *pkt.Packet) uint64 { return uint64(p.TEID) },
-	}
-
-	b.AddModule(mDecap, u.bind)
-	b.AddState(mDecap, "decap", model.Action{
-		Name: "decap",
-		Cost: 45,
-		Reads: []model.FieldRef{
-			model.Fields(model.BasePerFlow, "teid_out", "qfi"),
-			nf.PacketHeaderSpan(),
-		},
-		Writes: []model.FieldRef{
-			model.Raw(model.BasePacket, 0, pkt.EthLen+pkt.IPv4Len),
-			model.Fields(model.BasePerFlow, "usage_pkts", "usage_bytes"),
-		},
-		Fn: func(e *model.Exec) model.EventID {
-			s := &sessions[e.FlowIdx]
-			if e.Pkt.WireLen > pkt.GTPULen+pkt.UDPLen+pkt.IPv4Len {
-				e.Pkt.WireLen -= pkt.GTPULen + pkt.UDPLen + pkt.IPv4Len
-			}
-			e.Pkt.TEID = 0
-			s.pkts++
-			s.bytes += uint64(e.Pkt.WireLen)
-			return evFwd
-		},
-		Touch: func(e *model.Exec) { hostmem.Prefetch(&sessions[e.FlowIdx]) },
-	})
-	b.AddTransition(mDecap+".decap", nf.EvForward, next)
-
-	return cls.Attach(b, mDecap+".decap", model.EndName)
-}
-
 // DownlinkProgram builds the standalone downlink program.
 func (u *UPF) DownlinkProgram() (*model.Program, error) {
 	b := model.NewBuilder(u.cfg.Name + "-downlink")
 	entry := u.AttachDownlink(b, model.EndName)
-	b.SetStart(entry)
-	return b.Build()
-}
-
-// UplinkProgram builds the standalone uplink program.
-func (u *UPF) UplinkProgram() (*model.Program, error) {
-	b := model.NewBuilder(u.cfg.Name + "-uplink")
-	entry := u.AttachUplink(b, model.EndName)
 	b.SetStart(entry)
 	return b.Build()
 }

@@ -36,9 +36,6 @@ func TestProgramsBuild(t *testing.T) {
 	if _, err := u.DownlinkProgram(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.UplinkProgram(); err != nil {
-		t.Fatal(err)
-	}
 	if u.Tree().Sessions() != 32 {
 		t.Fatalf("tree sessions = %d", u.Tree().Sessions())
 	}
@@ -47,30 +44,52 @@ func TestProgramsBuild(t *testing.T) {
 // TestTreeIndexesArePDRs: the rule index the MDI tree implies for a
 // match (the session's first rule plus the range's rank by port) is the
 // UPF's own PDR numbering, session i's p-th rule at i*PDRsPerSession+p,
-// and that rule carries the p-th verdict.
+// and the downlink counts a packet of that rule's port range on that
+// PDR's record.
 func TestTreeIndexesArePDRs(t *testing.T) {
 	const sessions, pdrs = 37, 5
-	u := newUPF(t, Config{Sessions: sessions, PDRsPerSession: pdrs, DropEvery: 2})
+	u := newUPF(t, Config{Sessions: sessions, PDRsPerSession: pdrs})
 	span := 65536 / pdrs
+	var pkts []*pkt.Packet
 	for i := 0; i < sessions; i++ {
 		for p := 0; p < pdrs; p++ {
-			s, idx, ok := u.Tree().Lookup(u.cfg.UEIP(i), uint16(p*span+span/2))
+			port := uint16(p*span + span/2)
+			s, idx, ok := u.Tree().Lookup(u.cfg.UEIP(i), port)
 			if !ok || s != int32(i) || idx != int32(i*pdrs+p) {
 				t.Fatalf("session %d rule %d: Lookup = %d,%d,%v, want %d,%d,true", i, p, s, idx, ok, i, i*pdrs+p)
 			}
-			rec, err := u.PDRRecord(idx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := FARForward
-			if (p+1)%2 == 0 {
-				want = FARDrop
-			}
-			if rec.FARAction != want {
-				t.Fatalf("PDR %d verdict %d, want %d", idx, rec.FARAction, want)
-			}
+			pkts = append(pkts, &pkt.Packet{Data: make([]byte, 128), WireLen: 128,
+				Tuple: pkt.FiveTuple{DstIP: u.cfg.UEIP(i), SrcPort: port, Proto: pkt.ProtoUDP}})
 		}
 	}
+	prog, err := u.DownlinkProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runRTC(t, prog, &listSource{pkts: pkts}, 0)
+	for idx := int32(0); idx < sessions*pdrs; idx++ {
+		rec, err := u.PDRRecord(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Pkts != 1 {
+			t.Fatalf("PDR %d counted %d packets, want 1", idx, rec.Pkts)
+		}
+	}
+}
+
+// listSource emits pkts once, in order.
+type listSource struct {
+	pkts []*pkt.Packet
+}
+
+func (s *listSource) Next() *pkt.Packet {
+	if len(s.pkts) == 0 {
+		return nil
+	}
+	p := s.pkts[0]
+	s.pkts = s.pkts[1:]
+	return p
 }
 
 func runRTC(t *testing.T, prog *model.Program, src rt.Source, n uint64) rt.Result {
@@ -143,8 +162,7 @@ func TestDownlinkPacketGetsTEID(t *testing.T) {
 	}
 	p := g.Next()
 	sessIdx := int32(p.Tuple.DstIP - 0x0a000000)
-	src := &oneShot{p: p}
-	runRTC(t, prog, src, 0)
+	runRTC(t, prog, &listSource{pkts: []*pkt.Packet{p}}, 0)
 	want, err := u.Session(sessIdx)
 	if err != nil {
 		t.Fatal(err)
@@ -165,19 +183,6 @@ func TestDownlinkPacketGetsTEID(t *testing.T) {
 	}
 }
 
-type oneShot struct {
-	p    *pkt.Packet
-	done bool
-}
-
-func (s *oneShot) Next() *pkt.Packet {
-	if s.done {
-		return nil
-	}
-	s.done = true
-	return s.p
-}
-
 func TestUnknownUEDropped(t *testing.T) {
 	u := newUPF(t, Config{Sessions: 4, PDRsPerSession: 2})
 	prog, err := u.DownlinkProgram()
@@ -189,62 +194,9 @@ func TestUnknownUEDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := g.Next() // dst IP is not a UE address
-	runRTC(t, prog, &oneShot{p: p}, 0)
+	runRTC(t, prog, &listSource{pkts: []*pkt.Packet{p}}, 0)
 	if u.Drops() != 1 {
 		t.Fatalf("Drops = %d, want 1", u.Drops())
-	}
-}
-
-func TestFARDrop(t *testing.T) {
-	u := newUPF(t, Config{Sessions: 2, PDRsPerSession: 4, DropEvery: 2})
-	prog, err := u.DownlinkProgram()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := traffic.NewMGWGen(traffic.MGWConfig{Sessions: 2, PDRs: 4, PacketBytes: 128, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runRTC(t, prog, g, 400)
-	if u.Drops() == 0 {
-		t.Fatal("DropEvery=2 produced no drops")
-	}
-	// Dropped packets must not update session usage.
-	var usage uint64
-	for i := int32(0); i < 2; i++ {
-		s, _ := u.Session(i)
-		usage += s.UsagePkts
-	}
-	if usage+u.Drops() != 400 {
-		t.Fatalf("usage %d + drops %d != 400", usage, u.Drops())
-	}
-}
-
-func TestUplinkDecap(t *testing.T) {
-	u := newUPF(t, Config{Sessions: 8, PDRsPerSession: 2})
-	prog, err := u.UplinkProgram()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := traffic.NewFlowGen(traffic.FlowGenConfig{Flows: 8, PacketBytes: 256, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := g.Next()
-	p.TEID = 0x10003 // session 3's tunnel
-	runRTC(t, prog, &oneShot{p: p}, 0)
-	s, err := u.Session(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.UsagePkts != 1 {
-		t.Fatalf("uplink usage = %d, want 1", s.UsagePkts)
-	}
-	if p.TEID != 0 {
-		t.Fatal("TEID not cleared after decap")
-	}
-	if p.WireLen >= 256 {
-		t.Fatalf("WireLen after decap = %d, want < 256", p.WireLen)
 	}
 }
 
@@ -304,8 +256,8 @@ func TestExecutionModelsAgree(t *testing.T) {
 // TestUPFHostBytesPerPDR holds the UPF's host footprint: 4096 sessions
 // of 16 PDRs must retain at most 23 bytes of Go heap per PDR — a
 // 16-byte counter record and a 4-byte rule node, plus each session's
-// share of its 16-byte counter record and its tree node; the TEID table
-// is filled by AttachUplink, not New — and allocate at most 24 while
+// share of its 16-byte counter record and its tree node; the TEID
+// table's host buckets are never allocated — and allocate at most 24 while
 // New runs, which leaves room for the per-session headers the tree is
 // built from and no copy of the rules.
 // The match state is what bounds the session populations a figure

@@ -180,7 +180,7 @@ func (c *Collector) ActionTable() *stats.Table {
 }
 
 // StateTable renders per-NFState attribution keyed by span base kind:
-// which class of state (per-flow, sub-flow, packet, control, temp,
+// which class of state (per-flow, sub-flow, packet, control,
 // match-structure) the stall cycles and misses came from.
 func (c *Collector) StateTable() *stats.Table {
 	t := stats.NewTable(

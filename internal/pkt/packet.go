@@ -59,7 +59,8 @@ type Packet struct {
 	WireLen int
 	// Tuple is the parsed five-tuple (valid after Parse).
 	Tuple FiveTuple
-	// TEID is the GTP-U tunnel id for encapsulated uplink packets.
+	// TEID is the GTP-U tunnel id the UPF's downlink encap writes into
+	// the outer header (there is no uplink to read one).
 	TEID uint32
 	// UE identifies the subscriber for control-plane (AMF) messages.
 	UE uint32

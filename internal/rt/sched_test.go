@@ -71,8 +71,9 @@ func schedSpan(rng *rand.Rand, base model.BaseKind, limit uint64) model.FieldRef
 // results. The start state carries no per-flow, sub-flow or dynamic
 // spans (its action establishes FlowIdx/SubIdx/Cur.Addr from the packet
 // id before any later state resolves those bases), and the visit budget
-// lives in Exec.Key, which ResetStream clears per packet (Temp persists
-// across packets in a reused task slot and would leak schedule state).
+// lives in Exec.Key and the packet id in a cursor word, both of which
+// ResetStream clears per packet (Temp persists across packets in a
+// reused task slot and would leak schedule state).
 // The per-flow pool is sized past L1 so the corpus actually misses and
 // switches away instead of running fully resident.
 func buildSchedWorld(t *testing.T, rng *rand.Rand, rec *schedRec) (*mem.AddressSpace, *model.Program) {
@@ -107,7 +108,6 @@ func buildSchedWorld(t *testing.T, rng *rand.Rand, rec *schedRec) (*mem.AddressS
 	startBases := []baseLim{
 		{model.BasePacket, 64},
 		{model.BaseControl, control.Size},
-		{model.BaseTemp, 64},
 	}
 	allBases := append([]baseLim{
 		{model.BasePerFlow, perFlow.EntrySize()},
@@ -152,18 +152,20 @@ func buildSchedWorld(t *testing.T, rng *rand.Rand, rec *schedRec) (*mem.AddressS
 			Fn: func(e *model.Exec) model.EventID {
 				if start {
 					// Establish the stream identity from the payload
-					// (idempotent: e0 may loop back here).
+					// (idempotent: e0 may loop back here) in a cursor word
+					// ResetStream clears.
 					id := binary.LittleEndian.Uint64(e.Pkt.Data)
-					e.Key2 = id
+					e.Cur.Aux[3] = id
 					e.FlowIdx = int32(id % flows)
 					if hasSub {
 						e.SubIdx = int32(id % subs)
 					}
 				}
 				e.Key++
-				rec.add(e.Key2, stateIdx*131^e.Key*17^uint64(e.FlowIdx)*29)
-				e.Cur.Addr = dynBase + (e.Key*2654435761+e.Key2*97+stateIdx*131)%(dynSize-512)
-				h := e.Key*0x9e3779b9 + e.Key2*31 + stateIdx*7
+				id := e.Cur.Aux[3]
+				rec.add(id, stateIdx*131^e.Key*17^uint64(e.FlowIdx)*29)
+				e.Cur.Addr = dynBase + (e.Key*2654435761+id*97+stateIdx*131)%(dynSize-512)
+				h := e.Key*0x9e3779b9 + id*31 + stateIdx*7
 				if e.Key <= 32 && h%4 == 0 {
 					return e0
 				}

@@ -238,11 +238,12 @@ func NewWorker(core *sim.Core, as *mem.AddressSpace, prog *model.Program, cfg Co
 		ringNext: make([]int32, cfg.Tasks),
 	}
 	for i := range w.tasks {
-		w.tasks[i] = model.Exec{
-			Core:     core,
-			TempAddr: as.Reserve(sim.LineBytes, sim.LineBytes),
-			Done:     true, // idle until a packet is loaded
-		}
+		// Each task keeps one simulated line reserved, though nothing
+		// reads it: a run that builds workers one after another on one
+		// address space (sfc6_engine2 builds one per window) would
+		// otherwise move every later address.
+		as.Reserve(sim.LineBytes, sim.LineBytes)
+		w.tasks[i] = model.Exec{Core: core, Done: true} // idle until a packet is loaded
 	}
 	return w, nil
 }

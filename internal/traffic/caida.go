@@ -44,12 +44,8 @@ func NewCaidaGen(cfg CaidaConfig) (*CaidaGen, error) {
 	if cfg.Flows <= 1 {
 		return nil, fmt.Errorf("traffic: caida: Flows must be > 1, got %d", cfg.Flows)
 	}
-	if cfg.ShardCount == 0 {
-		cfg.ShardBase, cfg.ShardCount = 0, cfg.Flows
-	}
-	if cfg.ShardBase < 0 || cfg.ShardBase+cfg.ShardCount > cfg.Flows {
-		return nil, fmt.Errorf("traffic: caida: shard [%d,%d) outside %d flows",
-			cfg.ShardBase, cfg.ShardBase+cfg.ShardCount, cfg.Flows)
+	if err := shard(&cfg.ShardBase, &cfg.ShardCount, cfg.Flows, "traffic: caida", "flows"); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// The popularity skew (s=1.05, v=8) matches backbone traces: a

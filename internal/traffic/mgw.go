@@ -19,8 +19,6 @@ type MGWConfig struct {
 	PDRs int
 	// PacketBytes is the downlink packet wire size.
 	PacketBytes int
-	// Order selects the session popularity distribution.
-	Order FlowOrder
 	// Seed makes the workload deterministic.
 	Seed int64
 	// ShardBase/ShardCount restrict emission to a session index range
@@ -35,13 +33,12 @@ func (c MGWConfig) UEIP(i int) uint32 { return 0x0a000000 + uint32(i) }
 // when the port space is partitioned evenly across the session's PDRs.
 func (c MGWConfig) PDRRangeSpan() int { return 65536 / c.PDRs }
 
-// MGWGen emits downlink packets toward the UE population.
+// MGWGen emits downlink packets toward the UE population, drawing
+// sessions uniformly.
 type MGWGen struct {
 	cfg  MGWConfig
 	rng  *rand.Rand
-	zipf *rand.Zipf
 	pool *pool
-	rr   int
 }
 
 // NewMGWGen validates cfg and builds the generator.
@@ -55,39 +52,20 @@ func NewMGWGen(cfg MGWConfig) (*MGWGen, error) {
 	if cfg.PacketBytes < 64 {
 		return nil, fmt.Errorf("traffic: mgw: PacketBytes must be >= 64, got %d", cfg.PacketBytes)
 	}
-	if cfg.Order == 0 {
-		cfg.Order = OrderUniform
+	if err := shard(&cfg.ShardBase, &cfg.ShardCount, cfg.Sessions, "traffic: mgw", "sessions"); err != nil {
+		return nil, err
 	}
-	if cfg.ShardCount == 0 {
-		cfg.ShardBase, cfg.ShardCount = 0, cfg.Sessions
-	}
-	if cfg.ShardBase < 0 || cfg.ShardBase+cfg.ShardCount > cfg.Sessions {
-		return nil, fmt.Errorf("traffic: mgw: shard [%d,%d) outside %d sessions",
-			cfg.ShardBase, cfg.ShardBase+cfg.ShardCount, cfg.Sessions)
-	}
-	g := &MGWGen{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), pool: newPool()}
-	if cfg.Order == OrderZipf && cfg.ShardCount > 1 {
-		g.zipf = rand.NewZipf(g.rng, 1.1, 1, uint64(cfg.ShardCount-1))
-	}
-	return g, nil
+	return &MGWGen{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), pool: newPool()}, nil
 }
 
 // Config returns the generator's parameters.
 func (g *MGWGen) Config() MGWConfig { return g.cfg }
 
-// Next emits a downlink packet: server → UE IP, with a source port
-// drawn uniformly so it lands in a uniformly random PDR's range.
+// Next emits a downlink packet: server → a uniformly drawn UE IP of the
+// shard, with a source port drawn uniformly so it lands in a uniformly
+// random PDR's range.
 func (g *MGWGen) Next() *pkt.Packet {
-	var sess int
-	switch {
-	case g.zipf != nil:
-		sess = g.cfg.ShardBase + int(g.zipf.Uint64())
-	case g.cfg.Order == OrderRoundRobin:
-		sess = g.cfg.ShardBase + g.rr
-		g.rr = (g.rr + 1) % g.cfg.ShardCount
-	default:
-		sess = g.cfg.ShardBase + g.rng.Intn(g.cfg.ShardCount)
-	}
+	sess := g.cfg.ShardBase + g.rng.Intn(g.cfg.ShardCount)
 	tuple := pkt.FiveTuple{
 		SrcIP:   0x08080800 + uint32(g.rng.Intn(256)), // internet servers
 		DstIP:   g.cfg.UEIP(sess),

@@ -67,6 +67,20 @@ const (
 	OrderRoundRobin
 )
 
+// shard applies the generators' one shard rule to a population of n:
+// a zero count selects the whole population, and a shard must lie
+// inside it. The error starts with prefix and counts the population in
+// units of noun.
+func shard(base, count *int, n int, prefix, noun string) error {
+	if *count == 0 {
+		*base, *count = 0, n
+	}
+	if *base < 0 || *base+*count > n {
+		return fmt.Errorf("%s: shard [%d,%d) outside %d %s", prefix, *base, *base+*count, n, noun)
+	}
+	return nil
+}
+
 // FlowGenConfig parametrizes a synthetic flow workload.
 type FlowGenConfig struct {
 	// Flows is the concurrent flow population.
@@ -109,12 +123,8 @@ func NewFlowGen(cfg FlowGenConfig) (*FlowGen, error) {
 	if cfg.Proto == 0 {
 		cfg.Proto = pkt.ProtoUDP
 	}
-	if cfg.ShardCount == 0 {
-		cfg.ShardBase, cfg.ShardCount = 0, cfg.Flows
-	}
-	if cfg.ShardBase < 0 || cfg.ShardBase+cfg.ShardCount > cfg.Flows {
-		return nil, fmt.Errorf("traffic: shard [%d,%d) outside population %d",
-			cfg.ShardBase, cfg.ShardBase+cfg.ShardCount, cfg.Flows)
+	if err := shard(&cfg.ShardBase, &cfg.ShardCount, cfg.Flows, "traffic", "flows"); err != nil {
+		return nil, err
 	}
 	g := &FlowGen{
 		cfg:  cfg,

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/gunfu-nfv/gunfu/internal/pkt"
@@ -19,6 +20,17 @@ func TestFlowGenValidation(t *testing.T) {
 	}
 	if _, err := NewFlowGen(FlowGenConfig{Flows: 10, PacketBytes: 32}); err == nil {
 		t.Fatal("tiny packets accepted")
+	}
+	_, err := NewFlowGen(FlowGenConfig{Flows: 8, PacketBytes: 64, ShardBase: 4, ShardCount: 5})
+	requireShardErr(t, err, "traffic: shard")
+}
+
+// requireShardErr checks that a generator refused a shard outside its
+// population with its own error prefix.
+func requireShardErr(t *testing.T, err error, prefix string) {
+	t.Helper()
+	if err == nil || !strings.HasPrefix(err.Error(), prefix) {
+		t.Fatalf("out-of-range shard: error %v, want prefix %q", err, prefix)
 	}
 }
 
@@ -183,6 +195,8 @@ func TestMGWGenValidation(t *testing.T) {
 	if _, err := NewMGWGen(MGWConfig{Sessions: 4, PDRs: 4, PacketBytes: 10}); err == nil {
 		t.Fatal("tiny packets accepted")
 	}
+	_, err := NewMGWGen(MGWConfig{Sessions: 8, PDRs: 2, PacketBytes: 64, ShardBase: -1, ShardCount: 2})
+	requireShardErr(t, err, "traffic: mgw: shard")
 }
 
 func TestMGWGenTargetsSessions(t *testing.T) {
@@ -213,17 +227,25 @@ func TestMGWGenTargetsSessions(t *testing.T) {
 	}
 }
 
+// TestMGWGenOrders: the MGW generator has one order, uniform over its
+// shard: a sharded generator targets only the shard's sessions, and
+// every one of them.
 func TestMGWGenOrders(t *testing.T) {
-	for _, order := range []FlowOrder{OrderUniform, OrderZipf, OrderRoundRobin} {
-		g, err := NewMGWGen(MGWConfig{Sessions: 16, PDRs: 2, PacketBytes: 64, Order: order, Seed: 1})
-		if err != nil {
-			t.Fatalf("order %d: %v", order, err)
+	cfg := MGWConfig{Sessions: 16, PDRs: 2, PacketBytes: 64, Seed: 1, ShardBase: 4, ShardCount: 8}
+	g, err := NewMGWGen(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := make(map[uint32]bool)
+	for i := 0; i < 400; i++ {
+		ue := g.Next().Tuple.DstIP
+		if ue < cfg.UEIP(4) || ue >= cfg.UEIP(12) {
+			t.Fatalf("packet %d targets %#x, outside the shard's UEs", i, ue)
 		}
-		for i := 0; i < 50; i++ {
-			if g.Next() == nil {
-				t.Fatalf("order %d: nil packet", order)
-			}
-		}
+		hit[ue] = true
+	}
+	if len(hit) != 8 {
+		t.Fatalf("%d of the shard's 8 sessions hit in 400 packets", len(hit))
 	}
 }
 
@@ -299,6 +321,8 @@ func TestCaidaGen(t *testing.T) {
 	if _, err := NewCaidaGen(CaidaConfig{Flows: 1}); err == nil {
 		t.Fatal("single flow accepted")
 	}
+	_, err := NewCaidaGen(CaidaConfig{Flows: 8, ShardBase: 8, ShardCount: 1})
+	requireShardErr(t, err, "traffic: caida: shard")
 	g, err := NewCaidaGen(CaidaConfig{Flows: 1000, Seed: 9})
 	if err != nil {
 		t.Fatal(err)

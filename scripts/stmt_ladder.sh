@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Statement ladder: Go statements executed per operation of one of the
 # benchmark's workloads (per packet for nat_miss, nat_hit, upf_mgw and
-# sfc6_engine2, per simulated packet for fig_sweep), per package and
-# per file. Host time on a shared VM spreads tens of percent run to run;
+# sfc6_engine2, per deploy for cluster_deploy, per simulated packet for
+# fig_sweep), per package and per file. Host time on a shared VM spreads tens of percent run to run;
 # the toolchain's coverage counters count executed statements exactly,
 # so a code change's host work shows as a repeatable delta.
 #
