@@ -2,6 +2,7 @@ package compile
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/gunfu-nfv/gunfu/internal/mem"
@@ -153,6 +154,50 @@ func TestBuildSFCValidation(t *testing.T) {
 	}
 	if _, err := BuildSFC("x", []Chainable{n1, n2}, SFCOptions{}); err == nil {
 		t.Fatal("duplicate NF names accepted")
+	}
+}
+
+// TestMRRefusesMismatchedFlowSpaces: redundant matching removal hands
+// the head's flow index to every NF after it, so a downstream NF with
+// fewer flows than the head would be indexed past its records (the
+// monitor's data action panicked on flow 4). BuildSFC refuses the chain,
+// naming the member and both sizes. Without MR each NF classifies on
+// its own, so the same chain runs: 64 round-robin packets over 8 flows,
+// of which the monitor's table holds 4, drop 32 at the monitor.
+func TestMRRefusesMismatchedFlowSpaces(t *testing.T) {
+	const flows, small, packets = 8, 4, 64
+	build := func() []Chainable {
+		as := mem.NewAddressSpace()
+		n, err := nat.New(as, nat.Config{MaxFlows: flows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := monitor.New(as, monitor.Config{MaxFlows: small})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []Chainable{n, m}
+	}
+	_, err := BuildSFC("mr", build(), SFCOptions{RemoveRedundantMatching: true})
+	if err == nil {
+		t.Fatal("MR build accepted a 4-flow monitor behind an 8-flow NAT")
+	}
+	for _, w := range []string{"nm has 4 flows", "nat has 8"} {
+		if !strings.Contains(err.Error(), w) {
+			t.Fatalf("error %q does not name %q", err, w)
+		}
+	}
+
+	chain := build()
+	g, err := traffic.NewFlowGen(traffic.FlowGenConfig{Flows: flows, PacketBytes: 64, Order: traffic.OrderRoundRobin, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := runSFC(t, chain, SFCOptions{}, g, packets, false); res.Packets != packets {
+		t.Fatalf("processed %d packets, want %d", res.Packets, packets)
+	}
+	if got, want := chain[1].(*monitor.Monitor).Drops(), uint64(packets/2); got != want {
+		t.Fatalf("monitor dropped %d packets, want %d", got, want)
 	}
 }
 

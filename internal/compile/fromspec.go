@@ -41,24 +41,16 @@ type SpecResult struct {
 }
 
 // AddFlow registers tuple at per-flow index idx. The index must address
-// the per-flow pools, and since the classifier keys on tuple.Hash(), a
-// tuple whose key is already installed at another index is refused
-// rather than re-pointing that flow's entry; re-installing at the same
-// index is allowed.
+// the per-flow pools; the classifier keys on tuple.Hash(), and
+// Cuckoo.Insert refuses a key already installed at another index.
 func (r *SpecResult) AddFlow(tuple pkt.FiveTuple, idx int32) error {
 	if r.Table == nil {
 		return fmt.Errorf("compile: spec program has no classifier table")
 	}
-	name := r.Table.Region().Name
 	if idx < 0 || int(idx) >= r.maxFlows {
-		return fmt.Errorf("compile: %s: flow index %d out of range [0,%d)", name, idx, r.maxFlows)
+		return fmt.Errorf("compile: %s: flow index %d out of range [0,%d)", r.Table.Region().Name, idx, r.maxFlows)
 	}
-	key := tuple.Hash()
-	if cur, ok := r.Table.Lookup(key); ok && cur != idx {
-		return fmt.Errorf("compile: %s: flow index %d: key %#016x is already installed at flow index %d",
-			name, idx, key, cur)
-	}
-	if err := r.Table.Insert(key, idx); err != nil {
+	if err := r.Table.Insert(tuple.Hash(), idx); err != nil {
 		return fmt.Errorf("compile: %w", err)
 	}
 	return nil

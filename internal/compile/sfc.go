@@ -3,7 +3,9 @@
 // of the compilation optimizations granular decomposition enables —
 // redundant matching removal (MR) for chained NFs and cache-conscious
 // data packing (DP) of per-flow state layouts — to chains of Go NFs
-// (BuildSFC with SFCOptions, FuseStates).
+// (BuildSFC with SFCOptions, FuseStates). MR reuses the head's flow
+// index in every NF after it, so BuildSFC checks that the chain shares
+// one flow-index space: every member's MaxFlows equals the head's.
 //
 // FromSpec compiles the paper's programming model (Listings 1–4): a
 // StatefulClassifier module contributes only its name and category,
@@ -40,9 +42,9 @@ type Chainable interface {
 	// AttachData registers only the data path, relying on a FlowIdx set
 	// by an upstream classifier — the post-MR form.
 	AttachData(b *model.Builder, next string) string
-	// AddFlow pre-populates per-flow state for tuple at index idx: the
-	// record and the classifier entry.
-	AddFlow(tuple pkt.FiveTuple, idx int32) error
+	// MaxFlows returns the size of the NF's flow-index space: its
+	// records, per-flow pool and match table.
+	MaxFlows() int
 	// AddRecord writes the record for tuple at index idx and defers the
 	// classifier entry until a classifier attaches (Attach), which under
 	// redundant matching removal a downstream NF's never does.
@@ -56,8 +58,9 @@ type Chainable interface {
 // SFCOptions selects the compilation optimizations for a chain.
 type SFCOptions struct {
 	// RemoveRedundantMatching keeps only the first NF's classifier and
-	// reuses its match result for every subsequent NF (all NFs must key
-	// on the five-tuple and share a flow index space).
+	// reuses its match result for every subsequent NF. All NFs must key
+	// on the five-tuple and share one flow-index space: BuildSFC refuses
+	// a chain whose members' MaxFlows differ.
 	RemoveRedundantMatching bool
 	// RemoveRedundantPrefetches is ignored: the redundant prefetch
 	// removal pass it selected was retired. The field is kept only
@@ -76,6 +79,10 @@ func BuildSFC(name string, chain []Chainable, opts SFCOptions) (*model.Program, 
 			return nil, fmt.Errorf("compile: duplicate NF name %q in chain", c.Name())
 		}
 		seen[c.Name()] = true
+		if opts.RemoveRedundantMatching && c.MaxFlows() != chain[0].MaxFlows() {
+			return nil, fmt.Errorf("compile: redundant matching removal: %s has %d flows, the head %s has %d: members must share one flow-index space",
+				c.Name(), c.MaxFlows(), chain[0].Name(), chain[0].MaxFlows())
+		}
 	}
 
 	b := model.NewBuilder(name)
@@ -91,7 +98,7 @@ func BuildSFC(name string, chain []Chainable, opts SFCOptions) (*model.Program, 
 			// They have no first-packet path either: the head's first
 			// packets install their records.
 			next = chain[0].Attach(b, next, func(tuple pkt.FiveTuple, idx int32) error {
-				return addDownstream(chain, tuple, idx)
+				return addRecords(chain[1:], chain[0].Translate(tuple, idx), idx)
 			})
 		}
 	}
@@ -105,36 +112,30 @@ func BuildSFC(name string, chain []Chainable, opts SFCOptions) (*model.Program, 
 
 // PopulateFlows installs the (tuple → index) assignment into every NF
 // of the chain, establishing the shared flow index space that redundant
-// matching removal relies on: AddFlow on the head, AddRecord on every
-// NF downstream, whose classifier entries are built only if BuildSFC
-// attaches their classifiers (it does not under MR). Each NF is keyed
-// on the tuple as packets reach it: the flow's original tuple
-// transformed by every upstream NF's rewrite. A key two flows share in
-// a downstream NF fails a BuildSFC without MR, not PopulateFlows.
+// matching removal relies on. Every member, the head included, gets
+// AddRecord: its classifier entries are built only if BuildSFC attaches
+// its classifier (the head's always, no other's under MR). Each NF is
+// keyed on the tuple as packets reach it: the flow's original tuple
+// transformed by every upstream NF's rewrite. A key two flows share
+// fails the build of the classifier that reads it, not PopulateFlows.
 func PopulateFlows(chain []Chainable, tuples []pkt.FiveTuple) error {
-	if len(chain) == 0 {
-		return nil
-	}
 	for i, tuple := range tuples {
-		if err := chain[0].AddFlow(tuple, int32(i)); err != nil {
-			return fmt.Errorf("compile: populating %s flow %d: %w", chain[0].Name(), i, err)
-		}
-		if err := addDownstream(chain, tuple, int32(i)); err != nil {
+		if err := addRecords(chain, tuple, int32(i)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// addDownstream writes flow idx's record into every NF after the head,
-// keyed on tuple (as it reaches the head) rewritten by every upstream
-// NF's Translate. The head must hold the flow's record already.
-func addDownstream(chain []Chainable, tuple pkt.FiveTuple, idx int32) error {
-	for i := 1; i < len(chain); i++ {
-		tuple = chain[i-1].Translate(tuple, idx)
-		if err := chain[i].AddRecord(tuple, idx); err != nil {
-			return fmt.Errorf("compile: populating %s flow %d: %w", chain[i].Name(), idx, err)
+// addRecords writes flow idx's record into every NF of members, each
+// keyed on tuple (as it reaches members[0]) rewritten by every NF's
+// Translate before it.
+func addRecords(members []Chainable, tuple pkt.FiveTuple, idx int32) error {
+	for _, c := range members {
+		if err := c.AddRecord(tuple, idx); err != nil {
+			return fmt.Errorf("compile: populating %s flow %d: %w", c.Name(), idx, err)
 		}
+		tuple = c.Translate(tuple, idx)
 	}
 	return nil
 }

@@ -33,8 +33,8 @@ const slotsPerBucket = 4
 const maxKicks = 500
 
 // Cuckoo is a 4-way bucketized cuckoo hash table mapping uint64 keys to
-// int32 values (pool entry indexes). Each bucket occupies one simulated
-// cache line.
+// int32 flow indexes, the per-flow pool entry a classifier hands its
+// NF. Each bucket occupies one simulated cache line.
 type Cuckoo struct {
 	region mem.Region
 	mask   uint64
@@ -117,15 +117,20 @@ func (c *Cuckoo) Len() int { return c.entries }
 // Buckets returns the bucket count.
 func (c *Cuckoo) Buckets() int { return int(c.mask + 1) }
 
-// Insert stores key→val, displacing entries as needed; a key already
-// present (in either candidate bucket) has its value updated in place.
-// On error the table is exactly as it was before the call. It is a
-// control-plane operation (session establishment) and is not charged
-// to the cache simulator.
+// Insert stores key→val, displacing entries as needed. It owns the
+// install rule "one key, one flow": a key already present (in either
+// candidate bucket) under another value is refused, naming the key and
+// both values, instead of re-pointing the installed flow's entry;
+// re-inserting its own value is a no-op. On error the table is exactly
+// as it was before the call. It is a control-plane operation (session
+// establishment) and is not charged to the cache simulator.
 func (c *Cuckoo) Insert(key uint64, val int32) error {
 	c.Allocate()
 	if bkt, s := c.find(key); bkt != nil {
-		bkt.vals[s] = val
+		if cur := bkt.vals[s]; cur != val {
+			return fmt.Errorf("dstruct: cuckoo %s: flow index %d: key %#016x is already installed at flow index %d",
+				c.region.Name, val, key, cur)
+		}
 		return nil
 	}
 	b1 := hash1(key) & c.mask

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -43,19 +44,31 @@ func TestCuckooInsertLookup(t *testing.T) {
 	}
 }
 
-func TestCuckooUpdateInPlace(t *testing.T) {
+// TestCuckooRefusesOtherValue: Insert refuses a key installed under
+// another value, naming the key and both values, and leaves the entry
+// as it was; re-inserting the installed value is a no-op.
+func TestCuckooRefusesOtherValue(t *testing.T) {
 	c := newCuckoo(t, 10)
 	if err := c.Insert(42, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Insert(42, 2); err != nil {
-		t.Fatal(err)
+	err := c.Insert(42, 2)
+	if err == nil {
+		t.Fatal("Insert(42, 2) re-pointed the key installed at 1")
+	}
+	for _, w := range []string{"0x000000000000002a", "flow index 1", "flow index 2"} {
+		if !strings.Contains(err.Error(), w) {
+			t.Fatalf("error %q does not name %q", err, w)
+		}
+	}
+	if err := c.Insert(42, 1); err != nil {
+		t.Fatalf("re-inserting the installed value: %v", err)
 	}
 	if c.Len() != 1 {
-		t.Fatalf("Len after update = %d, want 1", c.Len())
+		t.Fatalf("Len = %d, want 1", c.Len())
 	}
-	if v, ok := c.Lookup(42); !ok || v != 2 {
-		t.Fatalf("Lookup = %d,%v, want 2,true", v, ok)
+	if v, ok := c.Lookup(42); !ok || v != 1 {
+		t.Fatalf("Lookup = %d,%v, want 1,true", v, ok)
 	}
 }
 

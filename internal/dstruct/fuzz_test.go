@@ -9,7 +9,8 @@ import (
 )
 
 // Cuckoo op codes of the fuzz encoding: data is a sequence of
-// (op, key) byte pairs, op taken modulo four.
+// (op, key) byte pairs. The op byte's low two bits are the op, its
+// upper six an insert's value.
 const (
 	opInsert = iota
 	opDelete
@@ -27,22 +28,27 @@ func stepwise(c *Cuckoo, key uint64) (int32, bool) {
 }
 
 // cuckooOps replays data against a 16-slot table in lockstep with a Go
-// map and returns how many inserts the table refused. After every op
-// the table must hold exactly the map: each entry findable by Lookup
-// and by the stepwise lookup, Len equal to the map's size — which is
-// what makes a refused insert a no-op and an accepted one unique.
+// map and returns how many inserts of absent keys the table refused.
+// An installed key must refuse another value and accept its own. After
+// every op the table must hold exactly the map: each entry findable by
+// Lookup and by the stepwise lookup, Len equal to the map's size —
+// which is what makes a refused insert a no-op and an accepted one
+// unique.
 func cuckooOps(t *testing.T, data []byte) (refused int) {
 	t.Helper()
 	c := newCuckoo(t, 8)
 	want := make(map[uint64]int32)
 	for i := 0; i+1 < len(data); i += 2 {
-		key, val := uint64(data[i+1]), int32(i)
+		key, val := uint64(data[i+1]), int32(data[i]/4)
 		switch data[i] % 4 {
 		case opInsert:
-			if err := c.Insert(key, val); err == nil {
+			err := c.Insert(key, val)
+			if w, ok := want[key]; ok {
+				if (err == nil) != (w == val) {
+					t.Fatalf("op %d: Insert(%d, %d) on the key installed at %d: err %v", i/2, key, val, w, err)
+				}
+			} else if err == nil {
 				want[key] = val
-			} else if _, ok := want[key]; ok {
-				t.Fatalf("op %d: updating installed key %d failed: %v", i/2, key, err)
 			} else {
 				refused++
 			}
@@ -99,7 +105,8 @@ func TestCuckooFailedInsertChangesNothing(t *testing.T) {
 
 // TestCuckooReinsertAfterDisplacement re-inserts a key that a
 // displacement moved to its second bucket, once its first bucket has a
-// free slot again: it must be updated where it lives, not stored twice.
+// free slot again: under another value it must be refused, under its
+// own be a no-op, and in neither case be stored twice.
 func TestCuckooReinsertAfterDisplacement(t *testing.T) {
 	c := newCuckoo(t, 8)
 	b1 := func(k uint64) uint64 { return hash1(k) & c.mask }
@@ -137,14 +144,17 @@ func TestCuckooReinsertAfterDisplacement(t *testing.T) {
 		t.Fatal("setup: filler missing")
 	}
 	before := c.Len()
-	if err := c.Insert(k, 200); err != nil {
-		t.Fatal(err)
+	if err := c.Insert(k, 200); err == nil {
+		t.Fatal("Insert(k, 200) re-pointed k, installed at 0")
+	}
+	if err := c.Insert(k, 0); err != nil {
+		t.Fatalf("re-inserting k at its own value: %v", err)
 	}
 	if c.Len() != before {
 		t.Fatalf("Len went %d -> %d on re-inserting an installed key", before, c.Len())
 	}
-	if v, ok := c.Lookup(k); !ok || v != 200 {
-		t.Fatalf("Lookup(k) = %d,%v, want 200,true", v, ok)
+	if v, ok := c.Lookup(k); !ok || v != 0 {
+		t.Fatalf("Lookup(k) = %d,%v, want 0,true", v, ok)
 	}
 	if !c.Delete(k) {
 		t.Fatal("Delete(k) = false")

@@ -68,12 +68,18 @@ func tuplesOf(t *testing.T, cfg traffic.FlowGenConfig, n int) []pkt.FiveTuple {
 	return tuples
 }
 
+// flowAdder is what every flow-table NF promotes from nf.FlowTable's
+// eager install; compile.Chainable does not carry it.
+type flowAdder interface {
+	AddFlow(tuple pkt.FiveTuple, idx int32) error
+}
+
 // addFlowEverywhere is the eager population: AddFlow on every NF, each
 // keyed on the tuple as packets reach it.
 func addFlowEverywhere(chain []compile.Chainable, tuples []pkt.FiveTuple) error {
 	for i, tuple := range tuples {
 		for _, c := range chain {
-			if err := c.AddFlow(tuple, int32(i)); err != nil {
+			if err := c.(flowAdder).AddFlow(tuple, int32(i)); err != nil {
 				return err
 			}
 			tuple = c.Translate(tuple, int32(i))

@@ -100,6 +100,9 @@ func NewFlowTable[F any](as *mem.AddressSpace, cfg FlowTableConfig[F]) (*FlowTab
 // Name returns the instance name.
 func (t *FlowTable[F]) Name() string { return t.cfg.Name }
 
+// MaxFlows returns the size of the table's flow-index space.
+func (t *FlowTable[F]) MaxFlows() int { return len(t.flows) }
+
 // Drops returns the first packets dropped because the table was full.
 func (t *FlowTable[F]) Drops() uint64 { return t.drops }
 
@@ -123,10 +126,9 @@ func (t *FlowTable[F]) Flow(idx int32) (F, error) {
 
 // AddFlow installs tuple at index idx: a classifier entry and a fresh
 // record. Installing at or past the allocation cursor moves it. The
-// classifier keys on tuple.Hash(), so a tuple whose key is already
-// installed at another index is refused rather than re-pointing that
-// flow's entry; re-installing at the same index is allowed. The first
-// AddFlow builds the table from the keys AddRecord logged.
+// classifier keys on tuple.Hash(), and Cuckoo.Insert refuses a key
+// already installed at another index. The first AddFlow builds the
+// table from the keys AddRecord logged.
 func (t *FlowTable[F]) AddFlow(tuple pkt.FiveTuple, idx int32) error {
 	if err := t.checkIndex(idx); err != nil {
 		return err
@@ -186,13 +188,9 @@ func (t *FlowTable[F]) install(tuple pkt.FiveTuple, idx int32) {
 	}
 }
 
-// insert adds key→idx to the built table, refusing a key installed at
-// another index.
+// insert adds key→idx to the built table; Cuckoo.Insert refuses a key
+// installed at another index.
 func (t *FlowTable[F]) insert(key uint64, idx int32) error {
-	if cur, ok := t.table.Lookup(key); ok && cur != idx {
-		return fmt.Errorf("nf: %s: flow index %d: key %#016x is already installed at flow index %d",
-			t.cfg.Name, idx, key, cur)
-	}
 	if err := t.table.Insert(key, idx); err != nil {
 		return fmt.Errorf("nf: %s: %w", t.cfg.Name, err)
 	}

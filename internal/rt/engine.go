@@ -92,8 +92,8 @@ func (e *Engine) PoolStats() (news, reuses int64) {
 // span and throughput is the sum of per-core rates. FreqHz is taken
 // from the core that defines the window (the one with the most
 // cycles), so throughput conversion uses the clock the window was
-// measured in; heterogeneous-clock fleets should use AggregateStrict
-// to surface the mismatch instead.
+// measured in. Every engine core comes from one sim.CorePool, so all
+// share one clock.
 func Aggregate(results []Result) Result {
 	var agg Result
 	for _, r := range results {
@@ -115,19 +115,4 @@ func Aggregate(results []Result) Result {
 		}
 	}
 	return agg
-}
-
-// AggregateStrict is Aggregate with a clock-consistency check: all
-// cores must report the same FreqHz, since summing throughput across
-// cores with different clocks through a single cycle window would be
-// silently wrong. The multi-core experiments (Figs 14, 15) use this
-// form.
-func AggregateStrict(results []Result) (Result, error) {
-	for i, r := range results {
-		if r.FreqHz != results[0].FreqHz {
-			return Result{}, fmt.Errorf("rt: aggregate: core %d clock %.0f Hz differs from core 0 clock %.0f Hz",
-				i, r.FreqHz, results[0].FreqHz)
-		}
-	}
-	return Aggregate(results), nil
 }

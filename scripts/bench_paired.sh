@@ -3,10 +3,11 @@
 # methodology). This host is a shared VM whose absolute ns/op drifts by
 # double-digit percent between runs; single before/after runs are
 # meaningless. This script cancels the drift by building two test
-# binaries — one at a baseline commit, one from the working tree — and
-# alternating them baseline,new,baseline,new,... within the same time
-# window, then reporting the per-side MINIMUM for each benchmark (the
-# least-disturbed execution) and the ratio of minimums.
+# binaries — one at a baseline commit in a throwaway clone, one from the
+# working tree — and alternating them baseline,new,baseline,new,...
+# within the same time window, then reporting the per-side MINIMUM for
+# each benchmark (the least-disturbed execution) and the ratio of
+# minimums.
 #
 # Every round's raw `go test -bench` output is also kept, per side, in
 # benchstat-compatible form ($OUT/base.txt and $OUT/new.txt, one sample
@@ -39,22 +40,19 @@ OUT=${OUT:-bench_paired.out}
 
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 
 echo "== building baseline ($BASE) and working-tree test binaries for $PKG" >&2
-if ! git -C "$root" worktree add --detach "$tmp/base" "$BASE" >"$tmp/worktree.log" 2>&1; then
-	echo "bench_paired: cannot create a worktree at baseline '$BASE':" >&2
-	cat "$tmp/worktree.log" >&2
+git clone -q --no-checkout "$root" "$tmp/base"
+if ! git -C "$tmp/base" checkout -q --detach "$(git -C "$root" rev-parse "$BASE")" 2>"$tmp/checkout.log"; then
+	echo "bench_paired: cannot check out baseline '$BASE':" >&2
+	cat "$tmp/checkout.log" >&2
 	exit 1
 fi
 if ! (cd "$tmp/base" && go test -c -o "$tmp/base.test" "$PKG") >"$tmp/base_build.log" 2>&1; then
 	echo "bench_paired: baseline test binary failed to build at $BASE for $PKG:" >&2
 	cat "$tmp/base_build.log" >&2
-	echo "bench_paired: the baseline side builds from the seed worktree alone — if $PKG" >&2
+	echo "bench_paired: the baseline side builds from a clone at $BASE alone — if $PKG" >&2
 	echo "bench_paired: (or its benchmarks) did not exist at $BASE, choose an older PKG" >&2
 	echo "bench_paired: or a newer BASE; working-tree-only benchmarks cannot be paired." >&2
 	exit 1
