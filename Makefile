@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify cross lint loc bench-smoke bench-compile bench-paired bench-ab stmts profile examples quick trace-demo metrics-demo fuzz chaos chaos-demo
+.PHONY: build test verify cross lint loc size bench-smoke bench-compile bench-paired bench-ab stmts profile examples quick trace-demo metrics-demo fuzz chaos chaos-demo
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,23 @@ loc:
 	@find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); pkg[d] += $$1; sum += $$1 } \
 		END { for (d in pkg) printf "%7d %s\n", pkg[d], d | "sort -rn"; close("sort -rn"); printf "%7d total\n", sum }'
+
+# size prints the byte size of the benchmark binary (./bench) and of
+# gunfu-bench, and which of net/http, crypto/tls and runtime/cgo each
+# links: the fixed part of every workload's peak RSS. Printed for the
+# log, not a gate. Only cmd/gunfu-worker links an HTTP stack
+# (TestImportLayering holds that). runtime/cgo, and the libc it maps
+# (about 1.3 MiB resident), is expected: it comes in through net, which
+# the director's TCP control plane needs, whenever cgo is enabled. The
+# benchmark builds with the toolchain's defaults, so a build flag that
+# drops it would not change what the benchmark measures.
+size:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for p in ./bench ./cmd/gunfu-bench; do \
+		$(GO) build -o "$$dir/bin" $$p || exit 1; \
+		links=$$($(GO) list -deps $$p | grep -xE 'net/http|crypto/tls|runtime/cgo' | paste -sd ' '); \
+		printf "%10d bytes  %-18s links: %s\n" $$(stat -c %s "$$dir/bin") $$p "$${links:-none of them}"; \
+	done
 
 # bench-smoke runs one short iteration of every hot-path benchmark —
 # enough to catch a benchmark that no longer compiles or allocates,

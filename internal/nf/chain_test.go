@@ -143,9 +143,9 @@ func (x *traceHash) Event(ev sim.TraceEvent) {
 	}
 }
 
-// TestDeferredEntriesMatchEager: PopulateFlows only logs a downstream
-// NF's classifier keys, and a BuildSFC without MR builds each table from
-// its log as the classifier attaches. Every table must come out as
+// TestDeferredEntriesMatchEager: PopulateFlows only logs the classifier
+// keys of every chain member, the head's included, and a BuildSFC
+// without MR builds each table from its log as the classifier attaches. Every table must come out as
 // eager AddFlow calls leave it, bucket for bucket, so every flow
 // classifies the same in every NF; and the chain must run one window to
 // the same simulated trace, pinned as a hash of every event (the

@@ -94,11 +94,16 @@ func (s *listSource) Next() *pkt.Packet {
 
 func runRTC(t *testing.T, prog *model.Program, src rt.Source, n uint64) rt.Result {
 	t.Helper()
+	return runWith(t, prog, src, n, rt.RTCConfig())
+}
+
+func runWith(t *testing.T, prog *model.Program, src rt.Source, n uint64, cfg rt.Config) rt.Result {
+	t.Helper()
 	core, err := sim.NewCore(sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, rt.RTCConfig())
+	w, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +112,42 @@ func runRTC(t *testing.T, prog *model.Program, src rt.Source, n uint64) rt.Resul
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestPDRCountsBytes: a rule's counters add each packet's WireLen as
+// it arrives, before encapsulation grows it, under run-to-completion
+// and interleaved alike.
+func TestPDRCountsBytes(t *testing.T) {
+	const n, wireLen = 100, 200
+	for _, tc := range []struct {
+		name string
+		cfg  rt.Config
+	}{{"rtc", rt.RTCConfig()}, {"il16", rt.ConfigFor(16)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			u := newUPF(t, Config{Sessions: 4, PDRsPerSession: 2})
+			prog, err := u.DownlinkProgram()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Session 2's second rule, PDR 2*2+1, covers ports [32768, 65536).
+			const pdr = 2*2 + 1
+			pkts := make([]*pkt.Packet, n)
+			for i := range pkts {
+				pkts[i] = &pkt.Packet{Data: make([]byte, wireLen), WireLen: wireLen,
+					Tuple: pkt.FiveTuple{DstIP: u.cfg.UEIP(2), SrcPort: 40000, Proto: pkt.ProtoUDP}}
+			}
+			if res := runWith(t, prog, &listSource{pkts: pkts}, 0, tc.cfg); res.Packets != n {
+				t.Fatalf("processed %d packets, want %d", res.Packets, n)
+			}
+			rec, err := u.PDRRecord(pdr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Pkts != n || rec.Bytes != n*wireLen {
+				t.Fatalf("PDR %d counted %d packets, %d bytes; want %d, %d", pdr, rec.Pkts, rec.Bytes, n, n*wireLen)
+			}
+		})
+	}
 }
 
 func TestDownlinkEncapsulates(t *testing.T) {

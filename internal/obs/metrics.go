@@ -4,8 +4,9 @@ package obs
 // stdlib-only OpenMetrics/Prometheus text-exposition registry. The
 // tracing side (Collector, TraceWriter, FlightRecorder) answers "what
 // happened inside one run"; the registry answers "what is this process
-// doing right now" to anything that can speak HTTP — Prometheus or a
-// curl of the worker's /metrics.
+// doing right now" as text, which cmd/gunfu-worker serves at /metrics
+// to Prometheus or a curl. The HTTP stack stays in that command: every
+// other process links this package and should not map net/http.
 //
 // Design constraints, in order:
 //
@@ -22,7 +23,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"runtime/metrics"
 	"strconv"
 	"strings"
@@ -67,8 +67,8 @@ func (t MetricType) String() string {
 // Registry is a set of metric families rendered as OpenMetrics text
 // exposition. Every family is scrape-time: its collect function emits
 // the current series at each Expose, so the registry stores no values.
-// It is an http.Handler (mount it at /metrics) and is safe for
-// concurrent use. The zero Registry is not ready; use NewRegistry.
+// It is safe for concurrent use. The zero Registry is not ready; use
+// NewRegistry.
 type Registry struct {
 	mu     sync.Mutex
 	fams   []*family
@@ -250,18 +250,6 @@ func (r *Registry) Expose(w io.Writer) error {
 	sb.WriteString("# EOF\n")
 	_, err = io.WriteString(w, sb.String())
 	return err
-}
-
-// ServeHTTP implements http.Handler with the OpenMetrics content type;
-// a scrape that fails is answered 500 with its error.
-func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	var sb strings.Builder
-	if err := r.Expose(&sb); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-	_, _ = io.WriteString(w, sb.String())
 }
 
 // goRuntimeMetrics maps the curated runtime/metrics samples the

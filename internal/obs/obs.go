@@ -39,7 +39,8 @@
 // Registry is the serving surface: a stdlib-only OpenMetrics text
 // exposition registry (metrics.go) that stores no values — every family
 // is a scrape-time function over its owner — exposing PMU-derived
-// rates, latency quantiles and Go runtime gauges to HTTP scrapers.
+// rates, latency quantiles and Go runtime gauges as text. It imports no
+// net/http: cmd/gunfu-worker serves Expose at /metrics.
 //
 // Everything here is observation-only: a tracer never calls back into
 // the simulation, so attaching one is counter-neutral by construction

@@ -1,13 +1,16 @@
 package rt_test
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/gunfu-nfv/gunfu/internal/mem"
 	"github.com/gunfu-nfv/gunfu/internal/model"
 	"github.com/gunfu-nfv/gunfu/internal/nf/nat"
+	"github.com/gunfu-nfv/gunfu/internal/pkt"
 	"github.com/gunfu-nfv/gunfu/internal/rt"
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 	"github.com/gunfu-nfv/gunfu/internal/traffic"
@@ -15,6 +18,13 @@ import (
 
 // buildNAT returns a pre-populated NAT program and matching generator.
 func buildNAT(t testing.TB, flows int) (*model.Program, *traffic.FlowGen) {
+	t.Helper()
+	_, prog, g := newNAT(t, flows)
+	return prog, g
+}
+
+// newNAT is buildNAT that also returns the NAT, for its counters.
+func newNAT(t testing.TB, flows int) (*nat.NAT, *model.Program, *traffic.FlowGen) {
 	t.Helper()
 	as := mem.NewAddressSpace()
 	n, err := nat.New(as, nat.Config{MaxFlows: flows})
@@ -34,7 +44,7 @@ func buildNAT(t testing.TB, flows int) (*model.Program, *traffic.FlowGen) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog, g
+	return n, prog, g
 }
 
 func newWorker(t testing.TB, prog *model.Program, cfg rt.Config) *rt.Worker {
@@ -153,15 +163,16 @@ func TestConfigValidation(t *testing.T) {
 		name string
 		cfg  rt.Config
 		want string
+		is   error // the sentinel err must wrap, if any
 	}{
-		{"zero tasks", rt.Config{Tasks: 0, Batch: 32, RingSlots: 64, SlotBytes: 2048}, "Tasks must be positive"},
-		{"negative tasks", rt.Config{Tasks: -1, Batch: 32, RingSlots: 64, SlotBytes: 2048}, "Tasks must be positive"},
-		{"zero batch", rt.Config{Tasks: 4, Batch: 0, RingSlots: 64, SlotBytes: 2048}, "Batch must be positive"},
-		{"negative batch", rt.Config{Tasks: 4, Batch: -8, RingSlots: 64, SlotBytes: 2048}, "Batch must be positive"},
-		{"zero ring slots", rt.Config{Tasks: 4, Batch: 32, RingSlots: 0, SlotBytes: 2048}, "ring geometry"},
-		{"negative ring slots", rt.Config{Tasks: 4, Batch: 32, RingSlots: -1, SlotBytes: 2048}, "ring geometry"},
-		{"zero slot bytes", rt.Config{Tasks: 4, Batch: 32, RingSlots: 64, SlotBytes: 0}, "ring geometry"},
-		{"ring wrap guard", rt.Config{Tasks: 16, Batch: 32, RingSlots: 47, SlotBytes: 2048}, "RingSlots"},
+		{"zero tasks", rt.Config{Tasks: 0, Batch: 32, RingSlots: 64, SlotBytes: 2048}, "Tasks must be positive", nil},
+		{"negative tasks", rt.Config{Tasks: -1, Batch: 32, RingSlots: 64, SlotBytes: 2048}, "Tasks must be positive", nil},
+		{"zero batch", rt.Config{Tasks: 4, Batch: 0, RingSlots: 64, SlotBytes: 2048}, "Batch must be positive", nil},
+		{"negative batch", rt.Config{Tasks: 4, Batch: -8, RingSlots: 64, SlotBytes: 2048}, "Batch must be positive", nil},
+		{"zero ring slots", rt.Config{Tasks: 4, Batch: 32, RingSlots: 0, SlotBytes: 2048}, "ring geometry", nil},
+		{"negative ring slots", rt.Config{Tasks: 4, Batch: 32, RingSlots: -1, SlotBytes: 2048}, "ring geometry", nil},
+		{"zero slot bytes", rt.Config{Tasks: 4, Batch: 32, RingSlots: 64, SlotBytes: 0}, "ring geometry", nil},
+		{"ring wrap guard", rt.Config{Tasks: 16, Batch: 32, RingSlots: 47, SlotBytes: 2048}, "RingSlots", rt.ErrRingTooSmall},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -171,6 +182,9 @@ func TestConfigValidation(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tt.want) {
 				t.Fatalf("error %q does not contain %q", err, tt.want)
+			}
+			if tt.is != nil && !errors.Is(err, tt.is) {
+				t.Fatalf("error %q does not wrap %q", err, tt.is)
 			}
 		})
 	}
@@ -618,13 +632,71 @@ func TestRingGuardRejectsWrappableSlots(t *testing.T) {
 	bad := rt.Config{Tasks: 16, Batch: 32, RingSlots: 47, SlotBytes: 2048}
 	if _, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, bad); err == nil {
 		t.Fatalf("RingSlots %d < Tasks+Batch accepted", bad.RingSlots)
-	} else if !strings.Contains(err.Error(), "RingSlots") {
-		t.Fatalf("ring guard error does not name RingSlots: %v", err)
+	} else if !errors.Is(err, rt.ErrRingTooSmall) || !strings.Contains(err.Error(), "RingSlots") {
+		t.Fatalf("ring guard error is not rt.ErrRingTooSmall naming RingSlots: %v", err)
 	}
 	// The boundary is safe: exactly Tasks+Batch slots must be accepted.
 	ok := rt.Config{Tasks: 16, Batch: 32, RingSlots: 48, SlotBytes: 2048}
 	if _, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, ok); err != nil {
 		t.Fatalf("boundary config rejected: %v", err)
+	}
+}
+
+// copySource hands out a private copy of each of src's packets and
+// keeps every copy, so the frames a run leaves can be read afterwards.
+type copySource struct {
+	src  rt.Source
+	pkts []*pkt.Packet
+}
+
+func (s *copySource) Next() *pkt.Packet {
+	p := s.src.Next()
+	if p == nil {
+		return nil
+	}
+	c := *p
+	c.Data = slices.Clone(p.Data)
+	s.pkts = append(s.pkts, &c)
+	return &c
+}
+
+// TestRingAtMinimumSize: a ring of exactly Tasks+Batch slots, the
+// smallest the wrap guard accepts, wraps many times over a run and
+// still leaves every frame byte-identical to a default-ring run's, with
+// no packet dropped and no error, under RTCConfig and a 64-task
+// interleaved config alike.
+func TestRingAtMinimumSize(t *testing.T) {
+	const flows, packets = 256, 3000
+	run := func(t *testing.T, cfg rt.Config) []*pkt.Packet {
+		t.Helper()
+		n, prog, g := newNAT(t, flows)
+		src := &copySource{src: g}
+		res, err := newWorker(t, prog, cfg).Run(src, packets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Packets != packets || n.Drops() != 0 {
+			t.Fatalf("RingSlots %d: completed %d of %d packets, %d dropped", cfg.RingSlots, res.Packets, packets, n.Drops())
+		}
+		return src.pkts
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  rt.Config
+	}{{"rtc", rt.RTCConfig()}, {"il64", rt.ConfigFor(64)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			small := tc.cfg
+			small.RingSlots = small.Tasks + small.Batch
+			want, got := run(t, tc.cfg), run(t, small)
+			if len(got) != len(want) {
+				t.Fatalf("minimum ring received %d frames, default ring %d", len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i].Data, want[i].Data) {
+					t.Fatalf("frame %d differs with RingSlots %d:\n got %x\nwant %x", i, small.RingSlots, got[i].Data, want[i].Data)
+				}
+			}
+		})
 	}
 }
 

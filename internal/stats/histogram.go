@@ -48,28 +48,22 @@ func histBucketMax(idx int) uint64 {
 }
 
 // Add records one sample.
-func (h *Histogram) Add(v uint64) { h.AddN(v, 1) }
-
-// AddN records n samples of value v.
-func (h *Histogram) AddN(v, n uint64) {
-	if n == 0 {
-		return
-	}
+func (h *Histogram) Add(v uint64) {
 	idx := histBucket(v)
 	if idx >= len(h.counts) {
 		grown := make([]uint64, idx+1)
 		copy(grown, h.counts)
 		h.counts = grown
 	}
-	h.counts[idx] += n
+	h.counts[idx]++
 	if h.total == 0 || v < h.min {
 		h.min = v
 	}
 	if v > h.max {
 		h.max = v
 	}
-	h.total += n
-	h.sum += v * n
+	h.total++
+	h.sum += v
 }
 
 // Merge folds o into h. Histograms share one fixed bucket geometry, so

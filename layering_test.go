@@ -18,7 +18,9 @@ const module = "github.com/gunfu-nfv/gunfu"
 // example and the benchmark's cluster workload import internal/director,
 // and internal/deploy — what every other caller builds deployables
 // through — reaches neither the control plane, nor its fault injector,
-// nor the observability stack.
+// nor the observability stack. No non-test file outside cmd/ imports an
+// HTTP or RPC server package: only a command that serves one should pay
+// for mapping it, and cmd/gunfu-worker is the one that does.
 func TestImportLayering(t *testing.T) {
 	// deps holds each package's module imports from its non-test files;
 	// importers each module package's importers, test files included.
@@ -51,6 +53,9 @@ func TestImportLayering(t *testing.T) {
 			imp, err := strconv.Unquote(spec.Path.Value)
 			if err != nil {
 				return err
+			}
+			if !strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(filepath.ToSlash(path), "cmd/") && servesNet(imp) {
+				t.Errorf("%s imports %s: only commands under cmd/ may link an HTTP or RPC server", path, imp)
 			}
 			if imp == pkg || !strings.HasPrefix(imp, module+"/") {
 				continue
@@ -100,4 +105,15 @@ func TestImportLayering(t *testing.T) {
 			t.Errorf("internal/deploy depends on %s", banned)
 		}
 	}
+}
+
+// servesNet reports whether imp is a standard-library HTTP or RPC
+// server package (net/http, net/rpc and their subpackages, expvar).
+func servesNet(imp string) bool {
+	for _, p := range []string{"net/http", "net/rpc"} {
+		if imp == p || strings.HasPrefix(imp, p+"/") {
+			return true
+		}
+	}
+	return imp == "expvar"
 }
