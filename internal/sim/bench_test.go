@@ -31,7 +31,7 @@ func BenchmarkCacheLookup(b *testing.B) {
 	for i := range lines {
 		lines[i] = uint64(i)
 		_, v := c.probe(lines[i])
-		c.fill(v, lines[i], uint64(i), uint64(i))
+		c.fill(v, lines[i], uint64(i))
 		c.setHint(lines[i], v)
 	}
 	b.ReportAllocs()

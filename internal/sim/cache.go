@@ -2,18 +2,22 @@ package sim
 
 import "math/bits"
 
-// cache is one set-associative level with LRU replacement. Slots carry a
-// readyAt timestamp so asynchronously prefetched lines can be installed
-// immediately (creating realistic occupancy pressure) while still stalling
-// accesses that arrive before the fill completes.
+// cache is one set-associative level with LRU replacement. Asynchronously
+// prefetched lines are installed immediately (creating realistic
+// occupancy pressure) while still stalling accesses that arrive before
+// the fill completes: an L1 slot carries the cycle its fill completes,
+// and an outer slot carries only a flag, because the one fill that
+// reaches L2 or the LLC still in flight is a DRAM prefetch, which
+// completes DRAMLatency after the stamp it writes.
 //
 // The dense tag array is the only record of what is resident: every
 // lookup is a scan of the line's set. Tags are compact uint32s (only the
 // line bits above the set index — the rest is implied by the set), so a
 // full 16-way set's tags fit in one host cache line. The per-way LRU
-// stamp and fill bookkeeping live in parallel arrays (ready cycles dense
-// in one uint64 array, the L1-only prefetched flags in a byte array)
-// touched only on hits, installs and the full-set LRU pass.
+// stamp and fill bookkeeping live in parallel arrays (the L1's ready
+// cycles dense in one uint64 array, its prefetched flags and the outer
+// levels' in-flight flags in byte arrays) touched only on hits, installs
+// and the full-set LRU pass.
 //
 // On an AVX2 host a level whose Ways is a multiple of 8 up to 64 scans
 // with one vector kernel per set (scanSetAVX2) instead of the per-way
@@ -47,11 +51,19 @@ type cache struct {
 	stamps []uint64
 	// ready[set*ways+way] is the cycle at which the slot's fill
 	// completes; accesses earlier than this stall for the remainder.
+	// Only the L1 keeps it (installL1 writes it); outer levels leave it
+	// nil.
 	ready []uint64
 	// pref[set*ways+way] marks lines installed by a prefetch that have
 	// not yet served a demand access, for PMU efficacy accounting. Only
 	// the L1 ever sets it, so outer levels leave it nil.
 	pref []bool
+	// pending[set*ways+way] marks an outer-level slot filled by a DRAM
+	// prefetch and not hit since: its fill completes at
+	// stamps[slot]+DRAMLatency, and a demand hit before then stalls for
+	// the remainder. Every outer fill site writes it; the L1 leaves it
+	// nil.
+	pending []bool
 	// hint[(line*fibMul)>>hintShift] is the way hint (see the invariant
 	// above). Written on scan hits at every level and on L1 installs.
 	hint      []uint8
@@ -80,7 +92,6 @@ func newCache(cfg CacheConfig, hintBits uint) *cache {
 		setShift:  shift,
 		tags:      make([]uint32, n),
 		stamps:    make([]uint64, n),
-		ready:     make([]uint64, n),
 		hint:      make([]uint8, 1<<hintBits),
 		hintShift: 64 - hintBits,
 		vec:       vectorScan(cfg.Ways),
@@ -225,14 +236,13 @@ func (c *cache) lruOf(base int) int {
 	return victim
 }
 
-// fill places line into a victim slot returned by probe.
-// readyAt is the cycle the fill completes (== now for demand fills,
-// later for prefetch fills). The caller guarantees no install or touch
-// hit this set between the victim choice and the fill.
-func (c *cache) fill(slot int, line, now, readyAt uint64) {
+// fill places line into a victim slot returned by probe, stamped now.
+// The caller writes the slot's fill state (the L1's ready word and
+// prefetched flag, an outer level's in-flight flag) and guarantees no
+// install or touch hit this set between the victim choice and the fill.
+func (c *cache) fill(slot int, line, now uint64) {
 	c.tags[slot] = c.tagOf(line)
 	c.stamps[slot] = now
-	c.ready[slot] = readyAt
 }
 
 // setHint points line's way hint at slot (which lies in line's set).
@@ -241,11 +251,12 @@ func (c *cache) setHint(line uint64, slot int) {
 }
 
 // reset invalidates every line in O(tag bytes). Stale stamps, ready
-// words, pref flags and hints are unreachable rather than cleared:
-// stamps are only read by the LRU pass over a *full* set (every way
-// re-filled since the reset), ready/pref only for a slot a lookup just
-// resolved (valid tag ⇒ re-filled since the reset), and a hint only
-// counts when it verifies against a valid tag.
+// words, pref and pending flags and hints are unreachable rather than
+// cleared: stamps are only read by the LRU pass over a *full* set (every
+// way re-filled since the reset), ready/pref/pending only for a slot a
+// lookup just resolved (valid tag ⇒ re-filled since the reset, and every
+// fill writes them), and a hint only counts when it verifies against a
+// valid tag.
 func (c *cache) reset() {
 	for i := range c.tags {
 		c.tags[i] = 0

@@ -71,7 +71,7 @@ func TestProbeMatchesFindPlusVictim(t *testing.T) {
 			if want := scanVictim(c, line); victim != want {
 				t.Fatalf("op %d: probe victim %d, scan %d", i, victim, want)
 			}
-			c.fill(victim, line, uint64(i), uint64(i))
+			c.fill(victim, line, uint64(i))
 			if i%3 == 0 {
 				c.setHint(line, victim)
 			}
@@ -107,7 +107,7 @@ func TestVictimPolicy(t *testing.T) {
 		if _, v := c.probe(uint64(100 + w)); v != w {
 			t.Fatalf("free way: victim %d, want %d", v, w)
 		}
-		c.fill(w, uint64(100+w), 7, 7) // all three stamps tie
+		c.fill(w, uint64(100+w), 7) // all three stamps tie
 	}
 	for _, tc := range []struct {
 		stamps [3]uint64

@@ -94,7 +94,10 @@ func NewCore(cfg Config) (*Core, error) {
 		curTask:     -1,
 		curCS:       -1,
 	}
+	c.l1.ready = make([]uint64, len(c.l1.tags))
 	c.l1.pref = make([]bool, len(c.l1.tags))
+	c.l2.pending = make([]bool, len(c.l2.tags))
+	c.llc.pending = make([]bool, len(c.llc.tags))
 	if w := cfg.IssueWidth; w&(w-1) == 0 {
 		c.issuePow2 = true
 		for 1<<c.issueShift < w {
@@ -124,9 +127,10 @@ func (c *Core) Counters() Counters {
 // Reset returns the core to its just-constructed state — clock,
 // counters, caches and prefetch state — so one pooled core can run
 // back-to-back experiments from a cold start. The cost is the three
-// tag memsets (about 200 KiB for the default hierarchy); stamps, ready
-// words, pref flags and way hints are left stale because nothing can
-// reach them through a zeroed tag (see cache.reset). The reset-vs-fresh
+// tag memsets (about 200 KiB for the default hierarchy); stamps, the
+// L1's ready words and pref flags, the outer levels' pending flags and
+// way hints are left stale because nothing can reach them through a
+// zeroed tag (see cache.reset). The reset-vs-fresh
 // differential tests pin the equivalence bit-for-bit. Buffered trace
 // events are flushed first: they belong to the run being discarded.
 func (c *Core) Reset() {
@@ -284,9 +288,11 @@ func (c *Core) access(line uint64, overlapped bool) bool {
 			c.ctr.LLCMisses++
 			cause = CauseDRAM
 			lat = c.cfg.DRAMLatency
-			c.llc.fill(v3, line, c.clock, c.clock)
+			c.llc.fill(v3, line, c.clock)
+			c.llc.pending[v3] = false
 		}
-		c.l2.fill(v2, line, c.clock, c.clock)
+		c.l2.fill(v2, line, c.clock)
+		c.l2.pending[v2] = false
 	}
 	if overlapped && lat > c.cfg.BurstGap {
 		lat = c.cfg.BurstGap
@@ -318,7 +324,8 @@ func (c *Core) l1Hit(s int) {
 // whose installs write the way hint.
 func (c *Core) installL1(v int, line, readyAt uint64, pref bool) {
 	l1 := c.l1
-	l1.fill(v, line, c.clock, readyAt)
+	l1.fill(v, line, c.clock)
+	l1.ready[v] = readyAt
 	l1.pref[v] = pref
 	l1.setHint(line, v)
 }
@@ -349,19 +356,29 @@ func (c *Core) demandHitPrefetched(slot int) {
 
 // waitReady stalls until an outer-level slot's fill completes, then
 // charges that level's hit latency; returns the total charged cycles
-// minus the stall (stall is applied immediately). The stall branch is
-// outlined (stallLate) to keep waitReady inlinable.
+// minus the stall (stall is applied immediately). Only a slot still
+// marked pending can be in flight; that branch is outlined (stallLate)
+// to keep waitReady inlinable.
 func (c *Core) waitReady(lvl *cache, slot int, hitLat uint64) uint64 {
-	if ready := lvl.ready[slot]; ready > c.clock {
-		c.stallLate(ready - c.clock)
+	if lvl.pending[slot] {
+		c.stallLate(lvl, slot)
 	}
 	return hitLat
 }
 
-// stallLate charges a wait for an in-flight fill to complete.
+// stallLate resolves a demand hit on an outer slot a DRAM prefetch
+// filled: the flag clears before the hit rewrites the stamp it is
+// measured from, and if the fill (due DRAMLatency after that stamp) is
+// still in flight the core waits for the remainder — a late prefetch.
 //
 //go:noinline
-func (c *Core) stallLate(stall uint64) {
+func (c *Core) stallLate(lvl *cache, slot int) {
+	lvl.pending[slot] = false
+	ready := lvl.stamps[slot] + c.cfg.DRAMLatency
+	if ready <= c.clock {
+		return
+	}
+	stall := ready - c.clock
 	c.clock += stall
 	c.ctr.StallCycles += stall
 	c.ctr.PrefetchLate++
@@ -457,8 +474,10 @@ func (c *Core) prefetchMiss(line uint64, v1 int) {
 		ready = c.clock + c.cfg.LLC.HitLatency
 	} else {
 		ready = c.clock + c.cfg.DRAMLatency
-		c.llc.fill(v3, line, c.clock, ready)
-		c.l2.fill(v2, line, c.clock, ready)
+		c.llc.fill(v3, line, c.clock)
+		c.llc.pending[v3] = true
+		c.l2.fill(v2, line, c.clock)
+		c.l2.pending[v2] = true
 	}
 	c.installL1(v1, line, ready, true)
 	c.mshrPush(ready)
@@ -502,7 +521,8 @@ func (c *Core) DMAFill(addr, size uint64) {
 	last := (addr + size - 1) >> lineShift
 	for line := first; line <= last; line++ {
 		if slot, victim := c.llc.probe(line); slot < 0 {
-			c.llc.fill(victim, line, c.clock, c.clock)
+			c.llc.fill(victim, line, c.clock)
+			c.llc.pending[victim] = false
 		}
 	}
 }

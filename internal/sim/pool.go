@@ -6,9 +6,10 @@ import (
 )
 
 // CorePool recycles Cores of one configuration across experiment runs.
-// A Core's backing arrays are megabyte-scale (the outer levels'
-// tag/stamp/ready arrays), so sweeps that run hundreds of points used
-// to allocate and fault that footprint per point. With the pool each
+// A Core's backing arrays are most of a megabyte (the outer levels'
+// tag, stamp and pending arrays: 13 bytes a slot, about 640 KB in the
+// default hierarchy), so sweeps that run hundreds of points used to
+// allocate and fault that footprint per point. With the pool each
 // worker grabs a reset core instead: Reset is three tag memsets (see
 // Core.Reset), and the reset-vs-fresh differential tests guarantee a
 // pooled core is observationally indistinguishable from a new one.

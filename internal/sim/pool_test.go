@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -99,5 +100,35 @@ func TestCorePoolConcurrent(t *testing.T) {
 	}
 	if reuses == 0 {
 		t.Fatal("pool never recycled a core")
+	}
+}
+
+// TestCoreHostBytes holds a default core's host footprint, which every
+// workload pays once per live core (a pool keeps one per concurrent
+// sweep point): NewCore must retain at most 680,000 bytes of Go heap
+// and allocate at most 690,000. The bulk is the 48 Ki outer-level
+// slots at 13 bytes each — a compact tag, an LRU stamp and a pending
+// flag — 624 KiB; the L1's slots and hint table add about 15 KiB. An 8-byte ready word per outer slot would add 384 KiB.
+func TestCoreHostBytes(t *testing.T) {
+	const retainLimit, allocLimit = 680_000, 690_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := NewCore(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("NewCore retains %d B of Go heap, allocates %d B", retained, allocated)
+	if retained > retainLimit {
+		t.Errorf("NewCore retains %d B, want <= %d", retained, retainLimit)
+	}
+	if allocated > allocLimit {
+		t.Errorf("NewCore allocates %d B, want <= %d", allocated, allocLimit)
 	}
 }

@@ -376,15 +376,39 @@ func oracleState(c *Core, r *refCore, deep bool) string {
 					continue
 				}
 				e := set[w]
-				if lvl.tags[slot] != lvl.tagOf(e.line) || lvl.stamps[slot] != e.stamp || lvl.ready[slot] != e.ready ||
-					(lvl.pref != nil && lvl.pref[slot] != e.pref) {
-					return fmt.Sprintf("level %d set %d way %d: tag %#x stamp %d ready %d, reference %+v",
-						li, s, w, lvl.tags[slot], lvl.stamps[slot], lvl.ready[slot], e)
+				if lvl.tags[slot] != lvl.tagOf(e.line) || lvl.stamps[slot] != e.stamp || !sameReadiness(c, lvl, slot, e) {
+					return fmt.Sprintf("level %d set %d way %d: tag %#x stamp %d %s, reference %+v",
+						li, s, w, lvl.tags[slot], lvl.stamps[slot], fillState(lvl, slot), e)
 				}
 			}
 		}
 	}
 	return ""
+}
+
+// sameReadiness reports whether slot's fill state says exactly what the
+// reference line's ready word does. The L1 keeps the word itself (and
+// the prefetched flag), compared as is. An outer slot keeps only its
+// pending flag: a pending slot's fill completes DRAMLatency after its
+// stamp, which must be the reference's ready word; any other slot must
+// be one the reference holds ready by its stamp, so that a demand hit
+// (which comes no earlier than the stamp) never waits.
+func sameReadiness(c *Core, lvl *cache, slot int, e refLine) bool {
+	if lvl.pending == nil {
+		return lvl.ready[slot] == e.ready && lvl.pref[slot] == e.pref
+	}
+	if lvl.pending[slot] {
+		return lvl.stamps[slot]+c.cfg.DRAMLatency == e.ready
+	}
+	return e.ready <= e.stamp
+}
+
+// fillState formats slot's fill state for a divergence report.
+func fillState(lvl *cache, slot int) string {
+	if lvl.pending == nil {
+		return fmt.Sprintf("ready %d pref %v", lvl.ready[slot], lvl.pref[slot])
+	}
+	return fmt.Sprintf("pending %v", lvl.pending[slot])
 }
 
 // oracleConfigs are the hierarchy shapes the oracle runs over: the

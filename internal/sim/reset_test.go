@@ -8,7 +8,8 @@ import (
 // This file pins the claim Core.Reset makes: a reset core is
 // observationally identical to a freshly constructed one, bit for bit.
 // Reset zeroes only the tags and deliberately leaves stale words behind
-// (old stamps/ready values, pref flags, way hints), relying on them
+// (old stamps, the L1's ready values and pref flags, the outer levels'
+// pending flags, way hints), relying on them
 // being unreachable; these tests replay randomized op streams on
 // dirty-then-reset cores against fresh cores in lockstep and require
 // identical clocks, counters, residency answers and access logs at
@@ -157,8 +158,9 @@ func TestResetEquivalenceAccessLog(t *testing.T) {
 
 // TestResetEquivalenceScanTwin pins what makes the tags-only reset
 // sound. After a polluting run and a Reset the core must still carry
-// that run's stamps, ready words and way hints (otherwise this test
-// pins nothing), no hint may verify against a zeroed tag, and replaying
+// that run's stamps on every level, the L1's ready words, an outer
+// level's pending flags and the way hints (otherwise this test pins
+// nothing), no hint may verify against a zeroed tag, and replaying
 // the very same stream — so every stale hint is consulted for the line
 // that wrote it — must match a fresh core bit for bit.
 func TestResetEquivalenceScanTwin(t *testing.T) {
@@ -179,19 +181,26 @@ func TestResetEquivalenceScanTwin(t *testing.T) {
 		}
 	}
 	dirty.Reset()
+	pending := 0
 	for li, lvl := range []*cache{dirty.l1, dirty.l2, dirty.llc} {
 		stale := 0
 		for slot, tag := range lvl.tags {
 			if tag != 0 {
 				t.Fatalf("level %d slot %d: tag %#x survived Reset", li, slot, tag)
 			}
-			if lvl.stamps[slot] != 0 && lvl.ready[slot] != 0 {
+			if lvl.stamps[slot] != 0 && (lvl.ready == nil || lvl.ready[slot] != 0) {
 				stale++
+			}
+			if lvl.pending != nil && lvl.pending[slot] {
+				pending++
 			}
 		}
 		if stale == 0 {
 			t.Fatalf("level %d: Reset left no stale stamp/ready words; the test no longer exercises them", li)
 		}
+	}
+	if pending == 0 {
+		t.Fatal("Reset left no stale pending flag on an outer level; the test no longer exercises them")
 	}
 	hints := 0
 	for _, w := range l1.hint {

@@ -169,6 +169,84 @@ func TestPrefetchLateStallsForRemainder(t *testing.T) {
 	}
 }
 
+// TestPrefetchLateOuterHit follows a DRAM prefetch whose line leaves the
+// L1 before its fill completes. The demand read that finds it in L2
+// stalls for exactly the rest of the fill, counted once as late, and the
+// hit leaves the line ready: a second trip through L2, well within
+// DRAMLatency of the first, costs the L2 hit latency alone. The lines
+// that push x out of the L1 share its L1 set but not its L2 set, so x
+// stays in L2 throughout.
+func TestPrefetchLateOuterHit(t *testing.T) {
+	oneMSHR := DefaultConfig()
+	oneMSHR.MSHRs = 1
+	for name, cfg := range map[string]Config{"default": DefaultConfig(), "mshrs=1": oneMSHR} {
+		t.Run(name, func(t *testing.T) {
+			c, err := NewCore(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ways := cfg.L1.Ways
+			if cfg.L2.Sets() < (ways+2)*cfg.L1.Sets() {
+				t.Fatal("config: the conflicting lines would share L2 sets")
+			}
+			at := func(k int) uint64 { return 0x100000 + uint64(k*cfg.L1.Sets()*LineBytes) }
+			x := at(ways + 1)
+			// evictX refreshes every other line resident in x's L1 set, so
+			// x is the LRU way, then reads one the set does not hold (it is
+			// in L2), which takes x's way.
+			evictX := func() {
+				for k := 0; k <= ways; k++ {
+					if c.ResidentL1(at(k), 1) {
+						c.Read(at(k), 8)
+					}
+				}
+				for k := 0; k <= ways; k++ {
+					if !c.ResidentL1(at(k), 1) {
+						c.Read(at(k), 8)
+						break
+					}
+				}
+				if c.ResidentL1(x, 1) || c.l2.find(x>>lineShift) < 0 {
+					t.Fatal("setup: x is not in L2 alone")
+				}
+			}
+			for k := 0; k <= ways; k++ { // the set's ways+1 lines: at(0) falls out to L2
+				c.Read(at(k), 8)
+			}
+			t0 := c.Now()
+			c.PrefetchLine(x)
+			due := t0 + cfg.PrefetchIssueCost + cfg.DRAMLatency
+			evictX()
+			before, early := c.Counters(), c.Now()
+			if early >= due {
+				t.Fatalf("setup: x read at cycle %d, after its fill completed at %d", early, due)
+			}
+			c.Read(x, 8)
+			d := c.Counters().Sub(before)
+			if d.L2Hits != 1 || d.PrefetchLate != 1 || d.StallCycles != due-early+cfg.L2.HitLatency {
+				t.Fatalf("early read: L2 hits %d, late %d, stall %d; want 1, 1, %d",
+					d.L2Hits, d.PrefetchLate, d.StallCycles, due-early+cfg.L2.HitLatency)
+			}
+			if got, want := c.Now(), due+cfg.L2.HitLatency; got != want {
+				t.Fatalf("clock after the early read = %d, want the fill's %d plus the L2 hit", got, want)
+			}
+
+			hit := c.Now()
+			evictX()
+			before, again := c.Counters(), c.Now()
+			if again >= hit+cfg.DRAMLatency {
+				t.Fatalf("setup: x read again at cycle %d, DRAMLatency after the hit at %d", again, hit)
+			}
+			c.Read(x, 8)
+			d = c.Counters().Sub(before)
+			if d.L2Hits != 1 || d.PrefetchLate != 0 || d.StallCycles != cfg.L2.HitLatency {
+				t.Fatalf("second read: L2 hits %d, late %d, stall %d; want 1, 0, %d",
+					d.L2Hits, d.PrefetchLate, d.StallCycles, cfg.L2.HitLatency)
+			}
+		})
+	}
+}
+
 func TestPrefetchRedundant(t *testing.T) {
 	c := mustCore(t)
 	c.Read(0x4000, 8)

@@ -13,7 +13,11 @@
 # by block and divide by the difference in the runs' `attempted`.
 # Subtracting cancels set-up and tear-down, provided both runs timed the
 # same number of set-ups: the two `info:` lines must report the same
-# `setup_samples`, and a pair that does not is run again.
+# `setup_samples`. Each try runs one short and one long run and keeps
+# both under its own number; after each try the first short run and long
+# run, from any tries, that agree are subtracted (the header names
+# them), so on a busy host a long run can pair with an earlier try's
+# short run.
 #
 # fig_sweep measures at least 3 passes, so its 1-s and 2-s runs would
 # not differ. It runs --seconds 3 and --seconds 6 instead (3 and 7
@@ -26,12 +30,12 @@
 # maps, channels), inlining and memory stalls. The ladder counts work
 # done; it does not replace host_pps or peak_rss_mb.
 #
-# The seed (3), the pairs tried before giving up on equal setup_samples
-# (5) and the smallest per-file figure printed (0.1) are fixed, so two
-# ladders of one workload compare. The coverage mode follows from the
-# workload: atomic for sfc6_engine2, whose two engine cores run on two
-# goroutines, and for cluster_deploy, whose director and agents do;
-# count for the rest.
+# The seed (3), the runs of each length tried before giving up on equal
+# setup_samples (5) and the smallest per-file figure printed (0.1) are
+# fixed, so two ladders of one workload compare. The coverage mode
+# follows from the workload: atomic for sfc6_engine2, whose two engine
+# cores run on two goroutines, and for cluster_deploy, whose director
+# and agents do; count for the rest.
 #
 # Usage:
 #   scripts/stmt_ladder.sh <workload>     (one of BENCHMARK.json's workloads)
@@ -61,41 +65,53 @@ trap 'rm -rf "$tmp"' EXIT
 echo "== building ./bench with -covermode=$MODE" >&2
 (cd "$root" && go build -cover -covermode="$MODE" -coverpkg=./... -o "$tmp/bench.cover" ./bench)
 
-run() { # seconds — writes $tmp/s<seconds>.{out,txt}
-	local dir="$tmp/cov$1"
-	rm -rf "$dir" && mkdir -p "$dir"
-	if ! (cd "$tmp" && GOCOVERDIR="$dir" "$tmp/bench.cover" --workload "$WORKLOAD" --seed "$SEED" --seconds "$1" --trace 0) >"$tmp/s$1.out" 2>"$tmp/s$1.log"; then
-		echo "stmt_ladder: --seconds $1 run failed:" >&2
-		cat "$tmp/s$1.log" >&2
+run() { # seconds try — writes $tmp/s<seconds>-<try>.{out,log,txt}
+	local name="s$1-$2" dir="$tmp/cov$1-$2"
+	mkdir -p "$dir"
+	if ! (cd "$tmp" && GOCOVERDIR="$dir" "$tmp/bench.cover" --workload "$WORKLOAD" --seed "$SEED" --seconds "$1" --trace 0) >"$tmp/$name.out" 2>"$tmp/$name.log"; then
+		echo "stmt_ladder: --seconds $1 run of try $2 failed:" >&2
+		cat "$tmp/$name.log" >&2
 		exit 1
 	fi
-	go tool covdata textfmt -i="$dir" -o "$tmp/s$1.txt"
+	go tool covdata textfmt -i="$dir" -o "$tmp/$name.txt"
 }
 
-setups() { # seconds — the run's setup_samples
-	grep '^info: ' "$tmp/s$1.out" | sed 's/^info: //' |
+setups() { # seconds try — the run's setup_samples
+	grep '^info: ' "$tmp/s$1-$2.out" | sed 's/^info: //' |
 		python3 -c 'import json, sys; print(json.load(sys.stdin).get("setup_samples", "none"))'
 }
 
+declare -A short_setups long_setups
+pair=
 for try in $(seq "$TRIES"); do
-	echo "== $WORKLOAD seed $SEED: pair $try/$TRIES (--seconds $SHORT, then $LONG)" >&2
-	run "$SHORT"
-	run "$LONG"
-	a=$(setups "$SHORT") b=$(setups "$LONG")
-	if [ "$a" = "$b" ]; then
+	echo "== $WORKLOAD seed $SEED: try $try/$TRIES (--seconds $SHORT, then $LONG)" >&2
+	run "$SHORT" "$try"
+	run "$LONG" "$try"
+	short_setups[$try]=$(setups "$SHORT" "$try")
+	long_setups[$try]=$(setups "$LONG" "$try")
+	echo "   setup_samples ${short_setups[$try]} and ${long_setups[$try]}" >&2
+	for i in $(seq "$try"); do
+		for j in $(seq "$try"); do
+			if [ -z "$pair" ] && [ "${short_setups[$i]}" = "${long_setups[$j]}" ]; then
+				pair="$i $j"
+			fi
+		done
+	done
+	if [ -n "$pair" ]; then
 		break
 	fi
-	echo "   setup_samples $a vs $b: running the pair again" >&2
-	if [ "$try" = "$TRIES" ]; then
-		echo "stmt_ladder: no pair in $TRIES agreed on setup_samples" >&2
-		exit 1
-	fi
 done
+if [ -z "$pair" ]; then
+	echo "stmt_ladder: no short and long run of $TRIES tries each agreed on setup_samples" >&2
+	exit 1
+fi
+read -r si li <<<"$pair"
+echo "== subtracting the --seconds $SHORT run of try $si from the --seconds $LONG run of try $li (setup_samples ${short_setups[$si]})" >&2
 
-python3 - "$tmp" "$WORKLOAD" "$SEED" "$MODE" "$MIN" "$(go list -m)" "$SHORT" "$LONG" <<'EOF'
+python3 - "$tmp" "$WORKLOAD" "$SEED" "$MODE" "$MIN" "$(go list -m)" "$SHORT-$si" "$LONG-$li" "${short_setups[$si]}" <<'EOF'
 import collections, json, os, sys
 
-tmp, workload, seed, mode, least, module, short, long_ = sys.argv[1:9]
+tmp, workload, seed, mode, least, module, short, long_, setups = sys.argv[1:10]
 least = float(least)
 
 def blocks(path):
@@ -108,8 +124,8 @@ def blocks(path):
         out[block] += int(count)
     return out, stmts
 
-def operations(seconds):
-    lines = open(os.path.join(tmp, f"s{seconds}.out")).read().splitlines()
+def operations(run):
+    lines = open(os.path.join(tmp, f"s{run}.out")).read().splitlines()
     if workload != "fig_sweep":
         return json.loads(lines[-1])["attempted"]
     info = json.loads(next(l for l in lines if l.startswith("info: "))[len("info: "):])
@@ -120,8 +136,9 @@ c1, stmts = blocks(os.path.join(tmp, f"s{short}.txt"))
 c2, stmts2 = blocks(os.path.join(tmp, f"s{long_}.txt"))
 stmts.update(stmts2)
 ops = operations(long_) - operations(short)
+(short_s, short_try), (long_s, long_try) = short.split("-"), long_.split("-")
 if ops <= 0:
-    sys.exit(f"stmt_ladder: the {long_}-s run measured {ops} more {unit}s than the {short}-s run")
+    sys.exit(f"stmt_ladder: the {long_s}-s run measured {ops} more {unit}s than the {short_s}-s run")
 
 per_file = collections.Counter()
 for block, n in stmts.items():
@@ -133,7 +150,8 @@ for f, v in per_file.items():
     per_pkg[os.path.dirname(f)] += v
 
 total = sum(per_file.values()) / ops
-print(f"stmt ladder: {workload} seed {seed}, -covermode={mode}, {ops} more {unit}s in the {long_}-s run")
+print(f"stmt ladder: {workload} seed {seed}, -covermode={mode}, {ops} more {unit}s in the {long_s}-s run")
+print(f"pair: the {short_s}-s run of try {short_try} and the {long_s}-s run of try {long_try}, setup_samples {setups}")
 print(f"{'total':<40} {total:10.1f} stmts/{unit}")
 print("\nper package")
 for p, v in per_pkg.most_common():
