@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify cross lint loc size bench-smoke bench-compile bench-paired bench-ab stmts profile examples quick trace-demo metrics-demo fuzz chaos chaos-demo
+.PHONY: build test verify cross lint loc reach size bench-smoke bench-compile bench-paired bench-ab stmts profile examples quick trace-demo metrics-demo fuzz chaos chaos-demo
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,16 @@ loc:
 	@find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); pkg[d] += $$1; sum += $$1 } \
 		END { for (d in pkg) printf "%7d %s\n", pkg[d], d | "sort -rn"; close("sort -rn"); printf "%7d total\n", sum }'
+
+# reach prints the statements under internal/ that go test ./... runs
+# and no user path does — the root, examples/, bench and cmd/ tests, a
+# cover-built gunfu-bench's -exp all -quick and -trace -attr runs —
+# per package and per function, and fails on any function user paths
+# never run that scripts/reach_allow.txt does not list with a reason.
+# DEMOS=1 adds the two demo scripts' binaries (loopback). About a
+# minute; see scripts/reach.sh.
+reach:
+	scripts/reach.sh
 
 # size prints the byte size of the benchmark binary (./bench) and of
 # gunfu-bench, and which of net/http, crypto/tls and runtime/cgo each

@@ -15,7 +15,9 @@
 // nested in action slices, prefetch fills on their own tracks); -attr
 // prints per-NFAction / per-NFState attribution tables and per-packet
 // latency quantiles. Warmup runs untraced; only the measured window is
-// observed.
+// observed. The profile flags (-nf, -flows, -packets, -warmup,
+// -packet-bytes, -tasks, -sfc-length, -pdrs) need -trace or -attr:
+// given without either, gunfu-bench prints its usage and exits 2.
 //
 //	gunfu-bench -trace trace.json -nf nat -flows 32768 -tasks 16
 //	gunfu-bench -attr -nf sfc -sfc-length 4 -flows 8192 -tasks 16
@@ -38,9 +40,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,34 +56,60 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	expFlag := flag.String("exp", "all", "comma-separated experiment ids, or \"all\"")
-	quick := flag.Bool("quick", false, "reduced populations and windows")
-	seed := flag.Int64("seed", 42, "workload seed")
-	parallel := flag.Int("parallel", 1, "concurrent experiments, and concurrent sweep points per experiment (<=1 = sequential)")
-	list := flag.Bool("list", false, "list experiment ids and exit")
+// profileFlags are the flags only profile mode (-trace or -attr) reads.
+var profileFlags = []string{"nf", "flows", "packets", "warmup", "packet-bytes", "tasks", "sfc-length", "pdrs"}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gunfu-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	expFlag := fs.String("exp", "all", "comma-separated experiment ids, or \"all\"")
+	quick := fs.Bool("quick", false, "reduced populations and windows")
+	seed := fs.Int64("seed", 42, "workload seed")
+	parallel := fs.Int("parallel", 1, "concurrent experiments, and concurrent sweep points per experiment (<=1 = sequential)")
+	list := fs.Bool("list", false, "list experiment ids and exit")
 
 	// Profile mode.
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of one observed run to this path")
-	attr := flag.Bool("attr", false, "print per-NFAction/per-NFState attribution and latency quantiles for one observed run")
-	nfName := flag.String("nf", "nat", "profile mode: NF to run (a deployable registry name)")
-	flows := flag.Int("flows", 32768, "profile mode: concurrent flow population")
-	packets := flag.Uint64("packets", 20000, "profile mode: measured window (packets)")
-	warmup := flag.Uint64("warmup", 5000, "profile mode: untraced warmup packets")
-	packetBytes := flag.Int("packet-bytes", 64, "profile mode: workload packet size")
-	tasks := flag.Int("tasks", 16, "profile mode: max interleaved NFTasks (0 = RTC baseline)")
-	sfcLength := flag.Int("sfc-length", 0, "profile mode: chain length for -nf sfc")
-	pdrs := flag.Int("pdrs", 0, "profile mode: rules per session for -nf upf-downlink")
+	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of one observed run to this path")
+	attr := fs.Bool("attr", false, "print per-NFAction/per-NFState attribution and latency quantiles for one observed run")
+	nfName := fs.String("nf", "nat", "profile mode: NF to run (a deployable registry name)")
+	flows := fs.Int("flows", 32768, "profile mode: concurrent flow population")
+	packets := fs.Uint64("packets", 20000, "profile mode: measured window (packets)")
+	warmup := fs.Uint64("warmup", 5000, "profile mode: untraced warmup packets")
+	packetBytes := fs.Int("packet-bytes", 64, "profile mode: workload packet size")
+	tasks := fs.Int("tasks", 16, "profile mode: max interleaved NFTasks (0 = RTC baseline)")
+	sfcLength := fs.Int("sfc-length", 0, "profile mode: chain length for -nf sfc")
+	pdrs := fs.Int("pdrs", 0, "profile mode: rules per session for -nf upf-downlink")
 
 	// Host profiling (both modes). In profile mode the CPU profile covers
 	// only the measured window — warmup is excluded, like the trace; in
 	// figure mode it covers the whole experiment run.
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this path after the run")
-	flag.Parse()
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this path")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this path after the run")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	// A profile flag without -trace or -attr would otherwise be ignored
+	// by a full figure run.
+	if *tracePath == "" && !*attr {
+		var stray []string
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(profileFlags, f.Name) {
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			fmt.Fprintf(stderr, "gunfu-bench: %s select profile mode, which needs -trace or -attr\n", strings.Join(stray, " "))
+			fs.Usage()
+			return 2
+		}
+	}
 
 	if *tracePath != "" || *attr {
 		p := profileSpec{
@@ -92,8 +123,8 @@ func run() int {
 				SFCLength: *sfcLength, PDRs: *pdrs,
 			},
 		}
-		if err := profile(p, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "gunfu-bench: %v\n", err)
+		if err := profile(p, stdout); err != nil {
+			fmt.Fprintf(stderr, "gunfu-bench: %v\n", err)
 			return 1
 		}
 		return 0
@@ -101,7 +132,7 @@ func run() int {
 
 	if *list {
 		for _, n := range gunfu.ExperimentNames() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
 		return 0
 	}
@@ -117,7 +148,7 @@ func run() int {
 		}
 	}
 	if len(names) == 0 {
-		fmt.Fprintln(os.Stderr, "gunfu-bench: no experiments selected")
+		fmt.Fprintln(stderr, "gunfu-bench: no experiments selected")
 		return 2
 	}
 
@@ -125,16 +156,16 @@ func run() int {
 	// exclude — every sweep point is the workload).
 	stopCPU, err := startCPUProfile(*cpuProfile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gunfu-bench: %v\n", err)
+		fmt.Fprintf(stderr, "gunfu-bench: %v\n", err)
 		return 1
 	}
 	finishProfiles := func() int {
 		if err := stopCPU(); err != nil {
-			fmt.Fprintf(os.Stderr, "gunfu-bench: %v\n", err)
+			fmt.Fprintf(stderr, "gunfu-bench: %v\n", err)
 			return 1
 		}
 		if err := writeHeapProfile(*memProfile); err != nil {
-			fmt.Fprintf(os.Stderr, "gunfu-bench: %v\n", err)
+			fmt.Fprintf(stderr, "gunfu-bench: %v\n", err)
 			return 1
 		}
 		return 0
@@ -170,7 +201,7 @@ func run() int {
 					failed.Store(true)
 				} else {
 					fmt.Fprintln(&bufs[i])
-					fmt.Fprintf(os.Stderr, "gunfu-bench: %s completed in %.1fs\n", names[i], time.Since(start).Seconds())
+					fmt.Fprintf(stderr, "gunfu-bench: %s completed in %.1fs\n", names[i], time.Since(start).Seconds())
 				}
 				close(done[i])
 			}
@@ -179,11 +210,11 @@ func run() int {
 	for i := range names {
 		<-done[i]
 		if errs[i] != nil {
-			fmt.Fprintf(os.Stderr, "gunfu-bench: %v\n", errs[i])
+			fmt.Fprintf(stderr, "gunfu-bench: %v\n", errs[i])
 			wg.Wait()
 			return 1
 		}
-		os.Stdout.Write(bufs[i].Bytes())
+		stdout.Write(bufs[i].Bytes())
 	}
 	wg.Wait()
 	return finishProfiles()

@@ -233,9 +233,9 @@ func runSFC(t *testing.T, chain []Chainable, opts SFCOptions, g rt.Source, packe
 	return res
 }
 
-func populate(t *testing.T, chain []Chainable, g *traffic.FlowGen) {
+func populate(t *testing.T, chain []Chainable, g *traffic.FlowGen, flows int) {
 	t.Helper()
-	tuples := make([]pkt.FiveTuple, g.Flows())
+	tuples := make([]pkt.FiveTuple, flows)
 	for i := range tuples {
 		tuples[i] = g.FlowTuple(i)
 	}
@@ -258,7 +258,7 @@ func TestSFCRunsAllNFs(t *testing.T) {
 	as := mem.NewAddressSpace()
 	chain := buildChain(t, as, flows, false)
 	g := newGen(t, flows)
-	populate(t, chain, g)
+	populate(t, chain, g, flows)
 
 	res := runSFC(t, chain, SFCOptions{}, g, packets, false)
 	if res.Packets != packets {
@@ -280,7 +280,7 @@ func TestMRReducesControlStates(t *testing.T) {
 	as1 := mem.NewAddressSpace()
 	full := buildChain(t, as1, flows, false)
 	g := newGen(t, flows)
-	populate(t, full, g)
+	populate(t, full, g, flows)
 	progFull, err := BuildSFC("sfc", full, SFCOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestMRReducesControlStates(t *testing.T) {
 
 	as2 := mem.NewAddressSpace()
 	mr := buildChain(t, as2, flows, false)
-	populate(t, mr, newGen(t, flows))
+	populate(t, mr, newGen(t, flows), flows)
 	progMR, err := BuildSFC("sfc", mr, SFCOptions{RemoveRedundantMatching: true})
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestMRPreservesSemantics(t *testing.T) {
 		as := mem.NewAddressSpace()
 		chain := buildChain(t, as, flows, false)
 		g := newGen(t, flows)
-		populate(t, chain, g)
+		populate(t, chain, g, flows)
 		runSFC(t, chain, SFCOptions{RemoveRedundantMatching: mrOn}, g, packets, true)
 		results[i] = chain[2].(*monitor.Monitor)
 	}
@@ -328,7 +328,7 @@ func TestMRFasterThanFullChain(t *testing.T) {
 		as := mem.NewAddressSpace()
 		chain := buildChain(t, as, flows, false)
 		g := newGen(t, flows)
-		populate(t, chain, g)
+		populate(t, chain, g, flows)
 		prog, err := BuildSFC("sfc", chain, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -396,7 +396,7 @@ func TestFusedChainSemantics(t *testing.T) {
 	as := mem.NewAddressSpace()
 	chain := buildChain(t, as, flows, true)
 	g := newGen(t, flows)
-	populate(t, chain, g)
+	populate(t, chain, g, flows)
 	runSFC(t, chain, SFCOptions{RemoveRedundantMatching: true}, g, packets, true)
 	nm := chain[2].(*monitor.Monitor)
 	if nm.Totals().Pkts != packets {
@@ -414,7 +414,7 @@ func TestRetiredPRRFieldIsInert(t *testing.T) {
 		as := mem.NewAddressSpace()
 		chain := buildChain(t, as, flows, false)
 		g := newGen(t, flows)
-		populate(t, chain, g)
+		populate(t, chain, g, flows)
 		prog, err := BuildSFC("sfc", chain, SFCOptions{RemoveRedundantMatching: true, RemoveRedundantPrefetches: prr})
 		if err != nil {
 			t.Fatal(err)

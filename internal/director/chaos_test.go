@@ -95,7 +95,13 @@ func chaosSoak(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.Dial = func(addr string) (net.Conn, error) { return inj.Dial("tcp", addr) }
+		a.Dial = func(addr string) (net.Conn, error) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			return inj.Wrap(conn), nil
+		}
 		agents = append(agents, a)
 		bo := Backoff{Min: 5 * time.Millisecond, Max: 50 * time.Millisecond, Jitter: 0.2, Seed: seed*10 + int64(i) + 1}
 		wg.Add(1)
@@ -129,11 +135,14 @@ func chaosSoak(t *testing.T, seed int64) {
 				fullOK++
 				// Results just arrived, so both agents were heard moments
 				// ago: the liveness checker must agree they're alive.
+				d.mu.Lock()
 				for _, name := range names {
-					if !d.Alive(name) {
+					if p := d.agents[name]; p == nil || p.dead {
+						d.mu.Unlock()
 						t.Fatalf("round %d: agent %s marked dead right after replying", round, name)
 					}
 				}
+				d.mu.Unlock()
 			}
 			continue
 		}

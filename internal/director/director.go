@@ -305,9 +305,9 @@ func (d *Director) SetLivenessHandler(fn func(agent string, live bool)) {
 
 // EnableLiveness starts the heartbeat liveness checker: an agent not
 // heard from for missed consecutive windows of the given length is
-// marked dead (surfaced via Alive and the liveness handler,
-// which Monitor.SetLive turns into the live table's live column). Any
-// subsequent message re-marks it live. The window should match the
+// marked dead (surfaced via the liveness handler, which Monitor.SetLive
+// turns into the live table's live column). Any subsequent message
+// re-marks it live. The window should match the
 // wall-clock cadence of the deployment's StatsEvery heartbeats. Call
 // before deploying; the checker stops when the director closes.
 func (d *Director) EnableLiveness(window time.Duration, missed int) error {
@@ -344,16 +344,6 @@ func (d *Director) EnableLiveness(window time.Duration, missed int) error {
 		}
 	}()
 	return nil
-}
-
-// Alive reports whether the named agent is currently considered live.
-// Agents never seen are not alive; without EnableLiveness every seen
-// agent stays live forever.
-func (d *Director) Alive(name string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	p := d.agents[name]
-	return p != nil && !p.dead
 }
 
 // RequestFlightDump asks the named agent to dump its flight-recorder

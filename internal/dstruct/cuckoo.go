@@ -111,12 +111,6 @@ func (c *Cuckoo) BucketAddr(b uint64) uint64 {
 // Region returns the table's simulated address region.
 func (c *Cuckoo) Region() mem.Region { return c.region }
 
-// Len returns the number of stored entries.
-func (c *Cuckoo) Len() int { return c.entries }
-
-// Buckets returns the bucket count.
-func (c *Cuckoo) Buckets() int { return int(c.mask + 1) }
-
 // Insert stores key→val, displacing entries as needed. It owns the
 // install rule "one key, one flow": a key already present (in either
 // candidate bucket) under another value is refused, naming the key and

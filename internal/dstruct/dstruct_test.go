@@ -30,8 +30,8 @@ func TestCuckooInsertLookup(t *testing.T) {
 			t.Fatalf("Insert #%d: %v", i, err)
 		}
 	}
-	if c.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000", c.Len())
+	if c.entries != 1000 {
+		t.Fatalf("entries = %d, want 1000", c.entries)
 	}
 	for i := 0; i < 1000; i++ {
 		v, ok := c.Lookup(uint64(i)*7919 + 1)
@@ -64,8 +64,8 @@ func TestCuckooRefusesOtherValue(t *testing.T) {
 	if err := c.Insert(42, 1); err != nil {
 		t.Fatalf("re-inserting the installed value: %v", err)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if c.entries != 1 {
+		t.Fatalf("entries = %d, want 1", c.entries)
 	}
 	if v, ok := c.Lookup(42); !ok || v != 1 {
 		t.Fatalf("Lookup = %d,%v, want 1,true", v, ok)
@@ -86,8 +86,8 @@ func TestCuckooDelete(t *testing.T) {
 	if _, ok := c.Lookup(7); ok {
 		t.Fatal("deleted key still present")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d", c.Len())
+	if c.entries != 0 {
+		t.Fatalf("entries = %d", c.entries)
 	}
 }
 
@@ -102,14 +102,14 @@ func TestCuckooCapacityError(t *testing.T) {
 // Allocate after that keeps what the table holds.
 func TestCuckooBucketsOnFirstNeed(t *testing.T) {
 	c := newCuckoo(t, 1000)
-	if _, ok := c.Lookup(1); ok || c.Delete(1) || c.Len() != 0 || c.buckets != nil {
+	if _, ok := c.Lookup(1); ok || c.Delete(1) || c.entries != 0 || c.buckets != nil {
 		t.Fatalf("empty table: found key 1 or holds buckets (%d)", len(c.buckets))
 	}
 	if err := c.Insert(1, 7); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.buckets) != c.Buckets() {
-		t.Fatalf("Insert made %d buckets, want %d", len(c.buckets), c.Buckets())
+	if len(c.buckets) != int(c.mask+1) {
+		t.Fatalf("Insert made %d buckets, want %d", len(c.buckets), int(c.mask+1))
 	}
 	c.Allocate()
 	if v, ok := c.Lookup(1); !ok || v != 7 {
@@ -121,7 +121,7 @@ func TestCuckooBucketsOnFirstNeed(t *testing.T) {
 	a.Begin(1, &cur)
 	for !a.CheckStep(&cur) {
 	}
-	if cur.Ok || len(a.buckets) != a.Buckets() {
+	if cur.Ok || len(a.buckets) != int(a.mask+1) {
 		t.Fatalf("allocated empty table: stepwise hit %v, %d buckets", cur.Ok, len(a.buckets))
 	}
 }
@@ -174,7 +174,7 @@ func TestCuckooStepwiseMiss(t *testing.T) {
 
 func TestCuckooBucketAddrAligned(t *testing.T) {
 	c := newCuckoo(t, 64)
-	for b := uint64(0); b < uint64(c.Buckets()); b++ {
+	for b := uint64(0); b <= c.mask; b++ {
 		if c.BucketAddr(b)%sim.LineBytes != 0 {
 			t.Fatalf("bucket %d addr %#x not line aligned", b, c.BucketAddr(b))
 		}
@@ -270,17 +270,20 @@ func sessionsFixture(n, pdrs int) []testSession {
 	return out
 }
 
+// nodes returns t's node count: one per rule and one per session.
+func nodes(t *MDITree) int { return len(t.rules) + len(t.sessions) }
+
 func TestMDITreeLookup(t *testing.T) {
 	sessions := sessionsFixture(100, 4)
 	tree, err := newMDITree(sessions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Sessions() != 100 {
-		t.Fatalf("Sessions = %d", tree.Sessions())
+	if len(tree.sessions) != 100 {
+		t.Fatalf("%d sessions, want 100", len(tree.sessions))
 	}
-	if tree.Nodes() != 100+100*4 {
-		t.Fatalf("Nodes = %d, want 500", tree.Nodes())
+	if nodes(tree) != 100+100*4 {
+		t.Fatalf("%d nodes, want 500", nodes(tree))
 	}
 	for i := 0; i < 100; i++ {
 		for p := 0; p < 4; p++ {
@@ -318,8 +321,8 @@ func TestMDITreeUnsortedInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Nodes() != sorted.Nodes() {
-		t.Fatalf("shuffled input built %d nodes, sorted %d", tree.Nodes(), sorted.Nodes())
+	if nodes(tree) != nodes(sorted) {
+		t.Fatalf("shuffled input built %d nodes, sorted %d", nodes(tree), nodes(sorted))
 	}
 	for ue := uint32(0x0a000000); ue <= 0x0a000000+64; ue++ {
 		for port := 0; port < 65536; port += 1021 {
@@ -450,7 +453,7 @@ func TestMDITreeStepwiseMatchesLookup(t *testing.T) {
 	tree.Begin(&cur, 0x0a000000+17, 30000)
 	steps := 0
 	for {
-		if !tree.Region().Contains(cur.Addr, sim.LineBytes) {
+		if !tree.region.Contains(cur.Addr, sim.LineBytes) {
 			t.Fatalf("cursor addr %#x outside tree region", cur.Addr)
 		}
 		res := tree.WalkStep(&cur)
@@ -556,8 +559,8 @@ func TestMDIWalkAddressTrace(t *testing.T) {
 		t.Fatalf("fixture does not cover hits and misses: %v", results)
 	}
 	const wantHash, wantDepth, wantNodes = uint64(0x420ac2a7767c0b4f), 10, 422
-	if got := h.Sum64(); got != wantHash || tree.Depth() != wantDepth || tree.Nodes() != wantNodes {
-		t.Fatalf("walk trace hash %#x, Depth %d, Nodes %d; pinned %#x, %d, %d", got, tree.Depth(), tree.Nodes(), wantHash, wantDepth, wantNodes)
+	if got := h.Sum64(); got != wantHash || tree.Depth() != wantDepth || nodes(tree) != wantNodes {
+		t.Fatalf("walk trace hash %#x, Depth %d, %d nodes; pinned %#x, %d, %d", got, tree.Depth(), nodes(tree), wantHash, wantDepth, wantNodes)
 	}
 }
 

@@ -31,7 +31,7 @@ func stepwise(c *Cuckoo, key uint64) (int32, bool) {
 // map and returns how many inserts of absent keys the table refused.
 // An installed key must refuse another value and accept its own. After
 // every op the table must hold exactly the map: each entry findable by
-// Lookup and by the stepwise lookup, Len equal to the map's size —
+// Lookup and by the stepwise lookup, the entry count equal to the map's size —
 // which is what makes a refused insert a no-op and an accepted one
 // unique.
 func cuckooOps(t *testing.T, data []byte) (refused int) {
@@ -70,8 +70,8 @@ func cuckooOps(t *testing.T, data []byte) (refused int) {
 				t.Fatalf("op %d: stepwise lookup of %d = %d,%v, want %d,%v", i/2, key, v, ok, w, wok)
 			}
 		}
-		if c.Len() != len(want) {
-			t.Fatalf("op %d: Len = %d, the model holds %d", i/2, c.Len(), len(want))
+		if c.entries != len(want) {
+			t.Fatalf("op %d: entries = %d, the model holds %d", i/2, c.entries, len(want))
 		}
 		for k, w := range want {
 			if v, ok := c.Lookup(k); !ok || v != w {
@@ -92,7 +92,7 @@ func FuzzCuckooOps(f *testing.F) {
 
 // TestCuckooFailedInsertChangesNothing fills the 16-slot table past
 // what it can hold: every refused insert must leave each installed key
-// at its value, the refused key absent and Len where it was.
+// at its value, the refused key absent and the entry count where it was.
 func TestCuckooFailedInsertChangesNothing(t *testing.T) {
 	var ops []byte
 	for k := 0; k < 40; k++ {
@@ -143,15 +143,15 @@ func TestCuckooReinsertAfterDisplacement(t *testing.T) {
 	if !c.Delete(inB[0]) {
 		t.Fatal("setup: filler missing")
 	}
-	before := c.Len()
+	before := c.entries
 	if err := c.Insert(k, 200); err == nil {
 		t.Fatal("Insert(k, 200) re-pointed k, installed at 0")
 	}
 	if err := c.Insert(k, 0); err != nil {
 		t.Fatalf("re-inserting k at its own value: %v", err)
 	}
-	if c.Len() != before {
-		t.Fatalf("Len went %d -> %d on re-inserting an installed key", before, c.Len())
+	if c.entries != before {
+		t.Fatalf("entries went %d -> %d on re-inserting an installed key", before, c.entries)
 	}
 	if v, ok := c.Lookup(k); !ok || v != 0 {
 		t.Fatalf("Lookup(k) = %d,%v, want 0,true", v, ok)
@@ -238,7 +238,7 @@ func bruteMatch(sessions []testSession, ip uint32, port uint16) (session, pdr in
 // FuzzMDITree builds a tree from decoded sessions and checks, for probes
 // around every session and every range edge, that the stepwise walk,
 // Lookup and a scan of the input rules agree, that a walk takes at most
-// Depth()+1 steps and that every address it stages lies in Region().
+// Depth()+1 steps and that every address it stages lies in its region.
 func FuzzMDITree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sessions := mdiSessions(data)
@@ -249,14 +249,14 @@ func FuzzMDITree(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded sessions refused: %v", err)
 		}
-		nodes := len(sessions)
+		rules := 0
 		for _, s := range sessions {
-			nodes += len(s.PDRs)
+			rules += len(s.PDRs)
 		}
-		if tree.Nodes() != nodes || tree.Sessions() != len(sessions) {
-			t.Fatalf("Nodes, Sessions = %d, %d; the input has %d, %d", tree.Nodes(), tree.Sessions(), nodes, len(sessions))
+		if len(tree.rules) != rules || len(tree.sessions) != len(sessions) {
+			t.Fatalf("rules, sessions = %d, %d; the input has %d, %d", len(tree.rules), len(tree.sessions), rules, len(sessions))
 		}
-		region := tree.Region()
+		region := tree.region
 		probe := func(ip uint32, port uint16) {
 			wantS, wantP, wantOK := bruteMatch(sessions, ip, port)
 			if s, p, ok := tree.Lookup(ip, port); s != wantS || p != wantP || ok != wantOK {

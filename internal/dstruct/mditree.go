@@ -214,15 +214,6 @@ func (t *MDITree) NodeAddr(i int32) uint64 {
 	return t.region.Base + uint64(i)*sim.LineBytes
 }
 
-// Region returns the tree's simulated address region.
-func (t *MDITree) Region() mem.Region { return t.region }
-
-// Nodes returns the node count.
-func (t *MDITree) Nodes() int { return len(t.rules) + len(t.sessions) }
-
-// Sessions returns the number of level-1 entries.
-func (t *MDITree) Sessions() int { return len(t.sessions) }
-
 // root returns the session tree's root node.
 func (t *MDITree) root() int32 { return int32(len(t.rules)) }
 

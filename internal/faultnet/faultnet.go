@@ -136,15 +136,6 @@ func (i *Injector) Wrap(conn net.Conn) net.Conn {
 	return &Conn{Conn: conn, inj: i, sc: sc}
 }
 
-// Dial dials like net.Dial and wraps the result.
-func (i *Injector) Dial(network, address string) (net.Conn, error) {
-	conn, err := net.Dial(network, address)
-	if err != nil {
-		return nil, err
-	}
-	return i.Wrap(conn), nil
-}
-
 // WrapListener returns a listener whose accepted connections are
 // wrapped in Accept order.
 func (i *Injector) WrapListener(ln net.Listener) net.Listener {

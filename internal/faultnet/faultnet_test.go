@@ -205,7 +205,8 @@ func TestDeterministicScripts(t *testing.T) {
 	}
 }
 
-// TestListenerAndDial exercises the TCP wrappers end to end.
+// TestListenerAndDial exercises the TCP wrappers end to end: a wrapped
+// listener's accepted side and a wrapped dialed side.
 func TestListenerAndDial(t *testing.T) {
 	inj, err := New(Config{Seed: 9, MaxWriteChunk: 5})
 	if err != nil {
@@ -230,10 +231,11 @@ func TestListenerAndDial(t *testing.T) {
 		done <- b
 	}()
 
-	conn, err := inj.Dial("tcp", ln.Addr().String())
+	dialed, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
+	conn := inj.Wrap(dialed)
 	if _, err := conn.Write([]byte("over tcp, chunked both ways")); err != nil {
 		t.Fatal(err)
 	}

@@ -89,19 +89,11 @@ func NewPool(as *AddressSpace, name string, entrySize uint64, count int) (*Pool,
 	}, nil
 }
 
-// Addr returns the base address of entry i.
-func (p *Pool) Addr(i int) (uint64, error) {
-	if i < 0 || i >= p.count {
-		return 0, fmt.Errorf("mem: pool %s: index %d out of range [0,%d)", p.region.Name, i, p.count)
-	}
-	return p.region.Base + uint64(i)*p.entrySize, nil
-}
-
-// AddrAt is Addr for indexes the caller has already validated (e.g. a
-// match result previously stored into the pool) — the hot-path form: a
-// single bounds check that the compiler can inline at the call site,
-// with the panic outlined. It panics on an out-of-range index, which
-// indicates a runtime bug rather than bad input.
+// AddrAt returns the base address of entry i, an index the caller has
+// already validated (e.g. a match result previously stored into the
+// pool): a single bounds check that the compiler can inline at the call
+// site, with the panic outlined. It panics on an out-of-range index,
+// which indicates a runtime bug rather than bad input.
 func (p *Pool) AddrAt(i int32) uint64 {
 	if i < 0 || int(i) >= p.count {
 		p.badIndex(i)

@@ -138,10 +138,7 @@ func TestStepInvalidTransition(t *testing.T) {
 	e := newExec(env)
 	// Force the store state to emit an event with no transition by
 	// corrupting the transition table.
-	cs, err := env.prog.FindCS("m.store")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := csNamed(t, env.prog, "m.store")
 	info, err := env.prog.CS(cs)
 	if err != nil {
 		t.Fatal(err)
@@ -260,18 +257,9 @@ func TestProgramLookups(t *testing.T) {
 	if p.NumCS() != 3 || p.NumActions() != 2 {
 		t.Fatalf("NumCS=%d NumActions=%d", p.NumCS(), p.NumActions())
 	}
-	if _, err := p.FindCS("m.load"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.FindCS("nope"); err == nil {
-		t.Fatal("FindCS(nope) succeeded")
-	}
-	id, err := p.EventID("go")
-	if err != nil || id != 3 {
-		t.Fatalf("EventID(go) = %d, %v", id, err)
-	}
-	if _, err := p.EventID("nope"); err == nil {
-		t.Fatal("EventID(nope) succeeded")
+	csNamed(t, p, "m.load")
+	if len(p.events) != 4 || p.events[3] != "go" {
+		t.Fatalf("events = %q, want \"go\" interned fourth of 4", p.events)
 	}
 	if p.EventName(EvPacket) != "packet" || p.EventName(99) == "" {
 		t.Fatal("EventName misbehaved")
@@ -282,9 +270,18 @@ func TestProgramLookups(t *testing.T) {
 	if _, err := p.Action(99); err == nil {
 		t.Fatal("Action(99) succeeded")
 	}
-	if p.NumEvents() != 4 {
-		t.Fatalf("NumEvents = %d, want 4", p.NumEvents())
+}
+
+// csNamed returns the id of p's control state called name.
+func csNamed(t *testing.T, p *Program, name string) CSID {
+	t.Helper()
+	for i := range p.cs {
+		if p.cs[i].Name == name {
+			return CSID(i)
+		}
 	}
+	t.Fatalf("no control state %q", name)
+	return 0
 }
 
 func TestBuilderErrors(t *testing.T) {

@@ -76,10 +76,10 @@ type stepPlan struct {
 	bind *Binding
 }
 
-// CompilePlans (re)lowers every control state into its step plan. Build
-// calls it automatically; code that changes a CSInfo's span sets or an
-// action after build (the Touch tests wrap actions) must call it again,
-// or the Program will keep executing the stale plans.
+// CompilePlans lowers every control state into its step plan. Build
+// calls it; no other code changes a built Program. A test that wraps
+// an action after Build calls it again, or the Program keeps executing
+// the stale plans.
 func (p *Program) CompilePlans() {
 	plans := make([]stepPlan, len(p.cs))
 	// All plans' ops live in two shared backing arrays, appended in CS

@@ -79,8 +79,8 @@ type Program struct {
 	start   CSID
 	// plans holds each control state lowered into its compiled step plan
 	// (see plan.go); indexed by CSID, entry 0 (End) unused. Build
-	// compiles them; compiler passes that mutate CSInfo span sets via
-	// CS() must re-run CompilePlans afterwards.
+	// compiles them. No code changes a built Program; tests that wrap
+	// actions re-run CompilePlans.
 	plans []stepPlan
 }
 
@@ -97,7 +97,7 @@ func (p *Program) NumCS() int { return len(p.cs) }
 func (p *Program) NumActions() int { return len(p.actions) }
 
 // CS returns the control state record for id. The returned pointer
-// aliases program state; compiler passes mutate it in place.
+// aliases program state; only tests write through it.
 func (p *Program) CS(id CSID) (*CSInfo, error) {
 	if id < 0 || int(id) >= len(p.cs) {
 		return nil, fmt.Errorf("model: CS %d out of range [0,%d)", id, len(p.cs))
@@ -113,26 +113,6 @@ func (p *Program) Action(id ActionID) (*Action, error) {
 	return &p.actions[id], nil
 }
 
-// FindCS looks a control state up by its "module.state" name.
-func (p *Program) FindCS(name string) (CSID, error) {
-	for i := range p.cs {
-		if p.cs[i].Name == name {
-			return CSID(i), nil
-		}
-	}
-	return 0, fmt.Errorf("model: no control state %q", name)
-}
-
-// EventID returns the interned id of an event name.
-func (p *Program) EventID(name string) (EventID, error) {
-	for i, n := range p.events {
-		if n == name {
-			return EventID(i), nil
-		}
-	}
-	return 0, fmt.Errorf("model: no event %q", name)
-}
-
 // EventName returns the name of an interned event.
 func (p *Program) EventName(id EventID) string {
 	if id < 0 || int(id) >= len(p.events) {
@@ -140,9 +120,6 @@ func (p *Program) EventName(id EventID) string {
 	}
 	return p.events[id]
 }
-
-// NumEvents returns the number of interned events.
-func (p *Program) NumEvents() int { return len(p.events) }
 
 // Step executes the current control state of e: charge the declared
 // reads, run the action, charge the declared writes, and take the

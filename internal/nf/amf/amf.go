@@ -222,14 +222,8 @@ func New(as *mem.AddressSpace, cfg Config) (*AMF, error) {
 	return a, nil
 }
 
-// Name returns the instance name.
-func (a *AMF) Name() string { return a.cfg.Name }
-
 // ContextLines returns the UE context footprint in cache lines.
 func (a *AMF) ContextLines() int { return a.bind.PerFlowLayout.Lines() }
-
-// Layout returns the active UE-context layout.
-func (a *AMF) Layout() *mem.Layout { return a.bind.PerFlowLayout }
 
 // Rejected returns the count of messages for unknown UEs.
 func (a *AMF) Rejected() uint64 { return a.rejected }

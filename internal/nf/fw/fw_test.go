@@ -123,7 +123,7 @@ func TestFirstPacketWalksPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runOn(t, f, traffic.NewLimited(g, 2), 0, rt.RTCConfig())
+	runOn(t, f, g, 2, rt.RTCConfig())
 	fl, err := f.Flow(0)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestDenyPolicyDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runOn(t, f, traffic.NewLimited(g, 3), 0, rt.RTCConfig())
+	runOn(t, f, g, 3, rt.RTCConfig())
 	if f.Drops() != 3 {
 		t.Fatalf("Drops = %d, want 3", f.Drops())
 	}
@@ -199,7 +199,7 @@ func TestNoMatchingRuleDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runOn(t, f, traffic.NewLimited(g, 1), 0, rt.RTCConfig())
+	runOn(t, f, g, 1, rt.RTCConfig())
 	if f.Drops() != 1 {
 		t.Fatalf("Drops = %d, want 1", f.Drops())
 	}

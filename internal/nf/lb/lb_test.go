@@ -77,7 +77,7 @@ func TestNewFlowPicksBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run(t, l, traffic.NewLimited(g, 3), 0)
+	run(t, l, g, 3)
 	f, err := l.Flow(0)
 	if err != nil {
 		t.Fatal(err)

@@ -106,7 +106,7 @@ func TestUnseenFlowRegisters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run(t, m, traffic.NewLimited(g, 5), 0)
+	run(t, m, g, 5)
 	f, err := m.Flow(0)
 	if err != nil {
 		t.Fatal(err)

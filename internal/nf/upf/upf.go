@@ -34,9 +34,11 @@ type Config struct {
 	// PDRsPerSession is the second-level rule count per session; the
 	// PDR SDF filters partition the source-port space evenly.
 	PDRsPerSession int
-	// RANIP is the gNB tunnel endpoint for downlink encapsulation.
-	RANIP uint32
 }
+
+// ranIP is the gNB tunnel endpoint for downlink encapsulation,
+// 192.168.100.1.
+const ranIP = 0xc0a86401
 
 func (c *Config) setDefaults() error {
 	if c.Name == "" {
@@ -54,9 +56,6 @@ func (c *Config) setDefaults() error {
 		return fmt.Errorf("upf: Sessions (%d) x (PDRsPerSession (%d) + 1) tree nodes exceed the int32 index space",
 			c.Sessions, c.PDRsPerSession)
 	}
-	if c.RANIP == 0 {
-		c.RANIP = 0xc0a86401 // 192.168.100.1
-	}
 	return nil
 }
 
@@ -64,15 +63,14 @@ func (c *Config) setDefaults() error {
 func (c Config) UEIP(i int) uint32 { return 0x0a000000 + uint32(i) }
 
 // Session is the PFCP session (per-flow) state UPF.Session reports: its
-// downlink tunnel and its usage counters. The simulated layout spans
-// two cache lines, matching the paper's description of UPF per-flow
-// state. The UPF keeps only the counters, a 16-byte record per session:
-// the tunnel follows from the session index (TEID) and the config
-// (RANIP).
+// downlink TEID and its usage counters. The simulated layout spans two
+// cache lines, matching the paper's description of UPF per-flow state.
+// The UPF keeps only the counters, a 16-byte record per session: the
+// TEID follows from the session index, and every session's tunnel ends
+// at the constant ranIP.
 type Session struct {
-	// TEIDOut and RANIP are the downlink tunnel parameters (hot, read).
+	// TEIDOut is the downlink tunnel ID (hot, read).
 	TEIDOut uint32
-	RANIP   uint32
 	// UsagePkts and UsageBytes are usage-reporting counters (hot,
 	// written).
 	UsagePkts, UsageBytes uint64
@@ -205,9 +203,6 @@ func New(as *mem.AddressSpace, cfg Config) (*UPF, error) {
 	return u, nil
 }
 
-// Name returns the instance name.
-func (u *UPF) Name() string { return u.cfg.Name }
-
 // Tree exposes the MDI tree (for depth diagnostics in reports).
 func (u *UPF) Tree() *dstruct.MDITree { return u.tree }
 
@@ -217,7 +212,7 @@ func (u *UPF) Session(i int32) (Session, error) {
 		return Session{}, fmt.Errorf("upf: session %d out of range", i)
 	}
 	c := &u.sessions[i]
-	return Session{TEIDOut: teidOf(i), RANIP: u.cfg.RANIP, UsagePkts: c.pkts, UsageBytes: c.bytes}, nil
+	return Session{TEIDOut: teidOf(i), UsagePkts: c.pkts, UsageBytes: c.bytes}, nil
 }
 
 // PDRRecord returns a copy of PDR idx's record.
@@ -246,7 +241,6 @@ func (u *UPF) AttachDownlink(b *model.Builder, next string) string {
 	tree := u.tree
 	pdrs := u.pdrs
 	sessions := u.sessions
-	ranIP := u.cfg.RANIP
 
 	// Match module: granularly decomposed MDI walk.
 	b.AddModule(mMatch, u.bind)

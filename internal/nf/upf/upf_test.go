@@ -36,8 +36,11 @@ func TestProgramsBuild(t *testing.T) {
 	if _, err := u.DownlinkProgram(); err != nil {
 		t.Fatal(err)
 	}
-	if u.Tree().Sessions() != 32 {
-		t.Fatalf("tree sessions = %d", u.Tree().Sessions())
+	// The tree holds the 32 sessions and no more.
+	for i := 0; i <= 32; i++ {
+		if s, _, ok := u.Tree().Lookup(u.cfg.UEIP(i), 0); ok != (i < 32) || ok && s != int32(i) {
+			t.Fatalf("UE %d: Lookup = session %d, %v", i, s, ok)
+		}
 	}
 }
 

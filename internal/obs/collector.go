@@ -42,8 +42,6 @@ type Collector struct {
 	causes [8]uint64     // stall cycles by sim.StallCause
 
 	latency stats.Histogram
-
-	events uint64
 }
 
 // NewCollector builds a collector for programs compiled like prog
@@ -58,12 +56,6 @@ func NewCollector(prog *model.Program, freqHz float64) *Collector {
 func (c *Collector) TraceKinds() sim.TraceKinds {
 	return sim.AllTraceKinds &^ sim.KindSet(sim.TraceRx, sim.TraceTransition, sim.TracePrefetchRedundant, sim.TraceTaskSwitch)
 }
-
-// Events returns the number of trace events consumed.
-func (c *Collector) Events() uint64 { return c.events }
-
-// Latency returns the per-packet rx→done latency histogram in cycles.
-func (c *Collector) Latency() *stats.Histogram { return &c.latency }
 
 // cs returns the per-CS accumulator for ev, or nil when the event is
 // not attributed to a control state.
@@ -85,7 +77,6 @@ func (c *Collector) EventBatch(evs []sim.TraceEvent) {
 }
 
 func (c *Collector) event(ev *sim.TraceEvent) {
-	c.events++
 	switch ev.Kind {
 	case sim.TraceActionBegin:
 		if s := c.cs(ev); s != nil {

@@ -159,20 +159,19 @@ func TestLatencyProbe(t *testing.T) {
 	p.Event(sim.TraceEvent{Kind: sim.TraceRx, A: 0x1000, Cycle: 100})
 	p.Event(sim.TraceEvent{Kind: sim.TraceStreamDone, A: 0x1000, Cycle: 150, C: 50})
 	p.Event(sim.TraceEvent{Kind: sim.TraceStreamDone, A: 0x2000, Cycle: 400, C: 200})
-	h := p.Histogram()
+	h := p.TakeWindow()
 	if h.Count() != 2 || h.Min() != 50 || h.Max() != 200 {
 		t.Fatalf("count/min/max = %d/%d/%d", h.Count(), h.Min(), h.Max())
 	}
-	w := p.TakeWindow()
-	if w.Count() != 2 {
-		t.Fatalf("window count = %d", w.Count())
-	}
-	if p.Histogram().Count() != 0 {
+	if p.TakeWindow().Count() != 0 {
 		t.Fatal("TakeWindow did not reset")
 	}
 	p.EventBatch([]sim.TraceEvent{{Kind: sim.TraceStreamDone, A: 0x3000, Cycle: 1600, C: 600}})
-	if h := p.Histogram(); h.Count() != 1 || h.Min() != 600 {
+	if h := p.TakeWindow(); h.Count() != 1 || h.Min() != 600 {
 		t.Fatalf("next window's latency = %d (count %d)", h.Min(), h.Count())
+	}
+	if h.Count() != 2 {
+		t.Fatalf("a taken window changed after the next one: count %d", h.Count())
 	}
 }
 
@@ -185,7 +184,7 @@ func TestLatencyProbeMatchesCollector(t *testing.T) {
 	probe := obs.NewLatencyProbe()
 	res := runTraced(t, 1500, col, probe)
 
-	ph, ch := probe.Histogram(), col.Latency()
+	ph, ch := probe.TakeWindow(), obs.CollectorLatency(col)
 	if ph.Count() != res.Packets || ph.Count() != ch.Count() {
 		t.Fatalf("probe %d, collector %d, packets %d", ph.Count(), ch.Count(), res.Packets)
 	}

@@ -45,10 +45,6 @@ func (p *LatencyProbe) event(ev *sim.TraceEvent) {
 	}
 }
 
-// Histogram returns the accumulated rx→done latency histogram (cycles)
-// since the last TakeWindow.
-func (p *LatencyProbe) Histogram() *stats.Histogram { return &p.hist }
-
 // TakeWindow returns the window's latency histogram and resets the
 // accumulator.
 func (p *LatencyProbe) TakeWindow() *stats.Histogram {

@@ -96,12 +96,12 @@ func runTraced(t *testing.T, packets uint64, tracers ...sim.Tracer) rt.Result {
 
 func TestCollectorMatchesCounters(t *testing.T) {
 	prog, _, _ := buildNAT(t, 16)
-	col := obs.NewCollector(prog, sim.DefaultConfig().FreqHz)
+	col := &countingCollector{Collector: obs.NewCollector(prog, sim.DefaultConfig().FreqHz)}
 	sums := &sumTracer{}
 	res := runTraced(t, 3000, col, sums)
 
-	if sums.events == 0 || col.Events() != sums.events {
-		t.Fatalf("events: collector %d, checker %d", col.Events(), sums.events)
+	if sums.events == 0 || col.n != sums.events {
+		t.Fatalf("events: collector %d, checker %d", col.n, sums.events)
 	}
 	c := res.Counters
 	if sums.stall != c.StallCycles {
@@ -124,7 +124,7 @@ func TestCollectorLatencyAndTables(t *testing.T) {
 	col := obs.NewCollector(prog, sim.DefaultConfig().FreqHz)
 	res := runTraced(t, 2000, col)
 
-	lat := col.Latency()
+	lat := obs.CollectorLatency(col)
 	if lat.Count() != res.Packets {
 		t.Fatalf("latency samples %d, packets %d", lat.Count(), res.Packets)
 	}
@@ -179,7 +179,7 @@ func TestLatencyTableZeroClock(t *testing.T) {
 	prog, _, _ := buildNAT(t, 16)
 	col := obs.NewCollector(prog, 0)
 	runTraced(t, 500, col)
-	if col.Latency().Count() == 0 {
+	if obs.CollectorLatency(col).Count() == 0 {
 		t.Fatal("no latency samples")
 	}
 	var buf bytes.Buffer
@@ -308,7 +308,7 @@ func TestMultiKinds(t *testing.T) {
 // exactly the full stream's events of its declared kinds.
 func TestCollectorSparesTaskSwitches(t *testing.T) {
 	prog, _, _ := buildNAT(t, 16)
-	col := obs.NewCollector(prog, sim.DefaultConfig().FreqHz)
+	col := &countingCollector{Collector: obs.NewCollector(prog, sim.DefaultConfig().FreqHz)}
 	core, err := sim.NewCore(sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -329,9 +329,25 @@ func TestCollectorSparesTaskSwitches(t *testing.T) {
 			want += n
 		}
 	}
-	if col.Events() != want {
-		t.Fatalf("collector consumed %d events, full stream has %d of its kinds", col.Events(), want)
+	if col.n != want {
+		t.Fatalf("collector consumed %d events, full stream has %d of its kinds", col.n, want)
 	}
+}
+
+// countingCollector is a Collector that counts the events handed to it.
+type countingCollector struct {
+	*obs.Collector
+	n uint64
+}
+
+func (c *countingCollector) Event(ev sim.TraceEvent) {
+	c.n++
+	c.Collector.Event(ev)
+}
+
+func (c *countingCollector) EventBatch(evs []sim.TraceEvent) {
+	c.n += uint64(len(evs))
+	c.Collector.EventBatch(evs)
 }
 
 // kindCounter is an undeclared tracer: beside it, the core emits every

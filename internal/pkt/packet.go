@@ -112,9 +112,3 @@ func NewRing(base uint64, slotLen uint64, n int) (*Ring, error) {
 func (r *Ring) Slot(seq uint64) uint64 {
 	return r.base + (seq%r.slots)*r.slotLen
 }
-
-// Span returns the total address span of the ring.
-func (r *Ring) Span() uint64 { return r.slotLen * r.slots }
-
-// SlotLen returns the padded length of one slot.
-func (r *Ring) SlotLen() uint64 { return r.slotLen }

@@ -307,8 +307,8 @@ func TestRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.SlotLen()%64 != 0 {
-		t.Fatalf("slot len %d not line aligned", r.SlotLen())
+	if r.slotLen != 128 {
+		t.Fatalf("slot len %d, want 100 rounded up to a line", r.slotLen)
 	}
 	if r.Slot(0) != 0x10000 {
 		t.Fatalf("Slot(0) = %#x", r.Slot(0))
@@ -316,8 +316,8 @@ func TestRing(t *testing.T) {
 	if r.Slot(4) != r.Slot(0) || r.Slot(5) != r.Slot(1) {
 		t.Fatal("ring does not wrap")
 	}
-	if r.Span() != r.SlotLen()*4 {
-		t.Fatalf("Span = %d", r.Span())
+	if r.Slot(3)-r.Slot(0) != 3*r.slotLen {
+		t.Fatalf("Slot(3) = %#x, want 3 padded slots past Slot(0)", r.Slot(3))
 	}
 	if _, err := NewRing(0, 0, 4); err == nil {
 		t.Fatal("zero slot length accepted")

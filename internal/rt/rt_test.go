@@ -49,9 +49,18 @@ func newNAT(t testing.TB, flows int) (*nat.NAT, *model.Program, *traffic.FlowGen
 
 func newWorker(t testing.TB, prog *model.Program, cfg rt.Config) *rt.Worker {
 	t.Helper()
+	return tracedWorker(t, prog, cfg, nil)
+}
+
+// tracedWorker is newWorker with tr attached to the worker's core.
+func tracedWorker(t testing.TB, prog *model.Program, cfg rt.Config, tr sim.Tracer) *rt.Worker {
+	t.Helper()
 	core, err := sim.NewCore(sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tr != nil {
+		core.SetTracer(tr)
 	}
 	w, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, cfg)
 	if err != nil {
@@ -80,9 +89,8 @@ func TestRunReturnFlushesTrace(t *testing.T) {
 		"interleaved": rt.DefaultConfig(),
 		"rtc":         rt.RTCConfig(),
 	} {
-		w := newWorker(t, prog, cfg)
 		var ct doneCounter
-		w.Core().SetTracer(&ct)
+		w := tracedWorker(t, prog, cfg, &ct)
 		var total uint64
 		for _, n := range []uint64{1, 3, 97, 1000} {
 			res, err := w.Run(g, n)
@@ -114,9 +122,8 @@ func TestStreamDoneLatency(t *testing.T) {
 		"il64": rt.ConfigFor(64),
 		"rtc":  rt.RTCConfig(),
 	} {
-		w := newWorker(t, prog, cfg)
 		log := &eventLog{}
-		w.Core().SetTracer(log)
+		w := tracedWorker(t, prog, cfg, log)
 		var checked uint64
 		for _, n := range []uint64{1, 97, 5000, 20000} {
 			if _, err := w.Run(g, n); err != nil {
@@ -217,10 +224,22 @@ func TestRunProcessesExactly(t *testing.T) {
 	}
 }
 
+// drainable returns a finite source of g's next n packets. The
+// generator recycles its packet structs, so n stays well below its
+// pool for the packets to remain distinct.
+func drainable(g *traffic.FlowGen, n int) *schedSource {
+	src := &schedSource{pkts: make([]*pkt.Packet, n)}
+	for i := range src.pkts {
+		src.pkts[i] = g.Next()
+	}
+	return src
+}
+
 func TestRunExhaustedSource(t *testing.T) {
 	prog, g := buildNAT(t, 64)
 	w := newWorker(t, prog, rt.DefaultConfig())
-	res, err := w.Run(traffic.NewLimited(g, 100), 0)
+	src := drainable(g, 100)
+	res, err := w.Run(src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +247,7 @@ func TestRunExhaustedSource(t *testing.T) {
 		t.Fatalf("Packets = %d, want 100", res.Packets)
 	}
 	// A second Run on the drained source does nothing.
-	res, err = w.Run(traffic.NewLimited(g, 0), 0)
+	res, err = w.Run(src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,23 +306,22 @@ func TestRTCRunBounded(t *testing.T) {
 // source drains.
 func TestRTCRunExhausted(t *testing.T) {
 	prog, g := buildNAT(t, 64)
-	core, err := sim.NewCore(sim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, rt.RTCConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := w.Run(traffic.NewLimited(g, 50), 0)
+	w := newWorker(t, prog, rt.RTCConfig())
+	src := drainable(g, 50)
+	res, err := w.Run(src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Packets != 50 {
 		t.Fatalf("Packets = %d, want 50", res.Packets)
 	}
-	if w.Core() != core {
-		t.Fatal("Core accessor broken")
+	// A second Run on the drained source does nothing.
+	res, err = w.Run(src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Packets != 0 {
+		t.Fatalf("drained source produced %d packets", res.Packets)
 	}
 }
 
@@ -709,7 +727,7 @@ func TestExhaustionUnderBothConfigs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := w.Run(traffic.NewLimited(g, offered), 0)
+			res, err := w.Run(drainable(g, offered), 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -248,9 +248,6 @@ func NewWorker(core *sim.Core, as *mem.AddressSpace, prog *model.Program, cfg Co
 	return w, nil
 }
 
-// Core returns the worker's simulated core.
-func (w *Worker) Core() *sim.Core { return w.core }
-
 // receive pulls up to Batch packets from src, assigning ring slots and
 // modelling the DDIO fill of their header lines. The returned slice
 // aliases the worker's reusable batch buffer and is only valid until

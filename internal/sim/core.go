@@ -113,9 +113,6 @@ func (c *Core) Config() Config { return c.cfg }
 // Now returns the current cycle count.
 func (c *Core) Now() uint64 { return c.clock }
 
-// Seconds converts the elapsed cycle count to simulated wall-clock time.
-func (c *Core) Seconds() float64 { return float64(c.clock) / c.cfg.FreqHz }
-
 // Counters returns a snapshot of the PMU block (Cycles kept in sync with
 // the clock).
 func (c *Core) Counters() Counters {

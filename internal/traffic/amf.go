@@ -96,9 +96,6 @@ func NewAMFGen(cfg AMFConfig) (*AMFGen, error) {
 	return g, nil
 }
 
-// Config returns the generator's parameters.
-func (g *AMFGen) Config() AMFConfig { return g.cfg }
-
 // Next emits the next NAS message. In call-flow mode each UE advances
 // RegistrationRequest → … → PDUSessionRequest and then starts over
 // (periodic re-registration), with UEs interleaved at random — the

@@ -77,9 +77,6 @@ func NewCaidaGen(cfg CaidaConfig) (*CaidaGen, error) {
 // FlowTuple returns flow i's five-tuple for table pre-population.
 func (g *CaidaGen) FlowTuple(i int) pkt.FiveTuple { return g.tuples[i] }
 
-// Flows returns the flow population size.
-func (g *CaidaGen) Flows() int { return len(g.tuples) }
-
 // Next emits the next trace packet: Zipf-popular flow, IMIX size.
 func (g *CaidaGen) Next() *pkt.Packet {
 	tuple := g.tuples[g.cfg.ShardBase+int(g.zipf.Uint64())]

@@ -58,9 +58,6 @@ func NewMGWGen(cfg MGWConfig) (*MGWGen, error) {
 	return &MGWGen{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), pool: newPool()}, nil
 }
 
-// Config returns the generator's parameters.
-func (g *MGWGen) Config() MGWConfig { return g.cfg }
-
 // Next emits a downlink packet: server → a uniformly drawn UE IP of the
 // shard, with a source port drawn uniformly so it lands in a uniformly
 // random PDR's range.

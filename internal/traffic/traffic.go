@@ -1,8 +1,10 @@
 // Package traffic generates the workloads of the paper's evaluation:
-// uniform and Zipf flow mixes for NAT/LB/FW/NM and the SFC experiments,
-// the Telco-benchmark MGW use case (N PFCP sessions × M PDRs of
-// downlink traffic) for the UPF, UE initial-registration call flows for
-// the AMF, and a CAIDA-like heavy-tailed trace with an IMIX size mix.
+// uniform flow mixes for NAT/LB/FW/NM and the SFC experiments, the
+// Telco-benchmark MGW use case (N PFCP sessions × M PDRs of downlink
+// traffic) for the UPF, UE initial-registration call flows for the
+// AMF, and a CAIDA-like heavy-tailed trace with an IMIX size mix.
+// FlowGen also has a round-robin order, a fixed visit order the tests
+// rely on.
 //
 // All generators are deterministic for a given seed, build real frame
 // bytes (Ethernet/IPv4/UDP) that the NFs parse and rewrite, and recycle
@@ -57,11 +59,9 @@ type FlowOrder int
 
 // The flow orders.
 const (
-	// OrderUniform draws flows uniformly at random.
+	// OrderUniform draws flows uniformly at random. The zero Order
+	// means the same.
 	OrderUniform FlowOrder = iota + 1
-	// OrderZipf draws flows with a Zipf(1.1) popularity skew, the
-	// heavy-tailed shape of real traffic.
-	OrderZipf
 	// OrderRoundRobin cycles the flows in order (worst case for
 	// caching: maximal reuse distance).
 	OrderRoundRobin
@@ -87,7 +87,8 @@ type FlowGenConfig struct {
 	Flows int
 	// PacketBytes is the wire size of every packet.
 	PacketBytes int
-	// Order is the flow selection discipline.
+	// Order is the flow selection discipline: 0, OrderUniform or
+	// OrderRoundRobin. CaidaGen supplies heavy-tailed popularity.
 	Order FlowOrder
 	// Seed makes the generator deterministic.
 	Seed int64
@@ -107,7 +108,6 @@ type FlowGenConfig struct {
 type FlowGen struct {
 	cfg  FlowGenConfig
 	rng  *rand.Rand
-	zipf *rand.Zipf
 	pool *pool
 	rr   int
 }
@@ -120,21 +120,20 @@ func NewFlowGen(cfg FlowGenConfig) (*FlowGen, error) {
 	if cfg.PacketBytes < 64 {
 		return nil, fmt.Errorf("traffic: PacketBytes must be >= 64, got %d", cfg.PacketBytes)
 	}
+	if cfg.Order != 0 && cfg.Order != OrderUniform && cfg.Order != OrderRoundRobin {
+		return nil, fmt.Errorf("traffic: unknown Order %d", cfg.Order)
+	}
 	if cfg.Proto == 0 {
 		cfg.Proto = pkt.ProtoUDP
 	}
 	if err := shard(&cfg.ShardBase, &cfg.ShardCount, cfg.Flows, "traffic", "flows"); err != nil {
 		return nil, err
 	}
-	g := &FlowGen{
+	return &FlowGen{
 		cfg:  cfg,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 		pool: newPool(),
-	}
-	if cfg.Order == OrderZipf {
-		g.zipf = rand.NewZipf(g.rng, 1.1, 1, uint64(cfg.ShardCount-1))
-	}
-	return g, nil
+	}, nil
 }
 
 // FlowTuple returns flow i's five-tuple, for table pre-population. The
@@ -150,22 +149,15 @@ func (g *FlowGen) FlowTuple(i int) pkt.FiveTuple {
 	}
 }
 
-// Flows returns the flow population size.
-func (g *FlowGen) Flows() int { return g.cfg.Flows }
-
 // pick selects the next flow index per the configured order, within
 // the generator's shard.
 func (g *FlowGen) pick() int {
-	switch g.cfg.Order {
-	case OrderZipf:
-		return g.cfg.ShardBase + int(g.zipf.Uint64())
-	case OrderRoundRobin:
+	if g.cfg.Order == OrderRoundRobin {
 		i := g.rr
 		g.rr = (g.rr + 1) % g.cfg.ShardCount
 		return g.cfg.ShardBase + i
-	default:
-		return g.cfg.ShardBase + g.rng.Intn(g.cfg.ShardCount)
 	}
+	return g.cfg.ShardBase + g.rng.Intn(g.cfg.ShardCount)
 }
 
 // Next emits the next packet. FlowGen is an infinite source; callers
@@ -223,25 +215,4 @@ func buildUDPish(p *pkt.Packet, tuple pkt.FiveTuple, wire int) {
 	// forwarding cannot serve (a sixth of FlowGen.Next's profile).
 	t := &p.Tuple
 	t.SrcIP, t.DstIP, t.SrcPort, t.DstPort, t.Proto = tuple.SrcIP, tuple.DstIP, tuple.SrcPort, tuple.DstPort, tuple.Proto
-}
-
-// Limited wraps a source with a packet budget, turning an infinite
-// generator into a finite trace.
-type Limited struct {
-	src  interface{ Next() *pkt.Packet }
-	left uint64
-}
-
-// NewLimited returns a source that yields at most n packets from src.
-func NewLimited(src interface{ Next() *pkt.Packet }, n uint64) *Limited {
-	return &Limited{src: src, left: n}
-}
-
-// Next returns the next packet or nil once the budget is spent.
-func (l *Limited) Next() *pkt.Packet {
-	if l.left == 0 {
-		return nil
-	}
-	l.left--
-	return l.src.Next()
 }
