@@ -171,14 +171,15 @@ trace-demo:
 # cuckoo match table against a map, the MDI tree against a scan of its
 # rules, the simulator's AVX2 set scan against the scalar one, the
 # packet parser plus NAT rewrite, the traffic generators' header writer
-# against the packet encoders, the wire latency histogram decoder, the
-# spec front end (transitions, NF compositions, modules), the NF-C
-# front end (parse then compile) and the spec → program path
-# (FromSpec, then one packet under both runtimes) — for a short active
-# burst each (the seed corpora in
+# against the packet encoders, their packet pool under consumers that
+# hand back all, some or none of their packets, the wire latency
+# histogram decoder, the spec front end (transitions, NF compositions,
+# modules), the NF-C front end (parse then compile) and the spec →
+# program path (FromSpec, then one packet under both runtimes) — for a
+# short active burst each (the seed corpora in
 # internal/{director,dstruct,sim,pkt,traffic,stats}/testdata/fuzz and
-# the spec, nfc and compile targets' f.Add seeds also run on every
-# plain `go test`).
+# the pool, spec, nfc and compile targets' f.Add seeds also run on
+# every plain `go test`).
 # Override FUZZTIME for longer campaigns:
 # make fuzz FUZZTIME=5m
 FUZZTIME ?= 10s
@@ -190,6 +191,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzSetScan$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz 'FuzzPacketRewrite$$' -fuzztime $(FUZZTIME) ./internal/pkt/
 	$(GO) test -run '^$$' -fuzz 'FuzzHeaderWriter$$' -fuzztime $(FUZZTIME) ./internal/traffic/
+	$(GO) test -run '^$$' -fuzz 'FuzzPacketPool$$' -fuzztime $(FUZZTIME) ./internal/traffic/
 	$(GO) test -run '^$$' -fuzz 'FuzzHistogramJSON$$' -fuzztime $(FUZZTIME) ./internal/stats/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseTransition$$' -fuzztime $(FUZZTIME) ./internal/spec/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseNF$$' -fuzztime $(FUZZTIME) ./internal/spec/

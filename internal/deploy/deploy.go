@@ -218,7 +218,8 @@ func NewUPF(as *mem.AddressSpace, sessions, pdrs, size, shardBase, shardCount in
 
 // caidaMGW is the MGW workload with the CAIDA IMIX size mix: UE-
 // addressed downlink traffic whose packet sizes follow the trace
-// distribution.
+// distribution. The trace only draws sizes; the frames, and the packets
+// a worker hands back, are the MGW generator's.
 type caidaMGW struct {
 	mgw   *traffic.MGWGen
 	sizes *traffic.CaidaGen
@@ -227,9 +228,12 @@ type caidaMGW struct {
 // Next emits an MGW packet with an IMIX wire length.
 func (c *caidaMGW) Next() *pkt.Packet {
 	p := c.mgw.Next()
-	p.WireLen = c.sizes.Next().WireLen
+	p.WireLen = c.sizes.NextSize()
 	return p
 }
+
+// Recycle hands p back to the MGW generator.
+func (c *caidaMGW) Recycle(p *pkt.Packet) { c.mgw.Recycle(p) }
 
 // NewChain constructs the paper's SFC of the given length (2–6):
 // LB → NAT → NM → FW, extended with additional firewalls carrying

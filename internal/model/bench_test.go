@@ -56,14 +56,14 @@ func BenchmarkProgramStep(b *testing.B) {
 	}
 	p := &pkt.Packet{Addr: as.Reserve(2048, 64), Data: make([]byte, 128)}
 	e := &model.Exec{Core: core}
-	e.ResetStream(p, prog.Start(), 0)
+	e.ResetStream(p, prog.Start())
 	e.FlowIdx = 0
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if e.Done {
-			e.ResetStream(p, prog.Start(), uint64(i))
+			e.ResetStream(p, prog.Start())
 			e.FlowIdx = 0
 		}
 		if err := prog.Step(e); err != nil {

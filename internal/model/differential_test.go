@@ -137,7 +137,7 @@ func buildRandomProgram(t *testing.T, rng *rand.Rand) *diffWorld {
 		Cost:  uint64(rng.Intn(60)),
 		Reads: initRefs,
 		Fn: func(e *model.Exec) model.EventID {
-			k := e.Seq + uint64(e.Pkt.Data[0])
+			k := uint64(e.Pkt.Data[0])
 			e.FlowIdx = int32(k % uint64(perFlow.Count()))
 			if subFlow != nil {
 				e.SubIdx = int32(k % uint64(subFlow.Count()))
@@ -157,10 +157,10 @@ func buildRandomProgram(t *testing.T, rng *rand.Rand) *diffWorld {
 			Writes: randRefs(2),
 			Fn: func(e *model.Exec) model.EventID {
 				// Deterministic in Exec state only: both sides replay the
-				// same visit sequence, so Temp/Seq/CS agree at every call.
+				// same visit sequence, so Temp/CS and the packet agree at every call.
 				e.Temp[0]++
-				e.Cur.Addr = dynBase + (e.Temp[0]*2654435761+e.Seq*97+stateIdx*131)%(dynSize-512)
-				h := e.Temp[0]*0x9e3779b9 + e.Seq*31 + stateIdx*7
+				e.Cur.Addr = dynBase + (e.Temp[0]*2654435761+uint64(e.Pkt.Data[0])*97+stateIdx*131)%(dynSize-512)
+				h := e.Temp[0]*0x9e3779b9 + uint64(e.Pkt.Data[0])*31 + stateIdx*7
 				if e.Temp[0] <= 32 && h%4 == 0 {
 					return e0
 				}
@@ -212,7 +212,8 @@ func replay(t *testing.T, w *diffWorld, s diffSide, packets int) diffResult {
 	p := &pkt.Packet{Addr: w.pktAddr, Data: make([]byte, 128)}
 	e := &model.Exec{Core: core}
 	for seq := 0; seq < packets; seq++ {
-		e.ResetStream(p, w.prog.Start(), uint64(seq))
+		p.Data[0] = byte(seq)
+		e.ResetStream(p, w.prog.Start())
 		for visits := 0; !e.Done; visits++ {
 			if visits > 4096 {
 				t.Fatalf("stream did not terminate (program %s)", w.prog.Name())

@@ -57,9 +57,6 @@ type Exec struct {
 	Cur Cursor
 	// CS is the current control state.
 	CS CSID
-	// Seq is the packet's receive sequence number on its worker: the
-	// number its rx ring slot was assigned from, one per packet.
-	Seq uint64
 	// AccessCycles accumulates cycles spent charging declared state
 	// accesses, for the paper's state-access-time measurements (EXP B).
 	AccessCycles uint64
@@ -79,14 +76,13 @@ type Exec struct {
 
 // ResetStream prepares the context for a new packet at the program's
 // start state.
-func (e *Exec) ResetStream(p *pkt.Packet, start CSID, seq uint64) {
+func (e *Exec) ResetStream(p *pkt.Packet, start CSID) {
 	e.Pkt = p
 	e.FlowIdx = -1
 	e.SubIdx = -1
 	e.Key = 0
 	e.Cur.Reset()
 	e.CS = start
-	e.Seq = seq
 	e.Prefetched = false
 	e.Done = false
 }

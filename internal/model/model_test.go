@@ -71,7 +71,7 @@ func newTestEnv(t *testing.T) *testEnv {
 func newExec(env *testEnv) *Exec {
 	e := &Exec{Core: env.core}
 	p := &pkt.Packet{Addr: 0x2000, WireLen: 64}
-	e.ResetStream(p, env.prog.Start(), 0)
+	e.ResetStream(p, env.prog.Start())
 	e.FlowIdx = 3
 	return e
 }
@@ -528,11 +528,11 @@ func TestResolveInvalidBasePanics(t *testing.T) {
 func TestResetStream(t *testing.T) {
 	e := &Exec{FlowIdx: 5, SubIdx: 6, Key: 7, Done: true, Prefetched: true}
 	p := &pkt.Packet{}
-	e.ResetStream(p, 4, 42)
+	e.ResetStream(p, 4)
 	if e.FlowIdx != -1 || e.SubIdx != -1 || e.Key != 0 || e.Done || e.Prefetched {
 		t.Fatalf("ResetStream left state: %+v", e)
 	}
-	if e.CS != 4 || e.Seq != 42 || e.Pkt != p {
+	if e.CS != 4 || e.Pkt != p {
 		t.Fatalf("ResetStream did not set fields: %+v", e)
 	}
 	if e.Cur.Idx != -1 {

@@ -153,8 +153,8 @@ func (w *refWorker) complete(batch []*pkt.Packet, finish func(*model.Exec)) erro
 		w.core.SetTask(0)
 	}
 	t := &w.tasks[0]
-	for i, p := range batch {
-		t.ResetStream(p, w.prog.Start(), w.seq-uint64(len(batch)-i))
+	for _, p := range batch {
+		t.ResetStream(p, w.prog.Start())
 		for !t.Done {
 			if err := w.prog.StepInterpreted(t); err != nil {
 				return err
@@ -172,10 +172,9 @@ func (w *refWorker) interleave(batch []*pkt.Packet, finish func(*model.Exec)) er
 	core := w.core
 	traced := core.Tracer() != nil
 	next := 0
-	// load starts the batch's next packet on t under its own sequence
-	// number (the batch was numbered consecutively, ending at w.seq).
+	// load starts the batch's next packet on t.
 	load := func(t *model.Exec) {
-		t.ResetStream(batch[next], w.prog.Start(), w.seq-uint64(len(batch)-next))
+		t.ResetStream(batch[next], w.prog.Start())
 		next++
 	}
 	var live []int32

@@ -69,7 +69,7 @@ func runOnce(t *testing.T, prog *model.Program, p *pkt.Packet) {
 		t.Fatal(err)
 	}
 	e := &model.Exec{Core: core}
-	e.ResetStream(p, prog.Start(), 0)
+	e.ResetStream(p, prog.Start())
 	for i := 0; !e.Done; i++ {
 		if err := prog.Step(e); err != nil {
 			t.Fatal(err)
@@ -149,7 +149,7 @@ func TestClassifierStagesPrefetchableAddresses(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &model.Exec{Core: core}
-	e.ResetStream(&pkt.Packet{Addr: 0x4000, Tuple: tuple, Data: make([]byte, 64)}, prog.Start(), 0)
+	e.ResetStream(&pkt.Packet{Addr: 0x4000, Tuple: tuple, Data: make([]byte, 64)}, prog.Start())
 	if err := prog.Step(e); err != nil { // get_key
 		t.Fatal(err)
 	}

@@ -66,6 +66,11 @@ type Packet struct {
 	UE uint32
 	// MsgType distinguishes control-plane message kinds (NAS procedures).
 	MsgType uint8
+	// PoolIndex is the packet's index in the generator pool that made
+	// it, as a DPDK mbuf records its mempool: that pool sets it and
+	// reads it back when the packet is handed back. It sits in padding,
+	// so a Packet stays 80 bytes.
+	PoolIndex int32
 	// RxCycle is the core cycle the packet was received at, like a DPDK
 	// mbuf's rx timestamp; a traced worker stamps it, and its stream-done
 	// event reports the rx→done span from it.

@@ -317,49 +317,3 @@ func TestInterleavedEqualsRunToCompletion(t *testing.T) {
 		})
 	}
 }
-
-// TestExecSeqIsPerPacket: Exec.Seq is the packet's own receive number —
-// the one its ring slot was assigned from — so in arrival order it rises
-// by one per packet, across bursts and Run windows, under both runtimes.
-func TestExecSeqIsPerPacket(t *testing.T) {
-	const packets = 100
-	for _, cfg := range []rt.Config{rt.RTCConfig(), rt.DefaultConfig()} {
-		seqOf := make(map[uint64]uint64)
-		b := model.NewBuilder("seq")
-		b.AddModule("m", model.Binding{})
-		done := b.Event("done")
-		b.AddState("m", "A", model.Action{
-			Name: "a",
-			Fn: func(e *model.Exec) model.EventID {
-				seqOf[binary.LittleEndian.Uint64(e.Pkt.Data)] = e.Seq
-				return done
-			},
-		})
-		b.AddTransition("m.A", "done", model.EndName)
-		b.SetStart("m.A")
-		prog, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		core, err := sim.NewCore(sim.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := rt.NewWorker(core, mem.NewAddressSpace(), prog, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkts := schedPacketList(packets)
-		src := &schedSource{pkts: pkts}
-		for _, window := range []uint64{7, 40, 0} {
-			if _, err := w.Run(src, window); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i, p := range pkts {
-			if got := seqOf[binary.LittleEndian.Uint64(p.Data)]; got != uint64(i) {
-				t.Fatalf("Tasks=%d: packet %d ran with Seq %d", cfg.Tasks, i, got)
-			}
-		}
-	}
-}

@@ -35,6 +35,17 @@ type Source interface {
 	Next() *pkt.Packet
 }
 
+// Recycler is a Source that takes its packets back, as a DPDK mempool
+// takes back an mbuf once its packet leaves. A worker hands each packet
+// back once its stream is done, run to completion or dropped, after
+// the stream's bookkeeping and its TraceStreamDone event, and never
+// touches the packet again; the source may hand it out again from the
+// next Next on. A worker holds at most Tasks+Batch of a source's
+// packets at a time. A Source that is no Recycler gets nothing back.
+type Recycler interface {
+	Recycle(p *pkt.Packet)
+}
+
 // ErrRingTooSmall is the error, wrapped with the sizes, that a config
 // whose RingSlots are fewer than Tasks+Batch is refused with: a wrapped
 // slot could be overwritten while an in-flight task still points at it.
@@ -289,8 +300,9 @@ func (w *Worker) receive(src Source, limit uint64) []*pkt.Packet {
 // Run processes up to maxPackets packets from src (0 means until the
 // source is exhausted) under Algorithm 1 — round-robin with skip over
 // the live-task ring, whose visit order pins every golden fingerprint —
-// and returns the windowed result. Counters are measured as a delta, so
-// Run can be called again on a warm worker for steady-state
+// and returns the windowed result. A src that is a Recycler gets each
+// packet back as the packet's stream ends. Counters are measured as a
+// delta, so Run can be called again on a warm worker for steady-state
 // measurements. Every return is a trace flush point: whatever the
 // window emitted has reached the core's tracer by the time the caller
 // sees the result.
@@ -314,6 +326,7 @@ func (w *Worker) Run(src Source, maxPackets uint64) (Result, error) {
 	// traced gates the per-visit attribution stamps; resolved once so
 	// the untraced scheduler loop pays a single predictable branch.
 	traced := core.Tracer() != nil
+	recycler, _ := src.(Recycler)
 
 	for {
 		batch := w.receive(src, remaining)
@@ -323,9 +336,6 @@ func (w *Worker) Run(src Source, maxPackets uint64) (Result, error) {
 		if remaining > 0 {
 			remaining -= uint64(len(batch))
 		}
-		// receive numbered the batch consecutively, ending at w.seq.
-		seq0 := w.seq - uint64(len(batch))
-
 		// Initialize NFTasks with the batch head and link them into the
 		// scheduler ring.
 		next := 0
@@ -334,7 +344,7 @@ func (w *Worker) Run(src Source, maxPackets uint64) (Result, error) {
 			if next >= len(batch) {
 				break
 			}
-			tasks[i].ResetStream(batch[next], start, seq0+uint64(next))
+			tasks[i].ResetStream(batch[next], start)
 			next++
 			active++
 		}
@@ -385,8 +395,11 @@ func (w *Worker) Run(src Source, maxPackets uint64) (Result, error) {
 				if traced {
 					core.Emit(sim.TraceStreamDone, sim.CauseNone, t.Pkt.Addr, uint64(t.Pkt.Bits()), core.Now()-t.Pkt.RxCycle)
 				}
+				if recycler != nil {
+					recycler.Recycle(t.Pkt)
+				}
 				if next < len(batch) {
-					t.ResetStream(batch[next], start, seq0+uint64(next))
+					t.ResetStream(batch[next], start)
 					next++
 				} else {
 					active--

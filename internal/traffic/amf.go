@@ -64,9 +64,9 @@ type AMFConfig struct {
 // AMFGen emits NAS messages from a UE population. Control-plane
 // messages are small; WireLen models a typical NAS PDU over N2.
 type AMFGen struct {
-	cfg   AMFConfig
-	rng   *rand.Rand
-	pool  *pool
+	cfg AMFConfig
+	rng *rand.Rand
+	*pool
 	stage []uint8 // per-UE progress through the call flow
 }
 

@@ -32,10 +32,10 @@ var (
 
 // CaidaGen emits the synthetic backbone trace.
 type CaidaGen struct {
-	cfg    CaidaConfig
-	rng    *rand.Rand
-	zipf   *rand.Zipf
-	pool   *pool
+	cfg  CaidaConfig
+	rng  *rand.Rand
+	zipf *rand.Zipf
+	*pool
 	tuples []pkt.FiveTuple
 }
 
@@ -79,16 +79,27 @@ func (g *CaidaGen) FlowTuple(i int) pkt.FiveTuple { return g.tuples[i] }
 
 // Next emits the next trace packet: Zipf-popular flow, IMIX size.
 func (g *CaidaGen) Next() *pkt.Packet {
-	tuple := g.tuples[g.cfg.ShardBase+int(g.zipf.Uint64())]
+	flow, size := g.draw()
+	p := g.pool.take()
+	buildUDPish(p, g.tuples[flow], size)
+	return p
+}
+
+// NextSize advances the trace by one packet and returns its IMIX wire
+// size without building a frame: it consumes exactly Next's draws.
+func (g *CaidaGen) NextSize() int {
+	_, size := g.draw()
+	return size
+}
+
+// draw picks the next packet's flow (Zipf) and then its IMIX size.
+func (g *CaidaGen) draw() (flow, size int) {
+	flow = g.cfg.ShardBase + int(g.zipf.Uint64())
 	r := g.rng.Float64()
-	size := imixSizes[0]
 	for i, c := range imixCum {
 		if r <= c {
-			size = imixSizes[i]
-			break
+			return flow, imixSizes[i]
 		}
 	}
-	p := g.pool.take()
-	buildUDPish(p, tuple, size)
-	return p
+	return flow, imixSizes[0]
 }

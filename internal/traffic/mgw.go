@@ -36,9 +36,9 @@ func (c MGWConfig) PDRRangeSpan() int { return 65536 / c.PDRs }
 // MGWGen emits downlink packets toward the UE population, drawing
 // sessions uniformly.
 type MGWGen struct {
-	cfg  MGWConfig
-	rng  *rand.Rand
-	pool *pool
+	cfg MGWConfig
+	rng *rand.Rand
+	*pool
 }
 
 // NewMGWGen validates cfg and builds the generator.

@@ -6,10 +6,12 @@
 // FlowGen also has a round-robin order, a fixed visit order the tests
 // rely on.
 //
-// All generators are deterministic for a given seed, build real frame
-// bytes (Ethernet/IPv4/UDP) that the NFs parse and rewrite, and recycle
-// a fixed pool of packet structs so generation does not distort the Go
-// heap while the simulator measures the data plane.
+// All generators are deterministic for a given seed and build real
+// frame bytes (Ethernet/IPv4/UDP) that the NFs parse and rewrite. Each
+// takes its packets from its own pool and is an rt.Recycler: a worker
+// hands every packet back when its stream ends, so a generator holds
+// only the packets in flight and steady-state generation allocates
+// nothing while the simulator measures the data plane.
 package traffic
 
 import (
@@ -24,35 +26,94 @@ import (
 // content is never inspected. WireLen carries the true packet size.
 const bufBytes = 128
 
-// poolSize is the number of recycled packet structs. It must exceed the
-// largest batch × interleaving depth a worker keeps alive at once.
+// poolSize is the most packets a pool makes. A worker that hands its
+// packets back holds at most Tasks+Batch of them, so a pool it drains
+// stays that small; poolSize is what a consumer that hands nothing
+// back may still read: every packet stays intact for the next
+// poolSize-1 takes (the benchmark's output check reads 4096 frames
+// after its run).
 const poolSize = 4096
 
-// pool is the reusable packet backing store shared by the generators.
+// chunkSize is how many packets a pool makes first; after that each
+// chunk doubles the pool.
+const chunkSize = 64
+
+// pool is the packet store every generator keeps, a per-generator
+// mempool. take hands out the packet most recently handed back; else a
+// new one, while fewer than poolSize exist; else the next in making
+// order that was last handed out poolSize or more takes ago. So a
+// packet nobody hands back stays intact for the next poolSize-1 takes,
+// and with no hand-backs the pool cycles exactly in making order.
+// Packets are made a chunk at a time, chunkSize first and then as many
+// as the pool holds, so a pool holds what its consumer keeps in flight
+// rounded up to chunkSize times a power of two, and filling it to
+// poolSize takes seven chunks.
 type pool struct {
-	pkts []pkt.Packet
-	bufs []byte
-	next int
+	slots []slot        // every packet made, in making order; index = PoolIndex
+	chunk []pkt.Packet  // the chunk new packets come from
+	free  []*pkt.Packet // handed back and not yet taken again
+	takes uint64        // packets handed out so far
+	next  int           // where the reuse scan resumes, once all are made
 }
 
-func newPool() *pool {
-	p := &pool{
-		pkts: make([]pkt.Packet, poolSize),
-		bufs: make([]byte, poolSize*bufBytes),
-	}
-	for i := range p.pkts {
-		p.pkts[i].Data = p.bufs[i*bufBytes : (i+1)*bufBytes]
-	}
-	return p
+// slot is one made packet and the take count it was last handed out at.
+type slot struct {
+	pkt   *pkt.Packet
+	taken uint64
 }
 
-// take returns the next recycled packet with a clean parse state.
+func newPool() *pool { return &pool{} }
+
+// take returns a packet no consumer may still read, with a clean parse
+// state.
 func (p *pool) take() *pkt.Packet {
-	q := &p.pkts[p.next%poolSize]
-	p.next++
+	var q *pkt.Packet
+	if n := len(p.free); n > 0 {
+		q = p.free[n-1]
+		p.free = p.free[:n-1]
+		p.slots[q.PoolIndex].taken = p.takes
+	} else if len(p.slots) < poolSize {
+		q = p.grow()
+	} else {
+		// The scan ends within one lap: the last poolSize-1 takes handed
+		// out at most poolSize-1 packets.
+		for p.takes-p.slots[p.next].taken < poolSize {
+			p.next = (p.next + 1) % poolSize
+		}
+		s := &p.slots[p.next]
+		q, s.taken = s.pkt, p.takes
+		p.next = (p.next + 1) % poolSize
+	}
+	p.takes++
 	q.Reset()
 	return q
 }
+
+// grow makes the pool's next packet, allocating a chunk when the last
+// is used up. slots and free get their room with the chunk, so neither
+// take nor Recycle allocates.
+func (p *pool) grow() *pkt.Packet {
+	n := len(p.slots)
+	if n == cap(p.slots) {
+		size := max(chunkSize, n)
+		p.chunk = make([]pkt.Packet, size)
+		bufs := make([]byte, size*bufBytes)
+		for i := range p.chunk {
+			p.chunk[i].Data = bufs[i*bufBytes : (i+1)*bufBytes]
+		}
+		p.slots = append(make([]slot, 0, n+size), p.slots...)
+		p.free = append(make([]*pkt.Packet, 0, n+size), p.free...)
+	}
+	q := &p.chunk[len(p.chunk)-cap(p.slots)+n]
+	q.PoolIndex = int32(n)
+	p.slots = append(p.slots, slot{pkt: q, taken: p.takes})
+	return q
+}
+
+// Recycle takes back q, a packet this generator handed out, which the
+// next Next may hand out again: the rt.Recycler contract. A caller
+// hands each packet back at most once per take, and reads it no more.
+func (p *pool) Recycle(q *pkt.Packet) { p.free = append(p.free, q) }
 
 // FlowOrder selects how a generator walks its flow population.
 type FlowOrder int
@@ -106,10 +167,10 @@ type FlowGenConfig struct {
 // tuple is arithmetic on its index, and every packet's header is
 // written afresh.
 type FlowGen struct {
-	cfg  FlowGenConfig
-	rng  *rand.Rand
-	pool *pool
-	rr   int
+	cfg FlowGenConfig
+	rng *rand.Rand
+	*pool
+	rr int
 }
 
 // NewFlowGen builds a generator over cfg.Flows distinct five-tuples.
